@@ -3,10 +3,11 @@ package bench
 // The numeric-kernel and routing -benchmem lane: ns/op and allocs/op
 // for the hot kernels of the decomposition substrate — Weyl-coordinate
 // extraction (fast and reference), warm-cache block consolidation, KAK
-// (generic and value-type KAK4) — and for the routing trial engine
+// (generic and value-type KAK4) — for the routing trial engine
 // (steady-state arena trials via sabre.TrialRunner, and a full
-// FindBestRouting grid), recorded into BENCH_routing.json next to the
-// routing rows and diffed by cmd/benchdiff, so an allocation
+// FindBestRouting grid) and for the MIRAGE-Depth trial metric,
+// recorded into BENCH_routing.json next to the routing rows and
+// diffed by cmd/benchdiff, so an allocation
 // regression on either hot path fails CI as visibly as a depth
 // regression would. Alloc counts are deterministic for deterministic
 // code (the routing rows run the serial scheduler for exactly that
@@ -22,6 +23,8 @@ import (
 	"repro/internal/dispatch"
 	"repro/internal/gates"
 	"repro/internal/linalg"
+	"repro/internal/mirage"
+	"repro/internal/polytope"
 	"repro/internal/sabre"
 	"repro/internal/topology"
 	"repro/internal/weyl"
@@ -45,6 +48,22 @@ func routingFixture() (*topology.Topology, *circuit.Circuit, *topology.Layout) {
 	layout := topology.TrivialLayout(16, 16)
 	return topo, c, layout
 }
+
+// DepthMetricFixture returns the input of the mirage/DepthMetric row:
+// QFT(12), consolidated into blocks, routed once on a 3x4 grid from the
+// trivial layout under the MIRAGE policy at aggression 2 (so the
+// routed circuit carries mirrors as well as router SWAPs), plus the
+// sqrt-iSWAP coverage set the metric prices it with.
+func DepthMetricFixture() (*sabre.Result, *polytope.CoverageSet, error) {
+	cov := polytope.NewISwapRootCoverage(2)
+	c := circuit.ConsolidateBlocks(QFT(12))
+	res, err := sabre.Route(c, topology.Grid(3, 4), topology.TrivialLayout(12, 12), sabre.Options{},
+		rand.New(rand.NewSource(7)), mirage.NewPolicy(cov, nil, mirage.AggressionEqual))
+	return res, cov, err
+}
+
+// depthMetricSink keeps the mirage/DepthMetric row's result live.
+var depthMetricSink float64
 
 // KernelRow is one numeric-kernel measurement.
 type KernelRow struct {
@@ -98,6 +117,22 @@ func RunKernelBenchmarks() ([]KernelRow, error) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				circuit.ConsolidateBlocks(consolidateInput)
+			}
+			return nil
+		}},
+		// The per-trial score of a MIRAGE-Depth grid on a warm cost
+		// cache; allocs/op must stay 0.
+		{"mirage/DepthMetric", func(b *testing.B) error {
+			res, cov, err := DepthMetricFixture()
+			if err != nil {
+				return err
+			}
+			metric := mirage.DepthMetricWithCache(cov, nil)
+			metric(res)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				depthMetricSink = metric(res)
 			}
 			return nil
 		}},

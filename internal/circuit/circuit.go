@@ -2,8 +2,9 @@
 // representation used by the transpiler: a flat list of gate
 // applications over qubit wires, a dependency DAG, weighted
 // critical-path depth, small-circuit unitary evaluation, 2Q block
-// consolidation (paper Fig. 13a), a minimal OpenQASM 2 reader/writer
-// and 3-qubit gate unrolling.
+// consolidation (paper Fig. 13a) and the streaming depth of the
+// consolidated circuit (BlockDepth), a minimal OpenQASM 2
+// reader/writer and 3-qubit gate unrolling.
 package circuit
 
 import (

@@ -26,11 +26,9 @@ func ConsolidateBlocks(c *Circuit) *Circuit {
 	out := New(c.Name, c.NumQubits)
 
 	type block struct {
-		a, b     int // a < b
-		leading  [2]linalg.Mat2
-		interior linalg.Mat4
-		trailing [2]linalg.Mat2
-		count    int
+		a, b    int // a < b
+		leading [2]linalg.Mat2
+		blockInterior
 	}
 	active := map[[2]int]*block{}
 	owner := make(map[int][2]int) // qubit -> pair key
@@ -38,28 +36,11 @@ func ConsolidateBlocks(c *Circuit) *Circuit {
 	pendingSet := make([]bool, c.NumQubits)
 
 	id2 := linalg.IdentityMat2()
-	sw := swapMat4()
-
-	orient := func(op Op, a int) linalg.Mat4 {
-		// Return the op matrix in (a, b) wire order.
-		g := linalg.Mat4From(op.Gate.Matrix())
-		if op.Qubits[0] == a {
-			return g
-		}
-		return sw.Mul(g).Mul(sw)
-	}
 	side := func(bl *block, q int) int {
 		if q == bl.a {
 			return 0
 		}
 		return 1
-	}
-	embed1Q := func(m linalg.Mat2, s int) linalg.Mat4 {
-		// Wire a is the most significant bit of the 4x4 index.
-		if s == 0 {
-			return m.KronI()
-		}
-		return m.IKron()
 	}
 
 	flush := func(bl *block) {
@@ -95,9 +76,7 @@ func ConsolidateBlocks(c *Circuit) *Circuit {
 			g := linalg.Mat2From(op.Gate.Matrix())
 			if key, ok := owner[q]; ok {
 				bl := active[key]
-				s := side(bl, q)
-				bl.trailing[s] = g.Mul(bl.trailing[s])
-				bl.count++
+				bl.apply1Q(g, side(bl, q))
 				continue
 			}
 			if !pendingSet[q] {
@@ -113,26 +92,14 @@ func ConsolidateBlocks(c *Circuit) *Circuit {
 			}
 			key := [2]int{a, b}
 			if bl, ok := active[key]; ok {
-				// Fold any trailing 1Q layers back into the interior,
-				// then absorb the gate.
-				for s := 0; s < 2; s++ {
-					bl.interior = embed1Q(bl.trailing[s], s).Mul(bl.interior)
-					bl.trailing[s] = id2
-				}
-				bl.interior = orient(op, a).Mul(bl.interior)
-				bl.count++
+				bl.apply2Q(op, a)
 				continue
 			}
 			// The pair changes: close blocks that share a wire.
 			flushQubit(a)
 			flushQubit(b)
-			bl := &block{
-				a: a, b: b,
-				leading:  [2]linalg.Mat2{id2, id2},
-				interior: orient(op, a),
-				trailing: [2]linalg.Mat2{id2, id2},
-				count:    1,
-			}
+			bl := &block{a: a, b: b, leading: [2]linalg.Mat2{id2, id2}}
+			bl.open(op, a)
 			if pendingSet[a] {
 				bl.leading[0] = pending[a]
 				pendingSet[a] = false
@@ -160,6 +127,62 @@ func ConsolidateBlocks(c *Circuit) *Circuit {
 		flushPending(q)
 	}
 	return out
+}
+
+// blockInterior is the running product of one block's interior: the
+// 2Q gates of the run and the 1Q gates between them, in the block's
+// (a, b) wire order. 1Q gates after the latest 2Q gate wait in
+// trailing — they are exterior unless another 2Q gate of the run
+// follows. ConsolidateBlocks and the matrix fallback of
+// BlockDepth.Depth share it, so both reach bit-identical interiors
+// (and so the same coordinate-cache entries).
+type blockInterior struct {
+	interior linalg.Mat4
+	trailing [2]linalg.Mat2
+}
+
+// open starts the interior with the block's first 2Q gate on (a, b).
+func (bi *blockInterior) open(op Op, a int) {
+	id2 := linalg.IdentityMat2()
+	bi.interior = orientMat4(op, a)
+	bi.trailing = [2]linalg.Mat2{id2, id2}
+}
+
+// apply1Q records a 1Q gate on side s of the block (0 = wire a).
+func (bi *blockInterior) apply1Q(g linalg.Mat2, s int) {
+	bi.trailing[s] = g.Mul(bi.trailing[s])
+}
+
+// apply2Q folds any trailing 1Q layers back into the interior, then
+// absorbs op.
+func (bi *blockInterior) apply2Q(op Op, a int) {
+	id2 := linalg.IdentityMat2()
+	for s := 0; s < 2; s++ {
+		bi.interior = embed1Q(bi.trailing[s], s).Mul(bi.interior)
+		bi.trailing[s] = id2
+	}
+	bi.interior = orientMat4(op, a).Mul(bi.interior)
+}
+
+// swap4 is the SWAP unitary orientMat4 conjugates by.
+var swap4 = swapMat4()
+
+// orientMat4 returns a 2Q op's matrix in (a, b) wire order.
+func orientMat4(op Op, a int) linalg.Mat4 {
+	g := linalg.Mat4From(op.Gate.Matrix())
+	if op.Qubits[0] == a {
+		return g
+	}
+	return swap4.Mul(g).Mul(swap4)
+}
+
+// embed1Q lifts a 1Q matrix onto side s of a wire pair; wire a (s = 0)
+// is the most significant bit of the 4x4 index.
+func embed1Q(m linalg.Mat2, s int) linalg.Mat4 {
+	if s == 0 {
+		return m.KronI()
+	}
+	return m.IKron()
 }
 
 // --- Coordinate cache (paper Fig. 13a) ---

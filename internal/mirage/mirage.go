@@ -14,9 +14,19 @@
 // 45% / 5% (paper Section IV-C), and the best trial is chosen by a
 // post-selection metric: inserted-SWAP count (MIRAGE-Swaps) or the
 // polytope-weighted critical-path depth (MIRAGE-Depth, Section IV-B).
+//
+// The depth metric is what consolidating each trial's routed circuit
+// and pricing its blocks would give, computed in one streaming pass
+// without building a block (circuit.BlockDepth): same-pair runs of 2Q
+// ops are priced by their Weyl class — the payload op's coordinate,
+// mirrored when the run holds an odd number of router SWAPs (paper
+// Eq. 1) — and only a run with two or more payload ops, which routing
+// a consolidated circuit never produces, is multiplied out.
 package mirage
 
 import (
+	"sync"
+
 	"repro/internal/circuit"
 	"repro/internal/polytope"
 	"repro/internal/sabre"
@@ -68,7 +78,9 @@ func NewPolicy(cov *polytope.CoverageSet, cache *polytope.CostCache, level Aggre
 //	cost_current = decomp(U)        + swapCost * H(layout)
 //	cost_trial   = decomp(mirror U) + swapCost * H(layout after mirage SWAP)
 //
-// and accept according to the aggression level.
+// and accept according to the aggression level. The mirror's
+// coordinate comes from ctx.MirrorCoord when the router prepared it,
+// and is computed with weyl.Mirror otherwise.
 func (p *Policy) Decide(ctx *sabre.MirrorContext) bool {
 	switch p.Aggression {
 	case AggressionNever:
@@ -77,7 +89,12 @@ func (p *Policy) Decide(ctx *sabre.MirrorContext) bool {
 		return true
 	}
 	coord := circuit.OpCoordinate(ctx.Op)
-	mirror := weyl.Mirror(coord)
+	var mirror weyl.Coordinate
+	if ctx.MirrorCoord != nil {
+		mirror = *ctx.MirrorCoord
+	} else {
+		mirror = weyl.Mirror(coord)
+	}
 	dc, _ := p.Cache.CostOf(p.Coverage, coord, false)
 	dm, _ := p.Cache.CostOf(p.Coverage, mirror, false)
 
@@ -192,17 +209,43 @@ func DepthMetric(cov *polytope.CoverageSet) sabre.Metric {
 }
 
 // DepthMetricWithCache is DepthMetric with a shared cost cache; nil
-// allocates a fresh one. The metric honours the sabre.Metric contract:
-// it is a pure function of the Result's contents and retains nothing,
-// so FindBestRouting may evaluate it on arena-backed Results that are
-// recycled after the call.
+// allocates a fresh one. Every block is priced through the cache.
+//
+// The score is ConsolidateBlocks(r.Routed).Depth(GateWeight(cov,
+// cache)) — consolidating first prices a router SWAP adjacent to a
+// same-pair gate as its merged block, the absorption the post-routing
+// pipeline will actually perform — computed by the streaming
+// circuit.BlockDepth pass instead. A run of same-pair 2Q ops (1Q ops
+// never break one; a 2Q op on another pair sharing a wire does) is
+// priced by its class: the payload op's coordinate for an even number
+// of router SWAPs in the run and its mirror for an odd number; the
+// SWAP class or the identity for a run of router SWAPs alone. Only a
+// run with two or more payload ops falls back to multiplying its
+// matrices; routing a consolidated circuit never produces one, so the
+// MIRAGE pipeline never takes the fallback.
+//
+// The metric honours the sabre.Metric contract: it is a pure function
+// of the Result's contents and retains nothing, so FindBestRouting may
+// evaluate it on arena-backed Results that are recycled after the
+// call. It is safe for concurrent use and, once warm, allocates
+// nothing: each call borrows a BlockDepth from a pool.
 func DepthMetricWithCache(cov *polytope.CoverageSet, cache *polytope.CostCache) sabre.Metric {
-	w := GateWeight(cov, cache)
+	if cache == nil {
+		cache = polytope.NewCostCache(0)
+	}
+	cost := func(c weyl.Coordinate) float64 {
+		v, _ := cache.CostOf(cov, c, false)
+		return v
+	}
+	var passes sync.Pool
 	return func(r *sabre.Result) float64 {
-		// Consolidate first so a router SWAP adjacent to a same-pair
-		// gate is priced as its merged block (the absorption the
-		// post-routing pipeline will actually perform).
-		return circuit.ConsolidateBlocks(r.Routed).Depth(w)
+		p, _ := passes.Get().(*circuit.BlockDepth)
+		if p == nil {
+			p = new(circuit.BlockDepth)
+		}
+		d := p.Depth(r.Routed, cost)
+		passes.Put(p)
+		return d
 	}
 }
 

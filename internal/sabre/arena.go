@@ -16,12 +16,6 @@ import (
 // convention, so one instance serves every trial.
 var routerSwapGate = gates.SWAP()
 
-// routerSwapMatrix is the shared SWAP unitary used to materialise
-// mirror gates (SWAP · U). Matrices are immutable by the same
-// convention, so the mirrored path multiplies against this single
-// instance instead of building a fresh SWAP matrix per substitution.
-var routerSwapMatrix = routerSwapGate.Matrix()
-
 // trialArena owns every mutable buffer one routing trial needs: the
 // engine state (routingState — traversal, layout, decay, pair caches,
 // candidate dedup stamps, score scratch), the reusable routed-op
@@ -35,9 +29,10 @@ var routerSwapMatrix = routerSwapGate.Matrix()
 // goroutine and everything a route call returns — the Result, its
 // Routed circuit, its layouts — aliases arena buffers and is valid
 // only until the next route call on the same arena. Steady-state reuse
-// performs O(1) heap allocations per trial (the policy's decision
-// objects and mirror-gate materialisation excepted: a mirror
-// substitution builds a fresh custom gate by design).
+// performs O(1) heap allocations per trial, mirror substitutions
+// included: an accepted mirror emits the gate and coordinate prepared
+// once per circuit (mirrorTable), so the only allocations left on the
+// trial path are whatever the policy itself makes.
 type trialArena struct {
 	st  routingState
 	out circuit.Circuit // reusable routed circuit (ops + qubit slices reused)
@@ -110,8 +105,11 @@ func (a *trialArena) emit2(g gates.Gate, qa, qb int, coord *weyl.Coordinate, mir
 // (FlatTraversal reproduces the naive traversal order), same candidate
 // enumeration order, same score comparisons and tie-breaking RNG
 // consumption.
-func (a *trialArena) route(fd *circuit.FlatDAG, topo *topology.Topology, initial *topology.Layout,
-	opts Options, rng *rand.Rand, policy MirrorPolicy) (*Result, error) {
+//
+// mirrors is the per-op mirror data of fd's circuit; it is only read
+// when policy is non-nil, so policy-free routes may pass nil.
+func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topology.Topology,
+	initial *topology.Layout, opts Options, rng *rand.Rand, policy MirrorPolicy) (*Result, error) {
 
 	opts = opts.WithDefaults()
 	c := fd.Circ
@@ -132,6 +130,9 @@ func (a *trialArena) route(fd *circuit.FlatDAG, topo *topology.Topology, initial
 	a.res = Result{InitialLayout: &a.initLayout}
 	a.ctx.Topo = topo
 	a.ctx.Layout = &st.layout
+	if policy != nil {
+		mirrors = mirrors.get()
+	}
 
 	// Execute/stall loop, worklist form. The naive formulation (kept in
 	// RouteReference) rescans a snapshot of the whole ready set per pass
@@ -188,13 +189,12 @@ func (a *trialArena) route(fd *circuit.FlatDAG, topo *topology.Topology, initial
 						st.mirrorA, st.mirrorB = pa, pb
 						a.ctx.Op = op
 						a.ctx.PhysA, a.ctx.PhysB = pa, pb
+						a.ctx.MirrorCoord = &mirrors.coord[idx]
 						mirrored = policy.Decide(&a.ctx)
 					}
 					g, coord := op.Gate, op.Coord
 					if mirrored {
-						m := routerSwapMatrix.Mul(op.Gate.Matrix())
-						g = gates.NewCustom(op.Gate.Name+"'", 2, m)
-						coord = nil // stale: the mirror has a new coordinate
+						g, coord = mirrors.gate[idx], &mirrors.coord[idx]
 						a.res.MirrorsUsed++
 					}
 					a.emit2(g, pa, pb, coord, mirrored, false)
@@ -312,9 +312,10 @@ func projectLayoutInto(dst, src *topology.Layout, numLogical int) {
 // circuit, both layouts) aliases the runner's arena and is valid only
 // until the next Run call.
 type TrialRunner struct {
-	fd    *circuit.FlatDAG
-	topo  *topology.Topology
-	arena *trialArena
+	fd      *circuit.FlatDAG
+	mirrors *mirrorTable
+	topo    *topology.Topology
+	arena   *trialArena
 }
 
 // NewTrialRunner validates and prepares c for repeated routing trials
@@ -323,17 +324,14 @@ func NewTrialRunner(c *circuit.Circuit, topo *topology.Topology) (*TrialRunner, 
 	if err := validateRoutable(c, topo); err != nil {
 		return nil, err
 	}
-	return &TrialRunner{
-		fd:    circuit.BuildFlatDAG(c),
-		topo:  topo,
-		arena: newTrialArena(),
-	}, nil
+	return newTrialRunnerForDAG(circuit.BuildFlatDAG(c), newMirrorTable(c), topo), nil
 }
 
-// newTrialRunnerForDAG shares an already-built FlatDAG (the
-// FindBestRouting fan-out path, where every worker reads one DAG).
-func newTrialRunnerForDAG(fd *circuit.FlatDAG, topo *topology.Topology) *TrialRunner {
-	return &TrialRunner{fd: fd, topo: topo, arena: newTrialArena()}
+// newTrialRunnerForDAG shares an already-built FlatDAG and mirror
+// table (the FindBestRouting fan-out path, where every worker reads
+// one prepared circuit).
+func newTrialRunnerForDAG(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topology.Topology) *TrialRunner {
+	return &TrialRunner{fd: fd, mirrors: mirrors, topo: topo, arena: newTrialArena()}
 }
 
 // NewTrialRunnerFromDAG builds a runner over a FlatDAG that arrived
@@ -347,7 +345,7 @@ func NewTrialRunnerFromDAG(fd *circuit.FlatDAG, topo *topology.Topology) (*Trial
 	if err := validateRoutable(fd.Circ, topo); err != nil {
 		return nil, err
 	}
-	return newTrialRunnerForDAG(fd, topo), nil
+	return newTrialRunnerForDAG(fd, newMirrorTable(fd.Circ), topo), nil
 }
 
 // Run executes one routing trial from the given initial layout with a
@@ -356,7 +354,7 @@ func NewTrialRunnerFromDAG(fd *circuit.FlatDAG, topo *topology.Topology) (*Trial
 // validity contract of the returned Result.
 func (r *TrialRunner) Run(initial *topology.Layout, opts Options, seed int64, policy MirrorPolicy) (*Result, error) {
 	r.arena.rng.Seed(seed)
-	return r.arena.route(r.fd, r.topo, initial, opts, r.arena.rng, policy)
+	return r.arena.route(r.fd, r.mirrors, r.topo, initial, opts, r.arena.rng, policy)
 }
 
 // GridTrial executes trial t of the FindBestRouting grid: routing from

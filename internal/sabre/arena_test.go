@@ -28,7 +28,7 @@ func TestArenaReuseBitIdentical(t *testing.T) {
 		}
 		fd := circuit.BuildFlatDAG(tc.circ)
 		arena.rng.Seed(tc.seed)
-		reused, err := arena.route(fd, tc.topo, tc.layout, Options{}, arena.rng, policy)
+		reused, err := arena.route(fd, newMirrorTable(tc.circ), tc.topo, tc.layout, Options{}, arena.rng, policy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,8 +129,10 @@ func TestFindBestRoutingInvariantAcrossSchedulers(t *testing.T) {
 // TestSharedFlatDAGManyWorkers hammers one shared FlatDAG through the
 // public TrialRunner seam: many goroutines, each with its own runner,
 // route the same prepared circuit concurrently and must all obtain the
-// reference fingerprint. Run under -race (the CI race lane) this is
-// the immutability proof for the shared-DAG design.
+// reference fingerprint. The workers also share one mirror table that
+// nobody has built yet, so its lazy first build races too. Run under
+// -race (the CI race lane) this is the immutability proof for the
+// shared-DAG design.
 func TestSharedFlatDAGManyWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(515))
 	topo := topology.Grid(4, 4)
@@ -146,6 +148,7 @@ func TestSharedFlatDAGManyWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := routingFingerprint(want)
+	mirrors := newMirrorTable(c)
 
 	const workers = 8
 	var wg sync.WaitGroup
@@ -154,7 +157,7 @@ func TestSharedFlatDAGManyWorkers(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			runner := newTrialRunnerForDAG(proto.fd, topo) // shared DAG, private arena
+			runner := newTrialRunnerForDAG(proto.fd, mirrors, topo) // shared DAG and mirror data, private arena
 			for rep := 0; rep < 10; rep++ {
 				res, err := runner.Run(layout, Options{}, 99, parityMirror{})
 				if err != nil {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/gates"
 	"repro/internal/topology"
+	"repro/internal/weyl"
 )
 
 // costMirror mirrors whenever the summed routing heuristic improves,
@@ -175,6 +176,66 @@ func TestRouteEquivalenceLongRandomWalk(t *testing.T) {
 		}
 		if !sameFingerprint(routingFingerprint(ref), routingFingerprint(got)) {
 			t.Fatalf("trial %d: engine diverged from reference on line topology", trial)
+		}
+	}
+}
+
+// coordRecorder mirrors like parityMirror and records, per decision,
+// the mirror coordinate the router offered (nil when absent).
+type coordRecorder struct{ offered []*weyl.Coordinate }
+
+func (r *coordRecorder) Decide(ctx *MirrorContext) bool {
+	var c *weyl.Coordinate
+	if ctx.MirrorCoord != nil {
+		v := *ctx.MirrorCoord
+		c = &v
+	}
+	r.offered = append(r.offered, c)
+	return (ctx.PhysA+ctx.PhysB)%2 == 0
+}
+
+// TestMirrorDataMatchesReference: the engine reads each op's mirror
+// coordinate and mirror gate from the per-circuit table, the reference
+// recomputes them per decision. Both must offer the policy the same
+// coordinate on every decision and emit every accepted mirror with the
+// same gate matrix and the same coordinate annotation — the mirror of
+// the op's own coordinate, which the emitted gate really has.
+func TestMirrorDataMatchesReference(t *testing.T) {
+	for _, tc := range equivCases(t) {
+		engPolicy, refPolicy := &coordRecorder{}, &coordRecorder{}
+		ref, err := RouteReference(tc.circ, tc.topo, tc.layout, Options{},
+			rand.New(rand.NewSource(tc.seed)), refPolicy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Route(tc.circ, tc.topo, tc.layout, Options{},
+			rand.New(rand.NewSource(tc.seed)), engPolicy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(engPolicy.offered) != len(refPolicy.offered) {
+			t.Fatalf("%s: %d decisions vs reference %d", tc.name, len(engPolicy.offered), len(refPolicy.offered))
+		}
+		for i, c := range engPolicy.offered {
+			if c == nil || refPolicy.offered[i] == nil || *c != *refPolicy.offered[i] {
+				t.Fatalf("%s decision %d: engine offered %v, reference %v", tc.name, i, c, refPolicy.offered[i])
+			}
+		}
+		for i, op := range got.Routed.Ops {
+			if !op.Mirrored {
+				continue
+			}
+			rop := ref.Routed.Ops[i]
+			if op.Coord == nil || rop.Coord == nil || *op.Coord != *rop.Coord {
+				t.Fatalf("%s op %d: mirror annotation %v, reference %v", tc.name, i, op.Coord, rop.Coord)
+			}
+			if op.Gate.Matrix().MaxAbsDiff(rop.Gate.Matrix()) != 0 {
+				t.Fatalf("%s op %d: mirror gate differs from the reference's", tc.name, i)
+			}
+			actual := weyl.MustCoordinateOf(op.Gate.Matrix())
+			if !actual.ApproxEqual(*op.Coord, 1e-7) {
+				t.Fatalf("%s op %d: annotated %v, gate is at %v", tc.name, i, *op.Coord, actual)
+			}
 		}
 	}
 }

@@ -9,17 +9,22 @@ import (
 )
 
 // PreparedCircuit is the immutable per-circuit analysis the trial grid
-// shares: the validated (circuit, topology) pairing and the forward
-// and reversed flat dependency DAGs. Every trial of a circuit reads
-// the same DAGs, layout refinement's backward pass reads the same
-// reversed DAG, and the winner replay reuses both — so the analysis is
-// computed once per circuit, not once per consumer. The distributed
-// coordinator ships the forward DAG inside the trial job spec so
-// remote workers skip the rebuild too.
+// shares: the validated (circuit, topology) pairing, the forward and
+// reversed flat dependency DAGs, and the per-op mirror data (each 2Q
+// op's mirror gate and mirror coordinate). Every trial of a circuit
+// reads the same DAGs and mirror data, layout refinement's backward
+// pass reads the same reversed DAG, and the winner replay reuses them
+// all — so the analysis is computed once per circuit, not once per
+// consumer. Only the forward circuit has mirror data: the backward
+// passes of layout refinement route without a mirror policy. The
+// distributed coordinator ships the forward DAG inside the trial job
+// spec so remote workers skip the rebuild too.
 //
 // Lifetime rules: a PreparedCircuit and everything it references
-// (Circ, Topo, both DAGs) are immutable after PrepareCircuit returns
-// and safe to share across any number of goroutines, trial runners and
+// (Circ, Topo, both DAGs, the mirror data) are immutable after
+// PrepareCircuit returns — the mirror data is filled in once, on the
+// first routing trial that carries a policy, under a sync.Once — and
+// safe to share across any number of goroutines, trial runners and
 // FindBestRoutingPrepared calls, concurrently and indefinitely. All
 // mutable routing state lives in per-worker trial arenas; nothing ever
 // writes back into the prepared state. The prepared state is only
@@ -34,6 +39,8 @@ type PreparedCircuit struct {
 	// layout refinement.
 	FD    *circuit.FlatDAG
 	FDRev *circuit.FlatDAG
+
+	mirrors mirrorTable // per-op mirror data of Circ
 }
 
 // PrepareCircuit validates c against topo and builds the shared
@@ -49,19 +56,20 @@ func PrepareCircuit(c *circuit.Circuit, topo *topology.Topology) (*PreparedCircu
 		return nil, fmt.Errorf("sabre: topology %s is disconnected", topo.Name)
 	}
 	return &PreparedCircuit{
-		Circ:  c,
-		Topo:  topo,
-		FD:    circuit.BuildFlatDAG(c),
-		FDRev: circuit.BuildFlatDAG(c.Reversed()),
+		Circ:    c,
+		Topo:    topo,
+		FD:      circuit.BuildFlatDAG(c),
+		FDRev:   circuit.BuildFlatDAG(c.Reversed()),
+		mirrors: mirrorTable{circ: c},
 	}, nil
 }
 
 // NewTrialRunnerPrepared builds a trial runner over the prepared
 // state: no validation, no DAG construction — just a fresh arena
-// sharing the immutable DAG. Runners are single-goroutine; create one
-// per worker.
+// sharing the immutable DAG and mirror data. Runners are single-
+// goroutine; create one per worker.
 func NewTrialRunnerPrepared(pc *PreparedCircuit) *TrialRunner {
-	return newTrialRunnerForDAG(pc.FD, pc.Topo)
+	return newTrialRunnerForDAG(pc.FD, &pc.mirrors, pc.Topo)
 }
 
 // RefineLayoutsPrepared is RefineLayouts over prepared state: the
@@ -101,7 +109,7 @@ func runTrialGrid(pc *PreparedCircuit, layouts []*topology.Layout, opts LayoutOp
 	sel := NewTrialSelector(opts.ConvergencePatience)
 	q := dispatch.NewQueue(n, 1, sel.Consume)
 	err := dispatch.RunLocal(q, opts.Parallelism,
-		func(int) *TrialRunner { return newTrialRunnerForDAG(pc.FD, pc.Topo) },
+		func(int) *TrialRunner { return NewTrialRunnerPrepared(pc) },
 		func(t int, r *TrialRunner) (float64, error) {
 			var policy MirrorPolicy
 			if factory != nil {
@@ -127,7 +135,7 @@ func runTrialGrid(pc *PreparedCircuit, layouts []*topology.Layout, opts LayoutOp
 	if factory != nil {
 		policy = factory(bestT)
 	}
-	best, err := newTrialRunnerForDAG(pc.FD, pc.Topo).GridTrial(layouts, opts, bestT, policy)
+	best, err := NewTrialRunnerPrepared(pc).GridTrial(layouts, opts, bestT, policy)
 	if err != nil {
 		return nil, err
 	}

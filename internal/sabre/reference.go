@@ -7,6 +7,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/gates"
 	"repro/internal/topology"
+	"repro/internal/weyl"
 )
 
 // RouteReference is the naive SABRE formulation Route used before the
@@ -135,20 +136,25 @@ func RouteReference(c *circuit.Circuit, topo *topology.Topology, initial *topolo
 						continue
 					}
 					mirrored := false
+					var mc weyl.Coordinate
 					if policy != nil {
+						// The engine reads the mirror coordinate from its
+						// per-circuit table; the reference recomputes the
+						// same value per decision.
+						mc = mirrorCoord(op)
 						ctx := &MirrorContext{
 							Op: op, PhysA: pa, PhysB: pb,
 							Layout: layout, Topo: topo,
 							RoutingCost: routingCost(idx, false),
+							MirrorCoord: &mc,
 						}
 						mirrored = policy.Decide(ctx)
 					}
 					emit := circuit.Op{Gate: op.Gate, Qubits: []int{pa, pb}, Coord: op.Coord}
 					if mirrored {
-						m := gates.SWAP().Matrix().Mul(op.Gate.Matrix())
-						emit.Gate = gates.NewCustom(op.Gate.Name+"'", 2, m)
+						emit.Gate = mirrorGate(op)
 						emit.Mirrored = true
-						emit.Coord = nil // stale: the mirror has a new coordinate
+						emit.Coord = &mc
 						res.MirrorsUsed++
 					}
 					out.Append(emit)

@@ -35,6 +35,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/pool"
 	"repro/internal/topology"
+	"repro/internal/weyl"
 )
 
 // Options holds the SABRE parameters; defaults follow the paper's
@@ -95,6 +96,12 @@ type MirrorContext struct {
 	// the mirror decision's only two evaluation points and agrees with
 	// RoutingCost bit-for-bit.
 	RoutingCostSwap func() (current, swapped float64)
+	// MirrorCoord, when non-nil, is the Weyl coordinate of Op's mirror,
+	// weyl.Mirror(circuit.OpCoordinate(Op)), prepared once per circuit
+	// (do not mutate). The router annotates an accepted mirror with
+	// the same coordinate. Policies fall back to computing it when the
+	// field is nil — the "annotation preferred" rule of Op.Coord.
+	MirrorCoord *weyl.Coordinate
 }
 
 // MirrorPolicy decides whether to substitute the mirror gate
@@ -123,8 +130,9 @@ type Result struct {
 // given layout, inserting SWAPs as needed. All ops must act on at most
 // two qubits. The input layout is not mutated.
 //
-// Each call builds the circuit's flat DAG and a fresh trial arena; the
-// returned Result owns its buffers. Callers routing the same circuit
+// Each call builds the circuit's flat DAG (and, under a policy, its
+// per-op mirror data) and a fresh trial arena; the returned Result
+// owns its buffers. Callers routing the same circuit
 // repeatedly should use TrialRunner, which shares the DAG and reuses
 // the arena so steady-state trials allocate O(1).
 func Route(c *circuit.Circuit, topo *topology.Topology, initial *topology.Layout,
@@ -134,9 +142,13 @@ func Route(c *circuit.Circuit, topo *topology.Topology, initial *topology.Layout
 		return nil, err
 	}
 	fd := circuit.BuildFlatDAG(c)
+	var mirrors *mirrorTable
+	if policy != nil {
+		mirrors = newMirrorTable(c)
+	}
 	// The arena is transient, so handing its buffers to the caller via
 	// the Result is safe: nothing resets them afterwards.
-	return newTrialArena().route(fd, topo, initial, opts, rng, policy)
+	return newTrialArena().route(fd, mirrors, topo, initial, opts, rng, policy)
 }
 
 // RandomLayout places the circuit's logical qubits on distinct random
@@ -284,12 +296,12 @@ func refineLayouts(fd, fdRev *circuit.FlatDAG, c *circuit.Circuit, topo *topolog
 			a.rng.Seed(trialSeed(opts.Seed, seedStreamLayout, lt))
 			layout := RandomLayout(c.NumQubits, topo, a.rng)
 			for pass := 0; pass < opts.FwdBwdPasses; pass++ {
-				fwd, err := a.route(fd, topo, layout, opts.Routing, a.rng, nil)
+				fwd, err := a.route(fd, nil, topo, layout, opts.Routing, a.rng, nil)
 				if err != nil {
 					return err
 				}
 				projectLayoutInto(&a.h1, fwd.FinalLayout, c.NumQubits)
-				bwd, err := a.route(fdRev, topo, &a.h1, opts.Routing, a.rng, nil)
+				bwd, err := a.route(fdRev, nil, topo, &a.h1, opts.Routing, a.rng, nil)
 				if err != nil {
 					return err
 				}
