@@ -177,7 +177,7 @@ func BenchmarkFig8TwoLocal(b *testing.B) {
 func BenchmarkFig9Trials(b *testing.B) {
 	topo := topology.Line(4)
 	cov := polytope.NewISwapRootCoverage(2)
-	w := mirpkg.GateWeight(cov, nil)
+	w := mirpkg.GateWeight(cov)
 	for i := 0; i < b.N; i++ {
 		c := circuit.New("fig9", 4)
 		// The Fig. 9 sub-circuit: a reordered slice of TwoLocal.
@@ -189,7 +189,7 @@ func BenchmarkFig9Trials(b *testing.B) {
 		minD, maxD := 1e18, 0.0
 		for trial := 0; trial < 8; trial++ {
 			rng := rand.New(rand.NewSource(int64(trial + 1)))
-			policy := mirpkg.NewPolicy(cov, nil, mirpkg.AggressionEqual)
+			policy := mirpkg.NewPolicy(mirpkg.NewCostTable(cov, c), mirpkg.AggressionEqual)
 			res, err := sabre.Route(c, topo, topology.TrivialLayout(4, 4), sabre.Options{}, rng, policy)
 			if err != nil {
 				b.Fatal(err)
@@ -393,19 +393,17 @@ func BenchmarkRoutingSerialVsParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkTranspileBatch measures the batch entrypoint: many circuits
-// sharing one warmed cost cache, circuit-level fan-out.
+// BenchmarkTranspileBatch measures the batch entrypoint: many circuits,
+// circuit-level fan-out.
 func BenchmarkTranspileBatch(b *testing.B) {
 	topo := topology.SquareLattice66()
 	circs := []*circuit.Circuit{
 		bench.WState(16), bench.QEC9XZ(17), bench.QFT(10), bench.GHZ(12),
 	}
 	for i := 0; i < b.N; i++ {
-		cache := polytope.NewCostCache(0)
 		reps, err := transpile.TranspileBatch(circs, topo, transpile.Options{
 			Router: transpile.MIRAGE, DepthSelection: true,
 			Layout:            quickLayout(12),
-			Cache:             cache,
 			SkipTrivialLayout: true,
 		})
 		if err != nil {
@@ -413,10 +411,6 @@ func BenchmarkTranspileBatch(b *testing.B) {
 		}
 		if len(reps) != len(circs) {
 			b.Fatal("missing reports")
-		}
-		hits, misses := cache.Stats()
-		if hits+misses > 0 {
-			b.ReportMetric(100*float64(hits)/float64(hits+misses), "cost_cache_hit_%")
 		}
 	}
 }

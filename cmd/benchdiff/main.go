@@ -97,23 +97,6 @@ func main() {
 	for _, k := range al.Removed {
 		fmt.Printf("%-22s %-7s | warning: row dropped in new run\n", k.Circuit, k.Router)
 	}
-	if oldF.Cache != nil && newF.Cache != nil {
-		// Warn-only context, like wall time: hit rate moves with cache
-		// warmth (snapshot seeding, -repeat passes, fleet size), not
-		// with routing quality, so it never fails the diff.
-		oc, nc := oldF.Cache, newF.Cache
-		fmt.Printf("\ncost cache: hit rate %.1f%% -> %.1f%% (%s; warm-start entries %d -> %d)\n",
-			100*oc.HitRate, 100*nc.HitRate, pct(oc.HitRate, nc.HitRate),
-			oc.LoadedEntries, nc.LoadedEntries)
-		if oc.HitRate > nc.HitRate {
-			fmt.Println("warning: fleet hit rate dropped — cache warm-up may have regressed (warn-only)")
-		}
-		if oc.SnapshotVersion != 0 || nc.SnapshotVersion != 0 {
-			fmt.Printf("warm tier: snapshot v%d -> v%d, warm entries %d -> %d, folded %d -> %d jobs (%d -> %d entries)\n",
-				oc.SnapshotVersion, nc.SnapshotVersion, oc.WarmEntries, nc.WarmEntries,
-				oc.FoldedJobs, nc.FoldedJobs, oc.FoldedEntries, nc.FoldedEntries)
-		}
-	}
 	if oldF.Fleet != nil && newF.Fleet != nil &&
 		(oldF.Fleet.WarmSends+oldF.Fleet.WarmSkips+newF.Fleet.WarmSends+newF.Fleet.WarmSkips > 0) {
 		fmt.Printf("warm transfers: sent %d -> %d (%d -> %d B), skipped %d -> %d (%d -> %d B saved)\n",

@@ -29,27 +29,20 @@ import (
 	"repro/internal/transpile"
 )
 
-// runConfig carries the scheduler/engine knobs and the (optionally
-// persistent) decomposition-cost cache through every experiment.
+// runConfig carries the scheduler/engine knobs through every
+// experiment.
 type runConfig struct {
 	layout       sabre.LayoutOptions
 	patience     int
 	scoreWorkers int
-	cache        *polytope.CostCache
-	cacheLoaded  int  // entries merged from -cache-file at startup
 	kernels      bool // run the numeric-kernel -benchmem lane
-	// hitsBase/missesBase snapshot the cache counters at the start of
-	// each -repeat pass, so every JSON document reports its own pass's
-	// hit rate rather than the cumulative total — the number the CI
-	// warm-start lane asserts strictly increases on a warmed hub.
-	hitsBase, missesBase int64
 	// mirrorVerify enables the semantic survival check on mirror-family
 	// suite rows inside runFig12 (runMirror always verifies).
 	mirrorVerify bool
 	mirrorTol    float64
 	// cluster, when non-nil, fans every routing-trial grid out to
 	// remote miraged workers (-listen/-workers). Results are
-	// bit-identical to local runs; only wall times and cache traffic
+	// bit-identical to local runs; only wall times and fleet counters
 	// move.
 	cluster *distrib.Cluster
 }
@@ -62,7 +55,6 @@ func (rc *runConfig) options(router transpile.Router, depth bool, fixed *mirage.
 		Layout:              rc.layout,
 		ConvergencePatience: rc.patience,
 		ScoreWorkers:        rc.scoreWorkers,
-		Cache:               rc.cache,
 		SkipTrivialLayout:   true, // the suite circuits all need routing
 	}
 	if rc.cluster != nil {
@@ -102,38 +94,6 @@ func (rc *runConfig) fleetStats() *bench.FleetEventStats {
 	}
 }
 
-// beginPass snapshots the cache counters at the start of a suite pass.
-func (rc *runConfig) beginPass() {
-	rc.hitsBase, rc.missesBase = rc.cache.Stats()
-}
-
-// cacheStats builds the JSON cache statistics for the pass that just
-// ran: hits/misses since beginPass (on a warm-tier distributed run
-// the cache is the fleet master, so worker epilogue counters are
-// included), plus the master's warm-tier telemetry when one exists.
-func (rc *runConfig) cacheStats() *bench.RoutingCacheStats {
-	hits, misses := rc.cache.Stats()
-	hits -= rc.hitsBase
-	misses -= rc.missesBase
-	cs := &bench.RoutingCacheStats{
-		LoadedEntries: rc.cacheLoaded,
-		FinalEntries:  rc.cache.Len(),
-		Hits:          hits,
-		Misses:        misses,
-	}
-	if hits+misses > 0 {
-		cs.HitRate = float64(hits) / float64(hits+misses)
-	}
-	if rc.cluster != nil && rc.cluster.Master != nil {
-		ws := rc.cluster.Master.Stats()
-		cs.SnapshotVersion = ws.SnapshotVersion
-		cs.WarmEntries = ws.Entries
-		cs.FoldedJobs = ws.FoldedJobs
-		cs.FoldedEntries = ws.FoldedEntries
-	}
-	return cs
-}
-
 // iterPath derives the JSON path of suite pass it: pass 1 keeps the
 // flag value, later passes insert ".runN" before the extension
 // (BENCH_routing.json -> BENCH_routing.run2.json), so a -repeat run
@@ -156,7 +116,6 @@ func main() {
 		parallel  = flag.Int("parallel", 0, "routing-trial workers (0 = one per CPU, 1 = serial)")
 		patience  = flag.Int("patience", 0, "stop scheduling trials after N consecutive non-improving trial indices (0 = fixed grid)")
 		scoreWork = flag.Int("score-workers", 0, "workers for SWAP-candidate scoring inside each trial (0/1 = serial)")
-		cacheFile = flag.String("cache-file", "", "persistent decomposition-cost cache: loaded at startup, saved at exit")
 		coverFile = flag.String("coverage-file", "", "persistent coverage-set library: loaded at startup, saved at exit (skips the empirical polytope rebuilds)")
 		jsonPath  = flag.String("json", "BENCH_routing.json", "machine-readable fig-12 results file (empty = disabled)")
 		kernels   = flag.Bool("kernels", false, "run the numeric-kernel -benchmem lane and record it in the results file")
@@ -172,7 +131,7 @@ func main() {
 		jobDeadl  = flag.Duration("job-deadline", 0, "distributed: fail a job outright after this long, listing outstanding leases (0 = off)")
 		rejoin    = flag.Duration("rejoin-grace", 0, "distributed: keep a job alive this long with zero workers connected (0 = off)")
 		journal   = flag.String("journal", "", "distributed: write-ahead job journal directory; a restarted coordinator pointed at the same directory resumes unfinished jobs (requires -listen)")
-		warm      = flag.Bool("warm", true, "distributed: keep a hub-resident master cost cache that folds worker epilogue deltas and re-seeds later jobs (also routes -cache-file to the fleet)")
+		warm      = flag.Bool("warm", true, "distributed: ship the coordinator's coverage-set library to workers once per snapshot version, so they skip the empirical polytope builds")
 		repeat    = flag.Int("repeat", 1, "run the selected experiment N times against the same process (and hub); pass N writes -json with a .runN suffix, so warm-start wins are measurable")
 		fleetWait = flag.Duration("fleet-wait", 5*time.Minute, "distributed: how long to wait for -workers workers before starting; with -local-fallback a timeout proceeds degraded instead of failing")
 		localFall = flag.Bool("local-fallback", true, "distributed: let the coordinator execute poison items and worker-starved job remainders itself (degraded mode)")
@@ -226,9 +185,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchsuite: -journal only applies to distributed runs (set -listen); serial runs are rerun, not resumed")
 		os.Exit(2)
 	}
-	if err := (bench.WarmFlags{
-		Listen: *listen, Warm: *warm, CacheFile: *cacheFile, Repeat: *repeat,
-	}).Validate(); err != nil {
+	if err := (bench.WarmFlags{Warm: *warm, Repeat: *repeat}).Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "benchsuite:", err)
 		os.Exit(2)
 	}
@@ -251,16 +208,6 @@ func main() {
 		},
 		patience:     *patience,
 		scoreWorkers: *scoreWork,
-		cache:        polytope.NewCostCache(0),
-	}
-	if *cacheFile != "" {
-		n, err := rc.cache.LoadFile(*cacheFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "loading %s: %v\n", *cacheFile, err)
-			os.Exit(1)
-		}
-		rc.cacheLoaded = n
-		fmt.Printf("cost cache: warm-started with %d entries from %s\n", n, *cacheFile)
 	}
 	var saveCoverage func() error
 	if *coverFile != "" {
@@ -313,17 +260,13 @@ func main() {
 		}
 		fmt.Printf("%d workers connected; trials will be dispatched remotely\n", hub.Workers())
 		if *warm {
-			// The suite's cache IS the fleet master: entries loaded from
-			// -cache-file ship to workers in the warm snapshot (the old
-			// behaviour — coordinator-side only — is what WarmFlags
-			// rejects), and every job's epilogue folds back in here.
-			rc.cluster = distrib.NewClusterWithCache(hub, rc.cache)
+			rc.cluster = distrib.NewCluster(hub)
 			rc.cluster.Master.Logf = func(format string, args ...any) {
 				fmt.Printf(format+"\n", args...)
 			}
 		} else {
-			// Cold: no master, no hub WarmSource — workers start every
-			// job with an empty cache, the pre-warm-tier behaviour.
+			// Cold: no master, no hub WarmSource — every worker builds
+			// its coverage sets itself.
 			rc.cluster = &distrib.Cluster{Hub: hub}
 		}
 		rc.cluster.TrialLease = *lease
@@ -331,7 +274,7 @@ func main() {
 
 	if *patSweep != "" {
 		runPatienceSweep(rc, pickTopo(*topoName), *quick, *patSweep, *patJSON)
-		saveCaches(rc, *cacheFile, saveCoverage, *coverFile)
+		saveCoverageLibrary(saveCoverage, *coverFile)
 		return
 	}
 
@@ -339,7 +282,6 @@ func main() {
 		if *repeat > 1 {
 			fmt.Printf("\n=== suite pass %d of %d ===\n", it, *repeat)
 		}
-		rc.beginPass()
 		switch *fig {
 		case "table3":
 			runTable3()
@@ -360,22 +302,14 @@ func main() {
 	if rc.cluster != nil && rc.cluster.Master != nil {
 		ws := rc.cluster.Master.Stats()
 		fs := rc.cluster.Hub.Stats()
-		fmt.Printf("warm tier: snapshot v%d with %d entries; folded %d job epilogue(s) / %d new entries; snapshots sent %d (%d B), skipped %d (%d B saved)\n",
-			ws.SnapshotVersion, ws.Entries, ws.FoldedJobs, ws.FoldedEntries,
+		fmt.Printf("warm tier: coverage snapshot v%d with %d set(s); snapshots sent %d (%d B), skipped %d (%d B saved)\n",
+			ws.SnapshotVersion, ws.CoverageSets,
 			fs.WarmSends, fs.WarmBytesSent, fs.WarmSkips, fs.WarmBytesSkipped)
 	}
-	saveCaches(rc, *cacheFile, saveCoverage, *coverFile)
+	saveCoverageLibrary(saveCoverage, *coverFile)
 }
 
-func saveCaches(rc *runConfig, cacheFile string, saveCoverage func() error, coverFile string) {
-	if cacheFile != "" {
-		if err := rc.cache.SaveFile(cacheFile); err != nil {
-			fmt.Fprintf(os.Stderr, "saving %s: %v\n", cacheFile, err)
-			os.Exit(1)
-		}
-		fmt.Printf("cost cache: saved %d entries to %s (hit rate %.1f%%)\n",
-			rc.cache.Len(), cacheFile, 100*rc.cache.HitRate())
-	}
+func saveCoverageLibrary(saveCoverage func() error, coverFile string) {
 	if saveCoverage != nil {
 		if err := saveCoverage(); err != nil {
 			fmt.Fprintf(os.Stderr, "saving %s: %v\n", coverFile, err)
@@ -671,7 +605,6 @@ func runFig12(rc *runConfig, topo *topology.Topology, quick bool, jsonPath strin
 			Parallelism:         pool.Size(rc.layout.Parallelism),
 			GOMAXPROCS:          runtime.GOMAXPROCS(0),
 			TotalWallMS:         float64(total.Microseconds()) / 1000,
-			Cache:               rc.cacheStats(),
 			Fleet:               rc.fleetStats(),
 			Rows:                rows,
 			Kernels:             kernelRows,
@@ -747,7 +680,6 @@ func runMirror(rc *runConfig, topo *topology.Topology, quick bool, jsonPath stri
 			Parallelism:         pool.Size(rc.layout.Parallelism),
 			GOMAXPROCS:          runtime.GOMAXPROCS(0),
 			TotalWallMS:         float64(total.Microseconds()) / 1000,
-			Cache:               rc.cacheStats(),
 			Fleet:               rc.fleetStats(),
 			Rows:                rows,
 		}

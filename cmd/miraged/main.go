@@ -15,7 +15,7 @@
 // same coordinator role via its -listen/-workers flags, so a serial
 // `benchsuite -fig 12` and a `benchsuite -listen ... -fig 12` with
 // miraged workers write row-identical BENCH_routing.json files (wall
-// times, cache traffic and fleet counters excepted); CI's loopback
+// times and fleet counters excepted); CI's loopback
 // smoke and chaos lanes assert exactly that.
 //
 // Workers reconnect with capped exponential backoff (-retry, -backoff,
@@ -55,7 +55,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/dispatch"
 	"repro/internal/distrib"
-	"repro/internal/polytope"
 	"repro/internal/pool"
 	"repro/internal/sabre"
 	"repro/internal/topology"
@@ -113,7 +112,7 @@ func usage() {
                       [-lease N] [-json PATH] [-hb-timeout D] [-lease-timeout D]
                       [-job-deadline D] [-rejoin-grace D] [-journal DIR]
                       [-fleet-wait D] [-local-fallback=false]
-                      [-warm=false] [-cache-file PATH]
+                      [-warm=false]
 
 exit codes: 0 success, 1 job failure, 2 usage,
             3 rejected busy (ErrBusy), 4 rejected draining (ErrDraining)`)
@@ -227,8 +226,7 @@ func runCoordinator(args []string) error {
 		jobDeadline  = fs.Duration("job-deadline", 0, "fail a job outright after this long, listing outstanding leases (0 = off)")
 		rejoinGrace  = fs.Duration("rejoin-grace", 0, "keep a job alive this long with zero workers connected, waiting for rejoins (0 = off)")
 		journalDir   = fs.String("journal", "", "write-ahead job journal directory: a restarted coordinator pointed at the same directory resumes unfinished jobs instead of rerunning them (empty = off)")
-		warm         = fs.Bool("warm", true, "keep a hub-resident master cost cache: worker epilogue deltas fold in, later jobs are re-seeded from its versioned snapshot")
-		cacheFile    = fs.String("cache-file", "", "persistent decomposition-cost cache: seeds the master (and through it the fleet) at startup, saved back at exit (requires -warm)")
+		warm         = fs.Bool("warm", true, "ship the coordinator's coverage-set library to workers once per snapshot version, so they skip the empirical polytope builds")
 		fleetWait    = fs.Duration("fleet-wait", 5*time.Minute, "how long to wait for -workers workers before starting; with -local-fallback a timeout proceeds degraded instead of failing")
 		localFall    = fs.Bool("local-fallback", true, "let the coordinator execute poison items and worker-starved job remainders itself (degraded mode) instead of failing the job")
 	)
@@ -241,12 +239,6 @@ func runCoordinator(args []string) error {
 	}
 	if *workers < 1 {
 		fmt.Fprintln(os.Stderr, "miraged coordinator: -workers must be >= 1")
-		os.Exit(2)
-	}
-	if err := (bench.WarmFlags{
-		Listen: *listen, Warm: *warm, CacheFile: *cacheFile, Repeat: 1,
-	}).Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "miraged coordinator:", err)
 		os.Exit(2)
 	}
 
@@ -300,25 +292,14 @@ func runCoordinator(args []string) error {
 		fmt.Fprintf(os.Stderr, "miraged coordinator: %v; proceeding with %d workers — the remainder will run DEGRADED on the coordinator\n",
 			err, hub.Workers())
 	}
-	var mcache *polytope.CostCache
-	var cacheLoaded int
 	var cl *distrib.Cluster
 	if *warm {
-		mcache = polytope.NewCostCache(0)
-		if *cacheFile != "" {
-			n, err := mcache.LoadFile(*cacheFile)
-			if err != nil {
-				return fmt.Errorf("loading %s: %w", *cacheFile, err)
-			}
-			cacheLoaded = n
-			fmt.Printf("cost cache: master warm-started with %d entries from %s\n", n, *cacheFile)
-		}
-		cl = distrib.NewClusterWithCache(hub, mcache)
+		cl = distrib.NewCluster(hub)
 		cl.Master.Logf = func(format string, args ...any) {
 			fmt.Printf(format+"\n", args...)
 		}
 	} else {
-		cl = &distrib.Cluster{Hub: hub} // cold: workers start empty every job
+		cl = &distrib.Cluster{Hub: hub} // cold: workers build their own coverage sets
 	}
 	cl.CircuitLease = *lease
 
@@ -381,27 +362,11 @@ func runCoordinator(args []string) error {
 	fmt.Printf("fleet events: releases=%d revocations=%d disconnects=%d reconnects=%d decode_faults=%d rejected=%d poisoned=%d local_items=%d degraded=%d recovered=%d\n",
 		stats.Releases, stats.Revocations, stats.Disconnects, stats.Reconnects, stats.DecodeFaults,
 		stats.Rejected, stats.Poisoned, stats.LocalItems, stats.Degraded, stats.Recovered)
-	var cacheStats *bench.RoutingCacheStats
 	if cl.Master != nil {
 		ws := cl.Master.Stats()
-		fmt.Printf("warm tier: snapshot v%d with %d entries; folded %d job epilogue(s) / %d new entries; snapshots sent %d (%d B), skipped %d (%d B saved)\n",
-			ws.SnapshotVersion, ws.Entries, ws.FoldedJobs, ws.FoldedEntries,
+		fmt.Printf("warm tier: coverage snapshot v%d with %d set(s); snapshots sent %d (%d B), skipped %d (%d B saved)\n",
+			ws.SnapshotVersion, ws.CoverageSets,
 			stats.WarmSends, stats.WarmBytesSent, stats.WarmSkips, stats.WarmBytesSkipped)
-		hits, misses := mcache.Stats()
-		cacheStats = &bench.RoutingCacheStats{
-			LoadedEntries: cacheLoaded,
-			FinalEntries:  mcache.Len(),
-			Hits:          hits,
-			Misses:        misses,
-
-			SnapshotVersion: ws.SnapshotVersion,
-			WarmEntries:     ws.Entries,
-			FoldedJobs:      ws.FoldedJobs,
-			FoldedEntries:   ws.FoldedEntries,
-		}
-		if hits+misses > 0 {
-			cacheStats.HitRate = float64(hits) / float64(hits+misses)
-		}
 	}
 
 	if *jsonPath != "" {
@@ -414,7 +379,6 @@ func runCoordinator(args []string) error {
 			Parallelism:         pool.Size(0),
 			GOMAXPROCS:          runtime.GOMAXPROCS(0),
 			TotalWallMS:         float64(total.Microseconds()) / 1000,
-			Cache:               cacheStats,
 			Fleet: &bench.FleetEventStats{
 				Releases:     stats.Releases,
 				Revocations:  stats.Revocations,
@@ -438,12 +402,6 @@ func runCoordinator(args []string) error {
 			return err
 		}
 		fmt.Printf("wrote %s (%d rows)\n", *jsonPath, len(f.Rows))
-	}
-	if *cacheFile != "" && mcache != nil {
-		if err := mcache.SaveFile(*cacheFile); err != nil {
-			return fmt.Errorf("saving %s: %w", *cacheFile, err)
-		}
-		fmt.Printf("cost cache: saved %d entries to %s\n", mcache.Len(), *cacheFile)
 	}
 	return nil
 }

@@ -44,14 +44,13 @@ func main() {
 	// Decomposition breakdown: how many blocks land in each coverage
 	// region of the sqrt-iSWAP basis.
 	cov := polytope.NewISwapRootCoverage(2)
-	cache := polytope.NewCostCache(0)
 	histo := map[int]int{}
 	for _, op := range routed.Reconsolidated.Ops {
 		if !op.Is2Q() {
 			continue
 		}
-		_, k := cache.CostOf(cov, circuit.OpCoordinate(op), false)
-		histo[k]++
+		r, _ := cov.MinCost(circuit.OpCoordinate(op), false)
+		histo[r.K]++
 	}
 	fmt.Println("\nMIRAGE output blocks by sqrt-iSWAP applications k:")
 	for k := 1; k <= cov.MaxK(); k++ {

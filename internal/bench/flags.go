@@ -48,26 +48,18 @@ func (f SchedulerFlags) Validate() error {
 	return nil
 }
 
-// WarmFlags holds the warm-cache-tier knobs of cmd/benchsuite.
-// ValidateWarmFlags centralises the contradictory-combination checks
-// so they fail loudly at startup instead of silently running cold
-// (the bug this replaces: -cache-file was loaded coordinator-side
-// only, so a -listen fleet never saw it).
+// WarmFlags holds the warm-tier knobs of cmd/benchsuite. Validate
+// centralises the contradictory-combination checks so they fail
+// loudly at startup instead of silently running cold.
 type WarmFlags struct {
-	Listen    string // distributed coordinator address ("" = serial)
-	Warm      bool   // warm tier enabled
-	CacheFile string // -cache-file path ("" = none)
-	Repeat    int    // suite iterations against one hub
+	Warm   bool // warm tier enabled
+	Repeat int  // suite iterations against one hub
 }
 
-// ValidateWarmFlags rejects contradictory warm-tier flag
-// combinations.
+// Validate rejects contradictory warm-tier flag combinations.
 func (f WarmFlags) Validate() error {
 	if f.Repeat < 1 {
 		return fmt.Errorf("-repeat must be >= 1 (1 = run the suite once), got %d", f.Repeat)
-	}
-	if !f.Warm && f.CacheFile != "" && f.Listen != "" {
-		return fmt.Errorf("-cache-file %q cannot reach the -listen fleet with -warm=false: the cache snapshot travels to workers on the warm tier; drop -warm=false or -cache-file", f.CacheFile)
 	}
 	if !f.Warm && f.Repeat > 1 {
 		return fmt.Errorf("-repeat %d with -warm=false is a contradiction: repeated runs exist to measure warm-start wins; drop one of the flags", f.Repeat)

@@ -53,16 +53,37 @@ func routingFixture() (*topology.Topology, *circuit.Circuit, *topology.Layout) {
 // QFT(12), consolidated into blocks, routed once on a 3x4 grid from the
 // trivial layout under the MIRAGE policy at aggression 2 (so the
 // routed circuit carries mirrors as well as router SWAPs), plus the
-// sqrt-iSWAP coverage set the metric prices it with.
-func DepthMetricFixture() (*sabre.Result, *polytope.CoverageSet, error) {
-	cov := polytope.NewISwapRootCoverage(2)
-	c := circuit.ConsolidateBlocks(QFT(12))
-	res, err := sabre.Route(c, topology.Grid(3, 4), topology.TrivialLayout(12, 12), sabre.Options{},
-		rand.New(rand.NewSource(7)), mirage.NewPolicy(cov, nil, mirage.AggressionEqual))
-	return res, cov, err
+// blocks it was routed from and the sqrt-iSWAP coverage set the metric
+// prices it with — the input of the mirage/CostTable row.
+func DepthMetricFixture() (res *sabre.Result, blocks *circuit.Circuit, cov *polytope.CoverageSet, err error) {
+	cov = polytope.NewISwapRootCoverage(2)
+	blocks = circuit.ConsolidateBlocks(QFT(12))
+	res, err = sabre.Route(blocks, topology.Grid(3, 4), topology.TrivialLayout(12, 12), sabre.Options{},
+		rand.New(rand.NewSource(7)), mirage.NewPolicy(mirage.NewCostTable(cov, blocks), mirage.AggressionEqual))
+	return res, blocks, cov, err
 }
 
-// depthMetricSink keeps the mirage/DepthMetric row's result live.
+// minCostRow times CoverageSet.MinCost on Haar-random coordinates under
+// the iSWAP^(1/root) basis.
+func minCostRow(root int) func(b *testing.B) error {
+	return func(b *testing.B) error {
+		cov := polytope.NewISwapRootCoverage(root)
+		rng := rand.New(rand.NewSource(273))
+		coords := make([]weyl.Coordinate, 1024)
+		for i := range coords {
+			coords[i] = weyl.HaarSample(rng)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r, _ := cov.MinCost(coords[i%len(coords)], false)
+			depthMetricSink = r.Cost
+		}
+		return nil
+	}
+}
+
+// depthMetricSink keeps the polytope and mirage rows' results live.
 var depthMetricSink float64
 
 // KernelRow is one numeric-kernel measurement.
@@ -120,14 +141,32 @@ func RunKernelBenchmarks() ([]KernelRow, error) {
 			}
 			return nil
 		}},
-		// The per-trial score of a MIRAGE-Depth grid on a warm cost
-		// cache; allocs/op must stay 0.
-		{"mirage/DepthMetric", func(b *testing.B) error {
-			res, cov, err := DepthMetricFixture()
+		// A direct coverage lookup, the price of a cost-table miss: the
+		// closed-form sqrt-iSWAP regions and the empirical root-4 ones.
+		{"polytope/MinCost@root2", minCostRow(2)},
+		{"polytope/MinCost@root4", minCostRow(4)},
+		// The per-call cost table of a routed MIRAGE run, built over the
+		// routed blocks.
+		{"mirage/CostTable", func(b *testing.B) error {
+			_, blocks, cov, err := DepthMetricFixture()
 			if err != nil {
 				return err
 			}
-			metric := mirage.DepthMetricWithCache(cov, nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				depthMetricSink = float64(mirage.NewCostTable(cov, blocks).Len())
+			}
+			return nil
+		}},
+		// The per-trial score of a MIRAGE-Depth grid, priced through the
+		// cost table; allocs/op must stay 0.
+		{"mirage/DepthMetric", func(b *testing.B) error {
+			res, blocks, cov, err := DepthMetricFixture()
+			if err != nil {
+				return err
+			}
+			metric := mirage.DepthMetric(mirage.NewCostTable(cov, blocks))
 			metric(res)
 			b.ReportAllocs()
 			b.ResetTimer()

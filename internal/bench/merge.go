@@ -24,10 +24,8 @@ import (
 // order — so the merged `rows` array is bit-identical to the serial
 // run's at any shard count (quality metrics and trial counts are
 // seed-deterministic; `wall_ms` fields are hardware context and the
-// only fields expected to differ). Cache statistics are summed across
-// fragments (per-shard caches cannot reconstruct what one shared
-// cache would have counted; the sum is the honest fleet total),
-// fleet failure-event counters likewise sum across fragments, and
+// only fields expected to differ). Fleet failure-event counters sum
+// across fragments, and
 // total_wall_ms is the maximum fragment wall time — shards run
 // concurrently, so the slowest shard is the run's wall clock.
 // Kernel lanes are machine-local measurements and merge only when
@@ -49,7 +47,6 @@ func MergeRoutingFiles(frags []*RoutingBenchFile) (*RoutingBenchFile, error) {
 		Parallelism:         head.Parallelism,
 		GOMAXPROCS:          head.GOMAXPROCS,
 	}
-	var cache *RoutingCacheStats
 	var fleet *FleetEventStats
 	for i, f := range frags {
 		if f.Topology != head.Topology || f.Seed != head.Seed ||
@@ -62,25 +59,6 @@ func MergeRoutingFiles(frags []*RoutingBenchFile) (*RoutingBenchFile, error) {
 		out.Rows = append(out.Rows, f.Rows...)
 		if f.TotalWallMS > out.TotalWallMS {
 			out.TotalWallMS = f.TotalWallMS
-		}
-		if f.Cache != nil {
-			if cache == nil {
-				cache = &RoutingCacheStats{}
-			}
-			cache.LoadedEntries += f.Cache.LoadedEntries
-			cache.FinalEntries += f.Cache.FinalEntries
-			cache.Hits += f.Cache.Hits
-			cache.Misses += f.Cache.Misses
-			// Warm-tier fields: fold counts sum like the other cache
-			// statistics; each fragment's master snapshot versions
-			// independently, so the merged version is the max — "the
-			// newest snapshot any shard reached", not a meaningful sum.
-			cache.WarmEntries += f.Cache.WarmEntries
-			cache.FoldedJobs += f.Cache.FoldedJobs
-			cache.FoldedEntries += f.Cache.FoldedEntries
-			if f.Cache.SnapshotVersion > cache.SnapshotVersion {
-				cache.SnapshotVersion = f.Cache.SnapshotVersion
-			}
 		}
 		if f.Fleet != nil {
 			if fleet == nil {
@@ -107,12 +85,6 @@ func MergeRoutingFiles(frags []*RoutingBenchFile) (*RoutingBenchFile, error) {
 			}
 			out.Kernels = f.Kernels
 		}
-	}
-	if cache != nil {
-		if cache.Hits+cache.Misses > 0 {
-			cache.HitRate = float64(cache.Hits) / float64(cache.Hits+cache.Misses)
-		}
-		out.Cache = cache
 	}
 	out.Fleet = fleet
 	sort.SliceStable(out.Rows, func(i, j int) bool { return out.Rows[i].Seq < out.Rows[j].Seq })

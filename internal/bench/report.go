@@ -43,28 +43,6 @@ type RoutingRow struct {
 	SurvivalFidelity *float64 `json:"survival_fidelity,omitempty"`
 }
 
-// RoutingCacheStats reports decomposition-cost cache effectiveness for
-// the run, including warm-start bookkeeping when -cache-file is used.
-// On distributed runs with the warm tier the hits/misses are
-// fleet-wide (worker epilogue counters fold into the master cache),
-// and the Warm* fields describe the master: the snapshot version
-// current at the end of the run, the entries it held, and how many
-// job epilogues/entries folded in. On a -repeat run each file reports
-// the hits/misses of its own iteration, which is what lets CI assert
-// a warmed second pass hits strictly more.
-type RoutingCacheStats struct {
-	LoadedEntries int     `json:"loaded_entries"` // entries merged from the snapshot at startup
-	FinalEntries  int     `json:"final_entries"`  // entries resident at shutdown
-	Hits          int64   `json:"hits"`
-	Misses        int64   `json:"misses"`
-	HitRate       float64 `json:"hit_rate"`
-
-	SnapshotVersion uint64 `json:"snapshot_version,omitempty"`
-	WarmEntries     int    `json:"warm_entries,omitempty"`
-	FoldedJobs      int64  `json:"folded_jobs,omitempty"`
-	FoldedEntries   int64  `json:"folded_entries,omitempty"`
-}
-
 // FleetEventStats surfaces the dispatch hub's failure-event counters
 // for distributed runs: how many leases were failed back for
 // re-granting, how many deadline revocations fired, how many
@@ -103,15 +81,14 @@ type FleetEventStats struct {
 
 // RoutingBenchFile is the top-level BENCH_routing.json document.
 type RoutingBenchFile struct {
-	Topology            string             `json:"topology"`
-	LayoutTrials        int                `json:"layout_trials"`
-	RoutingTrials       int                `json:"routing_trials"`
-	ConvergencePatience int                `json:"convergence_patience"`
-	Seed                int64              `json:"seed"`
-	Parallelism         int                `json:"parallelism"`
-	GOMAXPROCS          int                `json:"gomaxprocs"`
-	TotalWallMS         float64            `json:"total_wall_ms"`
-	Cache               *RoutingCacheStats `json:"cache,omitempty"`
+	Topology            string  `json:"topology"`
+	LayoutTrials        int     `json:"layout_trials"`
+	RoutingTrials       int     `json:"routing_trials"`
+	ConvergencePatience int     `json:"convergence_patience"`
+	Seed                int64   `json:"seed"`
+	Parallelism         int     `json:"parallelism"`
+	GOMAXPROCS          int     `json:"gomaxprocs"`
+	TotalWallMS         float64 `json:"total_wall_ms"`
 	// Fleet is present on distributed runs only (coordinator mode) and
 	// is environmental like wall times: merge/diff tooling ignores it.
 	Fleet *FleetEventStats `json:"fleet,omitempty"`

@@ -12,11 +12,10 @@ func TestWarmFlagsValidate(t *testing.T) {
 		wantErr string // substring; empty = valid
 	}{
 		{"defaults", WarmFlags{Warm: true, Repeat: 1}, ""},
-		{"repeat with warm tier", WarmFlags{Warm: true, Repeat: 3, Listen: "127.0.0.1:0"}, ""},
-		{"serial cache file", WarmFlags{Warm: false, CacheFile: "c.gob", Repeat: 1}, ""},
+		{"repeat with warm tier", WarmFlags{Warm: true, Repeat: 3}, ""},
+		{"cold single pass", WarmFlags{Warm: false, Repeat: 1}, ""},
 		{"zero repeat", WarmFlags{Warm: true, Repeat: 0}, "-repeat"},
 		{"negative repeat", WarmFlags{Warm: true, Repeat: -2}, "-repeat"},
-		{"cold fleet cache file", WarmFlags{Warm: false, CacheFile: "c.gob", Listen: "127.0.0.1:0", Repeat: 1}, "-cache-file"},
 		{"cold repeat", WarmFlags{Warm: false, Repeat: 2}, "-repeat 2 with -warm=false"},
 	}
 	for _, tc := range cases {
@@ -33,18 +32,13 @@ func TestWarmFlagsValidate(t *testing.T) {
 	}
 }
 
-// TestMergeRoutingFilesWarmFields: warm telemetry merges like the
-// other counters — sums across fragments, except the snapshot version,
-// which is the max (each shard versions independently).
+// TestMergeRoutingFilesWarmFields: warm-transfer telemetry sums across
+// fragments like the other fleet counters.
 func TestMergeRoutingFilesWarmFields(t *testing.T) {
-	frag := func(seq int, circ string, v uint64, entries int, jobs, folded, sends, skips int64) *RoutingBenchFile {
+	frag := func(seq int, circ string, sends, skips int64) *RoutingBenchFile {
 		return &RoutingBenchFile{
 			Topology: "grid", Seed: 1, LayoutTrials: 2, RoutingTrials: 2,
 			Rows: []RoutingRow{{Seq: seq, Circuit: circ, Router: "mirage"}},
-			Cache: &RoutingCacheStats{
-				Hits: 10, Misses: 10,
-				SnapshotVersion: v, WarmEntries: entries, FoldedJobs: jobs, FoldedEntries: folded,
-			},
 			Fleet: &FleetEventStats{
 				WarmSends: sends, WarmSkips: skips,
 				WarmBytesSent: sends * 100, WarmBytesSkipped: skips * 100,
@@ -52,18 +46,11 @@ func TestMergeRoutingFilesWarmFields(t *testing.T) {
 		}
 	}
 	merged, err := MergeRoutingFiles([]*RoutingBenchFile{
-		frag(0, "a", 3, 40, 2, 30, 4, 1),
-		frag(1, "b", 5, 60, 3, 50, 2, 6),
+		frag(0, "a", 4, 1),
+		frag(1, "b", 2, 6),
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	c := merged.Cache
-	if c.SnapshotVersion != 5 {
-		t.Errorf("SnapshotVersion = %d, want max 5", c.SnapshotVersion)
-	}
-	if c.WarmEntries != 100 || c.FoldedJobs != 5 || c.FoldedEntries != 80 {
-		t.Errorf("warm cache sums = (%d, %d, %d), want (100, 5, 80)", c.WarmEntries, c.FoldedJobs, c.FoldedEntries)
 	}
 	fl := merged.Fleet
 	if fl.WarmSends != 6 || fl.WarmSkips != 7 || fl.WarmBytesSent != 600 || fl.WarmBytesSkipped != 700 {

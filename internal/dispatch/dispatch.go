@@ -39,7 +39,8 @@
 //     (see internal/distrib for the MIRAGE job kinds). A single
 //     goroutine per worker pumps the exchange — job, ready, then
 //     lease/results pairs with heartbeats interleaved, then an optional
-//     epilogue blob (used to ship per-worker cost caches home).
+//     epilogue blob (per-worker summary state; the MIRAGE job kinds
+//     ship none).
 //
 // # Fault tolerance
 //

@@ -1,16 +1,16 @@
 package dispatch
 
 // The warm-state tier: a coordinator-resident snapshot of shared job
-// state (for MIRAGE, the master decomposition-cost cache plus the root
-// coverage sets) that is shipped to workers inside the job send, so
-// every job starts warm instead of cold. Snapshots are versioned, and
-// the hub remembers which version each pooled connection last
-// received: a persistent worker (ServeLoop) that already holds the
-// current version gets a version-only reference instead of the blob —
-// the transfer cost is paid once per snapshot version per worker, not
-// once per job. The tier is strictly a performance layer: work items
-// are deterministic functions of their index, so whether a worker ran
-// warm or cold cannot change any result.
+// state (for MIRAGE, the root coverage-set library) that is shipped to
+// workers inside the job send, so every job starts warm instead of
+// cold. Snapshots are versioned, and the hub remembers which version
+// each pooled connection last received: a persistent worker
+// (ServeLoop) that already holds the current version gets a
+// version-only reference instead of the blob — the transfer cost is
+// paid once per snapshot version per worker, not once per job. The
+// tier is strictly a performance layer: work items are deterministic
+// functions of their index, so whether a worker ran warm or cold
+// cannot change any result.
 
 // WarmState is one versioned warm snapshot. Version must be non-zero
 // and must change whenever Blob changes; Blob is opaque to the

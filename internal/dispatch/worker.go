@@ -28,7 +28,7 @@ type Handler func(spec, warm []byte) (JobRunner, error)
 // it must be deterministic in i — that is what makes re-leasing after
 // a worker loss idempotent. Epilogue is called once, after the
 // coordinator has declared the job done, and may ship summary state
-// home (the batch job returns its warmed cost-cache snapshot).
+// home (nil when there is none).
 type JobRunner interface {
 	Run(i int) WireItem
 	Epilogue() []byte

@@ -1,14 +1,12 @@
 package distrib
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/dispatch"
 	"repro/internal/mirage"
-	"repro/internal/polytope"
 	"repro/internal/sabre"
 	"repro/internal/topology"
 	"repro/internal/transpile"
@@ -27,8 +25,7 @@ type batchSpec struct {
 // transpile.Options. Policy covers router/metric/basis; the scheduler
 // knobs ride verbatim (Parallelism bounds each worker's local trial
 // fan-out — results are parallelism-invariant, so this only shapes
-// worker load). The cost cache is deliberately absent: each worker
-// warms a job-local cache and ships it home in the epilogue.
+// worker load).
 type wireBatchOptions struct {
 	Policy              PolicySpec
 	Layout              sabre.LayoutOptions
@@ -120,7 +117,6 @@ type batchJob struct {
 	circuits []*circuit.Circuit
 	topo     *topology.Topology
 	opts     transpile.Options
-	cache    *polytope.CostCache
 }
 
 func batchHandler(raw, warm []byte) (dispatch.JobRunner, error) {
@@ -138,8 +134,7 @@ func batchHandler(raw, warm []byte) (dispatch.JobRunner, error) {
 			return nil, err
 		}
 	}
-	cache, err := warmJobCache(warm)
-	if err != nil {
+	if err := loadWarm(warm); err != nil {
 		return nil, err
 	}
 	opts := transpile.Options{
@@ -150,7 +145,6 @@ func batchHandler(raw, warm []byte) (dispatch.JobRunner, error) {
 		Parallelism:         spec.Opts.Parallelism,
 		ConvergencePatience: spec.Opts.ConvergencePatience,
 		ScoreWorkers:        spec.Opts.ScoreWorkers,
-		Cache:               cache,
 	}
 	if spec.Opts.Policy.Mirage {
 		opts.Router = transpile.MIRAGE
@@ -159,7 +153,7 @@ func batchHandler(raw, warm []byte) (dispatch.JobRunner, error) {
 		a := mirage.Aggression(spec.Opts.Policy.FixedAggression)
 		opts.FixedAggression = &a
 	}
-	return &batchJob{circuits: circuits, topo: topo, opts: opts, cache: cache}, nil
+	return &batchJob{circuits: circuits, topo: topo, opts: opts}, nil
 }
 
 func (j *batchJob) Run(i int) dispatch.WireItem {
@@ -177,12 +171,8 @@ func (j *batchJob) Run(i int) dispatch.WireItem {
 	return dispatch.WireItem{Index: i, Blob: blob}
 }
 
-// Epilogue ships the job cache's delta home for the coordinator's
-// Merge reduction: only entries learned on top of the warm seed, plus
-// the job's own hit/miss counters. An untouched or unmergeable cache
-// (mixed — impossible under a single recipe basis, but guarded
-// anyway) ships nothing.
-func (j *batchJob) Epilogue() []byte { return cacheEpilogue(j.cache) }
+// Epilogue ships nothing: every report travels home with its item.
+func (j *batchJob) Epilogue() []byte { return nil }
 
 // TranspileBatch is the distributed counterpart of
 // transpile.TranspileBatch: circuits are sharded across the cluster at
@@ -190,10 +180,6 @@ func (j *batchJob) Epilogue() []byte { return cacheEpilogue(j.cache) }
 // local batch (or a lone Transpile call) would produce — the whole
 // per-circuit pipeline is deterministic, and reports are consumed in
 // circuit-index order so error selection matches the serial loop too.
-// Worker cost caches are folded into opts.Cache (when set) with
-// CostCache.Merge: entries deduplicate, hit/miss counters sum, so the
-// coordinator ends the batch holding the union cache plus fleet-wide
-// statistics.
 func (cl *Cluster) TranspileBatch(circuits []*circuit.Circuit, topo *topology.Topology,
 	opts transpile.Options) ([]*transpile.Report, error) {
 
@@ -229,31 +215,12 @@ func (cl *Cluster) TranspileBatch(circuits []*circuit.Circuit, topo *topology.To
 		reports[i] = rep
 		return false
 	})
-	epilogues, err := dispatch.RunJob(cl.Hub, KindBatch, raw, q,
+	_, err = dispatch.RunJob(cl.Hub, KindBatch, raw, q,
 		func(wi dispatch.WireItem) (*transpile.Report, error) {
 			return reportFromWire(wi.Blob, topo.NumQubits)
 		})
 	if err != nil {
 		return nil, err
-	}
-	if err := cl.foldEpilogues(epilogues); err != nil {
-		return nil, err
-	}
-	// Callers holding their own cache (distinct from the master) still
-	// get the fleet's entries merged in — the pre-warm-tier contract.
-	if opts.Cache != nil && (cl.Master == nil || cl.Master.Cache() != opts.Cache) {
-		for _, ep := range epilogues {
-			if len(ep) == 0 {
-				continue
-			}
-			shard, err := polytope.LoadCache(bytes.NewReader(ep), 0)
-			if err != nil {
-				return nil, fmt.Errorf("distrib: decoding worker cache epilogue: %w", err)
-			}
-			if _, err := opts.Cache.Merge(shard); err != nil {
-				return nil, fmt.Errorf("distrib: merging worker cache: %w", err)
-			}
-		}
 	}
 	return reports, nil
 }

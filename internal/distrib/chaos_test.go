@@ -8,7 +8,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/dispatch"
 	"repro/internal/mirrorbench"
-	"repro/internal/polytope"
 	"repro/internal/sabre"
 	"repro/internal/topology"
 	"repro/internal/transpile"
@@ -71,7 +70,7 @@ func TestChaosDeterminismProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	metric, factory := spec.build(polytope.NewCostCache(0))
+	metric, factory := spec.build(blocks)
 	lopts := sabre.LayoutOptions{
 		LayoutTrials: 3, RoutingTrials: 4, FwdBwdPasses: 1, Seed: 21,
 		ConvergencePatience: 3,

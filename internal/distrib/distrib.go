@@ -21,12 +21,11 @@
 //
 //   - KindBatch shards transpile.TranspileBatch at circuit
 //     granularity: workers lease circuit indices, run the full local
-//     pipeline per circuit with a job-local decomposition-cost cache,
-//     and return serialised Reports. Reports are consumed in
-//     circuit-index order; worker caches come home in job epilogues
-//     and are folded into the coordinator's cache with
-//     polytope.CostCache.Merge (entries deduplicated, hit/miss
-//     counters summed).
+//     pipeline per circuit and return serialised Reports, which are
+//     consumed in circuit-index order.
+//
+// Neither kind returns an epilogue: every job prices its circuits
+// through cost tables it builds itself, so no worker state comes home.
 //
 // Cluster bundles a Hub with the coordinator-side entry points;
 // Handlers supplies the worker side (cmd/miraged).
@@ -37,7 +36,6 @@ import (
 	"encoding/gob"
 
 	"repro/internal/dispatch"
-	"repro/internal/polytope"
 )
 
 // Job kinds served by MIRAGE workers.
@@ -58,37 +56,22 @@ type Cluster struct {
 	// CircuitLease is the number of batch circuits per lease (default
 	// 1: circuits are seconds, one per lease balances best).
 	CircuitLease int
-	// Master is the hub-resident master cost cache of the warm tier:
-	// job epilogues fold into it and subsequent jobs are re-seeded
-	// from its versioned snapshot (see warm.go). Nil disables the
-	// tier — every job starts cold, the pre-warm behaviour.
+	// Master is the hub-resident coverage library of the warm tier:
+	// every job ships its versioned snapshot to workers that do not
+	// hold it yet (see warm.go). Nil disables the tier — every worker
+	// builds its coverage sets itself.
 	Master *MasterCache
 }
 
 // NewCluster returns a Cluster with default lease sizes and the warm
-// tier enabled over a fresh master cache.
-func NewCluster(h *dispatch.Hub) *Cluster { return NewClusterWithCache(h, nil) }
-
-// NewClusterWithCache returns a Cluster whose master cache wraps cc
-// (nil builds a fresh one): the caller's cache — a benchsuite
-// -cache-file warm start, a service's long-lived cache — becomes the
-// fleet's warm seed, and fleet epilogues fold back into it. The
-// hub's WarmSource is pointed at the master unless already set.
-func NewClusterWithCache(h *dispatch.Hub, cc *polytope.CostCache) *Cluster {
-	m := NewMasterCache(cc)
+// tier enabled. The hub's WarmSource is pointed at the master unless
+// already set.
+func NewCluster(h *dispatch.Hub) *Cluster {
+	m := NewMasterCache()
 	if h.Warm == nil {
 		h.Warm = m
 	}
 	return &Cluster{Hub: h, Master: m}
-}
-
-// foldEpilogues folds a completed job's cache epilogues into the
-// master (a no-op for a cold cluster).
-func (cl *Cluster) foldEpilogues(epilogues [][]byte) error {
-	if cl.Master == nil {
-		return nil
-	}
-	return cl.Master.Fold(epilogues)
 }
 
 func (cl *Cluster) trialLease() int {

@@ -241,7 +241,7 @@ func TestDistributedFindBestRoutingBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		metric, factory := spec.build(polytope.NewCostCache(0))
+		metric, factory := spec.build(blocks)
 		for _, patience := range []int{0, 3} {
 			opts := sabre.LayoutOptions{
 				LayoutTrials: 3, RoutingTrials: 4, FwdBwdPasses: 1, Seed: 17,
@@ -295,8 +295,7 @@ func TestDistributedTranspileBitIdentical(t *testing.T) {
 
 // TestDistributedBatchBitIdentical: sharded batch transpilation must
 // match the local batch report for report at every shard count x
-// circuit lease, and the merged cost cache must carry the exact sum of
-// the worker shards' statistics.
+// circuit lease.
 func TestDistributedBatchBitIdentical(t *testing.T) {
 	topo := topology.Grid(3, 3)
 	circuits := []*circuit.Circuit{
@@ -317,9 +316,7 @@ func TestDistributedBatchBitIdentical(t *testing.T) {
 		for _, lease := range []int{1, 2} {
 			cl := startCluster(t, workers, 0, 0)
 			cl.CircuitLease = lease
-			opts := base
-			opts.Cache = polytope.NewCostCache(0)
-			got, err := cl.TranspileBatch(circuits, topo, opts)
+			got, err := cl.TranspileBatch(circuits, topo, base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -328,14 +325,6 @@ func TestDistributedBatchBitIdentical(t *testing.T) {
 			}
 			for i := range want {
 				reportsEqual(t, "batch", want[i], got[i])
-			}
-			// The merged cache must hold entries and fleet statistics.
-			if opts.Cache.Len() == 0 {
-				t.Fatalf("workers=%d: merged cache empty", workers)
-			}
-			hits, misses := opts.Cache.Stats()
-			if hits+misses == 0 {
-				t.Fatalf("workers=%d: merged cache lost shard statistics", workers)
 			}
 		}
 	}
@@ -358,7 +347,7 @@ func TestDistributedWorkerDeathBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	metric, factory := spec.build(polytope.NewCostCache(0))
+	metric, factory := spec.build(blocks)
 
 	for _, patience := range []int{0, 4} {
 		opts := sabre.LayoutOptions{
@@ -429,7 +418,7 @@ func TestDistributedOverLoopbackTCP(t *testing.T) {
 	blocks := circuit.ConsolidateBlocks(circuit.UnrollTo2Q(c))
 	opts := sabre.LayoutOptions{LayoutTrials: 2, RoutingTrials: 3, FwdBwdPasses: 1, Seed: 13}
 	spec := PolicySpec{Mirage: true, DepthSelection: true}
-	metric, factory := spec.build(polytope.NewCostCache(0))
+	metric, factory := spec.build(blocks)
 	pc, err := sabre.PrepareCircuit(blocks, topo)
 	if err != nil {
 		t.Fatal(err)

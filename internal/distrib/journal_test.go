@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/dispatch"
-	"repro/internal/polytope"
 	"repro/internal/sabre"
 	"repro/internal/topology"
 	"repro/internal/transpile"
@@ -168,7 +167,7 @@ func TestDistributedTrialsJournalRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := PolicySpec{Mirage: true, DepthSelection: true}
-	metric, factory := spec.build(polytope.NewCostCache(0))
+	metric, factory := spec.build(blocks)
 	opts := sabre.LayoutOptions{LayoutTrials: 3, RoutingTrials: 4, FwdBwdPasses: 1, Seed: 17}
 	want, err := sabre.FindBestRouting(blocks, topo, opts, metric, factory)
 	if err != nil {

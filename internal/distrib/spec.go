@@ -3,6 +3,7 @@ package distrib
 import (
 	"fmt"
 
+	"repro/internal/circuit"
 	"repro/internal/mirage"
 	"repro/internal/polytope"
 	"repro/internal/sabre"
@@ -73,19 +74,24 @@ func (s PolicySpec) coverage() *polytope.CoverageSet {
 }
 
 // build constructs the metric and policy factory a trial worker (or
-// the coordinator's replay) uses, sharing the given cost cache.
-func (s PolicySpec) build(cache *polytope.CostCache) (sabre.Metric, sabre.PolicyFactory) {
-	cov := s.coverage()
+// the coordinator's replay) uses for circuit c — the consolidated
+// circuit the trials route — pricing through a cost table built over
+// c exactly as transpile builds it.
+func (s PolicySpec) build(c *circuit.Circuit) (sabre.Metric, sabre.PolicyFactory) {
 	metric := sabre.SwapCountMetric
+	if !s.DepthSelection && !s.Mirage {
+		return metric, nil
+	}
+	costs := mirage.NewCostTable(s.coverage(), c)
 	if s.DepthSelection {
-		metric = mirage.DepthMetricWithCache(cov, cache)
+		metric = mirage.DepthMetric(costs)
 	}
 	var factory sabre.PolicyFactory
 	if s.Mirage {
 		if s.HasFixedAggression {
-			factory = mirage.FixedPolicyFactoryWithCache(cov, mirage.Aggression(s.FixedAggression), cache)
+			factory = mirage.FixedPolicyFactory(costs, mirage.Aggression(s.FixedAggression))
 		} else {
-			factory = mirage.PolicyFactoryWithCache(cov, mirage.DefaultMix, cache)
+			factory = mirage.PolicyFactory(costs, mirage.DefaultMix)
 		}
 	}
 	return metric, factory

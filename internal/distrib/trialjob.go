@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/dispatch"
-	"repro/internal/polytope"
 	"repro/internal/sabre"
 	"repro/internal/topology"
 	"repro/internal/transpile"
@@ -26,15 +25,14 @@ type trialSpec struct {
 
 // trialJob is the worker-side state of one KindTrials job: the
 // prepared runner (shared FlatDAG + reusable arena) plus the
-// recipe-built metric and policy factory, sharing one job cost cache
-// (warm-seeded when the coordinator shipped a snapshot).
+// recipe-built metric and policy factory, pricing through one cost
+// table built over the shipped circuit.
 type trialJob struct {
 	runner  *sabre.TrialRunner
 	layouts []*topology.Layout
 	opts    sabre.LayoutOptions
 	metric  sabre.Metric
 	factory sabre.PolicyFactory
-	cache   *polytope.CostCache
 }
 
 func trialHandler(raw, warm []byte) (dispatch.JobRunner, error) {
@@ -66,16 +64,14 @@ func trialHandler(raw, warm []byte) (dispatch.JobRunner, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One cost cache per job, seeded from the coordinator's warm
-	// snapshot when one shipped: decomposition costs are
-	// deterministic, so caching is a pure speedup and needs no
-	// cross-worker coherence — warmth changes latency, never results.
-	cache, err := warmJobCache(warm)
-	if err != nil {
+	// The shipped coverage library spares the worker the empirical
+	// polytope build; the cost table is built over the shipped circuit,
+	// the same one the coordinator's table was built over.
+	if err := loadWarm(warm); err != nil {
 		return nil, err
 	}
-	metric, factory := spec.Policy.build(cache)
-	return &trialJob{runner: runner, layouts: layouts, opts: opts, metric: metric, factory: factory, cache: cache}, nil
+	metric, factory := spec.Policy.build(c)
+	return &trialJob{runner: runner, layouts: layouts, opts: opts, metric: metric, factory: factory}, nil
 }
 
 func (j *trialJob) Run(t int) dispatch.WireItem {
@@ -90,10 +86,9 @@ func (j *trialJob) Run(t int) dispatch.WireItem {
 	return dispatch.WireItem{Index: t, Score: j.metric(res)}
 }
 
-// Epilogue ships the job cache's delta home for the master-cache
-// fold. Before the warm tier, trial-job caches were discarded — every
-// FindBestRouting grid re-ran the same Nelder-Mead fits fleet-wide.
-func (j *trialJob) Epilogue() []byte { return cacheEpilogue(j.cache) }
+// Epilogue ships nothing: a trial job keeps no state the coordinator
+// needs.
+func (j *trialJob) Epilogue() []byte { return nil }
 
 // FindBestRouting is the distributed counterpart of
 // sabre.FindBestRouting: wave 1 (layout refinement) runs locally, the
@@ -138,12 +133,9 @@ func (cl *Cluster) FindBestRouting(pc *sabre.PreparedCircuit,
 	n := opts.LayoutTrials * opts.RoutingTrials
 	sel := sabre.NewTrialSelector(opts.ConvergencePatience)
 	q := dispatch.NewQueue(n, cl.trialLease(), sel.Consume)
-	epilogues, err := dispatch.RunJob(cl.Hub, KindTrials, raw, q,
+	_, err = dispatch.RunJob(cl.Hub, KindTrials, raw, q,
 		func(wi dispatch.WireItem) (float64, error) { return wi.Score, nil })
 	if err != nil {
-		return nil, err
-	}
-	if err := cl.foldEpilogues(epilogues); err != nil {
 		return nil, err
 	}
 

@@ -2,7 +2,6 @@ package distrib
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sync"
 
@@ -10,68 +9,41 @@ import (
 	"repro/internal/polytope"
 )
 
-// The fleet-wide warm-cache tier. A Cluster keeps one hub-resident
-// MasterCache: every job's epilogue delta is folded into it with
-// polytope.CostCache.Merge, and every subsequent job — both KindTrials
-// and KindBatch — is re-seeded from it through the dispatch warm-state
-// handshake (dispatch.WarmSource). The snapshot also carries the
-// process's iSWAP-root coverage sets, so a fresh worker skips the
-// Nelder-Mead polytope construction as well as the per-coordinate
-// decomposition fits.
+// The fleet-wide warm tier. A Cluster keeps one hub-resident
+// MasterCache holding the process's iSWAP-root coverage-set library,
+// and every job — both KindTrials and KindBatch — ships it to workers
+// through the dispatch warm-state handshake (dispatch.WarmSource), so
+// a fresh worker skips the Nelder-Mead polytope construction
+// (polytope.BuildEmpirical, seconds per basis). Decomposition costs
+// themselves are not shipped: each job prices its circuit through a
+// mirage.CostTable it builds from the spec, which is cheaper than
+// shipping it.
 //
-// Determinism contract: decomposition costs are pure functions of the
-// quantised coordinate, so cache warmth can change how fast a job runs
-// but never what it returns — warm-vs-cold rows are pinned
-// bit-identical by the e2e tests. Crash safety: the master folds only
-// the epilogues RunJob actually returns; a journal replay of a
-// completed job returns none, so recovery cannot double-fold.
+// Determinism contract: a shipped coverage set is the coordinator's
+// own, region for region, so warmth changes how fast a job starts but
+// never what it returns — warm-vs-cold rows are pinned bit-identical
+// by the e2e tests.
 
-// warmSnapshot is the gob wire form of the warm blob shipped to
-// workers: a CostCache snapshot plus the root coverage-set library.
-type warmSnapshot struct {
-	Version  uint64
-	Cache    []byte // polytope.CostCache.Save gob
-	Coverage []byte // polytope.SaveRootCoverage gob
-}
-
-// MasterCache is the hub-resident master cost cache of a Cluster. It
-// implements dispatch.WarmSource: Warm re-serialises the snapshot
-// (bumping its version) only when the cache or the coverage registry
-// grew, so persistent workers skip redundant transfers via the
-// version handshake. The underlying CostCache may be shared with the
-// coordinator's own pipeline (benchsuite points its -cache-file cache
-// here), in which case local inserts warm the fleet too.
+// MasterCache is the hub-resident master copy of the coverage-set
+// library of a Cluster. It implements dispatch.WarmSource: Warm
+// re-serialises the snapshot (bumping its version) only when the
+// library grew, so persistent workers skip redundant transfers via the
+// version handshake.
 type MasterCache struct {
 	mu      sync.Mutex
-	cache   *polytope.CostCache
 	version uint64
 	snap    dispatch.WarmState
-	snapLen int // cache.Len() at last snapshot build
 	snapCov int // coverage-set count at last snapshot build
 	warmErr error
 
-	foldedJobs    int64
-	foldedEntries int64
-	lastJobHits   int64
-	lastJobMisses int64
-
-	// Logf, when set, receives per-fold telemetry lines (benchsuite
-	// and miraged point it at their log). Nil is silent.
+	// Logf, when set, receives warm-tier failure lines (benchsuite and
+	// miraged point it at their log). Nil is silent.
 	Logf func(format string, args ...any)
 }
 
-// NewMasterCache wraps cc (nil builds a fresh default-capacity cache)
-// as a cluster master cache.
-func NewMasterCache(cc *polytope.CostCache) *MasterCache {
-	if cc == nil {
-		cc = polytope.NewCostCache(0)
-	}
-	return &MasterCache{cache: cc}
-}
-
-// Cache returns the underlying cost cache (the coordinator's own
-// pipeline may share it; polytope.CostCache is concurrency-safe).
-func (m *MasterCache) Cache() *polytope.CostCache { return m.cache }
+// NewMasterCache returns an empty master; its first Warm call
+// snapshots the coverage library.
+func NewMasterCache() *MasterCache { return &MasterCache{} }
 
 // Warm implements dispatch.WarmSource for the MIRAGE job kinds.
 func (m *MasterCache) Warm(kind string) (dispatch.WarmState, bool) {
@@ -81,8 +53,8 @@ func (m *MasterCache) Warm(kind string) (dispatch.WarmState, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.refreshLocked(); err != nil {
-		// A snapshot failure (mixed-basis cache) degrades to cold
-		// starts, loudly and once per failure streak.
+		// A snapshot failure degrades to cold starts, loudly and once
+		// per failure streak.
 		if m.warmErr == nil || m.warmErr.Error() != err.Error() {
 			m.logf("distrib: warm tier disabled for this job: %v", err)
 		}
@@ -93,81 +65,21 @@ func (m *MasterCache) Warm(kind string) (dispatch.WarmState, bool) {
 	return m.snap, true
 }
 
-// refreshLocked re-serialises the snapshot when the cache or coverage
-// registry changed since the last build, bumping the version so
-// workers holding the stale snapshot receive the new one.
+// refreshLocked re-serialises the snapshot when the coverage library
+// changed since the last build, bumping the version so workers holding
+// the stale snapshot receive the new one.
 func (m *MasterCache) refreshLocked() error {
-	n, cov := m.cache.Len(), polytope.RootCoverageCount()
-	if m.snap.Blob != nil && n == m.snapLen && cov == m.snapCov {
+	cov := polytope.RootCoverageCount()
+	if m.snap.Blob != nil && cov == m.snapCov {
 		return nil
 	}
-	var cacheBuf bytes.Buffer
-	if err := m.cache.Save(&cacheBuf); err != nil {
-		return err
-	}
-	var covBuf bytes.Buffer
-	if err := polytope.SaveRootCoverage(&covBuf); err != nil {
+	var buf bytes.Buffer
+	if err := polytope.SaveRootCoverage(&buf); err != nil {
 		return err
 	}
 	m.version++
-	var blob bytes.Buffer
-	err := gob.NewEncoder(&blob).Encode(&warmSnapshot{
-		Version:  m.version,
-		Cache:    cacheBuf.Bytes(),
-		Coverage: covBuf.Bytes(),
-	})
-	if err != nil {
-		return err
-	}
-	m.snap = dispatch.WarmState{Version: m.version, Blob: blob.Bytes()}
-	m.snapLen, m.snapCov = n, cov
-	return nil
-}
-
-// Fold merges one job's epilogue deltas into the master cache. Each
-// epilogue is a CostCache delta snapshot (entries the worker added on
-// top of the warm seed, plus the worker's own hit/miss counters);
-// entries deduplicate under Merge and counters sum, so the master's
-// statistics are the honest fleet-wide totals. Call it once per
-// completed RunJob — journal replays return no epilogues, which is
-// what keeps recovery from double-folding.
-func (m *MasterCache) Fold(epilogues [][]byte) error {
-	var jobHits, jobMisses, entries int64
-	folded := false
-	for _, ep := range epilogues {
-		if len(ep) == 0 {
-			continue
-		}
-		shard, err := polytope.LoadCache(bytes.NewReader(ep), 0)
-		if err != nil {
-			return fmt.Errorf("distrib: decoding worker cache epilogue: %w", err)
-		}
-		n, err := m.cache.Merge(shard)
-		if err != nil {
-			return fmt.Errorf("distrib: folding worker cache into master: %w", err)
-		}
-		h, mi := shard.Stats()
-		jobHits += h
-		jobMisses += mi
-		entries += int64(n)
-		folded = true
-	}
-	m.mu.Lock()
-	if folded {
-		m.foldedJobs++
-		m.foldedEntries += entries
-		m.lastJobHits, m.lastJobMisses = jobHits, jobMisses
-	}
-	version, masterLen := m.version, m.cache.Len()
-	m.mu.Unlock()
-	if folded {
-		rate := 0.0
-		if jobHits+jobMisses > 0 {
-			rate = float64(jobHits) / float64(jobHits+jobMisses)
-		}
-		m.logf("distrib: warm tier: folded %d new entries (job hit rate %.1f%%, %d hits / %d misses); master holds %d entries at snapshot v%d",
-			entries, 100*rate, jobHits, jobMisses, masterLen, version)
-	}
+	m.snap = dispatch.WarmState{Version: m.version, Blob: buf.Bytes()}
+	m.snapCov = cov
 	return nil
 }
 
@@ -177,81 +89,27 @@ func (m *MasterCache) logf(format string, args ...any) {
 	}
 }
 
-// WarmStats is a snapshot of the master cache's warm-tier telemetry.
-// Hits/Misses are the fleet-wide cumulative counters of the master
-// cache (worker counters fold in through the epilogues); LastJobHits/
-// LastJobMisses are the most recent job's share, so callers can report
-// a per-job fleet hit rate.
+// WarmStats is a snapshot of the master's warm-tier telemetry.
 type WarmStats struct {
 	SnapshotVersion uint64
-	Entries         int
-	FoldedJobs      int64
-	FoldedEntries   int64
-	Hits            int64
-	Misses          int64
-	LastJobHits     int64
-	LastJobMisses   int64
+	CoverageSets    int // coverage sets in the current snapshot
 }
 
 // Stats snapshots the warm-tier telemetry.
 func (m *MasterCache) Stats() WarmStats {
-	hits, misses := m.cache.Stats()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return WarmStats{
-		SnapshotVersion: m.version,
-		Entries:         m.cache.Len(),
-		FoldedJobs:      m.foldedJobs,
-		FoldedEntries:   m.foldedEntries,
-		Hits:            hits,
-		Misses:          misses,
-		LastJobHits:     m.lastJobHits,
-		LastJobMisses:   m.lastJobMisses,
-	}
+	return WarmStats{SnapshotVersion: m.version, CoverageSets: m.snapCov}
 }
 
-// warmJobCache is the worker-side receiving end: decode the warm blob
-// (nil means a cold start), merge the coverage sets into the process
-// registry, seed a fresh job cache from the snapshot, and mark the
-// seed as the delta baseline so the epilogue ships only new entries.
-// The seeded cache's counters start at zero — Load drops them by
-// design — so the epilogue carries the job's own statistics.
-func warmJobCache(warm []byte) (*polytope.CostCache, error) {
-	cache := polytope.NewCostCache(0)
+// loadWarm is the worker-side receiving end: merge the shipped coverage
+// library (nil means a cold start) into the process registry.
+func loadWarm(warm []byte) error {
 	if len(warm) == 0 {
-		return cache, nil
-	}
-	var snap warmSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(warm)).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("distrib: decoding warm snapshot: %w", err)
-	}
-	if len(snap.Coverage) > 0 {
-		if _, err := polytope.LoadRootCoverage(bytes.NewReader(snap.Coverage)); err != nil {
-			return nil, fmt.Errorf("distrib: loading warm coverage sets: %w", err)
-		}
-	}
-	if len(snap.Cache) > 0 {
-		if _, err := cache.Load(bytes.NewReader(snap.Cache)); err != nil {
-			return nil, fmt.Errorf("distrib: seeding job cache from warm snapshot: %w", err)
-		}
-	}
-	cache.MarkBaseline()
-	return cache, nil
-}
-
-// cacheEpilogue serialises a job cache's delta for the trip home. An
-// untouched cache (no queries at all — e.g. a SABRE baseline job that
-// never consults decomposition costs) ships nothing; a warm cache
-// that only hit still ships, because its counters are the fleet
-// hit-rate telemetry.
-func cacheEpilogue(cc *polytope.CostCache) []byte {
-	hits, misses := cc.Stats()
-	if hits+misses == 0 {
 		return nil
 	}
-	var buf bytes.Buffer
-	if err := cc.SaveDelta(&buf); err != nil {
-		return nil
+	if _, err := polytope.LoadRootCoverage(bytes.NewReader(warm)); err != nil {
+		return fmt.Errorf("distrib: loading warm coverage sets: %w", err)
 	}
-	return buf.Bytes()
+	return nil
 }

@@ -1,25 +1,22 @@
 package distrib
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/circuit"
-	"repro/internal/dispatch"
 	"repro/internal/polytope"
 	"repro/internal/sabre"
 	"repro/internal/topology"
 	"repro/internal/transpile"
 )
 
-// --- Warm-cache tier ---
+// --- Warm tier: the shipped coverage library ---
 
-// TestWarmTierBatchBitIdenticalAndHitRate is the tentpole property for
+// TestWarmTierBatchBitIdentical is the warm-tier property for
 // KindBatch: repeated jobs on one cluster stay bit-identical to the
-// serial pipeline while the fleet hit rate climbs to 100% — the second
-// job runs entirely out of the master snapshot — and the version
-// handshake stops re-shipping the snapshot once it stops growing.
-func TestWarmTierBatchBitIdenticalAndHitRate(t *testing.T) {
+// serial pipeline, and once every worker holds the coverage snapshot
+// the version handshake stops re-shipping it.
+func TestWarmTierBatchBitIdentical(t *testing.T) {
 	topo := topology.Grid(3, 3)
 	circuits := []*circuit.Circuit{
 		e2eCircuit("warm-a", 6, 16, 61),
@@ -39,7 +36,6 @@ func TestWarmTierBatchBitIdenticalAndHitRate(t *testing.T) {
 	if cl.Master == nil {
 		t.Fatal("NewCluster did not enable the warm tier")
 	}
-	var firstRate float64
 	for job := 1; job <= 3; job++ {
 		got, err := cl.TranspileBatch(circuits, topo, base)
 		if err != nil {
@@ -48,42 +44,24 @@ func TestWarmTierBatchBitIdenticalAndHitRate(t *testing.T) {
 		for i := range want {
 			reportsEqual(t, "warm-batch", want[i], got[i])
 		}
-		ws := cl.Master.Stats()
-		if ws.FoldedJobs != int64(job) {
-			t.Fatalf("job %d: FoldedJobs = %d, want %d (every job's epilogues fold, hits-only included)", job, ws.FoldedJobs, job)
-		}
-		switch job {
-		case 1:
-			if ws.Entries == 0 || ws.LastJobMisses == 0 {
-				t.Fatalf("cold job folded nothing: entries=%d misses=%d", ws.Entries, ws.LastJobMisses)
-			}
-			firstRate = float64(ws.LastJobHits) / float64(ws.LastJobHits+ws.LastJobMisses)
-		default:
-			// Everything the job queries is in the snapshot now.
-			if ws.LastJobMisses != 0 || ws.LastJobHits == 0 {
-				t.Fatalf("job %d on a warm fleet: %d hits / %d misses, want all hits",
-					job, ws.LastJobHits, ws.LastJobMisses)
-			}
-			rate := float64(ws.LastJobHits) / float64(ws.LastJobHits+ws.LastJobMisses)
-			if rate <= firstRate {
-				t.Fatalf("job %d fleet hit rate %.3f not above cold job's %.3f", job, rate, firstRate)
-			}
-		}
 	}
-	// Job 1 shipped the (empty) v1 snapshot, job 2 the grown v2; job 3's
-	// snapshot is unchanged, so the handshake skips the transfer.
+	if ws := cl.Master.Stats(); ws.SnapshotVersion != 1 || ws.CoverageSets == 0 {
+		t.Fatalf("master snapshot v%d with %d coverage sets, want v1 with the sqrt-iSWAP set",
+			ws.SnapshotVersion, ws.CoverageSets)
+	}
+	// Job 1 shipped the v1 snapshot; it never changed, so jobs 2 and 3
+	// skip the transfer on every worker that already holds it.
 	st := cl.Hub.Stats()
-	if st.WarmSends < 2 || st.WarmSkips < 2 || st.WarmBytesSkipped == 0 {
-		t.Fatalf("handshake counters sends=%d skips=%d bytesSkipped=%d, want sends>=2 skips>=2",
+	if st.WarmSends < 1 || st.WarmSkips < 2 || st.WarmBytesSkipped == 0 {
+		t.Fatalf("handshake counters sends=%d skips=%d bytesSkipped=%d, want sends>=1 skips>=2",
 			st.WarmSends, st.WarmSkips, st.WarmBytesSkipped)
 	}
 }
 
-// TestWarmTierTrialsBitIdenticalAndFold is the KindTrials half: before
-// the warm tier, trial-job worker caches were built cold and discarded
-// every FindBestRouting call; now their deltas fold into the master and
-// the next grid runs hit-only — with the winner still bit-identical.
-func TestWarmTierTrialsBitIdenticalAndFold(t *testing.T) {
+// TestWarmTierTrialsBitIdentical is the KindTrials half: two trial
+// grids on one warm cluster pick the local winner, and the second grid
+// skips the snapshot transfer.
+func TestWarmTierTrialsBitIdentical(t *testing.T) {
 	topo := topology.Grid(3, 3)
 	c := e2eCircuit("warm-fbr", 7, 22, 67)
 	blocks := circuit.ConsolidateBlocks(circuit.UnrollTo2Q(c))
@@ -92,7 +70,7 @@ func TestWarmTierTrialsBitIdenticalAndFold(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := PolicySpec{Mirage: true, DepthSelection: true}
-	metric, factory := spec.build(polytope.NewCostCache(0))
+	metric, factory := spec.build(blocks)
 	opts := sabre.LayoutOptions{LayoutTrials: 3, RoutingTrials: 4, FwdBwdPasses: 1, Seed: 37}
 	want, err := sabre.FindBestRouting(blocks, topo, opts, metric, factory)
 	if err != nil {
@@ -107,141 +85,35 @@ func TestWarmTierTrialsBitIdenticalAndFold(t *testing.T) {
 		}
 		resultsEqual(t, "warm-trials", want, got)
 	}
-	ws := cl.Master.Stats()
-	if ws.FoldedJobs != 2 || ws.Entries == 0 {
-		t.Fatalf("FoldedJobs=%d entries=%d, want 2 folds of a non-empty master", ws.FoldedJobs, ws.Entries)
-	}
-	if ws.LastJobMisses != 0 || ws.LastJobHits == 0 {
-		t.Fatalf("second grid on a warm fleet: %d hits / %d misses, want all hits", ws.LastJobHits, ws.LastJobMisses)
+	if st := cl.Hub.Stats(); st.WarmSends < 1 || st.WarmSkips < 1 {
+		t.Fatalf("handshake counters sends=%d skips=%d, want the second grid to skip the snapshot",
+			st.WarmSends, st.WarmSkips)
 	}
 }
 
-// TestWarmFoldDeterminismAcrossWorkerCounts: folding per-worker deltas
-// must reconstruct exactly the cache one shared-cache serial run
-// builds — same keys, same costs — at any worker count or lease size.
-// Entry content is pinned by Fingerprint (order-independent), so this
-// catches a lost shard, a double fold, or a divergent cost.
-func TestWarmFoldDeterminismAcrossWorkerCounts(t *testing.T) {
-	topo := topology.Grid(3, 3)
-	circuits := []*circuit.Circuit{
-		e2eCircuit("fold-a", 6, 16, 71),
-		e2eCircuit("fold-b", 7, 20, 72),
-		e2eCircuit("fold-c", 5, 12, 73),
-		e2eCircuit("fold-d", 8, 18, 74),
+// TestWarmSnapshotCarriesCoverage: the snapshot is the coordinator's
+// coverage library, which a worker merges into its registry; other
+// job kinds get none, and a corrupt blob is an error, not a cold start.
+func TestWarmSnapshotCarriesCoverage(t *testing.T) {
+	polytope.NewISwapRootCoverage(2)
+	m := NewMasterCache()
+	ws, ok := m.Warm(KindTrials)
+	if !ok || ws.Version != 1 || len(ws.Blob) == 0 {
+		t.Fatalf("Warm(%s) = (v%d, %d bytes, %v), want a v1 snapshot", KindTrials, ws.Version, len(ws.Blob), ok)
 	}
-	base := transpile.Options{
-		Router: transpile.MIRAGE, DepthSelection: true, SkipTrivialLayout: true,
-		Layout: sabre.LayoutOptions{LayoutTrials: 2, RoutingTrials: 2, FwdBwdPasses: 1, Seed: 23},
+	if again, _ := m.Warm(KindBatch); again.Version != ws.Version {
+		t.Fatalf("unchanged library re-versioned: v%d -> v%d", ws.Version, again.Version)
 	}
-	serial := base
-	serial.Cache = polytope.NewCostCache(0)
-	if _, err := transpile.TranspileBatch(circuits, topo, serial); err != nil {
+	if _, ok := m.Warm("other/kind"); ok {
+		t.Fatal("Warm served a job kind it does not know")
+	}
+	if err := loadWarm(ws.Blob); err != nil {
 		t.Fatal(err)
 	}
-	wantFP := serial.Cache.Fingerprint()
-	if wantFP == 0 {
-		t.Fatal("fixture degenerate: serial run cached nothing")
+	if err := loadWarm(nil); err != nil {
+		t.Fatalf("cold start: %v", err)
 	}
-
-	for _, workers := range []int{1, 2, 3} {
-		for _, lease := range []int{1, 2} {
-			cl := startCluster(t, workers, 0, 0)
-			cl.CircuitLease = lease
-			if _, err := cl.TranspileBatch(circuits, topo, base); err != nil {
-				t.Fatal(err)
-			}
-			if fp := cl.Master.Cache().Fingerprint(); fp != wantFP {
-				t.Fatalf("workers=%d lease=%d: master fingerprint %x != serial combined run %x",
-					workers, lease, fp, wantFP)
-			}
-		}
-	}
-}
-
-// TestWarmMasterSharedWithCallerCache: when the caller's cache IS the
-// master (benchsuite -cache-file wiring via NewClusterWithCache), the
-// fold happens exactly once — the legacy opts.Cache merge must not
-// double-count the epilogues it already folded.
-func TestWarmMasterSharedWithCallerCache(t *testing.T) {
-	topo := topology.Grid(3, 3)
-	circuits := []*circuit.Circuit{
-		e2eCircuit("shared-a", 6, 14, 75),
-		e2eCircuit("shared-b", 7, 16, 76),
-	}
-	base := transpile.Options{
-		Router: transpile.MIRAGE, DepthSelection: true, SkipTrivialLayout: true,
-		Layout: sabre.LayoutOptions{LayoutTrials: 2, RoutingTrials: 2, FwdBwdPasses: 1, Seed: 29},
-	}
-	serial := base
-	serial.Cache = polytope.NewCostCache(0)
-	if _, err := transpile.TranspileBatch(circuits, topo, serial); err != nil {
-		t.Fatal(err)
-	}
-	wantHits, wantMisses := serial.Cache.Stats()
-
-	h := dispatch.NewHub()
-	t.Cleanup(h.Close)
-	shared := polytope.NewCostCache(0)
-	cl := NewClusterWithCache(h, shared)
-	startClusterWorkers(t, h, 1, nil)
-	opts := base
-	opts.Cache = shared // the benchsuite wiring: -cache-file cache == master
-	if _, err := cl.TranspileBatch(circuits, topo, opts); err != nil {
-		t.Fatal(err)
-	}
-	if shared.Fingerprint() != serial.Cache.Fingerprint() {
-		t.Fatal("shared master diverged from the serial combined run")
-	}
-	// One worker saw the whole batch cold, so its job counters must be
-	// exactly the serial run's — doubled counters mean a double fold.
-	if h2, m2 := shared.Stats(); h2 != wantHits || m2 != wantMisses {
-		t.Fatalf("shared master stats (%d, %d), want the single fold (%d, %d)", h2, m2, wantHits, wantMisses)
-	}
-}
-
-// TestWarmJournalReplayNoDoubleFold: epilogues fold only when RunJob
-// returns them — a crashed run folds nothing, and the resumed
-// coordinator folds exactly once, with rows still bit-identical.
-func TestWarmJournalReplayNoDoubleFold(t *testing.T) {
-	topo := topology.Grid(3, 3)
-	circuits := []*circuit.Circuit{
-		e2eCircuit("wfold-a", 6, 16, 91),
-		e2eCircuit("wfold-b", 7, 20, 92),
-		e2eCircuit("wfold-c", 5, 12, 93),
-		e2eCircuit("wfold-d", 8, 18, 94),
-	}
-	base := transpile.Options{
-		Router: transpile.MIRAGE, DepthSelection: true, SkipTrivialLayout: true,
-		Layout: sabre.LayoutOptions{LayoutTrials: 2, RoutingTrials: 2, FwdBwdPasses: 1, Seed: 47},
-	}
-	want, err := transpile.TranspileBatch(circuits, topo, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	cl := journaledHub(t, dir, 2, &dispatch.ChaosConfig{CrashOnResultBatch: 2})
-	if _, err := cl.TranspileBatch(circuits, topo, base); !errors.Is(err, dispatch.ErrSimulatedCrash) {
-		t.Fatalf("crash run returned %v, want ErrSimulatedCrash", err)
-	}
-	if ws := cl.Master.Stats(); ws.FoldedJobs != 0 {
-		t.Fatalf("crashed job folded %d times into the master; epilogues must fold only on success", ws.FoldedJobs)
-	}
-	cl.Hub.Close()
-
-	cl2 := journaledHub(t, dir, 2, nil)
-	got, err := cl2.TranspileBatch(circuits, topo, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		reportsEqual(t, "wfold", want[i], got[i])
-	}
-	ws := cl2.Master.Stats()
-	if ws.FoldedJobs != 1 {
-		t.Fatalf("resumed job folded %d times, want exactly once (journaled results replay without epilogues)", ws.FoldedJobs)
-	}
-	if st := cl2.Hub.Stats(); st.Recovered != 1 {
-		t.Fatalf("Recovered = %d, want 1", st.Recovered)
+	if err := loadWarm([]byte("not a coverage library")); err == nil {
+		t.Fatal("corrupt warm blob accepted")
 	}
 }

@@ -16,10 +16,11 @@ import (
 
 // oracleDepth is the formula the depth metric used to evaluate on
 // every trial: consolidate the routed circuit into blocks, then take
-// the critical path under GateWeight. It is kept here, and only here,
-// as the oracle the streaming metric must reproduce exactly.
-func oracleDepth(cov *polytope.CoverageSet, cache *polytope.CostCache, routed *circuit.Circuit) float64 {
-	return circuit.ConsolidateBlocks(routed).Depth(GateWeight(cov, cache))
+// the critical path under GateWeight, which prices every block directly
+// with CoverageSet.CostOf. It is kept here, and only here, as the
+// oracle the streaming metric must reproduce exactly.
+func oracleDepth(cov *polytope.CoverageSet, routed *circuit.Circuit) float64 {
+	return circuit.ConsolidateBlocks(routed).Depth(GateWeight(cov))
 }
 
 // randomMetricCircuit draws a circuit mixing the gate families the
@@ -67,9 +68,10 @@ func randomMetricCircuit(name string, qubits, ops int, rng *rand.Rand) *circuit.
 // property: on every trial of small MIRAGE grids — random circuits,
 // three topologies, every aggression level, consolidated and raw
 // inputs — the streaming metric equals the consolidate-then-Depth
-// oracle exactly. Metric and oracle price through separate cost
-// caches, so a coordinate that lands in a different polytope cannot
-// be masked by a shared cache entry. Consolidated inputs must never
+// oracle exactly. The metric prices through a cost table built over
+// the routed input and the oracle prices directly, so a table entry
+// that differed from its coordinate's own region cost would show.
+// Consolidated inputs must never
 // take the matrix fallback; raw inputs must exercise it.
 func TestDepthMetricMatchesConsolidateOracle(t *testing.T) {
 	cov := siswap()
@@ -99,16 +101,16 @@ func TestDepthMetricMatchesConsolidateOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				runner := sabre.NewTrialRunnerPrepared(pc)
+				costs := NewCostTable(cov, in)
+				metric := DepthMetric(costs)
 				for level := AggressionNever; level <= AggressionAlways; level++ {
-					metric := DepthMetricWithCache(cov, polytope.NewCostCache(0))
-					oracleCache := polytope.NewCostCache(0)
-					policy := NewPolicy(cov, nil, level)
+					policy := NewPolicy(costs, level)
 					for tr := 0; tr < opts.LayoutTrials*opts.RoutingTrials; tr++ {
 						res, err := runner.GridTrial(layouts, opts, tr, policy)
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, want := metric(res), oracleDepth(cov, oracleCache, res.Routed)
+						got, want := metric(res), oracleDepth(cov, res.Routed)
 						if got != want {
 							t.Fatalf("%s consolidated=%v level %d trial %d: metric %v != oracle %v",
 								in.Name, consolidated, level, tr, got, want)
@@ -195,9 +197,9 @@ func TestDepthMetricRunClasses(t *testing.T) {
 	for _, tc := range cases {
 		c := circuit.New(tc.name, 4)
 		tc.build(c)
-		metric := DepthMetricWithCache(cov, polytope.NewCostCache(0))
+		metric := DepthMetric(NewCostTable(cov, c))
 		got := metric(&sabre.Result{Routed: c})
-		want := oracleDepth(cov, polytope.NewCostCache(0), c)
+		want := oracleDepth(cov, c)
 		if got != want {
 			t.Errorf("%s: metric %v != oracle %v", tc.name, got, want)
 		}
@@ -243,8 +245,9 @@ func TestGridTrialDepthMetricAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		runner := sabre.NewTrialRunnerPrepared(pc)
-		policy := NewPolicy(cov, nil, AggressionEqual)
-		metric := DepthMetricWithCache(cov, nil)
+		costs := NewCostTable(cov, pc.Circ)
+		policy := NewPolicy(costs, AggressionEqual)
+		metric := DepthMetric(costs)
 		mirrors := 0
 		trial := func() {
 			res, err := runner.GridTrial(layouts, opts, 1, policy)
@@ -254,7 +257,7 @@ func TestGridTrialDepthMetricAllocs(t *testing.T) {
 			mirrors = res.MirrorsUsed
 			metric(res)
 		}
-		trial() // grow the arena, build the mirror table, warm the caches
+		trial() // grow the arena, build the mirror table, fill the pass pool
 		allocs := testing.AllocsPerRun(50, trial)
 		if allocs > maxTrialAllocs {
 			t.Errorf("%d 2Q ops, %d mirrors: %v allocations per trial, want <= %d",
@@ -280,8 +283,9 @@ func TestDepthMetricSharedAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	metric := DepthMetricWithCache(cov, nil)
-	factory := PolicyFactory(cov, DefaultMix)
+	costs := NewCostTable(cov, pc.Circ)
+	metric := DepthMetric(costs)
+	factory := PolicyFactory(costs, DefaultMix)
 	var want *sabre.Result
 	for _, par := range []int{1, 4} {
 		opts := sabre.LayoutOptions{LayoutTrials: 3, RoutingTrials: 4, FwdBwdPasses: 1, Seed: 9, Parallelism: par}

@@ -49,8 +49,8 @@ var DefaultMix = [4]float64{0.05, 0.45, 0.45, 0.05}
 
 // Policy is the MIRAGE intermediate-layer decision procedure.
 type Policy struct {
-	Coverage   *polytope.CoverageSet
-	Cache      *polytope.CostCache
+	// Costs prices the gate and its mirror under the target basis.
+	Costs      *CostTable
 	Aggression Aggression
 	// SwapEquivalentCost converts one hop of the SABRE distance
 	// heuristic into decomposition-cost units; the natural scale is
@@ -58,18 +58,13 @@ type Policy struct {
 	SwapEquivalentCost float64
 }
 
-// NewPolicy builds a policy with the SWAP cost taken from the coverage
-// set.
-func NewPolicy(cov *polytope.CoverageSet, cache *polytope.CostCache, level Aggression) *Policy {
-	if cache == nil {
-		cache = polytope.NewCostCache(0)
-	}
-	swapCost := cov.CostOf(weyl.SwapCoord, false)
+// NewPolicy builds a policy pricing through costs, with the SWAP cost
+// taken from the same table.
+func NewPolicy(costs *CostTable, level Aggression) *Policy {
 	return &Policy{
-		Coverage:           cov,
-		Cache:              cache,
+		Costs:              costs,
 		Aggression:         level,
-		SwapEquivalentCost: swapCost,
+		SwapEquivalentCost: costs.CostOf(weyl.SwapCoord),
 	}
 }
 
@@ -95,8 +90,8 @@ func (p *Policy) Decide(ctx *sabre.MirrorContext) bool {
 	} else {
 		mirror = weyl.Mirror(coord)
 	}
-	dc, _ := p.Cache.CostOf(p.Coverage, coord, false)
-	dm, _ := p.Cache.CostOf(p.Coverage, mirror, false)
+	dc := p.Costs.CostOf(coord)
+	dm := p.Costs.CostOf(mirror)
 
 	var hCur, hTrial float64
 	if ctx.RoutingCostSwap != nil {
@@ -121,21 +116,10 @@ func (p *Policy) Decide(ctx *sabre.MirrorContext) bool {
 }
 
 // PolicyFactory distributes aggression levels over routing trials
-// according to mix (fractions for levels 0..3). A shared cost cache is
-// reused across all trials, matching the paper's LRU design.
-func PolicyFactory(cov *polytope.CoverageSet, mix [4]float64) sabre.PolicyFactory {
-	return PolicyFactoryWithCache(cov, mix, nil)
-}
-
-// PolicyFactoryWithCache is PolicyFactory with a caller-supplied cost
-// cache, so batch transpilation can share one warmed cache across
-// circuits; nil allocates a fresh cache. The returned factory is safe
-// to call from concurrent routing trials.
-func PolicyFactoryWithCache(cov *polytope.CoverageSet, mix [4]float64,
-	cache *polytope.CostCache) sabre.PolicyFactory {
-	if cache == nil {
-		cache = polytope.NewCostCache(0)
-	}
+// according to mix (fractions for levels 0..3). Every trial prices
+// through the one shared table, which is read-only, so the returned
+// factory is safe to call from concurrent routing trials.
+func PolicyFactory(costs *CostTable, mix [4]float64) sabre.PolicyFactory {
 	// Build the cumulative distribution once.
 	var cum [4]float64
 	total := 0.0
@@ -158,25 +142,15 @@ func PolicyFactoryWithCache(cov *polytope.CoverageSet, mix [4]float64,
 				break
 			}
 		}
-		return NewPolicy(cov, cache, level)
+		return NewPolicy(costs, level)
 	}
 }
 
 // FixedPolicyFactory uses one aggression level for every trial
 // (used by the Fig. 10 aggression study).
-func FixedPolicyFactory(cov *polytope.CoverageSet, level Aggression) sabre.PolicyFactory {
-	return FixedPolicyFactoryWithCache(cov, level, nil)
-}
-
-// FixedPolicyFactoryWithCache is FixedPolicyFactory with a shared cost
-// cache; nil allocates a fresh one.
-func FixedPolicyFactoryWithCache(cov *polytope.CoverageSet, level Aggression,
-	cache *polytope.CostCache) sabre.PolicyFactory {
-	if cache == nil {
-		cache = polytope.NewCostCache(0)
-	}
+func FixedPolicyFactory(costs *CostTable, level Aggression) sabre.PolicyFactory {
 	return func(trial int) sabre.MirrorPolicy {
-		return NewPolicy(cov, cache, level)
+		return NewPolicy(costs, level)
 	}
 }
 
@@ -186,57 +160,43 @@ func FixedPolicyFactoryWithCache(cov *polytope.CoverageSet, level Aggression,
 // coverage set: 2Q ops cost k * perGateCost basis applications, 1Q ops
 // are free. Router SWAPs and mirrored gates are priced through their
 // actual coordinates, so a mirage SWAP is automatically cheaper than
-// an explicit SWAP whenever the polytopes say so.
-func GateWeight(cov *polytope.CoverageSet, cache *polytope.CostCache) circuit.WeightFunc {
-	if cache == nil {
-		cache = polytope.NewCostCache(0)
-	}
+// an explicit SWAP whenever the polytopes say so. Each call prices
+// directly with CoverageSet.CostOf.
+func GateWeight(cov *polytope.CoverageSet) circuit.WeightFunc {
 	return func(op circuit.Op) float64 {
 		if !op.Is2Q() {
 			return 0
 		}
-		cost, _ := cache.CostOf(cov, circuit.OpCoordinate(op), false)
-		return cost
+		return cov.CostOf(circuit.OpCoordinate(op), false)
 	}
 }
 
 // DepthMetric scores a routing result by the polytope-weighted
 // critical-path depth — the paper's key improvement over counting
 // SWAPs (Section VI-A: optimising for depth rather than SWAPs yields
-// an additional 7.5% improvement).
-func DepthMetric(cov *polytope.CoverageSet) sabre.Metric {
-	return DepthMetricWithCache(cov, nil)
-}
-
-// DepthMetricWithCache is DepthMetric with a shared cost cache; nil
-// allocates a fresh one. Every block is priced through the cache.
+// an additional 7.5% improvement). Every block is priced through costs.
 //
-// The score is ConsolidateBlocks(r.Routed).Depth(GateWeight(cov,
-// cache)) — consolidating first prices a router SWAP adjacent to a
-// same-pair gate as its merged block, the absorption the post-routing
-// pipeline will actually perform — computed by the streaming
-// circuit.BlockDepth pass instead. A run of same-pair 2Q ops (1Q ops
-// never break one; a 2Q op on another pair sharing a wire does) is
-// priced by its class: the payload op's coordinate for an even number
-// of router SWAPs in the run and its mirror for an odd number; the
-// SWAP class or the identity for a run of router SWAPs alone. Only a
-// run with two or more payload ops falls back to multiplying its
-// matrices; routing a consolidated circuit never produces one, so the
-// MIRAGE pipeline never takes the fallback.
+// The score is ConsolidateBlocks(r.Routed).Depth(GateWeight(cov)) —
+// consolidating first prices a router SWAP adjacent to a same-pair
+// gate as its merged block, the absorption the post-routing pipeline
+// will actually perform — computed by the streaming circuit.BlockDepth
+// pass instead. A run of same-pair 2Q ops (1Q ops never break one; a
+// 2Q op on another pair sharing a wire does) is priced by its class:
+// the payload op's coordinate for an even number of router SWAPs in
+// the run and its mirror for an odd number; the SWAP class or the
+// identity for a run of router SWAPs alone. Only a run with two or
+// more payload ops falls back to multiplying its matrices; routing a
+// consolidated circuit never produces one, so the MIRAGE pipeline
+// never takes the fallback. A table built over the routed circuit's
+// source holds every class the pass asks for.
 //
 // The metric honours the sabre.Metric contract: it is a pure function
 // of the Result's contents and retains nothing, so FindBestRouting may
 // evaluate it on arena-backed Results that are recycled after the
 // call. It is safe for concurrent use and, once warm, allocates
 // nothing: each call borrows a BlockDepth from a pool.
-func DepthMetricWithCache(cov *polytope.CoverageSet, cache *polytope.CostCache) sabre.Metric {
-	if cache == nil {
-		cache = polytope.NewCostCache(0)
-	}
-	cost := func(c weyl.Coordinate) float64 {
-		v, _ := cache.CostOf(cov, c, false)
-		return v
-	}
+func DepthMetric(costs *CostTable) sabre.Metric {
+	cost := costs.CostOf
 	var passes sync.Pool
 	return func(r *sabre.Result) float64 {
 		p, _ := passes.Get().(*circuit.BlockDepth)

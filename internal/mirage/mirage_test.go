@@ -30,10 +30,10 @@ func TestAggressionNeverAndAlways(t *testing.T) {
 	op := circuit.Op{Gate: gates.CX(), Qubits: []int{0, 1}}
 	flat := func(*topology.Layout) float64 { return 0 }
 
-	if NewPolicy(cov, nil, AggressionNever).Decide(ctxFor(op, topo, layout, flat)) {
+	if NewPolicy(NewCostTable(cov, nil), AggressionNever).Decide(ctxFor(op, topo, layout, flat)) {
 		t.Fatal("aggression 0 accepted a mirror")
 	}
-	if !NewPolicy(cov, nil, AggressionAlways).Decide(ctxFor(op, topo, layout, flat)) {
+	if !NewPolicy(NewCostTable(cov, nil), AggressionAlways).Decide(ctxFor(op, topo, layout, flat)) {
 		t.Fatal("aggression 3 rejected a mirror")
 	}
 }
@@ -47,10 +47,10 @@ func TestAggressionLowerRequiresStrictImprovement(t *testing.T) {
 	// costs tie: level 1 must reject, level 2 must accept.
 	op := circuit.Op{Gate: gates.CX(), Qubits: []int{0, 1}}
 	flat := func(*topology.Layout) float64 { return 0 }
-	if NewPolicy(cov, nil, AggressionLower).Decide(ctxFor(op, topo, layout, flat)) {
+	if NewPolicy(NewCostTable(cov, nil), AggressionLower).Decide(ctxFor(op, topo, layout, flat)) {
 		t.Fatal("aggression 1 accepted a cost-neutral mirror")
 	}
-	if !NewPolicy(cov, nil, AggressionEqual).Decide(ctxFor(op, topo, layout, flat)) {
+	if !NewPolicy(NewCostTable(cov, nil), AggressionEqual).Decide(ctxFor(op, topo, layout, flat)) {
 		t.Fatal("aggression 2 rejected a cost-neutral mirror")
 	}
 }
@@ -66,7 +66,7 @@ func TestDecideFavoursMirrorWhenRoutingImproves(t *testing.T) {
 		// Future gate between logical 0 and logical 2.
 		return float64(topo.Distance(l.Phys(0), l.Phys(2)))
 	}
-	if !NewPolicy(cov, nil, AggressionLower).Decide(ctxFor(op, topo, layout, cost)) {
+	if !NewPolicy(NewCostTable(cov, nil), AggressionLower).Decide(ctxFor(op, topo, layout, cost)) {
 		t.Fatal("mirror with strictly better routing was rejected at level 1")
 	}
 }
@@ -80,17 +80,17 @@ func TestDecideRejectsMirrorWithDecompositionPenalty(t *testing.T) {
 	// benefit, levels 1 and 2 must reject.
 	op := circuit.Op{Gate: gates.SqrtISwap(), Qubits: []int{0, 1}}
 	flat := func(*topology.Layout) float64 { return 0 }
-	if NewPolicy(cov, nil, AggressionLower).Decide(ctxFor(op, topo, layout, flat)) {
+	if NewPolicy(NewCostTable(cov, nil), AggressionLower).Decide(ctxFor(op, topo, layout, flat)) {
 		t.Fatal("level 1 accepted a decomposition-penalised mirror")
 	}
-	if NewPolicy(cov, nil, AggressionEqual).Decide(ctxFor(op, topo, layout, flat)) {
+	if NewPolicy(NewCostTable(cov, nil), AggressionEqual).Decide(ctxFor(op, topo, layout, flat)) {
 		t.Fatal("level 2 accepted a decomposition-penalised mirror")
 	}
 }
 
 func TestPolicyFactoryMixProportions(t *testing.T) {
 	cov := siswap()
-	factory := PolicyFactory(cov, DefaultMix)
+	factory := PolicyFactory(NewCostTable(cov, nil), DefaultMix)
 	counts := map[Aggression]int{}
 	const n = 400
 	for i := 0; i < n; i++ {
@@ -111,7 +111,7 @@ func TestPolicyFactoryMixProportions(t *testing.T) {
 
 func TestGateWeightPricesMirrorsCorrectly(t *testing.T) {
 	cov := siswap()
-	w := GateWeight(cov, nil)
+	w := GateWeight(cov)
 	cx := circuit.Op{Gate: gates.CX(), Qubits: []int{0, 1}}
 	if got := w(cx); got != 1.0 {
 		t.Fatalf("CNOT weight = %g, want 1.0 (two sqrt-iSWAP pulses)", got)
@@ -134,7 +134,7 @@ func TestGateWeightPricesMirrorsCorrectly(t *testing.T) {
 
 func TestDepthMetricOrdersResults(t *testing.T) {
 	cov := siswap()
-	metric := DepthMetric(cov)
+	metric := DepthMetric(NewCostTable(cov, nil))
 	mk := func(withSwap bool) *sabre.Result {
 		c := circuit.New("m", 3)
 		c.Add(gates.CX(), 0, 1)
@@ -155,7 +155,7 @@ func TestDepthMetricAbsorbsSamePairSwap(t *testing.T) {
 	// same-pair CNOT consolidates into a CNS block (iSWAP class) and
 	// costs nothing extra.
 	cov := siswap()
-	metric := DepthMetric(cov)
+	metric := DepthMetric(NewCostTable(cov, nil))
 	plain := circuit.New("p", 2)
 	plain.Add(gates.CX(), 0, 1)
 	merged := circuit.New("m", 2)
@@ -193,7 +193,7 @@ func TestEndToEndMiragePreservesUnitary(t *testing.T) {
 			}
 			c.Add(gates.CX(), a, b)
 		}
-		policy := NewPolicy(cov, nil, AggressionEqual)
+		policy := NewPolicy(NewCostTable(cov, nil), AggressionEqual)
 		res, err := sabre.Route(c, topo, topology.TrivialLayout(4, 4), sabre.Options{}, rng, policy)
 		if err != nil {
 			t.Fatal(err)
@@ -230,7 +230,7 @@ func TestDecideFastPathMatchesSlowPath(t *testing.T) {
 		return float64(3 * l.Phys(1))
 	}
 	for _, level := range []Aggression{AggressionLower, AggressionEqual} {
-		p := NewPolicy(cov, nil, level)
+		p := NewPolicy(NewCostTable(cov, nil), level)
 		slow := ctxFor(op, topo, layout, slowCost)
 		slowDecision := p.Decide(slow)
 
@@ -268,12 +268,12 @@ func TestEndToEndPolicyDecisionsMatchReferenceRouter(t *testing.T) {
 	layout := topology.TrivialLayout(9, 9)
 	for _, level := range []Aggression{AggressionLower, AggressionEqual} {
 		engine, err := sabre.Route(blocks, topo, layout, sabre.Options{},
-			rand.New(rand.NewSource(6)), NewPolicy(cov, nil, level))
+			rand.New(rand.NewSource(6)), NewPolicy(NewCostTable(cov, nil), level))
 		if err != nil {
 			t.Fatal(err)
 		}
 		reference, err := sabre.RouteReference(blocks, topo, layout, sabre.Options{},
-			rand.New(rand.NewSource(6)), NewPolicy(cov, nil, level))
+			rand.New(rand.NewSource(6)), NewPolicy(NewCostTable(cov, nil), level))
 		if err != nil {
 			t.Fatal(err)
 		}

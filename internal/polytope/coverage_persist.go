@@ -1,11 +1,10 @@
 package polytope
 
-// Coverage-set persistence (ISSUE 3 satellite): the empirical polytope
-// construction runs hundreds of Nelder-Mead support-function sweeps
-// per (basis, k) pair — tens of seconds of work that is identical on
-// every process start. This file gob-serialises CoverageSets and the
-// process-wide iSWAP-root registry, following the guard pattern of the
-// CostCache snapshots: a format version, explicit identity checks so a
+// Coverage-set persistence: the empirical polytope construction runs
+// hundreds of Nelder-Mead support-function sweeps per (basis, k) pair
+// — seconds of work that is identical on every process start. This
+// file gob-serialises CoverageSets and the process-wide iSWAP-root
+// registry with a format version, explicit identity checks so a
 // snapshot can never be replayed against the wrong basis, and atomic
 // file writes.
 //
@@ -213,7 +212,8 @@ func LoadRootCoverage(r io.Reader) (int, error) {
 }
 
 // SaveRootCoverageFile writes the registry snapshot to path atomically
-// (temp file + rename), mirroring CostCache.SaveFile.
+// (temp file + rename), so a crashed run never leaves a truncated
+// snapshot behind.
 func SaveRootCoverageFile(path string) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".coverage-*")
 	if err != nil {

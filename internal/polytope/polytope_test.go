@@ -199,40 +199,6 @@ func TestHaarVolumeCNOTk2IsZero(t *testing.T) {
 	}
 }
 
-func TestCostCache(t *testing.T) {
-	cs := NewCNOTCoverage()
-	cc := NewCostCache(8)
-	c1, k1 := cc.CostOf(cs, weyl.SwapCoord, false)
-	if k1 != 3 || c1 != 3.0 {
-		t.Fatalf("cache CostOf(SWAP) = (%g, k%d), want (3.0, k3)", c1, k1)
-	}
-	c2, _ := cc.CostOf(cs, weyl.SwapCoord, false)
-	if c2 != c1 {
-		t.Fatal("cache returned different cost on second query")
-	}
-	hits, misses := cc.Stats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("cache stats = (%d hits, %d misses), want (1, 1)", hits, misses)
-	}
-	// Mirror flag must be part of the key: the mirrored SWAP is free.
-	cm, km := cc.CostOf(cs, weyl.SwapCoord, true)
-	if km != 0 || cm != 0 {
-		t.Fatalf("cache CostOf(SWAP, mirror) = (%g, k%d), want (0, k0)", cm, km)
-	}
-}
-
-func TestCostCacheEviction(t *testing.T) {
-	cs := NewCNOTCoverage()
-	cc := NewCostCache(2)
-	rng := rand.New(rand.NewSource(13))
-	for i := 0; i < 10; i++ {
-		cc.CostOf(cs, weyl.HaarSample(rng), false)
-	}
-	if cc.Len() > 2 {
-		t.Fatalf("cache exceeded capacity: %d entries", cc.Len())
-	}
-}
-
 func TestSupportDirectionsSane(t *testing.T) {
 	dirs := supportDirections()
 	if len(dirs) < 26 {

@@ -9,9 +9,7 @@ import (
 )
 
 // TranspileBatch transpiles many circuits onto one topology
-// concurrently, sharing a single warmed polytope cost cache across all
-// of them (paper Section VI-C: each quantised coordinate is only ever
-// evaluated once per batch). opts applies to every circuit; the
+// concurrently. opts applies to every circuit; the
 // returned slice is index-aligned with the input and every report is
 // identical to what a lone Transpile call with the same options would
 // produce. On error the first failure in input order is returned.
@@ -28,9 +26,6 @@ func TranspileBatch(circuits []*circuit.Circuit, topo *topology.Topology, opts O
 	}
 	if opts.Basis == nil {
 		opts.Basis = polytope.NewISwapRootCoverage(2)
-	}
-	if opts.Cache == nil {
-		opts.Cache = polytope.NewCostCache(0)
 	}
 	budget := opts.Parallelism
 	if budget == 0 {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/circuit"
-	"repro/internal/polytope"
 	"repro/internal/sabre"
 	"repro/internal/topology"
 )
@@ -61,26 +60,6 @@ func TestTranspileBatchMatchesIndividual(t *testing.T) {
 					par, i, rep.Summary(), solo[i].Summary())
 			}
 		}
-	}
-}
-
-// TestTranspileBatchSharesCache: the supplied cache must be the one
-// the batch actually uses, accumulating queries from every circuit.
-func TestTranspileBatchSharesCache(t *testing.T) {
-	topo := topology.Line(6)
-	circs := []*circuit.Circuit{bench.TwoLocal(6), bench.TwoLocal(6)}
-	opts := batchOpts()
-	opts.Cache = polytope.NewCostCache(0)
-	opts.Parallelism = 2
-	if _, err := TranspileBatch(circs, topo, opts); err != nil {
-		t.Fatal(err)
-	}
-	hits, misses := opts.Cache.Stats()
-	if hits+misses == 0 {
-		t.Fatal("batch never touched the shared cost cache")
-	}
-	if hits == 0 {
-		t.Fatal("two identical circuits produced zero cache hits — cache not shared")
 	}
 }
 

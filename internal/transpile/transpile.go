@@ -8,10 +8,11 @@
 // Routing runs on the arena-based trial engine: per circuit, one
 // immutable flat dependency DAG is shared read-only by all trial
 // workers and each worker reuses a private trial arena across the
-// whole schedule, so steady-state trials allocate O(1). TranspileBatch
-// composes the same way — circuit-level fan-out on the outside, arena
-// reuse inside each circuit's trial grid, one warmed decomposition
-// cost cache shared by everything.
+// whole schedule, so steady-state trials allocate O(1). Mirror
+// decisions and the depth metric price blocks through one read-only
+// mirage.CostTable per routed call, built over the routed blocks.
+// TranspileBatch composes the same way — circuit-level fan-out on the
+// outside, arena reuse inside each circuit's trial grid.
 package transpile
 
 import (
@@ -76,10 +77,6 @@ type Options struct {
 	// trial (useful on wide topologies when trial counts are small).
 	// Non-zero values override Layout.Routing.ScoreWorkers.
 	ScoreWorkers int
-	// Cache optionally supplies a shared polytope cost cache (used by
-	// TranspileBatch to keep one warmed cache across circuits); nil
-	// gives each transpilation its own cache.
-	Cache *polytope.CostCache
 	// RouteFn overrides the routing engine for step 4 of the pipeline;
 	// nil uses sabre.FindBestRoutingPrepared in-process. This is the
 	// seam the distributed dispatcher (internal/distrib) plugs into: its
@@ -232,16 +229,22 @@ func transpilePrepared(pc *PreparedCircuit, opts Options, start time.Time) (*Rep
 	if pc.routingErr != nil {
 		return nil, fmt.Errorf("transpile: %w", pc.routingErr)
 	}
+	// The cost table is per call, not part of the shared prepared
+	// circuit: its prices depend on the basis, a per-call option.
+	var costs *mirage.CostTable
+	if opts.DepthSelection || opts.Router == MIRAGE {
+		costs = mirage.NewCostTable(opts.Basis, pc.Blocks)
+	}
 	metric := sabre.SwapCountMetric
 	if opts.DepthSelection {
-		metric = mirage.DepthMetricWithCache(opts.Basis, opts.Cache)
+		metric = mirage.DepthMetric(costs)
 	}
 	var factory sabre.PolicyFactory
 	if opts.Router == MIRAGE {
 		if opts.FixedAggression != nil {
-			factory = mirage.FixedPolicyFactoryWithCache(opts.Basis, *opts.FixedAggression, opts.Cache)
+			factory = mirage.FixedPolicyFactory(costs, *opts.FixedAggression)
 		} else {
-			factory = mirage.PolicyFactoryWithCache(opts.Basis, mirage.DefaultMix, opts.Cache)
+			factory = mirage.PolicyFactory(costs, mirage.DefaultMix)
 		}
 	}
 	route := sabre.FindBestRoutingPrepared
@@ -298,7 +301,7 @@ func fillMetrics(rep *Report, basis *polytope.CoverageSet) {
 	// adjacent same-pair gate (the iSWAP between pulses 7 and 9 of
 	// paper Fig. 8b), so the comparison against MIRAGE is fair.
 	rep.Reconsolidated = circuit.ConsolidateBlocks(rep.Routed)
-	w := mirage.GateWeight(basis, nil)
+	w := mirage.GateWeight(basis)
 	rep.DepthTime = rep.Reconsolidated.Depth(w)
 	rep.DepthPulses = rep.DepthTime / basis.PerGateCost
 	rep.TotalBasisGates = rep.Reconsolidated.TotalCost(w) / basis.PerGateCost

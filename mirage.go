@@ -181,9 +181,8 @@ func Transpile(c *Circuit, topo *Topology, opts Options) (*Report, error) {
 }
 
 // TranspileBatch transpiles many circuits onto one topology
-// concurrently, sharing a single warmed decomposition-cost cache
-// across all of them. Reports are index-aligned with the input and
-// identical to what individual Transpile calls would produce.
+// concurrently. Reports are index-aligned with the input and identical
+// to what individual Transpile calls would produce.
 func TranspileBatch(circuits []*Circuit, topo *Topology, opts Options) ([]*Report, error) {
 	return transpile.TranspileBatch(circuits, topo, opts)
 }
@@ -207,19 +206,6 @@ func PrepareCircuit(c *Circuit, topo *Topology) *PreparedCircuit {
 func TranspilePrepared(pc *PreparedCircuit, opts Options) (*Report, error) {
 	return transpile.TranspilePrepared(pc, opts)
 }
-
-// CostCache is the sharded LRU cache from quantised Weyl coordinates
-// to decomposition costs (paper Section VI-C); pass one via
-// Options.Cache to keep it warm across Transpile/TranspileBatch calls.
-// Save/Load (and the SaveFile/LoadFile helpers) persist the table so
-// repeated benchmark runs start warm, and Merge folds another cache in
-// — entries deduplicated, hit/miss counters summed — which is how
-// distributed batch shards reduce their per-worker caches.
-type CostCache = polytope.CostCache
-
-// NewCostCache returns a cost cache holding up to capacity entries
-// (<= 0 selects the default size).
-func NewCostCache(capacity int) *CostCache { return polytope.NewCostCache(capacity) }
 
 // --- Distributed trial dispatch ---
 
@@ -284,8 +270,7 @@ type FleetStats = dispatch.FleetStats
 
 // TranspileBatchOver shards a batch across the cluster at circuit
 // granularity: every report is bit-identical to the local
-// TranspileBatch's, and worker cost caches are merged into opts.Cache
-// when set.
+// TranspileBatch's.
 func TranspileBatchOver(cl *Cluster, circuits []*Circuit, topo *Topology, opts Options) ([]*Report, error) {
 	return cl.TranspileBatch(circuits, topo, opts)
 }
