@@ -2,6 +2,7 @@ package polytope
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -126,4 +127,78 @@ func TestLoadRootCoverageRejectsGarbage(t *testing.T) {
 	if _, err := LoadRootCoverageFile(path); err == nil {
 		t.Fatal("garbage snapshot was accepted")
 	}
+}
+
+// withColdRegistry runs f against an empty iSWAP-root registry and
+// restores the real one afterwards.
+func withColdRegistry(t *testing.T, f func()) {
+	t.Helper()
+	iswapRootCacheMu.Lock()
+	saved := iswapRootCache
+	iswapRootCache = map[int]*CoverageSet{}
+	iswapRootCacheMu.Unlock()
+	defer func() {
+		iswapRootCacheMu.Lock()
+		iswapRootCache = saved
+		iswapRootCacheMu.Unlock()
+	}()
+	f()
+}
+
+func encodeLibrary(t *testing.T, sets ...coverageSnapshot) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	lib := coverageLibrary{Version: coverageSnapshotVersion, Sets: sets}
+	if err := gob.NewEncoder(&buf).Encode(&lib); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestCostCacheLoadKeepsFresherEntries: the coverage registry is the
+// cost data that still persists, and a set already in it wins over a
+// snapshot's set for the same root — the loaded copy is dropped, not
+// swapped in, even when it differs.
+func TestCostCacheLoadKeepsFresherEntries(t *testing.T) {
+	live := NewISwapRootCoverage(2)
+	snap, err := live.snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Regions = snap.Regions[:len(snap.Regions)-1]
+	if len(snap.Regions) == 0 {
+		t.Fatal("fixture degenerate: sqrt-iSWAP set has a single region")
+	}
+	n, err := LoadRootCoverage(bytes.NewReader(encodeLibrary(t, snap)))
+	if err != nil || n != 0 {
+		t.Fatalf("load over a held root: n=%d err=%v, want 0/nil", n, err)
+	}
+	if got := NewISwapRootCoverage(2); got != live || len(got.Regions) != len(live.Regions) {
+		t.Fatal("registry entry replaced by the snapshot's copy")
+	}
+}
+
+// TestCostCacheSnapshotBasisGuard: a persisted library must never be
+// replayed against the wrong basis, and one set that fails its
+// identity check rejects the whole library before anything is
+// inserted — a cold registry stays empty.
+func TestCostCacheSnapshotBasisGuard(t *testing.T) {
+	good, err := NewISwapRootCoverage(2).snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	drifted := good
+	drifted.BasisCoord[0] += 0.1
+	withColdRegistry(t, func() {
+		if _, err := LoadRootCoverage(bytes.NewReader(encodeLibrary(t, good, drifted))); err == nil {
+			t.Fatal("library with a drifted basis coordinate was accepted")
+		}
+		if n := RootCoverageCount(); n != 0 {
+			t.Fatalf("rejected library inserted %d sets", n)
+		}
+		// The same library without the drifted set loads.
+		if n, err := LoadRootCoverage(bytes.NewReader(encodeLibrary(t, good))); err != nil || n != 1 {
+			t.Fatalf("same-basis load: n=%d err=%v, want 1/nil", n, err)
+		}
+	})
 }

@@ -3,6 +3,7 @@ package polytope
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/gates"
@@ -197,6 +198,73 @@ func TestHaarVolumeCNOTk2IsZero(t *testing.T) {
 	if v := HaarVolume(CNOTk2(), 300, rng); v > 0.01 {
 		t.Fatalf("CNOT k=2 plane has Haar volume %.3f, want ~0", v)
 	}
+}
+
+// TestCostCache pins the prices the removed LRU cost cache was keyed
+// on, now that every price is a direct coverage-set lookup: SWAP costs
+// (3.0, k3) under CNOT, a repeat query answers identically, and the
+// mirror flag is part of the price — the mirrored SWAP is free.
+func TestCostCache(t *testing.T) {
+	cs := NewCNOTCoverage()
+	r1, ok := cs.MinCost(weyl.SwapCoord, false)
+	if !ok || r1.K != 3 || r1.Cost != 3.0 {
+		t.Fatalf("MinCost(SWAP) = (%g, k%d, %v), want (3.0, k3)", r1.Cost, r1.K, ok)
+	}
+	if r2, _ := cs.MinCost(weyl.SwapCoord, false); r2.Cost != r1.Cost || r2.K != r1.K {
+		t.Fatal("coverage set returned a different price on the second query")
+	}
+	if c := cs.CostOf(weyl.SwapCoord, false); c != r1.Cost {
+		t.Fatalf("CostOf(SWAP) = %g, MinCost says %g", c, r1.Cost)
+	}
+	rm, ok := cs.MinCost(weyl.SwapCoord, true)
+	if !ok || rm.K != 0 || rm.Cost != 0 {
+		t.Fatalf("MinCost(SWAP, mirror) = (%g, k%d, %v), want (0, k0)", rm.Cost, rm.K, ok)
+	}
+}
+
+// TestCostCacheConcurrent: with the locked cost cache gone, goroutines
+// price straight off one shared coverage set, so concurrent registry
+// lookups must hand every goroutine the same set and concurrent
+// queries must answer exactly as a serial pass does (run under -race
+// in CI).
+func TestCostCacheConcurrent(t *testing.T) {
+	coords := make([]weyl.Coordinate, 32)
+	rng := rand.New(rand.NewSource(21))
+	for i := range coords {
+		coords[i] = weyl.HaarSample(rng)
+	}
+	ref := NewISwapRootCoverage(2)
+	want := make([][2]CostedRegion, len(coords))
+	for i, c := range coords {
+		want[i][0], _ = ref.MinCost(c, false)
+		want[i][1], _ = ref.MinCost(c, true)
+	}
+
+	const workers, perWorker = 8, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cs := NewISwapRootCoverage(2)
+			if cs != ref {
+				t.Error("registry handed out a second sqrt-iSWAP coverage set")
+				return
+			}
+			for i := 0; i < perWorker; i++ {
+				j := (w*perWorker + i) % len(coords)
+				m := i % 2
+				got, _ := cs.MinCost(coords[j], m == 1)
+				if got.K != want[j][m].K || got.Cost != want[j][m].Cost {
+					t.Errorf("concurrent MinCost(%v, %v) = (%g, k%d), want (%g, k%d)",
+						coords[j], m == 1, got.Cost, got.K, want[j][m].Cost, want[j][m].K)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestSupportDirectionsSane(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/circuit"
+	"repro/internal/polytope"
 	"repro/internal/sabre"
 	"repro/internal/topology"
 )
@@ -58,6 +59,44 @@ func TestTranspileBatchMatchesIndividual(t *testing.T) {
 				rep.MirrorsUsed != solo[i].MirrorsUsed {
 				t.Fatalf("par=%d: batch report %d differs from individual transpile:\n%s\n%s",
 					par, i, rep.Summary(), solo[i].Summary())
+			}
+		}
+	}
+}
+
+// TestTranspileBatchSharesCache: a batch resolves one coverage set
+// from the process registry (the NewISwapRootCoverage cache) and shares
+// it across every circuit, read-only — each circuit prices through its
+// own per-call cost table. So the batch rebuilds nothing, and two
+// copies of one circuit routed side by side get identical reports, the
+// same as a batch handed the registry set explicitly.
+func TestTranspileBatchSharesCache(t *testing.T) {
+	topo := topology.Line(6)
+	circs := []*circuit.Circuit{bench.TwoLocal(6), bench.TwoLocal(6)}
+	shared := polytope.NewISwapRootCoverage(2)
+	sets := polytope.RootCoverageCount()
+
+	opts := batchOpts()
+	opts.Parallelism = 2
+	implicit, err := TranspileBatch(circs, topo, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := polytope.RootCoverageCount(); got != sets {
+		t.Fatalf("batch grew the coverage registry from %d to %d sets", sets, got)
+	}
+	opts.Basis = shared
+	explicit, err := TranspileBatch(circs, topo, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rep := range implicit {
+		for _, other := range []*Report{implicit[1-i], explicit[i]} {
+			if rep.DepthTime != other.DepthTime ||
+				rep.TotalBasisGates != other.TotalBasisGates ||
+				rep.SwapsInserted != other.SwapsInserted ||
+				rep.MirrorsUsed != other.MirrorsUsed {
+				t.Fatalf("report %d differs:\n%s\n%s", i, rep.Summary(), other.Summary())
 			}
 		}
 	}
