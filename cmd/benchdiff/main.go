@@ -97,12 +97,6 @@ func main() {
 	for _, k := range al.Removed {
 		fmt.Printf("%-22s %-7s | warning: row dropped in new run\n", k.Circuit, k.Router)
 	}
-	if oldF.Fleet != nil && newF.Fleet != nil &&
-		(oldF.Fleet.WarmSends+oldF.Fleet.WarmSkips+newF.Fleet.WarmSends+newF.Fleet.WarmSkips > 0) {
-		fmt.Printf("warm transfers: sent %d -> %d (%d -> %d B), skipped %d -> %d (%d -> %d B saved)\n",
-			oldF.Fleet.WarmSends, newF.Fleet.WarmSends, oldF.Fleet.WarmBytesSent, newF.Fleet.WarmBytesSent,
-			oldF.Fleet.WarmSkips, newF.Fleet.WarmSkips, oldF.Fleet.WarmBytesSkipped, newF.Fleet.WarmBytesSkipped)
-	}
 	fmt.Printf("matched %d of %d rows (%d new, %d dropped — warnings only)\n",
 		len(al.Pairs), len(newF.Rows), len(al.Added), len(al.Removed))
 

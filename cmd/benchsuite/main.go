@@ -9,7 +9,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -74,36 +73,8 @@ func (rc *runConfig) fleetStats() *bench.FleetEventStats {
 	if rc.cluster == nil {
 		return nil
 	}
-	s := rc.cluster.Hub.Stats()
-	return &bench.FleetEventStats{
-		Releases:     s.Releases,
-		Revocations:  s.Revocations,
-		Disconnects:  s.Disconnects,
-		Reconnects:   s.Reconnects,
-		DecodeFaults: s.DecodeFaults,
-		Rejected:     s.Rejected,
-		Poisoned:     s.Poisoned,
-		LocalItems:   s.LocalItems,
-		Degraded:     s.Degraded,
-		Recovered:    s.Recovered,
-
-		WarmSends:        s.WarmSends,
-		WarmSkips:        s.WarmSkips,
-		WarmBytesSent:    s.WarmBytesSent,
-		WarmBytesSkipped: s.WarmBytesSkipped,
-	}
-}
-
-// iterPath derives the JSON path of suite pass it: pass 1 keeps the
-// flag value, later passes insert ".runN" before the extension
-// (BENCH_routing.json -> BENCH_routing.run2.json), so a -repeat run
-// leaves one comparable document per pass.
-func iterPath(path string, it int) string {
-	if path == "" || it <= 1 {
-		return path
-	}
-	ext := filepath.Ext(path)
-	return fmt.Sprintf("%s.run%d%s", strings.TrimSuffix(path, ext), it, ext)
+	s := bench.FleetEventStats(rc.cluster.Hub.Stats())
+	return &s
 }
 
 func main() {
@@ -131,8 +102,6 @@ func main() {
 		jobDeadl  = flag.Duration("job-deadline", 0, "distributed: fail a job outright after this long, listing outstanding leases (0 = off)")
 		rejoin    = flag.Duration("rejoin-grace", 0, "distributed: keep a job alive this long with zero workers connected (0 = off)")
 		journal   = flag.String("journal", "", "distributed: write-ahead job journal directory; a restarted coordinator pointed at the same directory resumes unfinished jobs (requires -listen)")
-		warm      = flag.Bool("warm", true, "distributed: ship the coordinator's coverage-set library to workers once per snapshot version, so they skip the empirical polytope builds")
-		repeat    = flag.Int("repeat", 1, "run the selected experiment N times against the same process (and hub); pass N writes -json with a .runN suffix, so warm-start wins are measurable")
 		fleetWait = flag.Duration("fleet-wait", 5*time.Minute, "distributed: how long to wait for -workers workers before starting; with -local-fallback a timeout proceeds degraded instead of failing")
 		localFall = flag.Bool("local-fallback", true, "distributed: let the coordinator execute poison items and worker-starved job remainders itself (degraded mode)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (pprof format)")
@@ -183,14 +152,6 @@ func main() {
 	}
 	if *journal != "" && *listen == "" {
 		fmt.Fprintln(os.Stderr, "benchsuite: -journal only applies to distributed runs (set -listen); serial runs are rerun, not resumed")
-		os.Exit(2)
-	}
-	if err := (bench.WarmFlags{Warm: *warm, Repeat: *repeat}).Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchsuite:", err)
-		os.Exit(2)
-	}
-	if *patSweep != "" && *repeat > 1 {
-		fmt.Fprintln(os.Stderr, "benchsuite: -patience-sweep already iterates internally; -repeat > 1 is a contradiction")
 		os.Exit(2)
 	}
 
@@ -259,16 +220,7 @@ func main() {
 				err, hub.Workers())
 		}
 		fmt.Printf("%d workers connected; trials will be dispatched remotely\n", hub.Workers())
-		if *warm {
-			rc.cluster = distrib.NewCluster(hub)
-			rc.cluster.Master.Logf = func(format string, args ...any) {
-				fmt.Printf(format+"\n", args...)
-			}
-		} else {
-			// Cold: no master, no hub WarmSource — every worker builds
-			// its coverage sets itself.
-			rc.cluster = &distrib.Cluster{Hub: hub}
-		}
+		rc.cluster = distrib.NewCluster(hub)
 		rc.cluster.TrialLease = *lease
 	}
 
@@ -278,33 +230,20 @@ func main() {
 		return
 	}
 
-	for it := 1; it <= *repeat; it++ {
-		if *repeat > 1 {
-			fmt.Printf("\n=== suite pass %d of %d ===\n", it, *repeat)
-		}
-		switch *fig {
-		case "table3":
-			runTable3()
-		case "10":
-			runFig10(rc)
-		case "11":
-			runFig11(rc, pickTopo(*topoName), *quick)
-		case "12":
-			runFig12(rc, pickTopo(*topoName), *quick, iterPath(*jsonPath, it))
-		case "mirror":
-			runMirror(rc, pickTopo(*topoName), *quick, iterPath(*jsonPath, it))
-		default:
-			fmt.Fprintf(os.Stderr, "unknown -fig %q\n", *fig)
-			os.Exit(1)
-		}
-	}
-
-	if rc.cluster != nil && rc.cluster.Master != nil {
-		ws := rc.cluster.Master.Stats()
-		fs := rc.cluster.Hub.Stats()
-		fmt.Printf("warm tier: coverage snapshot v%d with %d set(s); snapshots sent %d (%d B), skipped %d (%d B saved)\n",
-			ws.SnapshotVersion, ws.CoverageSets,
-			fs.WarmSends, fs.WarmBytesSent, fs.WarmSkips, fs.WarmBytesSkipped)
+	switch *fig {
+	case "table3":
+		runTable3()
+	case "10":
+		runFig10(rc)
+	case "11":
+		runFig11(rc, pickTopo(*topoName), *quick)
+	case "12":
+		runFig12(rc, pickTopo(*topoName), *quick, *jsonPath)
+	case "mirror":
+		runMirror(rc, pickTopo(*topoName), *quick, *jsonPath)
+	default:
+		fmt.Fprintf(os.Stderr, "unknown -fig %q\n", *fig)
+		os.Exit(1)
 	}
 	saveCoverageLibrary(saveCoverage, *coverFile)
 }

@@ -104,7 +104,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   miraged worker -connect HOST:PORT [-retry N] [-backoff D] [-backoff-max D]
                  [-heartbeat D] [-item-timeout D] [-drain D]
-                 [-chaos-fail-after N] [-chaos-seed N] [-chaos-crash-lease N]
+                 [-chaos-seed N] [-chaos-crash-lease N]
                  [-chaos-stall-lease N] [-chaos-stall-for D]
                  [-chaos-corrupt-lease N] [-chaos-partial-lease N] [-chaos-slow D]
   miraged coordinator -listen ADDR -workers N [-topology square|heavyhex]
@@ -112,7 +112,6 @@ func usage() {
                       [-lease N] [-json PATH] [-hb-timeout D] [-lease-timeout D]
                       [-job-deadline D] [-rejoin-grace D] [-journal DIR]
                       [-fleet-wait D] [-local-fallback=false]
-                      [-warm=false]
 
 exit codes: 0 success, 1 job failure, 2 usage,
             3 rejected busy (ErrBusy), 4 rejected draining (ErrDraining)`)
@@ -136,7 +135,6 @@ func runWorker(args []string, extraDrain <-chan struct{}) error {
 		itemTimeout = fs.Duration("item-timeout", 0, "per-work-item wall clock limit; on overrun the finished prefix is reported and the connection severed (0 = off)")
 		drainAfter  = fs.Duration("drain", 0, "begin a graceful drain after this long (0 = drain only on SIGTERM/SIGINT)")
 
-		chaosFail    = fs.Int("chaos-fail-after", 0, "fault injection: sever the connection on the Nth lease (0 = off; exercises the coordinator's re-lease path)")
 		chaosSeed    = fs.Int64("chaos-seed", 0, "fault injection: seed for deterministic fault content")
 		chaosCrash   = fs.Int("chaos-crash-lease", 0, "fault injection: crash (close the connection) on the Nth lease of this process (0 = off)")
 		chaosStall   = fs.Int("chaos-stall-lease", 0, "fault injection: go silent on the Nth lease (0 = off)")
@@ -150,7 +148,7 @@ func runWorker(args []string, extraDrain <-chan struct{}) error {
 		fmt.Fprintln(os.Stderr, "miraged worker: -connect is required")
 		os.Exit(2)
 	}
-	if *retry < 0 || *chaosFail < 0 || *chaosCrash < 0 || *chaosStall < 0 || *chaosCorrupt < 0 || *chaosPartial < 0 {
+	if *retry < 0 || *chaosCrash < 0 || *chaosStall < 0 || *chaosCorrupt < 0 || *chaosPartial < 0 {
 		fmt.Fprintln(os.Stderr, "miraged worker: counts must be >= 0")
 		os.Exit(2)
 	}
@@ -184,7 +182,6 @@ func runWorker(args []string, extraDrain <-chan struct{}) error {
 		HeartbeatInterval: *heartbeat,
 		ItemTimeout:       *itemTimeout,
 		Drain:             drain,
-		FailAfterLeases:   *chaosFail,
 	}
 	if *chaosCrash > 0 || *chaosStall > 0 || *chaosCorrupt > 0 || *chaosPartial > 0 || *chaosSlow > 0 {
 		opts.Chaos = &dispatch.ChaosConfig{
@@ -226,7 +223,6 @@ func runCoordinator(args []string) error {
 		jobDeadline  = fs.Duration("job-deadline", 0, "fail a job outright after this long, listing outstanding leases (0 = off)")
 		rejoinGrace  = fs.Duration("rejoin-grace", 0, "keep a job alive this long with zero workers connected, waiting for rejoins (0 = off)")
 		journalDir   = fs.String("journal", "", "write-ahead job journal directory: a restarted coordinator pointed at the same directory resumes unfinished jobs instead of rerunning them (empty = off)")
-		warm         = fs.Bool("warm", true, "ship the coordinator's coverage-set library to workers once per snapshot version, so they skip the empirical polytope builds")
 		fleetWait    = fs.Duration("fleet-wait", 5*time.Minute, "how long to wait for -workers workers before starting; with -local-fallback a timeout proceeds degraded instead of failing")
 		localFall    = fs.Bool("local-fallback", true, "let the coordinator execute poison items and worker-starved job remainders itself (degraded mode) instead of failing the job")
 	)
@@ -292,15 +288,7 @@ func runCoordinator(args []string) error {
 		fmt.Fprintf(os.Stderr, "miraged coordinator: %v; proceeding with %d workers — the remainder will run DEGRADED on the coordinator\n",
 			err, hub.Workers())
 	}
-	var cl *distrib.Cluster
-	if *warm {
-		cl = distrib.NewCluster(hub)
-		cl.Master.Logf = func(format string, args ...any) {
-			fmt.Printf(format+"\n", args...)
-		}
-	} else {
-		cl = &distrib.Cluster{Hub: hub} // cold: workers build their own coverage sets
-	}
+	cl := distrib.NewCluster(hub)
 	cl.CircuitLease = *lease
 
 	entries := bench.Suite()
@@ -362,14 +350,9 @@ func runCoordinator(args []string) error {
 	fmt.Printf("fleet events: releases=%d revocations=%d disconnects=%d reconnects=%d decode_faults=%d rejected=%d poisoned=%d local_items=%d degraded=%d recovered=%d\n",
 		stats.Releases, stats.Revocations, stats.Disconnects, stats.Reconnects, stats.DecodeFaults,
 		stats.Rejected, stats.Poisoned, stats.LocalItems, stats.Degraded, stats.Recovered)
-	if cl.Master != nil {
-		ws := cl.Master.Stats()
-		fmt.Printf("warm tier: coverage snapshot v%d with %d set(s); snapshots sent %d (%d B), skipped %d (%d B saved)\n",
-			ws.SnapshotVersion, ws.CoverageSets,
-			stats.WarmSends, stats.WarmBytesSent, stats.WarmSkips, stats.WarmBytesSkipped)
-	}
 
 	if *jsonPath != "" {
+		fleet := bench.FleetEventStats(stats)
 		f := &bench.RoutingBenchFile{
 			Topology:            topo.Name,
 			LayoutTrials:        lt,
@@ -379,24 +362,8 @@ func runCoordinator(args []string) error {
 			Parallelism:         pool.Size(0),
 			GOMAXPROCS:          runtime.GOMAXPROCS(0),
 			TotalWallMS:         float64(total.Microseconds()) / 1000,
-			Fleet: &bench.FleetEventStats{
-				Releases:     stats.Releases,
-				Revocations:  stats.Revocations,
-				Disconnects:  stats.Disconnects,
-				Reconnects:   stats.Reconnects,
-				DecodeFaults: stats.DecodeFaults,
-				Rejected:     stats.Rejected,
-				Poisoned:     stats.Poisoned,
-				LocalItems:   stats.LocalItems,
-				Degraded:     stats.Degraded,
-				Recovered:    stats.Recovered,
-
-				WarmSends:        stats.WarmSends,
-				WarmSkips:        stats.WarmSkips,
-				WarmBytesSent:    stats.WarmBytesSent,
-				WarmBytesSkipped: stats.WarmBytesSkipped,
-			},
-			Rows: rows,
+			Fleet:               &fleet,
+			Rows:                rows,
 		}
 		if err := f.WriteFile(*jsonPath); err != nil {
 			return err

@@ -47,22 +47,3 @@ func (f SchedulerFlags) Validate() error {
 	}
 	return nil
 }
-
-// WarmFlags holds the warm-tier knobs of cmd/benchsuite. Validate
-// centralises the contradictory-combination checks so they fail
-// loudly at startup instead of silently running cold.
-type WarmFlags struct {
-	Warm   bool // warm tier enabled
-	Repeat int  // suite iterations against one hub
-}
-
-// Validate rejects contradictory warm-tier flag combinations.
-func (f WarmFlags) Validate() error {
-	if f.Repeat < 1 {
-		return fmt.Errorf("-repeat must be >= 1 (1 = run the suite once), got %d", f.Repeat)
-	}
-	if !f.Warm && f.Repeat > 1 {
-		return fmt.Errorf("-repeat %d with -warm=false is a contradiction: repeated runs exist to measure warm-start wins; drop one of the flags", f.Repeat)
-	}
-	return nil
-}

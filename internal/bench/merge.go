@@ -74,10 +74,6 @@ func MergeRoutingFiles(frags []*RoutingBenchFile) (*RoutingBenchFile, error) {
 			fleet.LocalItems += f.Fleet.LocalItems
 			fleet.Degraded += f.Fleet.Degraded
 			fleet.Recovered += f.Fleet.Recovered
-			fleet.WarmSends += f.Fleet.WarmSends
-			fleet.WarmSkips += f.Fleet.WarmSkips
-			fleet.WarmBytesSent += f.Fleet.WarmBytesSent
-			fleet.WarmBytesSkipped += f.Fleet.WarmBytesSkipped
 		}
 		if len(f.Kernels) > 0 {
 			if len(out.Kernels) > 0 {

@@ -1,9 +1,12 @@
 package bench
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/dispatch"
 )
 
 func row(seq int, circuit, router string, depth float64) RoutingRow {
@@ -221,5 +224,41 @@ func TestSchedulerFlagsValidate(t *testing.T) {
 		if err := f.Validate(); err == nil {
 			t.Fatalf("invalid flags %+v accepted", f)
 		}
+	}
+}
+
+// TestMergeRoutingFilesWarmFields: the fleet block is the hub's counter
+// snapshot field for field — a dispatch.FleetStats converts directly —
+// fragments merge by summing, and the merged document carries no
+// warm-transfer keys now that coverage travels inside each job spec.
+func TestMergeRoutingFilesWarmFields(t *testing.T) {
+	frag := func(seq int, circ string, releases, recovered int64) *RoutingBenchFile {
+		fleet := FleetEventStats(dispatch.FleetStats{Releases: releases, Recovered: recovered})
+		return &RoutingBenchFile{
+			Topology: "grid", Seed: 1, LayoutTrials: 2, RoutingTrials: 2,
+			Rows:  []RoutingRow{{Seq: seq, Circuit: circ, Router: "mirage"}},
+			Fleet: &fleet,
+		}
+	}
+	merged, err := MergeRoutingFiles([]*RoutingBenchFile{
+		frag(0, "a", 4, 1),
+		frag(1, "b", 2, 0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fl := merged.Fleet; fl == nil || *fl != (FleetEventStats{Releases: 6, Recovered: 1}) {
+		t.Fatalf("merged fleet = %+v, want releases 6, recovered 1", fl)
+	}
+	path := filepath.Join(t.TempDir(), "merged.json")
+	if err := merged.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "warm_") {
+		t.Fatalf("merged document carries warm-transfer keys:\n%s", data)
 	}
 }

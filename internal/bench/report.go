@@ -58,9 +58,8 @@ type RoutingRow struct {
 // crash-recovery run can PROVE recovery happened rather than silently
 // not injecting the fault.
 //
-// The Warm* fields mirror dispatch.FleetStats: warm-snapshot blobs
-// shipped vs skipped via the version handshake, and the transfer
-// bytes paid vs avoided.
+// The fields mirror dispatch.FleetStats one for one, so a hub snapshot
+// converts directly: FleetEventStats(hub.Stats()).
 type FleetEventStats struct {
 	Releases     int64 `json:"releases"`
 	Revocations  int64 `json:"revocations"`
@@ -72,11 +71,6 @@ type FleetEventStats struct {
 	LocalItems   int64 `json:"local_items"`
 	Degraded     int64 `json:"degraded"`
 	Recovered    int64 `json:"recovered"`
-
-	WarmSends        int64 `json:"warm_sends,omitempty"`
-	WarmSkips        int64 `json:"warm_skips,omitempty"`
-	WarmBytesSent    int64 `json:"warm_bytes_sent,omitempty"`
-	WarmBytesSkipped int64 `json:"warm_bytes_skipped,omitempty"`
 }
 
 // RoutingBenchFile is the top-level BENCH_routing.json document.

@@ -36,11 +36,12 @@
 //   - Hub + ServeConn implement the distributed transport: workers dial
 //     the coordinator once and then serve any number of sequential
 //     jobs, each job being a kind tag plus an opaque gob-encoded spec
-//     (see internal/distrib for the MIRAGE job kinds). A single
-//     goroutine per worker pumps the exchange — job, ready, then
-//     lease/results pairs with heartbeats interleaved, then an optional
-//     epilogue blob (per-worker summary state; the MIRAGE job kinds
-//     ship none).
+//     that carries everything a worker needs to prepare it (see
+//     internal/distrib for the MIRAGE job kinds), so no worker state
+//     carries over between jobs. A single goroutine per worker pumps
+//     the exchange — job, ready, then lease/results pairs with
+//     heartbeats interleaved, then an optional epilogue blob
+//     (per-worker summary state; the MIRAGE job kinds ship none).
 //
 // # Fault tolerance
 //

@@ -16,7 +16,6 @@ type localExec struct {
 	handler Handler
 	kind    string
 	spec    []byte
-	warmFn  func() []byte // resolves the warm blob lazily, like a worker would
 
 	mu       sync.Mutex
 	prepared bool
@@ -30,14 +29,6 @@ func (h *Hub) localExecFor(kind string, spec []byte) *localExec {
 	lex := &localExec{kind: kind, spec: spec}
 	if h.LocalHandlers != nil {
 		lex.handler = h.LocalHandlers[kind]
-	}
-	if warm := h.Warm; warm != nil {
-		lex.warmFn = func() []byte {
-			if ws, ok := warm.Warm(kind); ok {
-				return ws.Blob
-			}
-			return nil
-		}
 	}
 	return lex
 }
@@ -54,11 +45,7 @@ func (lex *localExec) runItem(i int) WireItem {
 	defer lex.mu.Unlock()
 	if !lex.prepared {
 		lex.prepared = true
-		var warm []byte
-		if lex.warmFn != nil {
-			warm = lex.warmFn()
-		}
-		lex.runner, lex.prepErr = prepare(map[string]Handler{lex.kind: lex.handler}, wireJob{Kind: lex.kind, Spec: lex.spec}, warm)
+		lex.runner, lex.prepErr = prepare(map[string]Handler{lex.kind: lex.handler}, wireJob{Kind: lex.kind, Spec: lex.spec})
 	}
 	if lex.prepErr != nil {
 		return WireItem{Index: i, Err: fmt.Sprintf("local execution on the coordinator failed to prepare: %v", lex.prepErr)}

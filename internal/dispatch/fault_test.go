@@ -237,14 +237,25 @@ func TestWorkerDrainReturnsLease(t *testing.T) {
 	const max = 120
 	wantAt, wantExec := serialBest(max, 0)
 	h := NewHub()
-	startWorkers(t, h, 1, testHandlers(-1), nil)
 
+	// The draining worker joins alone, so it holds the job's first
+	// lease; the survivor joins once that lease is running. Otherwise
+	// the fast survivor can finish the whole job before the drain, and
+	// the drained worker leaves idle instead of mid-lease.
+	started := make(chan struct{})
+	var once sync.Once
+	slow := map[string]Handler{"score": func(spec, warm []byte) (JobRunner, error) {
+		return &scoreJob{f: func(i int) float64 {
+			once.Do(func() { close(started) })
+			return float64((i*31 + 7) % 23)
+		}, fail: -1, delay: 3 * time.Millisecond}, nil
+	}}
 	drain := make(chan struct{})
 	server, client := net.Pipe()
 	h.AddConn(server)
 	served := make(chan error, 1)
 	go func() {
-		served <- ServeConn(client, slowHandlers(-1, 3*time.Millisecond), &ServeOptions{Drain: drain})
+		served <- ServeConn(client, slow, &ServeOptions{Drain: drain})
 	}()
 
 	errc := make(chan error, 1)
@@ -257,7 +268,8 @@ func TestWorkerDrainReturnsLease(t *testing.T) {
 		at, exec = a, executed()
 		errc <- err
 	}()
-	time.Sleep(25 * time.Millisecond) // let the slow worker get mid-lease
+	<-started
+	startWorkers(t, h, 1, testHandlers(-1), nil)
 	close(drain)
 	if err := <-errc; err != nil {
 		t.Fatalf("job failed after worker drain: %v", err)

@@ -97,14 +97,6 @@ type Hub struct {
 	// ErrBusy. 0 means unbounded.
 	MaxQueuedJobs int
 
-	// Warm, when non-nil, supplies versioned warm-state snapshots that
-	// ride along with every job send (see WarmSource). The hub tracks
-	// the last version shipped per connection and kind, so a worker
-	// holding the current snapshot receives a version-only reference —
-	// transfer bytes are paid once per version per worker. Warm state
-	// is a pure speedup: results are bit-identical with or without it.
-	Warm WarmSource
-
 	// LocalHandlers, when non-nil, lets the coordinator execute work
 	// items itself using the same Handler table the workers run. It
 	// enables poison-item quarantine (a repeatedly worker-crashing item
@@ -163,11 +155,6 @@ type fleetCounters struct {
 	localItems   atomic.Int64
 	degraded     atomic.Int64
 	recovered    atomic.Int64
-
-	warmSends        atomic.Int64
-	warmSkips        atomic.Int64
-	warmBytesSent    atomic.Int64
-	warmBytesSkipped atomic.Int64
 }
 
 // FleetStats is a snapshot of the hub's failure-event counters.
@@ -183,12 +170,6 @@ type fleetCounters struct {
 // or degraded mode); Degraded counts times a job fell back to local
 // execution for its remainder; Recovered counts jobs replayed or
 // resumed from the write-ahead journal after a coordinator restart.
-//
-// The Warm* counters track the warm-state tier (Hub.Warm): WarmSends
-// counts snapshot blobs shipped to workers and WarmSkips counts the
-// version-handshake hits where a worker already held the current
-// snapshot; WarmBytesSent and WarmBytesSkipped are the corresponding
-// transfer bytes paid and avoided.
 type FleetStats struct {
 	Releases     int64
 	Revocations  int64
@@ -200,11 +181,6 @@ type FleetStats struct {
 	LocalItems   int64
 	Degraded     int64
 	Recovered    int64
-
-	WarmSends        int64
-	WarmSkips        int64
-	WarmBytesSent    int64
-	WarmBytesSkipped int64
 }
 
 // Stats snapshots the failure-event counters.
@@ -220,11 +196,6 @@ func (h *Hub) Stats() FleetStats {
 		LocalItems:   h.stats.localItems.Load(),
 		Degraded:     h.stats.degraded.Load(),
 		Recovered:    h.stats.recovered.Load(),
-
-		WarmSends:        h.stats.warmSends.Load(),
-		WarmSkips:        h.stats.warmSkips.Load(),
-		WarmBytesSent:    h.stats.warmBytesSent.Load(),
-		WarmBytesSkipped: h.stats.warmBytesSkipped.Load(),
 	}
 }
 
@@ -241,11 +212,6 @@ type hubConn struct {
 	c   net.Conn
 	enc *gob.Encoder
 	dec *gob.Decoder
-
-	// warmSent records the warm-snapshot version last shipped to this
-	// worker per job kind. Jobs are sequential and one pumper owns the
-	// connection per job, so no lock is needed.
-	warmSent map[string]uint64
 }
 
 // decodeMsg decodes one worker message, bounding the read by deadline
@@ -376,7 +342,7 @@ func (h *Hub) Listen(addr string) (net.Addr, error) {
 // immediately — this is how a crashed worker's reconnect resumes work
 // mid-job.
 func (h *Hub) AddConn(c net.Conn) {
-	hc := &hubConn{c: c, enc: gob.NewEncoder(c), dec: gob.NewDecoder(c), warmSent: make(map[string]uint64)}
+	hc := &hubConn{c: c, enc: gob.NewEncoder(c), dec: gob.NewDecoder(c)}
 	h.mu.Lock()
 	h.conns[hc] = true
 	if h.startedJobs > 0 {
@@ -783,24 +749,7 @@ func (jr *jobRun[T]) failLease(l Lease) {
 // worker's epilogue blob (nil when it declined) or a transport error.
 func (jr *jobRun[T]) pump(hc *hubConn) ([]byte, error) {
 	h, q, job := jr.h, jr.q, jr.job
-	wj := wireJob{Kind: jr.kind, Spec: jr.spec}
-	if h.Warm != nil {
-		if ws, ok := h.Warm.Warm(jr.kind); ok && ws.Version != 0 && len(ws.Blob) > 0 {
-			wj.WarmVersion = ws.Version
-			if hc.warmSent[jr.kind] == ws.Version {
-				// Version handshake: the worker already holds this
-				// snapshot, so ship only the reference.
-				h.stats.warmSkips.Add(1)
-				h.stats.warmBytesSkipped.Add(int64(len(ws.Blob)))
-			} else {
-				wj.WarmBlob = ws.Blob
-				hc.warmSent[jr.kind] = ws.Version
-				h.stats.warmSends.Add(1)
-				h.stats.warmBytesSent.Add(int64(len(ws.Blob)))
-			}
-		}
-	}
-	if err := hc.enc.Encode(wj); err != nil {
+	if err := hc.enc.Encode(wireJob{Kind: jr.kind, Spec: jr.spec}); err != nil {
 		h.stats.disconnects.Add(1)
 		return nil, fmt.Errorf("dispatch: worker %s: sending job: %w", hc.peer(), err)
 	}
@@ -815,10 +764,6 @@ func (jr *jobRun[T]) pump(hc *hubConn) ([]byte, error) {
 	}
 	if ready.Err != "" {
 		// Declined: the worker is already waiting for the next job.
-		// Forget the warm version we recorded for it — whatever went
-		// wrong (including a warm reference it could not resolve), a
-		// full re-ship on the next job self-heals the handshake.
-		delete(hc.warmSent, jr.kind)
 		return nil, nil
 	}
 	items := make([]Completed[T], 0, 16)

@@ -255,7 +255,11 @@ func TestDegradedModeAfterFleetEmpties(t *testing.T) {
 	h.LocalHandlers = testHandlers(-1)
 	h.Logf = t.Logf
 	defer h.Close()
-	startWorkers(t, h, 2, testHandlers(-1), &ServeOptions{FailAfterLeases: 1})
+	// Lease ordinals are counted per ChaosConfig, so each worker gets
+	// its own to die on its own first lease.
+	for w := 0; w < 2; w++ {
+		startWorkers(t, h, 1, testHandlers(-1), &ServeOptions{Chaos: &ChaosConfig{CrashOnLease: 1}})
+	}
 
 	at, exec, _ := runScoreJob(t, h, max, 4, 0)
 	if at != wantAt || exec != wantExec {

@@ -137,7 +137,7 @@ func TestRunJobWorkerDeathMidLease(t *testing.T) {
 		// re-lease path is exercised every run.
 		h = NewHub()
 		startWorkers(t, h, 1, slowHandlers(-1, 2*time.Millisecond), nil)
-		startWorkers(t, h, 1, testHandlers(-1), &ServeOptions{FailAfterLeases: 2})
+		startWorkers(t, h, 1, testHandlers(-1), &ServeOptions{Chaos: &ChaosConfig{CrashOnLease: 2}})
 		at, exec, eps := runScoreJob(t, h, max, 4, patience)
 		if at != wantAt || exec != wantExec {
 			t.Fatalf("patience=%d: after worker death (best=%d exec=%d), want (%d %d)",
@@ -157,7 +157,9 @@ func TestRunJobWorkerDeathMidLease(t *testing.T) {
 
 func TestRunJobAllWorkersDead(t *testing.T) {
 	h := NewHub()
-	startWorkers(t, h, 2, testHandlers(-1), &ServeOptions{FailAfterLeases: 1})
+	for w := 0; w < 2; w++ { // one ChaosConfig each: both die on their first lease
+		startWorkers(t, h, 1, testHandlers(-1), &ServeOptions{Chaos: &ChaosConfig{CrashOnLease: 1}})
+	}
 	q := NewQueue(50, 1, func(int, float64) bool { return false })
 	_, err := RunJob(h, "score", nil, q, func(wi WireItem) (float64, error) { return wi.Score, nil })
 	if err == nil {

@@ -5,20 +5,17 @@ package dispatch
 // coordinator -> worker direction is strictly lockstep, so those
 // messages need no envelope:
 //
-//	coordinator -> worker   wireJob{Kind, Spec, WarmVersion[, WarmBlob]}
+//	coordinator -> worker   wireJob{Kind, Spec}
 //	repeat:
 //	  coordinator -> worker wireLease{ID, Lo, Hi}
 //	finally:
 //	  coordinator -> worker wireLease{Done: true}
 //
-// WarmVersion/WarmBlob carry the coordinator's warm-state snapshot
-// (Hub.Warm): WarmVersion > 0 with a blob ships the snapshot and the
-// worker retains it per kind; WarmVersion > 0 with a nil blob is the
-// version handshake — "use the version you already hold" — so a
-// persistent worker pays the transfer once per snapshot version. A
-// worker referenced a version it does not hold declines the job
-// loudly (msgReady.Err), and the coordinator re-ships on the next
-// job.
+// The spec is everything a worker needs to prepare the job — for the
+// MIRAGE kinds that includes the basis coverage set — so no worker
+// state carries over from one job to the next. A worker that cannot
+// prepare a job declines it loudly (msgReady.Err) and waits for the
+// next one.
 //
 // The worker -> coordinator direction is a tagged union (wireMsg),
 // because a worker executing a lease interleaves liveness heartbeats
@@ -55,13 +52,6 @@ type WireItem struct {
 type wireJob struct {
 	Kind string
 	Spec []byte
-
-	// WarmVersion/WarmBlob are the warm-state tier (see Hub.Warm).
-	// Zero WarmVersion means the job ships no warm state. gob omits
-	// zero-valued fields, so pre-warm coordinators and workers
-	// interoperate unchanged.
-	WarmVersion uint64
-	WarmBlob    []byte
 }
 
 type wireLease struct {

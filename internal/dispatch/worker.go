@@ -15,11 +15,9 @@ import (
 // Handler prepares one job kind on the worker: it decodes the opaque
 // spec, builds whatever shared immutable state the job needs (a
 // prepared TrialRunner DAG, a decoded circuit batch), and returns the
-// runner that executes individual work indices. warm is the job's
-// warm-state blob (nil when the coordinator shipped none; see
-// WarmSource) — a pure speedup seam, so a handler must produce
-// identical results with or without it. Returning an error declines
-// the job; the worker stays connected for the next one.
+// runner that executes individual work indices. warm is always nil:
+// everything a job needs travels in its spec. Returning an error
+// declines the job; the worker stays connected for the next one.
 type Handler func(spec, warm []byte) (JobRunner, error)
 
 // JobRunner executes the work indices of one prepared job. Run is
@@ -62,11 +60,6 @@ type ServeOptions struct {
 
 	// Chaos enables deterministic fault injection; see ChaosConfig.
 	Chaos *ChaosConfig
-
-	// FailAfterLeases is the legacy spelling of
-	// Chaos.CrashOnLease: sever the connection upon receiving the Nth
-	// lease of this connection, without responding. 0 disables.
-	FailAfterLeases int
 }
 
 // errFaultInjected reports a deliberate chaos crash.
@@ -85,12 +78,6 @@ type serveState struct {
 	encMu sync.Mutex
 	dec   *gob.Decoder
 	opts  *ServeOptions
-	chaos *ChaosConfig
-
-	// warmHeld retains the last warm snapshot shipped per job kind, so
-	// a version-only reference on a later job resolves without a
-	// re-transfer. Only the serve loop touches it.
-	warmHeld map[string]WarmState
 
 	progress atomic.Int64 // items finished in the current lease
 
@@ -129,16 +116,11 @@ func ServeConn(conn net.Conn, handlers map[string]Handler, opts *ServeOptions) e
 	if opts == nil {
 		opts = &ServeOptions{}
 	}
-	chaos := opts.Chaos
-	if chaos == nil && opts.FailAfterLeases > 0 {
-		chaos = &ChaosConfig{CrashOnLease: opts.FailAfterLeases}
-	}
 	w := &serveState{
-		conn:  conn,
-		enc:   gob.NewEncoder(conn),
-		dec:   gob.NewDecoder(conn),
-		opts:  opts,
-		chaos: chaos,
+		conn: conn,
+		enc:  gob.NewEncoder(conn),
+		dec:  gob.NewDecoder(conn),
+		opts: opts,
 	}
 	if opts.Drain != nil {
 		watcherDone := make(chan struct{})
@@ -175,11 +157,7 @@ func (w *serveState) serve(handlers map[string]Handler) error {
 			}
 			return err
 		}
-		warm, prepErr := w.resolveWarm(job)
-		var runner JobRunner
-		if prepErr == nil {
-			runner, prepErr = prepare(handlers, job, warm)
-		}
+		runner, prepErr := prepare(handlers, job)
 		if prepErr != nil {
 			if err := w.send(wireMsg{Kind: msgReady, Err: prepErr.Error()}); err != nil {
 				return err
@@ -217,24 +195,24 @@ func (w *serveState) serve(handlers map[string]Handler) error {
 // runLease executes one lease: chaos faults first, then the items with
 // heartbeats flowing, honouring drain requests between items.
 func (w *serveState) runLease(runner JobRunner, l wireLease) error {
-	n, act := w.chaos.nextLease()
+	n, act := w.opts.Chaos.nextLease()
 	switch act {
 	case chaosCrash:
 		w.conn.Close()
 		return errFaultInjected
 	case chaosStall:
 		var hb *heartbeater
-		if w.chaos.StallHeartbeats {
+		if w.opts.Chaos.StallHeartbeats {
 			w.progress.Store(0)
 			hb = w.startHeartbeats(l.ID)
 		}
-		time.Sleep(w.chaos.stallFor())
+		time.Sleep(w.opts.Chaos.stallFor())
 		hb.halt()
 		w.conn.Close()
 		return fmt.Errorf("dispatch: worker stalled by fault injection on lease %d: %w", n, errFaultInjected)
 	case chaosCorrupt:
 		w.encMu.Lock()
-		w.conn.Write(w.chaos.corruptFrame(n))
+		w.conn.Write(w.opts.Chaos.corruptFrame(n))
 		w.encMu.Unlock()
 		w.conn.Close()
 		return fmt.Errorf("dispatch: worker corrupted lease %d frame by fault injection: %w", n, errFaultInjected)
@@ -250,8 +228,8 @@ func (w *serveState) runLease(runner JobRunner, l wireLease) error {
 			w.conn.Close()
 			return errWorkerDrained
 		}
-		if w.chaos != nil && w.chaos.SlowPerItem > 0 {
-			time.Sleep(w.chaos.SlowPerItem)
+		if w.opts.Chaos != nil && w.opts.Chaos.SlowPerItem > 0 {
+			time.Sleep(w.opts.Chaos.SlowPerItem)
 		}
 		item, timedOut := w.runItem(runner, i)
 		items = append(items, item)
@@ -342,7 +320,7 @@ func (h *heartbeater) halt() {
 	<-h.done
 }
 
-func prepare(handlers map[string]Handler, job wireJob, warm []byte) (runner JobRunner, err error) {
+func prepare(handlers map[string]Handler, job wireJob) (runner JobRunner, err error) {
 	h, ok := handlers[job.Kind]
 	if !ok {
 		return nil, fmt.Errorf("dispatch: unknown job kind %q", job.Kind)
@@ -352,7 +330,7 @@ func prepare(handlers map[string]Handler, job wireJob, warm []byte) (runner JobR
 			runner, err = nil, fmt.Errorf("dispatch: preparing job %q: panic: %v", job.Kind, r)
 		}
 	}()
-	return h(job.Spec, warm)
+	return h(job.Spec, nil)
 }
 
 func runSafe(r JobRunner, i int) (item WireItem) {

@@ -119,7 +119,7 @@ type batchJob struct {
 	opts     transpile.Options
 }
 
-func batchHandler(raw, warm []byte) (dispatch.JobRunner, error) {
+func batchHandler(raw, _ []byte) (dispatch.JobRunner, error) {
 	var spec batchSpec
 	if err := decodeSpec(raw, &spec); err != nil {
 		return nil, fmt.Errorf("distrib: decoding batch spec: %w", err)
@@ -134,12 +134,13 @@ func batchHandler(raw, warm []byte) (dispatch.JobRunner, error) {
 			return nil, err
 		}
 	}
-	if err := loadWarm(warm); err != nil {
+	cov, err := spec.Opts.Policy.coverage()
+	if err != nil {
 		return nil, err
 	}
 	opts := transpile.Options{
 		DepthSelection:      spec.Opts.Policy.DepthSelection,
-		Basis:               spec.Opts.Policy.coverage(),
+		Basis:               cov,
 		Layout:              spec.Opts.Layout,
 		SkipTrivialLayout:   spec.Opts.SkipTrivialLayout,
 		Parallelism:         spec.Opts.Parallelism,

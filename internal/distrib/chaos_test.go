@@ -65,12 +65,7 @@ func TestChaosDeterminismProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topts := transpile.Options{Router: transpile.MIRAGE, DepthSelection: true, SkipTrivialLayout: true}
-	spec, err := SpecFromOptions(topts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	metric, factory := spec.build(blocks)
+	spec, metric, factory := testPolicy(t, transpile.Options{Router: transpile.MIRAGE, DepthSelection: true, SkipTrivialLayout: true}, blocks)
 	lopts := sabre.LayoutOptions{
 		LayoutTrials: 3, RoutingTrials: 4, FwdBwdPasses: 1, Seed: 21,
 		ConvergencePatience: 3,

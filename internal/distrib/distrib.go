@@ -24,8 +24,14 @@
 //     pipeline per circuit and return serialised Reports, which are
 //     consumed in circuit-index order.
 //
-// Neither kind returns an epilogue: every job prices its circuits
-// through cost tables it builds itself, so no worker state comes home.
+// Every job spec carries its basis coverage set (PolicySpec.Coverage),
+// encoded once per Cluster.Options or TranspileBatch call. Workers
+// price from that set alone, never from their own process registry, so
+// a job's result depends only on its spec bytes: a worker, the
+// coordinator's replay and degraded-mode local execution all price
+// with the same set, and a journaled spec resumes with it. Neither
+// kind returns an epilogue: every job prices its circuits through cost
+// tables it builds itself, so no worker state comes home.
 //
 // Cluster bundles a Hub with the coordinator-side entry points;
 // Handlers supplies the worker side (cmd/miraged).
@@ -56,23 +62,10 @@ type Cluster struct {
 	// CircuitLease is the number of batch circuits per lease (default
 	// 1: circuits are seconds, one per lease balances best).
 	CircuitLease int
-	// Master is the hub-resident coverage library of the warm tier:
-	// every job ships its versioned snapshot to workers that do not
-	// hold it yet (see warm.go). Nil disables the tier — every worker
-	// builds its coverage sets itself.
-	Master *MasterCache
 }
 
-// NewCluster returns a Cluster with default lease sizes and the warm
-// tier enabled. The hub's WarmSource is pointed at the master unless
-// already set.
-func NewCluster(h *dispatch.Hub) *Cluster {
-	m := NewMasterCache()
-	if h.Warm == nil {
-		h.Warm = m
-	}
-	return &Cluster{Hub: h, Master: m}
-}
+// NewCluster returns a Cluster over h with default lease sizes.
+func NewCluster(h *dispatch.Hub) *Cluster { return &Cluster{Hub: h} }
 
 func (cl *Cluster) trialLease() int {
 	if cl.TrialLease > 0 {

@@ -68,9 +68,29 @@ func startCluster(t *testing.T, healthy, flaky int, failAfter int) *Cluster {
 	for w := 0; w < flaky; w++ {
 		server, client := net.Pipe()
 		h.AddConn(server)
-		go dispatch.ServeConn(client, Handlers(), &dispatch.ServeOptions{FailAfterLeases: failAfter})
+		go dispatch.ServeConn(client, Handlers(), &dispatch.ServeOptions{Chaos: &dispatch.ChaosConfig{CrashOnLease: failAfter}})
 	}
 	return NewCluster(h)
+}
+
+// mirageDepth is the MIRAGE-Depth pipeline configuration on the
+// default sqrt-iSWAP basis.
+var mirageDepth = transpile.Options{Router: transpile.MIRAGE, DepthSelection: true}
+
+// testPolicy is the wire recipe of opts, coverage set included, with
+// the metric and policy factory it builds over blocks — the pair the
+// coordinator replays the winning trial with.
+func testPolicy(t *testing.T, opts transpile.Options, blocks *circuit.Circuit) (PolicySpec, sabre.Metric, sabre.PolicyFactory) {
+	t.Helper()
+	spec, err := SpecFromOptions(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metric, factory, err := spec.build(blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec, metric, factory
 }
 
 // --- Equality (bit-identity, wall time excluded) ---
@@ -237,11 +257,7 @@ func TestDistributedFindBestRoutingBitIdentical(t *testing.T) {
 		if mir {
 			topts.Router = transpile.MIRAGE
 		}
-		spec, err := SpecFromOptions(topts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		metric, factory := spec.build(blocks)
+		spec, metric, factory := testPolicy(t, topts, blocks)
 		for _, patience := range []int{0, 3} {
 			opts := sabre.LayoutOptions{
 				LayoutTrials: 3, RoutingTrials: 4, FwdBwdPasses: 1, Seed: 17,
@@ -342,12 +358,7 @@ func TestDistributedWorkerDeathBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topts := transpile.Options{Router: transpile.MIRAGE, DepthSelection: true, SkipTrivialLayout: true}
-	spec, err := SpecFromOptions(topts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	metric, factory := spec.build(blocks)
+	spec, metric, factory := testPolicy(t, transpile.Options{Router: transpile.MIRAGE, DepthSelection: true, SkipTrivialLayout: true}, blocks)
 
 	for _, patience := range []int{0, 4} {
 		opts := sabre.LayoutOptions{
@@ -417,8 +428,7 @@ func TestDistributedOverLoopbackTCP(t *testing.T) {
 	c := e2eCircuit("tcp", 6, 18, 99)
 	blocks := circuit.ConsolidateBlocks(circuit.UnrollTo2Q(c))
 	opts := sabre.LayoutOptions{LayoutTrials: 2, RoutingTrials: 3, FwdBwdPasses: 1, Seed: 13}
-	spec := PolicySpec{Mirage: true, DepthSelection: true}
-	metric, factory := spec.build(blocks)
+	spec, metric, factory := testPolicy(t, mirageDepth, blocks)
 	pc, err := sabre.PrepareCircuit(blocks, topo)
 	if err != nil {
 		t.Fatal(err)

@@ -21,6 +21,14 @@ import (
 // topology.Edges() is sorted — this test fails if either ever grows a
 // nondeterministic field.
 func TestSpecEncodingDeterministic(t *testing.T) {
+	// Each build re-derives the policy, coverage bytes included.
+	policy := func() PolicySpec {
+		spec, err := SpecFromOptions(mirageDepth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spec
+	}
 	buildTrial := func() []byte {
 		topo := topology.Grid(3, 3)
 		c := e2eCircuit("det", 7, 22, 11)
@@ -40,7 +48,7 @@ func TestSpecEncodingDeterministic(t *testing.T) {
 			DAG:     flatDAGToWire(pc.FD),
 			Layouts: layoutsToWire(layouts),
 			Opts:    opts,
-			Policy:  PolicySpec{Mirage: true, DepthSelection: true},
+			Policy:  policy(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -61,7 +69,7 @@ func TestSpecEncodingDeterministic(t *testing.T) {
 			Circuits: wire,
 			Topo:     topologyToWire(topo),
 			Opts: wireBatchOptions{
-				Policy: PolicySpec{Mirage: true, DepthSelection: true},
+				Policy: policy(),
 				Layout: sabre.LayoutOptions{LayoutTrials: 2, RoutingTrials: 2, FwdBwdPasses: 1, Seed: 9},
 			},
 		})
@@ -79,6 +87,12 @@ func TestSpecEncodingDeterministic(t *testing.T) {
 // workers, mirroring the miraged coordinator's wiring.
 func journaledHub(t *testing.T, dir string, workers int, chaos *dispatch.ChaosConfig) *Cluster {
 	t.Helper()
+	return journaledHubWith(t, dir, workers, chaos, Handlers())
+}
+
+// journaledHubWith is journaledHub with the workers serving handlers.
+func journaledHubWith(t *testing.T, dir string, workers int, chaos *dispatch.ChaosConfig, handlers map[string]dispatch.Handler) *Cluster {
+	t.Helper()
 	jd, err := dispatch.OpenJournalDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +105,7 @@ func journaledHub(t *testing.T, dir string, workers int, chaos *dispatch.ChaosCo
 	for w := 0; w < workers; w++ {
 		server, client := net.Pipe()
 		h.AddConn(server)
-		go dispatch.ServeConn(client, Handlers(), nil)
+		go dispatch.ServeConn(client, handlers, nil)
 	}
 	cl := NewCluster(h)
 	cl.CircuitLease = 1
@@ -166,8 +180,7 @@ func TestDistributedTrialsJournalRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := PolicySpec{Mirage: true, DepthSelection: true}
-	metric, factory := spec.build(blocks)
+	spec, metric, factory := testPolicy(t, mirageDepth, blocks)
 	opts := sabre.LayoutOptions{LayoutTrials: 3, RoutingTrials: 4, FwdBwdPasses: 1, Seed: 17}
 	want, err := sabre.FindBestRouting(blocks, topo, opts, metric, factory)
 	if err != nil {

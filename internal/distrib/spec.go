@@ -1,6 +1,8 @@
 package distrib
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 
 	"repro/internal/circuit"
@@ -16,22 +18,25 @@ import (
 // recipe-expressible configurations can be distributed: the iSWAP-root
 // coverage family (the paper's bases), the stock metrics, and the
 // paper's aggression mixes. Both sides build from the same recipe with
-// the same deterministic constructors, so a worker's scoring of trial t
-// agrees bit-for-bit with the coordinator's replay of trial t.
+// the same deterministic constructors over the same coverage set, so a
+// worker's scoring of trial t agrees bit-for-bit with the
+// coordinator's replay of trial t.
 type PolicySpec struct {
 	Mirage             bool // mirror policy on (MIRAGE) or off (SABRE baseline)
 	DepthSelection     bool // post-select on polytope-weighted depth instead of SWAP count
 	HasFixedAggression bool
 	FixedAggression    int
-	// BasisRoot selects the iSWAP^(1/n) coverage set (0 = the default
-	// sqrt-iSWAP, n = 2).
-	BasisRoot int
+	// Coverage is the basis coverage set in CoverageSet.Save form. The
+	// set travels with every job, so a worker prices with exactly the
+	// coordinator's set and never builds or looks one up itself.
+	Coverage []byte
 }
 
 // SpecFromOptions derives the wire policy recipe from pipeline
-// options. It fails when the options hold a basis the wire cannot
-// name (a custom CoverageSet without an iSWAP root): distributing such
-// a run would silently score trials under a different basis, so it is
+// options, encoding the basis coverage set (the default sqrt-iSWAP set
+// when opts.Basis is nil). It fails when the basis cannot be saved —
+// a custom CoverageSet without an iSWAP root: distributing such a run
+// would silently score trials under a different basis, so it is
 // refused instead.
 func SpecFromOptions(opts transpile.Options) (PolicySpec, error) {
 	spec := PolicySpec{
@@ -42,47 +47,45 @@ func SpecFromOptions(opts transpile.Options) (PolicySpec, error) {
 		spec.HasFixedAggression = true
 		spec.FixedAggression = int(*opts.FixedAggression)
 	}
-	root, err := basisRoot(opts.Basis)
-	if err != nil {
-		return PolicySpec{}, err
+	basis := opts.Basis
+	if basis == nil {
+		basis = polytope.NewISwapRootCoverage(2)
 	}
-	spec.BasisRoot = root
+	var buf bytes.Buffer
+	if err := basis.Save(&buf); err != nil {
+		return PolicySpec{}, fmt.Errorf("distrib: basis %q cannot travel in a job spec: %w", basis.Name, err)
+	}
+	spec.Coverage = buf.Bytes()
 	return spec, nil
 }
 
-func basisRoot(basis *polytope.CoverageSet) (int, error) {
-	if basis == nil {
-		return 0, nil
+// coverage decodes the spec's coverage set. A spec without one is an
+// error: the worker has no other source of prices.
+func (s PolicySpec) coverage() (*polytope.CoverageSet, error) {
+	if len(s.Coverage) == 0 {
+		return nil, errors.New("distrib: policy spec carries no coverage set")
 	}
-	if basis.Root <= 0 {
-		return 0, fmt.Errorf("distrib: basis %q is not an iSWAP-root coverage set and cannot be named on the wire", basis.Name)
+	cs, err := polytope.LoadCoverageSet(bytes.NewReader(s.Coverage))
+	if err != nil {
+		return nil, fmt.Errorf("distrib: decoding the spec's coverage set: %w", err)
 	}
-	return basis.Root, nil
+	return cs, nil
 }
 
-func (s PolicySpec) root() int {
-	if s.BasisRoot <= 0 {
-		return 2
+// build constructs the metric and policy factory a trial worker uses
+// for circuit c — the consolidated circuit the trials route — pricing
+// through a cost table built over c under the spec's coverage set,
+// exactly as transpile builds it.
+func (s PolicySpec) build(c *circuit.Circuit) (sabre.Metric, sabre.PolicyFactory, error) {
+	cov, err := s.coverage()
+	if err != nil {
+		return nil, nil, err
 	}
-	return s.BasisRoot
-}
-
-// coverage returns the spec's coverage set (process-memoised by
-// package polytope, so repeated jobs on one worker reuse it).
-func (s PolicySpec) coverage() *polytope.CoverageSet {
-	return polytope.NewISwapRootCoverage(s.root())
-}
-
-// build constructs the metric and policy factory a trial worker (or
-// the coordinator's replay) uses for circuit c — the consolidated
-// circuit the trials route — pricing through a cost table built over
-// c exactly as transpile builds it.
-func (s PolicySpec) build(c *circuit.Circuit) (sabre.Metric, sabre.PolicyFactory) {
 	metric := sabre.SwapCountMetric
 	if !s.DepthSelection && !s.Mirage {
-		return metric, nil
+		return metric, nil, nil
 	}
-	costs := mirage.NewCostTable(s.coverage(), c)
+	costs := mirage.NewCostTable(cov, c)
 	if s.DepthSelection {
 		metric = mirage.DepthMetric(costs)
 	}
@@ -94,5 +97,5 @@ func (s PolicySpec) build(c *circuit.Circuit) (sabre.Metric, sabre.PolicyFactory
 			factory = mirage.PolicyFactory(costs, mirage.DefaultMix)
 		}
 	}
-	return metric, factory
+	return metric, factory, nil
 }

@@ -35,7 +35,7 @@ type trialJob struct {
 	factory sabre.PolicyFactory
 }
 
-func trialHandler(raw, warm []byte) (dispatch.JobRunner, error) {
+func trialHandler(raw, _ []byte) (dispatch.JobRunner, error) {
 	var spec trialSpec
 	if err := decodeSpec(raw, &spec); err != nil {
 		return nil, fmt.Errorf("distrib: decoding trial spec: %w", err)
@@ -64,13 +64,12 @@ func trialHandler(raw, warm []byte) (dispatch.JobRunner, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The shipped coverage library spares the worker the empirical
-	// polytope build; the cost table is built over the shipped circuit,
-	// the same one the coordinator's table was built over.
-	if err := loadWarm(warm); err != nil {
+	// The cost table is built over the shipped circuit under the
+	// shipped coverage set, as the coordinator's table was.
+	metric, factory, err := spec.Policy.build(c)
+	if err != nil {
 		return nil, err
 	}
-	metric, factory := spec.Policy.build(c)
 	return &trialJob{runner: runner, layouts: layouts, opts: opts, metric: metric, factory: factory}, nil
 }
 

@@ -101,6 +101,22 @@ func coverageFromSnapshot(snap coverageSnapshot) (*CoverageSet, error) {
 	if len(snap.Regions) == 0 {
 		return nil, fmt.Errorf("polytope: coverage snapshot for root %d has no regions", n)
 	}
+	// MinCost answers with the first region that contains a point, so
+	// the regions must come cheapest first: K strictly increasing from
+	// 0, each priced at K/n, every halfspace finite.
+	for i, sr := range snap.Regions {
+		if (i == 0 && sr.K != 0) || (i > 0 && sr.K <= snap.Regions[i-1].K) {
+			return nil, fmt.Errorf("polytope: coverage snapshot for root %d: region %d has k=%d, want k strictly increasing from 0", n, i, sr.K)
+		}
+		if want := float64(sr.K) / float64(n); math.Abs(sr.Cost-want) > 1e-12 {
+			return nil, fmt.Errorf("polytope: coverage snapshot for root %d: region k=%d costs %g, want %g", n, sr.K, sr.Cost, want)
+		}
+		for _, h := range sr.Halfspaces {
+			if !finite(h.A[0]) || !finite(h.A[1]) || !finite(h.A[2]) || !finite(h.B) {
+				return nil, fmt.Errorf("polytope: coverage snapshot for root %d: region k=%d has a non-finite halfspace", n, sr.K)
+			}
+		}
+	}
 	cs := &CoverageSet{
 		Name:        snap.Name,
 		Basis:       gates.SqrtISwapN(n),
@@ -128,9 +144,12 @@ func (cs *CoverageSet) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(&snap)
 }
 
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
 // LoadCoverageSet decodes a snapshot produced by CoverageSet.Save,
-// validating the format version and the basis identity and rebuilding
-// the basis gate from the recorded iSWAP root.
+// validating the format version, the basis identity and the region
+// order and prices, and rebuilding the basis gate from the recorded
+// iSWAP root.
 func LoadCoverageSet(r io.Reader) (*CoverageSet, error) {
 	var snap coverageSnapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
@@ -142,9 +161,7 @@ func LoadCoverageSet(r io.Reader) (*CoverageSet, error) {
 // --- Registry-level persistence (the NewISwapRootCoverage cache) ---
 
 // RootCoverageCount returns how many iSWAP-root coverage sets the
-// process registry currently holds — the cheap change detector the
-// warm-snapshot tier uses to decide whether a re-serialisation (and a
-// version bump) is due.
+// process registry currently holds.
 func RootCoverageCount() int {
 	iswapRootCacheMu.Lock()
 	defer iswapRootCacheMu.Unlock()

@@ -3,6 +3,7 @@ package polytope
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -201,4 +202,63 @@ func TestCostCacheSnapshotBasisGuard(t *testing.T) {
 			t.Fatalf("same-basis load: n=%d err=%v, want 1/nil", n, err)
 		}
 	})
+}
+
+// TestLoadCoverageSetRejectsMisorderedRegions: MinCost prices a point
+// by the first region that contains it, so a snapshot whose regions
+// are out of order — the full chamber first — would price every gate
+// at the maximum k. Such a snapshot, a mispriced region and a
+// non-finite halfspace are all rejected, through the set and the
+// library loaders alike.
+func TestLoadCoverageSetRejectsMisorderedRegions(t *testing.T) {
+	good, err := NewISwapRootCoverage(2).snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		mutate func(*coverageSnapshot)
+	}{
+		{"reversed", func(s *coverageSnapshot) {
+			for i, j := 0, len(s.Regions)-1; i < j; i, j = i+1, j-1 {
+				s.Regions[i], s.Regions[j] = s.Regions[j], s.Regions[i]
+			}
+		}},
+		{"nan halfspace", func(s *coverageSnapshot) {
+			r := &s.Regions[len(s.Regions)-1]
+			r.Halfspaces = append([]savedHalfspace(nil), r.Halfspaces...)
+			r.Halfspaces[0].A[1] = math.NaN()
+		}},
+		{"infinite offset", func(s *coverageSnapshot) {
+			r := &s.Regions[1]
+			r.Halfspaces = append([]savedHalfspace(nil), r.Halfspaces...)
+			r.Halfspaces[0].B = math.Inf(1)
+		}},
+		{"mispriced", func(s *coverageSnapshot) { s.Regions[1].Cost = 0 }},
+		{"repeated k", func(s *coverageSnapshot) { s.Regions[2].K = s.Regions[1].K }},
+		{"not from zero", func(s *coverageSnapshot) { s.Regions = s.Regions[1:] }},
+	}
+	for _, tc := range cases {
+		bad := good
+		bad.Regions = append([]savedRegion(nil), good.Regions...)
+		tc.mutate(&bad)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadCoverageSet(&buf); err == nil {
+			t.Errorf("%s: LoadCoverageSet accepted the snapshot", tc.name)
+		}
+		withColdRegistry(t, func() {
+			if _, err := LoadRootCoverage(bytes.NewReader(encodeLibrary(t, bad))); err == nil {
+				t.Errorf("%s: LoadRootCoverage accepted the library", tc.name)
+			}
+			if n := RootCoverageCount(); n != 0 {
+				t.Errorf("%s: rejected library inserted %d sets", tc.name, n)
+			}
+		})
+	}
+	if _, err := coverageFromSnapshot(good); err != nil {
+		t.Fatalf("fixture: the untouched snapshot is rejected: %v", err)
+	}
 }

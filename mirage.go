@@ -226,7 +226,11 @@ func NewDispatchHub() *DispatchHub { return dispatch.NewHub() }
 // wire remote trial dispatch into a transpile pipeline.
 type Cluster = distrib.Cluster
 
-// NewCluster wraps a hub with default dispatch tuning.
+// NewCluster wraps a hub with default dispatch tuning. Every job the
+// cluster sends carries the options' basis coverage set in its spec,
+// so workers need no coverage state of their own and price exactly as
+// the caller does; a basis without an iSWAP root cannot be sent and is
+// refused.
 func NewCluster(h *DispatchHub) *Cluster { return distrib.NewCluster(h) }
 
 // ServeWorker runs the worker side of the dispatch protocol on an
