@@ -440,13 +440,9 @@ func runFig12(rc *runConfig, topo *topology.Topology, quick bool, jsonPath strin
 		topo.Name, pool.Size(rc.layout.Parallelism), rc.patience)
 	fmt.Printf("%-22s | %9s %9s | %9s %9s | %6s %6s | %8s | %11s\n",
 		"circuit", "q-depth", "m-depth", "q-gates", "m-gates", "q-swp", "m-swp", "mirror%", "trials")
-	var (
-		sumDepthQ, sumDepthM   float64
-		sumGatesQ, sumGatesM   float64
-		sumSwapsQ, sumSwapsM   float64
-		wDepth, wGates, wSwaps float64
-		count                  int
-	)
+	// The paper's Fig. 12 covers its Table III rows only; the mirror
+	// rows are summarised on their own.
+	var paperRows, mirrorRows []bench.Fig12Row
 	start := time.Now()
 	var rows []bench.RoutingRow
 	verifyFailures := 0
@@ -493,31 +489,28 @@ func runFig12(rc *runConfig, topo *topology.Topology, quick bool, jsonPath strin
 			e.Name, q.DepthPulses, m.DepthPulses, q.TotalBasisGates, m.TotalBasisGates,
 			q.SwapsInserted, m.SwapsInserted, 100*m.MirrorAcceptRate,
 			q.TrialsExecuted, m.TrialsExecuted, m.TrialsBudgeted)
-		sumDepthQ += q.DepthPulses
-		sumDepthM += m.DepthPulses
-		sumGatesQ += q.TotalBasisGates
-		sumGatesM += m.TotalBasisGates
-		sumSwapsQ += float64(q.SwapsInserted)
-		sumSwapsM += float64(m.SwapsInserted)
-		if q.DepthPulses > 0 {
-			wDepth += (q.DepthPulses - m.DepthPulses) / q.DepthPulses
+		fr := bench.Fig12Row{
+			Base:   bench.Fig12Figures{Depth: q.DepthPulses, Gates: q.TotalBasisGates, Swaps: float64(q.SwapsInserted)},
+			Mirage: bench.Fig12Figures{Depth: m.DepthPulses, Gates: m.TotalBasisGates, Swaps: float64(m.SwapsInserted)},
 		}
-		if q.TotalBasisGates > 0 {
-			wGates += (q.TotalBasisGates - m.TotalBasisGates) / q.TotalBasisGates
+		if e.Mirror == nil {
+			paperRows = append(paperRows, fr)
+		} else {
+			mirrorRows = append(mirrorRows, fr)
 		}
-		if q.SwapsInserted > 0 {
-			wSwaps += (float64(q.SwapsInserted) - float64(m.SwapsInserted)) / float64(q.SwapsInserted)
-		}
-		count++
 	}
-	fmt.Printf("\naverage reductions: depth %.2f%%, total gates %.2f%%, swaps %.2f%%\n",
-		100*wDepth/float64(count), 100*wGates/float64(count), 100*wSwaps/float64(count))
-	fmt.Printf("weighted reductions: depth %.2f%%, gates %.2f%%, swaps %.2f%%\n",
-		100*(sumDepthQ-sumDepthM)/sumDepthQ,
-		100*(sumGatesQ-sumGatesM)/sumGatesQ,
-		100*(sumSwapsQ-sumSwapsM)/sumSwapsQ)
+	avg, weighted := bench.Fig12Reductions(paperRows)
+	fmt.Printf("\npaper rows (%d), average reductions: depth %.2f%%, total gates %.2f%%, swaps %.2f%%\n",
+		len(paperRows), avg.Depth, avg.Gates, avg.Swaps)
+	fmt.Printf("paper rows (%d), weighted reductions: depth %.2f%%, gates %.2f%%, swaps %.2f%%\n",
+		len(paperRows), weighted.Depth, weighted.Gates, weighted.Swaps)
 	fmt.Printf("(paper heavy-hex: depth -31.19%%, gates -16.97%%, swaps -56.19%%;\n")
 	fmt.Printf(" paper square:    depth -29.58%%, gates -10.25%%, swaps -59.86%%)\n")
+	if len(mirrorRows) > 0 {
+		avg, weighted = bench.Fig12Reductions(mirrorRows)
+		fmt.Printf("mirror rows (%d, not in the paper), average reductions: depth %.2f%%, gates %.2f%%, swaps %.2f%%; weighted: depth %.2f%%, gates %.2f%%, swaps %.2f%%\n",
+			len(mirrorRows), avg.Depth, avg.Gates, avg.Swaps, weighted.Depth, weighted.Gates, weighted.Swaps)
+	}
 	total := time.Since(start)
 	fmt.Printf("total runtime: %s\n", total.Round(time.Millisecond))
 	var kernelRows []bench.KernelRow

@@ -36,14 +36,20 @@ type CoordCost func(weyl.Coordinate) float64
 //     exactly as ConsolidateBlocks does and its coordinate taken from
 //     the shared coordinate cache. Fallbacks counts these runs.
 //
-// A BlockDepth holds reusable per-wire buffers: after the first call
-// on a circuit of a given width, Depth allocates nothing. It is
+// The pass is push-style: Start, then Push each op in order, then
+// Finish. Depth runs it over a whole circuit; the router runs it over
+// the ops it emits, reading Closed and Clock as a trial's lower bound
+// while it routes, so the metric and the bound share one
+// implementation. A BlockDepth holds reusable per-wire buffers: after
+// the first pass over a given width it allocates nothing. It is
 // single-goroutine; use one per worker (or a sync.Pool).
 type BlockDepth struct {
-	clock []float64  // per-wire finish time
-	owner []int32    // lower wire of the open run holding the wire, or -1
-	runs  []blockRun // open runs, indexed by their lower wire
-	// Fallbacks counts the runs the last Depth call closed through the
+	clock  []float64  // per-wire finish time
+	owner  []int32    // lower wire of the open run holding the wire, or -1
+	runs   []blockRun // open runs, indexed by their lower wire
+	cost   CoordCost
+	closed float64 // latest finish time over the closed runs
+	// Fallbacks counts the runs the current pass closed through the
 	// matrix fallback (two or more payload ops).
 	Fallbacks int
 }
@@ -58,7 +64,7 @@ type blockRun struct {
 }
 
 // absorb adds the 2Q op at index i to the run.
-func (r *blockRun) absorb(op Op, i int) {
+func (r *blockRun) absorb(op *Op, i int) {
 	r.last = i
 	if op.RouterSwap {
 		r.swaps++
@@ -76,48 +82,15 @@ func (r *blockRun) absorb(op Op, i int) {
 // the result is equal, not merely close, whenever cost agrees on each
 // block's class and its consolidated coordinate.
 func (p *BlockDepth) Depth(c *Circuit, cost CoordCost) float64 {
-	p.reset(c.NumQubits)
-	var depth float64
-	for i, op := range c.Ops {
-		switch len(op.Qubits) {
-		case 1:
-			// 1Q ops weigh nothing and never break a run.
-		case 2:
-			a, b := op.Qubits[0], op.Qubits[1]
-			if a > b {
-				a, b = b, a
-			}
-			if p.owner[a] == int32(a) && p.runs[a].b == b {
-				p.runs[a].absorb(op, i)
-				continue
-			}
-			// The pair changes: close the runs that share a wire.
-			depth = p.close(c, a, cost, depth)
-			depth = p.close(c, b, cost, depth)
-			p.runs[a] = blockRun{b: b, first: i}
-			p.runs[a].absorb(op, i)
-			p.owner[a], p.owner[b] = int32(a), int32(a)
-		default:
-			start := 0.0
-			for _, q := range op.Qubits {
-				depth = p.close(c, q, cost, depth)
-				if p.clock[q] > start {
-					start = p.clock[q]
-				}
-			}
-			for _, q := range op.Qubits {
-				p.clock[q] = start
-			}
-		}
+	p.Start(c.NumQubits, cost)
+	for i := range c.Ops {
+		p.Push(c.Ops, i)
 	}
-	for q := range p.owner {
-		depth = p.close(c, q, cost, depth)
-	}
-	return depth
+	return p.Finish(c.Ops)
 }
 
-// reset sizes the buffers for n wires and clears them.
-func (p *BlockDepth) reset(n int) {
+// Start rewinds the pass for a circuit on n wires priced by cost.
+func (p *BlockDepth) Start(n int, cost CoordCost) {
 	if cap(p.clock) < n {
 		p.clock = make([]float64, n)
 		p.owner = make([]int32, n)
@@ -128,18 +101,77 @@ func (p *BlockDepth) reset(n int) {
 		p.clock[q] = 0
 		p.owner[q] = -1
 	}
+	p.cost = cost
+	p.closed = 0
 	p.Fallbacks = 0
 }
 
-// close prices and closes the run holding wire q, if any, and returns
-// the updated circuit depth.
-func (p *BlockDepth) close(c *Circuit, q int, cost CoordCost, depth float64) float64 {
+// Push feeds ops[i] to the pass; the ops before it must have been
+// pushed in order. 1Q ops neither weigh nor break a run, so a caller
+// may skip pushing them, but they must stay in ops: a run's matrix
+// fallback multiplies out every op between its bounds.
+func (p *BlockDepth) Push(ops []Op, i int) {
+	op := &ops[i]
+	switch len(op.Qubits) {
+	case 1:
+		// 1Q ops weigh nothing and never break a run.
+	case 2:
+		a, b := op.Qubits[0], op.Qubits[1]
+		if a > b {
+			a, b = b, a
+		}
+		if p.owner[a] == int32(a) && p.runs[a].b == b {
+			p.runs[a].absorb(op, i)
+			return
+		}
+		// The pair changes: close the runs that share a wire.
+		p.close(ops, a)
+		p.close(ops, b)
+		p.runs[a] = blockRun{b: b, first: i}
+		p.runs[a].absorb(op, i)
+		p.owner[a], p.owner[b] = int32(a), int32(a)
+	default:
+		start := 0.0
+		for _, q := range op.Qubits {
+			p.close(ops, q)
+			if p.clock[q] > start {
+				start = p.clock[q]
+			}
+		}
+		for _, q := range op.Qubits {
+			p.clock[q] = start
+		}
+	}
+}
+
+// Closed returns the latest finish time over the runs closed so far.
+// It never decreases as ops are pushed and never exceeds Finish's
+// result: it is exactly the depth of the pushed prefix minus its open
+// runs.
+func (p *BlockDepth) Closed() float64 { return p.closed }
+
+// Clock returns wire q's finish time over the closed runs. While a run
+// is open on q, no other run can close on q, so this is the time that
+// run will start at.
+func (p *BlockDepth) Clock(q int) float64 { return p.clock[q] }
+
+// Finish closes every open run and returns the depth of the pushed
+// circuit, whose ops are ops.
+func (p *BlockDepth) Finish(ops []Op) float64 {
+	for q := range p.owner {
+		p.close(ops, q)
+	}
+	return p.closed
+}
+
+// close prices and closes the run holding wire q, if any.
+func (p *BlockDepth) close(ops []Op, q int) {
 	a := p.owner[q]
 	if a < 0 {
-		return depth
+		return
 	}
 	r := &p.runs[a]
-	w := cost(p.class(c, int(a), r))
+	w := p.cost(p.class(ops, int(a), r))
 	start := 0.0
 	if p.clock[a] > start {
 		start = p.clock[a]
@@ -150,20 +182,19 @@ func (p *BlockDepth) close(c *Circuit, q int, cost CoordCost, depth float64) flo
 	end := start + w
 	p.clock[a], p.clock[r.b] = end, end
 	p.owner[a], p.owner[r.b] = -1, -1
-	if end > depth {
-		depth = end
+	if end > p.closed {
+		p.closed = end
 	}
-	return depth
 }
 
 // class returns the Weyl coordinate of run r on wires (a, r.b).
-func (p *BlockDepth) class(c *Circuit, a int, r *blockRun) weyl.Coordinate {
+func (p *BlockDepth) class(ops []Op, a int, r *blockRun) weyl.Coordinate {
 	switch {
 	case r.payloads >= 2:
 		p.Fallbacks++
-		return cachedCoordinateMat4(runInterior(c.Ops[r.first:r.last+1], a, r.b))
+		return cachedCoordinateMat4(runInterior(ops[r.first:r.last+1], a, r.b))
 	case r.payloads == 1:
-		coord := OpCoordinate(c.Ops[r.payload])
+		coord := OpCoordinate(ops[r.payload])
 		if r.swaps%2 == 1 {
 			coord = weyl.Mirror(coord)
 		}

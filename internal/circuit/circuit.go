@@ -59,23 +59,33 @@ func New(name string, numQubits int) *Circuit {
 	return &Circuit{Name: name, NumQubits: numQubits}
 }
 
-// Append adds an op after validating its qubit indices.
+// Append adds an op after validating its qubit indices; an invalid op
+// is a programming error and panics (see checkOp).
 func (c *Circuit) Append(op Op) {
-	if len(op.Qubits) == 0 || len(op.Qubits) != op.Gate.Qubits {
-		panic(fmt.Sprintf("circuit: op %s has %d qubits, gate expects %d",
-			op.Gate.String(), len(op.Qubits), op.Gate.Qubits))
-	}
-	seen := map[int]bool{}
-	for _, q := range op.Qubits {
-		if q < 0 || q >= c.NumQubits {
-			panic(fmt.Sprintf("circuit: qubit %d out of range [0, %d)", q, c.NumQubits))
-		}
-		if seen[q] {
-			panic(fmt.Sprintf("circuit: duplicate qubit %d in op %s", q, op.Gate.String()))
-		}
-		seen[q] = true
+	if err := c.checkOp(op); err != nil {
+		panic(err.Error())
 	}
 	c.Ops = append(c.Ops, op)
+}
+
+// checkOp reports why op cannot act on c: an operand count that does
+// not match the gate, a qubit out of range, or a repeated qubit.
+func (c *Circuit) checkOp(op Op) error {
+	if len(op.Qubits) == 0 || len(op.Qubits) != op.Gate.Qubits {
+		return fmt.Errorf("circuit: op %s has %d qubits, gate expects %d",
+			op.Gate.String(), len(op.Qubits), op.Gate.Qubits)
+	}
+	for i, q := range op.Qubits {
+		if q < 0 || q >= c.NumQubits {
+			return fmt.Errorf("circuit: qubit %d out of range [0, %d)", q, c.NumQubits)
+		}
+		for _, p := range op.Qubits[:i] {
+			if p == q {
+				return fmt.Errorf("circuit: duplicate qubit %d in op %s", q, op.Gate.String())
+			}
+		}
+	}
+	return nil
 }
 
 // Add appends a gate on the given qubits.

@@ -141,7 +141,13 @@ func parseGateStmt(c *Circuit, reg, stmt string) error {
 	if err != nil {
 		return err
 	}
-	c.Add(g, qubits...)
+	// The parser reads untrusted files: operands Append would panic on
+	// are an error here, not a crash.
+	op := Op{Gate: g, Qubits: qubits}
+	if err := c.checkOp(op); err != nil {
+		return fmt.Errorf("qasm: %v in %q", err, stmt)
+	}
+	c.Ops = append(c.Ops, op)
 	return nil
 }
 

@@ -1,8 +1,8 @@
 // Package dispatch is the transport-agnostic trial-dispatch subsystem:
 // a deterministic work queue over integer-indexed, independently
 // executable work items (routing trials, batch circuits) plus the two
-// transports that drive it — an in-process adapter that replaces the
-// pool.Stream scheduler inside sabre.FindBestRouting and
+// transports that drive it — an in-process adapter that schedules the
+// trial grid of sabre.FindBestRouting and the circuits of
 // transpile.TranspileBatch, and a gob-over-TCP coordinator/worker
 // protocol for fanning the same work out across machines.
 //
@@ -29,10 +29,9 @@
 // # Transports
 //
 //   - RunLocal drives a Queue with per-worker goroutines and reusable
-//     scratch state (the trial-arena seam), replicating pool.StreamWith
-//     semantics: serial fast path at parallelism 1, worker panics
-//     propagated to the caller, every started run finished before
-//     return.
+//     scratch state (the trial-arena seam): serial fast path at
+//     parallelism 1, worker panics propagated to the caller, every
+//     started run finished before return.
 //   - Hub + ServeConn implement the distributed transport: workers dial
 //     the coordinator once and then serve any number of sequential
 //     jobs, each job being a kind tag plus an opaque gob-encoded spec

@@ -8,8 +8,8 @@ import (
 )
 
 // RunLocal drives q with in-process workers: the transport that
-// replaces the pool.Stream scheduler inside FindBestRouting and
-// TranspileBatch. Semantics match pool.StreamWith exactly —
+// schedules FindBestRouting's trial grid and TranspileBatch's
+// circuits. Semantics:
 //
 //   - scratch(w) runs once inside worker goroutine w and its value is
 //     handed to every run call that worker executes (the trial-arena

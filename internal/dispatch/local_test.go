@@ -3,6 +3,7 @@ package dispatch
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -178,5 +179,69 @@ func TestRunLocalZeroWork(t *testing.T) {
 	if err := RunLocal(q, 4, func(int) struct{} { return struct{}{} },
 		func(i int, _ struct{}) (int, error) { return 0, errors.New("must not run") }); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunLocalPanicAfterStopStillPropagates: a run already in flight
+// when the consumer stops early has its result discarded, but its
+// panic must still surface — a panic signals corruption and may never
+// be swallowed by an adaptive stop.
+func TestRunLocalPanicAfterStopStillPropagates(t *testing.T) {
+	gate := make(chan struct{})    // released once the queue has stopped
+	started := make(chan struct{}) // index 1 is in flight
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "late panic") {
+			t.Fatalf("panic past the stop index was swallowed (recovered %v)", r)
+		}
+	}()
+	q := NewQueue(100, 1, func(i, v int) bool {
+		if i == 0 {
+			close(gate) // stop with index 1 still in flight
+			return true
+		}
+		return false
+	})
+	_ = RunLocal(q, 2, func(int) struct{} { return struct{}{} },
+		func(i int, _ struct{}) (int, error) {
+			switch i {
+			case 0:
+				<-started // index 1 is in flight before 0 completes
+				return 0, nil
+			case 1:
+				close(started)
+				<-gate // held in flight until the queue has stopped
+				panic("late panic")
+			}
+			return i, nil
+		})
+	t.Error("RunLocal returned instead of panicking")
+}
+
+// TestRunLocalScratchReuseRaceHammer drives many queues with early
+// stops at random depths so the race detector can see any
+// unsynchronised scratch handoff: every run mutates its worker's
+// scratch buffer heavily and results alias nothing.
+func TestRunLocalScratchReuseRaceHammer(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 30; round++ {
+		stopAt := rng.Intn(40)
+		par := 1 + rng.Intn(8)
+		type buf struct{ xs [256]int }
+		q := NewQueue(120, 1+rng.Intn(3), func(i, v int) bool { return i >= stopAt })
+		err := RunLocal(q, par,
+			func(w int) *buf { return &buf{} },
+			func(i int, s *buf) (int, error) {
+				for k := range s.xs {
+					s.xs[k] = i + k
+				}
+				sum := 0
+				for _, v := range s.xs {
+					sum += v
+				}
+				return sum, nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }

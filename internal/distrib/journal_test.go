@@ -29,7 +29,9 @@ func TestSpecEncodingDeterministic(t *testing.T) {
 		}
 		return spec
 	}
-	buildTrial := func() []byte {
+	// A score bound rides in LayoutOptions but never on the wire: the
+	// trial job ignores it and its spec bytes do not change.
+	buildTrial := func(bound *sabre.Bound) []byte {
 		topo := topology.Grid(3, 3)
 		c := e2eCircuit("det", 7, 22, 11)
 		blocks := circuit.ConsolidateBlocks(circuit.UnrollTo2Q(c))
@@ -47,7 +49,7 @@ func TestSpecEncodingDeterministic(t *testing.T) {
 			Topo:    topologyToWire(pc.Topo),
 			DAG:     flatDAGToWire(pc.FD),
 			Layouts: layoutsToWire(layouts),
-			Opts:    opts,
+			Opts:    opts.WithBound(bound),
 			Policy:  policy(),
 		})
 		if err != nil {
@@ -55,8 +57,11 @@ func TestSpecEncodingDeterministic(t *testing.T) {
 		}
 		return raw
 	}
-	if !bytes.Equal(buildTrial(), buildTrial()) {
+	if !bytes.Equal(buildTrial(nil), buildTrial(nil)) {
 		t.Fatal("two from-scratch trialSpec encodings differ; journal recovery cannot match restarted jobs")
+	}
+	if !bytes.Equal(buildTrial(nil), buildTrial(sabre.SwapCountBound())) {
+		t.Fatal("a score bound changed the trialSpec encoding")
 	}
 
 	buildBatch := func() []byte {

@@ -3,7 +3,6 @@ package pool
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,83 +10,6 @@ import (
 )
 
 // --- Worker panic propagation ---
-
-func TestStreamWithWorkerPanicPropagates(t *testing.T) {
-	for _, par := range []int{2, 8} {
-		var finished atomic.Int64
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("par=%d: panic did not propagate", par)
-				}
-				if !strings.Contains(fmt.Sprint(r), "trial exploded") {
-					t.Fatalf("par=%d: wrong panic value: %v", par, r)
-				}
-			}()
-			_ = StreamWith(par, 100,
-				func(int) struct{} { return struct{}{} },
-				func(i int, _ struct{}) (int, error) {
-					if i == 13 {
-						panic("trial exploded")
-					}
-					time.Sleep(50 * time.Microsecond)
-					finished.Add(1)
-					return i, nil
-				},
-				func(i, v int) bool { return false })
-			t.Errorf("par=%d: StreamWith returned instead of panicking", par)
-		}()
-	}
-}
-
-// TestStreamWithPanicAfterStopStillPropagates: a run already in
-// flight when the consumer stops early has its result discarded but
-// its panic must still surface — a panic signals corruption and may
-// never be swallowed by an adaptive stop.
-func TestStreamWithPanicAfterStopStillPropagates(t *testing.T) {
-	gate := make(chan struct{})    // released once the stream has stopped
-	started := make(chan struct{}) // index 1 is in flight
-	defer func() {
-		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "late panic") {
-			t.Fatalf("panic past the stop index was swallowed (recovered %v)", r)
-		}
-	}()
-	_ = StreamWith(2, 100,
-		func(int) struct{} { return struct{}{} },
-		func(i int, _ struct{}) (int, error) {
-			switch i {
-			case 0:
-				<-started // index 1 is guaranteed in flight before 0 completes
-				return 0, nil
-			case 1:
-				close(started)
-				<-gate // held in flight until the stream has stopped
-				panic("late panic")
-			}
-			return i, nil
-		},
-		func(i, v int) bool {
-			if i == 0 {
-				close(gate) // stop with index 1 still in flight
-				return true
-			}
-			return false
-		})
-	t.Error("StreamWith returned instead of panicking")
-}
-
-func TestStreamWithSerialPanicPropagates(t *testing.T) {
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("serial path swallowed the panic")
-		}
-	}()
-	_ = StreamWith(1, 10,
-		func(int) struct{} { return struct{}{} },
-		func(i int, _ struct{}) (int, error) { panic("serial boom") },
-		func(i, v int) bool { return false })
-}
 
 func TestForEachWithWorkerPanicPropagates(t *testing.T) {
 	defer func() {
@@ -127,110 +49,6 @@ func TestForEachWithLowestFailureWins(t *testing.T) {
 		})
 	if err == nil || err.Error() != "low error" {
 		t.Fatalf("err = %v, want low error", err)
-	}
-}
-
-// --- Early stop with in-flight scratch checkouts ---
-
-// trackedScratch records checkout state so the test can prove no
-// trial was abandoned mid-flight when the stream stopped early.
-type trackedScratch struct {
-	busy    atomic.Bool
-	trials  atomic.Int64
-	torn    atomic.Bool // set if reused while still busy (overlap bug)
-	stopped *atomic.Bool
-}
-
-func (s *trackedScratch) run(i int) int {
-	if s.busy.Swap(true) {
-		s.torn.Store(true)
-	}
-	time.Sleep(time.Duration(i%3) * 100 * time.Microsecond)
-	s.trials.Add(1)
-	s.busy.Store(false)
-	return i
-}
-
-// TestStreamWithEarlyStopInFlightScratch: stopping the stream while
-// workers hold checked-out scratch must let those runs finish (their
-// results discarded) and never overlap two runs on one scratch.
-func TestStreamWithEarlyStopInFlightScratch(t *testing.T) {
-	const stopAt = 5
-	var stopped atomic.Bool
-	var scratches []*trackedScratch
-	var mu = make(chan struct{}, 1)
-	mu <- struct{}{}
-	err := StreamWith(6, 500,
-		func(w int) *trackedScratch {
-			s := &trackedScratch{stopped: &stopped}
-			<-mu
-			scratches = append(scratches, s)
-			mu <- struct{}{}
-			return s
-		},
-		func(i int, s *trackedScratch) (int, error) {
-			if stopped.Load() {
-				// Runs may legitimately start after the consumer
-				// stopped (in-flight dispatch), but the scratch
-				// contract still holds for them.
-			}
-			return s.run(i), nil
-		},
-		func(i, v int) bool {
-			if i >= stopAt {
-				stopped.Store(true)
-				return true
-			}
-			return false
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total int64
-	for _, s := range scratches {
-		if s.busy.Load() {
-			t.Fatal("scratch still checked out after StreamWith returned")
-		}
-		if s.torn.Load() {
-			t.Fatal("two runs overlapped on one scratch")
-		}
-		total += s.trials.Load()
-	}
-	if total < stopAt+1 {
-		t.Fatalf("only %d trials ran before the stop consumed %d results", total, stopAt+1)
-	}
-}
-
-// --- -race hammer: scratch reuse across stop/discard boundaries ---
-
-// TestStreamWithScratchReuseRaceHammer drives many adaptive streams
-// with racing early stops so the race detector can see any unsynchron-
-// ised scratch handoff: every run mutates its scratch buffer heavily,
-// results alias nothing, and the stream is stopped at random depths.
-func TestStreamWithScratchReuseRaceHammer(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for round := 0; round < 30; round++ {
-		stopAt := rng.Intn(40)
-		par := 1 + rng.Intn(8)
-		type buf struct{ xs [256]int }
-		err := StreamWith(par, 120,
-			func(w int) *buf { return &buf{} },
-			func(i int, s *buf) (int, error) {
-				// Heavy unsynchronised mutation: any cross-goroutine
-				// reuse of s is a detectable race.
-				for k := range s.xs {
-					s.xs[k] = i + k
-				}
-				sum := 0
-				for _, v := range s.xs {
-					sum += v
-				}
-				return sum, nil
-			},
-			func(i, v int) bool { return i >= stopAt })
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

@@ -2,7 +2,6 @@ package pool
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -76,73 +75,5 @@ func TestForEachWithSerialSingleScratch(t *testing.T) {
 	}
 	if creations != 1 || count != 50 {
 		t.Fatalf("creations=%d count=%d, want 1 and 50", creations, count)
-	}
-}
-
-func TestStreamWithScratchPerWorker(t *testing.T) {
-	const workers, n = 4, 200
-	var created atomic.Int64
-	type scratch struct{ served []int }
-	var consumed []int
-	err := StreamWith(workers, n,
-		func(w int) *scratch {
-			created.Add(1)
-			return &scratch{}
-		},
-		func(i int, s *scratch) (int, error) {
-			s.served = append(s.served, i)
-			return i * 3, nil
-		},
-		func(i int, v int) bool {
-			if v != i*3 {
-				t.Errorf("consume(%d) got %d", i, v)
-			}
-			consumed = append(consumed, i)
-			return false
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int(created.Load()) > workers {
-		t.Fatalf("scratch created %d times, want <= %d", created.Load(), workers)
-	}
-	if len(consumed) != n {
-		t.Fatalf("consumed %d, want %d", len(consumed), n)
-	}
-	for i, v := range consumed {
-		if v != i {
-			t.Fatalf("consume order broken at %d: %v", i, v)
-		}
-	}
-}
-
-// TestStreamWithStopReusesScratchAcrossTrials checks that a worker's
-// scratch survives across many run calls (the arena-reuse pattern) and
-// that early stop still returns cleanly with scratch-local state
-// intact.
-func TestStreamWithStopReusesScratchAcrossTrials(t *testing.T) {
-	type counter struct{ calls int }
-	var mu sync.Mutex
-	totals := 0
-	err := StreamWith(3, 100,
-		func(w int) *counter { return &counter{} },
-		func(i int, s *counter) (int, error) {
-			s.calls++
-			mu.Lock()
-			totals++
-			mu.Unlock()
-			return s.calls, nil
-		},
-		func(i int, v int) bool {
-			if v < 1 {
-				t.Errorf("scratch state lost: run %d saw calls=%d", i, v)
-			}
-			return i >= 10 // stop after consuming a prefix
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if totals < 11 {
-		t.Fatalf("ran %d trials, expected at least the consumed prefix of 11", totals)
 	}
 }

@@ -19,9 +19,10 @@ var routerSwapGate = gates.SWAP()
 // trialArena owns every mutable buffer one routing trial needs: the
 // engine state (routingState — traversal, layout, decay, pair caches,
 // candidate dedup stamps, score scratch), the reusable routed-op
-// buffer, the layout copies a Result exposes, the per-trial RNG, and a
-// pre-bound MirrorContext whose cost closures are allocated once per
-// arena instead of once per decision.
+// buffer, the layout copies a Result exposes, the per-trial generator
+// (trialSource: math/rand's stream, seeded in O(1)), the depth pass a
+// score bound feeds, and a pre-bound MirrorContext whose cost closures
+// are allocated once per arena instead of once per decision.
 //
 // Ownership rules (the seam the distributed trial queue will build on):
 // the circuit.FlatDAG and Topology a trial reads are immutable and
@@ -40,9 +41,10 @@ type trialArena struct {
 	initLayout topology.Layout // copy of the trial's initial layout
 	h1, h2     topology.Layout // layout handoff buffers (fwd/bwd refinement)
 
-	res Result
-	ctx MirrorContext
-	rng *rand.Rand
+	res   Result
+	ctx   MirrorContext
+	rng   *rand.Rand
+	depth circuit.BlockDepth // the depth bound's pass over the emitted ops
 
 	outFor *circuit.Circuit // routed-name cache: out.Name is rebuilt only when the circuit changes
 }
@@ -51,7 +53,7 @@ type trialArena struct {
 // are reused afterwards; binding the same (or a smaller) circuit and
 // topology again allocates nothing.
 func newTrialArena() *trialArena {
-	a := &trialArena{rng: rand.New(rand.NewSource(1))}
+	a := &trialArena{rng: rand.New(newTrialSource(1))}
 	// The cost evaluators close over the embedded routing state once;
 	// per-decision rebinding is two int stores (mirrorA/mirrorB).
 	a.ctx.RoutingCost = a.st.mirrorCostAt
@@ -108,15 +110,15 @@ func (a *trialArena) emit2(g gates.Gate, qa, qb int, coord *weyl.Coordinate, mir
 //
 // mirrors is the per-op mirror data of fd's circuit; it is only read
 // when policy is non-nil, so policy-free routes may pass nil.
+//
+// A non-nil bound stops the route with errTrialCut as soon as the
+// score bound it tracks over the emitted ops reaches bound.beat.
 func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topology.Topology,
-	initial *topology.Layout, opts Options, rng *rand.Rand, policy MirrorPolicy) (*Result, error) {
+	initial *topology.Layout, opts Options, rng *rand.Rand, policy MirrorPolicy, bound *trialBound) (*Result, error) {
 
 	opts = opts.WithDefaults()
 	c := fd.Circ
-	maxSteps := opts.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = 10000 + 100*len(c.Ops)
-	}
+	maxSteps := maxSwaps(opts, len(c.Ops))
 
 	st := &a.st
 	st.bind(fd, topo, initial, opts)
@@ -132,6 +134,11 @@ func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topo
 	a.ctx.Layout = &st.layout
 	if policy != nil {
 		mirrors = mirrors.get()
+	}
+	var bd *circuit.BlockDepth // non-nil: feed the depth bound every emitted 2Q op
+	if bound != nil && bound.depth {
+		bd = &a.depth
+		bd.Start(topo.NumQubits, bound.cost)
 	}
 
 	// Execute/stall loop, worklist form. The naive formulation (kept in
@@ -199,6 +206,12 @@ func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topo
 					}
 					a.emit2(g, pa, pb, coord, mirrored, false)
 					a.res.TwoQubitGates++
+					if bd != nil {
+						bd.Push(a.out.Ops, len(a.out.Ops)-1)
+						if bound.depthReached(bd, pa, pb, idx) {
+							return nil, errTrialCut
+						}
+					}
 					if mirrored {
 						st.applyMirrorSwap(pa, pb)
 					}
@@ -254,6 +267,14 @@ func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topo
 			st.wlCur = append(st.wlCur, o2)
 		}
 		a.res.SwapsInserted++
+		if bd != nil {
+			bd.Push(a.out.Ops, len(a.out.Ops)-1)
+			if bound.depthReached(bd, chosen.a, chosen.b, -1) {
+				return nil, errTrialCut
+			}
+		} else if bound != nil && float64(a.res.SwapsInserted) >= bound.beat {
+			return nil, errTrialCut
+		}
 		st.decay[chosen.a] += opts.DecayRate
 		st.decay[chosen.b] += opts.DecayRate
 		steps++
@@ -353,8 +374,12 @@ func NewTrialRunnerFromDAG(fd *circuit.FlatDAG, topo *topology.Topology) (*Trial
 // all trial state lives in the runner's arena. See TrialRunner for the
 // validity contract of the returned Result.
 func (r *TrialRunner) Run(initial *topology.Layout, opts Options, seed int64, policy MirrorPolicy) (*Result, error) {
+	return r.run(initial, opts, seed, policy, nil)
+}
+
+func (r *TrialRunner) run(initial *topology.Layout, opts Options, seed int64, policy MirrorPolicy, bound *trialBound) (*Result, error) {
 	r.arena.rng.Seed(seed)
-	return r.arena.route(r.fd, r.mirrors, r.topo, initial, opts, r.arena.rng, policy)
+	return r.arena.route(r.fd, r.mirrors, r.topo, initial, opts, r.arena.rng, policy, bound)
 }
 
 // GridTrial executes trial t of the FindBestRouting grid: routing from
@@ -366,6 +391,11 @@ func (r *TrialRunner) Run(initial *topology.Layout, opts Options, seed int64, po
 // makes work-queue leases idempotent. The returned Result aliases the
 // runner's arena like Run's does.
 func (r *TrialRunner) GridTrial(layouts []*topology.Layout, opts LayoutOptions, t int, policy MirrorPolicy) (*Result, error) {
+	return r.gridTrial(layouts, opts, t, policy, nil)
+}
+
+// gridTrial is GridTrial under an optional score bound (see route).
+func (r *TrialRunner) gridTrial(layouts []*topology.Layout, opts LayoutOptions, t int, policy MirrorPolicy, bound *trialBound) (*Result, error) {
 	opts = opts.WithDefaults()
 	if t < 0 || t >= opts.LayoutTrials*opts.RoutingTrials {
 		return nil, fmt.Errorf("sabre: grid trial %d outside the %dx%d grid", t, opts.LayoutTrials, opts.RoutingTrials)
@@ -374,5 +404,14 @@ func (r *TrialRunner) GridTrial(layouts []*topology.Layout, opts LayoutOptions, 
 	if lt >= len(layouts) {
 		return nil, fmt.Errorf("sabre: grid trial %d needs layout %d, have %d layouts", t, lt, len(layouts))
 	}
-	return r.Run(layouts[lt], opts.Routing, trialSeed(opts.Seed, seedStreamRouting, t), policy)
+	return r.run(layouts[lt], opts.Routing, trialSeed(opts.Seed, seedStreamRouting, t), policy, bound)
+}
+
+// maxSwaps is the number of SWAP insertions after which a route of an
+// nOps-op circuit gives up as diverged.
+func maxSwaps(opts Options, nOps int) int {
+	if opts.MaxSteps > 0 {
+		return opts.MaxSteps
+	}
+	return 10000 + 100*nOps
 }

@@ -28,7 +28,7 @@ func TestArenaReuseBitIdentical(t *testing.T) {
 		}
 		fd := circuit.BuildFlatDAG(tc.circ)
 		arena.rng.Seed(tc.seed)
-		reused, err := arena.route(fd, newMirrorTable(tc.circ), tc.topo, tc.layout, Options{}, arena.rng, policy)
+		reused, err := arena.route(fd, newMirrorTable(tc.circ), tc.topo, tc.layout, Options{}, arena.rng, policy, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

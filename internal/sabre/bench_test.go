@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/gates"
+	"repro/internal/mirrorbench"
 	"repro/internal/topology"
 )
 
@@ -139,4 +140,34 @@ func BenchmarkRouteWide(b *testing.B) {
 			return Route(c, topo, layout, Options{ScoreWorkers: 4}, rand.New(rand.NewSource(1)), nil)
 		})
 	})
+}
+
+// BenchmarkGridTrialSmall measures one grid trial of a small circuit,
+// the compile-many-small regime where a trial's fixed cost — seeding
+// its generator, rebinding the arena — is most of its cost: a
+// consolidated 4-qubit quantum-volume mirror circuit on a 3x4 grid,
+// cycling through the trials of a 20x20 grid under a mirror policy.
+func BenchmarkGridTrialSmall(b *testing.B) {
+	m := mirrorbench.Generate(mirrorbench.Spec{Kind: mirrorbench.QuantumVolume, Qubits: 4, Layers: 3, Seed: 1})
+	pc, err := PrepareCircuit(circuit.ConsolidateBlocks(m.Circuit), topology.Grid(3, 4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := LayoutOptions{Seed: 1, Parallelism: 1}.WithDefaults()
+	layouts, err := RefineLayoutsPrepared(pc, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runner := NewTrialRunnerPrepared(pc)
+	grid := opts.LayoutTrials * opts.RoutingTrials
+	if _, err := runner.GridTrial(layouts, opts, 0, costMirror{}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := runner.GridTrial(layouts, opts, i%grid, costMirror{}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package sabre
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/circuit"
 	"repro/internal/dispatch"
@@ -107,7 +108,13 @@ func runTrialGrid(pc *PreparedCircuit, layouts []*topology.Layout, opts LayoutOp
 
 	n := opts.LayoutTrials * opts.RoutingTrials
 	sel := NewTrialSelector(opts.ConvergencePatience)
-	q := dispatch.NewQueue(n, 1, sel.Consume)
+	consume := sel.Consume
+	var gb *gridBound
+	if opts.bound != nil {
+		gb = newGridBound(opts.bound, pc, opts.Routing)
+		consume = gb.consume(sel)
+	}
+	q := dispatch.NewQueue(n, 1, consume)
 	err := dispatch.RunLocal(q, opts.Parallelism,
 		func(int) *TrialRunner { return NewTrialRunnerPrepared(pc) },
 		func(t int, r *TrialRunner) (float64, error) {
@@ -115,7 +122,13 @@ func runTrialGrid(pc *PreparedCircuit, layouts []*topology.Layout, opts LayoutOp
 			if factory != nil {
 				policy = factory(t)
 			}
-			res, err := r.GridTrial(layouts, opts, t, policy)
+			var tb trialBound
+			res, err := r.gridTrial(layouts, opts, t, policy, gb.forTrial(&tb))
+			if err == errTrialCut {
+				// Its score is at least the consumed best, so the
+				// selector counts it as non-improving either way.
+				return math.Inf(1), nil
+			}
 			if err != nil {
 				return 0, err
 			}

@@ -148,7 +148,7 @@ func Route(c *circuit.Circuit, topo *topology.Topology, initial *topology.Layout
 	}
 	// The arena is transient, so handing its buffers to the caller via
 	// the Result is safe: nothing resets them afterwards.
-	return newTrialArena().route(fd, mirrors, topo, initial, opts, rng, policy)
+	return newTrialArena().route(fd, mirrors, topo, initial, opts, rng, policy, nil)
 }
 
 // RandomLayout places the circuit's logical qubits on distinct random
@@ -191,6 +191,11 @@ type LayoutOptions struct {
 	// at any Parallelism; in-flight trials past T are discarded. 0
 	// keeps the paper's fixed LayoutTrials x RoutingTrials grid.
 	ConvergencePatience int
+
+	// bound, set through WithBound, lets the grid cut trials that
+	// cannot win. It is unexported so the options' gob wire form (the
+	// distributed trial spec) does not carry it.
+	bound *Bound
 }
 
 // WithDefaults fills unset fields with the paper's configuration.
@@ -251,9 +256,13 @@ type PolicyFactory func(trial int) MirrorPolicy
 // the worker boundary; routed circuits stay in the arenas. The
 // distributed coordinator (internal/distrib) drives the same
 // queue/selector pair over TCP workers, so there is one scheduler
-// code path at any scale. See prepared.go (runTrialGrid) for the
-// implementation; callers routing one circuit repeatedly should
-// PrepareCircuit once and use FindBestRoutingPrepared.
+// code path at any scale. When opts carry a Bound on the metric
+// (WithBound), a trial stops routing as soon as its bound reaches the
+// best consumed score and reaches the selector as non-improving; the
+// returned Result is unchanged (see Bound). See prepared.go
+// (runTrialGrid) for the implementation; callers routing one circuit
+// repeatedly should PrepareCircuit once and use
+// FindBestRoutingPrepared.
 func FindBestRouting(c *circuit.Circuit, topo *topology.Topology, opts LayoutOptions,
 	metric Metric, factory PolicyFactory) (*Result, error) {
 
@@ -296,12 +305,12 @@ func refineLayouts(fd, fdRev *circuit.FlatDAG, c *circuit.Circuit, topo *topolog
 			a.rng.Seed(trialSeed(opts.Seed, seedStreamLayout, lt))
 			layout := RandomLayout(c.NumQubits, topo, a.rng)
 			for pass := 0; pass < opts.FwdBwdPasses; pass++ {
-				fwd, err := a.route(fd, nil, topo, layout, opts.Routing, a.rng, nil)
+				fwd, err := a.route(fd, nil, topo, layout, opts.Routing, a.rng, nil, nil)
 				if err != nil {
 					return err
 				}
 				projectLayoutInto(&a.h1, fwd.FinalLayout, c.NumQubits)
-				bwd, err := a.route(fdRev, nil, topo, &a.h1, opts.Routing, a.rng, nil)
+				bwd, err := a.route(fdRev, nil, topo, &a.h1, opts.Routing, a.rng, nil, nil)
 				if err != nil {
 					return err
 				}

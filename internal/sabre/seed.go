@@ -8,10 +8,20 @@ package sabre
 // offset — layout trial 501 reuses routing trial (1, 0)'s stream.
 // splitmix64 (Steele, Lea, Flood — OOPSLA 2014) is a bijective mixer
 // with full 64-bit avalanche, so distinct (seed, kind, index) triples
-// map to distinct streams for every reachable trial count.
+// get distinct 64-bit seeds.
+//
+// Distinct seeds are not distinct streams, though. The trial generator
+// reproduces math/rand's source, which reduces every seed mod 2³¹−1
+// (mapping a zero residue to a fixed substitute), so the 64-bit seeds
+// fold into about 2³¹ streams, and two triples share a stream whenever
+// their seeds agree mod 2³¹−1. In a 20×20 grid plus its 20 layout
+// trials the chance that any two share one is about 4·10⁻⁵; two trials
+// that do just draw the same tie breaks, and results stay
+// deterministic. The derivation is kept as is because changing it
+// would change every routed circuit.
 
-// Trial-kind tags; any two derivations with different tags draw from
-// disjoint stream families.
+// Trial-kind tags; derivations with different tags give unrelated
+// seeds (subject to the fold above).
 const (
 	seedStreamLayout  uint64 = 0x1c69b3f74ac4ed4d
 	seedStreamRouting uint64 = 0x9e485565e6a3cd65
@@ -30,9 +40,9 @@ func splitmix64(x uint64) uint64 {
 }
 
 // trialSeed derives the RNG seed for trial `index` of the given kind
-// under base seed `seed`. math/rand sources treat seeds 0 and
-// equivalent low-entropy values fine, but we keep the result nonzero
-// anyway so rand.NewSource never sees its degenerate input.
+// under base seed `seed`. A zero mix is replaced by the stream tag;
+// that keeps the output nonzero but, like any other value, it is still
+// reduced mod 2³¹−1 by the generator (see above).
 func trialSeed(seed int64, stream uint64, index int) int64 {
 	h := splitmix64(splitmix64(uint64(seed)^stream) + uint64(index))
 	if h == 0 {

@@ -235,9 +235,11 @@ func transpilePrepared(pc *PreparedCircuit, opts Options, start time.Time) (*Rep
 	if opts.DepthSelection || opts.Router == MIRAGE {
 		costs = mirage.NewCostTable(opts.Basis, pc.Blocks)
 	}
-	metric := sabre.SwapCountMetric
+	// Each metric comes with the lower bound on its score that lets the
+	// trial grid cut trials which cannot win; results are unchanged.
+	metric, bound := sabre.SwapCountMetric, sabre.SwapCountBound()
 	if opts.DepthSelection {
-		metric = mirage.DepthMetric(costs)
+		metric, bound = mirage.DepthMetric(costs), sabre.DepthBound(costs.CostOf)
 	}
 	var factory sabre.PolicyFactory
 	if opts.Router == MIRAGE {
@@ -251,7 +253,7 @@ func transpilePrepared(pc *PreparedCircuit, opts Options, start time.Time) (*Rep
 	if opts.RouteFn != nil {
 		route = opts.RouteFn
 	}
-	res, err := route(pc.Routing, opts.Layout, metric, factory)
+	res, err := route(pc.Routing, opts.Layout.WithBound(bound), metric, factory)
 	if err != nil {
 		return nil, fmt.Errorf("transpile: %w", err)
 	}
