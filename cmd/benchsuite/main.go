@@ -22,7 +22,6 @@ import (
 	"repro/internal/mirage"
 	"repro/internal/mirrorbench"
 	"repro/internal/polytope"
-	"repro/internal/pool"
 	"repro/internal/sabre"
 	"repro/internal/topology"
 	"repro/internal/transpile"
@@ -31,15 +30,14 @@ import (
 // runConfig carries the scheduler/engine knobs through every
 // experiment.
 type runConfig struct {
-	layout       sabre.LayoutOptions
-	patience     int
-	scoreWorkers int
-	kernels      bool // run the numeric-kernel -benchmem lane
+	layout   sabre.LayoutOptions
+	patience int
+	kernels  bool // run the numeric-kernel -benchmem lane
 	// mirrorVerify enables the semantic survival check on mirror-family
 	// suite rows inside runFig12 (runMirror always verifies).
 	mirrorVerify bool
 	mirrorTol    float64
-	// cluster, when non-nil, fans every routing-trial grid out to
+	// cluster, when non-nil, fans every trial grid's layout rows out to
 	// remote miraged workers (-listen/-workers). Results are
 	// bit-identical to local runs; only wall times and fleet counters
 	// move.
@@ -53,7 +51,6 @@ func (rc *runConfig) options(router transpile.Router, depth bool, fixed *mirage.
 		FixedAggression:     fixed,
 		Layout:              rc.layout,
 		ConvergencePatience: rc.patience,
-		ScoreWorkers:        rc.scoreWorkers,
 		SkipTrivialLayout:   true, // the suite circuits all need routing
 	}
 	if rc.cluster != nil {
@@ -84,9 +81,8 @@ func main() {
 		quick     = flag.Bool("quick", false, "reduced trial counts and circuit subset")
 		trials    = flag.Int("trials", 0, "layout/routing trials (0 = paper defaults 20/20, quick = 4/4)")
 		seed      = flag.Int64("seed", 1, "random seed")
-		parallel  = flag.Int("parallel", 0, "routing-trial workers (0 = one per CPU, 1 = serial)")
+		parallel  = flag.Int("parallel", 0, "layout-row workers (0 = one per CPU, 1 = serial)")
 		patience  = flag.Int("patience", 0, "stop scheduling trials after N consecutive non-improving trial indices (0 = fixed grid)")
-		scoreWork = flag.Int("score-workers", 0, "workers for SWAP-candidate scoring inside each trial (0/1 = serial)")
 		coverFile = flag.String("coverage-file", "", "persistent coverage-set library: loaded at startup, saved at exit (skips the empirical polytope rebuilds)")
 		jsonPath  = flag.String("json", "BENCH_routing.json", "machine-readable fig-12 results file (empty = disabled)")
 		kernels   = flag.Bool("kernels", false, "run the numeric-kernel -benchmem lane and record it in the results file")
@@ -96,7 +92,7 @@ func main() {
 		mirTol    = flag.Float64("mirror-tol", 1e-9, "survival-fidelity infidelity tolerance for mirror verification")
 		listen    = flag.String("listen", "", "coordinator address for distributed trials (e.g. 127.0.0.1:7117); workers join with `miraged worker -connect`")
 		workers   = flag.Int("workers", 0, "remote workers to wait for before starting (requires -listen)")
-		lease     = flag.Int("lease", 0, "routing trials per work-queue lease in distributed mode (0 = default)")
+		lease     = flag.Int("lease", 0, "layout rows per work-queue lease in distributed mode (0 = default)")
 		hbTimeout = flag.Duration("hb-timeout", 0, "distributed: revoke a lease after this long without a heartbeat or results (0 = 30s default, negative = disable)")
 		leaseTo   = flag.Duration("lease-timeout", 0, "distributed: revoke a lease after this long without item progress (0 = off)")
 		jobDeadl  = flag.Duration("job-deadline", 0, "distributed: fail a job outright after this long, listing outstanding leases (0 = off)")
@@ -141,7 +137,7 @@ func main() {
 
 	if err := (bench.SchedulerFlags{
 		Parallel: *parallel, Patience: *patience, Trials: *trials,
-		ScoreWorkers: *scoreWork, Workers: *workers, Lease: *lease,
+		Workers: *workers, Lease: *lease,
 	}).Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "benchsuite:", err)
 		os.Exit(2)
@@ -167,8 +163,7 @@ func main() {
 			LayoutTrials: lt, RoutingTrials: rt, FwdBwdPasses: fb, Seed: *seed,
 			Parallelism: *parallel,
 		},
-		patience:     *patience,
-		scoreWorkers: *scoreWork,
+		patience: *patience,
 	}
 	var saveCoverage func() error
 	if *coverFile != "" {
@@ -437,7 +432,7 @@ func runFig11(rc *runConfig, topo *topology.Topology, quick bool) {
 
 func runFig12(rc *runConfig, topo *topology.Topology, quick bool, jsonPath string) {
 	fmt.Printf("Fig. 12 — MIRAGE vs Qiskit-SABRE on %s (%d workers, patience %d)\n",
-		topo.Name, pool.Size(rc.layout.Parallelism), rc.patience)
+		topo.Name, dispatch.Size(rc.layout.Parallelism), rc.patience)
 	fmt.Printf("%-22s | %9s %9s | %9s %9s | %6s %6s | %8s | %11s\n",
 		"circuit", "q-depth", "m-depth", "q-gates", "m-gates", "q-swp", "m-swp", "mirror%", "trials")
 	// The paper's Fig. 12 covers its Table III rows only; the mirror
@@ -534,7 +529,7 @@ func runFig12(rc *runConfig, topo *topology.Topology, quick bool, jsonPath strin
 			RoutingTrials:       rc.layout.RoutingTrials,
 			ConvergencePatience: rc.patience,
 			Seed:                rc.layout.Seed,
-			Parallelism:         pool.Size(rc.layout.Parallelism),
+			Parallelism:         dispatch.Size(rc.layout.Parallelism),
 			GOMAXPROCS:          runtime.GOMAXPROCS(0),
 			TotalWallMS:         float64(total.Microseconds()) / 1000,
 			Fleet:               rc.fleetStats(),
@@ -609,7 +604,7 @@ func runMirror(rc *runConfig, topo *topology.Topology, quick bool, jsonPath stri
 			RoutingTrials:       rc.layout.RoutingTrials,
 			ConvergencePatience: rc.patience,
 			Seed:                rc.layout.Seed,
-			Parallelism:         pool.Size(rc.layout.Parallelism),
+			Parallelism:         dispatch.Size(rc.layout.Parallelism),
 			GOMAXPROCS:          runtime.GOMAXPROCS(0),
 			TotalWallMS:         float64(total.Microseconds()) / 1000,
 			Fleet:               rc.fleetStats(),

@@ -7,10 +7,11 @@
 //	miraged coordinator -listen ADDR -workers N [-quick] [-json BENCH_routing.json]
 //
 // Workers are stateless between jobs: each job ships its own circuit
-// batch or trial grid (with the shared FlatDAG prepared once per
-// worker per job), leases work-index ranges from the coordinator's
-// queue, and can die at any point — unfinished leases are re-granted
-// and, trials being deterministic in their index, the outcome is
+// batch or trial grid (with the forward FlatDAG, prepared once per
+// worker per job), leases work-index ranges — circuits, or the layout
+// rows of a grid — from the coordinator's queue, and can die at any
+// point — unfinished leases are re-granted and, work items being
+// deterministic in their index, the outcome is
 // bit-identical to a single-process run. cmd/benchsuite exposes the
 // same coordinator role via its -listen/-workers flags, so a serial
 // `benchsuite -fig 12` and a `benchsuite -listen ... -fig 12` with
@@ -55,7 +56,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/dispatch"
 	"repro/internal/distrib"
-	"repro/internal/pool"
 	"repro/internal/sabre"
 	"repro/internal/topology"
 	"repro/internal/transpile"
@@ -359,7 +359,7 @@ func runCoordinator(args []string) error {
 			RoutingTrials:       rt,
 			ConvergencePatience: *patience,
 			Seed:                *seed,
-			Parallelism:         pool.Size(0),
+			Parallelism:         dispatch.Size(0),
 			GOMAXPROCS:          runtime.GOMAXPROCS(0),
 			TotalWallMS:         float64(total.Microseconds()) / 1000,
 			Fleet:               &fleet,

@@ -12,7 +12,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/circuit"
-	"repro/internal/pool"
+	"repro/internal/dispatch"
 	"repro/internal/sabre"
 	"repro/internal/topology"
 	"repro/internal/transpile"
@@ -23,7 +23,7 @@ func main() {
 		sizes    = flag.String("sizes", "16,24,32,48,64", "comma-separated QFT sizes")
 		trials   = flag.Int("trials", 2, "layout/routing trials (small: this is a runtime study)")
 		seed     = flag.Int64("seed", 1, "random seed")
-		parallel = flag.Int("parallel", 0, "routing-trial workers (0 = one per CPU, 1 = serial)")
+		parallel = flag.Int("parallel", 0, "layout-row workers (0 = one per CPU, 1 = serial)")
 		patience = flag.Int("patience", 0, "adaptive early-stop: consecutive non-improving trial indices before the scheduler stops (0 = fixed grid)")
 	)
 	flag.Parse()
@@ -59,7 +59,7 @@ func main() {
 	}
 
 	fmt.Printf("Fig. 13b — QFT transpilation runtime (wall clock, %d workers, patience %d)\n",
-		pool.Size(layout.Parallelism), *patience)
+		dispatch.Size(layout.Parallelism), *patience)
 	fmt.Printf("%-10s %8s %12s %12s %14s %12s\n", "circuit", "qubits", "sabre", "mirage", "cache hit rate", "trials")
 	for _, n := range ns {
 		c := bench.QFT(n)

@@ -10,20 +10,19 @@ import "fmt"
 // silently disabled adaptivity, a negative -parallel silently meant
 // "one worker per CPU").
 type SchedulerFlags struct {
-	Parallel     int // routing-trial workers; 0 = one per CPU
-	Patience     int // adaptive early-stop; 0 = fixed grid
-	Trials       int // layout/routing trials; 0 = command default
-	ScoreWorkers int // SWAP-candidate scoring shards; 0 = serial
+	Parallel int // layout-row workers; 0 = one per CPU
+	Patience int // adaptive early-stop; 0 = fixed grid
+	Trials   int // layout/routing trials; 0 = command default
 	// Distributed knobs (commands without them leave the zero values).
 	Workers int // remote workers to wait for; 0 = run locally
-	Lease   int // trial indices per lease; 0 = default
+	Lease   int // layout rows per lease; 0 = default
 }
 
 // Validate rejects values outside each flag's documented domain. Zero
 // stays valid everywhere: it is the documented "use the default"
 // sentinel of every knob (0 workers per CPU for -parallel, fixed grid
-// for -patience, paper counts for -trials, serial scoring for
-// -score-workers, local execution for -workers), so only negatives —
+// for -patience, paper counts for -trials, local execution for
+// -workers), so only negatives —
 // which today would be silently reinterpreted — are errors, plus a
 // zero/negative -lease when leasing is explicit.
 func (f SchedulerFlags) Validate() error {
@@ -35,9 +34,6 @@ func (f SchedulerFlags) Validate() error {
 	}
 	if f.Trials < 0 {
 		return fmt.Errorf("-trials must be >= 0 (0 = default trial counts), got %d", f.Trials)
-	}
-	if f.ScoreWorkers < 0 {
-		return fmt.Errorf("-score-workers must be >= 0 (0 = serial scoring), got %d", f.ScoreWorkers)
 	}
 	if f.Workers < 0 {
 		return fmt.Errorf("-workers must be >= 0 (0 = run locally), got %d", f.Workers)

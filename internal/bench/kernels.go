@@ -258,10 +258,10 @@ func RunKernelBenchmarks() ([]KernelRow, error) {
 			return nil
 		}},
 		// The @queue suffix marks the dispatch-queue scheduler era: the
-		// row was renamed when FindBestRouting moved from pool.Stream to
-		// the work-queue subsystem, so the first post-merge benchdiff
-		// sees a new row (warned, not gated) instead of comparing
-		// scheduler generations against each other.
+		// row was renamed when FindBestRouting moved onto the work-queue
+		// subsystem, so benchdiff never compares scheduler generations
+		// against each other. The row keeps its name now that one queue
+		// item is one layout row (refine, then route its trials).
 		{"sabre/FindBestRouting@queue", func(b *testing.B) error {
 			topo, c, _ := routingFixture()
 			b.ReportAllocs()

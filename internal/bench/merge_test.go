@@ -205,7 +205,7 @@ func TestAlignRows(t *testing.T) {
 func TestSchedulerFlagsValidate(t *testing.T) {
 	ok := []SchedulerFlags{
 		{},
-		{Parallel: 8, Patience: 120, Trials: 20, ScoreWorkers: 4, Workers: 2, Lease: 8},
+		{Parallel: 8, Patience: 120, Trials: 20, Workers: 2, Lease: 8},
 	}
 	for _, f := range ok {
 		if err := f.Validate(); err != nil {
@@ -216,7 +216,6 @@ func TestSchedulerFlagsValidate(t *testing.T) {
 		{Parallel: -1},
 		{Patience: -5},
 		{Trials: -2},
-		{ScoreWorkers: -1},
 		{Workers: -3},
 		{Lease: -1},
 	}

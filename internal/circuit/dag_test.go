@@ -1,9 +1,9 @@
 package circuit
 
-// DAG is the wire-dependency graph of a circuit: op j depends on op i
-// (i < j) when they share a qubit and no op between them uses it. This
-// is the structure SABRE and MIRAGE traverse (front layer, execute
-// layer, lookahead window).
+// DAG is the readable reference form of the wire-dependency graph that
+// FlatDAG packs into CSR arrays: per-op predecessor and successor
+// slices, with Traversal walking it by rescanning a ready slice. The
+// tests pin FlatDAG and FlatTraversal to it.
 type DAG struct {
 	Circ  *Circuit
 	Preds [][]int

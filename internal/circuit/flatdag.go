@@ -3,19 +3,19 @@ package circuit
 import "fmt"
 
 // FlatDAG is the CSR (compressed sparse row) form of the wire
-// dependency graph: predecessor/successor adjacency packed into offset
-// + edge arrays with no per-node slices, maps or pointers. It exists
-// for the routing trial hot path — built once per FindBestRouting call
-// and shared read-only by every trial worker, it replaces the per-trial
-// BuildDAG rebuild (O(ops) allocations each) with an immutable
-// structure a FlatTraversal walks using caller-owned buffers.
+// dependency graph: op j depends on op i (i < j) when they share a
+// qubit and no op between them uses it, the structure SABRE and MIRAGE
+// traverse (front layer, execute layer, lookahead window). Predecessor
+// and successor adjacency are packed into offset + edge arrays with no
+// per-node slices, maps or pointers: built once per circuit and shared
+// read-only by every trial worker, it is an immutable structure a
+// FlatTraversal walks using caller-owned buffers.
 //
-// The edge multiset — including the duplicate edge a 2Q op shares with
-// a predecessor touching both of its qubits — is identical to DAG's,
-// and FlatTraversal reproduces Traversal's ready-set ordering exactly,
-// so routers built on either see the same execution schedule. The DAG
-// type remains the readable reference; the property tests in
-// flatdag_test.go pin FlatDAG to it.
+// The edge multiset includes the duplicate edge a 2Q op shares with a
+// predecessor touching both of its qubits. The property tests in
+// flatdag_test.go pin FlatDAG and FlatTraversal — edges, ready-set
+// order, lookahead order — to a slice-based reference DAG kept in
+// dag_test.go.
 //
 // Ownership rules: a FlatDAG is immutable after BuildFlatDAG returns
 // and safe to share across goroutines without synchronisation; all
@@ -200,8 +200,8 @@ func (d *FlatDAG) PredsOf(i int) []int32 { return d.Preds[d.PredOff[i]:d.PredOff
 // edge array; do not mutate).
 func (d *FlatDAG) SuccsOf(i int) []int32 { return d.Succs[d.SuccOff[i]:d.SuccOff[i+1]] }
 
-// FlatTraversal tracks incremental execution of a FlatDAG. Unlike
-// Traversal it owns growable scratch buffers that survive Reset, so a
+// FlatTraversal tracks incremental execution of a FlatDAG. Unlike the
+// reference Traversal it owns growable scratch buffers that survive Reset, so a
 // trial arena can replay the same (or an equally sized) DAG over and
 // over with zero steady-state allocations. All methods are
 // single-goroutine; the underlying FlatDAG is shared read-only.

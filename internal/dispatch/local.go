@@ -2,13 +2,21 @@ package dispatch
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
-
-	"repro/internal/pool"
 )
 
+// Size normalises a parallelism knob: values <= 0 mean "one worker per
+// available CPU" (GOMAXPROCS), anything else is taken literally.
+func Size(parallelism int) int {
+	if parallelism <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return parallelism
+}
+
 // RunLocal drives q with in-process workers: the transport that
-// schedules FindBestRouting's trial grid and TranspileBatch's
+// schedules FindBestRouting's layout rows and TranspileBatch's
 // circuits. Semantics:
 //
 //   - scratch(w) runs once inside worker goroutine w and its value is
@@ -29,7 +37,7 @@ import (
 // Unlike the TCP transport there is no lease failure here: a local
 // worker either completes its lease or the whole call unwinds.
 func RunLocal[S, T any](q *Queue[T], parallelism int, scratch func(w int) S, run func(i int, s S) (T, error)) error {
-	workers := pool.Size(parallelism)
+	workers := Size(parallelism)
 	if workers > q.Max() {
 		workers = q.Max()
 	}

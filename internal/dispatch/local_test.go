@@ -4,11 +4,24 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+func TestSize(t *testing.T) {
+	if got := Size(0); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("Size(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
+	}
+	if got := Size(-3); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("Size(-3) = %d, want GOMAXPROCS", got)
+	}
+	if got := Size(7); got != 7 {
+		t.Fatalf("Size(7) = %d", got)
+	}
+}
 
 // serialRun is the specification RunLocal must match: run / consume in
 // lockstep, stop on consume==true or on error.

@@ -441,7 +441,8 @@ func (q *Queue[T]) Finished() bool {
 }
 
 // Consumed returns how many indices the consumer has seen — the
-// deterministic executed-work count (TrialsExecuted for trial grids).
+// deterministic executed-work count (layout rows for a trial grid,
+// whose TrialsExecuted its selector counts).
 func (q *Queue[T]) Consumed() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -34,17 +34,16 @@ package dispatch
 //	worker -> coordinator   wireMsg{Kind: msgEpilogue, Blob}    answers wireLease{Done: true}
 //
 // Specs, result blobs and epilogues are opaque byte slices: the job
-// kinds (internal/distrib) define their contents. Scores ride in a
-// dedicated field so the trial hot path never round-trips a float
-// through a nested encoder.
+// kinds (internal/distrib) define their contents, so the transport
+// never interprets a result — a trial row and a transpiled circuit
+// travel the same way.
 
 // WireItem is one completed work item on the wire. Index is the work
-// index; exactly one of Score/Blob carries the payload depending on
-// the job kind; Err, when non-empty, reports the item's failure (it is
-// consumed in deterministic index order like any local error).
+// index; Blob carries the payload in the job kind's encoding; Err,
+// when non-empty, reports the item's failure (it is consumed in
+// deterministic index order like any local error).
 type WireItem struct {
 	Index int
-	Score float64
 	Blob  []byte
 	Err   string
 }

@@ -23,7 +23,7 @@ type batchSpec struct {
 
 // wireBatchOptions is the wire-expressible subset of
 // transpile.Options. Policy covers router/metric/basis; the scheduler
-// knobs ride verbatim (Parallelism bounds each worker's local trial
+// knobs ride verbatim (Parallelism bounds each worker's local row
 // fan-out — results are parallelism-invariant, so this only shapes
 // worker load).
 type wireBatchOptions struct {
@@ -32,7 +32,6 @@ type wireBatchOptions struct {
 	SkipTrivialLayout   bool
 	Parallelism         int
 	ConvergencePatience int
-	ScoreWorkers        int
 }
 
 // wireReport is transpile.Report on the wire.
@@ -145,7 +144,6 @@ func batchHandler(raw, _ []byte) (dispatch.JobRunner, error) {
 		SkipTrivialLayout:   spec.Opts.SkipTrivialLayout,
 		Parallelism:         spec.Opts.Parallelism,
 		ConvergencePatience: spec.Opts.ConvergencePatience,
-		ScoreWorkers:        spec.Opts.ScoreWorkers,
 	}
 	if spec.Opts.Policy.Mirage {
 		opts.Router = transpile.MIRAGE
@@ -204,7 +202,6 @@ func (cl *Cluster) TranspileBatch(circuits []*circuit.Circuit, topo *topology.To
 			SkipTrivialLayout:   opts.SkipTrivialLayout,
 			Parallelism:         opts.Parallelism,
 			ConvergencePatience: opts.ConvergencePatience,
-			ScoreWorkers:        opts.ScoreWorkers,
 		},
 	})
 	if err != nil {

@@ -1,11 +1,13 @@
 package distrib
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/circuit"
 	"repro/internal/gates"
 	"repro/internal/linalg"
+	"repro/internal/sabre"
 	"repro/internal/topology"
 	"repro/internal/weyl"
 )
@@ -154,25 +156,60 @@ func topologyFromWire(w wireTopology) (t *topology.Topology, err error) {
 	return t, nil
 }
 
-func layoutsToWire(layouts []*topology.Layout) [][]int {
-	out := make([][]int, len(layouts))
-	for i, l := range layouts {
-		out[i] = l.L2P
-	}
-	return out
+// wireRow is a sabre.Row on the wire: the refined layout's L2P map,
+// the row's scores and the error that ended it, if any.
+type wireRow struct {
+	L2P    []int
+	Scores []float64
+	Err    string
 }
 
-func layoutsFromWire(w [][]int, numPhysical int) ([]*topology.Layout, error) {
-	out := make([]*topology.Layout, len(w))
-	for i, l2p := range w {
-		for _, p := range l2p {
-			if p < 0 || p >= numPhysical {
-				return nil, fmt.Errorf("distrib: layout %d maps onto physical qubit %d of %d", i, p, numPhysical)
-			}
-		}
-		out[i] = topology.NewLayout(l2p, numPhysical)
+func rowToWire(row sabre.Row) ([]byte, error) {
+	w := wireRow{L2P: row.Layout.L2P, Scores: row.Scores}
+	if row.Err != nil {
+		w.Err = row.Err.Error()
 	}
-	return out, nil
+	return encodeSpec(&w)
+}
+
+// rowFromWire decodes row lt of a grid over pc and checks it before
+// the coordinator uses it: the layout places each of the circuit's
+// logical qubits on a distinct physical qubit of the topology, and the
+// row holds exactly routingTrials scores — fewer only when it ended in
+// an error.
+func rowFromWire(b []byte, lt int, pc *sabre.PreparedCircuit, routingTrials int) (sabre.Row, error) {
+	var w wireRow
+	if err := decodeSpec(b, &w); err != nil {
+		return sabre.Row{}, fmt.Errorf("distrib: row %d: undecodable: %w", lt, err)
+	}
+	if err := checkRow(w, pc.Circ.NumQubits, pc.Topo.NumQubits, routingTrials); err != nil {
+		return sabre.Row{}, fmt.Errorf("distrib: row %d: %w", lt, err)
+	}
+	row := sabre.Row{Layout: topology.NewLayout(w.L2P, pc.Topo.NumQubits), Scores: w.Scores}
+	if w.Err != "" {
+		row.Err = errors.New(w.Err)
+	}
+	return row, nil
+}
+
+func checkRow(w wireRow, numLogical, numPhysical, routingTrials int) error {
+	if len(w.L2P) != numLogical {
+		return fmt.Errorf("layout places %d qubits, the circuit has %d", len(w.L2P), numLogical)
+	}
+	used := make([]bool, numPhysical)
+	for l, p := range w.L2P {
+		if p < 0 || p >= numPhysical {
+			return fmt.Errorf("layout maps qubit %d onto physical qubit %d of %d", l, p, numPhysical)
+		}
+		if used[p] {
+			return fmt.Errorf("layout maps two qubits onto physical qubit %d", p)
+		}
+		used[p] = true
+	}
+	if n := len(w.Scores); n > routingTrials || (n == routingTrials) != (w.Err == "") {
+		return fmt.Errorf("%d scores for %d routing trials", n, routingTrials)
+	}
+	return nil
 }
 
 func layoutToWire(l *topology.Layout) []int {

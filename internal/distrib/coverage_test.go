@@ -189,15 +189,10 @@ func trialSpecFor(t *testing.T, policy PolicySpec) []byte {
 		t.Fatal(err)
 	}
 	opts := sabre.LayoutOptions{LayoutTrials: 2, RoutingTrials: 2, FwdBwdPasses: 1, Seed: 3}.WithDefaults()
-	layouts, err := sabre.RefineLayoutsPrepared(pc, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	raw, err := encodeSpec(trialSpec{
 		Circuit: circuitToWire(pc.Circ),
 		Topo:    topologyToWire(pc.Topo),
 		DAG:     flatDAGToWire(pc.FD),
-		Layouts: layoutsToWire(layouts),
 		Opts:    opts,
 		Policy:  policy,
 	})

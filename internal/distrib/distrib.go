@@ -6,14 +6,15 @@
 // Two job kinds exist, both built on the determinism contract of
 // internal/dispatch (index-ordered consumption, idempotent re-lease):
 //
-//   - KindTrials distributes the trial grid of one sabre
-//     FindBestRouting call. The job spec carries the consolidated
-//     circuit, the topology, the refined initial layouts (computed
-//     once by the coordinator with sabre.RefineLayouts) and a
-//     PolicySpec naming the metric/mirror-policy construction; each
-//     worker prepares a sabre.TrialRunner — shared immutable FlatDAG,
-//     one reusable arena — and leases trial-index ranges, returning
-//     (index, score) pairs. The coordinator's sabre.TrialSelector
+//   - KindTrials distributes the layout rows of one sabre
+//     FindBestRouting grid. The job spec carries the consolidated
+//     circuit, its forward flat DAG, the topology, the layout options
+//     and a PolicySpec naming the metric/mirror-policy construction;
+//     each worker prepares the circuit (sabre.PrepareFromDAG) and one
+//     sabre.TrialRunner, and leases row-index ranges. For each row it
+//     refines the row's layout and routes every trial of the row,
+//     returning the layout and the scores in trial order. The
+//     coordinator checks each row and hands it to a sabre.Grid, which
 //     picks the winner exactly as the local scheduler would and
 //     replays that single trial locally, so the routed Result — and
 //     TrialsExecuted at any patience setting — is bit-identical to a
@@ -55,9 +56,9 @@ const (
 // sized to each job kind's item cost.
 type Cluster struct {
 	Hub *dispatch.Hub
-	// TrialLease is the number of routing trials per lease (default 4:
-	// trials are milliseconds, so small leases keep the adaptive stop
-	// rule responsive without drowning in round-trips).
+	// TrialLease is the number of layout rows per lease (default 1: a
+	// row refines a layout and routes RoutingTrials trials, enough work
+	// to amortise its round-trip).
 	TrialLease int
 	// CircuitLease is the number of batch circuits per lease (default
 	// 1: circuits are seconds, one per lease balances best).
@@ -71,7 +72,7 @@ func (cl *Cluster) trialLease() int {
 	if cl.TrialLease > 0 {
 		return cl.TrialLease
 	}
-	return 4
+	return 1
 }
 
 func (cl *Cluster) circuitLease() int {

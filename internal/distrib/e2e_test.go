@@ -361,8 +361,9 @@ func TestDistributedWorkerDeathBitIdentical(t *testing.T) {
 	spec, metric, factory := testPolicy(t, transpile.Options{Router: transpile.MIRAGE, DepthSelection: true, SkipTrivialLayout: true}, blocks)
 
 	for _, patience := range []int{0, 4} {
+		// Six one-row leases, so the flaky worker lives to its second.
 		opts := sabre.LayoutOptions{
-			LayoutTrials: 3, RoutingTrials: 4, FwdBwdPasses: 1, Seed: 29,
+			LayoutTrials: 6, RoutingTrials: 2, FwdBwdPasses: 1, Seed: 29,
 			ConvergencePatience: patience,
 		}
 		want, err := sabre.FindBestRouting(blocks, topo, opts, metric, factory)
@@ -371,7 +372,7 @@ func TestDistributedWorkerDeathBitIdentical(t *testing.T) {
 		}
 		// One healthy worker + one that dies on its second lease.
 		cl := startCluster(t, 1, 1, 2)
-		cl.TrialLease = 2
+		cl.TrialLease = 1
 		got, err := cl.FindBestRouting(pc, opts, spec, metric, factory)
 		if err != nil {
 			t.Fatal(err)

@@ -40,15 +40,10 @@ func TestSpecEncodingDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := sabre.LayoutOptions{LayoutTrials: 3, RoutingTrials: 4, FwdBwdPasses: 1, Seed: 17}.WithDefaults()
-		layouts, err := sabre.RefineLayoutsPrepared(pc, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
 		raw, err := encodeSpec(trialSpec{
 			Circuit: circuitToWire(pc.Circ),
 			Topo:    topologyToWire(pc.Topo),
 			DAG:     flatDAGToWire(pc.FD),
-			Layouts: layoutsToWire(layouts),
 			Opts:    opts.WithBound(bound),
 			Policy:  policy(),
 		})

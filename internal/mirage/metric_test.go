@@ -96,17 +96,14 @@ func TestDepthMetricMatchesConsolidateOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				layouts, err := sabre.RefineLayoutsPrepared(pc, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
 				runner := sabre.NewTrialRunnerPrepared(pc)
+				layouts := refineAll(t, runner, opts)
 				costs := NewCostTable(cov, in)
 				metric := DepthMetric(costs)
 				for level := AggressionNever; level <= AggressionAlways; level++ {
 					policy := NewPolicy(costs, level)
 					for tr := 0; tr < opts.LayoutTrials*opts.RoutingTrials; tr++ {
-						res, err := runner.GridTrial(layouts, opts, tr, policy)
+						res, err := runner.GridTrial(layouts[tr/opts.RoutingTrials], opts, tr, policy)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -240,17 +237,17 @@ func TestGridTrialDepthMetricAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		layouts, err := sabre.RefineLayoutsPrepared(pc, opts)
+		runner := sabre.NewTrialRunnerPrepared(pc)
+		layout, err := runner.RefineLayout(opts, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		runner := sabre.NewTrialRunnerPrepared(pc)
 		costs := NewCostTable(cov, pc.Circ)
 		policy := NewPolicy(costs, AggressionEqual)
 		metric := DepthMetric(costs)
 		mirrors := 0
 		trial := func() {
-			res, err := runner.GridTrial(layouts, opts, 1, policy)
+			res, err := runner.GridTrial(layout, opts, 1, policy)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -304,4 +301,17 @@ func TestDepthMetricSharedAcrossWorkers(t *testing.T) {
 				want.SwapsInserted, want.MirrorsUsed, metric(want))
 		}
 	}
+}
+
+// refineAll returns the refined layout of every layout trial of opts.
+func refineAll(t *testing.T, runner *sabre.TrialRunner, opts sabre.LayoutOptions) []*topology.Layout {
+	t.Helper()
+	layouts := make([]*topology.Layout, opts.LayoutTrials)
+	for lt := range layouts {
+		var err error
+		if layouts[lt], err = runner.RefineLayout(opts, lt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return layouts
 }

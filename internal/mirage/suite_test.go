@@ -89,11 +89,13 @@ func TestCostTableHoldsEveryHotPathPrice(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			layouts, err := sabre.RefineLayoutsPrepared(pc, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
 			runner := sabre.NewTrialRunnerPrepared(pc)
+			layouts := make([]*topology.Layout, opts.LayoutTrials)
+			for lt := range layouts {
+				if layouts[lt], err = runner.RefineLayout(opts, lt); err != nil {
+					t.Fatal(err)
+				}
+			}
 			costs := mirage.NewCostTable(cov, blocks)
 			direct := mirage.NewCostTable(cov, nil)
 			tableMetric, directMetric := mirage.DepthMetric(costs), mirage.DepthMetric(direct)
@@ -105,7 +107,7 @@ func TestCostTableHoldsEveryHotPathPrice(t *testing.T) {
 				check := &verdictCheck{t: t, name: name, costs: costs,
 					table: mirage.NewPolicy(costs, level), direct: mirage.NewPolicy(direct, level)}
 				for tr := 0; tr < opts.LayoutTrials*opts.RoutingTrials; tr++ {
-					res, err := runner.GridTrial(layouts, opts, tr, check)
+					res, err := runner.GridTrial(layouts[tr/opts.RoutingTrials], opts, tr, check)
 					if err != nil {
 						t.Fatal(err)
 					}

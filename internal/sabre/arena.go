@@ -24,7 +24,7 @@ var routerSwapGate = gates.SWAP()
 // score bound feeds, and a pre-bound MirrorContext whose cost closures
 // are allocated once per arena instead of once per decision.
 //
-// Ownership rules (the seam the distributed trial queue will build on):
+// Ownership rules (the seam a layout row and a distributed worker run on):
 // the circuit.FlatDAG and Topology a trial reads are immutable and
 // shared across any number of arenas; the arena itself is single-
 // goroutine and everything a route call returns — the Result, its
@@ -235,7 +235,7 @@ func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topo
 		if len(candidates) == 0 {
 			return nil, fmt.Errorf("sabre: stalled with no swap candidates (disconnected topology?)")
 		}
-		scores := st.scoreCandidates(candidates, opts.ScoreWorkers)
+		scores := st.scoreCandidates(candidates)
 		bestScore := 0.0
 		bestIdx := -1
 		for i := range candidates {
@@ -322,51 +322,28 @@ func projectLayoutInto(dst, src *topology.Layout, numLogical int) {
 }
 
 // TrialRunner is the public face of the trial arena: an immutable
-// prepared (circuit DAG, topology) pair plus one reusable arena. It is
-// the unit a distributed trial scheduler hands to a worker — immutable
-// inputs shared by everyone, one rented arena per worker, trials
-// identified by nothing more than (initial layout, options, seed,
-// policy).
+// PreparedCircuit plus one reusable arena. It is the unit a trial
+// scheduler hands to a worker — immutable inputs shared by everyone,
+// one arena per worker, a layout row identified by nothing more than
+// (options, row index, metric, policy factory).
 //
 // A TrialRunner is single-goroutine; create one runner per worker. The
-// Result returned by Run (and everything it references: the routed
-// circuit, both layouts) aliases the runner's arena and is valid only
-// until the next Run call.
+// Result returned by Run and GridTrial (and everything it references:
+// the routed circuit, both layouts) aliases the runner's arena and is
+// valid only until the next call on the runner.
 type TrialRunner struct {
-	fd      *circuit.FlatDAG
-	mirrors *mirrorTable
-	topo    *topology.Topology
-	arena   *trialArena
+	pc    *PreparedCircuit
+	arena *trialArena
 }
 
 // NewTrialRunner validates and prepares c for repeated routing trials
-// on topo, building the shared flat DAG once.
+// on topo (see PrepareCircuit).
 func NewTrialRunner(c *circuit.Circuit, topo *topology.Topology) (*TrialRunner, error) {
-	if err := validateRoutable(c, topo); err != nil {
+	pc, err := PrepareCircuit(c, topo)
+	if err != nil {
 		return nil, err
 	}
-	return newTrialRunnerForDAG(circuit.BuildFlatDAG(c), newMirrorTable(c), topo), nil
-}
-
-// newTrialRunnerForDAG shares an already-built FlatDAG and mirror
-// table (the FindBestRouting fan-out path, where every worker reads
-// one prepared circuit).
-func newTrialRunnerForDAG(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topology.Topology) *TrialRunner {
-	return &TrialRunner{fd: fd, mirrors: mirrors, topo: topo, arena: newTrialArena()}
-}
-
-// NewTrialRunnerFromDAG builds a runner over a FlatDAG that arrived
-// from elsewhere — the distributed worker path, where the coordinator
-// ships the DAG inside the job spec (reconstructed by
-// circuit.FlatDAGFromParts) so the worker skips the per-circuit
-// analysis. The DAG's circuit is still validated against topo; the
-// DAG structure itself is trusted, having passed FlatDAGFromParts'
-// consistency checks.
-func NewTrialRunnerFromDAG(fd *circuit.FlatDAG, topo *topology.Topology) (*TrialRunner, error) {
-	if err := validateRoutable(fd.Circ, topo); err != nil {
-		return nil, err
-	}
-	return newTrialRunnerForDAG(fd, newMirrorTable(fd.Circ), topo), nil
+	return NewTrialRunnerPrepared(pc), nil
 }
 
 // Run executes one routing trial from the given initial layout with a
@@ -379,32 +356,58 @@ func (r *TrialRunner) Run(initial *topology.Layout, opts Options, seed int64, po
 
 func (r *TrialRunner) run(initial *topology.Layout, opts Options, seed int64, policy MirrorPolicy, bound *trialBound) (*Result, error) {
 	r.arena.rng.Seed(seed)
-	return r.arena.route(r.fd, r.mirrors, r.topo, initial, opts, r.arena.rng, policy, bound)
+	return r.arena.route(r.pc.FD, &r.pc.mirrors, r.pc.Topo, initial, opts, r.arena.rng, policy, bound)
+}
+
+// RefineLayout returns layout trial lt's initial layout: a random
+// layout drawn from the generator seeded from (opts.Seed, lt), refined
+// by FwdBwdPasses rounds that route the circuit forward and then the
+// reversed circuit from the final layout, whose final layout becomes
+// the new initial layout. The returned layout is the caller's.
+func (r *TrialRunner) RefineLayout(opts LayoutOptions, lt int) (*topology.Layout, error) {
+	opts = opts.WithDefaults()
+	if lt < 0 || lt >= opts.LayoutTrials {
+		return nil, fmt.Errorf("sabre: layout trial %d outside [0, %d)", lt, opts.LayoutTrials)
+	}
+	a, pc := r.arena, r.pc
+	n := pc.Circ.NumQubits
+	a.rng.Seed(trialSeed(opts.Seed, seedStreamLayout, lt))
+	layout := RandomLayout(n, pc.Topo, a.rng)
+	for pass := 0; pass < opts.FwdBwdPasses; pass++ {
+		fwd, err := a.route(pc.FD, nil, pc.Topo, layout, opts.Routing, a.rng, nil, nil)
+		if err != nil {
+			return nil, err
+		}
+		projectLayoutInto(&a.h1, fwd.FinalLayout, n)
+		bwd, err := a.route(pc.FDRev, nil, pc.Topo, &a.h1, opts.Routing, a.rng, nil, nil)
+		if err != nil {
+			return nil, err
+		}
+		projectLayoutInto(&a.h2, bwd.FinalLayout, n)
+		layout = &a.h2
+	}
+	return layout.Copy(), nil
 }
 
 // GridTrial executes trial t of the FindBestRouting grid: routing from
-// layouts[t / opts.RoutingTrials] with the generator seeded from
-// (opts.Seed, t) — the single definition of a grid trial's identity,
-// shared by the local scheduler, the winner replay, and the remote
-// workers of the distributed transport. Given equal (layouts, opts, t,
-// policy) the trial is bit-identical wherever it runs, which is what
-// makes work-queue leases idempotent. The returned Result aliases the
-// runner's arena like Run's does.
-func (r *TrialRunner) GridTrial(layouts []*topology.Layout, opts LayoutOptions, t int, policy MirrorPolicy) (*Result, error) {
-	return r.gridTrial(layouts, opts, t, policy, nil)
+// layout — row t / opts.RoutingTrials's RefineLayout result — with the
+// generator seeded from (opts.Seed, t). It is the single definition of
+// a grid trial's identity, shared by the rows, the winner replay and
+// the remote workers of the distributed transport: given equal
+// (layout, opts, t, policy) the trial is bit-identical wherever it
+// runs, which is what makes work-queue leases idempotent. The returned
+// Result aliases the runner's arena like Run's does.
+func (r *TrialRunner) GridTrial(layout *topology.Layout, opts LayoutOptions, t int, policy MirrorPolicy) (*Result, error) {
+	return r.gridTrial(layout, opts.WithDefaults(), t, policy, nil)
 }
 
-// gridTrial is GridTrial under an optional score bound (see route).
-func (r *TrialRunner) gridTrial(layouts []*topology.Layout, opts LayoutOptions, t int, policy MirrorPolicy, bound *trialBound) (*Result, error) {
-	opts = opts.WithDefaults()
+// gridTrial is GridTrial under an optional score bound (see route);
+// opts must already have defaults applied.
+func (r *TrialRunner) gridTrial(layout *topology.Layout, opts LayoutOptions, t int, policy MirrorPolicy, bound *trialBound) (*Result, error) {
 	if t < 0 || t >= opts.LayoutTrials*opts.RoutingTrials {
 		return nil, fmt.Errorf("sabre: grid trial %d outside the %dx%d grid", t, opts.LayoutTrials, opts.RoutingTrials)
 	}
-	lt := t / opts.RoutingTrials
-	if lt >= len(layouts) {
-		return nil, fmt.Errorf("sabre: grid trial %d needs layout %d, have %d layouts", t, lt, len(layouts))
-	}
-	return r.run(layouts[lt], opts.Routing, trialSeed(opts.Seed, seedStreamRouting, t), policy, bound)
+	return r.run(layout, opts.Routing, trialSeed(opts.Seed, seedStreamRouting, t), policy, bound)
 }
 
 // maxSwaps is the number of SWAP insertions after which a route of an

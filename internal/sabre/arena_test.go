@@ -75,9 +75,9 @@ func TestTrialRunnerMatchesRoute(t *testing.T) {
 }
 
 // TestFindBestRoutingInvariantAcrossSchedulers sweeps Parallelism x
-// ScoreWorkers x patience x policy and requires one fingerprint per
-// (policy, patience) cell: the arena fan-out, the sharded scorer and
-// the worker count must all be invisible in the result.
+// patience x policy and requires one fingerprint per (policy,
+// patience) cell: the row fan-out and the worker count must be
+// invisible in the result.
 func TestFindBestRoutingInvariantAcrossSchedulers(t *testing.T) {
 	rng := rand.New(rand.NewSource(4096))
 	topo := topology.Grid(3, 4)
@@ -97,29 +97,25 @@ func TestFindBestRoutingInvariantAcrossSchedulers(t *testing.T) {
 			var ref []int
 			var refTrials int
 			for _, par := range []int{1, 3, 8} {
-				for _, sw := range []int{0, 2} {
-					res, err := FindBestRouting(c, topo, LayoutOptions{
-						LayoutTrials: 4, RoutingTrials: 4, FwdBwdPasses: 2, Seed: 17,
-						Parallelism:         par,
-						ConvergencePatience: patience,
-						Routing:             Options{ScoreWorkers: sw},
-					}, SwapCountMetric, factory)
-					if err != nil {
-						t.Fatal(err)
-					}
-					fp := routingFingerprint(res)
-					if ref == nil {
-						ref, refTrials = fp, res.TrialsExecuted
-						continue
-					}
-					if !sameFingerprint(ref, fp) {
-						t.Fatalf("factory %d patience %d: result differs at parallelism=%d scoreWorkers=%d",
-							fi, patience, par, sw)
-					}
-					if res.TrialsExecuted != refTrials {
-						t.Fatalf("factory %d patience %d: TrialsExecuted %d != %d at parallelism=%d",
-							fi, patience, res.TrialsExecuted, refTrials, par)
-					}
+				res, err := FindBestRouting(c, topo, LayoutOptions{
+					LayoutTrials: 4, RoutingTrials: 4, FwdBwdPasses: 2, Seed: 17,
+					Parallelism:         par,
+					ConvergencePatience: patience,
+				}, SwapCountMetric, factory)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fp := routingFingerprint(res)
+				if ref == nil {
+					ref, refTrials = fp, res.TrialsExecuted
+					continue
+				}
+				if !sameFingerprint(ref, fp) {
+					t.Fatalf("factory %d patience %d: result differs at parallelism=%d", fi, patience, par)
+				}
+				if res.TrialsExecuted != refTrials {
+					t.Fatalf("factory %d patience %d: TrialsExecuted %d != %d at parallelism=%d",
+						fi, patience, res.TrialsExecuted, refTrials, par)
 				}
 			}
 		}
@@ -148,7 +144,11 @@ func TestSharedFlatDAGManyWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := routingFingerprint(want)
-	mirrors := newMirrorTable(c)
+	// A second preparation whose mirror data nobody has built yet.
+	pc, err := PrepareFromDAG(proto.pc.FD, topo)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const workers = 8
 	var wg sync.WaitGroup
@@ -157,7 +157,7 @@ func TestSharedFlatDAGManyWorkers(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			runner := newTrialRunnerForDAG(proto.fd, mirrors, topo) // shared DAG and mirror data, private arena
+			runner := NewTrialRunnerPrepared(pc) // shared DAG and mirror data, private arena
 			for rep := 0; rep < 10; rep++ {
 				res, err := runner.Run(layout, Options{}, 99, parityMirror{})
 				if err != nil {

@@ -135,11 +135,6 @@ func BenchmarkRouteWide(b *testing.B) {
 			return Route(c, topo, layout, Options{}, rand.New(rand.NewSource(1)), nil)
 		})
 	})
-	b.Run("engine_sharded", func(b *testing.B) {
-		run(b, func() (*Result, error) {
-			return Route(c, topo, layout, Options{ScoreWorkers: 4}, rand.New(rand.NewSource(1)), nil)
-		})
-	})
 }
 
 // BenchmarkGridTrialSmall measures one grid trial of a small circuit,
@@ -154,19 +149,22 @@ func BenchmarkGridTrialSmall(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts := LayoutOptions{Seed: 1, Parallelism: 1}.WithDefaults()
-	layouts, err := RefineLayoutsPrepared(pc, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
 	runner := NewTrialRunnerPrepared(pc)
+	layouts := make([]*topology.Layout, opts.LayoutTrials)
+	for lt := range layouts {
+		if layouts[lt], err = runner.RefineLayout(opts, lt); err != nil {
+			b.Fatal(err)
+		}
+	}
 	grid := opts.LayoutTrials * opts.RoutingTrials
-	if _, err := runner.GridTrial(layouts, opts, 0, costMirror{}); err != nil {
+	if _, err := runner.GridTrial(layouts[0], opts, 0, costMirror{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runner.GridTrial(layouts, opts, i%grid, costMirror{}); err != nil {
+		t := i % grid
+		if _, err := runner.GridTrial(layouts[t/opts.RoutingTrials], opts, t, costMirror{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,7 +3,6 @@ package sabre
 import (
 	"errors"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/circuit"
 	"repro/internal/weyl"
@@ -12,11 +11,10 @@ import (
 // Bound declares a lower bound on a Metric's score that a routing
 // trial can track while it routes and that never decreases as the
 // trial emits ops. FindBestRouting uses it to stop a grid trial once
-// its bound reaches the best score among the trials the selector has
-// already consumed: those all have lower indices and ties break toward
-// the lower index, so the cut trial could not have won. Winner, score,
-// TrialsExecuted and the replayed Result are what the unpruned grid
-// returns, at any Parallelism.
+// its bound reaches a score of a lower-index trial (see Grid): ties
+// break toward the lower index, so the cut trial could not have won.
+// Winner, score, TrialsExecuted and the replayed Result are what the
+// unpruned grid returns, at any Parallelism.
 //
 // A Bound is only valid for the metric it was declared for, so it is
 // declared next to that metric (transpile does) and travels with the
@@ -64,15 +62,8 @@ func (o LayoutOptions) WithBound(b *Bound) LayoutOptions {
 // errTrialCut stops a route whose bound reached the score to beat.
 var errTrialCut = errors.New("sabre: trial cut by its score bound")
 
-// gridBound is a Bound prepared for one trial grid: the tail of every
-// op and the best score consumed so far, which workers read when a
-// trial starts.
-type gridBound struct {
-	trialBound
-	best atomic.Uint64 // float64 bits; +Inf until a trial is consumed
-}
-
-// trialBound is what one route checks against.
+// trialBound is a Bound prepared for one trial grid, plus the score
+// the route checking it must stay below.
 type trialBound struct {
 	depth bool // bound BlockDepth's depth; otherwise the SWAP count
 	cost  circuit.CoordCost
@@ -86,39 +77,12 @@ type trialBound struct {
 	beat  float64 // the score a trial must stay below
 }
 
-// newGridBound prepares b for a grid over pc routed with opts.
-func newGridBound(b *Bound, pc *PreparedCircuit, opts Options) *gridBound {
-	g := &gridBound{trialBound: trialBound{depth: b.depthCost != nil, cost: b.depthCost}}
-	g.best.Store(math.Float64bits(math.Inf(1)))
-	if g.depth {
-		g.tail, g.slack = depthTail(pc, b.depthCost, maxSwaps(opts, len(pc.Circ.Ops)))
+// newTrialBound prepares b for a grid over pc routed with opts.
+func newTrialBound(b *Bound, pc *PreparedCircuit, opts Options) *trialBound {
+	tb := &trialBound{depth: b.depthCost != nil, cost: b.depthCost}
+	if tb.depth {
+		tb.tail, tb.slack = depthTail(pc, b.depthCost, maxSwaps(opts, len(pc.Circ.Ops)))
 	}
-	return g
-}
-
-// consume is the selector's Consume, publishing the new best score.
-func (g *gridBound) consume(sel *TrialSelector) func(t int, score float64) bool {
-	return func(t int, score float64) bool {
-		stop := sel.Consume(t, score)
-		_, best := sel.Best()
-		g.best.Store(math.Float64bits(best))
-		return stop
-	}
-}
-
-// forTrial fills tb with the bound a trial starting now checks and
-// returns it, or returns nil when there is none: on a nil grid bound,
-// and until a trial was consumed.
-func (g *gridBound) forTrial(tb *trialBound) *trialBound {
-	if g == nil {
-		return nil
-	}
-	beat := math.Float64frombits(g.best.Load())
-	if math.IsInf(beat, 1) {
-		return nil
-	}
-	*tb = g.trialBound
-	tb.beat = beat
 	return tb
 }
 

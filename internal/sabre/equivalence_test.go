@@ -128,33 +128,6 @@ func TestRouteMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRouteMatchesReferenceShardedScoring repeats the equivalence
-// check with candidate scoring sharded across workers: the parallel
-// scoring pass must not change a single selection.
-func TestRouteMatchesReferenceShardedScoring(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	// A wide topology with a busy front layer so the candidate list
-	// actually crosses the sharding threshold.
-	topo := topology.Grid(7, 7)
-	c := randomCircuit("wide", 40, 120, rng)
-	layout := RandomLayout(40, topo, rng)
-	for _, seed := range []int64{1, 99, 31337} {
-		ref, err := RouteReference(c, topo, layout, Options{},
-			rand.New(rand.NewSource(seed)), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Route(c, topo, layout, Options{ScoreWorkers: 4},
-			rand.New(rand.NewSource(seed)), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameFingerprint(routingFingerprint(ref), routingFingerprint(got)) {
-			t.Fatalf("seed %d: sharded scoring diverged from reference", seed)
-		}
-	}
-}
-
 // TestRouteEquivalenceLongRandomWalk stresses the incremental distance
 // bookkeeping over long swap streaks (a line topology forces many
 // consecutive stalls between executions, the worst case for cache

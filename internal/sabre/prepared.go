@@ -2,7 +2,6 @@ package sabre
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/circuit"
 	"repro/internal/dispatch"
@@ -19,7 +18,7 @@ import (
 // consumer. Only the forward circuit has mirror data: the backward
 // passes of layout refinement route without a mirror policy. The
 // distributed coordinator ships the forward DAG inside the trial job
-// spec so remote workers skip the rebuild too.
+// spec, and workers prepare from it with PrepareFromDAG.
 //
 // Lifetime rules: a PreparedCircuit and everything it references
 // (Circ, Topo, both DAGs, the mirror data) are immutable after
@@ -46,10 +45,18 @@ type PreparedCircuit struct {
 
 // PrepareCircuit validates c against topo and builds the shared
 // immutable analysis state (forward and reversed flat DAGs) that
-// FindBestRoutingPrepared, RefineLayoutsPrepared and
-// NewTrialRunnerPrepared reuse. Prepare once per circuit and fan the
-// result out to every consumer.
+// FindBestRoutingPrepared and NewTrialRunnerPrepared reuse. Prepare
+// once per circuit and fan the result out to every consumer.
 func PrepareCircuit(c *circuit.Circuit, topo *topology.Topology) (*PreparedCircuit, error) {
+	return PrepareFromDAG(circuit.BuildFlatDAG(c), topo)
+}
+
+// PrepareFromDAG is PrepareCircuit over the forward DAG of fd.Circ,
+// built elsewhere — a distributed worker receives it in the job spec,
+// checked by circuit.FlatDAGFromParts. It validates the circuit
+// against topo and builds only the reversed DAG.
+func PrepareFromDAG(fd *circuit.FlatDAG, topo *topology.Topology) (*PreparedCircuit, error) {
+	c := fd.Circ
 	if err := validateRoutable(c, topo); err != nil {
 		return nil, err
 	}
@@ -59,7 +66,7 @@ func PrepareCircuit(c *circuit.Circuit, topo *topology.Topology) (*PreparedCircu
 	return &PreparedCircuit{
 		Circ:    c,
 		Topo:    topo,
-		FD:      circuit.BuildFlatDAG(c),
+		FD:      fd,
 		FDRev:   circuit.BuildFlatDAG(c.Reversed()),
 		mirrors: mirrorTable{circ: c},
 	}, nil
@@ -67,92 +74,27 @@ func PrepareCircuit(c *circuit.Circuit, topo *topology.Topology) (*PreparedCircu
 
 // NewTrialRunnerPrepared builds a trial runner over the prepared
 // state: no validation, no DAG construction — just a fresh arena
-// sharing the immutable DAG and mirror data. Runners are single-
+// sharing the immutable DAGs and mirror data. Runners are single-
 // goroutine; create one per worker.
 func NewTrialRunnerPrepared(pc *PreparedCircuit) *TrialRunner {
-	return newTrialRunnerForDAG(pc.FD, &pc.mirrors, pc.Topo)
-}
-
-// RefineLayoutsPrepared is RefineLayouts over prepared state: the
-// layout wave reuses the shared forward/reversed DAGs instead of
-// rebuilding them.
-func RefineLayoutsPrepared(pc *PreparedCircuit, opts LayoutOptions) ([]*topology.Layout, error) {
-	opts = opts.WithDefaults()
-	return refineLayouts(pc.FD, pc.FDRev, pc.Circ, pc.Topo, opts)
+	return &TrialRunner{pc: pc, arena: newTrialArena()}
 }
 
 // FindBestRoutingPrepared is FindBestRouting over prepared state: the
-// layout wave, the trial grid, and the winner replay all share pc's
-// immutable DAGs, so a caller routing the same circuit under several
-// configurations (e.g. a benchmark row running both routers) pays for
-// the per-circuit analysis once.
+// rows and the winner replay all share pc's immutable DAGs, so a
+// caller routing the same circuit under several configurations (e.g.
+// a benchmark row running both routers) pays for the per-circuit
+// analysis once.
 func FindBestRoutingPrepared(pc *PreparedCircuit, opts LayoutOptions,
 	metric Metric, factory PolicyFactory) (*Result, error) {
 
-	opts = opts.WithDefaults()
-	if metric == nil {
-		metric = SwapCountMetric
-	}
-	layouts, err := refineLayouts(pc.FD, pc.FDRev, pc.Circ, pc.Topo, opts)
-	if err != nil {
-		return nil, err
-	}
-	return runTrialGrid(pc, layouts, opts, metric, factory)
-}
-
-// runTrialGrid runs wave 2 (the routing-trial grid on the dispatch
-// queue) plus the winner replay over prepared state and refined
-// layouts. See FindBestRouting for the determinism contract.
-func runTrialGrid(pc *PreparedCircuit, layouts []*topology.Layout, opts LayoutOptions,
-	metric Metric, factory PolicyFactory) (*Result, error) {
-
-	n := opts.LayoutTrials * opts.RoutingTrials
-	sel := NewTrialSelector(opts.ConvergencePatience)
-	consume := sel.Consume
-	var gb *gridBound
-	if opts.bound != nil {
-		gb = newGridBound(opts.bound, pc, opts.Routing)
-		consume = gb.consume(sel)
-	}
-	q := dispatch.NewQueue(n, 1, consume)
-	err := dispatch.RunLocal(q, opts.Parallelism,
+	g := NewGrid(pc, opts, metric, factory)
+	q := dispatch.NewQueue(g.opts.LayoutTrials, 1, g.Consume)
+	err := dispatch.RunLocal(q, g.opts.Parallelism,
 		func(int) *TrialRunner { return NewTrialRunnerPrepared(pc) },
-		func(t int, r *TrialRunner) (float64, error) {
-			var policy MirrorPolicy
-			if factory != nil {
-				policy = factory(t)
-			}
-			var tb trialBound
-			res, err := r.gridTrial(layouts, opts, t, policy, gb.forTrial(&tb))
-			if err == errTrialCut {
-				// Its score is at least the consumed best, so the
-				// selector counts it as non-improving either way.
-				return math.Inf(1), nil
-			}
-			if err != nil {
-				return 0, err
-			}
-			return metric(res), nil
-		})
+		func(lt int, r *TrialRunner) (Row, error) { return r.row(g.opts, lt, g.metric, g.factory, g) })
 	if err != nil {
 		return nil, err
 	}
-
-	// Materialise the winner: replay the best trial on a transient
-	// runner whose arena buffers the Result can own. Trials are
-	// deterministic in (Seed, index), so this reproduces the scored
-	// run bit for bit at the cost of one extra route — noise against
-	// the trial grid.
-	bestT, _ := sel.Best()
-	var policy MirrorPolicy
-	if factory != nil {
-		policy = factory(bestT)
-	}
-	best, err := NewTrialRunnerPrepared(pc).GridTrial(layouts, opts, bestT, policy)
-	if err != nil {
-		return nil, err
-	}
-	best.TrialsExecuted = sel.Executed()
-	best.TrialsBudgeted = n
-	return best, nil
+	return g.Result()
 }

@@ -17,11 +17,12 @@
 // immutable circuit.FlatDAG shared read-only by every worker, and all
 // mutable trial state — traversal, layout, decay, pair caches,
 // candidate dedup stamps, the routed-op buffer — lives in a per-worker
-// trialArena reused across the whole trial schedule. The schedule
-// itself runs on the dispatch work queue (dispatch.Queue consumed by
-// TrialSelector, driven locally by dispatch.RunLocal): one scheduler
-// code path shared with the distributed transport, whose workers run
-// the same trials through TrialRunner (internal/distrib).
+// trialArena reused across the whole grid. The grid runs on the
+// dispatch work queue one layout row at a time: a row refines one
+// layout and routes its trials on one arena, and a Grid consumes the
+// rows in order. The local scheduler (dispatch.RunLocal) and the
+// distributed transport (internal/distrib, whose workers run rows
+// through TrialRunner.Row) share that one code path.
 //
 // The router exposes a MirrorPolicy hook: every two-qubit gate that
 // becomes executable is offered to the policy, which may replace it
@@ -33,7 +34,6 @@ import (
 	"math/rand"
 
 	"repro/internal/circuit"
-	"repro/internal/pool"
 	"repro/internal/topology"
 	"repro/internal/weyl"
 )
@@ -46,12 +46,6 @@ type Options struct {
 	DecayRate          float64 // decay increment (default 0.001)
 	DecayResetInterval int     // reset decay every N swap selections (default 5)
 	MaxSteps           int     // safety bound on swap insertions (default 10000 + 100*ops)
-	// ScoreWorkers bounds the worker count used to shard SWAP-candidate
-	// scoring inside a single Route call (0 or 1 = serial). Scoring is
-	// pure and the selection pass stays serial and index-ordered, so
-	// results are bit-identical at any setting; the fan-out only pays
-	// off on wide topologies with large front layers.
-	ScoreWorkers int
 }
 
 // WithDefaults fills unset fields with the paper's values.
@@ -177,19 +171,21 @@ type LayoutOptions struct {
 	RoutingTrials int // independent routings of the final pass (default 20)
 	FwdBwdPasses  int // forward/backward refinement rounds (default 4)
 	Seed          int64
-	// Parallelism bounds the worker count used to run layout and
-	// routing trials concurrently: 0 means one worker per CPU
-	// (GOMAXPROCS), 1 forces serial execution. Every trial draws its
-	// randomness from its own deterministically seeded generator, so
-	// the result is bit-identical for a given Seed at any worker count.
+	// Parallelism bounds the worker count used to run layout rows
+	// concurrently: 0 means one worker per CPU (GOMAXPROCS), 1 forces
+	// serial execution. Every trial draws its randomness from its own
+	// deterministically seeded generator, so the result is
+	// bit-identical for a given Seed at any worker count.
 	Parallelism int
-	// ConvergencePatience, when positive, stops scheduling routing
-	// trials once this many consecutive trial *indices* fail to improve
-	// the best score. The stop rule consumes trial results in index
-	// order — never wall-clock arrival order — so the set of trials
-	// contributing to the answer is a prefix [0, T) that is identical
-	// at any Parallelism; in-flight trials past T are discarded. 0
-	// keeps the paper's fixed LayoutTrials x RoutingTrials grid.
+	// ConvergencePatience, when positive, stops the grid once this many
+	// consecutive trial *indices* fail to improve the best score. The
+	// stop rule consumes trial results in index order — never
+	// wall-clock arrival order — so the set of trials contributing to
+	// the answer is a prefix [0, T) that is identical at any
+	// Parallelism. A row that starts once every earlier row was
+	// consumed stops routing at T; trials a row routed past T are
+	// discarded, and rows past T are never refined. 0 keeps the
+	// paper's fixed LayoutTrials x RoutingTrials grid.
 	ConvergencePatience int
 
 	// bound, set through WithBound, lets the grid cut trials that
@@ -228,39 +224,28 @@ type PolicyFactory func(trial int) MirrorPolicy
 // then the circuit is routed up to LayoutTrials x RoutingTrials times
 // independently; the best result under the metric is returned.
 //
-// The flat dependency DAG is built once (forward and reversed) and
-// shared read-only by every worker. Layout refinement fans out over a
-// bounded worker pool; the routing grid then runs on a streaming
-// scheduler: workers pull trial indices into per-worker reusable
-// arenas, an online argmin consumes (index, score) pairs in trial-
-// index order, and — with ConvergencePatience set — scheduling stops
-// after the configured run of non-improving indices. Workers keep only
-// the score; once the winning index is known, that single trial is
-// replayed on a fresh arena to materialise the returned Result (trials
-// are deterministic in (Seed, index), so the replay is bit-identical
-// to the scored run).
+// The unit of work is a layout row lt: refine layout lt, then route
+// its RoutingTrials trials t = lt*RoutingTrials + rt and score them
+// inside the worker, so expensive metrics (polytope-weighted depth)
+// parallelise too. The flat dependency DAG is built once (forward and
+// reversed) and shared read-only by every worker; each worker reuses
+// one arena for its rows. Rows run on the dispatch work queue, which
+// hands them to a Grid in row order; the Grid feeds the scores to its
+// trial selector — the online argmin plus convergence stop rule — in
+// trial-index order, so it sees exactly the sequence a serial loop
+// would, and the winner and TrialsExecuted are independent of
+// goroutine scheduling. Only scores and the refined layout leave a
+// row; once the winner is known, that single trial is replayed on a
+// fresh arena to materialise the returned Result.
 //
 // Each trial owns a generator seeded from (Seed, trial kind, trial
 // index) through a splitmix64 mixer, and ties between equal-scoring
 // trials break toward the lowest trial index, so the chosen result is
 // bit-identical at any worker count: it is exactly the trial a serial
-// loop would have selected.
-// Wave 2 — the routing grid — runs on the dispatch work queue. Trial
-// t = lt*RoutingTrials + rt routes from layouts[lt]; scoring happens
-// inside the worker so that expensive metrics (polytope-weighted
-// depth) parallelise too. The queue consumes (index, score) pairs in
-// strict trial-index order, so the TrialSelector — the online argmin
-// plus convergence stop rule — sees exactly the sequence a serial
-// loop would: the winner and, in adaptive mode, the number of trials
-// consumed are independent of goroutine scheduling. Only scores cross
-// the worker boundary; routed circuits stay in the arenas. The
-// distributed coordinator (internal/distrib) drives the same
-// queue/selector pair over TCP workers, so there is one scheduler
-// code path at any scale. When opts carry a Bound on the metric
-// (WithBound), a trial stops routing as soon as its bound reaches the
-// best consumed score and reaches the selector as non-improving; the
-// returned Result is unchanged (see Bound). See prepared.go
-// (runTrialGrid) for the implementation; callers routing one circuit
+// loop would have selected. When opts carry a Bound on the metric
+// (WithBound), a trial stops routing as soon as its bound reaches a
+// lower-index score and reaches the selector as non-improving; the
+// returned Result is unchanged (see Grid). Callers routing one circuit
 // repeatedly should PrepareCircuit once and use
 // FindBestRoutingPrepared.
 func FindBestRouting(c *circuit.Circuit, topo *topology.Topology, opts LayoutOptions,
@@ -271,57 +256,4 @@ func FindBestRouting(c *circuit.Circuit, topo *topology.Topology, opts LayoutOpt
 		return nil, err
 	}
 	return FindBestRoutingPrepared(pc, opts, metric, factory)
-}
-
-// RefineLayouts runs the layout wave of the SABRE flow on its own: one
-// random initial layout per layout trial, refined by FwdBwdPasses
-// forward/backward routing rounds. FindBestRouting performs exactly
-// this before its trial grid; the distributed coordinator
-// (internal/distrib) calls it separately so the refined layouts can be
-// shipped in the job spec and every remote worker skips refinement.
-// Layout lt is deterministic in (opts.Seed, lt) and independent of
-// Parallelism.
-func RefineLayouts(c *circuit.Circuit, topo *topology.Topology, opts LayoutOptions) ([]*topology.Layout, error) {
-	pc, err := PrepareCircuit(c, topo)
-	if err != nil {
-		return nil, err
-	}
-	return RefineLayoutsPrepared(pc, opts)
-}
-
-// refineLayouts is wave 1 over prebuilt forward/reverse DAGs: route
-// forward, then route the reversed circuit from the final layout; its
-// final layout becomes the new initial layout. Each worker reuses one
-// arena for all its trials' 2*FwdBwdPasses routing calls. opts must
-// already have defaults applied.
-func refineLayouts(fd, fdRev *circuit.FlatDAG, c *circuit.Circuit, topo *topology.Topology,
-	opts LayoutOptions) ([]*topology.Layout, error) {
-
-	workers := pool.Size(opts.Parallelism)
-	layouts := make([]*topology.Layout, opts.LayoutTrials)
-	err := pool.ForEachWith(workers, opts.LayoutTrials,
-		func(int) *trialArena { return newTrialArena() },
-		func(lt int, a *trialArena) error {
-			a.rng.Seed(trialSeed(opts.Seed, seedStreamLayout, lt))
-			layout := RandomLayout(c.NumQubits, topo, a.rng)
-			for pass := 0; pass < opts.FwdBwdPasses; pass++ {
-				fwd, err := a.route(fd, nil, topo, layout, opts.Routing, a.rng, nil, nil)
-				if err != nil {
-					return err
-				}
-				projectLayoutInto(&a.h1, fwd.FinalLayout, c.NumQubits)
-				bwd, err := a.route(fdRev, nil, topo, &a.h1, opts.Routing, a.rng, nil, nil)
-				if err != nil {
-					return err
-				}
-				projectLayoutInto(&a.h2, bwd.FinalLayout, c.NumQubits)
-				layout = &a.h2
-			}
-			layouts[lt] = layout.Copy()
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return layouts, nil
 }

@@ -1,19 +1,19 @@
 package sabre
 
-// TrialSelector is the deterministic consumer of a routing-trial
+import "math"
+
+// trialSelector is the deterministic consumer of a routing-trial
 // stream: an online argmin over (trial index, score) pairs with the
 // adaptive-patience stop rule. It must be fed results serially in
-// strict trial-index order — which is exactly what the dispatch queue
-// guarantees — so that the selected winner, the executed-trial count
-// and the stop decision are identical at any worker count, lease size
-// or transport. Ties break toward the lowest trial index, matching
-// what a serial loop would keep.
-//
-// The selector is the shared consumer of both schedulers: the local
-// FindBestRouting path and the distributed coordinator
-// (internal/distrib) drive the same type, so "which trial wins" has
-// exactly one implementation.
-type TrialSelector struct {
+// strict trial-index order — which is exactly what Grid.Consume does
+// with the rows the dispatch queue hands it — so that the selected
+// winner, the executed-trial count and the stop decision are
+// identical at any worker count, lease size or transport. Ties break
+// toward the lowest trial index, matching what a serial loop would
+// keep. A selector is a plain value: a copy continues from the state
+// it was copied in, which is how a row follows the published state of
+// its grid.
+type trialSelector struct {
 	patience  int
 	bestT     int
 	bestScore float64
@@ -21,16 +21,16 @@ type TrialSelector struct {
 	noImprove int
 }
 
-// NewTrialSelector returns a selector with the given convergence
+// newTrialSelector returns a selector with the given convergence
 // patience (0 = never stop early; consume the whole grid).
-func NewTrialSelector(patience int) *TrialSelector {
-	return &TrialSelector{patience: patience, bestT: -1}
+func newTrialSelector(patience int) trialSelector {
+	return trialSelector{patience: patience, bestT: -1}
 }
 
-// Consume feeds trial t's score; it is the dispatch-queue consume
-// callback. Returns true when scheduling should stop: `patience`
-// consecutive non-improving trial indices have been consumed.
-func (s *TrialSelector) Consume(t int, score float64) bool {
+// Consume feeds trial t's score. Returns true when the grid should
+// stop: `patience` consecutive non-improving trial indices have been
+// consumed.
+func (s *trialSelector) Consume(t int, score float64) bool {
 	s.executed++
 	if s.bestT < 0 || score < s.bestScore {
 		s.bestScore, s.bestT = score, t
@@ -41,10 +41,10 @@ func (s *TrialSelector) Consume(t int, score float64) bool {
 	return s.patience > 0 && s.noImprove >= s.patience
 }
 
-// Best returns the winning trial index and its score (-1 before any
-// result was consumed).
-func (s *TrialSelector) Best() (trial int, score float64) { return s.bestT, s.bestScore }
-
-// Executed returns how many trial indices were consumed — the
-// deterministic TrialsExecuted count.
-func (s *TrialSelector) Executed() int { return s.executed }
+// best returns the best score consumed, +Inf before any.
+func (s *trialSelector) best() float64 {
+	if s.bestT < 0 {
+		return math.Inf(1)
+	}
+	return s.bestScore
+}

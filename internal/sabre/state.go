@@ -2,7 +2,6 @@ package sabre
 
 import (
 	"repro/internal/circuit"
-	"repro/internal/pool"
 	"repro/internal/topology"
 )
 
@@ -178,8 +177,7 @@ func swapMap32(x, a, b int32) int32 {
 
 // routingState is the engine: the flat-DAG traversal, the live layout
 // and decay vector, and the incrementally maintained front/extended
-// pair caches. It is single-goroutine except scoreCandidates, which
-// may shard its (read-only) scoring loop across a worker pool.
+// pair caches. It is single-goroutine.
 type routingState struct {
 	c    *circuit.Circuit
 	topo *topology.Topology
@@ -451,40 +449,13 @@ func (st *routingState) collectCandidates() []swapCand {
 	return st.cands
 }
 
-// minParallelCandidates gates the sharded scoring path: below this,
-// goroutine fan-out costs more than the scoring loop itself.
-const minParallelCandidates = 64
-
 // scoreCandidates computes the decayed SABRE score of every candidate
-// by delta against the cached sums. Scoring is pure (read-only state),
-// so on wide topologies the loop shards across the worker pool; the
-// caller's selection pass stays serial and in index order, keeping
-// results bit-identical at any worker count.
-func (st *routingState) scoreCandidates(cands []swapCand, workers int) []float64 {
+// by delta against the cached sums, into a reused buffer.
+func (st *routingState) scoreCandidates(cands []swapCand) []float64 {
 	if cap(st.scores) < len(cands) {
 		st.scores = make([]float64, len(cands))
 	}
 	scores := st.scores[:len(cands)]
-	if w := len(cands) / (minParallelCandidates / 2); workers > w {
-		workers = w // keep >= 32 candidates per shard
-	}
-	if workers > 1 && len(cands) >= minParallelCandidates {
-		chunk := (len(cands) + workers - 1) / workers
-		// ForEach's per-index error plumbing is unused here (scoring
-		// cannot fail); it is just a deterministic barrier.
-		_ = pool.ForEach(workers, workers, func(w int) error {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > len(cands) {
-				hi = len(cands)
-			}
-			for i := lo; i < hi; i++ {
-				scores[i] = st.scoreCandidate(cands[i])
-			}
-			return nil
-		})
-		return scores
-	}
 	for i, sc := range cands {
 		scores[i] = st.scoreCandidate(sc)
 	}

@@ -103,7 +103,7 @@ func TestWorklistMidStallReadiness(t *testing.T) {
 // TestPreparedCircuitSharedRace hammers one PreparedCircuit from many
 // goroutines under -race: concurrent FindBestRoutingPrepared calls
 // (each spinning up its own trial grid over the shared DAGs), layout
-// refinements and fresh runners must neither race nor diverge. This is
+// rows and fresh runners must neither race nor diverge. This is
 // the lifetime contract of the amortised per-circuit state — immutable
 // after PrepareCircuit, shared freely, all mutation confined to
 // per-worker arenas.
@@ -145,8 +145,8 @@ func TestPreparedCircuitSharedRace(t *testing.T) {
 					errs <- fmt.Sprintf("worker %d rep %d: grid fingerprint diverged", w, rep)
 					return
 				}
-				if _, err := RefineLayoutsPrepared(pc, opts); err != nil {
-					errs <- fmt.Sprintf("worker %d rep %d: refine: %v", w, rep, err)
+				if _, err := NewTrialRunnerPrepared(pc).Row(opts, rep%opts.LayoutTrials, SwapCountMetric, nil); err != nil {
+					errs <- fmt.Sprintf("worker %d rep %d: row: %v", w, rep, err)
 					return
 				}
 				single, err := NewTrialRunnerPrepared(pc).Run(layout, Options{}, 42, parityMirror{})

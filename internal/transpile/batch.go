@@ -4,7 +4,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/dispatch"
 	"repro/internal/polytope"
-	"repro/internal/pool"
 	"repro/internal/topology"
 )
 
@@ -16,9 +15,9 @@ import (
 //
 // Worker budgeting: the total budget is opts.Parallelism, falling
 // back to opts.Layout.Parallelism when unset (0 = GOMAXPROCS), and is
-// split between circuit-level fan-out and per-circuit routing trials
+// split between circuit-level fan-out and per-circuit layout rows
 // — with many circuits each one routes serially, with few circuits
-// the leftover workers parallelise the trials inside each circuit. A
+// the leftover workers parallelise the rows inside each circuit. A
 // budget of 1 runs everything serially.
 func TranspileBatch(circuits []*circuit.Circuit, topo *topology.Topology, opts Options) ([]*Report, error) {
 	if len(circuits) == 0 {
@@ -31,7 +30,7 @@ func TranspileBatch(circuits []*circuit.Circuit, topo *topology.Topology, opts O
 	if budget == 0 {
 		budget = opts.Layout.Parallelism
 	}
-	workers := pool.Size(budget)
+	workers := dispatch.Size(budget)
 	outer := workers
 	if outer > len(circuits) {
 		outer = len(circuits)
@@ -42,7 +41,7 @@ func TranspileBatch(circuits []*circuit.Circuit, topo *topology.Topology, opts O
 	inner, rem := workers/outer, workers%outer
 
 	// The batch runs on the dispatch work queue — the same scheduler
-	// subsystem the routing-trial grid and the distributed transport
+	// subsystem the routing grid's layout rows and the distributed transport
 	// use — with circuit-granularity leases. Reports are consumed in
 	// circuit-index order, so the first failure in input order is the
 	// one reported, exactly like the serial loop (and exactly like the

@@ -36,8 +36,8 @@ func sameRouted(a, b *circuit.Circuit) bool {
 // TestPrunedTranspileMatchesUnpruned runs each of the four router
 // configurations with the bound transpile declares and with it removed
 // (through RouteFn), at Parallelism 1/2/4 and patience 0/3: every
-// report must match the unpruned serial one exactly, and the pruned
-// runs must actually cut trials.
+// report must match the unpruned serial one exactly, and the serial
+// pruned runs must score exactly the pinned number of trials.
 func TestPrunedTranspileMatchesUnpruned(t *testing.T) {
 	topo := topology.Grid(3, 4)
 	circuits := []*circuit.Circuit{bench.QFT(8), bench.TwoLocal(6), bench.PortfolioQAOA(8, 1)}
@@ -105,8 +105,7 @@ func TestPrunedTranspileMatchesUnpruned(t *testing.T) {
 			}
 		}
 	}
-	if scored >= executed {
-		t.Fatalf("no trial was cut: %d of %d executed trials scored", scored, executed)
+	if scored != 58 || executed != 352 {
+		t.Fatalf("serial pruned runs scored %d of %d executed trials, want 58 of 352", scored, executed)
 	}
-	t.Logf("serial pruned runs scored %d of %d executed trials", scored, executed)
 }

@@ -60,29 +60,25 @@ type Options struct {
 	// SkipTrivialLayout disables the VF2 swap-free check (the check is
 	// also skipped automatically for circuits that need routing).
 	SkipTrivialLayout bool
-	// Parallelism bounds the routing-trial worker count: 1 forces
+	// Parallelism bounds the layout-row worker count: 1 forces
 	// serial execution, negative values mean one worker per CPU, and 0
 	// defers to Layout.Parallelism (whose own zero default is also one
 	// worker per CPU). Non-zero values override Layout.Parallelism.
 	// Results are seed-deterministic at any setting.
 	Parallelism int
-	// ConvergencePatience, when positive, lets the streaming trial
-	// scheduler stop early: scheduling of routing trials ceases after
-	// this many consecutive non-improving trial indices. The stop rule
+	// ConvergencePatience, when positive, lets the trial grid stop
+	// early: it ends after this many consecutive non-improving trial
+	// indices. The stop rule
 	// is defined on trial indices, so results stay seed-deterministic
 	// at any Parallelism. Non-zero values override
 	// Layout.ConvergencePatience; 0 defers to it.
 	ConvergencePatience int
-	// ScoreWorkers shards SWAP-candidate scoring inside each routing
-	// trial (useful on wide topologies when trial counts are small).
-	// Non-zero values override Layout.Routing.ScoreWorkers.
-	ScoreWorkers int
 	// RouteFn overrides the routing engine for step 4 of the pipeline;
 	// nil uses sabre.FindBestRoutingPrepared in-process. This is the
 	// seam the distributed dispatcher (internal/distrib) plugs into: its
-	// RouteFn fans the trial grid out to remote workers and — because
-	// the trial queue consumes scores in trial-index order and the
-	// winner is replayed locally — returns a Result bit-identical to the
+	// RouteFn fans the layout rows out to remote workers and — because
+	// the grid consumes scores in trial-index order and the winner is
+	// replayed locally — returns a Result bit-identical to the
 	// local engine's. Implementations receive the shared per-circuit
 	// routing analysis (validated circuit plus prebuilt dependency
 	// DAGs), the post-override LayoutOptions and the exact
@@ -199,9 +195,6 @@ func transpilePrepared(pc *PreparedCircuit, opts Options, start time.Time) (*Rep
 	}
 	if opts.ConvergencePatience != 0 {
 		opts.Layout.ConvergencePatience = opts.ConvergencePatience
-	}
-	if opts.ScoreWorkers != 0 {
-		opts.Layout.Routing.ScoreWorkers = opts.ScoreWorkers
 	}
 
 	rep := &Report{

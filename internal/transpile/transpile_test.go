@@ -239,28 +239,3 @@ func TestAdaptiveKnobsThreadThrough(t *testing.T) {
 		}
 	}
 }
-
-// TestScoreWorkersKnobIsTransparent: sharded candidate scoring must
-// not change any reported metric.
-func TestScoreWorkersKnobIsTransparent(t *testing.T) {
-	c := bench.QFT(10)
-	topo := topology.Grid(4, 4)
-	opts := Options{
-		Router:            SABRE,
-		Layout:            sabre.LayoutOptions{LayoutTrials: 2, RoutingTrials: 2, FwdBwdPasses: 1, Seed: 3},
-		SkipTrivialLayout: true,
-	}
-	plain, err := Transpile(c, topo, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.ScoreWorkers = 4
-	sharded, err := Transpile(c, topo, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.DepthPulses != sharded.DepthPulses || plain.SwapsInserted != sharded.SwapsInserted {
-		t.Fatalf("ScoreWorkers changed the result: depth %g/%g swaps %d/%d",
-			plain.DepthPulses, sharded.DepthPulses, plain.SwapsInserted, sharded.SwapsInserted)
-	}
-}

@@ -154,8 +154,8 @@ type RoutingResult = sabre.Result
 // and shared immutably, all mutable trial state is rewound per Run, so
 // steady-state trials allocate O(1). A runner is single-goroutine and
 // the Result returned by Run aliases its arena (valid until the next
-// Run). This is the dispatch unit a distributed trial queue hands to a
-// worker.
+// Run). A distributed worker runs the layout rows of a trial grid on
+// one.
 type TrialRunner = sabre.TrialRunner
 
 // NewTrialRunner validates and prepares a circuit for repeated routing
@@ -165,17 +165,15 @@ func NewTrialRunner(c *Circuit, topo *Topology) (*TrialRunner, error) {
 }
 
 // Transpile runs the full pipeline: cleaning, consolidation, trivial
-// layout check, SABRE/MIRAGE routing, metrics. Routing trials run on a
-// streaming scheduler over a bounded worker pool (Options.Parallelism;
-// 0 = one worker per CPU) with seed-deterministic results at any
-// worker count. Options.ConvergencePatience > 0 enables adaptive
-// early-stop: trial scheduling ceases after that many consecutive
-// non-improving trial indices — the stop rule is defined on trial
-// indices, never wall-clock arrival order, so adaptive runs are also
-// bit-identical at any Parallelism. Report.TrialsExecuted /
-// TrialsBudgeted record the realised schedule, and
-// Options.ScoreWorkers shards SWAP-candidate scoring inside each trial
-// for very wide topologies.
+// layout check, SABRE/MIRAGE routing, metrics. The routing grid runs
+// one layout row (refine one layout, route its trials) per work item
+// on a bounded set of workers (Options.Parallelism; 0 = one worker per
+// CPU) with seed-deterministic results at any worker count.
+// Options.ConvergencePatience > 0 enables adaptive early-stop: the
+// grid ends after that many consecutive non-improving trial indices —
+// the stop rule is defined on trial indices, never wall-clock arrival
+// order, so adaptive runs are also bit-identical at any Parallelism.
+// Report.TrialsExecuted / TrialsBudgeted record the realised schedule.
 func Transpile(c *Circuit, topo *Topology, opts Options) (*Report, error) {
 	return transpile.Transpile(c, topo, opts)
 }
