@@ -8,10 +8,10 @@
 //
 // Workers are stateless between jobs: each job ships its own circuit
 // batch or trial grid (with the forward FlatDAG, prepared once per
-// worker per job), leases work-index ranges — circuits, or the layout
-// rows of a grid — from the coordinator's queue, and can die at any
-// point — unfinished leases are re-granted and, work items being
-// deterministic in their index, the outcome is
+// worker per job), leases work-index ranges — circuits, or the trials
+// of whole layout rows of a grid — from the coordinator's queue, and
+// can die at any point — unfinished leases are re-granted and, work
+// items being deterministic in their index, the outcome is
 // bit-identical to a single-process run. cmd/benchsuite exposes the
 // same coordinator role via its -listen/-workers flags, so a serial
 // `benchsuite -fig 12` and a `benchsuite -listen ... -fig 12` with

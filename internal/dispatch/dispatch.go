@@ -1,11 +1,11 @@
 // Package dispatch is the transport-agnostic trial-dispatch subsystem:
 // a deterministic work queue over integer-indexed, independently
-// executable work items (the layout rows of a routing-trial grid,
-// batch circuits) plus the two transports that drive it — an
-// in-process adapter that schedules the rows of sabre.FindBestRouting
-// and the circuits of transpile.TranspileBatch, and a gob-over-TCP
-// coordinator/worker protocol for fanning the same work out across
-// machines. It is the only scheduler: Size normalises every
+// executable work items (the layout rows or the trials of a
+// routing-trial grid, batch circuits) plus the two transports that
+// drive it — an in-process adapter that schedules the layout rows of
+// sabre.FindBestRouting and the circuits of transpile.TranspileBatch,
+// and a gob-over-TCP coordinator/worker protocol for fanning the
+// trials and circuits out across machines. It is the only scheduler: Size normalises every
 // parallelism knob of the pipeline.
 //
 // The design centre is the determinism contract the single-process

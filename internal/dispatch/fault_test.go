@@ -48,7 +48,7 @@ func TestHeartbeatKeepsSlowWorkerAlive(t *testing.T) {
 	h.HeartbeatTimeout = 100 * time.Millisecond
 	startWorkers(t, h, 1, slowHandlers(-1, 250*time.Millisecond), &ServeOptions{HeartbeatInterval: -1})
 	q := NewQueue(3, 1, func(int, float64) bool { return false })
-	_, err := RunJob(h, "score", nil, q, scoreFromWire)
+	_, err := RunJob(h, "score", nil, q, func(wi WireItem) (float64, error) { return wi.Score, nil })
 	if err == nil {
 		t.Fatal("silent slow worker completed a job inside the heartbeat deadline")
 	}
@@ -119,7 +119,7 @@ func TestJobDeadlineListsOutstandingLeases(t *testing.T) {
 	})
 	q := NewQueue(50, 4, func(int, float64) bool { return false })
 	start := time.Now()
-	_, err := RunJob(h, "score", nil, q, scoreFromWire)
+	_, err := RunJob(h, "score", nil, q, func(wi WireItem) (float64, error) { return wi.Score, nil })
 	if err == nil {
 		t.Fatal("stalled job beat its deadline")
 	}
@@ -165,7 +165,7 @@ func TestCorruptFrameQuarantinesWorker(t *testing.T) {
 		Chaos: &ChaosConfig{Seed: 7, CorruptOnLease: 1},
 	})
 	q := NewQueue(10, 4, func(int, float64) bool { return false })
-	_, err := RunJob(h, "score", nil, q, scoreFromWire)
+	_, err := RunJob(h, "score", nil, q, func(wi WireItem) (float64, error) { return wi.Score, nil })
 	if err == nil {
 		t.Fatal("corrupt-only fleet completed the job")
 	}
@@ -204,7 +204,7 @@ func TestHubDrainStopsIssuingAndReleasesRemainder(t *testing.T) {
 	q := NewQueue(400, 4, func(int, float64) bool { return false })
 	errc := make(chan error, 1)
 	go func() {
-		_, err := RunJob(h, "score", nil, q, scoreFromWire)
+		_, err := RunJob(h, "score", nil, q, func(wi WireItem) (float64, error) { return wi.Score, nil })
 		errc <- err
 	}()
 	time.Sleep(40 * time.Millisecond)
@@ -223,7 +223,7 @@ func TestHubDrainStopsIssuingAndReleasesRemainder(t *testing.T) {
 		t.Fatalf("%d workers pooled after drain, want 2 (drain keeps the fleet)", h.Workers())
 	}
 	q2 := NewQueue(5, 1, func(int, float64) bool { return false })
-	if _, err := RunJob(h, "score", nil, q2, scoreFromWire); !errors.Is(err, ErrDraining) {
+	if _, err := RunJob(h, "score", nil, q2, func(wi WireItem) (float64, error) { return wi.Score, nil }); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-drain job returned %v, want ErrDraining", err)
 	}
 	h.Close()
@@ -263,7 +263,7 @@ func TestWorkerDrainReturnsLease(t *testing.T) {
 	go func() {
 		consume, best, executed := argminConsume(0)
 		q := NewQueue(max, 10, consume)
-		_, err := RunJob(h, "score", nil, q, scoreFromWire)
+		_, err := RunJob(h, "score", nil, q, func(wi WireItem) (float64, error) { return wi.Score, nil })
 		a, _ := best()
 		at, exec = a, executed()
 		errc <- err
@@ -365,7 +365,7 @@ func TestAdmissionControlRejectsWhenQueued(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			q := NewQueue(max, 4, func(int, float64) bool { return false })
-			_, err := RunJob(h, "score", nil, q, scoreFromWire)
+			_, err := RunJob(h, "score", nil, q, func(wi WireItem) (float64, error) { return wi.Score, nil })
 			c <- err
 		}()
 		return c

@@ -10,7 +10,7 @@ import (
 func wireItems(lo, hi int) []WireItem {
 	items := make([]WireItem, 0, hi-lo)
 	for i := lo; i < hi; i++ {
-		items = append(items, scoreItem(i, float64((i*31+7)%23)))
+		items = append(items, WireItem{Index: i, Score: float64((i*31 + 7) % 23)})
 	}
 	return items
 }

@@ -54,7 +54,7 @@ func journaledScoreRun(t *testing.T, dir string, workers, max, lease, patience i
 	startWorkers(t, h, workers, testHandlers(-1), nil)
 	consume, best, executed := argminConsume(patience)
 	q := NewQueue(max, lease, consume)
-	eps, err = RunJob(h, "score", []byte("spec"), q, scoreFromWire)
+	eps, err = RunJob(h, "score", []byte("spec"), q, func(wi WireItem) (float64, error) { return wi.Score, nil })
 	a, _ := best()
 	return a, executed(), eps, h.Stats(), err
 }
@@ -148,7 +148,7 @@ func (r *poisonRunner) Run(i int) WireItem {
 		r.conn.Close()
 		return WireItem{Index: i}
 	}
-	return scoreItem(i, float64((i*31+7)%23))
+	return WireItem{Index: i, Score: float64((i*31 + 7) % 23)}
 }
 
 func (r *poisonRunner) Epilogue() []byte { return nil }
@@ -211,7 +211,7 @@ func TestPoisonItemLocalFailureCarriesContext(t *testing.T) {
 	startPoisonWorkers(t, h, 4, poison)
 
 	q := NewQueue(max, 1, func(int, float64) bool { return false })
-	_, err := RunJob(h, "score", nil, q, scoreFromWire)
+	_, err := RunJob(h, "score", nil, q, func(wi WireItem) (float64, error) { return wi.Score, nil })
 	if err == nil {
 		t.Fatal("job succeeded though the poison item fails everywhere")
 	}
@@ -286,7 +286,7 @@ func TestErrBusyCarriesLimitsAndCounts(t *testing.T) {
 		c := make(chan error, 1)
 		go func() {
 			q := NewQueue(max, 4, func(int, float64) bool { return false })
-			_, err := RunJob(h, "score", nil, q, scoreFromWire)
+			_, err := RunJob(h, "score", nil, q, func(wi WireItem) (float64, error) { return wi.Score, nil })
 			c <- err
 		}()
 		return c

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"strings"
 	"testing"
@@ -28,26 +27,13 @@ func (j *scoreJob) Run(i int) WireItem {
 	if i == j.fail {
 		return WireItem{Index: i, Err: fmt.Sprintf("item %d failed", i)}
 	}
-	return scoreItem(i, j.f(i))
+	return WireItem{Index: i, Score: j.f(i)}
 }
 
 func (j *scoreJob) Epilogue() []byte {
 	b := make([]byte, 8)
 	binary.LittleEndian.PutUint64(b, uint64(j.ran))
 	return b
-}
-
-// scoreItem and scoreFromWire carry a test job's score in the item's
-// blob as little-endian float64 bits.
-func scoreItem(i int, score float64) WireItem {
-	return WireItem{Index: i, Blob: binary.LittleEndian.AppendUint64(nil, math.Float64bits(score))}
-}
-
-func scoreFromWire(wi WireItem) (float64, error) {
-	if len(wi.Blob) != 8 {
-		return 0, fmt.Errorf("score blob of %d bytes", len(wi.Blob))
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(wi.Blob)), nil
 }
 
 func testHandlers(fail int) map[string]Handler { return slowHandlers(fail, 0) }
@@ -95,7 +81,7 @@ func runScoreJob(t *testing.T, h *Hub, max, lease, patience int) (bestAt, execut
 	t.Helper()
 	consume, best, exec := argminConsume(patience)
 	q := NewQueue(max, lease, consume)
-	eps, err := RunJob(h, "score", nil, q, scoreFromWire)
+	eps, err := RunJob(h, "score", nil, q, func(wi WireItem) (float64, error) { return wi.Score, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +161,7 @@ func TestRunJobAllWorkersDead(t *testing.T) {
 		startWorkers(t, h, 1, testHandlers(-1), &ServeOptions{Chaos: &ChaosConfig{CrashOnLease: 1}})
 	}
 	q := NewQueue(50, 1, func(int, float64) bool { return false })
-	_, err := RunJob(h, "score", nil, q, scoreFromWire)
+	_, err := RunJob(h, "score", nil, q, func(wi WireItem) (float64, error) { return wi.Score, nil })
 	if err == nil {
 		t.Fatal("job completed with every worker dead")
 	}
@@ -189,7 +175,7 @@ func TestRunJobDeclinedWorkersSitOut(t *testing.T) {
 	// accept any spec, so route the decline through a spec value.
 	consume, best, _ := argminConsume(0)
 	q := NewQueue(20, 2, consume)
-	eps, err := RunJob(h, "score", []byte("decline"), q, scoreFromWire)
+	eps, err := RunJob(h, "score", []byte("decline"), q, func(wi WireItem) (float64, error) { return wi.Score, nil })
 	if err == nil {
 		t.Fatal("all workers declined but job reported success")
 	}
@@ -205,7 +191,7 @@ func TestRunJobItemErrorStopsDeterministically(t *testing.T) {
 	startWorkers(t, h, 3, testHandlers(9), nil)
 	exec := 0
 	q := NewQueue(40, 2, func(i int, v float64) bool { exec++; return false })
-	_, err := RunJob(h, "score", nil, q, scoreFromWire)
+	_, err := RunJob(h, "score", nil, q, func(wi WireItem) (float64, error) { return wi.Score, nil })
 	if err == nil || !strings.Contains(err.Error(), "item 9 failed") {
 		t.Fatalf("err = %v, want item 9 failure", err)
 	}
@@ -219,7 +205,7 @@ func TestRunJobUnknownKindFailsLoudly(t *testing.T) {
 	h := NewHub()
 	startWorkers(t, h, 1, testHandlers(-1), nil)
 	q := NewQueue(5, 1, func(int, float64) bool { return false })
-	_, err := RunJob(h, "no-such-kind", nil, q, scoreFromWire)
+	_, err := RunJob(h, "no-such-kind", nil, q, func(wi WireItem) (float64, error) { return wi.Score, nil })
 	if err == nil {
 		t.Fatal("unknown job kind succeeded")
 	}
@@ -229,7 +215,7 @@ func TestRunJobUnknownKindFailsLoudly(t *testing.T) {
 func TestRunJobNoWorkers(t *testing.T) {
 	h := NewHub()
 	q := NewQueue(5, 1, func(int, float64) bool { return false })
-	if _, err := RunJob(h, "score", nil, q, scoreFromWire); err == nil {
+	if _, err := RunJob(h, "score", nil, q, func(wi WireItem) (float64, error) { return wi.Score, nil }); err == nil {
 		t.Fatal("RunJob with no workers succeeded")
 	}
 }

@@ -34,16 +34,18 @@ package dispatch
 //	worker -> coordinator   wireMsg{Kind: msgEpilogue, Blob}    answers wireLease{Done: true}
 //
 // Specs, result blobs and epilogues are opaque byte slices: the job
-// kinds (internal/distrib) define their contents, so the transport
-// never interprets a result — a trial row and a transpiled circuit
-// travel the same way.
+// kinds (internal/distrib) define their contents. Scores ride in a
+// dedicated field so the trial hot path never round-trips a float
+// through a nested encoder; only the first trial of each layout row
+// adds a blob, the layout the worker refined for that row.
 
 // WireItem is one completed work item on the wire. Index is the work
-// index; Blob carries the payload in the job kind's encoding; Err,
-// when non-empty, reports the item's failure (it is consumed in
+// index; Score and Blob carry the payload as the job kind defines it;
+// Err, when non-empty, reports the item's failure (it is consumed in
 // deterministic index order like any local error).
 type WireItem struct {
 	Index int
+	Score float64
 	Blob  []byte
 	Err   string
 }

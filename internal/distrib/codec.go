@@ -1,7 +1,6 @@
 package distrib
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/circuit"
@@ -156,48 +155,30 @@ func topologyFromWire(w wireTopology) (t *topology.Topology, err error) {
 	return t, nil
 }
 
-// wireRow is a sabre.Row on the wire: the refined layout's L2P map,
-// the row's scores and the error that ended it, if any.
-type wireRow struct {
-	L2P    []int
-	Scores []float64
-	Err    string
+// rowLayoutFromWire decodes the refined layout of row lt that the
+// row's first trial ships, and checks it before the coordinator uses
+// it: the layout places each of pc's logical qubits on a distinct
+// physical qubit of pc's topology.
+func rowLayoutFromWire(b []byte, lt int, pc *sabre.PreparedCircuit) (*topology.Layout, error) {
+	if b == nil {
+		return nil, fmt.Errorf("distrib: row %d: its first trial ships no layout", lt)
+	}
+	var l2p []int
+	if err := decodeSpec(b, &l2p); err != nil {
+		return nil, fmt.Errorf("distrib: row %d: undecodable layout: %w", lt, err)
+	}
+	if err := checkLayout(l2p, pc.Circ.NumQubits, pc.Topo.NumQubits); err != nil {
+		return nil, fmt.Errorf("distrib: row %d: %w", lt, err)
+	}
+	return topology.NewLayout(l2p, pc.Topo.NumQubits), nil
 }
 
-func rowToWire(row sabre.Row) ([]byte, error) {
-	w := wireRow{L2P: row.Layout.L2P, Scores: row.Scores}
-	if row.Err != nil {
-		w.Err = row.Err.Error()
-	}
-	return encodeSpec(&w)
-}
-
-// rowFromWire decodes row lt of a grid over pc and checks it before
-// the coordinator uses it: the layout places each of the circuit's
-// logical qubits on a distinct physical qubit of the topology, and the
-// row holds exactly routingTrials scores — fewer only when it ended in
-// an error.
-func rowFromWire(b []byte, lt int, pc *sabre.PreparedCircuit, routingTrials int) (sabre.Row, error) {
-	var w wireRow
-	if err := decodeSpec(b, &w); err != nil {
-		return sabre.Row{}, fmt.Errorf("distrib: row %d: undecodable: %w", lt, err)
-	}
-	if err := checkRow(w, pc.Circ.NumQubits, pc.Topo.NumQubits, routingTrials); err != nil {
-		return sabre.Row{}, fmt.Errorf("distrib: row %d: %w", lt, err)
-	}
-	row := sabre.Row{Layout: topology.NewLayout(w.L2P, pc.Topo.NumQubits), Scores: w.Scores}
-	if w.Err != "" {
-		row.Err = errors.New(w.Err)
-	}
-	return row, nil
-}
-
-func checkRow(w wireRow, numLogical, numPhysical, routingTrials int) error {
-	if len(w.L2P) != numLogical {
-		return fmt.Errorf("layout places %d qubits, the circuit has %d", len(w.L2P), numLogical)
+func checkLayout(l2p []int, numLogical, numPhysical int) error {
+	if len(l2p) != numLogical {
+		return fmt.Errorf("layout places %d qubits, the circuit has %d", len(l2p), numLogical)
 	}
 	used := make([]bool, numPhysical)
-	for l, p := range w.L2P {
+	for l, p := range l2p {
 		if p < 0 || p >= numPhysical {
 			return fmt.Errorf("layout maps qubit %d onto physical qubit %d of %d", l, p, numPhysical)
 		}
@@ -205,9 +186,6 @@ func checkRow(w wireRow, numLogical, numPhysical, routingTrials int) error {
 			return fmt.Errorf("layout maps two qubits onto physical qubit %d", p)
 		}
 		used[p] = true
-	}
-	if n := len(w.Scores); n > routingTrials || (n == routingTrials) != (w.Err == "") {
-		return fmt.Errorf("%d scores for %d routing trials", n, routingTrials)
 	}
 	return nil
 }

@@ -6,19 +6,20 @@
 // Two job kinds exist, both built on the determinism contract of
 // internal/dispatch (index-ordered consumption, idempotent re-lease):
 //
-//   - KindTrials distributes the layout rows of one sabre
-//     FindBestRouting grid. The job spec carries the consolidated
+//   - KindTrials distributes the trial grid of one sabre
+//     FindBestRouting call. The job spec carries the consolidated
 //     circuit, its forward flat DAG, the topology, the layout options
 //     and a PolicySpec naming the metric/mirror-policy construction;
 //     each worker prepares the circuit (sabre.PrepareFromDAG) and one
-//     sabre.TrialRunner, and leases row-index ranges. For each row it
-//     refines the row's layout and routes every trial of the row,
-//     returning the layout and the scores in trial order. The
-//     coordinator checks each row and hands it to a sabre.Grid, which
-//     picks the winner exactly as the local scheduler would and
-//     replays that single trial locally, so the routed Result — and
-//     TrialsExecuted at any patience setting — is bit-identical to a
-//     single-process run at any worker count x lease size.
+//     sabre.TrialRunner, and leases trial-index ranges of whole layout
+//     rows. It refines each row's layout itself, routes the row's
+//     trials from it and returns (index, score) pairs; the first trial
+//     of a row also carries the row's layout. The coordinator checks
+//     each layout and hands the trials to a sabre.Grid, which picks
+//     the winner exactly as the local scheduler would and replays that
+//     single trial locally, so the routed Result — and TrialsExecuted
+//     at any patience setting — is bit-identical to a single-process
+//     run at any worker count x lease size.
 //
 //   - KindBatch shards transpile.TranspileBatch at circuit
 //     granularity: workers lease circuit indices, run the full local
@@ -56,9 +57,10 @@ const (
 // sized to each job kind's item cost.
 type Cluster struct {
 	Hub *dispatch.Hub
-	// TrialLease is the number of layout rows per lease (default 1: a
-	// row refines a layout and routes RoutingTrials trials, enough work
-	// to amortise its round-trip).
+	// TrialLease is the number of layout rows per lease, each of
+	// RoutingTrials trials (default 1: a worker refines a row's layout
+	// once, and one row of trials is enough work to amortise the
+	// lease's round-trip).
 	TrialLease int
 	// CircuitLease is the number of batch circuits per lease (default
 	// 1: circuits are seconds, one per lease balances best).

@@ -5,14 +5,15 @@ import (
 
 	"repro/internal/dispatch"
 	"repro/internal/sabre"
+	"repro/internal/topology"
 	"repro/internal/transpile"
 )
 
 // trialSpec is the KindTrials job spec: everything a worker needs to
-// run any layout row of one FindBestRouting grid. The flat dependency
-// DAG ships with the circuit, so the worker checks the shipped
-// analysis instead of recomputing it and only builds the reversed DAG
-// its layout refinement routes.
+// run any trial of one FindBestRouting grid, refinement of the trial's
+// layout row included. The flat dependency DAG ships with the circuit,
+// so the worker checks the shipped analysis instead of recomputing it
+// and only builds the reversed DAG its layout refinement routes.
 type trialSpec struct {
 	Circuit wireCircuit
 	Topo    wireTopology
@@ -22,14 +23,16 @@ type trialSpec struct {
 }
 
 // trialJob is the worker-side state of one KindTrials job: the
-// prepared runner (shared DAGs + reusable arena) plus the recipe-built
+// prepared runner (shared DAGs + reusable arena), the recipe-built
 // metric and policy factory, pricing through one cost table built over
-// the shipped circuit.
+// the shipped circuit, and the layout of the row it ran last.
 type trialJob struct {
 	runner  *sabre.TrialRunner
 	opts    sabre.LayoutOptions
 	metric  sabre.Metric
 	factory sabre.PolicyFactory
+	lt      int              // the row whose refined layout is cached
+	layout  *topology.Layout // nil before the first trial
 }
 
 func trialHandler(raw, _ []byte) (dispatch.JobRunner, error) {
@@ -63,35 +66,64 @@ func trialHandler(raw, _ []byte) (dispatch.JobRunner, error) {
 		metric: metric, factory: factory}, nil
 }
 
-// Run refines layout row lt and routes every one of its trials; a row
-// index outside the grid is an item error.
-func (j *trialJob) Run(lt int) dispatch.WireItem {
-	row, err := j.runner.Row(j.opts, lt, j.metric, j.factory)
-	if err != nil {
-		return dispatch.WireItem{Index: lt, Err: err.Error()}
+// Run routes grid trial t from the layout of its row lt, refining that
+// layout first unless t's row is the one this runner ran last. Leases
+// hold whole rows, so a row is normally refined once. The item carries
+// the trial's score, and the first trial of each row also carries the
+// row's layout, for the coordinator to check and replay the winner
+// from. A trial outside the grid is an item error.
+func (j *trialJob) Run(t int) dispatch.WireItem {
+	n := j.opts.RoutingTrials
+	if t < 0 || t >= j.opts.LayoutTrials*n {
+		return dispatch.WireItem{Index: t, Err: fmt.Sprintf("distrib: trial %d outside the %dx%d grid", t, j.opts.LayoutTrials, n)}
 	}
-	blob, err := rowToWire(row)
-	if err != nil {
-		return dispatch.WireItem{Index: lt, Err: err.Error()}
+	if lt := t / n; j.layout == nil || j.lt != lt {
+		layout, err := j.runner.RefineLayout(j.opts, lt)
+		if err != nil {
+			return dispatch.WireItem{Index: t, Err: err.Error()}
+		}
+		j.lt, j.layout = lt, layout
 	}
-	return dispatch.WireItem{Index: lt, Blob: blob}
+	var policy sabre.MirrorPolicy
+	if j.factory != nil {
+		policy = j.factory(t)
+	}
+	res, err := j.runner.GridTrial(j.layout, j.opts, t, policy)
+	if err != nil {
+		return dispatch.WireItem{Index: t, Err: err.Error()}
+	}
+	item := dispatch.WireItem{Index: t, Score: j.metric(res)}
+	if t%n == 0 {
+		if item.Blob, err = encodeSpec(j.layout.L2P); err != nil {
+			return dispatch.WireItem{Index: t, Err: err.Error()}
+		}
+	}
+	return item
 }
 
 // Epilogue ships nothing: a trial job keeps no state the coordinator
 // needs.
 func (j *trialJob) Epilogue() []byte { return nil }
 
+// trialItem is one trial as the coordinator consumes it: its score
+// and, for the first trial of a row, the row's checked layout.
+type trialItem struct {
+	score  float64
+	layout *topology.Layout
+}
+
 // FindBestRouting is the distributed counterpart of
-// sabre.FindBestRouting: the layout rows — refinement and trials —
-// fan out over the cluster, and the winning trial is replayed locally
-// to materialise the Result. A sabre.Grid consumes the rows in row
-// order from the same queue type the local scheduler uses, so the
-// returned Result — routed circuit, TrialsExecuted, winner identity —
-// is bit-identical to a single-process run with the same options at
-// any worker count, lease size, or patience setting, including across
-// worker deaths mid-lease. Every row is checked before use (see
-// rowFromWire). Workers route whole rows without cutting trials, so a
-// score bound in opts is ignored.
+// sabre.FindBestRouting: the trial grid fans out over the cluster in
+// leases of whole layout rows, whose workers refine the rows' layouts
+// and route their trials, and the winning trial is replayed locally to
+// materialise the Result. A sabre.Grid consumes the trials in
+// trial-index order from the same queue type the local scheduler uses,
+// so the returned Result — routed circuit, TrialsExecuted, winner
+// identity — is bit-identical to a single-process run with the same
+// options at any worker count, lease size, or patience setting,
+// including across worker deaths mid-lease. Every row's layout is
+// checked before use (see rowLayoutFromWire). Workers route every
+// trial to its end, so a score bound in opts is ignored.
 //
 // metric and factory must be the local equivalents of spec (the pair
 // transpile.Transpile would build); they are used for the local winner
@@ -113,11 +145,22 @@ func (cl *Cluster) FindBestRouting(pc *sabre.PreparedCircuit,
 	if err != nil {
 		return nil, err
 	}
+	n := opts.RoutingTrials
 	g := sabre.NewGrid(pc, opts, metric, factory)
-	q := dispatch.NewQueue(opts.LayoutTrials, cl.trialLease(), g.Consume)
+	var layout *topology.Layout // the layout of the row being consumed
+	q := dispatch.NewQueue(opts.LayoutTrials*n, cl.trialLease()*n, func(t int, it trialItem) bool {
+		if it.layout != nil {
+			layout = it.layout
+		}
+		return g.ConsumeTrial(t, layout, it.score)
+	})
 	_, err = dispatch.RunJob(cl.Hub, KindTrials, raw, q,
-		func(wi dispatch.WireItem) (sabre.Row, error) {
-			return rowFromWire(wi.Blob, wi.Index, pc, opts.RoutingTrials)
+		func(wi dispatch.WireItem) (it trialItem, err error) {
+			it.score = wi.Score
+			if wi.Index%n == 0 {
+				it.layout, err = rowLayoutFromWire(wi.Blob, wi.Index/n, pc)
+			}
+			return it, err
 		})
 	if err != nil {
 		return nil, err

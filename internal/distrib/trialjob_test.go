@@ -12,28 +12,25 @@ import (
 	"repro/internal/topology"
 )
 
-// badRowJob is a KindTrials worker that answers row bad with a
-// corrupted blob and every other row honestly.
+// badRowJob is a KindTrials worker whose first trial of row bad ships
+// a corrupted layout blob; every other item is honest.
 type badRowJob struct {
 	*trialJob
 	bad     int
-	corrupt func(sabre.Row) []byte
+	corrupt func(l2p []int) []byte
 }
 
-func (j badRowJob) Run(lt int) dispatch.WireItem {
-	if lt != j.bad {
-		return j.trialJob.Run(lt)
+func (j badRowJob) Run(t int) dispatch.WireItem {
+	it := j.trialJob.Run(t)
+	if t == j.bad*j.opts.RoutingTrials && it.Err == "" {
+		it.Blob = j.corrupt(append([]int(nil), j.layout.L2P...))
 	}
-	row, err := j.runner.Row(j.opts, lt, j.metric, j.factory)
-	if err != nil {
-		return dispatch.WireItem{Index: lt, Err: err.Error()}
-	}
-	return dispatch.WireItem{Index: lt, Blob: j.corrupt(row)}
+	return it
 }
 
-// TestCoordinatorRejectsBadRows: the coordinator checks every row a
-// worker returns before the grid uses it. Each corruption fails the
-// call with an error naming the row, and none panics.
+// TestCoordinatorRejectsBadRows: the coordinator checks the layout of
+// every row a worker refined before the grid uses it. Each corruption
+// fails the call with an error naming the row, and none panics.
 func TestCoordinatorRejectsBadRows(t *testing.T) {
 	topo := topology.Grid(3, 3)
 	blocks := circuit.ConsolidateBlocks(circuit.UnrollTo2Q(e2eCircuit("rows", 6, 14, 5)))
@@ -44,41 +41,29 @@ func TestCoordinatorRejectsBadRows(t *testing.T) {
 	spec, metric, factory := testPolicy(t, mirageDepth, blocks)
 	opts := sabre.LayoutOptions{LayoutTrials: 3, RoutingTrials: 2, FwdBwdPasses: 1, Seed: 3}
 	const bad = 1
-	// wire encodes row with l2p replacing its layout when given.
-	wire := func(r sabre.Row, l2p []int) []byte {
-		if l2p == nil {
-			l2p = r.Layout.L2P
-		}
-		b, err := encodeSpec(&wireRow{L2P: l2p, Scores: r.Scores})
+	wire := func(l2p []int) []byte {
+		b, err := encodeSpec(l2p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
-	modified := func(r sabre.Row, edit func([]int)) []int {
-		l2p := append([]int(nil), r.Layout.L2P...)
-		edit(l2p)
-		return l2p
-	}
 	cases := []struct {
 		name    string
-		corrupt func(sabre.Row) []byte
+		corrupt func(l2p []int) []byte
 		want    string
 	}{
-		{"short score list", func(r sabre.Row) []byte {
-			r.Scores = r.Scores[:1]
-			return wire(r, nil)
-		}, "1 scores for 2 routing trials"},
-		{"short layout", func(r sabre.Row) []byte {
-			return wire(r, r.Layout.L2P[:len(r.Layout.L2P)-1])
-		}, "layout places 5 qubits"},
-		{"duplicate qubit", func(r sabre.Row) []byte {
-			return wire(r, modified(r, func(l2p []int) { l2p[1] = l2p[0] }))
+		{"missing layout", func([]int) []byte { return nil }, "ships no layout"},
+		{"short layout", func(l2p []int) []byte { return wire(l2p[:len(l2p)-1]) }, "layout places 5 qubits"},
+		{"duplicate qubit", func(l2p []int) []byte {
+			l2p[1] = l2p[0]
+			return wire(l2p)
 		}, "two qubits onto physical qubit"},
-		{"out-of-range qubit", func(r sabre.Row) []byte {
-			return wire(r, modified(r, func(l2p []int) { l2p[2] = topo.NumQubits }))
+		{"out-of-range qubit", func(l2p []int) []byte {
+			l2p[2] = topo.NumQubits
+			return wire(l2p)
 		}, fmt.Sprintf("physical qubit %d of %d", topo.NumQubits, topo.NumQubits)},
-		{"undecodable blob", func(sabre.Row) []byte { return []byte{0xff} }, "undecodable"},
+		{"undecodable blob", func([]int) []byte { return []byte{0xff} }, "undecodable"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -105,9 +90,10 @@ func TestCoordinatorRejectsBadRows(t *testing.T) {
 	}
 }
 
-// TestTrialJobRejectsRowOutsideGrid: a worker answers a lease index
-// outside [0, LayoutTrials) with an item error.
-func TestTrialJobRejectsRowOutsideGrid(t *testing.T) {
+// TestTrialJobShipsRowLayouts: a worker answers a trial outside the
+// 2x2 grid with an item error, and ships a row's layout with the row's
+// first trial only.
+func TestTrialJobShipsRowLayouts(t *testing.T) {
 	spec, err := SpecFromOptions(mirageDepth)
 	if err != nil {
 		t.Fatal(err)
@@ -116,12 +102,18 @@ func TestTrialJobRejectsRowOutsideGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, lt := range []int{-1, 2, 100} {
-		if it := job.Run(lt); it.Err == "" || it.Blob != nil || it.Index != lt {
-			t.Fatalf("row %d: item %+v, want an item error", lt, it)
+	for _, tr := range []int{-1, 4, 100} {
+		if it := job.Run(tr); it.Err == "" || it.Blob != nil || it.Index != tr {
+			t.Fatalf("trial %d: item %+v, want an item error", tr, it)
 		}
 	}
-	if it := job.Run(1); it.Err != "" {
-		t.Fatalf("row 1: %s", it.Err)
+	for _, tr := range []int{3, 2, 1, 0} {
+		it := job.Run(tr)
+		if it.Err != "" {
+			t.Fatalf("trial %d: %s", tr, it.Err)
+		}
+		if first := tr%2 == 0; (it.Blob != nil) != first {
+			t.Fatalf("trial %d: layout blob %v, want one only on a row's first trial", tr, it.Blob)
+		}
 	}
 }

@@ -12,36 +12,37 @@ import (
 // initial layout and the scores of its routing trials
 // t = lt*RoutingTrials + rt, in trial order. A cut trial scores +Inf.
 // A row holds fewer than RoutingTrials scores when it stopped early:
-// where its copy of the selector stopped the grid (see Grid), or at a
-// trial that failed with Err.
+// where the grid finished or its copy of the selector stopped the grid
+// (see Grid), or at a trial that failed with Err.
 type Row struct {
 	Layout *topology.Layout
 	Scores []float64
 	Err    error
 }
 
-// Grid consumes the rows of one FindBestRouting trial grid and replays
-// its winner. Both schedulers drive it: FindBestRoutingPrepared runs
-// rows on dispatch.RunLocal, the distributed coordinator
-// (internal/distrib) receives them from TCP workers. Consume is the
-// consume callback of a dispatch.Queue over LayoutTrials rows, so rows
-// arrive in row order and their scores reach its trial selector in
-// trial-index order.
+// Grid consumes the trials of one FindBestRouting grid and replays its
+// winner. Both schedulers drive it. FindBestRoutingPrepared runs
+// layout rows on dispatch.RunLocal and hands them to Consume; the
+// distributed coordinator (internal/distrib) receives single trials
+// from TCP workers and hands them to ConsumeTrial. Either is the
+// consume callback of a dispatch.Queue, so scores reach the trial
+// selector in trial-index order.
 //
 // After each row the Grid publishes the selector's state, which the
-// local rows still running read:
+// local rows still running read before every trial:
 //
-//   - a row that starts after every earlier row was consumed continues
-//     from a copy of that state: it cuts each trial at the copy's best
-//     score and stops routing at the trial where the copy's patience
-//     rule stops the grid. Serial runs take this path for every row,
-//     so they route exactly the trials the selector consumes.
-//   - a row that starts earlier cuts each trial at the lower of the
-//     published best and its own best so far, and runs to its end.
+//   - once every earlier row was consumed, a row follows a copy of
+//     that state, fed with its own scores so far: it stops routing at
+//     the trial where the copy's patience rule stops the grid. Serial
+//     runs follow from a row's first trial, so they route exactly the
+//     trials the selector consumes.
+//   - until then it runs on, and returns as soon as the grid finished.
 //
-// Either way a trial is only cut at the score of a lower-index trial,
-// so it could not have won, and it reaches the selector as +Inf — a
-// non-improving score, as its real one would have been.
+// Every row cuts each trial at the lower of the published best and its
+// own best so far. A trial is thus only cut at the score of a
+// lower-index trial, so it could not have won, and it reaches the
+// selector as +Inf: a non-improving score, as its real one would have
+// been.
 type Grid struct {
 	pc      *PreparedCircuit
 	opts    LayoutOptions
@@ -50,8 +51,9 @@ type Grid struct {
 	bound   *trialBound // nil: no trial is cut
 
 	mu     sync.Mutex
-	rows   int              // rows consumed
-	sel    trialSelector    // the selector after those rows
+	rows   int              // rows consumed by Consume
+	done   bool             // the grid is finished
+	sel    trialSelector    // the selector after the trials consumed
 	layout *topology.Layout // the winner's layout
 	err    error            // the trial error that ended the grid
 }
@@ -79,20 +81,30 @@ func (g *Grid) Consume(lt int, row Row) bool {
 	defer g.mu.Unlock()
 	g.rows++
 	for rt, score := range row.Scores {
-		t := lt*g.opts.RoutingTrials + rt
-		stop := g.sel.Consume(t, score)
-		if g.sel.bestT == t {
-			g.layout = row.Layout
-		}
-		if stop {
+		if g.consume(lt*g.opts.RoutingTrials+rt, row.Layout, score) {
 			return true
 		}
 	}
 	if row.Err != nil {
-		g.err = row.Err
-		return true
+		g.err, g.done = row.Err, true
 	}
-	return false
+	return g.done
+}
+
+// ConsumeTrial feeds the score of trial t, routed from layout, to the
+// selector. It returns true once the patience rule fired.
+func (g *Grid) ConsumeTrial(t int, layout *topology.Layout, score float64) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.consume(t, layout, score)
+}
+
+func (g *Grid) consume(t int, layout *topology.Layout, score float64) bool {
+	g.done = g.sel.Consume(t, score)
+	if g.sel.bestT == t {
+		g.layout = layout
+	}
+	return g.done
 }
 
 // Result replays the winning trial on a transient runner whose arena
@@ -121,69 +133,61 @@ func (g *Grid) Result() (*Result, error) {
 	return best, nil
 }
 
-// snapshot returns a copy of the published selector and whether every
-// row before lt was consumed.
-func (g *Grid) snapshot(lt int) (trialSelector, bool) {
+// snapshot returns a copy of the published selector, whether every
+// row before lt was consumed, and whether the grid is finished.
+func (g *Grid) snapshot(lt int) (sel trialSelector, caughtUp, done bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.sel, g.rows == lt
+	return g.sel, g.rows == lt, g.done
 }
 
-// Row refines layout trial lt and routes and scores every one of its
-// RoutingTrials trials, none of them cut: the row a distributed worker
-// returns. A nil metric is SwapCountMetric.
-func (r *TrialRunner) Row(opts LayoutOptions, lt int, metric Metric, factory PolicyFactory) (Row, error) {
-	if metric == nil {
-		metric = SwapCountMetric
-	}
-	return r.row(opts.WithDefaults(), lt, metric, factory, nil)
-}
-
-// row runs row lt, under g's rules when g is non-nil (see Grid). opts
-// must already have defaults applied. A refinement error fails the
-// row; a trial error ends it.
-func (r *TrialRunner) row(opts LayoutOptions, lt int, metric Metric, factory PolicyFactory, g *Grid) (Row, error) {
-	layout, err := r.RefineLayout(opts, lt)
+// row refines layout trial lt on r and routes and scores its trials
+// under the rules of the Grid doc. A refinement error fails the row; a
+// trial error ends it.
+func (g *Grid) row(r *TrialRunner, lt int) (Row, error) {
+	layout, err := r.RefineLayout(g.opts, lt)
 	if err != nil {
 		return Row{}, err
 	}
-	n := opts.RoutingTrials
+	n := g.opts.RoutingTrials
 	row := Row{Layout: layout, Scores: make([]float64, 0, n)}
-	var sel trialSelector
+	var sel trialSelector // the followed copy of the grid's selector
 	following := false
-	if g != nil {
-		sel, following = g.snapshot(lt)
-	}
 	own := math.Inf(1) // the row's best score so far
 	var tb trialBound
 	for rt := 0; rt < n; rt++ {
+		published, caughtUp, done := g.snapshot(lt)
+		if done {
+			return row, nil
+		}
+		if !following && caughtUp {
+			sel, following = published, true
+			for i, score := range row.Scores {
+				if sel.Consume(lt*n+i, score) {
+					return row, nil
+				}
+			}
+		}
 		t := lt*n + rt
 		var bound *trialBound
-		if g != nil && g.bound != nil {
-			beat := sel.best()
-			if !following {
-				published, _ := g.snapshot(lt)
-				beat = math.Min(own, published.best())
-			}
-			if !math.IsInf(beat, 1) {
-				tb = *g.bound
-				tb.beat = beat
-				bound = &tb
-			}
+		if beat := math.Min(own, published.best()); g.bound != nil && !math.IsInf(beat, 1) {
+			tb = *g.bound
+			tb.beat = beat
+			bound = &tb
 		}
 		var policy MirrorPolicy
-		if factory != nil {
-			policy = factory(t)
+		if g.factory != nil {
+			policy = g.factory(t)
 		}
 		score := math.Inf(1)
-		res, err := r.gridTrial(layout, opts, t, policy, bound)
+		res, err := r.gridTrial(layout, g.opts, t, policy, bound)
 		switch {
 		case err == errTrialCut:
 		case err != nil:
 			row.Err = err
 			return row, nil
 		default:
-			score = metric(res)
+			score = g.metric(res)
 		}
 		row.Scores = append(row.Scores, score)
 		own = math.Min(own, score)

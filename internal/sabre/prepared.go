@@ -92,7 +92,7 @@ func FindBestRoutingPrepared(pc *PreparedCircuit, opts LayoutOptions,
 	q := dispatch.NewQueue(g.opts.LayoutTrials, 1, g.Consume)
 	err := dispatch.RunLocal(q, g.opts.Parallelism,
 		func(int) *TrialRunner { return NewTrialRunnerPrepared(pc) },
-		func(lt int, r *TrialRunner) (Row, error) { return r.row(g.opts, lt, g.metric, g.factory, g) })
+		func(lt int, r *TrialRunner) (Row, error) { return g.row(r, lt) })
 	if err != nil {
 		return nil, err
 	}

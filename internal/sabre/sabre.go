@@ -18,11 +18,13 @@
 // mutable trial state — traversal, layout, decay, pair caches,
 // candidate dedup stamps, the routed-op buffer — lives in a per-worker
 // trialArena reused across the whole grid. The grid runs on the
-// dispatch work queue one layout row at a time: a row refines one
-// layout and routes its trials on one arena, and a Grid consumes the
-// rows in order. The local scheduler (dispatch.RunLocal) and the
-// distributed transport (internal/distrib, whose workers run rows
-// through TrialRunner.Row) share that one code path.
+// dispatch work queue. The local scheduler (dispatch.RunLocal) runs
+// it one layout row at a time: a row refines one layout and routes its
+// trials on one arena. The distributed transport (internal/distrib)
+// leases whole rows to workers, which refine with
+// TrialRunner.RefineLayout and route with TrialRunner.GridTrial, and
+// returns one score per trial. Either way a Grid consumes the scores
+// in trial order and replays the winner.
 //
 // The router exposes a MirrorPolicy hook: every two-qubit gate that
 // becomes executable is offered to the policy, which may replace it
@@ -183,8 +185,9 @@ type LayoutOptions struct {
 	// wall-clock arrival order — so the set of trials contributing to
 	// the answer is a prefix [0, T) that is identical at any
 	// Parallelism. A row that starts once every earlier row was
-	// consumed stops routing at T; trials a row routed past T are
-	// discarded, and rows past T are never refined. 0 keeps the
+	// consumed stops routing at T, a row started earlier returns once
+	// the grid has stopped, trials routed past T are discarded, and
+	// rows past T are never refined. 0 keeps the
 	// paper's fixed LayoutTrials x RoutingTrials grid.
 	ConvergencePatience int
 

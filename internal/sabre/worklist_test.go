@@ -145,8 +145,8 @@ func TestPreparedCircuitSharedRace(t *testing.T) {
 					errs <- fmt.Sprintf("worker %d rep %d: grid fingerprint diverged", w, rep)
 					return
 				}
-				if _, err := NewTrialRunnerPrepared(pc).Row(opts, rep%opts.LayoutTrials, SwapCountMetric, nil); err != nil {
-					errs <- fmt.Sprintf("worker %d rep %d: row: %v", w, rep, err)
+				if _, err := NewTrialRunnerPrepared(pc).RefineLayout(opts, rep%opts.LayoutTrials); err != nil {
+					errs <- fmt.Sprintf("worker %d rep %d: refine: %v", w, rep, err)
 					return
 				}
 				single, err := NewTrialRunnerPrepared(pc).Run(layout, Options{}, 42, parityMirror{})
