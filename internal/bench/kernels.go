@@ -2,9 +2,9 @@ package bench
 
 // The numeric-kernel and routing -benchmem lane: ns/op and allocs/op
 // for the hot kernels of the decomposition substrate — Weyl-coordinate
-// extraction (fast and reference), warm-cache block consolidation, KAK
-// (generic and value-type KAK4) — for the routing trial engine
-// (steady-state arena trials via sabre.TrialRunner, and a full
+// extraction (fast and reference), warm-cache block consolidation, the
+// value-type KAK4 — for the routing trial engine (steady-state arena
+// trials via sabre.TrialRunner, layout refinement, and a full
 // FindBestRouting grid) and for the MIRAGE-Depth trial metric,
 // recorded into BENCH_routing.json next to the routing rows and
 // diffed by cmd/benchdiff, so an allocation
@@ -175,16 +175,6 @@ func RunKernelBenchmarks() ([]KernelRow, error) {
 			}
 			return nil
 		}},
-		{"decompose/KAK", func(b *testing.B) error {
-			kakRng := rand.New(rand.NewSource(272))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := decompose.KAK(targets[i%len(targets)], kakRng); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
 		{"decompose/KAK4", func(b *testing.B) error {
 			kakRng := rand.New(rand.NewSource(272))
 			mats := make([]linalg.Mat4, len(targets))
@@ -252,6 +242,29 @@ func RunKernelBenchmarks() ([]KernelRow, error) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := runner.Run(layout, sabre.Options{}, int64(i%16)+1, nil); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		// One layout row's refinement on a warm arena: a random layout
+		// refined by four forward/backward routing rounds, cycling through
+		// the rows of a 20-row grid. Refinement routes more than half of
+		// a MIRAGE grid's stalls, and no policy or metric runs in it.
+		{"sabre/RefineLayout", func(b *testing.B) error {
+			topo, c, _ := routingFixture()
+			runner, err := sabre.NewTrialRunner(c, topo)
+			if err != nil {
+				return err
+			}
+			opts := sabre.LayoutOptions{Seed: 3}.WithDefaults()
+			if _, err := runner.RefineLayout(opts, 0); err != nil {
+				return err
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := runner.RefineLayout(opts, i%opts.LayoutTrials); err != nil {
 					return err
 				}
 			}

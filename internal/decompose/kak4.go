@@ -1,3 +1,8 @@
+// Package decompose implements two-qubit gate decomposition: the exact
+// KAK (Cartan) decomposition U = g (K1l x K1r) CAN(x,y,z) (K2l x K2r),
+// numerical synthesis into a fixed basis gate (the Cartan ansatz of
+// paper Fig. 2 fitted with Nelder-Mead), and the decoherence fidelity
+// model of paper Eq. 2.
 package decompose
 
 // Allocation-free KAK on the fixed-size kernels: KAK4 runs the same
@@ -9,9 +14,9 @@ package decompose
 // SU(4) inputs the whole path performs zero heap allocations; errors
 // (the only allocating exits) mean the input was not decomposable.
 //
-// KAK remains the generic reference implementation; the property tests
-// in kak4_test.go pin KAK4's reconstruction and canonical coordinates
-// to it.
+// The generic KAK on the *linalg.Matrix API (kak_reference_test.go) is
+// its reference: the property tests in kak4_test.go pin KAK4's
+// reconstruction and canonical coordinates to it.
 
 import (
 	"fmt"
@@ -24,11 +29,12 @@ import (
 	"repro/internal/weyl"
 )
 
-// KAKDecomposition4 is the value-type analogue of KAKDecomposition:
+// KAKDecomposition4 is a KAK (Cartan) decomposition in value types:
 //
 //	U = GlobalPhase * (K1l kron K1r) * CAN(X, Y, Z) * (K2l kron K2r).
 //
-// As with KAK, (X, Y, Z) are not canonicalised into the Weyl chamber.
+// (X, Y, Z) are not canonicalised into the Weyl chamber;
+// CanonicalCoordinate returns the chamber representative.
 type KAKDecomposition4 struct {
 	GlobalPhase        complex128
 	K1l, K1r, K2l, K2r linalg.Mat2
@@ -48,17 +54,6 @@ func (d *KAKDecomposition4) Reconstruct() linalg.Mat4 {
 // interaction part.
 func (d *KAKDecomposition4) CanonicalCoordinate() weyl.Coordinate {
 	return weyl.Canonicalize(weyl.Coordinate{X: d.X, Y: d.Y, Z: d.Z})
-}
-
-// Generic converts to the pointer-based KAKDecomposition (allocates;
-// for callers on the *Matrix API).
-func (d *KAKDecomposition4) Generic() *KAKDecomposition {
-	return &KAKDecomposition{
-		GlobalPhase: d.GlobalPhase,
-		K1l:         d.K1l.ToMatrix(), K1r: d.K1r.ToMatrix(),
-		K2l: d.K2l.ToMatrix(), K2r: d.K2r.ToMatrix(),
-		X: d.X, Y: d.Y, Z: d.Z,
-	}
 }
 
 // diag4 builds the diagonal unitary exp(i diag(th)).

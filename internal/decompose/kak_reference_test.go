@@ -1,9 +1,8 @@
-// Package decompose implements two-qubit gate decomposition: the exact
-// KAK (Cartan) decomposition U = g (K1l x K1r) CAN(x,y,z) (K2l x K2r),
-// numerical synthesis into a fixed basis gate (the Cartan ansatz of
-// paper Fig. 2 fitted with Nelder-Mead), and the decoherence fidelity
-// model of paper Eq. 2.
 package decompose
+
+// The generic KAK on the *linalg.Matrix API: the reference the
+// allocation-free KAK4 is property-tested against (kak4_test.go). It
+// lives in a test file because nothing outside the tests calls it.
 
 import (
 	"fmt"
@@ -276,4 +275,15 @@ func phaseBetween(u, v *linalg.Matrix) (complex128, error) {
 		return 0, fmt.Errorf("decompose: matrices differ by more than a phase")
 	}
 	return c, nil
+}
+
+// Generic converts to the pointer-based KAKDecomposition, to compare
+// KAK4 against KAK.
+func (d *KAKDecomposition4) Generic() *KAKDecomposition {
+	return &KAKDecomposition{
+		GlobalPhase: d.GlobalPhase,
+		K1l:         d.K1l.ToMatrix(), K1r: d.K1r.ToMatrix(),
+		K2l: d.K2l.ToMatrix(), K2r: d.K2r.ToMatrix(),
+		X: d.X, Y: d.Y, Z: d.Z,
+	}
 }

@@ -17,10 +17,10 @@ import (
 var routerSwapGate = gates.SWAP()
 
 // trialArena owns every mutable buffer one routing trial needs: the
-// engine state (routingState — traversal, layout, decay, pair caches,
-// candidate dedup stamps, score scratch), the reusable routed-op
-// buffer, the layout copies a Result exposes, the per-trial generator
-// (trialSource: math/rand's stream, seeded in O(1)), the depth pass a
+// engine state (routingState — traversal, layout, decay, scoring sets,
+// candidate dedup stamps), the reusable routed-op buffer, the layout
+// copies a Result exposes, the per-trial generator (trialSource:
+// math/rand's stream, seeded in O(1)), the depth pass a
 // score bound feeds, and a pre-bound MirrorContext whose cost closures
 // are allocated once per arena instead of once per decision.
 //
@@ -213,7 +213,11 @@ func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topo
 						}
 					}
 					if mirrored {
-						st.applyMirrorSwap(pa, pb)
+						// The gate's virtual SWAP moves only the layout:
+						// the only ready gate on (pa, pb) is this one, and
+						// its own distance is symmetric, so ready2QSum
+						// holds; execute marks the scoring sets stale.
+						st.layout.SwapPhysical(pa, pb)
 					}
 					st.execute(idx)
 					st.wlNext = append(st.wlNext, st.tr.LastReady...)
@@ -226,26 +230,14 @@ func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topo
 			break
 		}
 
-		// Stalled: refresh the pair caches if gates executed since the
-		// last stall, then score every candidate by delta and select
-		// serially (identical comparisons and RNG consumption to the
-		// reference, so the chosen SWAP sequence is bit-identical).
-		st.refresh()
-		candidates := st.collectCandidates()
-		if len(candidates) == 0 {
+		// Stalled: score every candidate SWAP against the stall's scoring
+		// sets and select serially (identical comparisons and RNG
+		// consumption to the reference, so the chosen SWAP sequence is
+		// bit-identical).
+		chosen, ok := st.chooseSwap(rng)
+		if !ok {
 			return nil, fmt.Errorf("sabre: stalled with no swap candidates (disconnected topology?)")
 		}
-		scores := st.scoreCandidates(candidates)
-		bestScore := 0.0
-		bestIdx := -1
-		for i := range candidates {
-			score := scores[i]
-			if bestIdx < 0 || score < bestScore-1e-12 ||
-				(score < bestScore+1e-12 && rng.Intn(2) == 0) {
-				bestScore, bestIdx = score, i
-			}
-		}
-		chosen := candidates[bestIdx]
 		a.emit2(routerSwapGate, chosen.a, chosen.b, nil, false, true)
 		st.applySwap(chosen.a, chosen.b)
 		// Seed the next execute phase with the deferred gates the swap
@@ -275,8 +267,7 @@ func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topo
 		} else if bound != nil && float64(a.res.SwapsInserted) >= bound.beat {
 			return nil, errTrialCut
 		}
-		st.decay[chosen.a] += opts.DecayRate
-		st.decay[chosen.b] += opts.DecayRate
+		st.bumpDecay(chosen.a, chosen.b)
 		steps++
 		if steps%opts.DecayResetInterval == 0 {
 			st.resetDecay()

@@ -177,3 +177,77 @@ func TestSharedFlatDAGManyWorkers(t *testing.T) {
 		t.Error(e)
 	}
 }
+
+// TestArenaRebindWideToNarrow routes on one arena rebound between a
+// narrow topology with a narrow window and a wide one with a wide
+// window, in both directions. Every route must match RouteReference:
+// a per-qubit scoring slot or a row stride left over from the previous
+// binding would change a score.
+func TestArenaRebindWideToNarrow(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	type side struct {
+		runner *TrialRunner
+		layout *topology.Layout
+		opts   Options
+	}
+	build := func(topo *topology.Topology, qubits, window int) side {
+		pc, err := PrepareCircuit(randomCircuit(topo.Name, qubits, 80, rng), topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return side{&TrialRunner{pc: pc}, RandomLayout(qubits, topo, rng), Options{ExtendedSetSize: window}}
+	}
+	wide, narrow := build(topology.Grid(5, 5), 25, 64), build(topology.Line(7), 7, 3)
+	arena := newTrialArena()
+	wide.runner.arena, narrow.runner.arena = arena, arena
+	for round, policy := range []MirrorPolicy{nil, parityMirror{}, costMirror{}, nil} {
+		for _, s := range []side{narrow, wide, wide, narrow} {
+			seed := int64(100*round + 1)
+			got, err := s.runner.Run(s.layout, s.opts, seed, policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pc := s.runner.pc
+			ref, err := RouteReference(pc.Circ, pc.Topo, s.layout, s.opts, rand.New(rand.NewSource(seed)), policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameFingerprint(routingFingerprint(ref), routingFingerprint(got)) {
+				t.Fatalf("round %d on %s: rebound arena diverged from reference", round, pc.Topo.Name)
+			}
+		}
+	}
+}
+
+// TestSteadyStateTrialsAllocateNothing pins the arena's zero-allocation
+// claim: once warm, every trial of a grid allocates nothing, with or
+// without a mirror policy. The whole grid runs inside one measured
+// call, so a single allocation in any trial fails the test.
+func TestSteadyStateTrialsAllocateNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	topo := topology.Grid(4, 4)
+	pc, err := PrepareCircuit(randomCircuit("allocs", 14, 80, rng), topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := LayoutOptions{LayoutTrials: 3, RoutingTrials: 4, Seed: 5}.WithDefaults()
+	runner := NewTrialRunnerPrepared(pc)
+	layouts := make([]*topology.Layout, opts.LayoutTrials)
+	for lt := range layouts {
+		if layouts[lt], err = runner.RefineLayout(opts, lt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, policy := range []MirrorPolicy{nil, costMirror{}} {
+		allocs := testing.AllocsPerRun(1, func() {
+			for tr := 0; tr < opts.LayoutTrials*opts.RoutingTrials; tr++ {
+				if _, err := runner.GridTrial(layouts[tr/opts.RoutingTrials], opts, tr, policy); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("policy %T: %v allocations over a warm grid, want 0", policy, allocs)
+		}
+	}
+}

@@ -169,3 +169,38 @@ func BenchmarkGridTrialSmall(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRefineLayout measures one layout row's refinement on a warm
+// runner: a random layout refined by four forward/backward routing
+// rounds, cycling through the rows of a 20-row grid. Refinement routes
+// more than half of a MIRAGE grid's stalls with no policy or metric,
+// so this is the stall loop with nothing else around it. The cases
+// match BenchmarkRouteArena's fixtures.
+func BenchmarkRefineLayout(b *testing.B) {
+	for _, tc := range []struct {
+		name          string
+		rows, cols    int
+		qubits, gates int
+	}{
+		{"grid4x4", 4, 4, 16, 60},
+		{"wide", 8, 8, 64, 400},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			runner, err := NewTrialRunner(benchCircuit(tc.qubits, tc.gates), topology.Grid(tc.rows, tc.cols))
+			if err != nil {
+				b.Fatal(err)
+			}
+			opts := LayoutOptions{Seed: 3}.WithDefaults()
+			if _, err := runner.RefineLayout(opts, 0); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := runner.RefineLayout(opts, i%opts.LayoutTrials); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

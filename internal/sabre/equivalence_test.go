@@ -212,3 +212,35 @@ func TestMirrorDataMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestRouteMatchesReferenceWindowSizes runs the equivalence property
+// across lookahead windows and decay-reset intervals. The engine sizes
+// its per-qubit window partner rows by ExtendedSetSize, so every
+// window size is a different memory layout; the reset interval moves
+// where the decay reset lands relative to the SWAP sequence.
+func TestRouteMatchesReferenceWindowSizes(t *testing.T) {
+	policies := []MirrorPolicy{nil, parityMirror{}, costMirror{}}
+	for _, window := range []int{1, 3, 20, 64} {
+		for _, reset := range []int{1, 5} {
+			opts := Options{ExtendedSetSize: window, DecayResetInterval: reset}
+			for _, tc := range equivCases(t) {
+				for _, policy := range policies {
+					ref, err := RouteReference(tc.circ, tc.topo, tc.layout, opts,
+						rand.New(rand.NewSource(tc.seed)), policy)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := Route(tc.circ, tc.topo, tc.layout, opts,
+						rand.New(rand.NewSource(tc.seed)), policy)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameFingerprint(routingFingerprint(ref), routingFingerprint(got)) {
+						t.Fatalf("window %d reset %d %s policy %T: engine diverged from reference (swaps %d vs %d)",
+							window, reset, tc.name, policy, got.SwapsInserted, ref.SwapsInserted)
+					}
+				}
+			}
+		}
+	}
+}

@@ -10,14 +10,15 @@ import (
 	"repro/internal/weyl"
 )
 
-// RouteReference is the naive SABRE formulation Route used before the
-// incremental engine: every stall rebuilds the front/lookahead pair
-// sets and re-scores all pending gates for every SWAP candidate. It is
-// kept as the executable specification of Route — the equivalence
-// property test (TestRouteMatchesReference) checks the engine
-// reproduces it bit-identically, and BenchmarkRouteWide measures the
-// engine's speedup against it. Behaviour changes belong in both or
-// neither.
+// RouteReference is the naive SABRE formulation: every stall rebuilds
+// the front/lookahead pair sets and re-scores all pending gates for
+// every SWAP candidate under a copied layout, where the engine scores
+// each candidate by delta against per-stall scoring sets. It is kept as
+// the executable specification of Route — the equivalence property
+// tests (TestRouteMatchesReference and its window-size sweep) check the
+// engine reproduces it bit-identically, and BenchmarkRouteWide
+// measures the engine's speedup against it. Behaviour changes belong
+// in both or neither.
 //
 // Like the engine, the reference runs against the immutable
 // circuit.FlatDAG (with a freshly allocated traversal — the reference

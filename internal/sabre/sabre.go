@@ -4,18 +4,19 @@
 // decay-based parallelism promotion, and iterative forward-backward
 // layout refinement with independent trials.
 //
-// Route runs on an incrementally-maintained engine (routingState):
-// the front layer, lookahead window, per-qubit pair indices and
-// distance sums persist across stalls, and each SWAP candidate is
-// scored by delta — only gates touching the swapped qubits are
-// revisited. The naive rebuild-everything formulation is kept as
+// Route runs on a delta-scoring engine (routingState): each stall
+// builds flat scoring sets — the front and lookahead pairs, their
+// distance sums and per-qubit partner slots under the live layout —
+// and scores each SWAP candidate by delta, revisiting only the pairs
+// on the swapped qubits. The logical pair lists are rebuilt only when
+// a gate executed. The naive rebuild-everything formulation is kept as
 // RouteReference, the executable specification the engine is
 // property-tested against.
 //
-// The trial hot path allocates O(1) per steady-state trial: the
+// The trial hot path allocates nothing per steady-state trial: the
 // dependency DAG is built once per FindBestRouting call as an
 // immutable circuit.FlatDAG shared read-only by every worker, and all
-// mutable trial state — traversal, layout, decay, pair caches,
+// mutable trial state — traversal, layout, decay, scoring sets,
 // candidate dedup stamps, the routed-op buffer — lives in a per-worker
 // trialArena reused across the whole grid. The grid runs on the
 // dispatch work queue. The local scheduler (dispatch.RunLocal) runs

@@ -1,169 +1,52 @@
 package sabre
 
 import (
+	"math/rand"
+
 	"repro/internal/circuit"
 	"repro/internal/topology"
 )
 
-// This file is the incrementally-maintained routing engine. The naive
-// formulation (kept as RouteReference) rebuilds the front/lookahead
-// pair sets at every stall and walks all of them once per SWAP
-// candidate: O(candidates x (|front| + |E|)) distance lookups per
-// inserted SWAP. The engine observes that a swap of physical qubits
-// (a, b) only changes the distance of gates touching a or b, so it
-// keeps per-qubit indices into the cached pair sets and scores each
-// candidate by delta against cached sums: O(candidates x deg).
+// This file is the routing engine. The naive formulation (kept as
+// RouteReference) rebuilds the front/lookahead pair sets at every stall
+// and walks all of them once per SWAP candidate, under a copied layout:
+// O(candidates x (|front| + |E|)) distance lookups per inserted SWAP.
+// The engine observes that a swap of physical qubits (a, b) only
+// changes the distance of pairs touching a or b, so it scores each
+// candidate by delta against the sets' distance sums:
+// O(candidates x deg).
+//
+// Per-stall scoring sets: the front and window logical pair lists are
+// rebuilt (window by the Descendants BFS) only when the ready set
+// changed; their physical view — the distance sums and, per physical
+// qubit, the partner qubits of the pairs on it — is rebuilt from the
+// live layout at every stall and cleared again before the chosen SWAP
+// moves the layout. Front pairs are disjoint (one ready op per wire),
+// so the front needs one partner slot per qubit; window pairs are at
+// most ExtendedSetSize, so a qubit's window partners fit in a
+// fixed-stride row of that width. Building a view costs
+// O(|front| + |E|) flat writes, cheaper than keeping a cache in step
+// with every committed SWAP when most stalls follow an executed gate.
 //
 // Exactness: distances are small integers, and sums of small integers
-// are exact in float64 regardless of association order, so the
-// incrementally maintained sums equal the freshly recomputed ones
-// bit-for-bit — the engine's scores, tie-breaking RNG consumption, and
-// emitted circuits are identical to RouteReference's. The equivalence
-// property test enforces this.
+// are exact in float64 regardless of association order, so the delta
+// sums equal the freshly recomputed ones bit-for-bit — the engine's
+// scores, tie-breaking RNG consumption, and emitted circuits are
+// identical to RouteReference's. The equivalence property test
+// enforces this.
 //
-// Layout of the hot data: distances live in the topology's flat
-// row-major int16 table (dist[a*dn+b]), indexed directly — no
-// slice-of-slice hop per lookup. Pair sets are SoA: logical endpoints,
-// cached *physical* endpoints, and cached distances in parallel int32
-// arrays, so a delta score is a straight walk over flat arrays with no
-// layout indirection (the cached physical endpoints are maintained on
-// every committed swap).
+// Distances live in the topology's flat row-major int16 table
+// (dist[a*dn+b]), indexed directly — no slice-of-slice hop per lookup.
 //
 // All of the engine's mutable state lives in buffers owned by a
 // trialArena (arena.go) and is rewound per trial with bind(): the DAG
 // itself is an immutable shared circuit.FlatDAG, every slice below is
-// reused across trials, and the one former map (the SWAP-candidate
-// dedup set) is a generation-stamped flat array, so a steady-state
-// trial performs O(1) allocations.
+// reused across trials, and the SWAP-candidate dedup set is a
+// generation-stamped flat array, so a steady-state trial allocates
+// nothing.
 
 // swapCand is one candidate SWAP on a coupled physical pair (a < b).
 type swapCand struct{ a, b int }
-
-// pairSet caches one scoring set (the front layer or the extended
-// lookahead window) in SoA form: logical endpoint pairs, their cached
-// physical locations and distances under the current engine layout,
-// the distance sum, and a physical-qubit -> pair index so swap deltas
-// touch only affected pairs. reset() is O(touched): only per-qubit
-// index lists registered since the last reset are cleared.
-type pairSet struct {
-	la, lb []int32   // logical endpoints
-	pa, pb []int32   // cached physical endpoints under the engine layout
-	sum    int64     // sum(dist); exact, so float64(sum) == naive float accumulation
-	byPhys [][]int32 // physical qubit -> indices into the pair arrays
-	// byOther[q] holds, for each pair touching physical qubit q, the
-	// pair's *other* endpoint — the value the delta walk needs, stored
-	// directly so scoring reads one sequential value list per qubit
-	// with no hop through the pair arrays. Parallel to byPhys[q].
-	byOther [][]int32
-	touched []int32 // physical qubits with registered pairs (reset list)
-}
-
-// ensure sizes the per-qubit index against the topology width, keeping
-// existing backing arrays when already large enough. The stale touched
-// list is cleared at the *old* width first: rebinding the arena to a
-// narrower topology must not leave per-qubit lists (or out-of-range
-// touched entries) behind.
-func (ps *pairSet) ensure(numPhys int) {
-	for _, q := range ps.touched {
-		ps.byPhys[q] = ps.byPhys[q][:0]
-		ps.byOther[q] = ps.byOther[q][:0]
-	}
-	ps.touched = ps.touched[:0]
-	if cap(ps.byPhys) < numPhys {
-		ps.byPhys = make([][]int32, numPhys)
-		ps.byOther = make([][]int32, numPhys)
-	}
-	ps.byPhys = ps.byPhys[:numPhys]
-	ps.byOther = ps.byOther[:numPhys]
-}
-
-func (ps *pairSet) reset() {
-	ps.la = ps.la[:0]
-	ps.lb = ps.lb[:0]
-	ps.pa = ps.pa[:0]
-	ps.pb = ps.pb[:0]
-	ps.sum = 0
-	for _, q := range ps.touched {
-		ps.byPhys[q] = ps.byPhys[q][:0]
-		ps.byOther[q] = ps.byOther[q][:0]
-	}
-	ps.touched = ps.touched[:0]
-}
-
-func (ps *pairSet) add(la, lb int32, layout *topology.Layout, dist []int16, dn int) {
-	idx := int32(len(ps.la))
-	pa, pb := int32(layout.L2P[la]), int32(layout.L2P[lb])
-	ps.la = append(ps.la, la)
-	ps.lb = append(ps.lb, lb)
-	ps.pa = append(ps.pa, pa)
-	ps.pb = append(ps.pb, pb)
-	ps.sum += int64(dist[int(pa)*dn+int(pb)])
-	if len(ps.byPhys[pa]) == 0 && len(ps.byOther[pa]) == 0 {
-		ps.touched = append(ps.touched, pa)
-	}
-	if len(ps.byPhys[pb]) == 0 && len(ps.byOther[pb]) == 0 {
-		ps.touched = append(ps.touched, pb)
-	}
-	ps.byPhys[pa] = append(ps.byPhys[pa], idx)
-	ps.byOther[pa] = append(ps.byOther[pa], pb)
-	ps.byPhys[pb] = append(ps.byPhys[pb], idx)
-	ps.byOther[pb] = append(ps.byOther[pb], pa)
-}
-
-// rebuildOther regenerates q's other-endpoint value list from its pair
-// index list and the (already updated) cached endpoints. Idempotent,
-// so callers may visit a qubit more than once.
-func (ps *pairSet) rebuildOther(q int) {
-	lst := ps.byOther[q][:0]
-	for _, idx := range ps.byPhys[q] {
-		lst = append(lst, ps.pa[idx]+ps.pb[idx]-int32(q)) // the endpoint not on q
-	}
-	ps.byOther[q] = lst
-}
-
-// applySwap updates cached endpoints and distances after the engine
-// layout has already swapped physical qubits a and b. Endpoints are
-// recomputed from the (post-swap) layout, so pairs touching both
-// qubits are safe to visit twice — the recompute is idempotent.
-func (ps *pairSet) applySwap(a, b int, layout *topology.Layout, dist []int16, dn int) {
-	for _, q := range [2]int{a, b} {
-		for _, idx := range ps.byPhys[q] {
-			ps.sum -= int64(dist[int(ps.pa[idx])*dn+int(ps.pb[idx])])
-			pa, pb := int32(layout.L2P[ps.la[idx]]), int32(layout.L2P[ps.lb[idx]])
-			ps.pa[idx], ps.pb[idx] = pa, pb
-			ps.sum += int64(dist[int(pa)*dn+int(pb)])
-		}
-	}
-	// The pairs previously touching a now touch b and vice versa.
-	ps.byPhys[a], ps.byPhys[b] = ps.byPhys[b], ps.byPhys[a]
-	ps.byOther[a], ps.byOther[b] = ps.byOther[b], ps.byOther[a]
-	ps.rebuildOther(a)
-	ps.rebuildOther(b)
-	// Every partner of a moved pair sees a different other-endpoint now;
-	// regenerate their value lists too (idempotent, so overlapping
-	// partner sets are fine).
-	for _, q := range [2]int{a, b} {
-		for _, r := range ps.byOther[q] {
-			if int(r) != a && int(r) != b {
-				ps.rebuildOther(int(r))
-			}
-		}
-		if len(ps.byPhys[q]) > 0 {
-			ps.touched = append(ps.touched, int32(q)) // duplicates are fine: reset is idempotent
-		}
-	}
-}
-
-// swapMap is where physical qubit x lands after swapping a and b.
-func swapMap(x, a, b int) int {
-	switch x {
-	case a:
-		return b
-	case b:
-		return a
-	}
-	return x
-}
 
 func swapMap32(x, a, b int32) int32 {
 	switch x {
@@ -176,8 +59,8 @@ func swapMap32(x, a, b int32) int32 {
 }
 
 // routingState is the engine: the flat-DAG traversal, the live layout
-// and decay vector, and the incrementally maintained front/extended
-// pair caches. It is single-goroutine.
+// and decay vector, and the per-stall scoring sets. It is
+// single-goroutine.
 type routingState struct {
 	c    *circuit.Circuit
 	topo *topology.Topology
@@ -192,10 +75,24 @@ type routingState struct {
 	tr     circuit.FlatTraversal
 	layout topology.Layout // arena-owned working layout (reset per trial)
 	decay  []float64
+	bumped []int32 // qubits whose decay left 1.0 since the last reset
 
-	front pairSet
-	ext   pairSet
-	dirty bool // pair caches stale (a gate executed or a mirror moved the layout)
+	// Scoring sets: the ready 2Q pairs (front) and the lookahead
+	// window's 2Q pairs (ext), as logical pairs. dirty marks them stale
+	// (a gate executed, so the ready set changed).
+	front, ext [][2]int32
+	dirty      bool
+
+	// Physical view of the scoring sets, valid during one stall:
+	// frontPeer[p] is the physical partner of p's front pair (-1 when
+	// none); extPeer[p*stride : p*stride+extDeg[p]] lists the partners
+	// of p's window pairs; the sums are the sets' total distances.
+	frontPeer []int32
+	extPeer   []int32
+	extDeg    []int32
+	stride    int
+	frontSum  int64
+	extSum    int64
 
 	// readyOpOn maps each logical wire to the ready op touching it (-1
 	// when none). Wire dependencies totally order the ops on a wire, so
@@ -226,15 +123,12 @@ type routingState struct {
 	mirrorA        int
 	mirrorB        int
 
-	// Scratch for candidate collection: candStamp is the generation-
-	// stamped replacement of the old map[swapCand]bool — one uint32 per
-	// (a, b) physical pair, "seen this stall" iff stamped with the
-	// current generation. Bumping candGen invalidates the whole set in
-	// O(1); the array is only zeroed when the 32-bit counter wraps.
-	cands     []swapCand
+	// candStamp dedups SWAP candidates: one uint32 per (a, b) physical
+	// pair, "seen this stall" iff stamped with the current generation.
+	// Bumping candGen invalidates the whole set in O(1); the array is
+	// only zeroed when the 32-bit counter wraps.
 	candStamp []uint32
 	candGen   uint32
-	scores    []float64
 
 	// Worklist buffers of the execute phase (arena.go): the pass being
 	// examined and the ops that became ready during it (next pass).
@@ -244,7 +138,9 @@ type routingState struct {
 
 // bind rewinds the state for one trial over fd starting from initial.
 // Buffers are reused whenever they are already large enough, so a
-// steady-state rebind allocates nothing.
+// steady-state rebind allocates nothing. The per-qubit view slots are
+// cleared at the new width, so a rebind to another topology or window
+// size starts from empty slots.
 func (st *routingState) bind(fd *circuit.FlatDAG, topo *topology.Topology, initial *topology.Layout, opts Options) {
 	st.c = fd.Circ
 	st.topo = topo
@@ -256,25 +152,30 @@ func (st *routingState) bind(fd *circuit.FlatDAG, topo *topology.Topology, initi
 	st.layout.CopyFrom(initial)
 
 	n := topo.NumQubits
-	if cap(st.decay) < n {
-		st.decay = make([]float64, n)
+	st.decay = resize(st.decay, n)
+	for i := range st.decay {
+		st.decay[i] = 1.0
 	}
-	st.decay = st.decay[:n]
-	st.front.ensure(n)
-	st.ext.ensure(n)
-	st.front.reset()
-	st.ext.reset()
+	st.bumped = st.bumped[:0]
+	// A qubit sits in at most one pair per window op, and the window
+	// holds at most min(ExtendedSetSize, ops) ops.
+	st.stride = min(opts.ExtendedSetSize, fd.NumOps)
+	st.frontPeer = resize(st.frontPeer, n)
+	st.extDeg = resize(st.extDeg, n)
+	st.extPeer = resize(st.extPeer, n*st.stride)
+	for p := range st.frontPeer {
+		st.frontPeer[p] = -1
+		st.extDeg[p] = 0
+	}
+	st.front = st.front[:0]
+	st.ext = st.ext[:0]
 	if cap(st.candStamp) < n*n {
 		st.candStamp = make([]uint32, n*n)
 		st.candGen = 0
 	}
 	st.candStamp = st.candStamp[:n*n]
 
-	nl := st.c.NumQubits
-	if cap(st.readyOpOn) < nl {
-		st.readyOpOn = make([]int32, nl)
-	}
-	st.readyOpOn = st.readyOpOn[:nl]
+	st.readyOpOn = resize(st.readyOpOn, st.c.NumQubits)
 	for i := range st.readyOpOn {
 		st.readyOpOn[i] = -1
 	}
@@ -283,9 +184,16 @@ func (st *routingState) bind(fd *circuit.FlatDAG, topo *topology.Topology, initi
 		st.registerReady(r)
 	}
 	st.mirrorListsFor = -1
-
 	st.dirty = true
-	st.resetDecay()
+}
+
+// resize returns s with length n, reusing its backing array when large
+// enough. Contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // registerReady indexes a newly ready op by its wires and, for 2Q ops,
@@ -300,14 +208,26 @@ func (st *routingState) registerReady(idx int32) {
 	}
 }
 
-func (st *routingState) resetDecay() {
-	for i := range st.decay {
-		st.decay[i] = 1.0
+// bumpDecay raises the decay of the swapped qubits a and b, recording
+// the qubits that leave 1.0 so resetDecay touches only those.
+func (st *routingState) bumpDecay(a, b int) {
+	for _, q := range [2]int{a, b} {
+		if st.decay[q] == 1.0 {
+			st.bumped = append(st.bumped, int32(q))
+		}
+		st.decay[q] += st.opts.DecayRate
 	}
 }
 
+func (st *routingState) resetDecay() {
+	for _, q := range st.bumped {
+		st.decay[q] = 1.0
+	}
+	st.bumped = st.bumped[:0]
+}
+
 // execute marks op idx done, maintains the ready-wire index and the
-// running 2Q ready sum, and invalidates the pair caches (the front
+// running 2Q ready sum, and marks the scoring sets stale (the front
 // layer and lookahead window both change shape). Newly ready
 // successors are left in tr.LastReady for the caller's worklist.
 func (st *routingState) execute(idx int) {
@@ -326,32 +246,66 @@ func (st *routingState) execute(idx int) {
 	st.mirrorListsFor = -1
 }
 
-// refresh rebuilds the front/extended pair caches from the traversal
-// when stale. Between consecutive stalls with no executed gates the
-// caches stay valid and only distance updates (applySwap) happen.
+// refresh rebuilds the logical scoring sets from the traversal when
+// the ready set changed since the last stall.
 func (st *routingState) refresh() {
 	if !st.dirty {
 		return
 	}
-	st.front.reset()
+	st.front = st.front[:0]
 	for idx := st.tr.ReadyFirst(); idx >= 0; idx = st.tr.ReadyNext(idx) {
 		if q1 := st.fd.Q1[idx]; q1 >= 0 {
-			st.front.add(st.fd.Q0[idx], q1, &st.layout, st.dist, st.dn)
+			st.front = append(st.front, [2]int32{st.fd.Q0[idx], q1})
 		}
 	}
-	st.ext.reset()
+	st.ext = st.ext[:0]
 	for _, idx := range st.tr.Descendants(st.opts.ExtendedSetSize) {
 		if q1 := st.fd.Q1[idx]; q1 >= 0 {
-			st.ext.add(st.fd.Q0[idx], q1, &st.layout, st.dist, st.dn)
+			st.ext = append(st.ext, [2]int32{st.fd.Q0[idx], q1})
 		}
 	}
 	st.dirty = false
 }
 
+// buildView fills the physical view of the scoring sets under the
+// current layout. The view slots are empty on entry (bind and
+// clearView leave them so).
+func (st *routingState) buildView() {
+	l2p := st.layout.L2P
+	st.frontSum = 0
+	for _, pr := range st.front {
+		pa, pb := l2p[pr[0]], l2p[pr[1]]
+		st.frontPeer[pa], st.frontPeer[pb] = int32(pb), int32(pa)
+		st.frontSum += int64(st.dist[pa*st.dn+pb])
+	}
+	st.extSum = 0
+	for _, pr := range st.ext {
+		pa, pb := l2p[pr[0]], l2p[pr[1]]
+		st.extPeer[pa*st.stride+int(st.extDeg[pa])] = int32(pb)
+		st.extDeg[pa]++
+		st.extPeer[pb*st.stride+int(st.extDeg[pb])] = int32(pa)
+		st.extDeg[pb]++
+		st.extSum += int64(st.dist[pa*st.dn+pb])
+	}
+}
+
+// clearView empties the view slots buildView filled; the layout must
+// not have moved in between.
+func (st *routingState) clearView() {
+	l2p := st.layout.L2P
+	for _, pr := range st.front {
+		st.frontPeer[l2p[pr[0]]] = -1
+		st.frontPeer[l2p[pr[1]]] = -1
+	}
+	for _, pr := range st.ext {
+		st.extDeg[l2p[pr[0]]] = 0
+		st.extDeg[l2p[pr[1]]] = 0
+	}
+}
+
 // applySwap commits a router SWAP on physical qubits (a, b): the
-// layout changes, the cached distances of affected pairs are updated
-// in O(deg) instead of a full rebuild, and the running ready sum is
-// fixed up through the (<= 2) ready gates touching the swapped qubits.
+// layout moves and the running ready sum is fixed up through the
+// (<= 2) ready gates touching the swapped qubits.
 func (st *routingState) applySwap(a, b int) {
 	// The ready gates whose wires currently sit on a or b are the only
 	// ones whose pair distance the swap can change (one ready op per
@@ -366,11 +320,6 @@ func (st *routingState) applySwap(a, b int) {
 	st.layout.SwapPhysical(a, b)
 	st.addReadyPair(o1, +1)
 	st.addReadyPair(o2, +1)
-	if st.dirty {
-		return // caches are stale anyway; next refresh rebuilds
-	}
-	st.front.applySwap(a, b, &st.layout, st.dist, st.dn)
-	st.ext.applySwap(a, b, &st.layout, st.dist, st.dn)
 }
 
 // readyGateAt returns the ready 2Q op with a wire on physical qubit p,
@@ -397,23 +346,22 @@ func (st *routingState) addReadyPair(idx int32, sign int64) {
 	st.ready2QSum += sign * int64(st.dist[pa*st.dn+pb])
 }
 
-// applyMirrorSwap commits the virtual SWAP of an accepted mirror gate.
-// Mirror decisions happen in the execute phase, where the caches are
-// already stale, so only the layout moves. The running ready sum is
-// unchanged by construction: the only ready gate touching the swapped
-// qubits is the mirrored gate itself, and swapping its own endpoints
-// leaves its distance alone.
-func (st *routingState) applyMirrorSwap(a, b int) {
-	st.layout.SwapPhysical(a, b)
-	st.dirty = true
-}
-
-// collectCandidates enumerates the SWAP candidates of the current
-// stall in the same deterministic order as the naive formulation:
-// ready-op order, op-qubit order, sorted-neighbour order, first
-// occurrence kept.
-func (st *routingState) collectCandidates() []swapCand {
-	st.cands = st.cands[:0]
+// chooseSwap picks the stall's SWAP: it refreshes the scoring sets,
+// enumerates the candidates in the naive formulation's order (ready-op
+// order, op-qubit order, sorted-neighbour order, first occurrence
+// kept), and scores and selects each as it is found, with the same
+// comparisons and tie-breaking RNG draws as the reference. ok is false
+// when the front has no candidates.
+//
+// A candidate's score reproduces the naive averaged score exactly:
+// decay * (mean front distance + W * mean window distance) under the
+// hypothetical swap, with the sums formed by integer deltas. For a
+// pair with one endpoint on a and its partner at r the new distance is
+// dist(b, r), read from the a/b rows of the flat table; a pair on both
+// swapped qubits keeps its (symmetric) distance and is skipped.
+func (st *routingState) chooseSwap(rng *rand.Rand) (chosen swapCand, ok bool) {
+	st.refresh()
+	st.buildView()
 	st.candGen++
 	if st.candGen == 0 { // 32-bit generation wrapped: clear stamps once
 		// Clear the full capacity: entries beyond the current length may
@@ -425,93 +373,64 @@ func (st *routingState) collectCandidates() []swapCand {
 		}
 		st.candGen = 1
 	}
-	// The front cache (refreshed by the caller just before this) lists
-	// the ready 2Q gates in ready order with their physical endpoints
-	// already resolved — the exact gate/qubit enumeration order of the
-	// naive formulation, minus the ready-list walk and layout lookups.
-	n := st.topo.NumQubits
-	for i := range st.front.pa {
-		for _, p32 := range [2]int32{st.front.pa[i], st.front.pb[i]} {
-			p := int(p32)
+
+	n, dn, stride := st.topo.NumQubits, st.dn, st.stride
+	nf, ne := float64(len(st.front)), float64(len(st.ext))
+	haveExt := len(st.ext) > 0
+	w := st.opts.ExtendedSetWeight
+	l2p := st.layout.L2P
+	bestScore := 0.0
+	for _, pr := range st.front {
+		for _, p := range [2]int{l2p[pr[0]], l2p[pr[1]]} {
 			for _, nb := range st.topo.Neighbors(p) {
 				a, b := p, nb
 				if a > b {
 					a, b = b, a
 				}
-				key := a*n + b
-				if st.candStamp[key] != st.candGen {
-					st.candStamp[key] = st.candGen
-					st.cands = append(st.cands, swapCand{a, b})
+				if st.candStamp[a*n+b] == st.candGen {
+					continue
+				}
+				st.candStamp[a*n+b] = st.candGen
+
+				d := st.decay[a]
+				if st.decay[b] > d {
+					d = st.decay[b]
+				}
+				a32, b32 := int32(a), int32(b)
+				rowA := st.dist[a*dn : a*dn+dn]
+				rowB := st.dist[b*dn : b*dn+dn]
+				delta := int64(0)
+				if r := st.frontPeer[a]; r >= 0 && r != b32 {
+					delta += int64(rowB[r]) - int64(rowA[r])
+				}
+				if r := st.frontPeer[b]; r >= 0 && r != a32 {
+					delta += int64(rowA[r]) - int64(rowB[r])
+				}
+				h := float64(st.frontSum+delta) / nf
+				if haveExt {
+					delta = 0
+					for _, r := range st.extPeer[a*stride : a*stride+int(st.extDeg[a])] {
+						if r != b32 {
+							delta += int64(rowB[r]) - int64(rowA[r])
+						}
+					}
+					for _, r := range st.extPeer[b*stride : b*stride+int(st.extDeg[b])] {
+						if r != a32 {
+							delta += int64(rowA[r]) - int64(rowB[r])
+						}
+					}
+					h += w * (float64(st.extSum+delta) / ne)
+				}
+				score := d * h
+				if !ok || score < bestScore-1e-12 ||
+					(score < bestScore+1e-12 && rng.Intn(2) == 0) {
+					bestScore, chosen, ok = score, swapCand{a, b}, true
 				}
 			}
 		}
 	}
-	return st.cands
-}
-
-// scoreCandidates computes the decayed SABRE score of every candidate
-// by delta against the cached sums, into a reused buffer.
-func (st *routingState) scoreCandidates(cands []swapCand) []float64 {
-	if cap(st.scores) < len(cands) {
-		st.scores = make([]float64, len(cands))
-	}
-	scores := st.scores[:len(cands)]
-	for i, sc := range cands {
-		scores[i] = st.scoreCandidate(sc)
-	}
-	return scores
-}
-
-// scoreCandidate reproduces the naive averaged score exactly:
-// decay * (mean front distance + W * mean extended distance) under the
-// hypothetical swap, with the sums formed by integer deltas.
-//
-// Only pairs touching a or b shift under the hypothetical swap, and
-// for a pair with one endpoint on a and the other at r the new
-// distance is dist(b, r): the delta walks scan the per-qubit
-// other-endpoint value lists against the a/b rows of the flat table —
-// no endpoint remapping, no hop through the pair arrays. A pair
-// touching both swapped qubits keeps its (symmetric) distance and is
-// skipped in both directions. All four walks are inlined here so a
-// candidate's score is one call with the table rows hoisted once.
-func (st *routingState) scoreCandidate(sc swapCand) float64 {
-	d := st.decay[sc.a]
-	if st.decay[sc.b] > d {
-		d = st.decay[sc.b]
-	}
-	a, b := int32(sc.a), int32(sc.b)
-	rowA := st.dist[sc.a*st.dn : sc.a*st.dn+st.dn]
-	rowB := st.dist[sc.b*st.dn : sc.b*st.dn+st.dn]
-	var h float64
-	if nf := len(st.front.la); nf > 0 {
-		delta := int64(0)
-		for _, r := range st.front.byOther[a] {
-			if r != b {
-				delta += int64(rowB[r]) - int64(rowA[r])
-			}
-		}
-		for _, r := range st.front.byOther[b] {
-			if r != a {
-				delta += int64(rowA[r]) - int64(rowB[r])
-			}
-		}
-		h += float64(st.front.sum+delta) / float64(nf)
-	}
-	if ne := len(st.ext.la); ne > 0 {
-		delta := int64(0)
-		for _, r := range st.ext.byOther[a] {
-			if r != b {
-				delta += int64(rowB[r]) - int64(rowA[r])
-			}
-		}
-		for _, r := range st.ext.byOther[b] {
-			if r != a {
-				delta += int64(rowA[r]) - int64(rowB[r])
-			}
-		}
-		h += st.opts.ExtendedSetWeight * (float64(st.ext.sum+delta) / float64(ne))
-	}
-	return d * h
+	st.clearView()
+	return chosen, ok
 }
 
 // --- Mirror-decision cost views (MirrorContext plumbing) ---
