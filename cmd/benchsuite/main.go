@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/circuit"
 	"repro/internal/dispatch"
 	"repro/internal/distrib"
 	"repro/internal/mirage"
@@ -30,9 +29,8 @@ import (
 // runConfig carries the scheduler/engine knobs through every
 // experiment.
 type runConfig struct {
-	layout   sabre.LayoutOptions
-	patience int
-	kernels  bool // run the numeric-kernel -benchmem lane
+	layout  sabre.LayoutOptions
+	kernels bool // run the numeric-kernel -benchmem lane
 	// mirrorVerify enables the semantic survival check on mirror-family
 	// suite rows inside runFig12 (runMirror always verifies).
 	mirrorVerify bool
@@ -46,12 +44,11 @@ type runConfig struct {
 
 func (rc *runConfig) options(router transpile.Router, depth bool, fixed *mirage.Aggression) transpile.Options {
 	opts := transpile.Options{
-		Router:              router,
-		DepthSelection:      depth,
-		FixedAggression:     fixed,
-		Layout:              rc.layout,
-		ConvergencePatience: rc.patience,
-		SkipTrivialLayout:   true, // the suite circuits all need routing
+		Router:            router,
+		DepthSelection:    depth,
+		FixedAggression:   fixed,
+		Layout:            rc.layout,
+		SkipTrivialLayout: true, // the suite circuits all need routing
 	}
 	if rc.cluster != nil {
 		dopts, err := rc.cluster.Options(opts)
@@ -66,11 +63,11 @@ func (rc *runConfig) options(router transpile.Router, depth bool, fixed *mirage.
 
 // fleetStats snapshots the hub's failure-event counters for the JSON
 // document; nil on serial runs so the schema is unchanged for them.
-func (rc *runConfig) fleetStats() *bench.FleetEventStats {
+func (rc *runConfig) fleetStats() *dispatch.FleetStats {
 	if rc.cluster == nil {
 		return nil
 	}
-	s := bench.FleetEventStats(rc.cluster.Hub.Stats())
+	s := rc.cluster.Hub.Stats()
 	return &s
 }
 
@@ -93,13 +90,7 @@ func main() {
 		listen    = flag.String("listen", "", "coordinator address for distributed trials (e.g. 127.0.0.1:7117); workers join with `miraged worker -connect`")
 		workers   = flag.Int("workers", 0, "remote workers to wait for before starting (requires -listen)")
 		lease     = flag.Int("lease", 0, "layout rows per work-queue lease in distributed mode (0 = default)")
-		hbTimeout = flag.Duration("hb-timeout", 0, "distributed: revoke a lease after this long without a heartbeat or results (0 = 30s default, negative = disable)")
-		leaseTo   = flag.Duration("lease-timeout", 0, "distributed: revoke a lease after this long without item progress (0 = off)")
-		jobDeadl  = flag.Duration("job-deadline", 0, "distributed: fail a job outright after this long, listing outstanding leases (0 = off)")
-		rejoin    = flag.Duration("rejoin-grace", 0, "distributed: keep a job alive this long with zero workers connected (0 = off)")
-		journal   = flag.String("journal", "", "distributed: write-ahead job journal directory; a restarted coordinator pointed at the same directory resumes unfinished jobs (requires -listen)")
-		fleetWait = flag.Duration("fleet-wait", 5*time.Minute, "distributed: how long to wait for -workers workers before starting; with -local-fallback a timeout proceeds degraded instead of failing")
-		localFall = flag.Bool("local-fallback", true, "distributed: let the coordinator execute poison items and worker-starved job remainders itself (degraded mode)")
+		fleet     = bench.NewFleetFlags(flag.CommandLine)
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (pprof format)")
 		memProf   = flag.String("memprofile", "", "write a heap profile at exit to this file (pprof format)")
 	)
@@ -146,7 +137,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchsuite: -listen and -workers must be set together")
 		os.Exit(2)
 	}
-	if *journal != "" && *listen == "" {
+	if fleet.Journal != "" && *listen == "" {
 		fmt.Fprintln(os.Stderr, "benchsuite: -journal only applies to distributed runs (set -listen); serial runs are rerun, not resumed")
 		os.Exit(2)
 	}
@@ -161,9 +152,8 @@ func main() {
 	rc := &runConfig{
 		layout: sabre.LayoutOptions{
 			LayoutTrials: lt, RoutingTrials: rt, FwdBwdPasses: fb, Seed: *seed,
-			Parallelism: *parallel,
+			Parallelism: *parallel, ConvergencePatience: *patience,
 		},
-		patience: *patience,
 	}
 	var saveCoverage func() error
 	if *coverFile != "" {
@@ -179,41 +169,12 @@ func main() {
 	rc.mirrorTol = *mirTol
 
 	if *listen != "" {
-		hub := dispatch.NewHub()
-		hub.HeartbeatTimeout = *hbTimeout
-		hub.LeaseTimeout = *leaseTo
-		hub.JobDeadline = *jobDeadl
-		hub.RejoinGrace = *rejoin
-		if *localFall {
-			hub.LocalHandlers = distrib.Handlers()
-		}
-		if *journal != "" {
-			jd, err := dispatch.OpenJournalDir(*journal)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "opening journal %s: %v\n", *journal, err)
-				os.Exit(1)
-			}
-			if n := jd.Recovered(); n > 0 {
-				fmt.Printf("journal: recovered %d job(s) from %s (%d torn frame(s) truncated); unfinished work will be resumed, not rerun\n",
-					n, *journal, jd.TruncatedFrames())
-			}
-			hub.Journal = jd
-		}
-		addr, err := hub.Listen(*listen)
+		hub, err := fleet.StartHub(*listen, *workers)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "listening on %s: %v\n", *listen, err)
+			fmt.Fprintln(os.Stderr, "benchsuite:", err)
 			os.Exit(1)
 		}
 		defer hub.Close()
-		fmt.Printf("coordinator listening on %s; waiting for %d workers...\n", addr, *workers)
-		if err := hub.WaitWorkers(*workers, *fleetWait); err != nil {
-			if hub.LocalHandlers == nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "benchsuite: %v; proceeding with %d workers — the remainder will run DEGRADED on the coordinator\n",
-				err, hub.Workers())
-		}
 		fmt.Printf("%d workers connected; trials will be dispatched remotely\n", hub.Workers())
 		rc.cluster = distrib.NewCluster(hub)
 		rc.cluster.TrialLease = *lease
@@ -288,12 +249,12 @@ func runPatienceSweep(rc *runConfig, topo *topology.Topology, quick bool, spec, 
 	// the sweep varies only the stop rule, never the circuit.
 	prepped := make([]*transpile.PreparedCircuit, len(entries))
 	for i, e := range entries {
-		prepped[i] = prepareOne(e.Build(), topo)
+		prepped[i] = transpile.PrepareCircuit(e.Build(), topo)
 	}
 	var fullDepth float64
 	for vi, p := range values {
 		rcp := *rc
-		rcp.patience = p
+		rcp.layout.ConvergencePatience = p
 		var row bench.PatienceSweepRow
 		row.Patience = p
 		start := time.Now()
@@ -368,7 +329,7 @@ func runTable3() {
 }
 
 // transpileOne runs one router configuration over a shared
-// PreparedCircuit. Callers prepare each circuit once (see prepareOne)
+// PreparedCircuit. Callers prepare each circuit once
 // and reuse the analysis across every router/aggression/patience row,
 // so the per-circuit cleaning, consolidation and DAG construction is
 // paid once per circuit rather than once per row.
@@ -382,10 +343,6 @@ func transpileOne(pc *transpile.PreparedCircuit, router transpile.Router,
 	return rep
 }
 
-func prepareOne(c *circuit.Circuit, topo *topology.Topology) *transpile.PreparedCircuit {
-	return transpile.PrepareCircuit(c, topo)
-}
-
 func runFig10(rc *runConfig) {
 	fmt.Println("Fig. 10 — aggression level study (average pulse depth; lower is better)")
 	names := []string{"wstate_n27", "bigadder_n18", "qft_n18", "bv_n30"}
@@ -397,7 +354,7 @@ func runFig10(rc *runConfig) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		pc := prepareOne(e.Build(), topo)
+		pc := transpile.PrepareCircuit(e.Build(), topo)
 		base := transpileOne(pc, transpile.SABRE, false, nil, rc)
 		row := fmt.Sprintf("%-16s %10.1f", name, base.DepthPulses)
 		for lvl := 0; lvl <= 3; lvl++ {
@@ -416,7 +373,7 @@ func runFig11(rc *runConfig, topo *topology.Topology, quick bool) {
 	fmt.Printf("%-22s %10s %14s %14s\n", "circuit", "qiskit", "mirage-swaps", "mirage-depth")
 	var dq, ds, dd float64
 	for _, e := range suite(quick) {
-		pc := prepareOne(e.Build(), topo)
+		pc := transpile.PrepareCircuit(e.Build(), topo)
 		q := transpileOne(pc, transpile.SABRE, false, nil, rc)
 		s := transpileOne(pc, transpile.MIRAGE, false, nil, rc)
 		d := transpileOne(pc, transpile.MIRAGE, true, nil, rc)
@@ -432,7 +389,7 @@ func runFig11(rc *runConfig, topo *topology.Topology, quick bool) {
 
 func runFig12(rc *runConfig, topo *topology.Topology, quick bool, jsonPath string) {
 	fmt.Printf("Fig. 12 — MIRAGE vs Qiskit-SABRE on %s (%d workers, patience %d)\n",
-		topo.Name, dispatch.Size(rc.layout.Parallelism), rc.patience)
+		topo.Name, dispatch.Size(rc.layout.Parallelism), rc.layout.ConvergencePatience)
 	fmt.Printf("%-22s | %9s %9s | %9s %9s | %6s %6s | %8s | %11s\n",
 		"circuit", "q-depth", "m-depth", "q-gates", "m-gates", "q-swp", "m-swp", "mirror%", "trials")
 	// The paper's Fig. 12 covers its Table III rows only; the mirror
@@ -442,14 +399,7 @@ func runFig12(rc *runConfig, topo *topology.Topology, quick bool, jsonPath strin
 	var rows []bench.RoutingRow
 	verifyFailures := 0
 	addRow := func(e bench.Entry, rep *transpile.Report) {
-		row := bench.RoutingRow{
-			Seq:     len(rows),
-			Circuit: e.Name, Router: rep.Router,
-			WallMS:      float64(rep.Runtime.Microseconds()) / 1000,
-			DepthPulses: rep.DepthPulses, TotalGates: rep.TotalBasisGates,
-			Swaps: rep.SwapsInserted, Mirrors: rep.MirrorsUsed,
-			TrialsExecuted: rep.TrialsExecuted, TrialsBudgeted: rep.TrialsBudgeted,
-		}
+		row := bench.NewRoutingRow(len(rows), e.Name, rep)
 		if rc.mirrorVerify && e.Mirror != nil {
 			gen := mirrorbench.Generate(*e.Mirror)
 			fid, err := mirrorbench.Verify(rep.Routed, rep.FinalLayout, gen.Expected, rc.mirrorTol)
@@ -475,7 +425,7 @@ func runFig12(rc *runConfig, topo *topology.Topology, quick bool, jsonPath strin
 		rows = append(rows, row)
 	}
 	for _, e := range suite(quick) {
-		pc := prepareOne(e.Build(), topo)
+		pc := transpile.PrepareCircuit(e.Build(), topo)
 		q := transpileOne(pc, transpile.SABRE, false, nil, rc)
 		m := transpileOne(pc, transpile.MIRAGE, true, nil, rc)
 		addRow(e, q)
@@ -523,24 +473,9 @@ func runFig12(rc *runConfig, topo *topology.Topology, quick bool, jsonPath strin
 		}
 	}
 	if jsonPath != "" {
-		f := &bench.RoutingBenchFile{
-			Topology:            topo.Name,
-			LayoutTrials:        rc.layout.LayoutTrials,
-			RoutingTrials:       rc.layout.RoutingTrials,
-			ConvergencePatience: rc.patience,
-			Seed:                rc.layout.Seed,
-			Parallelism:         dispatch.Size(rc.layout.Parallelism),
-			GOMAXPROCS:          runtime.GOMAXPROCS(0),
-			TotalWallMS:         float64(total.Microseconds()) / 1000,
-			Fleet:               rc.fleetStats(),
-			Rows:                rows,
-			Kernels:             kernelRows,
-		}
-		if err := f.WriteFile(jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d rows)\n", jsonPath, len(f.Rows))
+		f := bench.NewRoutingBenchFile(topo.Name, rc.layout, total, rc.fleetStats(), rows)
+		f.Kernels = kernelRows
+		writeRoutingFile(f, jsonPath)
 	}
 	if verifyFailures > 0 {
 		fmt.Fprintf(os.Stderr, "mirror-verify: %d row(s) violated the survival identity\n", verifyFailures)
@@ -571,7 +506,7 @@ func runMirror(rc *runConfig, topo *topology.Topology, quick bool, jsonPath stri
 	start := time.Now()
 	for _, e := range entries {
 		gen := mirrorbench.Generate(*e.Mirror)
-		pc := prepareOne(gen.Circuit, topo)
+		pc := transpile.PrepareCircuit(gen.Circuit, topo)
 		for _, router := range []transpile.Router{transpile.SABRE, transpile.MIRAGE} {
 			rep := transpileOne(pc, router, router == transpile.MIRAGE, nil, rc)
 			fid, err := mirrorbench.Verify(rep.Routed, rep.FinalLayout, gen.Expected, rc.mirrorTol)
@@ -582,15 +517,9 @@ func runMirror(rc *runConfig, topo *topology.Topology, quick bool, jsonPath stri
 				verdict = "FAIL"
 				fmt.Fprintf(os.Stderr, "mirror-verify: %s/%s: %v\n", e.Name, rep.Router, err)
 			}
-			rows = append(rows, bench.RoutingRow{
-				Seq:     len(rows),
-				Circuit: e.Name, Router: rep.Router,
-				WallMS:      float64(rep.Runtime.Microseconds()) / 1000,
-				DepthPulses: rep.DepthPulses, TotalGates: rep.TotalBasisGates,
-				Swaps: rep.SwapsInserted, Mirrors: rep.MirrorsUsed,
-				TrialsExecuted: rep.TrialsExecuted, TrialsBudgeted: rep.TrialsBudgeted,
-				MirrorVerified: &ok, SurvivalFidelity: &fid,
-			})
+			row := bench.NewRoutingRow(len(rows), e.Name, rep)
+			row.MirrorVerified, row.SurvivalFidelity = &ok, &fid
+			rows = append(rows, row)
 			fmt.Printf("%-22s %-8s | %8s | %18.15f | %9.1f %6d\n",
 				e.Name, rep.Router, verdict, fid, rep.DepthPulses, rep.SwapsInserted)
 		}
@@ -598,27 +527,19 @@ func runMirror(rc *runConfig, topo *topology.Topology, quick bool, jsonPath stri
 	total := time.Since(start)
 	fmt.Printf("total runtime: %s\n", total.Round(time.Millisecond))
 	if jsonPath != "" {
-		f := &bench.RoutingBenchFile{
-			Topology:            topo.Name,
-			LayoutTrials:        rc.layout.LayoutTrials,
-			RoutingTrials:       rc.layout.RoutingTrials,
-			ConvergencePatience: rc.patience,
-			Seed:                rc.layout.Seed,
-			Parallelism:         dispatch.Size(rc.layout.Parallelism),
-			GOMAXPROCS:          runtime.GOMAXPROCS(0),
-			TotalWallMS:         float64(total.Microseconds()) / 1000,
-			Fleet:               rc.fleetStats(),
-			Rows:                rows,
-		}
-		if err := f.WriteFile(jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d rows)\n", jsonPath, len(f.Rows))
+		writeRoutingFile(bench.NewRoutingBenchFile(topo.Name, rc.layout, total, rc.fleetStats(), rows), jsonPath)
 	}
 	if failures > 0 {
 		fmt.Fprintf(os.Stderr, "mirror gate: %d/%d rows violated the survival identity\n", failures, len(rows))
 		os.Exit(1)
 	}
 	fmt.Printf("mirror gate: all %d rows preserved their survival bitstring\n", len(rows))
+}
+
+func writeRoutingFile(f *bench.RoutingBenchFile, path string) {
+	if err := f.WriteFile(path); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	fmt.Printf("wrote %s (%d rows)\n", path, len(f.Rows))
 }

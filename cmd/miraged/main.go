@@ -39,6 +39,11 @@
 // never arrives (-fleet-wait), so a batch survives total worker loss.
 // Failures map to documented exit codes (see usage) so wrapper scripts
 // can distinguish "retry later" from "job failed".
+//
+// The coordinator's fleet flags (-hb-timeout, -lease-timeout,
+// -job-deadline, -rejoin-grace, -journal, -fleet-wait,
+// -local-fallback) and the hub setup they drive are bench.FleetFlags,
+// which cmd/benchsuite's distributed mode shares.
 package main
 
 import (
@@ -47,7 +52,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"sync"
 	"syscall"
 	"time"
@@ -209,22 +213,16 @@ func runWorker(args []string, extraDrain <-chan struct{}) error {
 func runCoordinator(args []string) error {
 	fs := flag.NewFlagSet("miraged coordinator", flag.ExitOnError)
 	var (
-		listen       = fs.String("listen", "127.0.0.1:7117", "address to accept workers on")
-		workers      = fs.Int("workers", 1, "workers to wait for before starting")
-		topoName     = fs.String("topology", "square", "square | heavyhex")
-		quick        = fs.Bool("quick", false, "reduced circuit subset and trial counts")
-		trials       = fs.Int("trials", 0, "layout/routing trials (0 = 20/20, quick = 4/4)")
-		seed         = fs.Int64("seed", 1, "random seed")
-		patience     = fs.Int("patience", 0, "adaptive early-stop (0 = fixed grid)")
-		lease        = fs.Int("lease", 0, "circuits per work-queue lease (0 = default)")
-		jsonPath     = fs.String("json", "BENCH_routing.json", "results file (empty = disabled)")
-		hbTimeout    = fs.Duration("hb-timeout", 0, "revoke a lease after this long without a heartbeat or results (0 = 30s default, negative = disable)")
-		leaseTimeout = fs.Duration("lease-timeout", 0, "revoke a lease after this long without item progress (0 = off; must exceed the slowest single item)")
-		jobDeadline  = fs.Duration("job-deadline", 0, "fail a job outright after this long, listing outstanding leases (0 = off)")
-		rejoinGrace  = fs.Duration("rejoin-grace", 0, "keep a job alive this long with zero workers connected, waiting for rejoins (0 = off)")
-		journalDir   = fs.String("journal", "", "write-ahead job journal directory: a restarted coordinator pointed at the same directory resumes unfinished jobs instead of rerunning them (empty = off)")
-		fleetWait    = fs.Duration("fleet-wait", 5*time.Minute, "how long to wait for -workers workers before starting; with -local-fallback a timeout proceeds degraded instead of failing")
-		localFall    = fs.Bool("local-fallback", true, "let the coordinator execute poison items and worker-starved job remainders itself (degraded mode) instead of failing the job")
+		listen   = fs.String("listen", "127.0.0.1:7117", "address to accept workers on")
+		workers  = fs.Int("workers", 1, "workers to wait for before starting")
+		topoName = fs.String("topology", "square", "square | heavyhex")
+		quick    = fs.Bool("quick", false, "reduced circuit subset and trial counts")
+		trials   = fs.Int("trials", 0, "layout/routing trials (0 = 20/20, quick = 4/4)")
+		seed     = fs.Int64("seed", 1, "random seed")
+		patience = fs.Int("patience", 0, "adaptive early-stop (0 = fixed grid)")
+		lease    = fs.Int("lease", 0, "circuits per work-queue lease (0 = default)")
+		jsonPath = fs.String("json", "BENCH_routing.json", "results file (empty = disabled)")
+		fleet    = bench.NewFleetFlags(fs)
 	)
 	fs.Parse(args)
 	if err := (bench.SchedulerFlags{
@@ -256,38 +254,11 @@ func runCoordinator(args []string) error {
 		os.Exit(2)
 	}
 
-	hub := dispatch.NewHub()
-	hub.HeartbeatTimeout = *hbTimeout
-	hub.LeaseTimeout = *leaseTimeout
-	hub.JobDeadline = *jobDeadline
-	hub.RejoinGrace = *rejoinGrace
-	if *localFall {
-		hub.LocalHandlers = distrib.Handlers()
-	}
-	if *journalDir != "" {
-		jd, err := dispatch.OpenJournalDir(*journalDir)
-		if err != nil {
-			return fmt.Errorf("opening journal %s: %w", *journalDir, err)
-		}
-		if n := jd.Recovered(); n > 0 {
-			fmt.Printf("journal: recovered %d job(s) from %s (%d torn frame(s) truncated); unfinished work will be resumed, not rerun\n",
-				n, *journalDir, jd.TruncatedFrames())
-		}
-		hub.Journal = jd
-	}
-	addr, err := hub.Listen(*listen)
+	hub, err := fleet.StartHub(*listen, *workers)
 	if err != nil {
-		return fmt.Errorf("listening on %s: %w", *listen, err)
+		return err
 	}
 	defer hub.Close()
-	fmt.Printf("coordinator on %s; waiting for %d workers...\n", addr, *workers)
-	if err := hub.WaitWorkers(*workers, *fleetWait); err != nil {
-		if hub.LocalHandlers == nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "miraged coordinator: %v; proceeding with %d workers — the remainder will run DEGRADED on the coordinator\n",
-			err, hub.Workers())
-	}
 	cl := distrib.NewCluster(hub)
 	cl.CircuitLease = *lease
 
@@ -303,9 +274,9 @@ func runCoordinator(args []string) error {
 	base := transpile.Options{
 		Layout: sabre.LayoutOptions{
 			LayoutTrials: lt, RoutingTrials: rt, FwdBwdPasses: fb, Seed: *seed,
+			ConvergencePatience: *patience,
 		},
-		ConvergencePatience: *patience,
-		SkipTrivialLayout:   true,
+		SkipTrivialLayout: true,
 	}
 	start := time.Now()
 	run := func(opts transpile.Options) ([]*transpile.Report, error) {
@@ -326,21 +297,10 @@ func runCoordinator(args []string) error {
 	total := time.Since(start)
 
 	var rows []bench.RoutingRow
-	addRow := func(name string, rep *transpile.Report) {
-		rows = append(rows, bench.RoutingRow{
-			Seq:     len(rows),
-			Circuit: name, Router: rep.Router,
-			WallMS:      float64(rep.Runtime.Microseconds()) / 1000,
-			DepthPulses: rep.DepthPulses, TotalGates: rep.TotalBasisGates,
-			Swaps: rep.SwapsInserted, Mirrors: rep.MirrorsUsed,
-			TrialsExecuted: rep.TrialsExecuted, TrialsBudgeted: rep.TrialsBudgeted,
-		})
-	}
 	fmt.Printf("%-22s | %9s %9s | %6s %6s | %11s\n", "circuit", "q-depth", "m-depth", "q-swp", "m-swp", "trials")
 	for i, e := range entries {
 		q, m := qReps[i], mReps[i]
-		addRow(e.Name, q)
-		addRow(e.Name, m)
+		rows = append(rows, bench.NewRoutingRow(len(rows), e.Name, q), bench.NewRoutingRow(len(rows)+1, e.Name, m))
 		fmt.Printf("%-22s | %9.1f %9.1f | %6d %6d | %4d+%d/%d\n",
 			e.Name, q.DepthPulses, m.DepthPulses, q.SwapsInserted, m.SwapsInserted,
 			q.TrialsExecuted, m.TrialsExecuted, m.TrialsBudgeted)
@@ -352,19 +312,7 @@ func runCoordinator(args []string) error {
 		stats.Rejected, stats.Poisoned, stats.LocalItems, stats.Degraded, stats.Recovered)
 
 	if *jsonPath != "" {
-		fleet := bench.FleetEventStats(stats)
-		f := &bench.RoutingBenchFile{
-			Topology:            topo.Name,
-			LayoutTrials:        lt,
-			RoutingTrials:       rt,
-			ConvergencePatience: *patience,
-			Seed:                *seed,
-			Parallelism:         dispatch.Size(0),
-			GOMAXPROCS:          runtime.GOMAXPROCS(0),
-			TotalWallMS:         float64(total.Microseconds()) / 1000,
-			Fleet:               &fleet,
-			Rows:                rows,
-		}
+		f := bench.NewRoutingBenchFile(topo.Name, base.Layout, total, &stats, rows)
 		if err := f.WriteFile(*jsonPath); err != nil {
 			return err
 		}

@@ -1,0 +1,56 @@
+package bench
+
+import (
+	"flag"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"repro/internal/distrib"
+)
+
+// TestFleetFlagsWireTheHub: each fleet flag parsed from a command line
+// lands on the hub StartHub builds, so the two coordinators that share
+// the flags configure their hubs alike.
+func TestFleetFlagsWireTheHub(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "wal")
+	fs := flag.NewFlagSet("coordinator", flag.ContinueOnError)
+	ff := NewFleetFlags(fs)
+	if err := fs.Parse([]string{
+		"-hb-timeout", "2s", "-lease-timeout", "3s", "-job-deadline", "4m",
+		"-rejoin-grace", "5s", "-journal", journal, "-fleet-wait", "1ms",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	hub, err := ff.StartHub("127.0.0.1:0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	if hub.HeartbeatTimeout != 2*time.Second || hub.LeaseTimeout != 3*time.Second ||
+		hub.JobDeadline != 4*time.Minute || hub.RejoinGrace != 5*time.Second {
+		t.Fatalf("hub timeouts = %v/%v/%v/%v, want 2s/3s/4m/5s",
+			hub.HeartbeatTimeout, hub.LeaseTimeout, hub.JobDeadline, hub.RejoinGrace)
+	}
+	if hub.Journal == nil {
+		t.Fatal("-journal set but the hub has no journal")
+	}
+	if _, err := os.Stat(journal); err != nil {
+		t.Fatalf("journal directory not opened: %v", err)
+	}
+	if len(hub.LocalHandlers) != len(distrib.Handlers()) {
+		t.Fatalf("local fallback is on by default, hub has %d local handlers", len(hub.LocalHandlers))
+	}
+
+	// Without local fallback, a fleet that never arrives is an error.
+	fs = flag.NewFlagSet("coordinator", flag.ContinueOnError)
+	ff = NewFleetFlags(fs)
+	if err := fs.Parse([]string{"-local-fallback=false", "-fleet-wait", "1ms"}); err != nil {
+		t.Fatal(err)
+	}
+	if hub, err := ff.StartHub("127.0.0.1:0", 1); err == nil {
+		hub.Close()
+		t.Fatal("a missing fleet without local fallback started a hub")
+	}
+}

@@ -211,10 +211,11 @@ func RunKernelBenchmarks() ([]KernelRow, error) {
 		}},
 		{"sabre/RouteSingleWarm", func(b *testing.B) error {
 			topo, c, layout := routingFixture()
-			runner, err := sabre.NewTrialRunner(c, topo)
+			pc, err := sabre.PrepareCircuit(c, topo)
 			if err != nil {
 				return err
 			}
+			runner := sabre.NewTrialRunner(pc)
 			if _, err := runner.Run(layout, sabre.Options{}, 7, nil); err != nil {
 				return err
 			}
@@ -229,10 +230,11 @@ func RunKernelBenchmarks() ([]KernelRow, error) {
 		}},
 		{"sabre/RouteArena", func(b *testing.B) error {
 			topo, c, layout := routingFixture()
-			runner, err := sabre.NewTrialRunner(c, topo)
+			pc, err := sabre.PrepareCircuit(c, topo)
 			if err != nil {
 				return err
 			}
+			runner := sabre.NewTrialRunner(pc)
 			// One warmup trial grows the arena to its high-water mark so
 			// the timed loop measures the steady state.
 			if _, err := runner.Run(layout, sabre.Options{}, 1, nil); err != nil {
@@ -253,10 +255,11 @@ func RunKernelBenchmarks() ([]KernelRow, error) {
 		// a MIRAGE grid's stalls, and no policy or metric runs in it.
 		{"sabre/RefineLayout", func(b *testing.B) error {
 			topo, c, _ := routingFixture()
-			runner, err := sabre.NewTrialRunner(c, topo)
+			pc, err := sabre.PrepareCircuit(c, topo)
 			if err != nil {
 				return err
 			}
+			runner := sabre.NewTrialRunner(pc)
 			opts := sabre.LayoutOptions{Seed: 3}.WithDefaults()
 			if _, err := runner.RefineLayout(opts, 0); err != nil {
 				return err

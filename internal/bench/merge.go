@@ -3,6 +3,8 @@ package bench
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/dispatch"
 )
 
 // Shard-merge schema for BENCH_routing.json fragments.
@@ -47,7 +49,6 @@ func MergeRoutingFiles(frags []*RoutingBenchFile) (*RoutingBenchFile, error) {
 		Parallelism:         head.Parallelism,
 		GOMAXPROCS:          head.GOMAXPROCS,
 	}
-	var fleet *FleetEventStats
 	for i, f := range frags {
 		if f.Topology != head.Topology || f.Seed != head.Seed ||
 			f.LayoutTrials != head.LayoutTrials || f.RoutingTrials != head.RoutingTrials ||
@@ -61,19 +62,10 @@ func MergeRoutingFiles(frags []*RoutingBenchFile) (*RoutingBenchFile, error) {
 			out.TotalWallMS = f.TotalWallMS
 		}
 		if f.Fleet != nil {
-			if fleet == nil {
-				fleet = &FleetEventStats{}
+			if out.Fleet == nil {
+				out.Fleet = &dispatch.FleetStats{}
 			}
-			fleet.Releases += f.Fleet.Releases
-			fleet.Revocations += f.Fleet.Revocations
-			fleet.Disconnects += f.Fleet.Disconnects
-			fleet.Reconnects += f.Fleet.Reconnects
-			fleet.DecodeFaults += f.Fleet.DecodeFaults
-			fleet.Rejected += f.Fleet.Rejected
-			fleet.Poisoned += f.Fleet.Poisoned
-			fleet.LocalItems += f.Fleet.LocalItems
-			fleet.Degraded += f.Fleet.Degraded
-			fleet.Recovered += f.Fleet.Recovered
+			out.Fleet.Add(*f.Fleet)
 		}
 		if len(f.Kernels) > 0 {
 			if len(out.Kernels) > 0 {
@@ -82,7 +74,6 @@ func MergeRoutingFiles(frags []*RoutingBenchFile) (*RoutingBenchFile, error) {
 			out.Kernels = f.Kernels
 		}
 	}
-	out.Fleet = fleet
 	sort.SliceStable(out.Rows, func(i, j int) bool { return out.Rows[i].Seq < out.Rows[j].Seq })
 	// Duplicate seq values are an explicit conflict, diagnosed before
 	// the density check so an overlap is never misreported as a missing

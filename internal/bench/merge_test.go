@@ -227,12 +227,11 @@ func TestSchedulerFlagsValidate(t *testing.T) {
 }
 
 // TestMergeRoutingFilesWarmFields: the fleet block is the hub's counter
-// snapshot field for field — a dispatch.FleetStats converts directly —
-// fragments merge by summing, and the merged document carries no
+// snapshot, dispatch.FleetStats; fragments merge by summing, and the merged document carries no
 // warm-transfer keys now that coverage travels inside each job spec.
 func TestMergeRoutingFilesWarmFields(t *testing.T) {
 	frag := func(seq int, circ string, releases, recovered int64) *RoutingBenchFile {
-		fleet := FleetEventStats(dispatch.FleetStats{Releases: releases, Recovered: recovered})
+		fleet := dispatch.FleetStats{Releases: releases, Recovered: recovered}
 		return &RoutingBenchFile{
 			Topology: "grid", Seed: 1, LayoutTrials: 2, RoutingTrials: 2,
 			Rows:  []RoutingRow{{Seq: seq, Circuit: circ, Router: "mirage"}},
@@ -246,7 +245,7 @@ func TestMergeRoutingFilesWarmFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fl := merged.Fleet; fl == nil || *fl != (FleetEventStats{Releases: 6, Recovered: 1}) {
+	if fl := merged.Fleet; fl == nil || *fl != (dispatch.FleetStats{Releases: 6, Recovered: 1}) {
 		t.Fatalf("merged fleet = %+v, want releases 6, recovered 1", fl)
 	}
 	path := filepath.Join(t.TempDir(), "merged.json")

@@ -4,6 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
+	"time"
+
+	"repro/internal/dispatch"
+	"repro/internal/sabre"
+	"repro/internal/transpile"
 )
 
 // This file defines the machine-readable BENCH_routing.json schema
@@ -43,36 +49,6 @@ type RoutingRow struct {
 	SurvivalFidelity *float64 `json:"survival_fidelity,omitempty"`
 }
 
-// FleetEventStats surfaces the dispatch hub's failure-event counters
-// for distributed runs: how many leases were failed back for
-// re-granting, how many deadline revocations fired, how many
-// connections were lost, how many workers (re)joined after the first
-// job started, how many corrupt frames got a worker quarantined, how
-// many jobs admission control rejected (ErrBusy), how many poison
-// items were quarantined after repeated worker crashes, how many items
-// the coordinator executed itself (quarantine or degraded mode), how
-// many times a job degraded to local execution, and how many jobs were
-// replayed or resumed from the write-ahead journal after a coordinator
-// restart. The quality fields of the rows are guaranteed identical
-// whether these are zero or not — the counters exist so a chaos or
-// crash-recovery run can PROVE recovery happened rather than silently
-// not injecting the fault.
-//
-// The fields mirror dispatch.FleetStats one for one, so a hub snapshot
-// converts directly: FleetEventStats(hub.Stats()).
-type FleetEventStats struct {
-	Releases     int64 `json:"releases"`
-	Revocations  int64 `json:"revocations"`
-	Disconnects  int64 `json:"disconnects"`
-	Reconnects   int64 `json:"reconnects"`
-	DecodeFaults int64 `json:"decode_faults"`
-	Rejected     int64 `json:"rejected"`
-	Poisoned     int64 `json:"poisoned"`
-	LocalItems   int64 `json:"local_items"`
-	Degraded     int64 `json:"degraded"`
-	Recovered    int64 `json:"recovered"`
-}
-
 // RoutingBenchFile is the top-level BENCH_routing.json document.
 type RoutingBenchFile struct {
 	Topology            string  `json:"topology"`
@@ -84,13 +60,46 @@ type RoutingBenchFile struct {
 	GOMAXPROCS          int     `json:"gomaxprocs"`
 	TotalWallMS         float64 `json:"total_wall_ms"`
 	// Fleet is present on distributed runs only (coordinator mode) and
-	// is environmental like wall times: merge/diff tooling ignores it.
-	Fleet *FleetEventStats `json:"fleet,omitempty"`
-	Rows  []RoutingRow     `json:"rows"`
+	// is environmental like wall times: diff tooling ignores it, merges
+	// sum it.
+	Fleet *dispatch.FleetStats `json:"fleet,omitempty"`
+	Rows  []RoutingRow         `json:"rows"`
 	// Kernels holds the numeric-kernel -benchmem lane (benchsuite
 	// -kernels): ns/op is hardware context, allocs/op is deterministic
 	// and gated by cmd/benchdiff.
 	Kernels []KernelRow `json:"kernels,omitempty"`
+}
+
+// NewRoutingRow is the row of one transpiled circuit, seq-th in its
+// run.
+func NewRoutingRow(seq int, circuit string, rep *transpile.Report) RoutingRow {
+	return RoutingRow{
+		Seq:     seq,
+		Circuit: circuit, Router: rep.Router,
+		WallMS:      float64(rep.Runtime.Microseconds()) / 1000,
+		DepthPulses: rep.DepthPulses, TotalGates: rep.TotalBasisGates,
+		Swaps: rep.SwapsInserted, Mirrors: rep.MirrorsUsed,
+		TrialsExecuted: rep.TrialsExecuted, TrialsBudgeted: rep.TrialsBudgeted,
+	}
+}
+
+// NewRoutingBenchFile is the document of a run of rows on topo under
+// the trial schedule layout, taking total wall time; fleet is nil on
+// serial runs.
+func NewRoutingBenchFile(topo string, layout sabre.LayoutOptions, total time.Duration,
+	fleet *dispatch.FleetStats, rows []RoutingRow) *RoutingBenchFile {
+	return &RoutingBenchFile{
+		Topology:            topo,
+		LayoutTrials:        layout.LayoutTrials,
+		RoutingTrials:       layout.RoutingTrials,
+		ConvergencePatience: layout.ConvergencePatience,
+		Seed:                layout.Seed,
+		Parallelism:         dispatch.Size(layout.Parallelism),
+		GOMAXPROCS:          runtime.GOMAXPROCS(0),
+		TotalWallMS:         float64(total.Microseconds()) / 1000,
+		Fleet:               fleet,
+		Rows:                rows,
+	}
 }
 
 // PatienceSweepRow aggregates one ConvergencePatience setting over a

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/dispatch"
 )
 
 // TestPatienceSweepFileRoundTrip checks the BENCH_patience.json schema
@@ -125,7 +127,7 @@ func TestRoutingBenchFileFleetStats(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_routing.json")
 	in := &RoutingBenchFile{
 		Topology: "grid-3x4",
-		Fleet: &FleetEventStats{Releases: 3, Revocations: 1, Disconnects: 2, Reconnects: 1, DecodeFaults: 1,
+		Fleet: &dispatch.FleetStats{Releases: 3, Revocations: 1, Disconnects: 2, Reconnects: 1, DecodeFaults: 1,
 			Rejected: 2, Poisoned: 1, LocalItems: 5, Degraded: 1, Recovered: 1},
 		Rows: []RoutingRow{{Seq: 0, Circuit: "qft_n18", Router: "sabre"}},
 	}
@@ -153,14 +155,14 @@ func TestRoutingBenchFileFleetStats(t *testing.T) {
 	}
 
 	fragA := &RoutingBenchFile{Topology: "g", Rows: []RoutingRow{{Seq: 0}},
-		Fleet: &FleetEventStats{Releases: 2, Reconnects: 1, Poisoned: 1, LocalItems: 3, Recovered: 1}}
+		Fleet: &dispatch.FleetStats{Releases: 2, Reconnects: 1, Poisoned: 1, LocalItems: 3, Recovered: 1}}
 	fragB := &RoutingBenchFile{Topology: "g", Rows: []RoutingRow{{Seq: 1}},
-		Fleet: &FleetEventStats{Releases: 1, Revocations: 4, Rejected: 2, LocalItems: 25, Degraded: 1}}
+		Fleet: &dispatch.FleetStats{Releases: 1, Revocations: 4, Rejected: 2, LocalItems: 25, Degraded: 1}}
 	merged, err := MergeRoutingFiles([]*RoutingBenchFile{fragA, fragB})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := FleetEventStats{Releases: 3, Revocations: 4, Reconnects: 1,
+	want := dispatch.FleetStats{Releases: 3, Revocations: 4, Reconnects: 1,
 		Rejected: 2, Poisoned: 1, LocalItems: 28, Degraded: 1, Recovered: 1}
 	if merged.Fleet == nil || *merged.Fleet != want {
 		t.Fatalf("merged fleet = %+v, want %+v", merged.Fleet, want)

@@ -53,17 +53,6 @@ func (lex *localExec) runItem(i int) WireItem {
 	return runSafe(lex.runner, i)
 }
 
-// poisonThreshold resolves the hub's quarantine threshold.
-func (h *Hub) poisonThreshold() int {
-	if h.PoisonThreshold == 0 {
-		return DefaultPoisonThreshold
-	}
-	if h.PoisonThreshold < 0 {
-		return 0
-	}
-	return h.PoisonThreshold
-}
-
 // runQuarantined executes poison items on the coordinator and delivers
 // their results out-of-band. A local failure does not silently vanish:
 // the item's error — consumed at its index position like any other —
@@ -75,7 +64,7 @@ func (jr *jobRun[T]) runQuarantined(idxs []int) {
 		wi := jr.lex.runItem(i)
 		jr.h.stats.localItems.Add(1)
 		if wi.Err != "" {
-			wi.Err = fmt.Sprintf("item %d was quarantined after its lease crashed %d workers, and local execution also failed: %s", i, jr.h.poisonThreshold(), wi.Err)
+			wi.Err = fmt.Sprintf("item %d was quarantined after its lease crashed %d workers, and local execution also failed: %s", i, PoisonThreshold, wi.Err)
 		}
 		wires = append(wires, wi)
 		items = append(items, completedFromWire(wi, jr.fromWire))

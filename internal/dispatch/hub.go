@@ -34,10 +34,10 @@ var errWorkerLeft = errors.New("dispatch: worker drained and left the fleet")
 // moment a real coordinator would have been killed mid-journal-write.
 var ErrSimulatedCrash = errors.New("dispatch: simulated coordinator crash")
 
-// DefaultPoisonThreshold is how many distinct worker crashes implicate
-// an item before it is quarantined and executed locally, when
-// Hub.PoisonThreshold is zero.
-const DefaultPoisonThreshold = 3
+// PoisonThreshold is how many distinct worker crashes implicate an
+// item's lease before the item is quarantined and executed locally on
+// the coordinator (only when Hub.LocalHandlers covers the job kind).
+const PoisonThreshold = 3
 
 // Hub is the coordinator side of the TCP transport: a persistent pool
 // of worker connections that serves jobs sequentially. Workers dial in
@@ -104,16 +104,9 @@ type Hub struct {
 	// degraded-mode fallback (a job whose fleet is empty past
 	// RejoinGrace finishes locally instead of failing). Both paths are
 	// deterministic: items are pure functions of their index, so who
-	// executes them cannot change the output. Nil keeps the PR 8
-	// behaviour — a fleetless job is a loud failure.
+	// executes them cannot change the output. With LocalHandlers nil,
+	// a fleetless job is a loud failure.
 	LocalHandlers map[string]Handler
-
-	// PoisonThreshold is how many distinct worker crashes may implicate
-	// an item's lease before the item is quarantined and executed
-	// locally. 0 means DefaultPoisonThreshold; negative disables
-	// quarantine. Only effective when LocalHandlers covers the job
-	// kind.
-	PoisonThreshold int
 
 	// Journal, when non-nil, makes every job crash-safe: the spec is
 	// persisted before launch and every banked result batch is fsync'd
@@ -157,7 +150,8 @@ type fleetCounters struct {
 	recovered    atomic.Int64
 }
 
-// FleetStats is a snapshot of the hub's failure-event counters.
+// FleetStats is a snapshot of the hub's failure-event counters, and
+// the `fleet` object of BENCH_routing.json on coordinator runs.
 // Releases counts leases failed back to the queue for re-granting (any
 // cause); Revocations counts deadline-triggered revocations (silent or
 // stalled workers, and job-deadline closures); Disconnects counts
@@ -170,17 +164,34 @@ type fleetCounters struct {
 // or degraded mode); Degraded counts times a job fell back to local
 // execution for its remainder; Recovered counts jobs replayed or
 // resumed from the write-ahead journal after a coordinator restart.
+// Row quality never depends on these counts: they exist so a chaos or
+// crash-recovery run can prove recovery happened.
 type FleetStats struct {
-	Releases     int64
-	Revocations  int64
-	Disconnects  int64
-	Reconnects   int64
-	DecodeFaults int64
-	Rejected     int64
-	Poisoned     int64
-	LocalItems   int64
-	Degraded     int64
-	Recovered    int64
+	Releases     int64 `json:"releases"`
+	Revocations  int64 `json:"revocations"`
+	Disconnects  int64 `json:"disconnects"`
+	Reconnects   int64 `json:"reconnects"`
+	DecodeFaults int64 `json:"decode_faults"`
+	Rejected     int64 `json:"rejected"`
+	Poisoned     int64 `json:"poisoned"`
+	LocalItems   int64 `json:"local_items"`
+	Degraded     int64 `json:"degraded"`
+	Recovered    int64 `json:"recovered"`
+}
+
+// Add sums o into s field by field: the merge rule of fleet counters
+// across BENCH_routing.json fragments.
+func (s *FleetStats) Add(o FleetStats) {
+	s.Releases += o.Releases
+	s.Revocations += o.Revocations
+	s.Disconnects += o.Disconnects
+	s.Reconnects += o.Reconnects
+	s.DecodeFaults += o.DecodeFaults
+	s.Rejected += o.Rejected
+	s.Poisoned += o.Poisoned
+	s.LocalItems += o.LocalItems
+	s.Degraded += o.Degraded
+	s.Recovered += o.Recovered
 }
 
 // Stats snapshots the failure-event counters.
@@ -540,9 +551,7 @@ func RunJob[T any](h *Hub, kind string, spec []byte, q *Queue[T], fromWire func(
 	}
 
 	if jr.lex.available() {
-		if k := h.poisonThreshold(); k > 0 {
-			q.SetPoisonThreshold(k)
-		}
+		q.SetPoisonThreshold(PoisonThreshold)
 	}
 
 	job := jr.job
@@ -737,7 +746,7 @@ func (jr *jobRun[T]) failLease(l Lease) {
 		return
 	}
 	jr.h.stats.poisoned.Add(int64(len(poisoned)))
-	jr.h.logf("dispatch: job %q: quarantining poison item(s) %v — each implicated in %d worker crashes — for local execution on the coordinator", jr.kind, poisoned, jr.h.poisonThreshold())
+	jr.h.logf("dispatch: job %q: quarantining poison item(s) %v — each implicated in %d worker crashes — for local execution on the coordinator", jr.kind, poisoned, PoisonThreshold)
 	jr.job.enter()
 	go func() {
 		defer jr.job.exit()

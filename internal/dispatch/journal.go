@@ -35,8 +35,8 @@ import (
 // A torn final frame (short write at crash time) fails the length or
 // CRC check; the scan truncates the file back to the last whole frame
 // and replays the valid prefix — write-ahead logging's standard
-// contract. Epilogues are not journaled: they summarise worker-local
-// state (cache deltas) and are reproduced by the re-run itself.
+// contract. Epilogues are not journaled: RunJob returns those of the
+// workers that ran part of the job in this process only.
 const journalFrameHeader = 8
 
 // maxJournalFrame bounds a single frame so a corrupt length prefix

@@ -27,11 +27,10 @@ type batchSpec struct {
 // fan-out — results are parallelism-invariant, so this only shapes
 // worker load).
 type wireBatchOptions struct {
-	Policy              PolicySpec
-	Layout              sabre.LayoutOptions
-	SkipTrivialLayout   bool
-	Parallelism         int
-	ConvergencePatience int
+	Policy            PolicySpec
+	Layout            sabre.LayoutOptions
+	SkipTrivialLayout bool
+	Parallelism       int
 }
 
 // wireReport is transpile.Report on the wire.
@@ -78,21 +77,28 @@ func reportToWire(r *transpile.Report) ([]byte, error) {
 	return encodeSpec(&w)
 }
 
-func reportFromWire(raw []byte, numPhysical int) (*transpile.Report, error) {
+// reportFromWire decodes the report of a circuit of numLogical qubits
+// routed onto numPhysical.
+func reportFromWire(raw []byte, numLogical, numPhysical int) (*transpile.Report, error) {
 	var w wireReport
 	if err := decodeSpec(raw, &w); err != nil {
 		return nil, fmt.Errorf("distrib: decoding report: %w", err)
 	}
 	r := &transpile.Report{
 		Name: w.Name, Router: w.Router,
-		InitialLayout: layoutFromWire(w.InitialLayout, numPhysical),
-		FinalLayout:   layoutFromWire(w.FinalLayout, numPhysical),
-		DepthTime:     w.DepthTime, DepthPulses: w.DepthPulses,
+		DepthTime: w.DepthTime, DepthPulses: w.DepthPulses,
 		TotalBasisGates: w.TotalBasisGates, Total2QBlocks: w.Total2QBlocks,
 		SwapsInserted: w.SwapsInserted, MirrorsUsed: w.MirrorsUsed,
 		MirrorAcceptRate: w.MirrorAcceptRate,
 		TrialsExecuted:   w.TrialsExecuted, TrialsBudgeted: w.TrialsBudgeted,
 		TrivialLayout: w.TrivialLayout, Runtime: time.Duration(w.RuntimeNS),
+	}
+	var err error
+	if r.InitialLayout, err = layoutFromWire(w.InitialLayout, numLogical, numPhysical); err != nil {
+		return nil, err
+	}
+	if r.FinalLayout, err = layoutFromWire(w.FinalLayout, numLogical, numPhysical); err != nil {
+		return nil, err
 	}
 	if w.Routed.NumQubits > 0 {
 		c, err := circuitFromWire(w.Routed)
@@ -138,12 +144,11 @@ func batchHandler(raw, _ []byte) (dispatch.JobRunner, error) {
 		return nil, err
 	}
 	opts := transpile.Options{
-		DepthSelection:      spec.Opts.Policy.DepthSelection,
-		Basis:               cov,
-		Layout:              spec.Opts.Layout,
-		SkipTrivialLayout:   spec.Opts.SkipTrivialLayout,
-		Parallelism:         spec.Opts.Parallelism,
-		ConvergencePatience: spec.Opts.ConvergencePatience,
+		DepthSelection:    spec.Opts.Policy.DepthSelection,
+		Basis:             cov,
+		Layout:            spec.Opts.Layout,
+		SkipTrivialLayout: spec.Opts.SkipTrivialLayout,
+		Parallelism:       spec.Opts.Parallelism,
 	}
 	if spec.Opts.Policy.Mirage {
 		opts.Router = transpile.MIRAGE
@@ -197,11 +202,10 @@ func (cl *Cluster) TranspileBatch(circuits []*circuit.Circuit, topo *topology.To
 		Circuits: wire,
 		Topo:     topologyToWire(topo),
 		Opts: wireBatchOptions{
-			Policy:              policy,
-			Layout:              opts.Layout,
-			SkipTrivialLayout:   opts.SkipTrivialLayout,
-			Parallelism:         opts.Parallelism,
-			ConvergencePatience: opts.ConvergencePatience,
+			Policy:            policy,
+			Layout:            opts.Layout,
+			SkipTrivialLayout: opts.SkipTrivialLayout,
+			Parallelism:       opts.Parallelism,
 		},
 	})
 	if err != nil {
@@ -215,7 +219,10 @@ func (cl *Cluster) TranspileBatch(circuits []*circuit.Circuit, topo *topology.To
 	})
 	_, err = dispatch.RunJob(cl.Hub, KindBatch, raw, q,
 		func(wi dispatch.WireItem) (*transpile.Report, error) {
-			return reportFromWire(wi.Blob, topo.NumQubits)
+			if wi.Index < 0 || wi.Index >= len(circuits) {
+				return nil, fmt.Errorf("distrib: report for circuit %d outside batch of %d", wi.Index, len(circuits))
+			}
+			return reportFromWire(wi.Blob, circuits[wi.Index].NumQubits, topo.NumQubits)
 		})
 	if err != nil {
 		return nil, err

@@ -93,8 +93,11 @@ func circuitFromWire(w wireCircuit) (*circuit.Circuit, error) {
 	}
 	c := circuit.New(w.Name, w.NumQubits)
 	for i, wo := range w.Ops {
+		if wo.GateQubits < 1 || wo.GateQubits > circuit.MaxUnitaryQubits {
+			return nil, fmt.Errorf("distrib: op %d (%s) acts on %d qubits", i, wo.Name, wo.GateQubits)
+		}
 		side := 1 << wo.GateQubits
-		if wo.GateQubits < 1 || len(wo.Mat) != side*side {
+		if len(wo.Mat) != side*side {
 			return nil, fmt.Errorf("distrib: op %d (%s) has a %d-element matrix for %d qubits",
 				i, wo.Name, len(wo.Mat), wo.GateQubits)
 		}
@@ -197,9 +200,14 @@ func layoutToWire(l *topology.Layout) []int {
 	return l.L2P
 }
 
-func layoutFromWire(l2p []int, numPhysical int) *topology.Layout {
+// layoutFromWire decodes a report's layout of numLogical qubits,
+// checked like a row layout; nil stays nil.
+func layoutFromWire(l2p []int, numLogical, numPhysical int) (*topology.Layout, error) {
 	if l2p == nil {
-		return nil
+		return nil, nil
 	}
-	return topology.NewLayout(l2p, numPhysical)
+	if err := checkLayout(l2p, numLogical, numPhysical); err != nil {
+		return nil, fmt.Errorf("distrib: %w", err)
+	}
+	return topology.NewLayout(l2p, numPhysical), nil
 }

@@ -62,7 +62,7 @@ func trialHandler(raw, _ []byte) (dispatch.JobRunner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &trialJob{runner: sabre.NewTrialRunnerPrepared(pc), opts: spec.Opts.WithDefaults(),
+	return &trialJob{runner: sabre.NewTrialRunner(pc), opts: spec.Opts.WithDefaults(),
 		metric: metric, factory: factory}, nil
 }
 

@@ -96,7 +96,7 @@ func TestDepthMetricMatchesConsolidateOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				runner := sabre.NewTrialRunnerPrepared(pc)
+				runner := sabre.NewTrialRunner(pc)
 				layouts := refineAll(t, runner, opts)
 				costs := NewCostTable(cov, in)
 				metric := DepthMetric(costs)
@@ -237,7 +237,7 @@ func TestGridTrialDepthMetricAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runner := sabre.NewTrialRunnerPrepared(pc)
+		runner := sabre.NewTrialRunner(pc)
 		layout, err := runner.RefineLayout(opts, 0)
 		if err != nil {
 			t.Fatal(err)

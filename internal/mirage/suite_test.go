@@ -89,7 +89,7 @@ func TestCostTableHoldsEveryHotPathPrice(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			runner := sabre.NewTrialRunnerPrepared(pc)
+			runner := sabre.NewTrialRunner(pc)
 			layouts := make([]*topology.Layout, opts.LayoutTrials)
 			for lt := range layouts {
 				if layouts[lt], err = runner.RefineLayout(opts, lt); err != nil {

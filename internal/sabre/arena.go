@@ -327,16 +327,6 @@ type TrialRunner struct {
 	arena *trialArena
 }
 
-// NewTrialRunner validates and prepares c for repeated routing trials
-// on topo (see PrepareCircuit).
-func NewTrialRunner(c *circuit.Circuit, topo *topology.Topology) (*TrialRunner, error) {
-	pc, err := PrepareCircuit(c, topo)
-	if err != nil {
-		return nil, err
-	}
-	return NewTrialRunnerPrepared(pc), nil
-}
-
 // Run executes one routing trial from the given initial layout with a
 // deterministically seeded generator. Steady-state calls allocate O(1):
 // all trial state lives in the runner's arena. See TrialRunner for the

@@ -50,10 +50,11 @@ func TestTrialRunnerMatchesRoute(t *testing.T) {
 		RandomLayout(12, topo, rng),
 		RandomLayout(12, topo, rng),
 	}
-	runner, err := NewTrialRunner(c, topo)
+	pc, err := PrepareCircuit(c, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
+	runner := NewTrialRunner(pc)
 	for _, policy := range []MirrorPolicy{nil, parityMirror{}, costMirror{}} {
 		for trial := 0; trial < 8; trial++ {
 			seed := int64(1000*trial + 7)
@@ -135,17 +136,18 @@ func TestSharedFlatDAGManyWorkers(t *testing.T) {
 	c := randomCircuit("hammer", 14, 80, rng)
 	layout := RandomLayout(14, topo, rng)
 
-	proto, err := NewTrialRunner(c, topo)
+	first, err := PrepareCircuit(c, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
+	proto := NewTrialRunner(first)
 	want, err := proto.Run(layout, Options{}, 99, parityMirror{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := routingFingerprint(want)
 	// A second preparation whose mirror data nobody has built yet.
-	pc, err := PrepareFromDAG(proto.pc.FD, topo)
+	pc, err := PrepareFromDAG(first.FD, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +159,7 @@ func TestSharedFlatDAGManyWorkers(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			runner := NewTrialRunnerPrepared(pc) // shared DAG and mirror data, private arena
+			runner := NewTrialRunner(pc) // shared DAG and mirror data, private arena
 			for rep := 0; rep < 10; rep++ {
 				res, err := runner.Run(layout, Options{}, 99, parityMirror{})
 				if err != nil {
@@ -231,7 +233,7 @@ func TestSteadyStateTrialsAllocateNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := LayoutOptions{LayoutTrials: 3, RoutingTrials: 4, Seed: 5}.WithDefaults()
-	runner := NewTrialRunnerPrepared(pc)
+	runner := NewTrialRunner(pc)
 	layouts := make([]*topology.Layout, opts.LayoutTrials)
 	for lt := range layouts {
 		if layouts[lt], err = runner.RefineLayout(opts, lt); err != nil {

@@ -83,10 +83,11 @@ func BenchmarkRouteArena(b *testing.B) {
 			topo := topology.Grid(tc.rows, tc.cols)
 			c := benchCircuit(tc.qubits, tc.gates)
 			layout := RandomLayout(tc.qubits, topo, rand.New(rand.NewSource(7)))
-			runner, err := NewTrialRunner(c, topo)
+			pc, err := PrepareCircuit(c, topo)
 			if err != nil {
 				b.Fatal(err)
 			}
+			runner := NewTrialRunner(pc)
 			// One throwaway trial grows every arena buffer to its
 			// high-water mark so the timed loop sees the steady state.
 			if _, err := runner.Run(layout, Options{}, 1, nil); err != nil {
@@ -149,7 +150,7 @@ func BenchmarkGridTrialSmall(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts := LayoutOptions{Seed: 1, Parallelism: 1}.WithDefaults()
-	runner := NewTrialRunnerPrepared(pc)
+	runner := NewTrialRunner(pc)
 	layouts := make([]*topology.Layout, opts.LayoutTrials)
 	for lt := range layouts {
 		if layouts[lt], err = runner.RefineLayout(opts, lt); err != nil {
@@ -186,10 +187,11 @@ func BenchmarkRefineLayout(b *testing.B) {
 		{"wide", 8, 8, 64, 400},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			runner, err := NewTrialRunner(benchCircuit(tc.qubits, tc.gates), topology.Grid(tc.rows, tc.cols))
+			pc, err := PrepareCircuit(benchCircuit(tc.qubits, tc.gates), topology.Grid(tc.rows, tc.cols))
 			if err != nil {
 				b.Fatal(err)
 			}
+			runner := NewTrialRunner(pc)
 			opts := LayoutOptions{Seed: 3}.WithDefaults()
 			if _, err := runner.RefineLayout(opts, 0); err != nil {
 				b.Fatal(err)

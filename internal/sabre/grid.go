@@ -124,7 +124,7 @@ func (g *Grid) Result() (*Result, error) {
 	if g.factory != nil {
 		policy = g.factory(bestT)
 	}
-	best, err := NewTrialRunnerPrepared(g.pc).GridTrial(g.layout, g.opts, bestT, policy)
+	best, err := NewTrialRunner(g.pc).GridTrial(g.layout, g.opts, bestT, policy)
 	if err != nil {
 		return nil, err
 	}

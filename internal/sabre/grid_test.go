@@ -81,7 +81,7 @@ func TestGridRowStopsWithTheGrid(t *testing.T) {
 			return nil
 		}
 		g = NewGrid(pc, opts, nil, factory)
-		row, err := g.row(NewTrialRunnerPrepared(pc), 2)
+		row, err := g.row(NewTrialRunner(pc), 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,7 +45,7 @@ type PreparedCircuit struct {
 
 // PrepareCircuit validates c against topo and builds the shared
 // immutable analysis state (forward and reversed flat DAGs) that
-// FindBestRoutingPrepared and NewTrialRunnerPrepared reuse. Prepare
+// FindBestRoutingPrepared and NewTrialRunner reuse. Prepare
 // once per circuit and fan the result out to every consumer.
 func PrepareCircuit(c *circuit.Circuit, topo *topology.Topology) (*PreparedCircuit, error) {
 	return PrepareFromDAG(circuit.BuildFlatDAG(c), topo)
@@ -72,11 +72,11 @@ func PrepareFromDAG(fd *circuit.FlatDAG, topo *topology.Topology) (*PreparedCirc
 	}, nil
 }
 
-// NewTrialRunnerPrepared builds a trial runner over the prepared
+// NewTrialRunner builds a trial runner over the prepared
 // state: no validation, no DAG construction — just a fresh arena
 // sharing the immutable DAGs and mirror data. Runners are single-
 // goroutine; create one per worker.
-func NewTrialRunnerPrepared(pc *PreparedCircuit) *TrialRunner {
+func NewTrialRunner(pc *PreparedCircuit) *TrialRunner {
 	return &TrialRunner{pc: pc, arena: newTrialArena()}
 }
 
@@ -91,7 +91,7 @@ func FindBestRoutingPrepared(pc *PreparedCircuit, opts LayoutOptions,
 	g := NewGrid(pc, opts, metric, factory)
 	q := dispatch.NewQueue(g.opts.LayoutTrials, 1, g.Consume)
 	err := dispatch.RunLocal(q, g.opts.Parallelism,
-		func(int) *TrialRunner { return NewTrialRunnerPrepared(pc) },
+		func(int) *TrialRunner { return NewTrialRunner(pc) },
 		func(lt int, r *TrialRunner) (Row, error) { return g.row(r, lt) })
 	if err != nil {
 		return nil, err

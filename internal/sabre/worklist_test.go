@@ -122,7 +122,7 @@ func TestPreparedCircuitSharedRace(t *testing.T) {
 	}
 	ref := routingFingerprint(want)
 	layout := RandomLayout(10, topo, rand.New(rand.NewSource(1)))
-	wantSingle, err := NewTrialRunnerPrepared(pc).Run(layout, Options{}, 42, parityMirror{})
+	wantSingle, err := NewTrialRunner(pc).Run(layout, Options{}, 42, parityMirror{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +145,11 @@ func TestPreparedCircuitSharedRace(t *testing.T) {
 					errs <- fmt.Sprintf("worker %d rep %d: grid fingerprint diverged", w, rep)
 					return
 				}
-				if _, err := NewTrialRunnerPrepared(pc).RefineLayout(opts, rep%opts.LayoutTrials); err != nil {
+				if _, err := NewTrialRunner(pc).RefineLayout(opts, rep%opts.LayoutTrials); err != nil {
 					errs <- fmt.Sprintf("worker %d rep %d: refine: %v", w, rep, err)
 					return
 				}
-				single, err := NewTrialRunnerPrepared(pc).Run(layout, Options{}, 42, parityMirror{})
+				single, err := NewTrialRunner(pc).Run(layout, Options{}, 42, parityMirror{})
 				if err != nil {
 					errs <- fmt.Sprintf("worker %d rep %d: single: %v", w, rep, err)
 					return

@@ -1,4 +1,4 @@
-package transpile
+package transpile_test
 
 import (
 	"testing"
@@ -8,11 +8,12 @@ import (
 	"repro/internal/polytope"
 	"repro/internal/sabre"
 	"repro/internal/topology"
+	"repro/internal/transpile"
 )
 
-func batchOpts() Options {
-	return Options{
-		Router:            MIRAGE,
+func batchOpts() transpile.Options {
+	return transpile.Options{
+		Router:            transpile.MIRAGE,
 		DepthSelection:    true,
 		Layout:            sabre.LayoutOptions{LayoutTrials: 2, RoutingTrials: 2, FwdBwdPasses: 1, Seed: 5},
 		SkipTrivialLayout: true,
@@ -26,9 +27,9 @@ func TestTranspileBatchMatchesIndividual(t *testing.T) {
 	topo := topology.SquareLattice66()
 	circs := []*circuit.Circuit{bench.QFT(8), bench.GHZ(10), bench.TwoLocal(6)}
 
-	var solo []*Report
+	var solo []*transpile.Report
 	for _, c := range circs {
-		rep, err := Transpile(c, topo, batchOpts())
+		rep, err := transpile.Transpile(c, topo, batchOpts())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +45,7 @@ func TestTranspileBatchMatchesIndividual(t *testing.T) {
 		} else {
 			opts.Parallelism = par
 		}
-		batch, err := TranspileBatch(circs, topo, opts)
+		batch, err := transpile.TranspileBatch(circs, topo, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +79,7 @@ func TestTranspileBatchSharesCache(t *testing.T) {
 
 	opts := batchOpts()
 	opts.Parallelism = 2
-	implicit, err := TranspileBatch(circs, topo, opts)
+	implicit, err := transpile.TranspileBatch(circs, topo, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,12 +87,12 @@ func TestTranspileBatchSharesCache(t *testing.T) {
 		t.Fatalf("batch grew the coverage registry from %d to %d sets", sets, got)
 	}
 	opts.Basis = shared
-	explicit, err := TranspileBatch(circs, topo, opts)
+	explicit, err := transpile.TranspileBatch(circs, topo, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, rep := range implicit {
-		for _, other := range []*Report{implicit[1-i], explicit[i]} {
+		for _, other := range []*transpile.Report{implicit[1-i], explicit[i]} {
 			if rep.DepthTime != other.DepthTime ||
 				rep.TotalBasisGates != other.TotalBasisGates ||
 				rep.SwapsInserted != other.SwapsInserted ||
@@ -108,13 +109,13 @@ func TestTranspileBatchError(t *testing.T) {
 	topo := topology.Line(4)
 	circs := []*circuit.Circuit{bench.GHZ(4), bench.GHZ(10)} // second is oversized
 	opts := batchOpts()
-	if _, err := TranspileBatch(circs, topo, opts); err == nil {
+	if _, err := transpile.TranspileBatch(circs, topo, opts); err == nil {
 		t.Fatal("expected error for oversized circuit in batch")
 	}
 }
 
 func TestTranspileBatchEmpty(t *testing.T) {
-	reps, err := TranspileBatch(nil, topology.Line(4), batchOpts())
+	reps, err := transpile.TranspileBatch(nil, topology.Line(4), batchOpts())
 	if err != nil || reps != nil {
 		t.Fatalf("empty batch: got (%v, %v), want (nil, nil)", reps, err)
 	}

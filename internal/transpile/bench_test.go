@@ -1,4 +1,4 @@
-package transpile
+package transpile_test
 
 import (
 	"runtime"
@@ -9,6 +9,7 @@ import (
 	"repro/internal/polytope"
 	"repro/internal/sabre"
 	"repro/internal/topology"
+	"repro/internal/transpile"
 )
 
 // maxCallBytes bounds the heap bytes one warm MIRAGE-Depth
@@ -23,13 +24,13 @@ const maxCallBytes = 256 << 10
 // on grid-3x4 with a 4x4 serial trial grid, averaged over 20 calls.
 func TestTranspilePreparedAllocBytes(t *testing.T) {
 	m := mirrorbench.Generate(mirrorbench.Spec{Kind: mirrorbench.QuantumVolume, Qubits: 6, Layers: 6, Seed: 5})
-	pc := PrepareCircuit(m.Circuit, topology.Grid(3, 4))
-	opts := Options{
-		Router: MIRAGE, DepthSelection: true, SkipTrivialLayout: true,
+	pc := transpile.PrepareCircuit(m.Circuit, topology.Grid(3, 4))
+	opts := transpile.Options{
+		Router: transpile.MIRAGE, DepthSelection: true, SkipTrivialLayout: true,
 		Layout:      sabre.LayoutOptions{LayoutTrials: 4, RoutingTrials: 4, FwdBwdPasses: 2},
 		Parallelism: 1,
 	}
-	rep, err := TranspilePrepared(pc, opts) // warm the coordinate cache and coverage set
+	rep, err := transpile.TranspilePrepared(pc, opts) // warm the coordinate cache and coverage set
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestTranspilePreparedAllocBytes(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < calls; i++ {
-		if _, err := TranspilePrepared(pc, opts); err != nil {
+		if _, err := transpile.TranspilePrepared(pc, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,9 +60,9 @@ func TestTranspilePreparedAllocBytes(t *testing.T) {
 // grid-3x4 with a 4x4 serial trial grid. The coverage set and the
 // circuit preparation are built once, outside the timer.
 func BenchmarkTranspileRoot4(b *testing.B) {
-	pc := PrepareCircuit(bench.QFT(10), topology.Grid(3, 4))
-	opts := Options{
-		Router: MIRAGE, DepthSelection: true, SkipTrivialLayout: true,
+	pc := transpile.PrepareCircuit(bench.QFT(10), topology.Grid(3, 4))
+	opts := transpile.Options{
+		Router: transpile.MIRAGE, DepthSelection: true, SkipTrivialLayout: true,
 		Basis:       polytope.NewISwapRootCoverage(4),
 		Layout:      sabre.LayoutOptions{LayoutTrials: 4, RoutingTrials: 4, FwdBwdPasses: 2},
 		Parallelism: 1,
@@ -69,7 +70,7 @@ func BenchmarkTranspileRoot4(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := TranspilePrepared(pc, opts); err != nil {
+		if _, err := transpile.TranspilePrepared(pc, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,4 +1,4 @@
-package transpile
+package transpile_test
 
 import (
 	"math/rand"
@@ -11,6 +11,7 @@ import (
 	"repro/internal/polytope"
 	"repro/internal/sabre"
 	"repro/internal/topology"
+	"repro/internal/transpile"
 )
 
 func TestTranspileFromQASMSource(t *testing.T) {
@@ -28,7 +29,7 @@ cx q[3],q[0];
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Transpile(c, topology.Line(4), quickOpts(MIRAGE, true))
+	rep, err := transpile.Transpile(c, topology.Line(4), quickOpts(transpile.MIRAGE, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ cx q[3],q[0];
 
 func TestTranspileErrorOnOversizedCircuit(t *testing.T) {
 	c := bench.GHZ(10)
-	if _, err := Transpile(c, topology.Line(4), quickOpts(SABRE, false)); err == nil {
+	if _, err := transpile.Transpile(c, topology.Line(4), quickOpts(transpile.SABRE, false)); err == nil {
 		t.Fatal("expected error for circuit larger than device")
 	}
 }
@@ -50,15 +51,15 @@ func TestTranspileDisconnectedTopologyFails(t *testing.T) {
 	c := circuit.New("cross", 4)
 	c.Add(gates.CX(), 0, 1)
 	c.Add(gates.CX(), 1, 2) // crosses the cut
-	opts := quickOpts(SABRE, false)
+	opts := quickOpts(transpile.SABRE, false)
 	opts.SkipTrivialLayout = true
-	if _, err := Transpile(c, topo, opts); err == nil {
+	if _, err := transpile.Transpile(c, topo, opts); err == nil {
 		t.Fatal("expected routing failure on a disconnected topology")
 	}
 }
 
 func TestMirrorAcceptRateBounds(t *testing.T) {
-	rep, err := Transpile(bench.TwoLocal(6), topology.Line(6), quickOpts(MIRAGE, true))
+	rep, err := transpile.Transpile(bench.TwoLocal(6), topology.Line(6), quickOpts(transpile.MIRAGE, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +86,10 @@ func TestPropertyPipelineInvariants(t *testing.T) {
 		if c.Count2Q() == 0 {
 			return true
 		}
-		opts := quickOpts(MIRAGE, true)
+		opts := quickOpts(transpile.MIRAGE, true)
 		opts.SkipTrivialLayout = true
 		opts.Layout = sabre.LayoutOptions{LayoutTrials: 2, RoutingTrials: 2, FwdBwdPasses: 1, Seed: seed}
-		rep, err := Transpile(c, topo, opts)
+		rep, err := transpile.Transpile(c, topo, opts)
 		if err != nil {
 			return false
 		}
@@ -110,15 +111,15 @@ func TestDepthSelectionNeverWorseThanSwapSelection(t *testing.T) {
 	// set).
 	c := bench.TwoLocal(6)
 	topo := topology.Line(6)
-	base := quickOpts(MIRAGE, false)
+	base := quickOpts(transpile.MIRAGE, false)
 	base.SkipTrivialLayout = true
-	deep := quickOpts(MIRAGE, true)
+	deep := quickOpts(transpile.MIRAGE, true)
 	deep.SkipTrivialLayout = true
-	s, err := Transpile(c, topo, base)
+	s, err := transpile.Transpile(c, topo, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Transpile(c, topo, deep)
+	d, err := transpile.Transpile(c, topo, deep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,10 +131,10 @@ func TestDepthSelectionNeverWorseThanSwapSelection(t *testing.T) {
 func TestCNOTBasisTranspilation(t *testing.T) {
 	// MIRAGE is basis-agnostic (its advantage shrinks for CNOT, as the
 	// paper discusses, but the machinery must work).
-	opts := quickOpts(MIRAGE, true)
+	opts := quickOpts(transpile.MIRAGE, true)
 	opts.Basis = polytope.NewCNOTCoverage()
 	opts.SkipTrivialLayout = true
-	rep, err := Transpile(bench.TwoLocal(5), topology.Line(5), opts)
+	rep, err := transpile.Transpile(bench.TwoLocal(5), topology.Line(5), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

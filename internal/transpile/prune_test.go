@@ -1,4 +1,4 @@
-package transpile
+package transpile_test
 
 import (
 	"fmt"
@@ -9,6 +9,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/sabre"
 	"repro/internal/topology"
+	"repro/internal/transpile"
 )
 
 // sameRouted reports whether two routed circuits are op-for-op equal:
@@ -43,30 +44,31 @@ func TestPrunedTranspileMatchesUnpruned(t *testing.T) {
 	circuits := []*circuit.Circuit{bench.QFT(8), bench.TwoLocal(6), bench.PortfolioQAOA(8, 1)}
 	configs := []struct {
 		name   string
-		router Router
+		router transpile.Router
 		depth  bool
 	}{
-		{"sabre-swaps", SABRE, false},
-		{"sabre-depth", SABRE, true},
-		{"mirage-swaps", MIRAGE, false},
-		{"mirage-depth", MIRAGE, true},
+		{"sabre-swaps", transpile.SABRE, false},
+		{"sabre-depth", transpile.SABRE, true},
+		{"mirage-swaps", transpile.MIRAGE, false},
+		{"mirage-depth", transpile.MIRAGE, true},
 	}
 	var scored, executed int64
 	for _, c := range circuits {
-		pc := PrepareCircuit(c, topo)
+		pc := transpile.PrepareCircuit(c, topo)
 		for _, cfg := range configs {
 			for _, patience := range []int{0, 3} {
-				opts := Options{
+				opts := transpile.Options{
 					Router: cfg.router, DepthSelection: cfg.depth, SkipTrivialLayout: true,
-					ConvergencePatience: patience, Parallelism: 1,
-					Layout: sabre.LayoutOptions{LayoutTrials: 4, RoutingTrials: 6, FwdBwdPasses: 2, Seed: 3},
+					Parallelism: 1,
+					Layout: sabre.LayoutOptions{LayoutTrials: 4, RoutingTrials: 6, FwdBwdPasses: 2, Seed: 3,
+						ConvergencePatience: patience},
 				}
 				unpruned := opts
 				unpruned.RouteFn = func(pc *sabre.PreparedCircuit, lo sabre.LayoutOptions,
 					metric sabre.Metric, factory sabre.PolicyFactory) (*sabre.Result, error) {
 					return sabre.FindBestRoutingPrepared(pc, lo.WithBound(nil), metric, factory)
 				}
-				want, err := TranspilePrepared(pc, unpruned)
+				want, err := transpile.TranspilePrepared(pc, unpruned)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -79,7 +81,7 @@ func TestPrunedTranspileMatchesUnpruned(t *testing.T) {
 						counted := func(r *sabre.Result) float64 { calls.Add(1); return metric(r) }
 						return sabre.FindBestRoutingPrepared(pc, lo, counted, factory)
 					}
-					got, err := TranspilePrepared(pc, pruned)
+					got, err := transpile.TranspilePrepared(pc, pruned)
 					if err != nil {
 						t.Fatal(err)
 					}

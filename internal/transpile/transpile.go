@@ -66,13 +66,6 @@ type Options struct {
 	// worker per CPU). Non-zero values override Layout.Parallelism.
 	// Results are seed-deterministic at any setting.
 	Parallelism int
-	// ConvergencePatience, when positive, lets the trial grid stop
-	// early: it ends after this many consecutive non-improving trial
-	// indices. The stop rule
-	// is defined on trial indices, so results stay seed-deterministic
-	// at any Parallelism. Non-zero values override
-	// Layout.ConvergencePatience; 0 defers to it.
-	ConvergencePatience int
 	// RouteFn overrides the routing engine for step 4 of the pipeline;
 	// nil uses sabre.FindBestRoutingPrepared in-process. This is the
 	// seam the distributed dispatcher (internal/distrib) plugs into: its
@@ -192,9 +185,6 @@ func transpilePrepared(pc *PreparedCircuit, opts Options, start time.Time) (*Rep
 	opts.Layout = opts.Layout.WithDefaults()
 	if opts.Parallelism != 0 {
 		opts.Layout.Parallelism = opts.Parallelism
-	}
-	if opts.ConvergencePatience != 0 {
-		opts.Layout.ConvergencePatience = opts.ConvergencePatience
 	}
 
 	rep := &Report{

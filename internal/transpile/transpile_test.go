@@ -1,4 +1,4 @@
-package transpile
+package transpile_test
 
 import (
 	"testing"
@@ -9,10 +9,11 @@ import (
 	"repro/internal/mirage"
 	"repro/internal/sabre"
 	"repro/internal/topology"
+	"repro/internal/transpile"
 )
 
-func quickOpts(router Router, depth bool) Options {
-	return Options{
+func quickOpts(router transpile.Router, depth bool) transpile.Options {
+	return transpile.Options{
 		Router:         router,
 		DepthSelection: depth,
 		Layout: sabre.LayoutOptions{
@@ -28,7 +29,7 @@ func TestTrivialLayoutShortCircuit(t *testing.T) {
 	// GHZ is a line: it embeds in any line topology SWAP-free, so
 	// neither router is invoked (paper Section V).
 	c := bench.GHZ(5)
-	rep, err := Transpile(c, topology.Line(8), quickOpts(SABRE, false))
+	rep, err := transpile.Transpile(c, topology.Line(8), quickOpts(transpile.SABRE, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestTrivialLayoutShortCircuit(t *testing.T) {
 		t.Fatal("trivial layout must not insert SWAPs or mirrors")
 	}
 	// Both routers behave identically here.
-	rep2, err := Transpile(c, topology.Line(8), quickOpts(MIRAGE, true))
+	rep2, err := transpile.Transpile(c, topology.Line(8), quickOpts(transpile.MIRAGE, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +57,11 @@ func TestFig8TwoLocalOnLine(t *testing.T) {
 	c := bench.TwoLocal(4)
 	topo := topology.Line(4)
 
-	sabreRep, err := Transpile(c, topo, quickOpts(SABRE, false))
+	sabreRep, err := transpile.Transpile(c, topo, quickOpts(transpile.SABRE, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mirageRep, err := Transpile(c, topo, quickOpts(MIRAGE, true))
+	mirageRep, err := transpile.Transpile(c, topo, quickOpts(transpile.MIRAGE, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +87,8 @@ func TestFig8TwoLocalOnLine(t *testing.T) {
 func TestTranspiledCircuitRespectsTopology(t *testing.T) {
 	c := bench.QFT(6)
 	topo := topology.Ring(8)
-	for _, router := range []Router{SABRE, MIRAGE} {
-		rep, err := Transpile(c, topo, quickOpts(router, router == MIRAGE))
+	for _, router := range []transpile.Router{transpile.SABRE, transpile.MIRAGE} {
+		rep, err := transpile.Transpile(c, topo, quickOpts(router, router == transpile.MIRAGE))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,10 +113,10 @@ func TestTranspileUnitaryEquivalenceSmall(t *testing.T) {
 	c.Add(gates.CX(), 3, 0)
 	topo := topology.Line(4)
 
-	for _, router := range []Router{SABRE, MIRAGE} {
-		opts := quickOpts(router, router == MIRAGE)
+	for _, router := range []transpile.Router{transpile.SABRE, transpile.MIRAGE} {
+		opts := quickOpts(router, router == transpile.MIRAGE)
 		opts.SkipTrivialLayout = true
-		rep, err := Transpile(c, topo, opts)
+		rep, err := transpile.Transpile(c, topo, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,11 +147,11 @@ func TestMirageReducesSwapsOnBenchmarks(t *testing.T) {
 	// in check.
 	c := bench.WState(10)
 	topo := topology.Grid(3, 4)
-	sabreRep, err := Transpile(c, topo, quickOpts(SABRE, false))
+	sabreRep, err := transpile.Transpile(c, topo, quickOpts(transpile.SABRE, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mirageRep, err := Transpile(c, topo, quickOpts(MIRAGE, true))
+	mirageRep, err := transpile.Transpile(c, topo, quickOpts(transpile.MIRAGE, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,9 +164,9 @@ func TestFixedAggressionOption(t *testing.T) {
 	c := bench.TwoLocal(4)
 	topo := topology.Line(4)
 	lvl := mirage.AggressionNever
-	opts := quickOpts(MIRAGE, true)
+	opts := quickOpts(transpile.MIRAGE, true)
 	opts.FixedAggression = &lvl
-	rep, err := Transpile(c, topo, opts)
+	rep, err := transpile.Transpile(c, topo, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestFixedAggressionOption(t *testing.T) {
 
 func TestReportMetricsConsistency(t *testing.T) {
 	c := bench.TwoLocal(4)
-	rep, err := Transpile(c, topology.Line(4), quickOpts(MIRAGE, true))
+	rep, err := transpile.Transpile(c, topology.Line(4), quickOpts(transpile.MIRAGE, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,20 +192,20 @@ func TestReportMetricsConsistency(t *testing.T) {
 	}
 }
 
-// TestAdaptiveKnobsThreadThrough: Options.ConvergencePatience must
+// TestAdaptiveKnobsThreadThrough: Layout.ConvergencePatience must
 // reach the trial scheduler (trials-executed < budget on a converging
 // circuit), stay deterministic across Parallelism, and the report must
 // carry the schedule that produced it.
 func TestAdaptiveKnobsThreadThrough(t *testing.T) {
 	c := bench.QFT(8)
 	topo := topology.Grid(3, 3)
-	base := Options{
-		Router:            MIRAGE,
+	base := transpile.Options{
+		Router:            transpile.MIRAGE,
 		Layout:            sabre.LayoutOptions{LayoutTrials: 6, RoutingTrials: 6, FwdBwdPasses: 1, Seed: 7},
 		SkipTrivialLayout: true,
 	}
 
-	full, err := Transpile(c, topo, base)
+	full, err := transpile.Transpile(c, topo, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +214,11 @@ func TestAdaptiveKnobsThreadThrough(t *testing.T) {
 	}
 
 	adaptive := base
-	adaptive.ConvergencePatience = 4
-	var ref *Report
+	adaptive.Layout.ConvergencePatience = 4
+	var ref *transpile.Report
 	for _, par := range []int{1, 4} {
 		adaptive.Parallelism = par
-		rep, err := Transpile(c, topo, adaptive)
+		rep, err := transpile.Transpile(c, topo, adaptive)
 		if err != nil {
 			t.Fatal(err)
 		}

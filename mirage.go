@@ -161,7 +161,11 @@ type TrialRunner = sabre.TrialRunner
 // NewTrialRunner validates and prepares a circuit for repeated routing
 // trials on a topology.
 func NewTrialRunner(c *Circuit, topo *Topology) (*TrialRunner, error) {
-	return sabre.NewTrialRunner(c, topo)
+	pc, err := sabre.PrepareCircuit(c, topo)
+	if err != nil {
+		return nil, err
+	}
+	return sabre.NewTrialRunner(pc), nil
 }
 
 // Transpile runs the full pipeline: cleaning, consolidation, trivial
@@ -169,7 +173,7 @@ func NewTrialRunner(c *Circuit, topo *Topology) (*TrialRunner, error) {
 // one layout row (refine one layout, route its trials) per work item
 // on a bounded set of workers (Options.Parallelism; 0 = one worker per
 // CPU) with seed-deterministic results at any worker count.
-// Options.ConvergencePatience > 0 enables adaptive early-stop: the
+// Options.Layout.ConvergencePatience > 0 enables adaptive early-stop: the
 // grid ends after that many consecutive non-improving trial indices —
 // the stop rule is defined on trial indices, never wall-clock arrival
 // order, so adaptive runs are also bit-identical at any Parallelism.
