@@ -307,9 +307,7 @@ func runCoordinator(args []string) error {
 	}
 	stats := hub.Stats()
 	fmt.Printf("total runtime: %s over %d workers\n", total.Round(time.Millisecond), hub.Workers())
-	fmt.Printf("fleet events: releases=%d revocations=%d disconnects=%d reconnects=%d decode_faults=%d rejected=%d poisoned=%d local_items=%d degraded=%d recovered=%d\n",
-		stats.Releases, stats.Revocations, stats.Disconnects, stats.Reconnects, stats.DecodeFaults,
-		stats.Rejected, stats.Poisoned, stats.LocalItems, stats.Degraded, stats.Recovered)
+	fmt.Printf("fleet events: %v\n", stats)
 
 	if *jsonPath != "" {
 		f := bench.NewRoutingBenchFile(topo.Name, base.Layout, total, &stats, rows)

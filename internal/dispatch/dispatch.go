@@ -5,8 +5,7 @@
 // drive it — an in-process adapter that schedules the layout rows of
 // sabre.FindBestRouting and the circuits of transpile.TranspileBatch,
 // and a gob-over-TCP coordinator/worker protocol for fanning the
-// trials and circuits out across machines. It is the only scheduler: Size normalises every
-// parallelism knob of the pipeline.
+// trials and circuits out across machines.
 //
 // The design centre is the determinism contract the single-process
 // scheduler already guarantees: results are consumed serially in
@@ -22,10 +21,10 @@
 //
 // # Contract
 //
-// TrialSource hands out leases (half-open index ranges) and takes
-// failed leases back; TrialSink accepts completed results. Queue
-// implements both and adds the index-ordered consume loop; transports
-// only ever talk to the two interfaces, so the in-process adapter and
+// A Queue hands out leases (half-open index ranges), takes failed
+// leases back for re-granting lowest index first, accepts completed
+// results from any goroutine, and consumes them in index order. Both
+// transports drive a *Queue directly, so the in-process adapter and
 // the TCP coordinator are interchangeable over any Queue.
 //
 // # Transports
@@ -82,36 +81,4 @@ type Completed[T any] struct {
 	Index int
 	Value T
 	Err   error
-}
-
-// TrialSource is the worker-facing half of the queue contract: lease
-// work, and hand a lease back when its worker is lost. Implementations
-// must grant re-leased indices before fresh ones (lowest index first)
-// so that consumption — which is strictly index-ordered — is starved
-// as briefly as possible.
-type TrialSource interface {
-	// Lease returns the next range of work, or ok=false when no work
-	// is currently grantable (drained, stopped, or everything
-	// outstanding is held by other workers).
-	Lease() (Lease, bool)
-	// LeaseWait is Lease, but blocks while work could still appear
-	// (an outstanding lease failing and being re-granted); it returns
-	// ok=false only once the queue is finished.
-	LeaseWait() (Lease, bool)
-	// Fail returns a lease's unfinished indices to the queue for
-	// re-granting. Failing an unknown or completed lease is a no-op.
-	Fail(id uint64)
-	// Finished reports whether the queue needs no further results:
-	// every index was consumed, the consumer stopped early, or an
-	// error was consumed.
-	Finished() bool
-}
-
-// TrialSink is the result-facing half of the contract. Complete may be
-// called any number of times per lease, with any subset of its
-// indices, from any goroutine; results for indices that were already
-// reported (a lease wrongly presumed lost) and results from revoked
-// leases are ignored, which is what makes worker recovery idempotent.
-type TrialSink[T any] interface {
-	Complete(id uint64, items []Completed[T])
 }

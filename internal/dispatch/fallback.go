@@ -59,45 +59,35 @@ func (lex *localExec) runItem(i int) WireItem {
 // carries the quarantine history.
 func (jr *jobRun[T]) runQuarantined(idxs []int) {
 	wires := make([]WireItem, 0, len(idxs))
-	items := make([]Completed[T], 0, len(idxs))
 	for _, i := range idxs {
 		wi := jr.lex.runItem(i)
-		jr.h.stats.localItems.Add(1)
 		if wi.Err != "" {
 			wi.Err = fmt.Sprintf("item %d was quarantined after its lease crashed %d workers, and local execution also failed: %s", i, PoisonThreshold, wi.Err)
 		}
 		wires = append(wires, wi)
-		items = append(items, completedFromWire(wi, jr.fromWire))
 	}
-	if err := jr.bank(wires); err != nil {
-		return
-	}
-	jr.q.Deliver(items)
+	jr.h.count(FleetStats{LocalItems: int64(len(wires))})
+	jr.land(nil, wires)
 }
 
 // runLocalRemainder is degraded mode's work loop: the coordinator
 // leases from its own queue and executes until no work is grantable.
-// Results are banked and delivered through the same journal/queue path
-// a worker's results take, so a rejoining worker can interleave and
-// the output stays bit-identical.
+// Results land through the same journal/queue path a worker's results
+// take, so a rejoining worker can interleave and the output stays
+// bit-identical.
 func (jr *jobRun[T]) runLocalRemainder() {
 	for {
 		l, ok := jr.q.Lease()
 		if !ok {
 			return
 		}
-		wires := make([]WireItem, 0, l.Hi-l.Lo)
-		items := make([]Completed[T], 0, l.Hi-l.Lo)
+		wires := make([]WireItem, 0, l.Len())
 		for i := l.Lo; i < l.Hi; i++ {
-			wi := jr.lex.runItem(i)
-			jr.h.stats.localItems.Add(1)
-			wires = append(wires, wi)
-			items = append(items, completedFromWire(wi, jr.fromWire))
+			wires = append(wires, jr.lex.runItem(i))
 		}
-		if err := jr.bank(wires); err != nil {
+		jr.h.count(FleetStats{LocalItems: int64(len(wires))})
+		if jr.land(&l, wires) != nil {
 			return
 		}
-		jr.q.Complete(l.ID, items)
-		jr.q.Fail(l.ID)
 	}
 }

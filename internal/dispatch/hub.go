@@ -7,8 +7,9 @@ import (
 	"io"
 	"log"
 	"net"
+	"reflect"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -132,22 +133,8 @@ type Hub struct {
 	activeLaunch func(*hubConn)
 	activeFreeze func()
 
-	stats fleetCounters
-}
-
-// fleetCounters are the hub's failure-event counters, updated with
-// atomics so pumpers never contend.
-type fleetCounters struct {
-	releases     atomic.Int64
-	revocations  atomic.Int64
-	disconnects  atomic.Int64
-	reconnects   atomic.Int64
-	decodeFaults atomic.Int64
-	rejected     atomic.Int64
-	poisoned     atomic.Int64
-	localItems   atomic.Int64
-	degraded     atomic.Int64
-	recovered    atomic.Int64
+	statsMu sync.Mutex // a leaf lock: guards stats only
+	stats   FleetStats
 }
 
 // FleetStats is a snapshot of the hub's failure-event counters, and
@@ -179,35 +166,39 @@ type FleetStats struct {
 	Recovered    int64 `json:"recovered"`
 }
 
-// Add sums o into s field by field: the merge rule of fleet counters
-// across BENCH_routing.json fragments.
+// Add sums o into s field by field: the hub's counting rule, and the
+// merge rule of fleet counters across BENCH_routing.json fragments.
 func (s *FleetStats) Add(o FleetStats) {
-	s.Releases += o.Releases
-	s.Revocations += o.Revocations
-	s.Disconnects += o.Disconnects
-	s.Reconnects += o.Reconnects
-	s.DecodeFaults += o.DecodeFaults
-	s.Rejected += o.Rejected
-	s.Poisoned += o.Poisoned
-	s.LocalItems += o.LocalItems
-	s.Degraded += o.Degraded
-	s.Recovered += o.Recovered
+	sv, ov := reflect.ValueOf(s).Elem(), reflect.ValueOf(o)
+	for i := 0; i < sv.NumField(); i++ {
+		sv.Field(i).SetInt(sv.Field(i).Int() + ov.Field(i).Int())
+	}
+}
+
+// String renders the counters as key=value pairs under their JSON
+// keys, in field order.
+func (s FleetStats) String() string {
+	v := reflect.ValueOf(s)
+	pairs := make([]string, v.NumField())
+	for i := range pairs {
+		pairs[i] = fmt.Sprintf("%s=%d", v.Type().Field(i).Tag.Get("json"), v.Field(i).Int())
+	}
+	return strings.Join(pairs, " ")
+}
+
+// count adds d to the hub's counters. Counters move only on failure
+// events, so one leaf mutex costs nothing on the result path.
+func (h *Hub) count(d FleetStats) {
+	h.statsMu.Lock()
+	h.stats.Add(d)
+	h.statsMu.Unlock()
 }
 
 // Stats snapshots the failure-event counters.
 func (h *Hub) Stats() FleetStats {
-	return FleetStats{
-		Releases:     h.stats.releases.Load(),
-		Revocations:  h.stats.revocations.Load(),
-		Disconnects:  h.stats.disconnects.Load(),
-		Reconnects:   h.stats.reconnects.Load(),
-		DecodeFaults: h.stats.decodeFaults.Load(),
-		Rejected:     h.stats.rejected.Load(),
-		Poisoned:     h.stats.poisoned.Load(),
-		LocalItems:   h.stats.localItems.Load(),
-		Degraded:     h.stats.degraded.Load(),
-		Recovered:    h.stats.recovered.Load(),
-	}
+	h.statsMu.Lock()
+	defer h.statsMu.Unlock()
+	return h.stats
 }
 
 // logf routes a loud operational event to Logf or the standard logger.
@@ -357,7 +348,7 @@ func (h *Hub) AddConn(c net.Conn) {
 	h.mu.Lock()
 	h.conns[hc] = true
 	if h.startedJobs > 0 {
-		h.stats.reconnects.Add(1)
+		h.count(FleetStats{Reconnects: 1})
 	}
 	if launch := h.activeLaunch; launch != nil {
 		launch(hc)
@@ -488,7 +479,7 @@ func RunJob[T any](h *Hub, kind string, spec []byte, q *Queue[T], fromWire func(
 	if h.MaxQueuedJobs > 0 && h.pendingJobs >= h.MaxQueuedJobs {
 		n := h.pendingJobs
 		h.mu.Unlock()
-		h.stats.rejected.Add(1)
+		h.count(FleetStats{Rejected: 1})
 		return nil, fmt.Errorf("dispatch: job %q rejected, %d of %d queued-job slots in use (MaxQueuedJobs): %w", kind, n, h.MaxQueuedJobs, ErrBusy)
 	}
 	h.pendingJobs++
@@ -524,7 +515,7 @@ func RunJob[T any](h *Hub, kind string, spec []byte, q *Queue[T], fromWire func(
 			return nil, err
 		}
 		if rec != nil {
-			h.stats.recovered.Add(1)
+			h.count(FleetStats{Recovered: 1})
 			h.logf("dispatch: job %q: replaying %d journaled result item(s) from %s", kind, len(rec.Items), rec.Path)
 			items := make([]Completed[T], 0, len(rec.Items))
 			for _, wi := range rec.Items {
@@ -593,7 +584,7 @@ func RunJob[T any](h *Hub, kind string, spec []byte, q *Queue[T], fromWire func(
 		timer := time.AfterFunc(d, func() {
 			q.Abort(fmt.Errorf("dispatch: job %q exceeded deadline %s (%s)", kind, d, q.UnfinishedSummary()))
 			n := job.closeInFlight()
-			h.stats.revocations.Add(int64(n))
+			h.count(FleetStats{Revocations: int64(n)})
 		})
 		defer timer.Stop()
 	}
@@ -616,7 +607,7 @@ func RunJob[T any](h *Hub, kind string, spec []byte, q *Queue[T], fromWire func(
 		if g <= 0 || job.graceUp {
 			if jr.lex.available() {
 				job.mu.Unlock()
-				h.stats.degraded.Add(1)
+				h.count(FleetStats{Degraded: 1})
 				h.logf("dispatch: DEGRADED MODE: job %q has no live workers (rejoin grace %s exhausted); executing the remainder locally on the coordinator (%s)", kind, g, q.UnfinishedSummary())
 				jr.runLocalRemainder()
 				job.mu.Lock()
@@ -735,17 +726,38 @@ func (jr *jobRun[T]) bank(items []WireItem) error {
 	return nil
 }
 
+// land banks one result batch and hands it to the queue: as the
+// results of lease l, whose unreported tail (a worker item timeout or
+// drain) fails back for re-granting — a no-op once Complete retired a
+// full lease — or, with l nil, delivered outside any lease.
+func (jr *jobRun[T]) land(l *Lease, wires []WireItem) error {
+	if err := jr.bank(wires); err != nil {
+		return err
+	}
+	items := make([]Completed[T], len(wires))
+	for i, wi := range wires {
+		items[i] = completedFromWire(wi, jr.fromWire)
+	}
+	if l == nil {
+		jr.q.Deliver(items)
+		return nil
+	}
+	jr.q.Complete(l.ID, items)
+	jr.q.Fail(l.ID)
+	return nil
+}
+
 // failLease fails a lease lost to a worker crash back to the queue,
 // with suspicion: items repeatedly implicated in crashes are
 // quarantined and handed to the local executor instead of being
 // re-leased forever.
 func (jr *jobRun[T]) failLease(l Lease) {
-	jr.h.stats.releases.Add(1)
+	jr.h.count(FleetStats{Releases: 1})
 	poisoned := jr.q.FailSuspect(l.ID)
 	if len(poisoned) == 0 {
 		return
 	}
-	jr.h.stats.poisoned.Add(int64(len(poisoned)))
+	jr.h.count(FleetStats{Poisoned: int64(len(poisoned))})
 	jr.h.logf("dispatch: job %q: quarantining poison item(s) %v — each implicated in %d worker crashes — for local execution on the coordinator", jr.kind, poisoned, PoisonThreshold)
 	jr.job.enter()
 	go func() {
@@ -759,23 +771,22 @@ func (jr *jobRun[T]) failLease(l Lease) {
 func (jr *jobRun[T]) pump(hc *hubConn) ([]byte, error) {
 	h, q, job := jr.h, jr.q, jr.job
 	if err := hc.enc.Encode(wireJob{Kind: jr.kind, Spec: jr.spec}); err != nil {
-		h.stats.disconnects.Add(1)
+		h.count(FleetStats{Disconnects: 1})
 		return nil, fmt.Errorf("dispatch: worker %s: sending job: %w", hc.peer(), err)
 	}
 	ready, err := hc.decodeMsg(time.Time{})
 	if err != nil {
-		h.stats.disconnects.Add(1)
+		h.count(FleetStats{Disconnects: 1})
 		return nil, fmt.Errorf("dispatch: worker %s: awaiting ready: %w", hc.peer(), err)
 	}
 	if ready.Kind != msgReady {
-		h.stats.decodeFaults.Add(1)
+		h.count(FleetStats{DecodeFaults: 1})
 		return nil, fmt.Errorf("dispatch: worker %s: expected ready, got message kind %d", hc.peer(), ready.Kind)
 	}
 	if ready.Err != "" {
 		// Declined: the worker is already waiting for the next job.
 		return nil, nil
 	}
-	items := make([]Completed[T], 0, 16)
 	for {
 		l, ok := q.LeaseWait()
 		if !ok {
@@ -786,8 +797,7 @@ func (jr *jobRun[T]) pump(hc *hubConn) ([]byte, error) {
 			// suspicion accrues — poison means "crashes whoever runs
 			// it", and nobody ran it.
 			q.Fail(l.ID)
-			h.stats.releases.Add(1)
-			h.stats.disconnects.Add(1)
+			h.count(FleetStats{Releases: 1, Disconnects: 1})
 			return nil, fmt.Errorf("dispatch: worker %s: sending lease %d [%d,%d): %w", hc.peer(), l.ID, l.Lo, l.Hi, err)
 		}
 		job.setInFlight(hc, true)
@@ -799,53 +809,38 @@ func (jr *jobRun[T]) pump(hc *hubConn) ([]byte, error) {
 		}
 		switch res.Kind {
 		case msgReturned:
-			// Graceful worker drain: bank the partial results, fail
-			// the remainder back, and let the worker go without
-			// marking the job errored (and without suspicion — a
-			// drain is not a crash).
-			if err := jr.bank(res.Items); err != nil {
+			// Graceful worker drain: land the partial results, whose
+			// remainder fails back, and let the worker go without
+			// marking the job errored (and without suspicion — a drain
+			// is not a crash).
+			if err := jr.land(&l, res.Items); err != nil {
 				return nil, err
 			}
-			items = items[:0]
-			for _, wi := range res.Items {
-				items = append(items, completedFromWire(wi, jr.fromWire))
-			}
-			q.Complete(l.ID, items)
-			q.Fail(l.ID)
-			h.stats.releases.Add(1)
+			h.count(FleetStats{Releases: 1})
 			return nil, errWorkerLeft
 		case msgResults:
 			if res.LeaseID != l.ID {
 				jr.failLease(l)
-				h.stats.decodeFaults.Add(1)
+				h.count(FleetStats{DecodeFaults: 1})
 				return nil, fmt.Errorf("dispatch: worker %s answered lease %d with results for lease %d", hc.peer(), l.ID, res.LeaseID)
 			}
-			if err := jr.bank(res.Items); err != nil {
+			if err := jr.land(&l, res.Items); err != nil {
 				return nil, err
 			}
-			items = items[:0]
-			for _, wi := range res.Items {
-				items = append(items, completedFromWire(wi, jr.fromWire))
-			}
-			q.Complete(l.ID, items)
-			// A full lease is retired by Complete, making this a
-			// no-op; a partial one (item-timeout on the worker) has
-			// its unreported tail failed back for re-granting.
-			q.Fail(l.ID)
 		default:
 			jr.failLease(l)
-			h.stats.decodeFaults.Add(1)
+			h.count(FleetStats{DecodeFaults: 1})
 			return nil, fmt.Errorf("dispatch: worker %s: unexpected message kind %d for lease %d", hc.peer(), res.Kind, l.ID)
 		}
 	}
 	if err := hc.enc.Encode(wireLease{Done: true}); err != nil {
-		h.stats.disconnects.Add(1)
+		h.count(FleetStats{Disconnects: 1})
 		return nil, fmt.Errorf("dispatch: worker %s: sending done: %w", hc.peer(), err)
 	}
 	for {
 		msg, err := hc.decodeMsg(time.Time{})
 		if err != nil {
-			h.stats.disconnects.Add(1)
+			h.count(FleetStats{Disconnects: 1})
 			return nil, fmt.Errorf("dispatch: worker %s: awaiting epilogue: %w", hc.peer(), err)
 		}
 		switch msg.Kind {
@@ -858,7 +853,7 @@ func (jr *jobRun[T]) pump(hc *hubConn) ([]byte, error) {
 			}
 			return msg.Blob, nil
 		default:
-			h.stats.decodeFaults.Add(1)
+			h.count(FleetStats{DecodeFaults: 1})
 			return nil, fmt.Errorf("dispatch: worker %s: expected epilogue, got message kind %d", hc.peer(), msg.Kind)
 		}
 	}
@@ -911,13 +906,13 @@ func (h *Hub) classifyLeaseError(hc *hubConn, l Lease, err error) error {
 	var ne net.Error
 	switch {
 	case errors.As(err, &ne) && ne.Timeout():
-		h.stats.revocations.Add(1)
+		h.count(FleetStats{Revocations: 1})
 		return fmt.Errorf("dispatch: revoking lease %d [%d,%d) from worker %s: no heartbeat or progress within deadline: %w", l.ID, l.Lo, l.Hi, hc.peer(), err)
 	case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF), errors.Is(err, net.ErrClosed), errors.Is(err, io.ErrClosedPipe):
-		h.stats.disconnects.Add(1)
+		h.count(FleetStats{Disconnects: 1})
 		return fmt.Errorf("dispatch: worker %s disconnected holding lease %d [%d,%d): %w", hc.peer(), l.ID, l.Lo, l.Hi, err)
 	default:
-		h.stats.decodeFaults.Add(1)
+		h.count(FleetStats{DecodeFaults: 1})
 		return fmt.Errorf("dispatch: quarantining worker %s: corrupt frame while decoding results for lease %d [%d,%d): %w", hc.peer(), l.ID, l.Lo, l.Hi, err)
 	}
 }

@@ -11,8 +11,7 @@ import (
 // subsystem: it grants leases over the index range [0, max), accepts
 // completed results from any transport, and feeds them to a single
 // consume callback serially and in strict index order, stopping the
-// moment consume returns true or an error is consumed. It implements
-// both TrialSource and TrialSink.
+// moment consume returns true or an error is consumed.
 //
 // Determinism: consume(i, v) is called with i strictly increasing from
 // 0 with no gaps, under the queue's lock, so the consumer needs no
@@ -253,11 +252,13 @@ func (q *Queue[T]) UnfinishedSummary() string {
 	return b.String()
 }
 
-// Complete reports finished work items. Items from unknown (failed or
+// Complete reports finished work items, any subset of a lease's
+// indices, from any goroutine. Items from unknown (failed or
 // already-completed) leases and items for indices already reported are
-// ignored — see TrialSink. Results are buffered and drained to the
-// consumer in index order; once the consumer stops (or an error is
-// consumed) the queue is finished and all waiters wake.
+// ignored, which is what makes worker recovery idempotent. Results are
+// buffered and drained to the consumer in index order; once the
+// consumer stops (or an error is consumed) the queue is finished and
+// all waiters wake.
 func (q *Queue[T]) Complete(id uint64, items []Completed[T]) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -433,7 +434,8 @@ func (q *Queue[T]) insertReleaseLocked(s leaseSpan) {
 	q.release[at] = s
 }
 
-// Finished reports whether no further results are needed.
+// Finished reports whether no further results are needed: every index
+// was consumed, the consumer stopped early, or an error was consumed.
 func (q *Queue[T]) Finished() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -467,10 +469,3 @@ func (q *Queue[T]) Wait() error {
 	}
 	return q.firstErr
 }
-
-// Interface conformance.
-var (
-	_ TrialSource        = (*Queue[int])(nil)
-	_ TrialSink[int]     = (*Queue[int])(nil)
-	_ TrialSink[float64] = (*Queue[float64])(nil)
-)

@@ -6,31 +6,19 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/dispatch"
-	"repro/internal/mirage"
-	"repro/internal/sabre"
 	"repro/internal/topology"
 	"repro/internal/transpile"
 )
 
 // batchSpec is the KindBatch job spec: the full circuit batch (every
 // worker decodes it once, then leases circuit indices), the topology,
-// and the recipe form of the pipeline options.
+// and the pipeline options. Opts.Parallelism bounds each worker's
+// local row fan-out; results are parallelism-invariant, so it only
+// shapes worker load.
 type batchSpec struct {
 	Circuits []wireCircuit
 	Topo     wireTopology
-	Opts     wireBatchOptions
-}
-
-// wireBatchOptions is the wire-expressible subset of
-// transpile.Options. Policy covers router/metric/basis; the scheduler
-// knobs ride verbatim (Parallelism bounds each worker's local row
-// fan-out — results are parallelism-invariant, so this only shapes
-// worker load).
-type wireBatchOptions struct {
-	Policy            PolicySpec
-	Layout            sabre.LayoutOptions
-	SkipTrivialLayout bool
-	Parallelism       int
+	Opts     wireOptions
 }
 
 // wireReport is transpile.Report on the wire.
@@ -139,23 +127,9 @@ func batchHandler(raw, _ []byte) (dispatch.JobRunner, error) {
 			return nil, err
 		}
 	}
-	cov, err := spec.Opts.Policy.coverage()
+	opts, err := spec.Opts.options()
 	if err != nil {
 		return nil, err
-	}
-	opts := transpile.Options{
-		DepthSelection:    spec.Opts.Policy.DepthSelection,
-		Basis:             cov,
-		Layout:            spec.Opts.Layout,
-		SkipTrivialLayout: spec.Opts.SkipTrivialLayout,
-		Parallelism:       spec.Opts.Parallelism,
-	}
-	if spec.Opts.Policy.Mirage {
-		opts.Router = transpile.MIRAGE
-	}
-	if spec.Opts.Policy.HasFixedAggression {
-		a := mirage.Aggression(spec.Opts.Policy.FixedAggression)
-		opts.FixedAggression = &a
 	}
 	return &batchJob{circuits: circuits, topo: topo, opts: opts}, nil
 }
@@ -190,7 +164,7 @@ func (cl *Cluster) TranspileBatch(circuits []*circuit.Circuit, topo *topology.To
 	if len(circuits) == 0 {
 		return nil, nil
 	}
-	policy, err := SpecFromOptions(opts)
+	w, err := optionsToWire(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -201,12 +175,7 @@ func (cl *Cluster) TranspileBatch(circuits []*circuit.Circuit, topo *topology.To
 	raw, err := encodeSpec(batchSpec{
 		Circuits: wire,
 		Topo:     topologyToWire(topo),
-		Opts: wireBatchOptions{
-			Policy:            policy,
-			Layout:            opts.Layout,
-			SkipTrivialLayout: opts.SkipTrivialLayout,
-			Parallelism:       opts.Parallelism,
-		},
+		Opts:     w,
 	})
 	if err != nil {
 		return nil, err

@@ -103,7 +103,7 @@ func TestChaosDeterminismProperty(t *testing.T) {
 		cl := chaosFleet(t, tc.seed, tc.clean)
 		cl.TrialLease = tc.lease
 
-		got, err := cl.FindBestRouting(pc, lopts, spec, metric, factory)
+		got, err := cl.findBestRouting(pc, lopts, spec, metric, factory)
 		if err != nil {
 			t.Fatalf("seed=%d clean=%d lease=%d: %v", tc.seed, tc.clean, tc.lease, err)
 		}
@@ -143,7 +143,7 @@ func TestChaosDeterminismProperty(t *testing.T) {
 			if time.Now().After(deadline) {
 				t.Fatalf("seed=%d: injected faults never all fired/recovered: %+v", tc.seed, s)
 			}
-			again, err := cl.FindBestRouting(pc, lopts, spec, metric, factory)
+			again, err := cl.findBestRouting(pc, lopts, spec, metric, factory)
 			if err != nil {
 				t.Fatalf("seed=%d: flush job: %v", tc.seed, err)
 			}

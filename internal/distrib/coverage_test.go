@@ -43,23 +43,23 @@ func (l *specLog) handlers() map[string]dispatch.Handler {
 }
 
 func (l *specLog) record(kind string, raw, warm []byte) {
-	var policy PolicySpec
+	var opts wireOptions
 	switch kind {
 	case KindTrials:
 		var s trialSpec
 		if decodeSpec(raw, &s) == nil {
-			policy = s.Policy
+			opts = s.Opts
 		}
 	case KindBatch:
 		var s batchSpec
 		if decodeSpec(raw, &s) == nil {
-			policy = s.Opts.Policy
+			opts = s.Opts
 		}
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.raw = append(l.raw, raw)
-	l.coverage = append(l.coverage, policy.Coverage)
+	l.coverage = append(l.coverage, opts.Coverage)
 	if warm != nil {
 		l.warm++
 	}
@@ -169,7 +169,7 @@ func TestWarmTierTrialsBitIdenticalAndFold(t *testing.T) {
 	const workers, grids = 2, 2
 	cl, log := recordingCluster(t, workers)
 	for grid := 1; grid <= grids; grid++ {
-		got, err := cl.FindBestRouting(pc, opts, spec, metric, factory)
+		got, err := cl.findBestRouting(pc, opts, spec, metric, factory)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,8 +179,8 @@ func TestWarmTierTrialsBitIdenticalAndFold(t *testing.T) {
 }
 
 // trialSpecFor encodes a valid KindTrials spec for a small circuit
-// under policy.
-func trialSpecFor(t *testing.T, policy PolicySpec) []byte {
+// under w.
+func trialSpecFor(t *testing.T, w wireOptions) []byte {
 	t.Helper()
 	topo := topology.Grid(3, 3)
 	blocks := circuit.ConsolidateBlocks(circuit.UnrollTo2Q(e2eCircuit("spec", 6, 14, 5)))
@@ -188,13 +188,12 @@ func trialSpecFor(t *testing.T, policy PolicySpec) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := sabre.LayoutOptions{LayoutTrials: 2, RoutingTrials: 2, FwdBwdPasses: 1, Seed: 3}.WithDefaults()
+	w.Layout = sabre.LayoutOptions{LayoutTrials: 2, RoutingTrials: 2, FwdBwdPasses: 1, Seed: 3}.WithDefaults()
 	raw, err := encodeSpec(trialSpec{
 		Circuit: circuitToWire(pc.Circ),
 		Topo:    topologyToWire(pc.Topo),
 		DAG:     flatDAGToWire(pc.FD),
-		Opts:    opts,
-		Policy:  policy,
+		Opts:    w,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -209,14 +208,15 @@ func trialSpecFor(t *testing.T, policy PolicySpec) []byte {
 // pricing from anywhere else.
 func TestWarmSnapshotCarriesCoverage(t *testing.T) {
 	basis := polytope.NewISwapRootCoverage(2)
-	spec, err := SpecFromOptions(transpile.Options{Basis: basis})
+	spec, err := optionsToWire(transpile.Options{Basis: basis})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := spec.coverage()
+	decoded, err := spec.options()
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := decoded.Basis
 	if got == basis {
 		t.Fatal("the spec's coverage decoded to the registry's own set")
 	}
@@ -233,14 +233,14 @@ func TestWarmSnapshotCarriesCoverage(t *testing.T) {
 				i, g.K, g.Cost, g.Region.Label, r.K, r.Cost, r.Region.Label)
 		}
 	}
-	def, err := SpecFromOptions(transpile.Options{})
+	def, err := optionsToWire(transpile.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(def.Coverage, spec.Coverage) {
 		t.Fatal("a nil basis did not ship the default sqrt-iSWAP set")
 	}
-	if _, err := SpecFromOptions(transpile.Options{Basis: polytope.NewCNOTCoverage()}); err == nil {
+	if _, err := optionsToWire(transpile.Options{Basis: polytope.NewCNOTCoverage()}); err == nil {
 		t.Fatal("a basis with no iSWAP root was accepted")
 	}
 
@@ -259,7 +259,7 @@ func TestWarmSnapshotCarriesCoverage(t *testing.T) {
 		raw, err := encodeSpec(batchSpec{
 			Circuits: []wireCircuit{circuitToWire(e2eCircuit("spec", 5, 10, 7))},
 			Topo:     topologyToWire(topology.Grid(3, 3)),
-			Opts:     wireBatchOptions{Policy: bad},
+			Opts:     bad,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -6,34 +6,37 @@
 // Two job kinds exist, both built on the determinism contract of
 // internal/dispatch (index-ordered consumption, idempotent re-lease):
 //
-//   - KindTrials distributes the trial grid of one sabre
-//     FindBestRouting call. The job spec carries the consolidated
-//     circuit, its forward flat DAG, the topology, the layout options
-//     and a PolicySpec naming the metric/mirror-policy construction;
-//     each worker prepares the circuit (sabre.PrepareFromDAG) and one
-//     sabre.TrialRunner, and leases trial-index ranges of whole layout
-//     rows. It refines each row's layout itself, routes the row's
-//     trials from it and returns (index, score) pairs; the first trial
-//     of a row also carries the row's layout. The coordinator checks
-//     each layout and hands the trials to a sabre.Grid, which picks
-//     the winner exactly as the local scheduler would and replays that
-//     single trial locally, so the routed Result — and TrialsExecuted
-//     at any patience setting — is bit-identical to a single-process
-//     run at any worker count x lease size.
+//   - KindTrials distributes the trial grid of one routed transpile
+//     call, through the RouteFn of Cluster.Options. The job spec
+//     carries the consolidated circuit, its forward flat DAG, the
+//     topology and the pipeline options, with the layout options
+//     RouteFn received; each worker prepares the circuit
+//     (sabre.PrepareFromDAG) and one sabre.TrialRunner, builds its
+//     metric and mirror-policy factory with transpile.RoutingPolicy,
+//     and leases trial-index ranges of whole layout rows. It refines
+//     each row's layout itself, routes the row's trials from it and
+//     returns (index, score) pairs; the first trial of a row also
+//     carries the row's layout. The coordinator checks each layout and
+//     hands the trials to a sabre.Grid, which picks the winner exactly
+//     as the local scheduler would and replays that single trial
+//     locally, so the routed Result — and TrialsExecuted at any
+//     patience setting — is bit-identical to a single-process run at
+//     any worker count x lease size.
 //
 //   - KindBatch shards transpile.TranspileBatch at circuit
 //     granularity: workers lease circuit indices, run the full local
 //     pipeline per circuit and return serialised Reports, which are
 //     consumed in circuit-index order.
 //
-// Every job spec carries its basis coverage set (PolicySpec.Coverage),
-// encoded once per Cluster.Options or TranspileBatch call. Workers
-// price from that set alone, never from their own process registry, so
-// a job's result depends only on its spec bytes: a worker, the
-// coordinator's replay and degraded-mode local execution all price
-// with the same set, and a journaled spec resumes with it. Neither
-// kind returns an epilogue: every job prices its circuits through cost
-// tables it builds itself, so no worker state comes home.
+// Both specs carry transpile.Options in one wire form (wireOptions),
+// encoded once per Cluster.Options or TranspileBatch call and decoded
+// by one decoder on the worker. It includes the basis coverage set:
+// workers price from that set alone, never from their own process
+// registry, so a job's result depends only on its spec bytes: a
+// worker, the coordinator's replay and degraded-mode local execution
+// all price with the same set, and a journaled spec resumes with it.
+// Neither kind returns an epilogue: every job prices its circuits
+// through cost tables it builds itself, so no worker state comes home.
 //
 // Cluster bundles a Hub with the coordinator-side entry points;
 // Handlers supplies the worker side (cmd/miraged).

@@ -77,20 +77,17 @@ func startCluster(t *testing.T, healthy, flaky int, failAfter int) *Cluster {
 // default sqrt-iSWAP basis.
 var mirageDepth = transpile.Options{Router: transpile.MIRAGE, DepthSelection: true}
 
-// testPolicy is the wire recipe of opts, coverage set included, with
-// the metric and policy factory it builds over blocks — the pair the
-// coordinator replays the winning trial with.
-func testPolicy(t *testing.T, opts transpile.Options, blocks *circuit.Circuit) (PolicySpec, sabre.Metric, sabre.PolicyFactory) {
+// testPolicy is the wire form of opts, coverage set included, with
+// the metric and policy factory transpile builds from opts over blocks
+// — the pair the coordinator replays the winning trial with.
+func testPolicy(t *testing.T, opts transpile.Options, blocks *circuit.Circuit) (wireOptions, sabre.Metric, sabre.PolicyFactory) {
 	t.Helper()
-	spec, err := SpecFromOptions(opts)
+	w, err := optionsToWire(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	metric, factory, err := spec.build(blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return spec, metric, factory
+	metric, _, factory := transpile.RoutingPolicy(opts, blocks)
+	return w, metric, factory
 }
 
 // --- Equality (bit-identity, wall time excluded) ---
@@ -271,7 +268,7 @@ func TestDistributedFindBestRoutingBitIdentical(t *testing.T) {
 				for _, lease := range []int{1, 5} {
 					cl := startCluster(t, workers, 0, 0)
 					cl.TrialLease = lease
-					got, err := cl.FindBestRouting(pc, opts, spec, metric, factory)
+					got, err := cl.findBestRouting(pc, opts, spec, metric, factory)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -373,7 +370,7 @@ func TestDistributedWorkerDeathBitIdentical(t *testing.T) {
 		// One healthy worker + one that dies on its second lease.
 		cl := startCluster(t, 1, 1, 2)
 		cl.TrialLease = 1
-		got, err := cl.FindBestRouting(pc, opts, spec, metric, factory)
+		got, err := cl.findBestRouting(pc, opts, spec, metric, factory)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -438,7 +435,7 @@ func TestDistributedOverLoopbackTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cl.FindBestRouting(pc, opts, spec, metric, factory)
+	got, err := cl.findBestRouting(pc, opts, spec, metric, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +507,7 @@ func TestDistributedMirrorSurvival(t *testing.T) {
 // distributed and must fail loudly, not silently mis-score.
 func TestDistributedRejectsCustomBasis(t *testing.T) {
 	opts := transpile.Options{Basis: polytope.NewCNOTCoverage()}
-	if _, err := SpecFromOptions(opts); err == nil {
+	if _, err := optionsToWire(opts); err == nil {
 		t.Fatal("CNOT basis (no iSWAP root) accepted for distribution")
 	}
 }

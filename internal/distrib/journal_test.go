@@ -21,13 +21,14 @@ import (
 // topology.Edges() is sorted — this test fails if either ever grows a
 // nondeterministic field.
 func TestSpecEncodingDeterministic(t *testing.T) {
-	// Each build re-derives the policy, coverage bytes included.
-	policy := func() PolicySpec {
-		spec, err := SpecFromOptions(mirageDepth)
+	// Each build re-derives the options, coverage bytes included.
+	options := func(layout sabre.LayoutOptions) wireOptions {
+		w, err := optionsToWire(mirageDepth)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return spec
+		w.Layout = layout
+		return w
 	}
 	// A score bound rides in LayoutOptions but never on the wire: the
 	// trial job ignores it and its spec bytes do not change.
@@ -44,8 +45,7 @@ func TestSpecEncodingDeterministic(t *testing.T) {
 			Circuit: circuitToWire(pc.Circ),
 			Topo:    topologyToWire(pc.Topo),
 			DAG:     flatDAGToWire(pc.FD),
-			Opts:    opts.WithBound(bound),
-			Policy:  policy(),
+			Opts:    options(opts.WithBound(bound)),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -68,10 +68,7 @@ func TestSpecEncodingDeterministic(t *testing.T) {
 		raw, err := encodeSpec(batchSpec{
 			Circuits: wire,
 			Topo:     topologyToWire(topo),
-			Opts: wireBatchOptions{
-				Policy: policy(),
-				Layout: sabre.LayoutOptions{LayoutTrials: 2, RoutingTrials: 2, FwdBwdPasses: 1, Seed: 9},
-			},
+			Opts:     options(sabre.LayoutOptions{LayoutTrials: 2, RoutingTrials: 2, FwdBwdPasses: 1, Seed: 9}),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -189,13 +186,13 @@ func TestDistributedTrialsJournalRecovery(t *testing.T) {
 
 	dir := t.TempDir()
 	cl := journaledHub(t, dir, 2, &dispatch.ChaosConfig{CrashOnResultBatch: 2})
-	if _, err := cl.FindBestRouting(pc, opts, spec, metric, factory); !errors.Is(err, dispatch.ErrSimulatedCrash) {
+	if _, err := cl.findBestRouting(pc, opts, spec, metric, factory); !errors.Is(err, dispatch.ErrSimulatedCrash) {
 		t.Fatalf("crash run returned %v, want ErrSimulatedCrash", err)
 	}
 	cl.Hub.Close()
 
 	cl2 := journaledHub(t, dir, 2, nil)
-	got, err := cl2.FindBestRouting(pc, opts, spec, metric, factory)
+	got, err := cl2.findBestRouting(pc, opts, spec, metric, factory)
 	if err != nil {
 		t.Fatal(err)
 	}

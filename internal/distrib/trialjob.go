@@ -10,22 +10,22 @@ import (
 )
 
 // trialSpec is the KindTrials job spec: everything a worker needs to
-// run any trial of one FindBestRouting grid, refinement of the trial's
-// layout row included. The flat dependency DAG ships with the circuit,
-// so the worker checks the shipped analysis instead of recomputing it
-// and only builds the reversed DAG its layout refinement routes.
+// run any trial of one routing grid, refinement of the trial's layout
+// row included. Opts.Layout holds the layout options RouteFn received.
+// The flat dependency DAG ships with the circuit, so the worker checks
+// the shipped analysis instead of recomputing it and only builds the
+// reversed DAG its layout refinement routes.
 type trialSpec struct {
 	Circuit wireCircuit
 	Topo    wireTopology
 	DAG     wireFlatDAG
-	Opts    sabre.LayoutOptions
-	Policy  PolicySpec
+	Opts    wireOptions
 }
 
 // trialJob is the worker-side state of one KindTrials job: the
-// prepared runner (shared DAGs + reusable arena), the recipe-built
-// metric and policy factory, pricing through one cost table built over
-// the shipped circuit, and the layout of the row it ran last.
+// prepared runner (shared DAGs + reusable arena), the metric and
+// policy factory transpile.RoutingPolicy builds over the shipped
+// circuit, and the layout of the row it ran last.
 type trialJob struct {
 	runner  *sabre.TrialRunner
 	opts    sabre.LayoutOptions
@@ -56,13 +56,13 @@ func trialHandler(raw, _ []byte) (dispatch.JobRunner, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The cost table is built over the shipped circuit under the
-	// shipped coverage set, as the coordinator's table was.
-	metric, factory, err := spec.Policy.build(c)
+	opts, err := spec.Opts.options()
 	if err != nil {
 		return nil, err
 	}
-	return &trialJob{runner: sabre.NewTrialRunner(pc), opts: spec.Opts.WithDefaults(),
+	// Workers route every trial to its end, so the bound goes unused.
+	metric, _, factory := transpile.RoutingPolicy(opts, c)
+	return &trialJob{runner: sabre.NewTrialRunner(pc), opts: opts.Layout.WithDefaults(),
 		metric: metric, factory: factory}, nil
 }
 
@@ -112,35 +112,32 @@ type trialItem struct {
 	layout *topology.Layout
 }
 
-// FindBestRouting is the distributed counterpart of
-// sabre.FindBestRouting: the trial grid fans out over the cluster in
-// leases of whole layout rows, whose workers refine the rows' layouts
-// and route their trials, and the winning trial is replayed locally to
-// materialise the Result. A sabre.Grid consumes the trials in
-// trial-index order from the same queue type the local scheduler uses,
-// so the returned Result — routed circuit, TrialsExecuted, winner
-// identity — is bit-identical to a single-process run with the same
-// options at any worker count, lease size, or patience setting,
-// including across worker deaths mid-lease. Every row's layout is
-// checked before use (see rowLayoutFromWire). Workers route every
-// trial to its end, so a score bound in opts is ignored.
+// findBestRouting routes the trial grid of pc over the cluster:
+// leases of whole layout rows fan out to workers, which refine the
+// rows' layouts and route their trials, and the winning trial is
+// replayed locally to materialise the Result. A sabre.Grid consumes
+// the trials in trial-index order from the same queue type the local
+// scheduler uses, so the returned Result — routed circuit,
+// TrialsExecuted, winner identity — is bit-identical to a
+// single-process run with the same options at any worker count, lease
+// size, or patience setting, including across worker deaths
+// mid-lease. Every row's layout is checked before use (see
+// rowLayoutFromWire). Workers route every trial to its end, so a score
+// bound in opts is ignored.
 //
-// metric and factory must be the local equivalents of spec (the pair
-// transpile.Transpile would build); they are used for the local winner
-// replay. Callers normally go through Options, which guarantees the
-// pairing. The forward DAG ships inside the job spec so workers skip
-// the rebuild.
-func (cl *Cluster) FindBestRouting(pc *sabre.PreparedCircuit,
-	opts sabre.LayoutOptions, spec PolicySpec,
+// metric and factory must be what transpile.RoutingPolicy builds from
+// w over pc's circuit; Options' RouteFn passes exactly that pair.
+func (cl *Cluster) findBestRouting(pc *sabre.PreparedCircuit,
+	opts sabre.LayoutOptions, w wireOptions,
 	metric sabre.Metric, factory sabre.PolicyFactory) (*sabre.Result, error) {
 
 	opts = opts.WithDefaults().WithBound(nil)
+	w.Layout = opts
 	raw, err := encodeSpec(trialSpec{
 		Circuit: circuitToWire(pc.Circ),
 		Topo:    topologyToWire(pc.Topo),
 		DAG:     flatDAGToWire(pc.FD),
-		Opts:    opts,
-		Policy:  spec,
+		Opts:    w,
 	})
 	if err != nil {
 		return nil, err
@@ -176,13 +173,13 @@ func (cl *Cluster) FindBestRouting(pc *sabre.PreparedCircuit,
 // contract. Fails when the options are not wire-expressible (custom
 // basis).
 func (cl *Cluster) Options(opts transpile.Options) (transpile.Options, error) {
-	spec, err := SpecFromOptions(opts)
+	w, err := optionsToWire(opts)
 	if err != nil {
 		return transpile.Options{}, err
 	}
 	opts.RouteFn = func(pc *sabre.PreparedCircuit, lopts sabre.LayoutOptions,
 		metric sabre.Metric, factory sabre.PolicyFactory) (*sabre.Result, error) {
-		return cl.FindBestRouting(pc, lopts, spec, metric, factory)
+		return cl.findBestRouting(pc, lopts, w, metric, factory)
 	}
 	return opts, nil
 }

@@ -79,7 +79,7 @@ func TestCoordinatorRejectsBadRows(t *testing.T) {
 			server, client := net.Pipe()
 			h.AddConn(server)
 			go dispatch.ServeConn(client, handlers, nil)
-			_, err := NewCluster(h).FindBestRouting(pc, opts, spec, metric, factory)
+			_, err := NewCluster(h).findBestRouting(pc, opts, spec, metric, factory)
 			if err == nil {
 				t.Fatal("a corrupt row was accepted")
 			}
@@ -94,7 +94,7 @@ func TestCoordinatorRejectsBadRows(t *testing.T) {
 // 2x2 grid with an item error, and ships a row's layout with the row's
 // first trial only.
 func TestTrialJobShipsRowLayouts(t *testing.T) {
-	spec, err := SpecFromOptions(mirageDepth)
+	spec, err := optionsToWire(mirageDepth)
 	if err != nil {
 		t.Fatal(err)
 	}

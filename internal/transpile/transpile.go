@@ -212,26 +212,7 @@ func transpilePrepared(pc *PreparedCircuit, opts Options, start time.Time) (*Rep
 	if pc.routingErr != nil {
 		return nil, fmt.Errorf("transpile: %w", pc.routingErr)
 	}
-	// The cost table is per call, not part of the shared prepared
-	// circuit: its prices depend on the basis, a per-call option.
-	var costs *mirage.CostTable
-	if opts.DepthSelection || opts.Router == MIRAGE {
-		costs = mirage.NewCostTable(opts.Basis, pc.Blocks)
-	}
-	// Each metric comes with the lower bound on its score that lets the
-	// trial grid cut trials which cannot win; results are unchanged.
-	metric, bound := sabre.SwapCountMetric, sabre.SwapCountBound()
-	if opts.DepthSelection {
-		metric, bound = mirage.DepthMetric(costs), sabre.DepthBound(costs.CostOf)
-	}
-	var factory sabre.PolicyFactory
-	if opts.Router == MIRAGE {
-		if opts.FixedAggression != nil {
-			factory = mirage.FixedPolicyFactory(costs, *opts.FixedAggression)
-		} else {
-			factory = mirage.PolicyFactory(costs, mirage.DefaultMix)
-		}
-	}
+	metric, bound, factory := RoutingPolicy(opts, pc.Blocks)
 	route := sabre.FindBestRoutingPrepared
 	if opts.RouteFn != nil {
 		route = opts.RouteFn
@@ -253,6 +234,41 @@ func transpilePrepared(pc *PreparedCircuit, opts Options, start time.Time) (*Rep
 	fillMetrics(rep, opts.Basis)
 	rep.Runtime = time.Since(start)
 	return rep, nil
+}
+
+// RoutingPolicy turns the routing choices of opts — router, selection
+// metric, aggression and basis (nil: sqrt-iSWAP) — into the trial
+// grid's metric, the lower bound on its score that lets the grid cut
+// trials which cannot win, and the mirror-policy factory (nil for
+// SABRE). Mirror decisions and the depth metric price through one cost
+// table built over blocks, the consolidated circuit the trials route.
+// It is the one recipe: the local pipeline and a distributed trial
+// worker both build from it, so a worker's scores agree bit for bit
+// with the coordinator's.
+func RoutingPolicy(opts Options, blocks *circuit.Circuit) (sabre.Metric, *sabre.Bound, sabre.PolicyFactory) {
+	if !opts.DepthSelection && opts.Router != MIRAGE {
+		return sabre.SwapCountMetric, sabre.SwapCountBound(), nil
+	}
+	basis := opts.Basis
+	if basis == nil {
+		basis = polytope.NewISwapRootCoverage(2)
+	}
+	// The cost table is per call, not part of the shared prepared
+	// circuit: its prices depend on the basis, a per-call option.
+	costs := mirage.NewCostTable(basis, blocks)
+	metric, bound := sabre.SwapCountMetric, sabre.SwapCountBound()
+	if opts.DepthSelection {
+		metric, bound = mirage.DepthMetric(costs), sabre.DepthBound(costs.CostOf)
+	}
+	var factory sabre.PolicyFactory
+	if opts.Router == MIRAGE {
+		if opts.FixedAggression != nil {
+			factory = mirage.FixedPolicyFactory(costs, *opts.FixedAggression)
+		} else {
+			factory = mirage.PolicyFactory(costs, mirage.DefaultMix)
+		}
+	}
+	return metric, bound, factory
 }
 
 // tryTrivialLayout attempts a SWAP-free embedding and, on success,

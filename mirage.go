@@ -223,9 +223,9 @@ type DispatchHub = dispatch.Hub
 // accept workers over TCP.
 func NewDispatchHub() *DispatchHub { return dispatch.NewHub() }
 
-// Cluster is the coordinator-side API over a hub: distributed
-// counterparts of FindBestRouting and TranspileBatch, plus Options to
-// wire remote trial dispatch into a transpile pipeline.
+// Cluster is the coordinator-side API over a hub: Options wires remote
+// routing-trial grids into a transpile pipeline, and TranspileBatch
+// shards a batch of circuits over the workers.
 type Cluster = distrib.Cluster
 
 // NewCluster wraps a hub with default dispatch tuning. Every job the
