@@ -378,25 +378,27 @@ func (t *FlatTraversal) Descendants(limit int) []int32 {
 		}
 		t.gen = 1
 	}
-	t.desc = t.desc[:0]
-	t.queue = t.queue[:0]
-	for i := t.head; i >= 0; i = t.next[i] {
-		t.queue = append(t.queue, i)
-		t.seen[i] = t.gen
+	gen, seen, next := t.gen, t.seen, t.next
+	succOff, succs := t.D.SuccOff, t.D.Succs
+	desc, queue := t.desc[:0], t.queue[:0]
+	for i := t.head; i >= 0; i = next[i] {
+		queue = append(queue, i)
+		seen[i] = gen
 	}
-	for head := 0; head < len(t.queue) && len(t.desc) < limit; head++ {
-		cur := t.queue[head]
-		for _, s := range t.D.SuccsOf(int(cur)) {
-			if t.seen[s] == t.gen {
+	for head := 0; head < len(queue) && len(desc) < limit; head++ {
+		cur := queue[head]
+		for _, s := range succs[succOff[cur]:succOff[cur+1]] {
+			if seen[s] == gen {
 				continue
 			}
-			t.seen[s] = t.gen
-			t.desc = append(t.desc, s)
-			t.queue = append(t.queue, s)
-			if len(t.desc) >= limit {
+			seen[s] = gen
+			desc = append(desc, s)
+			queue = append(queue, s)
+			if len(desc) >= limit {
 				break
 			}
 		}
 	}
+	t.desc, t.queue = desc, queue
 	return t.desc
 }

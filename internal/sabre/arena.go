@@ -82,7 +82,7 @@ func (a *trialArena) emit1(g gates.Gate, q int) {
 	}
 	qs = qs[:1]
 	qs[0] = q
-	*op = circuit.Op{Gate: g, Qubits: qs}
+	op.Gate, op.Qubits, op.Coord, op.Mirrored, op.RouterSwap = g, qs, nil, false, false
 }
 
 // emit2 appends a two-qubit op on physical wires (qa, qb).
@@ -94,7 +94,7 @@ func (a *trialArena) emit2(g gates.Gate, qa, qb int, coord *weyl.Coordinate, mir
 	}
 	qs = qs[:2]
 	qs[0], qs[1] = qa, qb
-	*op = circuit.Op{Gate: g, Qubits: qs, Coord: coord, Mirrored: mirrored, RouterSwap: routerSwap}
+	op.Gate, op.Qubits, op.Coord, op.Mirrored, op.RouterSwap = g, qs, coord, mirrored, routerSwap
 }
 
 // route runs one SABRE routing trial of fd's circuit over the arena,
@@ -179,7 +179,7 @@ func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topo
 					continue // stale queue entry (already executed)
 				}
 				idx := int(idx32)
-				op := c.Ops[idx]
+				op := &c.Ops[idx]
 				switch len(op.Qubits) {
 				case 1:
 					a.emit1(op.Gate, st.layout.Phys(op.Qubits[0]))
@@ -194,7 +194,7 @@ func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topo
 					if policy != nil {
 						st.prepareMirror(idx)
 						st.mirrorA, st.mirrorB = pa, pb
-						a.ctx.Op = op
+						a.ctx.Op = *op
 						a.ctx.PhysA, a.ctx.PhysB = pa, pb
 						a.ctx.MirrorCoord = &mirrors.coord[idx]
 						mirrored = policy.Decide(&a.ctx)

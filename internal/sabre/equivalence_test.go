@@ -33,6 +33,99 @@ func (costMirror) Decide(ctx *MirrorContext) bool {
 	return swapped < cur
 }
 
+// consistentMirror checks, at every decision, that the engine's
+// two-point evaluator RoutingCostSwap agrees bit for bit with the
+// generic RoutingCost and with a from-scratch recomputation, on the
+// live layout and on a swapped copy, then decides like costMirror. It
+// reads the arena's engine state, so it runs under arena.route only.
+type consistentMirror struct {
+	t          *testing.T
+	st         *routingState
+	clean, bfs int // decisions made on the window a stall kept / on a fresh BFS
+}
+
+func (m *consistentMirror) Decide(ctx *MirrorContext) bool {
+	if m.st.dirty {
+		m.bfs++
+	} else {
+		m.clean++
+	}
+	cur, swapped := ctx.RoutingCostSwap()
+	trial := ctx.Layout.Copy()
+	trial.SwapPhysical(ctx.PhysA, ctx.PhysB)
+	for _, at := range []struct {
+		name   string
+		layout *topology.Layout
+		fast   float64
+	}{{"current", ctx.Layout, cur}, {"swapped", trial, swapped}} {
+		if generic := ctx.RoutingCost(at.layout); generic != at.fast {
+			m.t.Errorf("op %d %s layout: RoutingCostSwap %v, RoutingCost %v", m.st.mirrorSkip, at.name, at.fast, generic)
+		}
+		if want := m.recompute(at.layout); want != at.fast {
+			m.t.Errorf("op %d %s layout: RoutingCostSwap %v, recomputed %v (dirty=%v)",
+				m.st.mirrorSkip, at.name, at.fast, want, m.st.dirty)
+		}
+	}
+	return swapped < cur
+}
+
+// recompute is the summed mirror heuristic of the armed gate under l,
+// from scratch: the other ready 2Q gates and the gate's 2Q successors,
+// plus the weighted 2Q ops of a fresh lookahead BFS.
+func (m *consistentMirror) recompute(l *topology.Layout) float64 {
+	st := m.st
+	dist := func(idx int32) int64 {
+		return int64(st.topo.Distance(l.L2P[st.fd.Q0[idx]], l.L2P[st.fd.Q1[idx]]))
+	}
+	var front, ext int64
+	for idx := st.tr.ReadyFirst(); idx >= 0; idx = st.tr.ReadyNext(idx) {
+		if int(idx) != st.mirrorSkip && st.fd.Q1[idx] >= 0 {
+			front += dist(idx)
+		}
+	}
+	for _, s := range st.fd.SuccsOf(st.mirrorSkip) {
+		if st.fd.Q1[s] >= 0 {
+			front += dist(s)
+		}
+	}
+	h := float64(front)
+	haveExt := false
+	for _, idx := range st.tr.Descendants(st.opts.ExtendedSetSize) {
+		if st.fd.Q1[idx] >= 0 {
+			haveExt = true
+			ext += dist(idx)
+		}
+	}
+	if haveExt {
+		h += st.opts.ExtendedSetWeight * float64(ext)
+	}
+	return h
+}
+
+// TestMirrorDecisionCostsConsistent runs consistentMirror over the
+// equivalence cases under three option sets and requires decisions on
+// both window paths: right after a stall SWAP (the ready set is
+// unchanged, so the decision reads the window the stall kept) and
+// after an executed gate (a fresh BFS). A decision that reads a kept
+// window after the ready set moved fails the recomputation.
+func TestMirrorDecisionCostsConsistent(t *testing.T) {
+	arena := newTrialArena()
+	m := &consistentMirror{t: t, st: &arena.st}
+	for _, opts := range []Options{{}, {ExtendedSetSize: 3}, {ExtendedSetWeight: 1.7, DecayRate: 0.1}} {
+		for _, tc := range equivCases(t) {
+			arena.rng.Seed(tc.seed)
+			if _, err := arena.route(circuit.BuildFlatDAG(tc.circ), newMirrorTable(tc.circ), tc.topo, tc.layout,
+				opts, arena.rng, m, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if m.clean == 0 || m.bfs == 0 {
+		t.Fatalf("%d decisions on a kept window, %d on a fresh BFS; want both paths covered", m.clean, m.bfs)
+	}
+	t.Logf("%d decisions on a kept window, %d on a fresh BFS", m.clean, m.bfs)
+}
+
 // equivCase is one randomized (circuit, topology, seed) instance.
 type equivCase struct {
 	name   string
@@ -213,34 +306,54 @@ func TestMirrorDataMatchesReference(t *testing.T) {
 	}
 }
 
+// matchReference routes every equivalence case under opts with each
+// test policy (none, parity, cost-based) through the engine and the
+// reference, and fails on the first diverging fingerprint.
+func matchReference(t *testing.T, opts Options) {
+	t.Helper()
+	for _, tc := range equivCases(t) {
+		for _, policy := range []MirrorPolicy{nil, parityMirror{}, costMirror{}} {
+			ref, err := RouteReference(tc.circ, tc.topo, tc.layout, opts,
+				rand.New(rand.NewSource(tc.seed)), policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Route(tc.circ, tc.topo, tc.layout, opts,
+				rand.New(rand.NewSource(tc.seed)), policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameFingerprint(routingFingerprint(ref), routingFingerprint(got)) {
+				t.Fatalf("%+v %s policy %T: engine diverged from reference (swaps %d vs %d)",
+					opts, tc.name, policy, got.SwapsInserted, ref.SwapsInserted)
+			}
+		}
+	}
+}
+
 // TestRouteMatchesReferenceWindowSizes runs the equivalence property
 // across lookahead windows and decay-reset intervals. The engine sizes
 // its per-qubit window partner rows by ExtendedSetSize, so every
 // window size is a different memory layout; the reset interval moves
 // where the decay reset lands relative to the SWAP sequence.
 func TestRouteMatchesReferenceWindowSizes(t *testing.T) {
-	policies := []MirrorPolicy{nil, parityMirror{}, costMirror{}}
 	for _, window := range []int{1, 3, 20, 64} {
 		for _, reset := range []int{1, 5} {
-			opts := Options{ExtendedSetSize: window, DecayResetInterval: reset}
-			for _, tc := range equivCases(t) {
-				for _, policy := range policies {
-					ref, err := RouteReference(tc.circ, tc.topo, tc.layout, opts,
-						rand.New(rand.NewSource(tc.seed)), policy)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := Route(tc.circ, tc.topo, tc.layout, opts,
-						rand.New(rand.NewSource(tc.seed)), policy)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !sameFingerprint(routingFingerprint(ref), routingFingerprint(got)) {
-						t.Fatalf("window %d reset %d %s policy %T: engine diverged from reference (swaps %d vs %d)",
-							window, reset, tc.name, policy, got.SwapsInserted, ref.SwapsInserted)
-					}
-				}
-			}
+			matchReference(t, Options{ExtendedSetSize: window, DecayResetInterval: reset})
+		}
+	}
+}
+
+// TestRouteMatchesReferenceWeights runs the equivalence property under
+// non-dyadic window weights and decay rates. Both enter the candidate
+// score and its window lower bound as floats, so a bound that rounds
+// differently from the score, or skips a candidate that could still
+// tie and draw from the generator, diverges here; a fast decay rate
+// makes the decay factor, and so the skips, vary across stalls.
+func TestRouteMatchesReferenceWeights(t *testing.T) {
+	for _, w := range []float64{0.3, 1.7} {
+		for _, rate := range []float64{0.001, 0.1} {
+			matchReference(t, Options{ExtendedSetWeight: w, DecayRate: rate})
 		}
 	}
 }

@@ -77,11 +77,13 @@ type routingState struct {
 	decay  []float64
 	bumped []int32 // qubits whose decay left 1.0 since the last reset
 
-	// Scoring sets: the ready 2Q pairs (front) and the lookahead
-	// window's 2Q pairs (ext), as logical pairs. dirty marks them stale
-	// (a gate executed, so the ready set changed).
-	front, ext [][2]int32
-	dirty      bool
+	// Scoring sets: the ready 2Q pairs (front), as logical pairs, and
+	// the lookahead window's 2Q ops (win), as op indices in BFS order.
+	// dirty marks them stale (a gate executed, so the ready set
+	// changed); while they are clean, mirror decisions read win too.
+	front [][2]int32
+	win   []int32
+	dirty bool
 
 	// Physical view of the scoring sets, valid during one stall:
 	// frontPeer[p] is the physical partner of p's front pair (-1 when
@@ -168,7 +170,7 @@ func (st *routingState) bind(fd *circuit.FlatDAG, topo *topology.Topology, initi
 		st.extDeg[p] = 0
 	}
 	st.front = st.front[:0]
-	st.ext = st.ext[:0]
+	st.win = st.win[:0]
 	if cap(st.candStamp) < n*n {
 		st.candStamp = make([]uint32, n*n)
 		st.candGen = 0
@@ -246,60 +248,81 @@ func (st *routingState) execute(idx int) {
 	st.mirrorListsFor = -1
 }
 
-// refresh rebuilds the logical scoring sets from the traversal when
-// the ready set changed since the last stall.
+// refresh rebuilds the scoring sets from the traversal when the ready
+// set changed since the last stall: the front as logical pairs, the
+// window as the 2Q ops of the lookahead BFS.
 func (st *routingState) refresh() {
 	if !st.dirty {
 		return
 	}
-	st.front = st.front[:0]
+	q0, q1 := st.fd.Q0, st.fd.Q1
+	front := st.front[:0]
 	for idx := st.tr.ReadyFirst(); idx >= 0; idx = st.tr.ReadyNext(idx) {
-		if q1 := st.fd.Q1[idx]; q1 >= 0 {
-			st.front = append(st.front, [2]int32{st.fd.Q0[idx], q1})
+		if q1[idx] >= 0 {
+			front = append(front, [2]int32{q0[idx], q1[idx]})
 		}
 	}
-	st.ext = st.ext[:0]
+	win := st.win[:0]
 	for _, idx := range st.tr.Descendants(st.opts.ExtendedSetSize) {
-		if q1 := st.fd.Q1[idx]; q1 >= 0 {
-			st.ext = append(st.ext, [2]int32{st.fd.Q0[idx], q1})
+		if q1[idx] >= 0 {
+			win = append(win, idx)
 		}
 	}
+	st.front, st.win = front, win
 	st.dirty = false
+}
+
+// window returns the lookahead window of the current ready set: the
+// window refresh kept while the scoring sets are clean (the ready set
+// has not changed since, only the layout), else a fresh BFS, which
+// also lists 1Q ops. The BFS result is owned by the traversal and
+// valid until its next Descendants call.
+func (st *routingState) window() []int32 {
+	if !st.dirty {
+		return st.win
+	}
+	return st.tr.Descendants(st.opts.ExtendedSetSize)
 }
 
 // buildView fills the physical view of the scoring sets under the
 // current layout. The view slots are empty on entry (bind and
 // clearView leave them so).
 func (st *routingState) buildView() {
-	l2p := st.layout.L2P
-	st.frontSum = 0
+	l2p, dist, dn := st.layout.L2P, st.dist, st.dn
+	frontPeer := st.frontPeer
+	sum := int64(0)
 	for _, pr := range st.front {
 		pa, pb := l2p[pr[0]], l2p[pr[1]]
-		st.frontPeer[pa], st.frontPeer[pb] = int32(pb), int32(pa)
-		st.frontSum += int64(st.dist[pa*st.dn+pb])
+		frontPeer[pa], frontPeer[pb] = int32(pb), int32(pa)
+		sum += int64(dist[pa*dn+pb])
 	}
-	st.extSum = 0
-	for _, pr := range st.ext {
-		pa, pb := l2p[pr[0]], l2p[pr[1]]
-		st.extPeer[pa*st.stride+int(st.extDeg[pa])] = int32(pb)
-		st.extDeg[pa]++
-		st.extPeer[pb*st.stride+int(st.extDeg[pb])] = int32(pa)
-		st.extDeg[pb]++
-		st.extSum += int64(st.dist[pa*st.dn+pb])
+	st.frontSum = sum
+	q0, q1 := st.fd.Q0, st.fd.Q1
+	extPeer, extDeg, stride := st.extPeer, st.extDeg, st.stride
+	sum = 0
+	for _, idx := range st.win {
+		pa, pb := l2p[q0[idx]], l2p[q1[idx]]
+		extPeer[pa*stride+int(extDeg[pa])] = int32(pb)
+		extDeg[pa]++
+		extPeer[pb*stride+int(extDeg[pb])] = int32(pa)
+		extDeg[pb]++
+		sum += int64(dist[pa*dn+pb])
 	}
+	st.extSum = sum
 }
 
 // clearView empties the view slots buildView filled; the layout must
 // not have moved in between.
 func (st *routingState) clearView() {
-	l2p := st.layout.L2P
+	l2p, frontPeer, extDeg := st.layout.L2P, st.frontPeer, st.extDeg
 	for _, pr := range st.front {
-		st.frontPeer[l2p[pr[0]]] = -1
-		st.frontPeer[l2p[pr[1]]] = -1
+		frontPeer[l2p[pr[0]]] = -1
+		frontPeer[l2p[pr[1]]] = -1
 	}
-	for _, pr := range st.ext {
-		st.extDeg[l2p[pr[0]]] = 0
-		st.extDeg[l2p[pr[1]]] = 0
+	q0, q1 := st.fd.Q0, st.fd.Q1
+	for _, idx := range st.win {
+		extDeg[l2p[q0[idx]]] = 0
+		extDeg[l2p[q1[idx]]] = 0
 	}
 }
 
@@ -375,10 +398,12 @@ func (st *routingState) chooseSwap(rng *rand.Rand) (chosen swapCand, ok bool) {
 	}
 
 	n, dn, stride := st.topo.NumQubits, st.dn, st.stride
-	nf, ne := float64(len(st.front)), float64(len(st.ext))
-	haveExt := len(st.ext) > 0
+	nf, ne := float64(len(st.front)), float64(len(st.win))
+	haveExt := len(st.win) > 0
 	w := st.opts.ExtendedSetWeight
-	l2p := st.layout.L2P
+	l2p, dist, decay, stamp, gen := st.layout.L2P, st.dist, st.decay, st.candStamp, st.candGen
+	frontPeer, extPeer, extDeg := st.frontPeer, st.extPeer, st.extDeg
+	frontSum, extSum := st.frontSum, st.extSum
 	bestScore := 0.0
 	for _, pr := range st.front {
 		for _, p := range [2]int{l2p[pr[0]], l2p[pr[1]]} {
@@ -387,39 +412,48 @@ func (st *routingState) chooseSwap(rng *rand.Rand) (chosen swapCand, ok bool) {
 				if a > b {
 					a, b = b, a
 				}
-				if st.candStamp[a*n+b] == st.candGen {
+				if stamp[a*n+b] == gen {
 					continue
 				}
-				st.candStamp[a*n+b] = st.candGen
+				stamp[a*n+b] = gen
 
-				d := st.decay[a]
-				if st.decay[b] > d {
-					d = st.decay[b]
+				d := decay[a]
+				if decay[b] > d {
+					d = decay[b]
 				}
 				a32, b32 := int32(a), int32(b)
-				rowA := st.dist[a*dn : a*dn+dn]
-				rowB := st.dist[b*dn : b*dn+dn]
+				rowA := dist[a*dn : a*dn+dn]
+				rowB := dist[b*dn : b*dn+dn]
 				delta := int64(0)
-				if r := st.frontPeer[a]; r >= 0 && r != b32 {
+				if r := frontPeer[a]; r >= 0 && r != b32 {
 					delta += int64(rowB[r]) - int64(rowA[r])
 				}
-				if r := st.frontPeer[b]; r >= 0 && r != a32 {
+				if r := frontPeer[b]; r >= 0 && r != a32 {
 					delta += int64(rowA[r]) - int64(rowB[r])
 				}
-				h := float64(st.frontSum+delta) / nf
+				h := float64(frontSum+delta) / nf
 				if haveExt {
+					peersA := extPeer[a*stride : a*stride+int(extDeg[a])]
+					peersB := extPeer[b*stride : b*stride+int(extDeg[b])]
+					// Each window term is >= -1 (see the file header),
+					// so this is a lower bound on the score, built in
+					// the score's own expression shape.
+					lb := d * (h + w*(float64(extSum-int64(len(peersA)+len(peersB)))/ne))
+					if ok && lb >= bestScore+1e-12 {
+						continue // loses without drawing from rng
+					}
 					delta = 0
-					for _, r := range st.extPeer[a*stride : a*stride+int(st.extDeg[a])] {
+					for _, r := range peersA {
 						if r != b32 {
 							delta += int64(rowB[r]) - int64(rowA[r])
 						}
 					}
-					for _, r := range st.extPeer[b*stride : b*stride+int(st.extDeg[b])] {
+					for _, r := range peersB {
 						if r != a32 {
 							delta += int64(rowA[r]) - int64(rowB[r])
 						}
 					}
-					h += w * (float64(st.extSum+delta) / ne)
+					h += w * (float64(extSum+delta) / ne)
 				}
 				score := d * h
 				if !ok || score < bestScore-1e-12 ||
@@ -470,7 +504,7 @@ func (st *routingState) materializeMirrorLists() {
 		}
 	}
 	st.mirrorExt = st.mirrorExt[:0]
-	for _, idx := range st.tr.Descendants(st.opts.ExtendedSetSize) {
+	for _, idx := range st.window() {
 		if q1 := st.fd.Q1[idx]; q1 >= 0 {
 			st.mirrorExt = append(st.mirrorExt, [2]int32{st.fd.Q0[idx], q1})
 		}
@@ -511,36 +545,42 @@ func (st *routingState) mirrorCostAt(l *topology.Layout) float64 {
 //     pair distance, with no walk at all.
 //   - successor part: the armed gate's direct 2Q successors, walked
 //     once computing current and swapped distances together.
-//   - extended part: the lookahead BFS, walked the same way.
+//   - extended part: the lookahead window, walked the same way. A
+//     decision right after a stall SWAP reads the window the stall
+//     kept; one after an executed gate reruns the BFS (window).
 //
 // The integer sums match the materialised walk term for term, so the
 // result agrees with RoutingCost bit-for-bit.
 func (st *routingState) mirrorCostSwap() (current, swapped float64) {
 	a, b := int32(st.mirrorA), int32(st.mirrorB)
-	base := st.ready2QSum - int64(st.dist[int(a)*st.dn+int(b)])
+	dist, dn, l2p := st.dist, st.dn, st.layout.L2P
+	q0, q1 := st.fd.Q0, st.fd.Q1
+	// pairDist returns op idx's pair distance now and after the swap.
+	pairDist := func(idx int32) (cur, swp int64) {
+		pa, pb := int32(l2p[q0[idx]]), int32(l2p[q1[idx]])
+		return int64(dist[int(pa)*dn+int(pb)]),
+			int64(dist[int(swapMap32(pa, a, b))*dn+int(swapMap32(pb, a, b))])
+	}
+	base := st.ready2QSum - int64(dist[int(a)*dn+int(b)])
 	curF, swpF := base, base
 	for _, s := range st.fd.SuccsOf(st.mirrorSkip) {
-		q1 := st.fd.Q1[s]
-		if q1 < 0 {
-			continue
+		if q1[s] >= 0 {
+			c, w := pairDist(s)
+			curF += c
+			swpF += w
 		}
-		pa, pb := int32(st.layout.L2P[st.fd.Q0[s]]), int32(st.layout.L2P[q1])
-		curF += int64(st.dist[int(pa)*st.dn+int(pb)])
-		swpF += int64(st.dist[int(swapMap32(pa, a, b))*st.dn+int(swapMap32(pb, a, b))])
 	}
 	current = float64(curF)
 	swapped = float64(swpF)
 	var curE, swpE int64
 	haveExt := false
-	for _, idx := range st.tr.Descendants(st.opts.ExtendedSetSize) {
-		q1 := st.fd.Q1[idx]
-		if q1 < 0 {
-			continue
+	for _, idx := range st.window() {
+		if q1[idx] >= 0 {
+			haveExt = true
+			c, w := pairDist(idx)
+			curE += c
+			swpE += w
 		}
-		haveExt = true
-		pa, pb := int32(st.layout.L2P[st.fd.Q0[idx]]), int32(st.layout.L2P[q1])
-		curE += int64(st.dist[int(pa)*st.dn+int(pb)])
-		swpE += int64(st.dist[int(swapMap32(pa, a, b))*st.dn+int(swapMap32(pb, a, b))])
 	}
 	if haveExt {
 		current += st.opts.ExtendedSetWeight * float64(curE)

@@ -75,3 +75,43 @@ func BenchmarkTranspileRoot4(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkGridTrialMirage measures one warm MIRAGE-Depth grid trial of
+// a Table III circuit, the unit of work the Fig. 12 suite repeats: the
+// stall loop, SWAP scoring and per-gate mirror decisions under the
+// trial's own policy. qft_n18 is consolidated on square-6x6 and the
+// loop cycles through the trials of a 20x20 grid, with every row's
+// layout refined and every trial's policy built outside the timer.
+// Allocs/op is 0: the arena holds all trial state.
+func BenchmarkGridTrialMirage(b *testing.B) {
+	e, err := bench.ByName("qft_n18")
+	if err != nil {
+		b.Fatal(err)
+	}
+	pc := transpile.PrepareCircuit(e.Build(), topology.SquareLattice66())
+	_, _, factory := transpile.RoutingPolicy(transpile.Options{Router: transpile.MIRAGE, DepthSelection: true}, pc.Blocks)
+	opts := sabre.LayoutOptions{Seed: 1, Parallelism: 1}.WithDefaults()
+	runner := sabre.NewTrialRunner(pc.Routing)
+	layouts := make([]*topology.Layout, opts.LayoutTrials)
+	for lt := range layouts {
+		if layouts[lt], err = runner.RefineLayout(opts, lt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	grid := opts.LayoutTrials * opts.RoutingTrials
+	policies := make([]sabre.MirrorPolicy, grid)
+	for t := range policies {
+		policies[t] = factory(t)
+		if _, err := runner.GridTrial(layouts[t/opts.RoutingTrials], opts, t, policies[t]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := i % grid
+		if _, err := runner.GridTrial(layouts[t/opts.RoutingTrials], opts, t, policies[t]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
