@@ -63,9 +63,6 @@ func TestFig12QuickRowsGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -73,7 +73,9 @@ func (a *trialArena) nextOp() *circuit.Op {
 	return &a.out.Ops[n]
 }
 
-// emit1 appends a single-qubit op on physical wire q.
+// emit1 appends a single-qubit op on physical wire q. emit1 and emit2
+// assign every field of the slot in place: a composite literal would
+// build a temporary Op and copy it in.
 func (a *trialArena) emit1(g gates.Gate, q int) {
 	op := a.nextOp()
 	qs := op.Qubits
