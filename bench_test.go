@@ -394,7 +394,7 @@ func BenchmarkRoutingSerialVsParallel(b *testing.B) {
 }
 
 // BenchmarkTranspileBatch measures the batch entrypoint: many circuits,
-// circuit-level fan-out.
+// their layout rows on one work queue.
 func BenchmarkTranspileBatch(b *testing.B) {
 	topo := topology.SquareLattice66()
 	circs := []*circuit.Circuit{

@@ -1,16 +1,15 @@
 // Command miraged is the distributed-trial daemon of the dispatch
-// subsystem: a worker that serves routing-trial and batch-transpile
-// jobs over gob/TCP, and a coordinator that shards the benchmark suite
-// across a worker fleet.
+// subsystem: a worker that serves routing-trial jobs over gob/TCP, and
+// a coordinator that routes the benchmark suite's trial grids on a
+// worker fleet.
 //
 //	miraged worker -connect HOST:PORT
 //	miraged coordinator -listen ADDR -workers N [-quick] [-json BENCH_routing.json]
 //
-// Workers are stateless between jobs: each job ships its own circuit
-// batch or trial grid (with the forward FlatDAG, prepared once per
-// worker per job), leases work-index ranges — circuits, or the trials
-// of whole layout rows of a grid — from the coordinator's queue, and
-// can die at any point — unfinished leases are re-granted and, work
+// Workers are stateless between jobs: each job ships its own circuits
+// (each with its forward FlatDAG, prepared once per worker per job),
+// leases work-index ranges — the trials of whole layout rows — from
+// the coordinator's queue, and can die at any point — unfinished leases are re-granted and, work
 // items being deterministic in their index, the outcome is
 // bit-identical to a single-process run. cmd/benchsuite exposes the
 // same coordinator role via its -listen/-workers flags, so a serial
@@ -206,10 +205,10 @@ func runWorker(args []string, extraDrain <-chan struct{}) error {
 	})
 }
 
-// runCoordinator shards the Fig. 12 suite (SABRE baseline + MIRAGE
-// depth selection per circuit) across the fleet at circuit granularity
-// and writes the merged BENCH_routing.json, fleet failure-event
-// counters included.
+// runCoordinator transpiles the Fig. 12 suite (SABRE baseline + MIRAGE
+// depth selection per circuit) as two batches whose layout rows run on
+// the fleet, -lease rows per lease, and writes the merged
+// BENCH_routing.json, fleet failure-event counters included.
 func runCoordinator(args []string) error {
 	fs := flag.NewFlagSet("miraged coordinator", flag.ExitOnError)
 	var (
@@ -220,7 +219,7 @@ func runCoordinator(args []string) error {
 		trials   = fs.Int("trials", 0, "layout/routing trials (0 = 20/20, quick = 4/4)")
 		seed     = fs.Int64("seed", 1, "random seed")
 		patience = fs.Int("patience", 0, "adaptive early-stop (0 = fixed grid)")
-		lease    = fs.Int("lease", 0, "circuits per work-queue lease (0 = default)")
+		lease    = fs.Int("lease", 0, "layout rows per work-queue lease (0 = default)")
 		jsonPath = fs.String("json", "BENCH_routing.json", "results file (empty = disabled)")
 		fleet    = bench.NewFleetFlags(fs)
 	)
@@ -260,7 +259,7 @@ func runCoordinator(args []string) error {
 	}
 	defer hub.Close()
 	cl := distrib.NewCluster(hub)
-	cl.CircuitLease = *lease
+	cl.TrialLease = *lease
 
 	entries := bench.Suite()
 	if *quick {

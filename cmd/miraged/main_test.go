@@ -24,8 +24,8 @@ func TestExitCodes(t *testing.T) {
 		err  error
 		want int
 	}{
-		{fmt.Errorf("dispatch: job %q rejected, 1 of 1 queued-job slots in use (MaxQueuedJobs): %w", "mirage/batch", dispatch.ErrBusy), 3},
-		{fmt.Errorf("dispatch: job %q rejected: %w", "mirage/batch", dispatch.ErrDraining), 4},
+		{fmt.Errorf("dispatch: job %q rejected, 1 of 1 queued-job slots in use (MaxQueuedJobs): %w", "mirage/trials", dispatch.ErrBusy), 3},
+		{fmt.Errorf("dispatch: job %q rejected: %w", "mirage/trials", dispatch.ErrDraining), 4},
 		{dispatch.ErrBusy, 3},
 		{dispatch.ErrDraining, 4},
 		{errors.New("dispatch: job failed: worker exploded"), 1},
@@ -88,7 +88,7 @@ func TestWorkerDrainHandsBackLease(t *testing.T) {
 	}
 
 	cl := distrib.NewCluster(hub)
-	cl.CircuitLease = 2
+	cl.TrialLease = 2
 	jobDone := make(chan struct{})
 	var got []*transpile.Report
 	var jobErr error

@@ -1,11 +1,10 @@
 // Package dispatch is the transport-agnostic trial-dispatch subsystem:
 // a deterministic work queue over integer-indexed, independently
-// executable work items (the layout rows or the trials of a
-// routing-trial grid, batch circuits) plus the two transports that
-// drive it — an in-process adapter that schedules the layout rows of
-// sabre.FindBestRouting and the circuits of transpile.TranspileBatch,
-// and a gob-over-TCP coordinator/worker protocol for fanning the
-// trials and circuits out across machines.
+// executable work items (the layout rows or the trials of one or more
+// routing-trial grids) plus the two transports that drive it — an
+// in-process adapter that schedules the layout rows of
+// sabre.RunGrids, and a gob-over-TCP coordinator/worker protocol for
+// fanning the trials out across machines.
 //
 // The design centre is the determinism contract the single-process
 // scheduler already guarantees: results are consumed serially in

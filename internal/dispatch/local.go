@@ -16,8 +16,7 @@ func Size(parallelism int) int {
 }
 
 // RunLocal drives q with in-process workers: the transport that
-// schedules FindBestRouting's layout rows and TranspileBatch's
-// circuits. Semantics:
+// schedules the layout rows of sabre.RunGrids. Semantics:
 //
 //   - scratch(w) runs once inside worker goroutine w and its value is
 //     handed to every run call that worker executes (the trial-arena

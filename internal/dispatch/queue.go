@@ -14,7 +14,8 @@ import (
 // moment consume returns true or an error is consumed.
 //
 // Determinism: consume(i, v) is called with i strictly increasing from
-// 0 with no gaps, under the queue's lock, so the consumer needs no
+// 0 with no gaps but the indices a skip rule passes over (SetSkip),
+// under the queue's lock, so the consumer needs no
 // synchronisation of its own and observes exactly the sequence a
 // serial loop over deterministic work items would produce. The prefix
 // of consumed indices — and therefore the stop decision, the winner of
@@ -46,6 +47,7 @@ type Queue[T any] struct {
 	frozen   bool // drain: stop granting, keep accepting results
 	firstErr error
 	consume  func(i int, v T) bool
+	skip     func(i int) bool // see SetSkip; nil skips nothing
 
 	// Poison-item quarantine (see SetPoisonThreshold): suspicion counts
 	// how many distinct worker crashes each index's lease has been
@@ -118,8 +120,8 @@ func (q *Queue[T]) leaseLocked() (Lease, bool) {
 	case q.next < q.max:
 		// Skip indices already done — a queue reconstructed from a
 		// journal replay has an arbitrary done-set below max, and only
-		// the unfinished remainder may be granted.
-		for q.next < q.max && q.done[q.next] {
+		// the unfinished remainder may be granted — or no longer needed.
+		for q.next < q.max && (q.done[q.next] || q.skipped(q.next)) {
 			q.next++
 		}
 		if q.next >= q.max {
@@ -130,7 +132,7 @@ func (q *Queue[T]) leaseLocked() (Lease, bool) {
 			hi = q.max
 		}
 		for j := q.next + 1; j < hi; j++ {
-			if q.done[j] {
+			if q.done[j] || q.skipped(j) {
 				hi = j
 				break
 			}
@@ -290,10 +292,33 @@ func (q *Queue[T]) leaseDoneLocked(span leaseSpan) bool {
 	return true
 }
 
+// SetSkip arms a skip rule: skip(i) reports that the consumer no longer
+// needs index i, because consuming it would change nothing, and once
+// it does it must keep doing so. A skipped index is not granted afresh
+// (a grant stops short of one), and consumption passes over it without
+// waiting for, or consuming, its result. So a skip rule changes which
+// work runs, never what is consumed. skip runs under the queue's lock,
+// like consume, so it may read what consume writes. Must be set before
+// leasing starts.
+func (q *Queue[T]) SetSkip(skip func(i int) bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.skip = skip
+}
+
+func (q *Queue[T]) skipped(i int) bool {
+	return q.skip != nil && q.skip(i)
+}
+
 // drainLocked feeds buffered results to the consumer in index order
 // and broadcasts when the queue's state could unblock a waiter.
 func (q *Queue[T]) drainLocked() {
 	for !q.stopped {
+		if q.consumed < q.max && q.skipped(q.consumed) {
+			delete(q.pending, q.consumed)
+			q.consumed++
+			continue
+		}
 		it, ok := q.pending[q.consumed]
 		if !ok {
 			break

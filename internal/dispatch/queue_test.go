@@ -331,3 +331,35 @@ func TestQueueOutstandingAndSummary(t *testing.T) {
 		t.Fatalf("summary %q missing the failed span", q.UnfinishedSummary())
 	}
 }
+
+// TestQueueSkipPassesOverUnneededIndices: once consuming index 1 tells
+// the consumer it no longer needs [2, 6), no grant starts at or runs
+// into a skipped index, consumption passes over the skipped indices
+// without their results, and a result or error that arrives for one
+// anyway — here from a lease granted before the rule fired — is
+// dropped.
+func TestQueueSkipPassesOverUnneededIndices(t *testing.T) {
+	var seen []int
+	unneeded := false
+	q := NewQueue(8, 2, func(i, v int) bool {
+		seen = append(seen, i)
+		unneeded = unneeded || i == 1
+		return false
+	})
+	q.SetSkip(func(i int) bool { return unneeded && i >= 2 && i < 6 })
+	early, _ := q.Lease() // [0, 2)
+	late, _ := q.Lease()  // [2, 4), granted before the rule fires
+	q.Complete(early.ID, []Completed[int]{{Index: 0}, {Index: 1}})
+	l, ok := q.Lease()
+	if !ok || l.Lo != 6 || l.Hi != 8 {
+		t.Fatalf("lease after the rule fired = %+v (ok %v), want [6, 8)", l, ok)
+	}
+	q.Complete(late.ID, []Completed[int]{{Index: 2, Err: errors.New("unneeded")}, {Index: 3}})
+	q.Complete(l.ID, []Completed[int]{{Index: 6}, {Index: 7}})
+	if err := q.Wait(); err != nil {
+		t.Fatalf("a skipped index's error was consumed: %v", err)
+	}
+	if fmt.Sprint(seen) != "[0 1 6 7]" {
+		t.Fatalf("consumed %v, want [0 1 6 7]", seen)
+	}
+}

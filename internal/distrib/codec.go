@@ -192,22 +192,3 @@ func checkLayout(l2p []int, numLogical, numPhysical int) error {
 	}
 	return nil
 }
-
-func layoutToWire(l *topology.Layout) []int {
-	if l == nil {
-		return nil
-	}
-	return l.L2P
-}
-
-// layoutFromWire decodes a report's layout of numLogical qubits,
-// checked like a row layout; nil stays nil.
-func layoutFromWire(l2p []int, numLogical, numPhysical int) (*topology.Layout, error) {
-	if l2p == nil {
-		return nil, nil
-	}
-	if err := checkLayout(l2p, numLogical, numPhysical); err != nil {
-		return nil, fmt.Errorf("distrib: %w", err)
-	}
-	return topology.NewLayout(l2p, numPhysical), nil
-}

@@ -3,6 +3,7 @@ package distrib
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"reflect"
@@ -47,11 +48,6 @@ func (l *specLog) record(kind string, raw, warm []byte) {
 	switch kind {
 	case KindTrials:
 		var s trialSpec
-		if decodeSpec(raw, &s) == nil {
-			opts = s.Opts
-		}
-	case KindBatch:
-		var s batchSpec
 		if decodeSpec(raw, &s) == nil {
 			opts = s.Opts
 		}
@@ -111,17 +107,16 @@ func savedCoverage(t *testing.T, cs *polytope.CoverageSet) []byte {
 	return buf.Bytes()
 }
 
-// TestWarmTierBatchBitIdenticalAndHitRate: repeated KindBatch jobs on
-// one cluster stay bit-identical to the serial pipeline, and every
-// worker launch of every job — the first included, since there is no
-// state left to warm — prepares from the coverage set its spec
-// carries, byte-identical to the caller's basis.
-func TestWarmTierBatchBitIdenticalAndHitRate(t *testing.T) {
+// TestRepeatedBatchesPriceFromSpecCoverage: repeated batches on one
+// cluster stay bit-identical to the serial pipeline, and every worker
+// launch of every job — the first included — prepares from the
+// coverage set its spec carries, byte-identical to the caller's basis.
+func TestRepeatedBatchesPriceFromSpecCoverage(t *testing.T) {
 	topo := topology.Grid(3, 3)
 	circuits := []*circuit.Circuit{
-		e2eCircuit("warm-a", 6, 16, 61),
-		e2eCircuit("warm-b", 7, 20, 62),
-		e2eCircuit("warm-c", 5, 12, 63),
+		e2eCircuit("repeat-a", 6, 16, 61),
+		e2eCircuit("repeat-b", 7, 20, 62),
+		e2eCircuit("repeat-c", 5, 12, 63),
 	}
 	base := transpile.Options{
 		Router: transpile.MIRAGE, DepthSelection: true, SkipTrivialLayout: true,
@@ -140,20 +135,20 @@ func TestWarmTierBatchBitIdenticalAndHitRate(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range want {
-			reportsEqual(t, "warm-batch", want[i], got[i])
+			reportsEqual(t, "repeat-batch", want[i], got[i])
 		}
 	}
 	// Every worker connection is launched into every job.
-	log.check(t, "warm-batch", workers*jobs, savedCoverage(t, polytope.NewISwapRootCoverage(2)))
+	log.check(t, "repeat-batch", workers*jobs, savedCoverage(t, polytope.NewISwapRootCoverage(2)))
 }
 
-// TestWarmTierTrialsBitIdenticalAndFold is the KindTrials half: the
-// coordinator folds the workers' trial scores into one winner, and
-// that fold is the local winner on every grid, each grid's workers
-// pricing from the coverage set in its spec.
-func TestWarmTierTrialsBitIdenticalAndFold(t *testing.T) {
+// TestRepeatedGridsPriceFromSpecCoverage is the single-grid half:
+// the winner the coordinator picks from the workers' trial scores is
+// the local winner on every grid, each grid's workers pricing from the
+// coverage set in its spec.
+func TestRepeatedGridsPriceFromSpecCoverage(t *testing.T) {
 	topo := topology.Grid(3, 3)
-	c := e2eCircuit("warm-fbr", 7, 22, 67)
+	c := e2eCircuit("repeat-fbr", 7, 22, 67)
 	blocks := circuit.ConsolidateBlocks(circuit.UnrollTo2Q(c))
 	pc, err := sabre.PrepareCircuit(blocks, topo)
 	if err != nil {
@@ -173,40 +168,44 @@ func TestWarmTierTrialsBitIdenticalAndFold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resultsEqual(t, "warm-trials", want, got)
+		resultsEqual(t, "repeat-trials", want, got)
 	}
-	log.check(t, "warm-trials", workers*grids, savedCoverage(t, polytope.NewISwapRootCoverage(2)))
+	log.check(t, "repeat-trials", workers*grids, savedCoverage(t, polytope.NewISwapRootCoverage(2)))
 }
 
-// trialSpecFor encodes a valid KindTrials spec for a small circuit
+// trialSpecFor encodes a valid KindTrials spec for one small circuit
 // under w.
-func trialSpecFor(t *testing.T, w wireOptions) []byte {
+func trialSpecFor(t testing.TB, w wireOptions) []byte {
+	return trialSpecOf(t, w, e2eCircuit("spec", 6, 14, 5))
+}
+
+// trialSpecOf encodes a valid KindTrials spec over sources, each
+// consolidated and given a 2x2 grid on a 3x3 lattice, under w.
+func trialSpecOf(t testing.TB, w wireOptions, sources ...*circuit.Circuit) []byte {
 	t.Helper()
 	topo := topology.Grid(3, 3)
-	blocks := circuit.ConsolidateBlocks(circuit.UnrollTo2Q(e2eCircuit("spec", 6, 14, 5)))
-	pc, err := sabre.PrepareCircuit(blocks, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
 	w.Layout = sabre.LayoutOptions{LayoutTrials: 2, RoutingTrials: 2, FwdBwdPasses: 1, Seed: 3}.WithDefaults()
-	raw, err := encodeSpec(trialSpec{
-		Circuit: circuitToWire(pc.Circ),
-		Topo:    topologyToWire(pc.Topo),
-		DAG:     flatDAGToWire(pc.FD),
-		Opts:    w,
-	})
+	spec := trialSpec{Topo: topologyToWire(topo), Opts: w}
+	for _, c := range sources {
+		pc, err := sabre.PrepareCircuit(circuit.ConsolidateBlocks(circuit.UnrollTo2Q(c)), topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Circuits = append(spec.Circuits, specCircuit{Circuit: circuitToWire(pc.Circ), DAG: flatDAGToWire(pc.FD)})
+	}
+	raw, err := encodeSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return raw
 }
 
-// TestWarmSnapshotCarriesCoverage: the spec carries the caller's basis
-// set region for region (the default sqrt-iSWAP set when none is
-// given), a basis with no iSWAP root is refused, and both job kinds
-// decline a spec whose coverage is missing or corrupt instead of
-// pricing from anywhere else.
-func TestWarmSnapshotCarriesCoverage(t *testing.T) {
+// TestSpecCarriesCoverage: the spec carries the caller's basis set
+// region for region (the default sqrt-iSWAP set when none is given), a
+// basis with no iSWAP root is refused, and the trial job declines a
+// spec whose coverage is missing or corrupt instead of pricing from
+// anywhere else.
+func TestSpecCarriesCoverage(t *testing.T) {
 	basis := polytope.NewISwapRootCoverage(2)
 	spec, err := optionsToWire(transpile.Options{Basis: basis})
 	if err != nil {
@@ -256,78 +255,72 @@ func TestWarmSnapshotCarriesCoverage(t *testing.T) {
 		if _, err := trialHandler(trialSpecFor(t, bad), nil); err == nil {
 			t.Errorf("%s coverage: trial job prepared", tc.name)
 		}
-		raw, err := encodeSpec(batchSpec{
-			Circuits: []wireCircuit{circuitToWire(e2eCircuit("spec", 5, 10, 7))},
-			Topo:     topologyToWire(topology.Grid(3, 3)),
-			Opts:     bad,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := batchHandler(raw, nil); err == nil {
-			t.Errorf("%s coverage: batch job prepared", tc.name)
-		}
 	}
 	if _, err := trialHandler(trialSpecFor(t, spec), nil); err != nil {
 		t.Fatalf("fixture: a valid trial spec was declined: %v", err)
 	}
 }
 
-// TestWarmFoldDeterminismAcrossWorkerCounts: the coordinator folds
-// per-worker rows back into input order, and that fold reconstructs
-// exactly the serial batch at any worker count or lease size, while
-// every worker of every fleet shape prepares from one and the same
-// spec, byte for byte.
-func TestWarmFoldDeterminismAcrossWorkerCounts(t *testing.T) {
+// TestBatchBitIdenticalAcrossFleetShapes: every grid of a batch
+// consumes its own trials from the one queue of the batch's job, and
+// reconstructs exactly the serial batch at any worker count and lease
+// size, with and without patience, while every worker of every fleet
+// shape prepares from one and the same spec, byte for byte. A circuit
+// has two rows, so leases of one row, one circuit and three rows
+// (straddling circuits) are all covered.
+func TestBatchBitIdenticalAcrossFleetShapes(t *testing.T) {
 	topo := topology.Grid(3, 3)
 	circuits := []*circuit.Circuit{
-		e2eCircuit("fold-a", 6, 16, 71),
-		e2eCircuit("fold-b", 7, 20, 72),
-		e2eCircuit("fold-c", 5, 12, 73),
-		e2eCircuit("fold-d", 8, 18, 74),
+		e2eCircuit("shape-a", 6, 16, 71),
+		e2eCircuit("shape-b", 7, 20, 72),
+		e2eCircuit("shape-c", 5, 12, 73),
+		e2eCircuit("shape-d", 8, 18, 74),
 	}
-	base := transpile.Options{
-		Router: transpile.MIRAGE, DepthSelection: true, SkipTrivialLayout: true,
-		Layout: sabre.LayoutOptions{LayoutTrials: 2, RoutingTrials: 2, FwdBwdPasses: 1, Seed: 23},
-	}
-	want, err := transpile.TranspileBatch(circuits, topo, base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, patience := range []int{0, 2} {
+		base := transpile.Options{
+			Router: transpile.MIRAGE, DepthSelection: true, SkipTrivialLayout: true,
+			Layout: sabre.LayoutOptions{LayoutTrials: 2, RoutingTrials: 2, FwdBwdPasses: 1, Seed: 23,
+				ConvergencePatience: patience},
+		}
+		want, err := transpile.TranspileBatch(circuits, topo, base)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	var wantSpec []byte
-	for _, workers := range []int{1, 2, 3} {
-		for _, lease := range []int{1, 2} {
-			cl, log := recordingCluster(t, workers)
-			cl.CircuitLease = lease
-			got, err := cl.TranspileBatch(circuits, topo, base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				reportsEqual(t, "warm-fold", want[i], got[i])
-			}
-			log.mu.Lock()
-			if len(log.raw) != workers {
-				t.Fatalf("workers=%d lease=%d: %d launches, want one per worker", workers, lease, len(log.raw))
-			}
-			for _, raw := range log.raw {
-				if wantSpec == nil {
-					wantSpec = raw
-				} else if !bytes.Equal(raw, wantSpec) {
-					t.Fatalf("workers=%d lease=%d: a worker's spec differs from the first cluster's", workers, lease)
+		var wantSpec []byte
+		for _, workers := range []int{1, 2, 3} {
+			for _, lease := range []int{1, 2, 3} {
+				cl, log := recordingCluster(t, workers)
+				cl.TrialLease = lease
+				got, err := cl.TranspileBatch(circuits, topo, base)
+				if err != nil {
+					t.Fatal(err)
 				}
+				for i := range want {
+					reportsEqual(t, fmt.Sprintf("shape patience=%d workers=%d lease=%d", patience, workers, lease), want[i], got[i])
+				}
+				log.mu.Lock()
+				if len(log.raw) != workers {
+					t.Fatalf("workers=%d lease=%d: %d launches, want one per worker", workers, lease, len(log.raw))
+				}
+				for _, raw := range log.raw {
+					if wantSpec == nil {
+						wantSpec = raw
+					} else if !bytes.Equal(raw, wantSpec) {
+						t.Fatalf("workers=%d lease=%d: a worker's spec differs from the first cluster's", workers, lease)
+					}
+				}
+				log.mu.Unlock()
 			}
-			log.mu.Unlock()
 		}
 	}
 }
 
-// TestWarmMasterSharedWithCallerCache: a job ships the caller's own
-// coverage set byte for byte, and the workers — here sharing the
-// caller's process — price from their decoded copy without adding to
-// or reading from the process registry.
-func TestWarmMasterSharedWithCallerCache(t *testing.T) {
+// TestSpecShipsCallerCoverage: a job ships the caller's own coverage
+// set byte for byte, and the workers — here sharing the caller's
+// process — price from their decoded copy without adding to or reading
+// from the process registry.
+func TestSpecShipsCallerCoverage(t *testing.T) {
 	topo := topology.Grid(3, 3)
 	circuits := []*circuit.Circuit{
 		e2eCircuit("shared-a", 6, 14, 75),
@@ -350,18 +343,18 @@ func TestWarmMasterSharedWithCallerCache(t *testing.T) {
 	}
 }
 
-// TestWarmJournalReplayNoDoubleFold: a journaled job whose coordinator
-// crashes is resumed by a fresh coordinator; replayed rows fold into
-// the result exactly once (bit-identical to the serial pipeline), and
-// the resumed job's workers prepare from the coverage set its spec —
-// the journaled one, byte for byte — carries.
-func TestWarmJournalReplayNoDoubleFold(t *testing.T) {
+// TestJournalReplayConsumesOnce: a journaled job whose coordinator
+// crashes is resumed by a fresh coordinator; replayed trials reach the
+// grids exactly once (bit-identical to the serial pipeline), and the
+// resumed job's workers prepare from the coverage set its spec — the
+// journaled one, byte for byte — carries.
+func TestJournalReplayConsumesOnce(t *testing.T) {
 	topo := topology.Grid(3, 3)
 	circuits := []*circuit.Circuit{
-		e2eCircuit("wfold-a", 6, 16, 91),
-		e2eCircuit("wfold-b", 7, 20, 92),
-		e2eCircuit("wfold-c", 5, 12, 93),
-		e2eCircuit("wfold-d", 8, 18, 94),
+		e2eCircuit("replay-a", 6, 16, 91),
+		e2eCircuit("replay-b", 7, 20, 92),
+		e2eCircuit("replay-c", 5, 12, 93),
+		e2eCircuit("replay-d", 8, 18, 94),
 	}
 	base := transpile.Options{
 		Router: transpile.MIRAGE, DepthSelection: true, SkipTrivialLayout: true,
@@ -389,12 +382,12 @@ func TestWarmJournalReplayNoDoubleFold(t *testing.T) {
 		t.Fatalf("resumed job returned %d rows, want %d", len(got), len(want))
 	}
 	for i := range want {
-		reportsEqual(t, "wfold", want[i], got[i])
+		reportsEqual(t, "replay", want[i], got[i])
 	}
 	if st := cl2.Hub.Stats(); st.Recovered != 1 {
 		t.Fatalf("Recovered = %d, want 1", st.Recovered)
 	}
-	log.check(t, "wfold", 2, savedCoverage(t, polytope.NewISwapRootCoverage(2)))
+	log.check(t, "replay", 2, savedCoverage(t, polytope.NewISwapRootCoverage(2)))
 }
 
 // syntheticRoot3 is a valid iSWAP^(1/3) coverage set assembled from
@@ -477,6 +470,6 @@ func TestClusterPricesFromSpecCoverage(t *testing.T) {
 	if got := polytope.RootCoverageCount(); got != sets {
 		t.Fatalf("routing with a spec-carried root-3 set grew the process registry from %d to %d sets", sets, got)
 	}
-	// One batch job plus one trial grid per circuit, on both workers.
+	// One job for the batch plus one per circuit, on both workers.
 	log.check(t, "root3", 2*(1+len(circuits)), savedCoverage(t, basis))
 }

@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"fmt"
 	"math/rand"
 	"net"
 	"testing"
@@ -306,9 +307,11 @@ func TestDistributedTranspileBitIdentical(t *testing.T) {
 	reportsEqual(t, "routefn", want, got)
 }
 
-// TestDistributedBatchBitIdentical: sharded batch transpilation must
-// match the local batch report for report at every shard count x
-// circuit lease.
+// TestDistributedBatchBitIdentical: a batch whose layout rows run on
+// the cluster must match the local batch report for report at every
+// worker count x row lease, with and without patience. A circuit has
+// two rows, so leases of one row, one circuit and three rows
+// (straddling circuits) are all covered.
 func TestDistributedBatchBitIdentical(t *testing.T) {
 	topo := topology.Grid(3, 3)
 	circuits := []*circuit.Circuit{
@@ -317,27 +320,30 @@ func TestDistributedBatchBitIdentical(t *testing.T) {
 		e2eCircuit("batch-c", 5, 12, 43),
 		e2eCircuit("batch-d", 8, 18, 44),
 	}
-	base := transpile.Options{
-		Router: transpile.MIRAGE, DepthSelection: true, SkipTrivialLayout: true,
-		Layout: sabre.LayoutOptions{LayoutTrials: 2, RoutingTrials: 2, FwdBwdPasses: 1, Seed: 9},
-	}
-	want, err := transpile.TranspileBatch(circuits, topo, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 3} {
-		for _, lease := range []int{1, 2} {
-			cl := startCluster(t, workers, 0, 0)
-			cl.CircuitLease = lease
-			got, err := cl.TranspileBatch(circuits, topo, base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("workers=%d: %d reports, want %d", workers, len(got), len(want))
-			}
-			for i := range want {
-				reportsEqual(t, "batch", want[i], got[i])
+	for _, patience := range []int{0, 2} {
+		base := transpile.Options{
+			Router: transpile.MIRAGE, DepthSelection: true, SkipTrivialLayout: true,
+			Layout: sabre.LayoutOptions{LayoutTrials: 2, RoutingTrials: 2, FwdBwdPasses: 1, Seed: 9,
+				ConvergencePatience: patience},
+		}
+		want, err := transpile.TranspileBatch(circuits, topo, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 3} {
+			for _, lease := range []int{1, 2, 3} {
+				cl := startCluster(t, workers, 0, 0)
+				cl.TrialLease = lease
+				got, err := cl.TranspileBatch(circuits, topo, base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("workers=%d: %d reports, want %d", workers, len(got), len(want))
+				}
+				for i := range want {
+					reportsEqual(t, fmt.Sprintf("batch patience=%d workers=%d lease=%d", patience, workers, lease), want[i], got[i])
+				}
 			}
 		}
 	}
@@ -380,7 +386,7 @@ func TestDistributedWorkerDeathBitIdentical(t *testing.T) {
 		}
 	}
 
-	// Batch flavour: the dead worker's circuit is re-transpiled by the
+	// Batch flavour: the dead worker's rows are re-routed by the
 	// survivor, bit-identically.
 	circuits := []*circuit.Circuit{
 		e2eCircuit("death-a", 6, 14, 81),
@@ -481,8 +487,8 @@ func TestDistributedMirrorSurvival(t *testing.T) {
 		}
 	}
 
-	// Batch seam (the miraged coordinator path): whole mirror circuits
-	// shipped to workers, reports shipped back.
+	// Batch seam (the miraged coordinator path): both mirror circuits
+	// in one job, their rows on the workers.
 	var circuits []*circuit.Circuit
 	var mirrors []*mirrorbench.Mirror
 	for _, s := range specs {
@@ -491,7 +497,6 @@ func TestDistributedMirrorSurvival(t *testing.T) {
 		circuits = append(circuits, m.Circuit)
 	}
 	cl := startCluster(t, 2, 0, 0)
-	cl.CircuitLease = 1
 	reps, err := cl.TranspileBatch(circuits, topo, base)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package distrib
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 
@@ -42,10 +43,9 @@ func TestSpecEncodingDeterministic(t *testing.T) {
 		}
 		opts := sabre.LayoutOptions{LayoutTrials: 3, RoutingTrials: 4, FwdBwdPasses: 1, Seed: 17}.WithDefaults()
 		raw, err := encodeSpec(trialSpec{
-			Circuit: circuitToWire(pc.Circ),
-			Topo:    topologyToWire(pc.Topo),
-			DAG:     flatDAGToWire(pc.FD),
-			Opts:    options(opts.WithBound(bound)),
+			Circuits: []specCircuit{{Circuit: circuitToWire(pc.Circ), DAG: flatDAGToWire(pc.FD)}},
+			Topo:     topologyToWire(pc.Topo),
+			Opts:     options(opts.WithBound(bound)),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -60,14 +60,14 @@ func TestSpecEncodingDeterministic(t *testing.T) {
 	}
 
 	buildBatch := func() []byte {
-		topo := topology.Grid(3, 3)
-		wire := []wireCircuit{
-			circuitToWire(e2eCircuit("det-a", 6, 16, 41)),
-			circuitToWire(e2eCircuit("det-b", 7, 20, 42)),
+		var circuits []specCircuit
+		for _, c := range []*circuit.Circuit{e2eCircuit("det-a", 6, 16, 41), e2eCircuit("det-b", 7, 20, 42)} {
+			blocks := circuit.ConsolidateBlocks(circuit.UnrollTo2Q(c))
+			circuits = append(circuits, specCircuit{Circuit: circuitToWire(blocks), DAG: flatDAGToWire(circuit.BuildFlatDAG(blocks))})
 		}
-		raw, err := encodeSpec(batchSpec{
-			Circuits: wire,
-			Topo:     topologyToWire(topo),
+		raw, err := encodeSpec(trialSpec{
+			Circuits: circuits,
+			Topo:     topologyToWire(topology.Grid(3, 3)),
 			Opts:     options(sabre.LayoutOptions{LayoutTrials: 2, RoutingTrials: 2, FwdBwdPasses: 1, Seed: 9}),
 		})
 		if err != nil {
@@ -76,7 +76,7 @@ func TestSpecEncodingDeterministic(t *testing.T) {
 		return raw
 	}
 	if !bytes.Equal(buildBatch(), buildBatch()) {
-		t.Fatal("two from-scratch batchSpec encodings differ; journal recovery cannot match restarted jobs")
+		t.Fatal("two from-scratch encodings of a two-circuit trialSpec differ; journal recovery cannot match restarted jobs")
 	}
 }
 
@@ -105,7 +105,6 @@ func journaledHubWith(t *testing.T, dir string, workers int, chaos *dispatch.Cha
 		go dispatch.ServeConn(client, handlers, nil)
 	}
 	cl := NewCluster(h)
-	cl.CircuitLease = 1
 	cl.TrialLease = 2
 	return cl
 }
@@ -115,7 +114,9 @@ func journaledHubWith(t *testing.T, dir string, workers int, chaos *dispatch.Cha
 // whose coordinator dies mid-run (torn final frame and all) is resumed
 // by a fresh coordinator over the same journal dir, re-executes only
 // the unjournaled remainder, and emits reports bit-identical to the
-// serial pipeline.
+// serial pipeline, at every worker count and lease size and with and
+// without patience. A circuit has two rows, so leases of one row, one
+// circuit and three rows (straddling circuits) are all covered.
 func TestDistributedBatchJournalRecovery(t *testing.T) {
 	topo := topology.Grid(3, 3)
 	circuits := []*circuit.Circuit{
@@ -124,44 +125,53 @@ func TestDistributedBatchJournalRecovery(t *testing.T) {
 		e2eCircuit("wal-c", 5, 12, 43),
 		e2eCircuit("wal-d", 8, 18, 44),
 	}
-	base := transpile.Options{
-		Router: transpile.MIRAGE, DepthSelection: true, SkipTrivialLayout: true,
-		Layout: sabre.LayoutOptions{LayoutTrials: 2, RoutingTrials: 2, FwdBwdPasses: 1, Seed: 9},
-	}
-	want, err := transpile.TranspileBatch(circuits, topo, base)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, patience := range []int{0, 2} {
+		base := transpile.Options{
+			Router: transpile.MIRAGE, DepthSelection: true, SkipTrivialLayout: true,
+			Layout: sabre.LayoutOptions{LayoutTrials: 2, RoutingTrials: 2, FwdBwdPasses: 1, Seed: 9,
+				ConvergencePatience: patience},
+		}
+		want, err := transpile.TranspileBatch(circuits, topo, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 3} {
+			for _, lease := range []int{1, 2, 3} {
+				ctx := fmt.Sprintf("patience=%d workers=%d lease=%d", patience, workers, lease)
+				dir := t.TempDir()
+				// Run 1: crash while journaling the second result batch.
+				// The tear leaves a half-written frame, exactly what
+				// SIGKILL leaves behind.
+				cl := journaledHub(t, dir, workers, &dispatch.ChaosConfig{CrashOnResultBatch: 2})
+				cl.TrialLease = lease
+				if _, err := cl.TranspileBatch(circuits, topo, base); !errors.Is(err, dispatch.ErrSimulatedCrash) {
+					t.Fatalf("%s: crash run returned %v, want ErrSimulatedCrash", ctx, err)
+				}
+				cl.Hub.Close()
 
-	dir := t.TempDir()
-	// Run 1: crash while journaling the second result batch. The tear
-	// leaves a half-written frame, exactly what SIGKILL leaves behind.
-	cl := journaledHub(t, dir, 2, &dispatch.ChaosConfig{CrashOnResultBatch: 2})
-	if _, err := cl.TranspileBatch(circuits, topo, base); !errors.Is(err, dispatch.ErrSimulatedCrash) {
-		t.Fatalf("crash run returned %v, want ErrSimulatedCrash", err)
-	}
-	cl.Hub.Close()
-
-	// Run 2: a fresh coordinator over the same journal dir resumes.
-	jd, err := dispatch.OpenJournalDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jd.Recovered() != 1 || jd.TruncatedFrames() != 1 {
-		t.Fatalf("recovered=%d truncated=%d, want 1 resumable job with 1 torn frame",
-			jd.Recovered(), jd.TruncatedFrames())
-	}
-	cl2 := journaledHub(t, dir, 2, nil)
-	got, err := cl2.TranspileBatch(circuits, topo, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		reportsEqual(t, "wal-batch", want[i], got[i])
-	}
-	st := cl2.Hub.Stats()
-	if st.Recovered != 1 {
-		t.Fatalf("Recovered = %d, want 1 (the resumed job)", st.Recovered)
+				// Run 2: a fresh coordinator over the same journal dir resumes.
+				jd, err := dispatch.OpenJournalDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if jd.Recovered() != 1 || jd.TruncatedFrames() != 1 {
+					t.Fatalf("%s: recovered=%d truncated=%d, want 1 resumable job with 1 torn frame",
+						ctx, jd.Recovered(), jd.TruncatedFrames())
+				}
+				cl2 := journaledHub(t, dir, workers, nil)
+				cl2.TrialLease = lease
+				got, err := cl2.TranspileBatch(circuits, topo, base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					reportsEqual(t, "wal-batch "+ctx, want[i], got[i])
+				}
+				if st := cl2.Hub.Stats(); st.Recovered != 1 {
+					t.Fatalf("%s: Recovered = %d, want 1 (the resumed job)", ctx, st.Recovered)
+				}
+			}
+		}
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 	"repro/internal/transpile"
 )
 
-// wireOptions is transpile.Options on the wire, the one form both job
-// kinds ship. Policies and metrics are closures locally; on the wire
+// wireOptions is transpile.Options on the wire, as the trial job spec
+// ships it. Policies and metrics are closures locally; on the wire
 // they travel as the choices transpile.RoutingPolicy builds them from,
 // so only those choices can be distributed: a router, a selection
 // metric, an aggression and an iSWAP-root basis. RouteFn stays behind.

@@ -1,8 +1,11 @@
 package distrib
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
+	"repro/internal/circuit"
 	"repro/internal/dispatch"
 	"repro/internal/sabre"
 	"repro/internal/topology"
@@ -10,29 +13,43 @@ import (
 )
 
 // trialSpec is the KindTrials job spec: everything a worker needs to
-// run any trial of one routing grid, refinement of the trial's layout
-// row included. Opts.Layout holds the layout options RouteFn received.
-// The flat dependency DAG ships with the circuit, so the worker checks
-// the shipped analysis instead of recomputing it and only builds the
-// reversed DAG its layout refinement routes.
+// run any trial of the routing grids of one or more circuits,
+// refinement of the trial's layout row included. Every grid has the
+// layout options Opts.Layout, and the K grids' rows interleave as in
+// sabre.RunGrids: item (lt*K + k)*n + rt is trial lt*n + rt of circuit
+// k's L x n grid. Each flat dependency DAG ships with its circuit, so
+// the worker checks the shipped analysis instead of recomputing it and
+// only builds the reversed DAG its layout refinement routes.
 type trialSpec struct {
-	Circuit wireCircuit
-	Topo    wireTopology
-	DAG     wireFlatDAG
-	Opts    wireOptions
+	Circuits []specCircuit
+	Topo     wireTopology
+	Opts     wireOptions
 }
 
-// trialJob is the worker-side state of one KindTrials job: the
-// prepared runner (shared DAGs + reusable arena), the metric and
-// policy factory transpile.RoutingPolicy builds over the shipped
-// circuit, and the layout of the row it ran last.
-type trialJob struct {
-	runner  *sabre.TrialRunner
-	opts    sabre.LayoutOptions
+// specCircuit is one circuit of a trial spec with its forward DAG.
+type specCircuit struct {
+	Circuit wireCircuit
+	DAG     wireFlatDAG
+}
+
+// trialGrid is one circuit of a trial job as its worker prepared it:
+// the shared routing analysis and the metric and policy factory
+// transpile.RoutingPolicy builds over the shipped circuit.
+type trialGrid struct {
+	pc      *sabre.PreparedCircuit
 	metric  sabre.Metric
 	factory sabre.PolicyFactory
-	lt      int              // the row whose refined layout is cached
-	layout  *topology.Layout // nil before the first trial
+}
+
+// trialJob is the worker-side state of one KindTrials job: its
+// prepared circuits, one sabre.TrialRunner (a reusable arena bound to
+// one circuit at a time) and the layout of the row it ran last.
+type trialJob struct {
+	grids  []trialGrid
+	runner *sabre.TrialRunner
+	opts   sabre.LayoutOptions
+	k, lt  int              // the circuit and row whose refined layout is cached
+	layout *topology.Layout // nil when no layout is cached
 }
 
 func trialHandler(raw, _ []byte) (dispatch.JobRunner, error) {
@@ -40,19 +57,7 @@ func trialHandler(raw, _ []byte) (dispatch.JobRunner, error) {
 	if err := decodeSpec(raw, &spec); err != nil {
 		return nil, fmt.Errorf("distrib: decoding trial spec: %w", err)
 	}
-	c, err := circuitFromWire(spec.Circuit)
-	if err != nil {
-		return nil, err
-	}
 	topo, err := topologyFromWire(spec.Topo)
-	if err != nil {
-		return nil, err
-	}
-	fd, err := flatDAGFromWire(spec.DAG, c)
-	if err != nil {
-		return nil, err
-	}
-	pc, err := sabre.PrepareFromDAG(fd, topo)
 	if err != nil {
 		return nil, err
 	}
@@ -60,45 +65,78 @@ func trialHandler(raw, _ []byte) (dispatch.JobRunner, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Workers route every trial to its end, so the bound goes unused.
-	metric, _, factory := transpile.RoutingPolicy(opts, c)
-	return &trialJob{runner: sabre.NewTrialRunner(pc), opts: opts.Layout.WithDefaults(),
-		metric: metric, factory: factory}, nil
+	// The runner is bound to a circuit by Run.
+	j := &trialJob{grids: make([]trialGrid, len(spec.Circuits)), runner: sabre.NewTrialRunner(nil),
+		opts: opts.Layout.WithDefaults()}
+	for k, sc := range spec.Circuits {
+		c, err := circuitFromWire(sc.Circuit)
+		if err != nil {
+			return nil, err
+		}
+		fd, err := flatDAGFromWire(sc.DAG, c)
+		if err != nil {
+			return nil, err
+		}
+		if j.grids[k].pc, err = sabre.PrepareFromDAG(fd, topo); err != nil {
+			return nil, err
+		}
+		// Workers route every trial to its end, so the bound goes unused.
+		j.grids[k].metric, _, j.grids[k].factory = transpile.RoutingPolicy(opts, c)
+	}
+	return j, nil
 }
 
-// Run routes grid trial t from the layout of its row lt, refining that
-// layout first unless t's row is the one this runner ran last. Leases
-// hold whole rows, so a row is normally refined once. The item carries
-// the trial's score, and the first trial of each row also carries the
-// row's layout, for the coordinator to check and replay the winner
-// from. A trial outside the grid is an item error.
-func (j *trialJob) Run(t int) dispatch.WireItem {
-	n := j.opts.RoutingTrials
-	if t < 0 || t >= j.opts.LayoutTrials*n {
-		return dispatch.WireItem{Index: t, Err: fmt.Sprintf("distrib: trial %d outside the %dx%d grid", t, j.opts.LayoutTrials, n)}
+// Run routes item i, trial t of row lt of circuit k (see trialSpec),
+// from the layout of that row, refining it first unless it is the row
+// this runner ran last. Leases hold whole rows, so a row is normally
+// refined once; a lease of several rows holds the same row of several
+// circuits. The item carries the trial's score, and the first trial of
+// each row also carries the row's layout, for the coordinator to check
+// and replay the winner from. A trial whose row cannot be refined or
+// whose route fails is a failed item; an index outside the job is an
+// item error.
+func (j *trialJob) Run(i int) dispatch.WireItem {
+	K, L, n := len(j.grids), j.opts.LayoutTrials, j.opts.RoutingTrials
+	if i < 0 || i >= K*L*n {
+		return dispatch.WireItem{Index: i, Err: fmt.Sprintf("distrib: item %d outside %d grids of %dx%d trials", i, K, L, n)}
 	}
-	if lt := t / n; j.layout == nil || j.lt != lt {
+	k, lt := i/n%K, i/n/K
+	t := lt*n + i%n
+	g := j.grids[k]
+	if j.layout == nil || j.k != k || j.lt != lt {
+		j.runner.Bind(g.pc)
 		layout, err := j.runner.RefineLayout(j.opts, lt)
 		if err != nil {
-			return dispatch.WireItem{Index: t, Err: err.Error()}
+			j.layout = nil
+			return failed(i, err)
 		}
-		j.lt, j.layout = lt, layout
+		j.k, j.lt, j.layout = k, lt, layout
 	}
 	var policy sabre.MirrorPolicy
-	if j.factory != nil {
-		policy = j.factory(t)
+	if g.factory != nil {
+		policy = g.factory(t)
 	}
 	res, err := j.runner.GridTrial(j.layout, j.opts, t, policy)
 	if err != nil {
-		return dispatch.WireItem{Index: t, Err: err.Error()}
+		return failed(i, err)
 	}
-	item := dispatch.WireItem{Index: t, Score: j.metric(res)}
+	item := dispatch.WireItem{Index: i, Score: g.metric(res)}
 	if t%n == 0 {
 		if item.Blob, err = encodeSpec(j.layout.L2P); err != nil {
-			return dispatch.WireItem{Index: t, Err: err.Error()}
+			return dispatch.WireItem{Index: i, Err: err.Error()}
 		}
 	}
 	return item
+}
+
+// failed is the item of a trial whose row could not be refined or
+// whose route failed: a NaN score, which no metric returns, marks it,
+// and the blob carries the error. The coordinator ends the trial's
+// grid with it, as a local row's error ends a local grid, and the
+// job's other grids run on; an item error (WireItem.Err) would stop
+// the whole job instead.
+func failed(i int, err error) dispatch.WireItem {
+	return dispatch.WireItem{Index: i, Score: math.NaN(), Blob: []byte(err.Error())}
 }
 
 // Epilogue ships nothing: a trial job keeps no state the coordinator
@@ -106,60 +144,87 @@ func (j *trialJob) Run(t int) dispatch.WireItem {
 func (j *trialJob) Epilogue() []byte { return nil }
 
 // trialItem is one trial as the coordinator consumes it: its score
-// and, for the first trial of a row, the row's checked layout.
+// and, for the first trial of a row, the row's checked layout, or the
+// error a failed item carries.
 type trialItem struct {
 	score  float64
 	layout *topology.Layout
+	err    error
 }
 
-// findBestRouting routes the trial grid of pc over the cluster:
-// leases of whole layout rows fan out to workers, which refine the
-// rows' layouts and route their trials, and the winning trial is
-// replayed locally to materialise the Result. A sabre.Grid consumes
-// the trials in trial-index order from the same queue type the local
-// scheduler uses, so the returned Result — routed circuit,
-// TrialsExecuted, winner identity — is bit-identical to a
-// single-process run with the same options at any worker count, lease
-// size, or patience setting, including across worker deaths
-// mid-lease. Every row's layout is checked before use (see
-// rowLayoutFromWire). Workers route every trial to its end, so a score
-// bound in opts is ignored.
+// runGrids routes every grid on the cluster as one KindTrials job: the
+// fleet counterpart of sabre.RunGrids. The grids share one
+// LayoutOptions, and the job's items are their trials, in RunGrids's
+// row order (see trialSpec), leased in whole layout rows; workers
+// refine the rows' layouts and route their trials, and each grid
+// consumes its own trials, and its own errors (see failed), in
+// trial-index order from the same queue type the local scheduler uses.
+// So every grid's winner, TrialsExecuted and error are bit-identical
+// to a single-process run at any worker count, lease size or patience
+// setting, including across worker deaths mid-lease. Every row's
+// layout is checked before use (see rowLayoutFromWire). Workers route
+// every trial they are leased to its end, so a score bound in the
+// options is ignored; once a grid finished, the queue leases none of
+// its remaining trials and drops the results of those already leased.
 //
-// metric and factory must be what transpile.RoutingPolicy builds from
-// w over pc's circuit; Options' RouteFn passes exactly that pair.
+// w carries the options every grid's metric and policy factory were
+// built from by transpile.RoutingPolicy; its layout options are
+// replaced by the grids'.
+func (cl *Cluster) runGrids(grids []*sabre.Grid, w wireOptions) error {
+	if len(grids) == 0 {
+		return nil
+	}
+	opts := grids[0].Options()
+	w.Layout = opts
+	spec := trialSpec{Topo: topologyToWire(grids[0].Prepared().Topo), Opts: w}
+	for _, g := range grids {
+		pc := g.Prepared()
+		spec.Circuits = append(spec.Circuits, specCircuit{Circuit: circuitToWire(pc.Circ), DAG: flatDAGToWire(pc.FD)})
+	}
+	raw, err := encodeSpec(spec)
+	if err != nil {
+		return err
+	}
+	K, n := len(grids), opts.RoutingTrials
+	finished, left := make([]bool, K), K
+	var layout *topology.Layout // the layout of the row being consumed
+	q := dispatch.NewQueue(K*opts.LayoutTrials*n, cl.trialLease()*n, func(i int, it trialItem) bool {
+		if it.layout != nil {
+			layout = it.layout
+		}
+		if k, lt := i/n%K, i/n/K; grids[k].ConsumeTrial(lt*n+i%n, layout, it.score, it.err) {
+			finished[k], left = true, left-1
+		}
+		return left == 0
+	})
+	q.SetSkip(func(i int) bool { return finished[i/n%K] })
+	_, err = dispatch.RunJob(cl.Hub, KindTrials, raw, q,
+		func(wi dispatch.WireItem) (it trialItem, err error) {
+			if wi.Index < 0 || wi.Index >= q.Max() {
+				return it, fmt.Errorf("distrib: item %d outside the job's %d", wi.Index, q.Max())
+			}
+			switch r := wi.Index / n; {
+			case math.IsNaN(wi.Score):
+				it.err = errors.New(string(wi.Blob))
+			case wi.Index%n == 0:
+				it.layout, err = rowLayoutFromWire(wi.Blob, r/K, grids[r%K].Prepared())
+			}
+			it.score = wi.Score
+			return it, err
+		})
+	return err
+}
+
+// findBestRouting routes the trial grid of pc on the cluster: runGrids
+// over one grid, then the winner's local replay. metric and factory
+// must be what transpile.RoutingPolicy builds from w over pc's circuit;
+// Options' RouteFn passes exactly that pair.
 func (cl *Cluster) findBestRouting(pc *sabre.PreparedCircuit,
 	opts sabre.LayoutOptions, w wireOptions,
 	metric sabre.Metric, factory sabre.PolicyFactory) (*sabre.Result, error) {
 
-	opts = opts.WithDefaults().WithBound(nil)
-	w.Layout = opts
-	raw, err := encodeSpec(trialSpec{
-		Circuit: circuitToWire(pc.Circ),
-		Topo:    topologyToWire(pc.Topo),
-		DAG:     flatDAGToWire(pc.FD),
-		Opts:    w,
-	})
-	if err != nil {
-		return nil, err
-	}
-	n := opts.RoutingTrials
-	g := sabre.NewGrid(pc, opts, metric, factory)
-	var layout *topology.Layout // the layout of the row being consumed
-	q := dispatch.NewQueue(opts.LayoutTrials*n, cl.trialLease()*n, func(t int, it trialItem) bool {
-		if it.layout != nil {
-			layout = it.layout
-		}
-		return g.ConsumeTrial(t, layout, it.score)
-	})
-	_, err = dispatch.RunJob(cl.Hub, KindTrials, raw, q,
-		func(wi dispatch.WireItem) (it trialItem, err error) {
-			it.score = wi.Score
-			if wi.Index%n == 0 {
-				it.layout, err = rowLayoutFromWire(wi.Blob, wi.Index/n, pc)
-			}
-			return it, err
-		})
-	if err != nil {
+	g := sabre.NewGrid(pc, opts.WithBound(nil), metric, factory)
+	if err := cl.runGrids([]*sabre.Grid{g}, w); err != nil {
 		return nil, err
 	}
 	return g.Result()
@@ -182,4 +247,23 @@ func (cl *Cluster) Options(opts transpile.Options) (transpile.Options, error) {
 		return cl.findBestRouting(pc, lopts, w, metric, factory)
 	}
 	return opts, nil
+}
+
+// TranspileBatch is transpile.TranspileBatch with the layout rows of
+// every circuit that needs routing routed on the cluster, as one
+// KindTrials job (see runGrids). Preparation, trivial-layout checks,
+// winner replays and metrics run on the caller, so every report is
+// bit-identical to the local batch's, Runtime aside, and the first
+// failure in input order is the one returned. Fails when the options
+// are not wire-expressible (custom basis).
+func (cl *Cluster) TranspileBatch(circuits []*circuit.Circuit, topo *topology.Topology,
+	opts transpile.Options) ([]*transpile.Report, error) {
+
+	w, err := optionsToWire(opts)
+	if err != nil {
+		return nil, err
+	}
+	return transpile.TranspileBatchWith(circuits, topo, opts, func(grids []*sabre.Grid) error {
+		return cl.runGrids(grids, w)
+	})
 }

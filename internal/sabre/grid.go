@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/dispatch"
 	"repro/internal/topology"
 )
 
@@ -21,12 +22,14 @@ type Row struct {
 }
 
 // Grid consumes the trials of one FindBestRouting grid and replays its
-// winner. Both schedulers drive it. FindBestRoutingPrepared runs
-// layout rows on dispatch.RunLocal and hands them to Consume; the
-// distributed coordinator (internal/distrib) receives single trials
-// from TCP workers and hands them to ConsumeTrial. Either is the
-// consume callback of a dispatch.Queue, so scores reach the trial
-// selector in trial-index order.
+// winner. Both schedulers drive it. RunGrids runs layout rows on
+// dispatch.RunLocal and hands them to Consume; the distributed
+// coordinator (internal/distrib) receives single trials from TCP
+// workers and hands them to ConsumeTrial. Either is the consume
+// callback of a dispatch.Queue, so scores reach the trial selector in
+// trial-index order. A queue that carries the rows of several grids
+// may hand a grid rows after it finished; Consume and ConsumeTrial
+// drop them.
 //
 // After each row the Grid publishes the selector's state, which the
 // local rows still running read before every trial:
@@ -37,6 +40,7 @@ type Row struct {
 //     runs follow from a row's first trial, so they route exactly the
 //     trials the selector consumes.
 //   - until then it runs on, and returns as soon as the grid finished.
+//     A row that starts on a finished grid refines no layout.
 //
 // Every row cuts each trial at the lower of the published best and its
 // own best so far. A trial is thus only cut at the score of a
@@ -52,7 +56,7 @@ type Grid struct {
 
 	mu     sync.Mutex
 	rows   int              // rows consumed by Consume
-	done   bool             // the grid is finished
+	done   bool             // the grid is finished: see Consume
 	sel    trialSelector    // the selector after the trials consumed
 	layout *topology.Layout // the winner's layout
 	err    error            // the trial error that ended the grid
@@ -73,12 +77,22 @@ func NewGrid(pc *PreparedCircuit, opts LayoutOptions, metric Metric, factory Pol
 	return g
 }
 
+// Prepared returns the circuit the grid routes.
+func (g *Grid) Prepared() *PreparedCircuit { return g.pc }
+
+// Options returns the grid's layout options, defaults applied.
+func (g *Grid) Options() LayoutOptions { return g.opts }
+
 // Consume feeds row lt's scores to the selector and publishes its
 // state. It returns true once the grid is finished: the patience rule
-// fired, or the row ended in a trial error.
+// fired, or the row ended in an error. On a finished grid it is a
+// no-op, so a late row moves neither the winner nor TrialsExecuted.
 func (g *Grid) Consume(lt int, row Row) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if g.done {
+		return true
+	}
 	g.rows++
 	for rt, score := range row.Scores {
 		if g.consume(lt*g.opts.RoutingTrials+rt, row.Layout, score) {
@@ -92,11 +106,20 @@ func (g *Grid) Consume(lt int, row Row) bool {
 }
 
 // ConsumeTrial feeds the score of trial t, routed from layout, to the
-// selector. It returns true once the patience rule fired.
-func (g *Grid) ConsumeTrial(t int, layout *topology.Layout, score float64) bool {
+// selector, or, when err is the trial's error, ends the grid with it.
+// It returns true once the grid is finished, and is a no-op on a
+// finished grid, like Consume.
+func (g *Grid) ConsumeTrial(t int, layout *topology.Layout, score float64, err error) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.consume(t, layout, score)
+	switch {
+	case g.done:
+	case err != nil:
+		g.err, g.done = err, true
+	default:
+		g.consume(t, layout, score)
+	}
+	return g.done
 }
 
 func (g *Grid) consume(t int, layout *topology.Layout, score float64) bool {
@@ -142,12 +165,15 @@ func (g *Grid) snapshot(lt int) (sel trialSelector, caughtUp, done bool) {
 }
 
 // row refines layout trial lt on r and routes and scores its trials
-// under the rules of the Grid doc. A refinement error fails the row; a
-// trial error ends it.
-func (g *Grid) row(r *TrialRunner, lt int) (Row, error) {
+// under the rules of the Grid doc. A refinement or trial error ends the
+// row in Row.Err.
+func (g *Grid) row(r *TrialRunner, lt int) Row {
+	if _, _, done := g.snapshot(lt); done {
+		return Row{}
+	}
 	layout, err := r.RefineLayout(g.opts, lt)
 	if err != nil {
-		return Row{}, err
+		return Row{Err: err}
 	}
 	n := g.opts.RoutingTrials
 	row := Row{Layout: layout, Scores: make([]float64, 0, n)}
@@ -158,13 +184,13 @@ func (g *Grid) row(r *TrialRunner, lt int) (Row, error) {
 	for rt := 0; rt < n; rt++ {
 		published, caughtUp, done := g.snapshot(lt)
 		if done {
-			return row, nil
+			return row
 		}
 		if !following && caughtUp {
 			sel, following = published, true
 			for i, score := range row.Scores {
 				if sel.Consume(lt*n+i, score) {
-					return row, nil
+					return row
 				}
 			}
 		}
@@ -185,7 +211,7 @@ func (g *Grid) row(r *TrialRunner, lt int) (Row, error) {
 		case err == errTrialCut:
 		case err != nil:
 			row.Err = err
-			return row, nil
+			return row
 		default:
 			score = g.metric(res)
 		}
@@ -195,5 +221,37 @@ func (g *Grid) row(r *TrialRunner, lt int) (Row, error) {
 			break
 		}
 	}
-	return row, nil
+	return row
+}
+
+// RunGrids routes the layout rows of every grid on one local work
+// queue, row-major: item lt*K + k is row lt of grids[k], so the workers
+// start every grid's first row before any grid's second. (In circuit
+// order a second worker would route a grid's second row beside its
+// first, work thrown away whenever patience stops the grid in its
+// first row.) The grids share one LayoutOptions, whose Parallelism
+// sizes the worker pool, and each worker keeps one trial arena,
+// rebound to the circuit of each row it runs. The queue leases no row
+// of a finished grid, and stops once every grid has finished. Read
+// each grid's winner with its Result afterwards.
+func RunGrids(grids []*Grid) error {
+	K := len(grids)
+	if K == 0 {
+		return nil
+	}
+	finished, left := make([]bool, K), K
+	q := dispatch.NewQueue(K*grids[0].opts.LayoutTrials, 1, func(i int, row Row) bool {
+		if k := i % K; grids[k].Consume(i/K, row) {
+			finished[k], left = true, left-1
+		}
+		return left == 0
+	})
+	q.SetSkip(func(i int) bool { return finished[i%K] })
+	return dispatch.RunLocal(q, grids[0].opts.Parallelism,
+		func(int) *TrialRunner { return &TrialRunner{arena: newTrialArena()} },
+		func(i int, r *TrialRunner) (Row, error) {
+			g := grids[i%K]
+			r.Bind(g.pc)
+			return g.row(r, i/K), nil
+		})
 }

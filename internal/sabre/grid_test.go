@@ -81,12 +81,47 @@ func TestGridRowStopsWithTheGrid(t *testing.T) {
 			return nil
 		}
 		g = NewGrid(pc, opts, nil, factory)
-		row, err := g.row(NewTrialRunner(pc), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		row := g.row(NewTrialRunner(pc), 2)
 		if len(row.Scores) != tc.scores || row.Err != nil {
 			t.Fatalf("%s: row 2 returned %d scores (err %v), want %d", tc.name, len(row.Scores), row.Err, tc.scores)
 		}
+	}
+}
+
+// TestFinishedGridIgnoresLateRows: one queue may carry a grid's rows
+// past its stop (RunGrids, the fleet's batch job), so Consume and
+// ConsumeTrial on a finished grid must move neither the winner nor
+// TrialsExecuted, and a row that starts on it refines nothing.
+func TestFinishedGridIgnoresLateRows(t *testing.T) {
+	topo := topology.Grid(3, 3)
+	pc, err := PrepareCircuit(schedulerCircuit(6, 12, 3), topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := LayoutOptions{LayoutTrials: 3, RoutingTrials: 2, FwdBwdPasses: 1, Seed: 5, ConvergencePatience: 2}
+	layout := topology.TrivialLayout(6, topo.NumQubits)
+	g := NewGrid(pc, opts, nil, nil)
+	if g.Consume(0, Row{Layout: layout, Scores: []float64{3, 4}}) {
+		t.Fatal("the grid stopped before its patience")
+	}
+	if !g.Consume(1, Row{Layout: layout, Scores: []float64{5, 6}}) {
+		t.Fatal("the grid did not stop at its patience")
+	}
+	late := Row{Layout: layout, Scores: []float64{0, 0}, Err: errors.New("late")}
+	if !g.Consume(2, late) || !g.ConsumeTrial(4, layout, 0, nil) {
+		t.Fatal("a finished grid reported itself unfinished")
+	}
+	if row := g.row(NewTrialRunner(pc), 2); row.Layout != nil || len(row.Scores) != 0 || row.Err != nil {
+		t.Fatalf("a row started on a finished grid returned %+v", row)
+	}
+	res, err := g.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TrialsExecuted != 3 {
+		t.Fatalf("TrialsExecuted = %d, want 3", res.TrialsExecuted)
+	}
+	if g.sel.bestT != 0 {
+		t.Fatalf("winner = trial %d, want 0", g.sel.bestT)
 	}
 }

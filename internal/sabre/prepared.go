@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/circuit"
-	"repro/internal/dispatch"
 	"repro/internal/topology"
 )
 
@@ -80,20 +79,20 @@ func NewTrialRunner(pc *PreparedCircuit) *TrialRunner {
 	return &TrialRunner{pc: pc, arena: newTrialArena()}
 }
 
+// Bind points r at pc and keeps its arena, so a worker running the
+// rows of several circuits reuses one arena for all of them.
+func (r *TrialRunner) Bind(pc *PreparedCircuit) { r.pc = pc }
+
 // FindBestRoutingPrepared is FindBestRouting over prepared state: the
 // rows and the winner replay all share pc's immutable DAGs, so a
 // caller routing the same circuit under several configurations (e.g.
 // a benchmark row running both routers) pays for the per-circuit
-// analysis once.
+// analysis once. It is RunGrids over one grid.
 func FindBestRoutingPrepared(pc *PreparedCircuit, opts LayoutOptions,
 	metric Metric, factory PolicyFactory) (*Result, error) {
 
 	g := NewGrid(pc, opts, metric, factory)
-	q := dispatch.NewQueue(g.opts.LayoutTrials, 1, g.Consume)
-	err := dispatch.RunLocal(q, g.opts.Parallelism,
-		func(int) *TrialRunner { return NewTrialRunner(pc) },
-		func(lt int, r *TrialRunner) (Row, error) { return g.row(r, lt) })
-	if err != nil {
+	if err := RunGrids([]*Grid{g}); err != nil {
 		return nil, err
 	}
 	return g.Result()

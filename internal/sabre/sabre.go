@@ -19,13 +19,15 @@
 // mutable trial state — traversal, layout, decay, scoring sets,
 // candidate dedup stamps, the routed-op buffer — lives in a per-worker
 // trialArena reused across the whole grid. The grid runs on the
-// dispatch work queue. The local scheduler (dispatch.RunLocal) runs
-// it one layout row at a time: a row refines one layout and routes its
-// trials on one arena. The distributed transport (internal/distrib)
-// leases whole rows to workers, which refine with
-// TrialRunner.RefineLayout and route with TrialRunner.GridTrial, and
-// returns one score per trial. Either way a Grid consumes the scores
-// in trial order and replays the winner.
+// dispatch work queue, one layout row per item: a row refines one
+// layout and routes its trials on one arena. RunGrids puts the rows of
+// several grids on one local queue (dispatch.RunLocal), interleaved so
+// every grid's first row comes before any second row, rebinding each
+// worker's arena to the circuit of its row. The
+// distributed transport (internal/distrib) leases whole rows to
+// workers, which refine with TrialRunner.RefineLayout and route with
+// TrialRunner.GridTrial, and returns one score per trial. Either way
+// each Grid consumes its scores in trial order and replays the winner.
 //
 // The router exposes a MirrorPolicy hook: every two-qubit gate that
 // becomes executable is offered to the policy, which may replace it

@@ -1,6 +1,8 @@
 package transpile_test
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -20,46 +22,66 @@ func batchOpts() transpile.Options {
 	}
 }
 
+// sameReport reports whether two reports agree on every field but the
+// wall time: metrics, trial counts, both layouts and the routed and
+// reconsolidated circuits, op for op.
+func sameReport(a, b *transpile.Report) bool {
+	x, y := *a, *b
+	x.Runtime, y.Runtime = 0, 0
+	return reflect.DeepEqual(x, y)
+}
+
 // TestTranspileBatchMatchesIndividual: batching must be a pure
 // performance optimisation — per-circuit reports are identical to lone
-// Transpile calls with the same options, at any parallelism.
+// Transpile calls with the same options, field for field, at any
+// parallelism and patience. The batch mixes one large circuit with
+// small ones and a circuit that embeds trivially.
 func TestTranspileBatchMatchesIndividual(t *testing.T) {
 	topo := topology.SquareLattice66()
-	circs := []*circuit.Circuit{bench.QFT(8), bench.GHZ(10), bench.TwoLocal(6)}
+	circs := []*circuit.Circuit{bench.QFT(8), bench.QFT(18), bench.GHZ(10), bench.TwoLocal(6)}
+	for _, patience := range []int{0, 3} {
+		base := batchOpts()
+		base.SkipTrivialLayout = false // GHZ(10) embeds in the lattice
+		base.Layout.LayoutTrials, base.Layout.RoutingTrials = 3, 4
+		base.Layout.ConvergencePatience = patience
+		var solo []*transpile.Report
+		stopped := false
+		for _, c := range circs {
+			rep, err := transpile.Transpile(c, topo, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			solo = append(solo, rep)
+			stopped = stopped || rep.TrialsExecuted < rep.TrialsBudgeted
+		}
+		if !solo[2].TrivialLayout || solo[0].TrivialLayout || solo[1].TrivialLayout {
+			t.Fatal("fixture: want GHZ(10), and only it, to embed trivially")
+		}
+		if stopped != (patience > 0) {
+			t.Fatalf("fixture: patience %d stopped a grid early: %v", patience, stopped)
+		}
 
-	var solo []*transpile.Report
-	for _, c := range circs {
-		rep, err := transpile.Transpile(c, topo, batchOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		solo = append(solo, rep)
-	}
-
-	for _, par := range []int{1, 4, -1} {
-		opts := batchOpts()
-		if par < 0 {
-			// Budget set only through the embedded layout options
-			// (must be honored, not overridden by the batch fan-out).
-			opts.Layout.Parallelism = 1
-		} else {
-			opts.Parallelism = par
-		}
-		batch, err := transpile.TranspileBatch(circs, topo, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(batch) != len(circs) {
-			t.Fatalf("par=%d: got %d reports for %d circuits", par, len(batch), len(circs))
-		}
-		for i, rep := range batch {
-			if rep.Name != solo[i].Name ||
-				rep.DepthTime != solo[i].DepthTime ||
-				rep.TotalBasisGates != solo[i].TotalBasisGates ||
-				rep.SwapsInserted != solo[i].SwapsInserted ||
-				rep.MirrorsUsed != solo[i].MirrorsUsed {
-				t.Fatalf("par=%d: batch report %d differs from individual transpile:\n%s\n%s",
-					par, i, rep.Summary(), solo[i].Summary())
+		for _, par := range []int{1, 2, 3, -1} {
+			opts := base
+			if par < 0 {
+				// Budget set only through the embedded layout options
+				// (must be honored, not overridden by the batch).
+				opts.Layout.Parallelism = 1
+			} else {
+				opts.Parallelism = par
+			}
+			batch, err := transpile.TranspileBatch(circs, topo, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(batch) != len(circs) {
+				t.Fatalf("par=%d: got %d reports for %d circuits", par, len(batch), len(circs))
+			}
+			for i, rep := range batch {
+				if !sameReport(rep, solo[i]) {
+					t.Fatalf("patience=%d par=%d: batch report %d differs from individual transpile:\n%s\n%s",
+						patience, par, i, rep.Summary(), solo[i].Summary())
+				}
 			}
 		}
 	}
@@ -104,13 +126,22 @@ func TestTranspileBatchSharesCache(t *testing.T) {
 }
 
 // TestTranspileBatchError: a failing circuit surfaces the error; the
-// first failure in input order wins.
+// first failure in input order wins, whichever step it fails in. A
+// circuit whose route diverges fails in routing, after a later
+// oversized circuit has already failed to prepare.
 func TestTranspileBatchError(t *testing.T) {
 	topo := topology.Line(4)
 	circs := []*circuit.Circuit{bench.GHZ(4), bench.GHZ(10)} // second is oversized
 	opts := batchOpts()
 	if _, err := transpile.TranspileBatch(circs, topo, opts); err == nil {
 		t.Fatal("expected error for oversized circuit in batch")
+	}
+
+	circs = []*circuit.Circuit{bench.QFT(4), bench.GHZ(10)}
+	opts.Layout.Routing.MaxSteps = 1 // QFT(4) needs more than one SWAP on a line
+	_, err := transpile.TranspileBatch(circs, topo, opts)
+	if err == nil || !strings.Contains(err.Error(), "diverged") {
+		t.Fatalf("err = %v, want the routing failure of the earlier circuit", err)
 	}
 }
 

@@ -11,8 +11,8 @@
 // whole schedule, so steady-state trials allocate O(1). Mirror
 // decisions and the depth metric price blocks through one read-only
 // mirage.CostTable per routed call, built over the routed blocks.
-// TranspileBatch composes the same way — circuit-level fan-out on the
-// outside, arena reuse inside each circuit's trial grid.
+// TranspileBatch routes the layout rows of all its circuits on one
+// work queue; only their preparation and measurement run per circuit.
 package transpile
 
 import (
@@ -75,7 +75,9 @@ type Options struct {
 	// local engine's. Implementations receive the shared per-circuit
 	// routing analysis (validated circuit plus prebuilt dependency
 	// DAGs), the post-override LayoutOptions and the exact
-	// metric/factory a local run would use.
+	// metric/factory a local run would use. It is the seam of a single
+	// call: a batch routes all its circuits' rows through its own
+	// runner (TranspileBatch, TranspileBatchWith) and does not call it.
 	RouteFn func(pc *sabre.PreparedCircuit, opts sabre.LayoutOptions,
 		metric sabre.Metric, factory sabre.PolicyFactory) (*sabre.Result, error)
 }
@@ -113,7 +115,11 @@ type Report struct {
 	TrialsExecuted int
 	TrialsBudgeted int
 	TrivialLayout  bool
-	Runtime        time.Duration
+	// Runtime is the wall time of the call that produced the report.
+	// Every report of a batch carries the whole batch's: its circuits'
+	// rows share one pool of workers, so no circuit has a wall time of
+	// its own.
+	Runtime time.Duration
 }
 
 // PreparedCircuit is the amortised per-circuit front half of the
@@ -179,22 +185,49 @@ func TranspilePrepared(pc *PreparedCircuit, opts Options) (*Report, error) {
 }
 
 func transpilePrepared(pc *PreparedCircuit, opts Options, start time.Time) (*Report, error) {
-	if opts.Basis == nil {
-		opts.Basis = polytope.NewISwapRootCoverage(2)
+	opts = opts.withDefaults()
+	rep, err := begin(pc, opts)
+	if err != nil {
+		return nil, err
 	}
-	opts.Layout = opts.Layout.WithDefaults()
-	if opts.Parallelism != 0 {
-		opts.Layout.Parallelism = opts.Parallelism
+	if !rep.TrivialLayout {
+		metric, bound, factory := RoutingPolicy(opts, pc.Blocks)
+		route := sabre.FindBestRoutingPrepared
+		if opts.RouteFn != nil {
+			route = opts.RouteFn
+		}
+		res, err := route(pc.Routing, opts.Layout.WithBound(bound), metric, factory)
+		if err != nil {
+			return nil, fmt.Errorf("transpile: %w", err)
+		}
+		finish(rep, res, opts.Basis)
 	}
+	rep.Runtime = time.Since(start)
+	return rep, nil
+}
 
-	rep := &Report{
-		Name:   pc.Source.Name,
-		Router: opts.Router.String(),
+// withDefaults fills in the default basis and the layout defaults, and
+// lets a non-zero Parallelism override Layout.Parallelism.
+func (o Options) withDefaults() Options {
+	if o.Basis == nil {
+		o.Basis = polytope.NewISwapRootCoverage(2)
 	}
+	o.Layout = o.Layout.WithDefaults()
+	if o.Parallelism != 0 {
+		o.Layout.Parallelism = o.Parallelism
+	}
+	return o
+}
 
-	// 3. Trivial layout: if the interaction graph embeds in the
-	// topology, no routing is needed and SABRE/MIRAGE are not invoked
-	// (both transpilers behave identically here, paper Section V).
+// begin runs the trivial-layout check. When the interaction graph
+// embeds in the topology, no routing is needed and SABRE/MIRAGE are
+// not invoked (both transpilers behave identically here, paper Section
+// V): the report comes back measured, with TrivialLayout set.
+// Otherwise it is a report to route into, and only here does a failed
+// routing preparation surface: a circuit that embeds trivially never
+// hits it.
+func begin(pc *PreparedCircuit, opts Options) (*Report, error) {
+	rep := &Report{Name: pc.Source.Name, Router: opts.Router.String()}
 	if !opts.SkipTrivialLayout {
 		if routed, layout, ok := tryTrivialLayout(pc.Blocks, pc.Topo); ok {
 			rep.Routed = routed
@@ -202,25 +235,17 @@ func transpilePrepared(pc *PreparedCircuit, opts Options, start time.Time) (*Rep
 			rep.FinalLayout = layout.Copy()
 			rep.TrivialLayout = true
 			fillMetrics(rep, opts.Basis)
-			rep.Runtime = time.Since(start)
 			return rep, nil
 		}
 	}
-
-	// 4. Routed path. Only here does a failed routing preparation
-	// surface: circuits that embedded trivially above never hit it.
 	if pc.routingErr != nil {
 		return nil, fmt.Errorf("transpile: %w", pc.routingErr)
 	}
-	metric, bound, factory := RoutingPolicy(opts, pc.Blocks)
-	route := sabre.FindBestRoutingPrepared
-	if opts.RouteFn != nil {
-		route = opts.RouteFn
-	}
-	res, err := route(pc.Routing, opts.Layout.WithBound(bound), metric, factory)
-	if err != nil {
-		return nil, fmt.Errorf("transpile: %w", err)
-	}
+	return rep, nil
+}
+
+// finish fills rep from the routing result and measures it.
+func finish(rep *Report, res *sabre.Result, basis *polytope.CoverageSet) {
 	rep.Routed = res.Routed
 	rep.InitialLayout = res.InitialLayout
 	rep.FinalLayout = res.FinalLayout
@@ -231,9 +256,7 @@ func transpilePrepared(pc *PreparedCircuit, opts Options, start time.Time) (*Rep
 	if res.TwoQubitGates > 0 {
 		rep.MirrorAcceptRate = float64(res.MirrorsUsed) / float64(res.TwoQubitGates)
 	}
-	fillMetrics(rep, opts.Basis)
-	rep.Runtime = time.Since(start)
-	return rep, nil
+	fillMetrics(rep, basis)
 }
 
 // RoutingPolicy turns the routing choices of opts — router, selection

@@ -182,9 +182,12 @@ func Transpile(c *Circuit, topo *Topology, opts Options) (*Report, error) {
 	return transpile.Transpile(c, topo, opts)
 }
 
-// TranspileBatch transpiles many circuits onto one topology
-// concurrently. Reports are index-aligned with the input and identical
-// to what individual Transpile calls would produce.
+// TranspileBatch transpiles many circuits onto one topology. The
+// layout rows of every circuit that needs routing share one work
+// queue, so idle workers route other circuits' rows. Reports are
+// index-aligned with the input and identical to what individual
+// Transpile calls would produce, except that each report's Runtime is
+// the whole batch's wall time.
 func TranspileBatch(circuits []*Circuit, topo *Topology, opts Options) ([]*Report, error) {
 	return transpile.TranspileBatch(circuits, topo, opts)
 }
@@ -225,7 +228,7 @@ func NewDispatchHub() *DispatchHub { return dispatch.NewHub() }
 
 // Cluster is the coordinator-side API over a hub: Options wires remote
 // routing-trial grids into a transpile pipeline, and TranspileBatch
-// shards a batch of circuits over the workers.
+// routes the layout rows of a batch of circuits on the workers.
 type Cluster = distrib.Cluster
 
 // NewCluster wraps a hub with default dispatch tuning. Every job the
@@ -237,7 +240,7 @@ func NewCluster(h *DispatchHub) *Cluster { return distrib.NewCluster(h) }
 
 // ServeWorker runs the worker side of the dispatch protocol on an
 // established connection until the coordinator closes it, handling
-// both the routing-trial and batch-transpile job kinds.
+// the routing-trial job kind, of one grid or of a whole batch.
 func ServeWorker(conn net.Conn) error {
 	return dispatch.ServeConn(conn, distrib.Handlers(), nil)
 }
@@ -274,9 +277,9 @@ func ServeResilientWorker(addr string, opts *WorkerOptions, rc ReconnectOptions)
 // recovery happened.
 type FleetStats = dispatch.FleetStats
 
-// TranspileBatchOver shards a batch across the cluster at circuit
-// granularity: every report is bit-identical to the local
-// TranspileBatch's.
+// TranspileBatchOver is TranspileBatch with the layout rows of every
+// circuit routed on the cluster's workers, as one job: every report is
+// bit-identical to the local TranspileBatch's, Runtime aside.
 func TranspileBatchOver(cl *Cluster, circuits []*Circuit, topo *Topology, opts Options) ([]*Report, error) {
 	return cl.TranspileBatch(circuits, topo, opts)
 }
