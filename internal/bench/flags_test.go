@@ -54,3 +54,27 @@ func TestFleetFlagsWireTheHub(t *testing.T) {
 		t.Fatal("a missing fleet without local fallback started a hub")
 	}
 }
+
+func TestSchedulerFlagsValidate(t *testing.T) {
+	ok := []SchedulerFlags{
+		{},
+		{Parallel: 8, Patience: 120, Trials: 20, Workers: 2, Lease: 8},
+	}
+	for _, f := range ok {
+		if err := f.Validate(); err != nil {
+			t.Fatalf("valid flags %+v rejected: %v", f, err)
+		}
+	}
+	bad := []SchedulerFlags{
+		{Parallel: -1},
+		{Patience: -5},
+		{Trials: -2},
+		{Workers: -3},
+		{Lease: -1},
+	}
+	for _, f := range bad {
+		if err := f.Validate(); err == nil {
+			t.Fatalf("invalid flags %+v accepted", f)
+		}
+	}
+}

@@ -20,10 +20,7 @@ import (
 
 // RoutingRow is one circuit x router measurement.
 type RoutingRow struct {
-	// Seq is the row's ordinal in the full suite's emission order: the
-	// shard-merge key (see MergeRoutingFiles). Single-file runs number
-	// their rows 0..n-1 too, so any run can later be treated as a
-	// one-fragment merge input.
+	// Seq is the row's ordinal in the suite's emission order, 0..n-1.
 	Seq         int     `json:"seq"`
 	Circuit     string  `json:"circuit"`
 	Router      string  `json:"router"`
@@ -160,4 +157,50 @@ func ReadRoutingBenchFile(path string) (*RoutingBenchFile, error) {
 		return nil, fmt.Errorf("bench: parsing %s: %w", path, err)
 	}
 	return &f, nil
+}
+
+// RowKey identifies a routing row across runs: benchdiff pairs rows by
+// key, never by position, so reordered or resharded files compare
+// cleanly.
+type RowKey struct{ Circuit, Router string }
+
+// RowAlignment is the result of pairing a new run's rows against a
+// baseline's.
+type RowAlignment struct {
+	// Pairs holds [baseline, new] for every key present in both.
+	Pairs [][2]RoutingRow
+	// Added rows exist only in the new run (a new benchmark or bench
+	// lane): a warning, never a failure — gating on them would break
+	// the first CI comparison after every row addition.
+	Added []RoutingRow
+	// Removed keys exist only in the baseline (a dropped benchmark):
+	// likewise warn-only.
+	Removed []RowKey
+}
+
+// AlignRows pairs rows by (circuit, router) key, preserving the new
+// file's row order for Pairs and Added and the baseline's for Removed.
+func AlignRows(baseline, current []RoutingRow) RowAlignment {
+	old := make(map[RowKey]RoutingRow, len(baseline))
+	for _, r := range baseline {
+		old[RowKey{r.Circuit, r.Router}] = r
+	}
+	var al RowAlignment
+	seen := make(map[RowKey]bool, len(current))
+	for _, n := range current {
+		k := RowKey{n.Circuit, n.Router}
+		seen[k] = true
+		if o, ok := old[k]; ok {
+			al.Pairs = append(al.Pairs, [2]RoutingRow{o, n})
+		} else {
+			al.Added = append(al.Added, n)
+		}
+	}
+	for _, r := range baseline {
+		k := RowKey{r.Circuit, r.Router}
+		if !seen[k] {
+			al.Removed = append(al.Removed, k)
+		}
+	}
+	return al
 }

@@ -120,9 +120,9 @@ func TestRoutingBenchFileKernelRows(t *testing.T) {
 	}
 }
 
-// TestRoutingBenchFileFleetStats: the fleet failure-event block
-// round-trips, stays omitempty on serial runs, and sums across
-// fragments in a merge (like cache stats, it is a fleet total).
+// TestRoutingBenchFileFleetStats: the fleet block is the hub's counter
+// snapshot, dispatch.FleetStats: it round-trips and stays omitempty on
+// serial runs.
 func TestRoutingBenchFileFleetStats(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_routing.json")
 	in := &RoutingBenchFile{
@@ -153,18 +153,59 @@ func TestRoutingBenchFileFleetStats(t *testing.T) {
 	if strings.Contains(string(data), "fleet") {
 		t.Fatal("serial document grew a fleet block")
 	}
+}
 
-	fragA := &RoutingBenchFile{Topology: "g", Rows: []RoutingRow{{Seq: 0}},
-		Fleet: &dispatch.FleetStats{Releases: 2, Reconnects: 1, Poisoned: 1, LocalItems: 3, Recovered: 1}}
-	fragB := &RoutingBenchFile{Topology: "g", Rows: []RoutingRow{{Seq: 1}},
-		Fleet: &dispatch.FleetStats{Releases: 1, Revocations: 4, Rejected: 2, LocalItems: 25, Degraded: 1}}
-	merged, err := MergeRoutingFiles([]*RoutingBenchFile{fragA, fragB})
+// TestRoutingBenchFileWarmFields: a fleet document carries no
+// warm-transfer keys, since coverage travels inside each job spec and
+// the fleet block holds only the hub's counters.
+func TestRoutingBenchFileWarmFields(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_routing.json")
+	in := &RoutingBenchFile{
+		Topology: "grid", Seed: 1, LayoutTrials: 2, RoutingTrials: 2,
+		Rows:  []RoutingRow{{Seq: 0, Circuit: "a", Router: "mirage"}, {Seq: 1, Circuit: "b", Router: "mirage"}},
+		Fleet: &dispatch.FleetStats{Releases: 6, Recovered: 1},
+	}
+	if err := in.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := dispatch.FleetStats{Releases: 3, Revocations: 4, Reconnects: 1,
-		Rejected: 2, Poisoned: 1, LocalItems: 28, Degraded: 1, Recovered: 1}
-	if merged.Fleet == nil || *merged.Fleet != want {
-		t.Fatalf("merged fleet = %+v, want %+v", merged.Fleet, want)
+	if strings.Contains(string(data), "warm_") {
+		t.Fatalf("fleet document carries warm-transfer keys:\n%s", data)
+	}
+	out, err := ReadRoutingBenchFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Fleet == nil || *out.Fleet != (dispatch.FleetStats{Releases: 6, Recovered: 1}) {
+		t.Fatalf("fleet = %+v, want releases 6, recovered 1", out.Fleet)
+	}
+}
+
+func row(seq int, circuit, router string, depth float64) RoutingRow {
+	return RoutingRow{Seq: seq, Circuit: circuit, Router: router, DepthPulses: depth, WallMS: float64(seq) * 3}
+}
+
+func TestAlignRows(t *testing.T) {
+	baseline := []RoutingRow{
+		row(0, "a", "sabre", 1), row(1, "a", "mirage", 2), row(2, "gone", "sabre", 3),
+	}
+	current := []RoutingRow{
+		row(0, "a", "sabre", 1.5), row(1, "a", "mirage", 2), row(2, "fresh", "mirage", 9),
+	}
+	al := AlignRows(baseline, current)
+	if len(al.Pairs) != 2 || len(al.Added) != 1 || len(al.Removed) != 1 {
+		t.Fatalf("alignment = %d pairs, %d added, %d removed", len(al.Pairs), len(al.Added), len(al.Removed))
+	}
+	if al.Pairs[0][0].DepthPulses != 1 || al.Pairs[0][1].DepthPulses != 1.5 {
+		t.Fatalf("pair 0 mismatched: %+v", al.Pairs[0])
+	}
+	if al.Added[0].Circuit != "fresh" {
+		t.Fatalf("added = %+v", al.Added)
+	}
+	if al.Removed[0] != (RowKey{"gone", "sabre"}) {
+		t.Fatalf("removed = %+v", al.Removed)
 	}
 }

@@ -1,7 +1,6 @@
 package circuit
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
@@ -187,25 +186,27 @@ func embed1Q(m linalg.Mat2, s int) linalg.Mat4 {
 
 // --- Coordinate cache (paper Fig. 13a) ---
 
-// coordKey is the quantised matrix key: every entry rounded to 1e-7
-// (the same resolution the string-based key used), packed into a
-// comparable fixed-size array. Building one is pure stack work — no
-// byte-slice, no string conversion, no hashing allocation.
-type coordKey [32]int32
+// coordKey is a block interior's exact key: the IEEE-754 bits of the
+// real and imaginary parts of its 16 entries. Interiors share an entry
+// only when they are bit-identical, so a hit returns exactly what
+// weyl.CoordinateOfMat4 computes for the matrix at hand. (Keying on
+// the Mat4 value would merge -0 with +0, which cmplx.Phase tells
+// apart, and a NaN key would never hit.)
+type coordKey [32]uint64
 
-// coordKeyScale quantises matrix entries at 1e-7 resolution: far finer
-// than any polytope feature, coarse enough to absorb the accumulated
-// floating-point noise of block products.
-const coordKeyScale = 1e7
-
-func quantiseMat4(m linalg.Mat4) coordKey {
+func keyOf(m linalg.Mat4) coordKey {
 	var k coordKey
 	for i, v := range m {
-		k[2*i] = int32(math.Round(real(v) * coordKeyScale))
-		k[2*i+1] = int32(math.Round(imag(v) * coordKeyScale))
+		k[2*i] = math.Float64bits(real(v))
+		k[2*i+1] = math.Float64bits(imag(v))
 	}
 	return k
 }
+
+// coordCacheCap bounds the cache; it is cleared when full. A
+// long-running worker or service would otherwise only grow it, while
+// one small-mirror or Fig. 12 benchmark run fills a few thousand.
+const coordCacheCap = 1 << 15
 
 var (
 	coordCache   = map[coordKey]weyl.Coordinate{}
@@ -215,7 +216,7 @@ var (
 )
 
 // cachedCoordinate returns the Weyl coordinate of a 4x4 unitary,
-// memoised on the quantised matrix entries.
+// memoised on the exact matrix entries.
 func cachedCoordinate(m *linalg.Matrix) weyl.Coordinate {
 	return cachedCoordinateMat4(linalg.Mat4From(m))
 }
@@ -223,7 +224,7 @@ func cachedCoordinate(m *linalg.Matrix) weyl.Coordinate {
 // cachedCoordinateMat4 is cachedCoordinate on the fixed-size type; a
 // cache hit performs no allocation at all.
 func cachedCoordinateMat4(m linalg.Mat4) weyl.Coordinate {
-	key := quantiseMat4(m)
+	key := keyOf(m)
 	coordCacheMu.Lock()
 	if c, ok := coordCache[key]; ok {
 		coordHits++
@@ -240,6 +241,9 @@ func cachedCoordinateMat4(m linalg.Mat4) weyl.Coordinate {
 		c = weyl.IdentityCoord
 	}
 	coordCacheMu.Lock()
+	if len(coordCache) >= coordCacheCap {
+		clear(coordCache)
+	}
 	coordCache[key] = c
 	coordCacheMu.Unlock()
 	return c
@@ -281,18 +285,4 @@ func AnnotateCoordinates(c *Circuit) {
 			op.Coord = &coord
 		}
 	}
-}
-
-// BlockCount returns a human-readable summary of block sizes after
-// consolidation (used by tooling).
-func BlockCount(c *Circuit) string {
-	blocks, singles := 0, 0
-	for _, op := range c.Ops {
-		if op.Is2Q() {
-			blocks++
-		} else {
-			singles++
-		}
-	}
-	return fmt.Sprintf("%d 2Q blocks, %d 1Q ops", blocks, singles)
 }

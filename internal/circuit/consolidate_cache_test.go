@@ -1,10 +1,10 @@
 package circuit
 
-// Tests for the coordinate cache under the comparable quantised keys:
-// quantisation collisions (matrices within rounding distance must
-// share one entry), quantisation boundaries (matrices straddling a
-// rounding step must not), and concurrent access (exercised by the CI
-// -race lane).
+// Tests for the coordinate cache under exact keys: every matrix,
+// however close to another, gets the coordinate weyl.CoordinateOfMat4
+// computes for it, bit for bit, so cache contents never leak into a
+// result; the cache stays bounded; and concurrent access is safe
+// (exercised by the CI -race lane).
 
 import (
 	"math"
@@ -25,56 +25,132 @@ func perturb(m *linalg.Matrix, delta float64) *linalg.Matrix {
 	return out
 }
 
+// sameBits reports whether two coordinates are bit-identical.
+func sameBits(a, b weyl.Coordinate) bool {
+	return math.Float64bits(a.X) == math.Float64bits(b.X) &&
+		math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
+		math.Float64bits(a.Z) == math.Float64bits(b.Z)
+}
+
+// checkOwnCoordinates looks each matrix up in the cache, in order, and
+// fails unless every lookup returns the matrix's own coordinate (the
+// origin where weyl.CoordinateOfMat4 fails, as the cache falls back).
+func checkOwnCoordinates(t *testing.T, mats ...*linalg.Matrix) {
+	t.Helper()
+	for i, m := range mats {
+		want, err := weyl.CoordinateOfMat4(linalg.Mat4From(m))
+		if err != nil {
+			want = weyl.IdentityCoord
+		}
+		if got := cachedCoordinate(m); !sameBits(got, want) {
+			t.Fatalf("matrix %d: cached coordinate %v, its own is %v", i, got, want)
+		}
+	}
+}
+
+// TestCoordinateCacheQuantisationCollision: matrices closer than any
+// rounding step (3e-8 apart) do not share an entry; only a
+// bit-identical matrix hits.
 func TestCoordinateCacheQuantisationCollision(t *testing.T) {
 	ResetCoordinateCache()
 	base := gates.CX().Matrix()
-	c0 := cachedCoordinate(base)
-
-	// 3e-8 is below half a quantisation step (5e-8 at scale 1e7) and
-	// CX's (0,0) entry is exactly 1, so the perturbed matrix rounds to
-	// the same key: the lookup must hit and return the cached value
-	// even though the matrices differ bitwise.
-	c1 := cachedCoordinate(perturb(base, 3e-8))
-	hits, misses := CoordinateCacheStats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("collision case: hits=%d misses=%d, want 1/1", hits, misses)
-	}
-	if c0 != c1 {
-		t.Fatalf("collision case returned different coordinates: %v vs %v", c0, c1)
+	checkOwnCoordinates(t, base, perturb(base, 3e-8), base.Copy())
+	if hits, misses := CoordinateCacheStats(); hits != 1 || misses != 2 {
+		t.Fatalf("hits=%d misses=%d, want 1/2", hits, misses)
 	}
 }
 
+// TestCoordinateCacheQuantisationBoundary: matrices that differ in the
+// last bits of one entry, or only in the sign of a zero, get entries of
+// their own.
 func TestCoordinateCacheQuantisationBoundary(t *testing.T) {
 	ResetCoordinateCache()
 	base := gates.CX().Matrix()
-	// 4.9e-8 and 5.1e-8 perturbations differ by 2e-9 but sit on
-	// opposite sides of the 5e-8 rounding boundary, so they must get
-	// distinct keys (two misses, no false sharing).
-	cachedCoordinate(perturb(base, 4.9e-8))
-	cachedCoordinate(perturb(base, 5.1e-8))
-	if hits, misses := CoordinateCacheStats(); hits != 0 || misses != 2 {
-		t.Fatalf("boundary case: hits=%d misses=%d, want 0/2", hits, misses)
-	}
-
-	// And the quantised keys really are what separates them.
-	k1 := quantiseMat4(linalg.Mat4From(perturb(base, 4.9e-8)))
-	k2 := quantiseMat4(linalg.Mat4From(perturb(base, 5.1e-8)))
-	if k1 == k2 {
-		t.Fatal("keys on opposite sides of a rounding boundary collided")
+	negZero := base.Copy()
+	negZero.Set(0, 1, complex(math.Copysign(0, -1), 0))
+	checkOwnCoordinates(t, perturb(base, 4.9e-8), perturb(base, 5.1e-8), base, negZero)
+	if hits, misses := CoordinateCacheStats(); hits != 0 || misses != 4 {
+		t.Fatalf("hits=%d misses=%d, want 0/4", hits, misses)
 	}
 }
 
+// TestCoordinateCacheKeyIgnoresNoise: two builds of one block unitary,
+// one of them through a round trip U·U†, carry different round-off.
+// The key does not ignore it: each build gets its own coordinate.
 func TestCoordinateCacheKeyIgnoresNoise(t *testing.T) {
-	// Two builds of the same block unitary through different
-	// association orders accumulate different round-off; the cache key
-	// must identify them (this is the property the routing cost model
-	// relies on: one polytope query per gate class).
+	ResetCoordinateCache()
 	a := gates.RZZ(0.7).Matrix()
 	b := gates.ISwapPow(0.3).Matrix()
-	m1 := a.Mul(b).Mul(a)
-	m2 := a.Mul(b.Mul(a))
-	if quantiseMat4(linalg.Mat4From(m1)) != quantiseMat4(linalg.Mat4From(m2)) {
-		t.Fatal("association-order round-off changed the quantised key")
+	m1 := a.Mul(b)
+	m2 := a.Mul(b).Mul(a).Mul(a.Dagger())
+	if keyOf(linalg.Mat4From(m1)) == keyOf(linalg.Mat4From(m2)) {
+		t.Fatal("the round trip left no round-off to key on")
+	}
+	checkOwnCoordinates(t, m1, m2)
+	if _, misses := CoordinateCacheStats(); misses != 2 {
+		t.Fatalf("misses=%d, want one per build", misses)
+	}
+}
+
+// TestCoordinateCacheDoesNotLeak: a cache filled with near copies of a
+// circuit's block interiors leaves its consolidation bit-identical to
+// a cold-cache run.
+func TestCoordinateCacheDoesNotLeak(t *testing.T) {
+	c := New("leak", 4)
+	c.Add(gates.RZ(0.1), 0)
+	c.Add(gates.CX(), 0, 1)
+	c.Add(gates.RY(0.3), 0)
+	c.Add(gates.CX(), 0, 1)
+	c.Add(gates.RZZ(0.7), 2, 3)
+	c.Add(gates.ISwapPow(0.3), 2, 1)
+	// The interiors ConsolidateBlocks builds for c's three blocks.
+	var b01 blockInterior
+	b01.open(c.Ops[1], 0)
+	b01.apply1Q(linalg.Mat2From(gates.RY(0.3).Matrix()), 0)
+	b01.apply2Q(c.Ops[3], 0)
+	interiors := []linalg.Mat4{b01.interior, orientMat4(c.Ops[4], 2), orientMat4(c.Ops[5], 1)}
+
+	ResetCoordinateCache()
+	cold := ConsolidateBlocks(c)
+	for _, m := range interiors {
+		cachedCoordinateMat4(m)
+	}
+	if hits, _ := CoordinateCacheStats(); hits != int64(len(interiors)) {
+		t.Fatalf("%d of %d interiors hit: the test does not rebuild c's interiors", hits, len(interiors))
+	}
+
+	ResetCoordinateCache()
+	for _, m := range interiors {
+		m[0] += 3e-8
+		cachedCoordinateMat4(m)
+	}
+	warm := ConsolidateBlocks(c)
+	for i, op := range cold.Ops {
+		if op.Coord == nil {
+			continue
+		}
+		if !sameBits(*op.Coord, *warm.Ops[i].Coord) {
+			t.Fatalf("op %d: coordinate %v after a filled cache, %v cold", i, *warm.Ops[i].Coord, *op.Coord)
+		}
+	}
+}
+
+// TestCoordinateCacheBounded: the cache is cleared when it reaches its
+// bound, so a long-lived process does not grow it forever.
+func TestCoordinateCacheBounded(t *testing.T) {
+	ResetCoordinateCache()
+	defer ResetCoordinateCache()
+	coordCacheMu.Lock()
+	for i := 0; i < coordCacheCap; i++ {
+		coordCache[coordKey{uint64(i)}] = weyl.IdentityCoord
+	}
+	coordCacheMu.Unlock()
+	cachedCoordinateMat4(linalg.Mat4From(gates.CX().Matrix()))
+	coordCacheMu.Lock()
+	n := len(coordCache)
+	coordCacheMu.Unlock()
+	if n != 1 {
+		t.Fatalf("%d entries after a miss on a full cache, want 1 (cleared at the bound)", n)
 	}
 }
 

@@ -22,9 +22,11 @@
 //
 // A Queue hands out leases (half-open index ranges), takes failed
 // leases back for re-granting lowest index first, accepts completed
-// results from any goroutine, and consumes them in index order. Both
-// transports drive a *Queue directly, so the in-process adapter and
-// the TCP coordinator are interchangeable over any Queue.
+// results from any goroutine, drops those outside their lease, and
+// consumes the rest in index order. Both transports drive a *Queue
+// directly. RunLocal drives a Queue of any result type. Hub.RunJob
+// drives a Queue[WireItem]: the hub moves wire items without reading
+// their payload, and the job's consume callback decodes each one.
 //
 // # Transports
 //

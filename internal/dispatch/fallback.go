@@ -57,7 +57,7 @@ func (lex *localExec) runItem(i int) WireItem {
 // their results out-of-band. A local failure does not silently vanish:
 // the item's error — consumed at its index position like any other —
 // carries the quarantine history.
-func (jr *jobRun[T]) runQuarantined(idxs []int) {
+func (jr *jobRun) runQuarantined(idxs []int) {
 	wires := make([]WireItem, 0, len(idxs))
 	for _, i := range idxs {
 		wi := jr.lex.runItem(i)
@@ -75,7 +75,7 @@ func (jr *jobRun[T]) runQuarantined(idxs []int) {
 // Results land through the same journal/queue path a worker's results
 // take, so a rejoining worker can interleave and the output stays
 // bit-identical.
-func (jr *jobRun[T]) runLocalRemainder() {
+func (jr *jobRun) runLocalRemainder() {
 	for {
 		l, ok := jr.q.Lease()
 		if !ok {

@@ -15,7 +15,7 @@ func serialBest(max, patience int) (bestAt, executed int) {
 	consume, best, exec := argminConsume(patience)
 	f := func(i int) float64 { return float64((i*31 + 7) % 23) }
 	for i := 0; i < max; i++ {
-		if consume(i, f(i)) {
+		if consume(i, WireItem{Score: f(i)}) {
 			break
 		}
 	}
@@ -47,8 +47,8 @@ func TestHeartbeatKeepsSlowWorkerAlive(t *testing.T) {
 	h = NewHub()
 	h.HeartbeatTimeout = 100 * time.Millisecond
 	startWorkers(t, h, 1, slowHandlers(-1, 250*time.Millisecond), &ServeOptions{HeartbeatInterval: -1})
-	q := NewQueue(3, 1, func(int, float64) bool { return false })
-	_, err := RunJob(h, "score", nil, q, func(wi WireItem) (float64, error) { return wi.Score, nil })
+	q := NewQueue(3, 1, func(int, WireItem) bool { return false })
+	_, err := h.RunJob("score", nil, q)
 	if err == nil {
 		t.Fatal("silent slow worker completed a job inside the heartbeat deadline")
 	}
@@ -117,9 +117,9 @@ func TestJobDeadlineListsOutstandingLeases(t *testing.T) {
 	startWorkers(t, h, 1, testHandlers(-1), &ServeOptions{
 		Chaos: &ChaosConfig{StallOnLease: 1, StallFor: 600 * time.Millisecond},
 	})
-	q := NewQueue(50, 4, func(int, float64) bool { return false })
+	q := NewQueue(50, 4, func(int, WireItem) bool { return false })
 	start := time.Now()
-	_, err := RunJob(h, "score", nil, q, func(wi WireItem) (float64, error) { return wi.Score, nil })
+	_, err := h.RunJob("score", nil, q)
 	if err == nil {
 		t.Fatal("stalled job beat its deadline")
 	}
@@ -164,8 +164,8 @@ func TestCorruptFrameQuarantinesWorker(t *testing.T) {
 	startWorkers(t, h, 1, testHandlers(-1), &ServeOptions{
 		Chaos: &ChaosConfig{Seed: 7, CorruptOnLease: 1},
 	})
-	q := NewQueue(10, 4, func(int, float64) bool { return false })
-	_, err := RunJob(h, "score", nil, q, func(wi WireItem) (float64, error) { return wi.Score, nil })
+	q := NewQueue(10, 4, func(int, WireItem) bool { return false })
+	_, err := h.RunJob("score", nil, q)
 	if err == nil {
 		t.Fatal("corrupt-only fleet completed the job")
 	}
@@ -201,10 +201,10 @@ func TestPartialWriteRecovered(t *testing.T) {
 func TestHubDrainStopsIssuingAndReleasesRemainder(t *testing.T) {
 	h := NewHub()
 	startWorkers(t, h, 2, slowHandlers(-1, 5*time.Millisecond), nil)
-	q := NewQueue(400, 4, func(int, float64) bool { return false })
+	q := NewQueue(400, 4, func(int, WireItem) bool { return false })
 	errc := make(chan error, 1)
 	go func() {
-		_, err := RunJob(h, "score", nil, q, func(wi WireItem) (float64, error) { return wi.Score, nil })
+		_, err := h.RunJob("score", nil, q)
 		errc <- err
 	}()
 	time.Sleep(40 * time.Millisecond)
@@ -222,8 +222,8 @@ func TestHubDrainStopsIssuingAndReleasesRemainder(t *testing.T) {
 	if h.Workers() != 2 {
 		t.Fatalf("%d workers pooled after drain, want 2 (drain keeps the fleet)", h.Workers())
 	}
-	q2 := NewQueue(5, 1, func(int, float64) bool { return false })
-	if _, err := RunJob(h, "score", nil, q2, func(wi WireItem) (float64, error) { return wi.Score, nil }); !errors.Is(err, ErrDraining) {
+	q2 := NewQueue(5, 1, func(int, WireItem) bool { return false })
+	if _, err := h.RunJob("score", nil, q2); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-drain job returned %v, want ErrDraining", err)
 	}
 	h.Close()
@@ -263,7 +263,7 @@ func TestWorkerDrainReturnsLease(t *testing.T) {
 	go func() {
 		consume, best, executed := argminConsume(0)
 		q := NewQueue(max, 10, consume)
-		_, err := RunJob(h, "score", nil, q, func(wi WireItem) (float64, error) { return wi.Score, nil })
+		_, err := h.RunJob("score", nil, q)
 		a, _ := best()
 		at, exec = a, executed()
 		errc <- err
@@ -364,8 +364,8 @@ func TestAdmissionControlRejectsWhenQueued(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			q := NewQueue(max, 4, func(int, float64) bool { return false })
-			_, err := RunJob(h, "score", nil, q, func(wi WireItem) (float64, error) { return wi.Score, nil })
+			q := NewQueue(max, 4, func(int, WireItem) bool { return false })
+			_, err := h.RunJob("score", nil, q)
 			c <- err
 		}()
 		return c

@@ -129,9 +129,7 @@ type Hub struct {
 	pendingJobs int   // RunJob calls admitted but not yet active
 	startedJobs int64 // jobs that began pumping (reconnect detection)
 
-	activeJob    *jobState
-	activeLaunch func(*hubConn)
-	activeFreeze func()
+	active *jobRun // the running job; nil between jobs
 
 	statsMu sync.Mutex // a leaf lock: guards stats only
 	stats   FleetStats
@@ -166,8 +164,7 @@ type FleetStats struct {
 	Recovered    int64 `json:"recovered"`
 }
 
-// Add sums o into s field by field: the hub's counting rule, and the
-// merge rule of fleet counters across BENCH_routing.json fragments.
+// Add sums o into s field by field: the hub's counting rule.
 func (s *FleetStats) Add(o FleetStats) {
 	sv, ov := reflect.ValueOf(s).Elem(), reflect.ValueOf(o)
 	for i := 0; i < sv.NumField(); i++ {
@@ -235,78 +232,6 @@ func (hc *hubConn) peer() string {
 	return "unknown"
 }
 
-// jobState is the bookkeeping for one active RunJob: how many pumpers
-// are live, which connections are awaiting lease results (so deadline
-// and drain timers can sever exactly those), and whether the job has
-// been frozen by a drain.
-type jobState struct {
-	mu         sync.Mutex
-	cond       *sync.Cond
-	active     int
-	frozen     bool
-	graceTimer *time.Timer
-	graceUp    bool
-	inFlight   map[*hubConn]bool
-}
-
-func newJobState() *jobState {
-	j := &jobState{inFlight: make(map[*hubConn]bool)}
-	j.cond = sync.NewCond(&j.mu)
-	return j
-}
-
-// enter registers an active executor (a pumper or a local quarantine
-// run) with the job; any pending rejoin-grace countdown is cancelled,
-// because the job is no longer idle.
-func (j *jobState) enter() {
-	j.mu.Lock()
-	j.active++
-	if j.graceTimer != nil {
-		j.graceTimer.Stop()
-		j.graceTimer = nil
-	}
-	j.graceUp = false
-	j.mu.Unlock()
-}
-
-// exit retires an active executor and wakes the job waiter.
-func (j *jobState) exit() {
-	j.mu.Lock()
-	j.active--
-	j.cond.Broadcast()
-	j.mu.Unlock()
-}
-
-func (j *jobState) setInFlight(hc *hubConn, v bool) {
-	j.mu.Lock()
-	if v {
-		j.inFlight[hc] = true
-	} else {
-		delete(j.inFlight, hc)
-	}
-	j.mu.Unlock()
-}
-
-// closeInFlight severs every connection currently awaiting lease
-// results, returning how many it closed. The pumpers' decode errors
-// fail the leases back to the queue.
-func (j *jobState) closeInFlight() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	n := 0
-	for hc := range j.inFlight {
-		hc.c.Close()
-		n++
-	}
-	return n
-}
-
-func (j *jobState) isFrozen() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.frozen
-}
-
 // NewHub returns an empty worker pool.
 func NewHub() *Hub {
 	h := &Hub{conns: make(map[*hubConn]bool)}
@@ -350,8 +275,8 @@ func (h *Hub) AddConn(c net.Conn) {
 	if h.startedJobs > 0 {
 		h.count(FleetStats{Reconnects: 1})
 	}
-	if launch := h.activeLaunch; launch != nil {
-		launch(hc)
+	if h.active != nil {
+		h.active.launch(hc)
 	}
 	h.cond.Broadcast()
 	h.mu.Unlock()
@@ -412,26 +337,23 @@ func (h *Hub) Close() {
 func (h *Hub) Drain(wait time.Duration) {
 	h.mu.Lock()
 	h.draining = true
-	freeze := h.activeFreeze
-	job := h.activeJob
+	jr := h.active
 	h.mu.Unlock()
-	if freeze != nil {
-		freeze()
-	}
-	if job == nil {
+	if jr == nil {
 		return
 	}
+	jr.freeze()
 	var t *time.Timer
 	if wait > 0 {
-		t = time.AfterFunc(wait, func() { job.closeInFlight() })
+		t = time.AfterFunc(wait, func() { jr.closeInFlight() })
 	}
 	// Wait for every pumper of the active job to retire; queued RunJob
 	// calls behind it fail fast with ErrDraining on their own.
-	job.mu.Lock()
-	for job.active > 0 {
-		job.cond.Wait()
+	jr.mu.Lock()
+	for jr.executors > 0 {
+		jr.cond.Wait()
 	}
-	job.mu.Unlock()
+	jr.mu.Unlock()
 	if t != nil {
 		t.Stop()
 	}
@@ -448,11 +370,13 @@ func (h *Hub) drop(hc *hubConn) {
 
 // RunJob runs one job over every currently pooled worker: each worker
 // receives (kind, spec), prepares, and then pumps leases from q until
-// the queue is finished. fromWire converts a wire item's payload into
-// the queue's result type (a conversion failure is consumed as that
-// item's error, deterministically). It returns the per-worker epilogue
-// blobs of the workers that finished the job, and the queue's error —
-// the same error a local run would have returned.
+// the queue is finished. The hub moves wire items and never reads
+// their payload: q's consume callback receives each item in index
+// order, after the queue dropped every item outside its lease, and
+// decodes it there. An item's Err is consumed as that item's error,
+// as a local run's would be. It returns the per-worker epilogue blobs
+// of the workers that finished the job, and the queue's error — the
+// same error a local run would have returned.
 //
 // Workers that decline the job (bad spec) sit the job out but stay
 // pooled; workers whose connection fails, breaches a heartbeat or
@@ -468,7 +392,7 @@ func (h *Hub) drop(hc *hubConn) {
 // persisted before use, and a restarted coordinator replays them. Jobs
 // are serialised: concurrent RunJob calls queue behind one another,
 // bounded by MaxQueuedJobs.
-func RunJob[T any](h *Hub, kind string, spec []byte, q *Queue[T], fromWire func(WireItem) (T, error)) ([][]byte, error) {
+func (h *Hub) RunJob(kind string, spec []byte, q *Queue[WireItem]) ([][]byte, error) {
 	// Admission control: fail fast while draining or over-queued,
 	// before blocking on the job lock.
 	h.mu.Lock()
@@ -496,15 +420,9 @@ func RunJob[T any](h *Hub, kind string, spec []byte, q *Queue[T], fromWire func(
 		return nil, fmt.Errorf("dispatch: job %q rejected: %w", kind, ErrDraining)
 	}
 
-	jr := &jobRun[T]{
-		h:        h,
-		job:      newJobState(),
-		kind:     kind,
-		spec:     spec,
-		q:        q,
-		fromWire: fromWire,
-		lex:      h.localExecFor(kind, spec),
-	}
+	jr := &jobRun{h: h, kind: kind, spec: spec, q: q, lex: h.localExecFor(kind, spec),
+		inFlight: make(map[*hubConn]bool)}
+	jr.cond = sync.NewCond(&jr.mu)
 
 	// Journal the job (and replay a previous run's banked results)
 	// before any lease can be granted: recovered indices are marked
@@ -517,11 +435,7 @@ func RunJob[T any](h *Hub, kind string, spec []byte, q *Queue[T], fromWire func(
 		if rec != nil {
 			h.count(FleetStats{Recovered: 1})
 			h.logf("dispatch: job %q: replaying %d journaled result item(s) from %s", kind, len(rec.Items), rec.Path)
-			items := make([]Completed[T], 0, len(rec.Items))
-			for _, wi := range rec.Items {
-				items = append(items, completedFromWire(wi, fromWire))
-			}
-			q.Deliver(items)
+			q.Deliver(completed(rec.Items))
 		}
 		if q.Finished() {
 			// Pure replay: the journaled prefix already satisfies the
@@ -545,7 +459,6 @@ func RunJob[T any](h *Hub, kind string, spec []byte, q *Queue[T], fromWire func(
 		q.SetPoisonThreshold(PoisonThreshold)
 	}
 
-	job := jr.job
 	h.mu.Lock()
 	conns := make([]*hubConn, 0, len(h.conns))
 	for hc := range h.conns {
@@ -556,22 +469,12 @@ func RunJob[T any](h *Hub, kind string, spec []byte, q *Queue[T], fromWire func(
 		return nil, errors.New("dispatch: no workers connected")
 	}
 	h.startedJobs++
-	h.activeJob = job
-	h.activeLaunch = jr.launch
-	h.activeFreeze = func() {
-		job.mu.Lock()
-		job.frozen = true
-		job.cond.Broadcast()
-		job.mu.Unlock()
-		q.Freeze()
-	}
+	h.active = jr
 	h.mu.Unlock()
 
 	defer func() {
 		h.mu.Lock()
-		h.activeJob = nil
-		h.activeLaunch = nil
-		h.activeFreeze = nil
+		h.active = nil
 		h.mu.Unlock()
 	}()
 
@@ -583,7 +486,7 @@ func RunJob[T any](h *Hub, kind string, spec []byte, q *Queue[T], fromWire func(
 		d := h.JobDeadline
 		timer := time.AfterFunc(d, func() {
 			q.Abort(fmt.Errorf("dispatch: job %q exceeded deadline %s (%s)", kind, d, q.UnfinishedSummary()))
-			n := job.closeInFlight()
+			n := jr.closeInFlight()
 			h.count(FleetStats{Revocations: int64(n)})
 		})
 		defer timer.Stop()
@@ -594,50 +497,47 @@ func RunJob[T any](h *Hub, kind string, spec []byte, q *Queue[T], fromWire func(
 	// fleet emptying is not final while RejoinGrace is open. A job
 	// stranded with work outstanding (fleet empty, grace exhausted)
 	// degrades to local execution when LocalHandlers allow it.
-	job.mu.Lock()
+	jr.mu.Lock()
 	for {
-		if job.active > 0 {
-			job.cond.Wait()
+		if jr.executors > 0 {
+			jr.cond.Wait()
 			continue
 		}
-		if q.Finished() || job.frozen {
+		if q.Finished() || jr.frozen {
 			break
 		}
 		g := h.RejoinGrace
-		if g <= 0 || job.graceUp {
+		if g <= 0 || jr.graceUp {
 			if jr.lex.available() {
-				job.mu.Unlock()
+				jr.mu.Unlock()
 				h.count(FleetStats{Degraded: 1})
 				h.logf("dispatch: DEGRADED MODE: job %q has no live workers (rejoin grace %s exhausted); executing the remainder locally on the coordinator (%s)", kind, g, q.UnfinishedSummary())
 				jr.runLocalRemainder()
-				job.mu.Lock()
+				jr.mu.Lock()
 				continue
 			}
 			break
 		}
-		if job.graceTimer == nil {
-			job.graceTimer = time.AfterFunc(g, func() {
-				job.mu.Lock()
-				job.graceUp = true
-				job.cond.Broadcast()
-				job.mu.Unlock()
+		if jr.graceTimer == nil {
+			jr.graceTimer = time.AfterFunc(g, func() {
+				jr.mu.Lock()
+				jr.graceUp = true
+				jr.cond.Broadcast()
+				jr.mu.Unlock()
 			})
 		}
-		job.cond.Wait()
+		jr.cond.Wait()
 	}
-	if job.graceTimer != nil {
-		job.graceTimer.Stop()
+	if jr.graceTimer != nil {
+		jr.graceTimer.Stop()
 	}
-	frozen := job.frozen
-	job.mu.Unlock()
+	frozen, lastErr, epilogues := jr.frozen, jr.lastErr, jr.epilogues
+	jr.mu.Unlock()
 
 	if !q.Finished() {
 		if frozen {
 			return nil, fmt.Errorf("dispatch: job %q drained with work outstanding (%s): %w", kind, q.UnfinishedSummary(), ErrDraining)
 		}
-		jr.epMu.Lock()
-		lastErr := jr.lastErr
-		jr.epMu.Unlock()
 		if lastErr == nil {
 			lastErr = errors.New("dispatch: all workers declined the job")
 		}
@@ -653,51 +553,107 @@ func RunJob[T any](h *Hub, kind string, spec []byte, q *Queue[T], fromWire func(
 			h.logf("dispatch: job %q: writing journal completion marker: %v", kind, err)
 		}
 	}
-	jr.epMu.Lock()
-	epilogues := jr.epilogues
-	jr.epMu.Unlock()
 	return epilogues, q.Err()
 }
 
-// jobRun bundles the per-job context one RunJob call threads through
-// its pumpers, the journal, and the local (quarantine/degraded)
-// execution paths.
-type jobRun[T any] struct {
-	h        *Hub
-	job      *jobState
-	kind     string
-	spec     []byte
-	q        *Queue[T]
-	fromWire func(WireItem) (T, error)
-	jw       *jobJournal
-	lex      *localExec
+// jobRun is one RunJob call: the context it threads through its
+// pumpers, the journal and the local (quarantine/degraded) execution
+// paths, and the bookkeeping of who still executes it — how many
+// executors are live, which connections await lease results (so
+// deadline and drain timers can sever exactly those), and whether a
+// drain froze it.
+type jobRun struct {
+	h    *Hub
+	kind string
+	spec []byte
+	q    *Queue[WireItem]
+	jw   *jobJournal
+	lex  *localExec
 
-	epMu      sync.Mutex
-	epilogues [][]byte
-	lastErr   error
+	mu         sync.Mutex
+	cond       *sync.Cond
+	executors  int
+	frozen     bool
+	graceTimer *time.Timer
+	graceUp    bool
+	inFlight   map[*hubConn]bool
+	epilogues  [][]byte
+	lastErr    error
+}
+
+// enter registers an executor (a pumper or a local quarantine run)
+// with the job; any pending rejoin-grace countdown is cancelled,
+// because the job is no longer idle.
+func (jr *jobRun) enter() {
+	jr.mu.Lock()
+	jr.executors++
+	if jr.graceTimer != nil {
+		jr.graceTimer.Stop()
+		jr.graceTimer = nil
+	}
+	jr.graceUp = false
+	jr.mu.Unlock()
+}
+
+// exit retires an executor and wakes the job waiter.
+func (jr *jobRun) exit() {
+	jr.mu.Lock()
+	jr.executors--
+	jr.cond.Broadcast()
+	jr.mu.Unlock()
+}
+
+// freeze stops granting leases for a drain; in-flight leases still land.
+func (jr *jobRun) freeze() {
+	jr.mu.Lock()
+	jr.frozen = true
+	jr.cond.Broadcast()
+	jr.mu.Unlock()
+	jr.q.Freeze()
+}
+
+func (jr *jobRun) setInFlight(hc *hubConn, v bool) {
+	jr.mu.Lock()
+	if v {
+		jr.inFlight[hc] = true
+	} else {
+		delete(jr.inFlight, hc)
+	}
+	jr.mu.Unlock()
+}
+
+// closeInFlight severs every connection currently awaiting lease
+// results, returning how many it closed. The pumpers' decode errors
+// fail the leases back to the queue.
+func (jr *jobRun) closeInFlight() int {
+	jr.mu.Lock()
+	defer jr.mu.Unlock()
+	for hc := range jr.inFlight {
+		hc.c.Close()
+	}
+	return len(jr.inFlight)
 }
 
 // launch admits a connection into the running job (the Hub calls it
 // for mid-job joiners too).
-func (jr *jobRun[T]) launch(hc *hubConn) {
-	jr.job.enter()
+func (jr *jobRun) launch(hc *hubConn) {
+	jr.enter()
 	go jr.runConn(hc)
 }
 
-func (jr *jobRun[T]) runConn(hc *hubConn) {
-	defer jr.job.exit()
+func (jr *jobRun) runConn(hc *hubConn) {
+	defer jr.exit()
 	ep, err := jr.pump(hc)
-	if err != nil {
-		if !errors.Is(err, errWorkerLeft) {
-			jr.epMu.Lock()
-			jr.lastErr = err
-			jr.epMu.Unlock()
-		}
-		jr.h.drop(hc)
-	} else if ep != nil {
-		jr.epMu.Lock()
+	jr.mu.Lock()
+	switch {
+	case err != nil && !errors.Is(err, errWorkerLeft):
+		jr.lastErr = err
+	case err == nil && ep != nil:
 		jr.epilogues = append(jr.epilogues, ep)
-		jr.epMu.Unlock()
+	}
+	jr.mu.Unlock()
+	if err != nil {
+		jr.h.drop(hc)
 	}
 }
 
@@ -705,7 +661,7 @@ func (jr *jobRun[T]) runConn(hc *hubConn) {
 // queue — the write-ahead ordering that makes recovery exact. A write
 // failure (or the chaos-injected coordinator crash) aborts the job:
 // results the journal cannot hold are results a restart would lose.
-func (jr *jobRun[T]) bank(items []WireItem) error {
+func (jr *jobRun) bank(items []WireItem) error {
 	n, crash := jr.h.Chaos.nextHubBatch()
 	if crash {
 		if jr.jw != nil {
@@ -729,20 +685,27 @@ func (jr *jobRun[T]) bank(items []WireItem) error {
 // land banks one result batch and hands it to the queue: as the
 // results of lease l, whose unreported tail (a worker item timeout or
 // drain) fails back for re-granting — a no-op once Complete retired a
-// full lease — or, with l nil, delivered outside any lease.
-func (jr *jobRun[T]) land(l *Lease, wires []WireItem) error {
+// full lease — or, with l nil, delivered outside any lease. Items a
+// worker numbered outside its lease are dropped before they are
+// banked, so neither the live run nor a journal replay consumes them.
+func (jr *jobRun) land(l *Lease, wires []WireItem) error {
+	if l != nil {
+		kept := wires[:0]
+		for _, wi := range wires {
+			if wi.Index >= l.Lo && wi.Index < l.Hi {
+				kept = append(kept, wi)
+			}
+		}
+		wires = kept
+	}
 	if err := jr.bank(wires); err != nil {
 		return err
 	}
-	items := make([]Completed[T], len(wires))
-	for i, wi := range wires {
-		items[i] = completedFromWire(wi, jr.fromWire)
-	}
 	if l == nil {
-		jr.q.Deliver(items)
+		jr.q.Deliver(completed(wires))
 		return nil
 	}
-	jr.q.Complete(l.ID, items)
+	jr.q.Complete(l.ID, completed(wires))
 	jr.q.Fail(l.ID)
 	return nil
 }
@@ -751,7 +714,7 @@ func (jr *jobRun[T]) land(l *Lease, wires []WireItem) error {
 // with suspicion: items repeatedly implicated in crashes are
 // quarantined and handed to the local executor instead of being
 // re-leased forever.
-func (jr *jobRun[T]) failLease(l Lease) {
+func (jr *jobRun) failLease(l Lease) {
 	jr.h.count(FleetStats{Releases: 1})
 	poisoned := jr.q.FailSuspect(l.ID)
 	if len(poisoned) == 0 {
@@ -759,17 +722,17 @@ func (jr *jobRun[T]) failLease(l Lease) {
 	}
 	jr.h.count(FleetStats{Poisoned: int64(len(poisoned))})
 	jr.h.logf("dispatch: job %q: quarantining poison item(s) %v — each implicated in %d worker crashes — for local execution on the coordinator", jr.kind, poisoned, PoisonThreshold)
-	jr.job.enter()
+	jr.enter()
 	go func() {
-		defer jr.job.exit()
+		defer jr.exit()
 		jr.runQuarantined(poisoned)
 	}()
 }
 
 // pump drives one worker connection through one job. Returns the
 // worker's epilogue blob (nil when it declined) or a transport error.
-func (jr *jobRun[T]) pump(hc *hubConn) ([]byte, error) {
-	h, q, job := jr.h, jr.q, jr.job
+func (jr *jobRun) pump(hc *hubConn) ([]byte, error) {
+	h, q := jr.h, jr.q
 	if err := hc.enc.Encode(wireJob{Kind: jr.kind, Spec: jr.spec}); err != nil {
 		h.count(FleetStats{Disconnects: 1})
 		return nil, fmt.Errorf("dispatch: worker %s: sending job: %w", hc.peer(), err)
@@ -800,9 +763,9 @@ func (jr *jobRun[T]) pump(hc *hubConn) ([]byte, error) {
 			h.count(FleetStats{Releases: 1, Disconnects: 1})
 			return nil, fmt.Errorf("dispatch: worker %s: sending lease %d [%d,%d): %w", hc.peer(), l.ID, l.Lo, l.Hi, err)
 		}
-		job.setInFlight(hc, true)
+		jr.setInFlight(hc, true)
 		res, err := h.awaitResults(hc, l.ID)
-		job.setInFlight(hc, false)
+		jr.setInFlight(hc, false)
 		if err != nil {
 			jr.failLease(l)
 			return nil, h.classifyLeaseError(hc, l, err)
@@ -917,13 +880,15 @@ func (h *Hub) classifyLeaseError(hc *hubConn, l Lease, err error) error {
 	}
 }
 
-func completedFromWire[T any](wi WireItem, fromWire func(WireItem) (T, error)) Completed[T] {
-	if wi.Err != "" {
-		return Completed[T]{Index: wi.Index, Err: errors.New(wi.Err)}
+// completed turns wire items into queue results; an item's Err
+// becomes its error, consumed at its index like a local one.
+func completed(wires []WireItem) []Completed[WireItem] {
+	items := make([]Completed[WireItem], len(wires))
+	for i, wi := range wires {
+		items[i] = Completed[WireItem]{Index: wi.Index, Value: wi}
+		if wi.Err != "" {
+			items[i].Err = errors.New(wi.Err)
+		}
 	}
-	v, err := fromWire(wi)
-	if err != nil {
-		return Completed[T]{Index: wi.Index, Err: fmt.Errorf("dispatch: decoding result %d: %w", wi.Index, err)}
-	}
-	return Completed[T]{Index: wi.Index, Value: v}
+	return items
 }

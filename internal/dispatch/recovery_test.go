@@ -54,7 +54,7 @@ func journaledScoreRun(t *testing.T, dir string, workers, max, lease, patience i
 	startWorkers(t, h, workers, testHandlers(-1), nil)
 	consume, best, executed := argminConsume(patience)
 	q := NewQueue(max, lease, consume)
-	eps, err = RunJob(h, "score", []byte("spec"), q, func(wi WireItem) (float64, error) { return wi.Score, nil })
+	eps, err = h.RunJob("score", []byte("spec"), q)
 	a, _ := best()
 	return a, executed(), eps, h.Stats(), err
 }
@@ -210,8 +210,8 @@ func TestPoisonItemLocalFailureCarriesContext(t *testing.T) {
 	defer h.Close()
 	startPoisonWorkers(t, h, 4, poison)
 
-	q := NewQueue(max, 1, func(int, float64) bool { return false })
-	_, err := RunJob(h, "score", nil, q, func(wi WireItem) (float64, error) { return wi.Score, nil })
+	q := NewQueue(max, 1, func(int, WireItem) bool { return false })
+	_, err := h.RunJob("score", nil, q)
 	if err == nil {
 		t.Fatal("job succeeded though the poison item fails everywhere")
 	}
@@ -285,8 +285,8 @@ func TestErrBusyCarriesLimitsAndCounts(t *testing.T) {
 	launch := func(max int) chan error {
 		c := make(chan error, 1)
 		go func() {
-			q := NewQueue(max, 4, func(int, float64) bool { return false })
-			_, err := RunJob(h, "score", nil, q, func(wi WireItem) (float64, error) { return wi.Score, nil })
+			q := NewQueue(max, 4, func(int, WireItem) bool { return false })
+			_, err := h.RunJob("score", nil, q)
 			c <- err
 		}()
 		return c

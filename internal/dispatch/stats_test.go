@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// TestFleetStatsAddSumsEveryField: Add is the merge rule of the fleet
-// block across BENCH_routing.json fragments, so a counter it leaves
-// out would silently read zero in every merged document.
+// TestFleetStatsAddSumsEveryField: Add is the hub's counting rule, so
+// a counter it leaves out would silently read zero in every fleet
+// block.
 func TestFleetStatsAddSumsEveryField(t *testing.T) {
 	var a, b FleetStats
 	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()

@@ -61,9 +61,10 @@ func startWorkers(t *testing.T, h *Hub, n int, handlers map[string]Handler, opts
 
 // argminConsume returns the consume func of an online argmin with
 // optional patience, plus accessors — the trial-selector shape.
-func argminConsume(patience int) (consume func(i int, v float64) bool, best func() (int, float64), executed func() int) {
+func argminConsume(patience int) (consume func(i int, wi WireItem) bool, best func() (int, float64), executed func() int) {
 	bestAt, bestScore, exec, since := -1, 0.0, 0, 0
-	consume = func(i int, v float64) bool {
+	consume = func(i int, wi WireItem) bool {
+		v := wi.Score
 		exec++
 		if bestAt < 0 || v < bestScore {
 			bestAt, bestScore, since = i, v, 0
@@ -81,7 +82,7 @@ func runScoreJob(t *testing.T, h *Hub, max, lease, patience int) (bestAt, execut
 	t.Helper()
 	consume, best, exec := argminConsume(patience)
 	q := NewQueue(max, lease, consume)
-	eps, err := RunJob(h, "score", nil, q, func(wi WireItem) (float64, error) { return wi.Score, nil })
+	eps, err := h.RunJob("score", nil, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestRunJobMatchesSerialAcrossWorkersAndLeases(t *testing.T) {
 		consume, best, exec := argminConsume(patience)
 		f := func(i int) float64 { return float64((i*31 + 7) % 23) }
 		for i := 0; i < max; i++ {
-			if consume(i, f(i)) {
+			if consume(i, WireItem{Score: f(i)}) {
 				break
 			}
 		}
@@ -160,8 +161,8 @@ func TestRunJobAllWorkersDead(t *testing.T) {
 	for w := 0; w < 2; w++ { // one ChaosConfig each: both die on their first lease
 		startWorkers(t, h, 1, testHandlers(-1), &ServeOptions{Chaos: &ChaosConfig{CrashOnLease: 1}})
 	}
-	q := NewQueue(50, 1, func(int, float64) bool { return false })
-	_, err := RunJob(h, "score", nil, q, func(wi WireItem) (float64, error) { return wi.Score, nil })
+	q := NewQueue(50, 1, func(int, WireItem) bool { return false })
+	_, err := h.RunJob("score", nil, q)
 	if err == nil {
 		t.Fatal("job completed with every worker dead")
 	}
@@ -175,7 +176,7 @@ func TestRunJobDeclinedWorkersSitOut(t *testing.T) {
 	// accept any spec, so route the decline through a spec value.
 	consume, best, _ := argminConsume(0)
 	q := NewQueue(20, 2, consume)
-	eps, err := RunJob(h, "score", []byte("decline"), q, func(wi WireItem) (float64, error) { return wi.Score, nil })
+	eps, err := h.RunJob("score", []byte("decline"), q)
 	if err == nil {
 		t.Fatal("all workers declined but job reported success")
 	}
@@ -190,8 +191,8 @@ func TestRunJobItemErrorStopsDeterministically(t *testing.T) {
 	h := NewHub()
 	startWorkers(t, h, 3, testHandlers(9), nil)
 	exec := 0
-	q := NewQueue(40, 2, func(i int, v float64) bool { exec++; return false })
-	_, err := RunJob(h, "score", nil, q, func(wi WireItem) (float64, error) { return wi.Score, nil })
+	q := NewQueue(40, 2, func(i int, v WireItem) bool { exec++; return false })
+	_, err := h.RunJob("score", nil, q)
 	if err == nil || !strings.Contains(err.Error(), "item 9 failed") {
 		t.Fatalf("err = %v, want item 9 failure", err)
 	}
@@ -204,8 +205,8 @@ func TestRunJobItemErrorStopsDeterministically(t *testing.T) {
 func TestRunJobUnknownKindFailsLoudly(t *testing.T) {
 	h := NewHub()
 	startWorkers(t, h, 1, testHandlers(-1), nil)
-	q := NewQueue(5, 1, func(int, float64) bool { return false })
-	_, err := RunJob(h, "no-such-kind", nil, q, func(wi WireItem) (float64, error) { return wi.Score, nil })
+	q := NewQueue(5, 1, func(int, WireItem) bool { return false })
+	_, err := h.RunJob("no-such-kind", nil, q)
 	if err == nil {
 		t.Fatal("unknown job kind succeeded")
 	}
@@ -214,8 +215,8 @@ func TestRunJobUnknownKindFailsLoudly(t *testing.T) {
 
 func TestRunJobNoWorkers(t *testing.T) {
 	h := NewHub()
-	q := NewQueue(5, 1, func(int, float64) bool { return false })
-	if _, err := RunJob(h, "score", nil, q, func(wi WireItem) (float64, error) { return wi.Score, nil }); err == nil {
+	q := NewQueue(5, 1, func(int, WireItem) bool { return false })
+	if _, err := h.RunJob("score", nil, q); err == nil {
 		t.Fatal("RunJob with no workers succeeded")
 	}
 }
@@ -241,7 +242,7 @@ func TestHubOverLoopbackTCP(t *testing.T) {
 		consume, best, wantExec := argminConsume(0)
 		f := func(i int) float64 { return float64((i*31 + 7) % 23) }
 		for i := 0; i < 37; i++ {
-			if consume(i, f(i)) {
+			if consume(i, WireItem{Score: f(i)}) {
 				break
 			}
 		}

@@ -178,6 +178,9 @@ func (w *serveState) serve(handlers map[string]Handler) error {
 				}
 				break
 			}
+			if l.Lo < 0 || l.Hi < l.Lo {
+				return fmt.Errorf("dispatch: malformed lease %d [%d,%d)", l.ID, l.Lo, l.Hi)
+			}
 			w.setBusy(true)
 			err := w.runLease(runner, l)
 			w.setBusy(false)
@@ -220,7 +223,7 @@ func (w *serveState) runLease(runner JobRunner, l wireLease) error {
 
 	w.progress.Store(0)
 	hb := w.startHeartbeats(l.ID)
-	items := make([]WireItem, 0, l.Hi-l.Lo)
+	var items []WireItem
 	for i := l.Lo; i < l.Hi; i++ {
 		if w.drainRequested() {
 			hb.halt()

@@ -16,12 +16,14 @@
 // rebinds to the circuit of each row. It refines each row's layout
 // itself, routes the row's trials from it and returns (index, score)
 // pairs; the first trial of a row also carries the row's layout, and a
-// failed trial carries its error to its grid. The coordinator checks
-// each layout and hands the trials to the circuit's sabre.Grid, which
-// picks the winner exactly as the local scheduler would and replays
-// that single trial locally, so the routed Result — and TrialsExecuted
-// at any patience setting — is bit-identical to a single-process run
-// at any worker count x lease size. Preparation, trivial-layout checks and metrics run on the
+// failed trial carries its error to its grid. The coordinator decodes
+// the trials in index order, checks each row's layout, assembles the
+// row from its trials and hands it to the circuit's sabre.Grid, as the
+// local scheduler hands it a local row. The Grid picks the winner
+// exactly as it would locally and replays that single trial, so the
+// routed Result — and TrialsExecuted at any patience setting — is
+// bit-identical to a single-process run at any worker count x lease
+// size. Preparation, trivial-layout checks and metrics run on the
 // coordinator, as they do for a local batch.
 //
 // The spec carries transpile.Options in its wire form (wireOptions),

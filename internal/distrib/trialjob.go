@@ -143,29 +143,22 @@ func failed(i int, err error) dispatch.WireItem {
 // needs.
 func (j *trialJob) Epilogue() []byte { return nil }
 
-// trialItem is one trial as the coordinator consumes it: its score
-// and, for the first trial of a row, the row's checked layout, or the
-// error a failed item carries.
-type trialItem struct {
-	score  float64
-	layout *topology.Layout
-	err    error
-}
-
 // runGrids routes every grid on the cluster as one KindTrials job: the
 // fleet counterpart of sabre.RunGrids. The grids share one
 // LayoutOptions, and the job's items are their trials, in RunGrids's
 // row order (see trialSpec), leased in whole layout rows; workers
-// refine the rows' layouts and route their trials, and each grid
-// consumes its own trials, and its own errors (see failed), in
-// trial-index order from the same queue type the local scheduler uses.
-// So every grid's winner, TrialsExecuted and error are bit-identical
-// to a single-process run at any worker count, lease size or patience
-// setting, including across worker deaths mid-lease. Every row's
-// layout is checked before use (see rowLayoutFromWire). Workers route
-// every trial they are leased to its end, so a score bound in the
-// options is ignored; once a grid finished, the queue leases none of
-// its remaining trials and drops the results of those already leased.
+// refine the rows' layouts and route their trials. The consumer
+// decodes the trials in trial-index order, assembles each layout row
+// from its trials, up to the first failed one (see failed), and hands
+// the row to its grid's Consume, as sabre.RunGrids does with a local
+// row. So every grid's winner, TrialsExecuted and error are
+// bit-identical to a single-process run at any worker count, lease
+// size or patience setting, including across worker deaths mid-lease.
+// Every row's layout is checked before use (see rowLayoutFromWire); a
+// bad one fails the call. Workers route every trial they are leased to
+// its end, so a score bound in the options is ignored; once a grid
+// finished, the queue leases none of its remaining trials and drops
+// the results of those already leased.
 //
 // w carries the options every grid's metric and policy factory were
 // built from by transpile.RoutingPolicy; its layout options are
@@ -187,32 +180,34 @@ func (cl *Cluster) runGrids(grids []*sabre.Grid, w wireOptions) error {
 	}
 	K, n := len(grids), opts.RoutingTrials
 	finished, left := make([]bool, K), K
-	var layout *topology.Layout // the layout of the row being consumed
-	q := dispatch.NewQueue(K*opts.LayoutTrials*n, cl.trialLease()*n, func(i int, it trialItem) bool {
-		if it.layout != nil {
-			layout = it.layout
+	var row sabre.Row // the row being assembled
+	var badRow error  // the failed layout check that stopped the job
+	q := dispatch.NewQueue(K*opts.LayoutTrials*n, cl.trialLease()*n, func(i int, wi dispatch.WireItem) bool {
+		k, lt, rt := i/n%K, i/n/K, i%n
+		if rt == 0 {
+			row = sabre.Row{}
 		}
-		if k, lt := i/n%K, i/n/K; grids[k].ConsumeTrial(lt*n+i%n, layout, it.score, it.err) {
+		switch {
+		case math.IsNaN(wi.Score):
+			row.Err = errors.New(string(wi.Blob))
+		case rt == 0:
+			if row.Layout, badRow = rowLayoutFromWire(wi.Blob, lt, grids[k].Prepared()); badRow != nil {
+				return true
+			}
+			fallthrough
+		default:
+			row.Scores = append(row.Scores, wi.Score)
+		}
+		if (row.Err != nil || rt == n-1) && grids[k].Consume(lt, row) {
 			finished[k], left = true, left-1
 		}
 		return left == 0
 	})
 	q.SetSkip(func(i int) bool { return finished[i/n%K] })
-	_, err = dispatch.RunJob(cl.Hub, KindTrials, raw, q,
-		func(wi dispatch.WireItem) (it trialItem, err error) {
-			if wi.Index < 0 || wi.Index >= q.Max() {
-				return it, fmt.Errorf("distrib: item %d outside the job's %d", wi.Index, q.Max())
-			}
-			switch r := wi.Index / n; {
-			case math.IsNaN(wi.Score):
-				it.err = errors.New(string(wi.Blob))
-			case wi.Index%n == 0:
-				it.layout, err = rowLayoutFromWire(wi.Blob, r/K, grids[r%K].Prepared())
-			}
-			it.score = wi.Score
-			return it, err
-		})
-	return err
+	if _, err := cl.Hub.RunJob(KindTrials, raw, q); err != nil {
+		return err
+	}
+	return badRow
 }
 
 // findBestRouting routes the trial grid of pc on the cluster: runGrids

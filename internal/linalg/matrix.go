@@ -311,14 +311,6 @@ func (m *Matrix) IsUnitary(tol float64) bool {
 	return m.Dagger().Mul(m).EqualApprox(Identity(m.Rows), tol)
 }
 
-// IsHermitian reports whether m = m^dagger within tol.
-func (m *Matrix) IsHermitian(tol float64) bool {
-	if !m.IsSquare() {
-		return false
-	}
-	return m.EqualApprox(m.Dagger(), tol)
-}
-
 // String renders the matrix for debugging.
 func (m *Matrix) String() string {
 	var b strings.Builder

@@ -208,7 +208,3 @@ func DepthMetric(costs *CostTable) sabre.Metric {
 		return d
 	}
 }
-
-// SwapsMetric is the MIRAGE-Swaps post-selection variant: identical to
-// stock SABRE's metric.
-func SwapsMetric() sabre.Metric { return sabre.SwapCountMetric }

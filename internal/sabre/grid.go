@@ -21,15 +21,14 @@ type Row struct {
 	Err    error
 }
 
-// Grid consumes the trials of one FindBestRouting grid and replays its
-// winner. Both schedulers drive it. RunGrids runs layout rows on
-// dispatch.RunLocal and hands them to Consume; the distributed
-// coordinator (internal/distrib) receives single trials from TCP
-// workers and hands them to ConsumeTrial. Either is the consume
-// callback of a dispatch.Queue, so scores reach the trial selector in
-// trial-index order. A queue that carries the rows of several grids
-// may hand a grid rows after it finished; Consume and ConsumeTrial
-// drop them.
+// Grid consumes the layout rows of one FindBestRouting grid and
+// replays its winner. Both schedulers drive it through Consume, from
+// the consume callback of a dispatch.Queue, so scores reach the trial
+// selector in trial-index order: RunGrids runs rows on
+// dispatch.RunLocal, and the distributed coordinator
+// (internal/distrib) assembles each row from the trials its TCP
+// workers return. A queue that carries the rows of several grids may
+// hand a grid rows after it finished; Consume drops them.
 //
 // After each row the Grid publishes the selector's state, which the
 // local rows still running read before every trial:
@@ -95,37 +94,17 @@ func (g *Grid) Consume(lt int, row Row) bool {
 	}
 	g.rows++
 	for rt, score := range row.Scores {
-		if g.consume(lt*g.opts.RoutingTrials+rt, row.Layout, score) {
+		t := lt*g.opts.RoutingTrials + rt
+		g.done = g.sel.Consume(t, score)
+		if g.sel.bestT == t {
+			g.layout = row.Layout
+		}
+		if g.done {
 			return true
 		}
 	}
 	if row.Err != nil {
 		g.err, g.done = row.Err, true
-	}
-	return g.done
-}
-
-// ConsumeTrial feeds the score of trial t, routed from layout, to the
-// selector, or, when err is the trial's error, ends the grid with it.
-// It returns true once the grid is finished, and is a no-op on a
-// finished grid, like Consume.
-func (g *Grid) ConsumeTrial(t int, layout *topology.Layout, score float64, err error) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	switch {
-	case g.done:
-	case err != nil:
-		g.err, g.done = err, true
-	default:
-		g.consume(t, layout, score)
-	}
-	return g.done
-}
-
-func (g *Grid) consume(t int, layout *topology.Layout, score float64) bool {
-	g.done = g.sel.Consume(t, score)
-	if g.sel.bestT == t {
-		g.layout = layout
 	}
 	return g.done
 }

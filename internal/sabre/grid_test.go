@@ -89,9 +89,9 @@ func TestGridRowStopsWithTheGrid(t *testing.T) {
 }
 
 // TestFinishedGridIgnoresLateRows: one queue may carry a grid's rows
-// past its stop (RunGrids, the fleet's batch job), so Consume and
-// ConsumeTrial on a finished grid must move neither the winner nor
-// TrialsExecuted, and a row that starts on it refines nothing.
+// past its stop (RunGrids, the fleet's batch job), so Consume on a
+// finished grid must move neither the winner nor TrialsExecuted, and a
+// row that starts on it refines nothing.
 func TestFinishedGridIgnoresLateRows(t *testing.T) {
 	topo := topology.Grid(3, 3)
 	pc, err := PrepareCircuit(schedulerCircuit(6, 12, 3), topo)
@@ -108,7 +108,7 @@ func TestFinishedGridIgnoresLateRows(t *testing.T) {
 		t.Fatal("the grid did not stop at its patience")
 	}
 	late := Row{Layout: layout, Scores: []float64{0, 0}, Err: errors.New("late")}
-	if !g.Consume(2, late) || !g.ConsumeTrial(4, layout, 0, nil) {
+	if !g.Consume(2, late) {
 		t.Fatal("a finished grid reported itself unfinished")
 	}
 	if row := g.row(NewTrialRunner(pc), 2); row.Layout != nil || len(row.Scores) != 0 || row.Err != nil {

@@ -88,12 +88,6 @@ func (c Coordinate) Distance(o Coordinate) float64 {
 	return math.Sqrt(dx*dx + dy*dy + dz*dz)
 }
 
-// IsLocal reports whether the coordinate represents a gate that is a
-// product of single-qubit gates (the chamber origin).
-func (c Coordinate) IsLocal(tol float64) bool {
-	return math.Abs(c.X) <= tol && math.Abs(c.Y) <= tol && math.Abs(c.Z) <= tol
-}
-
 // InChamber reports whether the raw values satisfy the canonical
 // chamber inequalities within tol.
 func (c Coordinate) InChamber(tol float64) bool {
