@@ -36,8 +36,7 @@
 // coordinator also executes poison items (work whose lease repeatedly
 // crashes workers) and whole job remainders when the fleet empties or
 // never arrives (-fleet-wait), so a batch survives total worker loss.
-// Failures map to documented exit codes (see usage) so wrapper scripts
-// can distinguish "retry later" from "job failed".
+// Any failure exits 1 and a usage error exits 2.
 //
 // The coordinator's fleet flags (-hb-timeout, -lease-timeout,
 // -job-deadline, -rejoin-grace, -journal, -fleet-wait,
@@ -46,7 +45,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -79,28 +77,8 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "miraged:", err)
-		os.Exit(exitCode(err))
+		os.Exit(1)
 	}
-}
-
-// Exit codes. Wrapper scripts (and the CI lanes) branch on these, so
-// they are part of the command's interface:
-//
-//	0 — success
-//	1 — job failure (worker faults exhausted recovery, deadline hit, …)
-//	2 — usage error (bad flags)
-//	3 — rejected by admission control (dispatch.ErrBusy): the hub's
-//	    MaxQueuedJobs queue is full; retry later
-//	4 — rejected because the coordinator is draining
-//	    (dispatch.ErrDraining): submit to another coordinator
-func exitCode(err error) int {
-	switch {
-	case errors.Is(err, dispatch.ErrBusy):
-		return 3
-	case errors.Is(err, dispatch.ErrDraining):
-		return 4
-	}
-	return 1
 }
 
 func usage() {
@@ -116,8 +94,7 @@ func usage() {
                       [-job-deadline D] [-rejoin-grace D] [-journal DIR]
                       [-fleet-wait D] [-local-fallback=false]
 
-exit codes: 0 success, 1 job failure, 2 usage,
-            3 rejected busy (ErrBusy), 4 rejected draining (ErrDraining)`)
+exit codes: 0 success, 1 failure, 2 usage`)
 	os.Exit(2)
 }
 

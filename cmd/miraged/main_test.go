@@ -1,8 +1,6 @@
 package main
 
 import (
-	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -13,30 +11,6 @@ import (
 	"repro/internal/topology"
 	"repro/internal/transpile"
 )
-
-// TestExitCodes pins the coordinator's documented exit-code contract:
-// wrapper scripts branch on 3 (busy, retry later) vs 4 (draining,
-// resubmit elsewhere) vs 1 (the job itself failed), including when the
-// sentinel arrives wrapped in job context, which is how RunJob returns
-// them.
-func TestExitCodes(t *testing.T) {
-	cases := []struct {
-		err  error
-		want int
-	}{
-		{fmt.Errorf("dispatch: job %q rejected, 1 of 1 queued-job slots in use (MaxQueuedJobs): %w", "mirage/trials", dispatch.ErrBusy), 3},
-		{fmt.Errorf("dispatch: job %q rejected: %w", "mirage/trials", dispatch.ErrDraining), 4},
-		{dispatch.ErrBusy, 3},
-		{dispatch.ErrDraining, 4},
-		{errors.New("dispatch: job failed: worker exploded"), 1},
-		{dispatch.ErrSimulatedCrash, 1},
-	}
-	for _, c := range cases {
-		if got := exitCode(c.err); got != c.want {
-			t.Errorf("exitCode(%v) = %d, want %d", c.err, got, c.want)
-		}
-	}
-}
 
 // TestWorkerDrainHandsBackLease drives runWorker exactly as the
 // `miraged worker` subcommand would run it and drains it mid-job: the

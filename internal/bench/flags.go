@@ -28,11 +28,10 @@ type SchedulerFlags struct {
 
 // Validate rejects values outside each flag's documented domain. Zero
 // stays valid everywhere: it is the documented "use the default"
-// sentinel of every knob (0 workers per CPU for -parallel, fixed grid
-// for -patience, paper counts for -trials, local execution for
-// -workers), so only negatives —
-// which today would be silently reinterpreted — are errors, plus a
-// zero/negative -lease when leasing is explicit.
+// sentinel of every knob (one worker per CPU for -parallel, fixed
+// grid for -patience, paper counts for -trials, local execution for
+// -workers, the default lease size for -lease), so only negatives —
+// which would otherwise be silently reinterpreted — are errors.
 func (f SchedulerFlags) Validate() error {
 	if f.Parallel < 0 {
 		return fmt.Errorf("-parallel must be >= 0 (0 = one worker per CPU), got %d", f.Parallel)

@@ -5,7 +5,7 @@ package bench
 // extraction (fast and reference), warm-cache block consolidation, the
 // value-type KAK4 — for the routing trial engine (steady-state arena
 // trials via sabre.TrialRunner, layout refinement, and a full
-// FindBestRouting grid) and for the MIRAGE-Depth trial metric,
+// FindBestRoutingPrepared grid) and for the MIRAGE-Depth trial metric,
 // recorded into BENCH_routing.json next to the routing rows and
 // diffed by cmd/benchdiff, so an allocation
 // regression on either hot path fails CI as visibly as a depth
@@ -274,10 +274,12 @@ func RunKernelBenchmarks() ([]KernelRow, error) {
 			return nil
 		}},
 		// The @queue suffix marks the dispatch-queue scheduler era: the
-		// row was renamed when FindBestRouting moved onto the work-queue
+		// row was renamed when the routing grid moved onto the work-queue
 		// subsystem, so benchdiff never compares scheduler generations
 		// against each other. The row keeps its name now that one queue
 		// item is one layout row (refine, then route its trials).
+		// Preparing the circuit stays inside the timed loop, so the row
+		// times one whole prepare-and-route call.
 		{"sabre/FindBestRouting@queue", func(b *testing.B) error {
 			topo, c, _ := routingFixture()
 			b.ReportAllocs()
@@ -286,7 +288,11 @@ func RunKernelBenchmarks() ([]KernelRow, error) {
 				// Serial scheduler: the parallel path's channel/goroutine
 				// bookkeeping would make allocs/op scheduling-dependent,
 				// and the gate needs a deterministic count.
-				if _, err := sabre.FindBestRouting(c, topo, sabre.LayoutOptions{
+				pc, err := sabre.PrepareCircuit(c, topo)
+				if err != nil {
+					return err
+				}
+				if _, err := sabre.FindBestRoutingPrepared(pc, sabre.LayoutOptions{
 					LayoutTrials: 4, RoutingTrials: 4, FwdBwdPasses: 2, Seed: 3,
 					Parallelism: 1,
 				}, sabre.SwapCountMetric, nil); err != nil {

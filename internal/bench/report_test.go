@@ -128,7 +128,7 @@ func TestRoutingBenchFileFleetStats(t *testing.T) {
 	in := &RoutingBenchFile{
 		Topology: "grid-3x4",
 		Fleet: &dispatch.FleetStats{Releases: 3, Revocations: 1, Disconnects: 2, Reconnects: 1, DecodeFaults: 1,
-			Rejected: 2, Poisoned: 1, LocalItems: 5, Degraded: 1, Recovered: 1},
+			Poisoned: 1, LocalItems: 5, Degraded: 1, Recovered: 1},
 		Rows: []RoutingRow{{Seq: 0, Circuit: "qft_n18", Router: "sabre"}},
 	}
 	if err := in.WriteFile(path); err != nil {

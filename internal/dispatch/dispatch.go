@@ -55,11 +55,12 @@
 // address and lease span in the error. Workers reconnect with capped
 // exponential backoff + jitter (ServeLoop) and are admitted into the
 // running job; RejoinGrace keeps a job alive across an empty-fleet
-// window. Hub.Drain stops lease issue and waits (bounded) for
-// in-flight results; a worker's Drain channel hands its current lease
-// back mid-flight. Every recovery event is counted in Hub.Stats so
-// callers and CI can assert recovery actually happened, and ChaosConfig
-// injects each fault deterministically from a seed.
+// window. A worker's Drain channel hands its current lease back
+// mid-flight; a coordinator is stopped by killing it, and with a
+// journal it resumes where it stopped. Every recovery event is counted
+// in Hub.Stats so callers and CI can assert recovery actually
+// happened, and ChaosConfig injects each fault deterministically from
+// a seed.
 package dispatch
 
 // Lease is a half-open range [Lo, Hi) of work indices granted to one

@@ -1,7 +1,6 @@
 package dispatch
 
 import (
-	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -195,44 +194,10 @@ func TestPartialWriteRecovered(t *testing.T) {
 	h.Close()
 }
 
-// TestHubDrainStopsIssuingAndReleasesRemainder: Drain freezes the
-// queue mid-job, waits for in-flight leases, fails the job with
-// ErrDraining, and rejects subsequent jobs while keeping the pool.
-func TestHubDrainStopsIssuingAndReleasesRemainder(t *testing.T) {
-	h := NewHub()
-	startWorkers(t, h, 2, slowHandlers(-1, 5*time.Millisecond), nil)
-	q := NewQueue(400, 4, func(int, WireItem) bool { return false })
-	errc := make(chan error, 1)
-	go func() {
-		_, err := h.RunJob("score", nil, q)
-		errc <- err
-	}()
-	time.Sleep(40 * time.Millisecond)
-	h.Drain(2 * time.Second)
-	err := <-errc
-	if !errors.Is(err, ErrDraining) {
-		t.Fatalf("drained job returned %v, want ErrDraining", err)
-	}
-	if c := q.Consumed(); c == 0 || c == 400 {
-		t.Fatalf("consumed %d of 400, want a proper prefix (drain mid-job)", c)
-	}
-	if n := len(q.OutstandingLeases()); n != 0 {
-		t.Fatalf("%d leases still outstanding after drain", n)
-	}
-	if h.Workers() != 2 {
-		t.Fatalf("%d workers pooled after drain, want 2 (drain keeps the fleet)", h.Workers())
-	}
-	q2 := NewQueue(5, 1, func(int, WireItem) bool { return false })
-	if _, err := h.RunJob("score", nil, q2); !errors.Is(err, ErrDraining) {
-		t.Fatalf("post-drain job returned %v, want ErrDraining", err)
-	}
-	h.Close()
-}
-
-// TestWorkerDrainReturnsLease is the worker half of satellite S6: a
-// worker whose Drain channel closes mid-lease ships the items it
-// finished, hands the remainder back, and exits cleanly; the job
-// completes on the survivor with serial-identical results.
+// TestWorkerDrainReturnsLease: a worker whose Drain channel closes
+// mid-lease ships the items it finished, hands the remainder back, and
+// exits cleanly; the job completes on the survivor with
+// serial-identical results.
 func TestWorkerDrainReturnsLease(t *testing.T) {
 	const max = 120
 	wantAt, wantExec := serialBest(max, 0)
@@ -351,43 +316,6 @@ func TestRejoinGraceOutlivesEmptyFleet(t *testing.T) {
 	}
 }
 
-// TestAdmissionControlRejectsWhenQueued: with MaxQueuedJobs bounded,
-// an over-submitted hub rejects loudly with ErrBusy instead of
-// queueing without end.
-func TestAdmissionControlRejectsWhenQueued(t *testing.T) {
-	h := NewHub()
-	h.MaxQueuedJobs = 1
-	startWorkers(t, h, 1, slowHandlers(-1, 5*time.Millisecond), nil)
-	var wg sync.WaitGroup
-	launch := func(max int) chan error {
-		c := make(chan error, 1)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			q := NewQueue(max, 4, func(int, WireItem) bool { return false })
-			_, err := h.RunJob("score", nil, q)
-			c <- err
-		}()
-		return c
-	}
-	first := launch(100)
-	time.Sleep(20 * time.Millisecond) // first job is active
-	second := launch(10)
-	time.Sleep(20 * time.Millisecond) // second job is queued
-	third := launch(10)
-	if err := <-third; !errors.Is(err, ErrBusy) {
-		t.Fatalf("third job returned %v, want ErrBusy", err)
-	}
-	if err := <-first; err != nil {
-		t.Fatalf("first job: %v", err)
-	}
-	if err := <-second; err != nil {
-		t.Fatalf("second job: %v", err)
-	}
-	wg.Wait()
-	h.Close()
-}
-
 // TestReconnectDelayBackoff pins the backoff curve: capped exponential
 // with jitter in [d/2, d).
 func TestReconnectDelayBackoff(t *testing.T) {
@@ -409,5 +337,57 @@ func TestReconnectDelayBackoff(t *testing.T) {
 	}
 	if d := reconnectDelay(rc, 100, 7); d >= time.Second+1 {
 		t.Fatalf("huge streak delay %s exceeds the cap", d)
+	}
+}
+
+// TestServeLoopZeroAttemptsServesOneConnection pins ServeLoop's
+// single-connection form (zero ReconnectOptions, as `miraged worker`
+// runs without -reconnect): a failed dial returns its error at once and
+// a served connection ends the loop when the hub closes it, with no
+// backoff sleep either way. The hour-long backoff makes any sleep
+// time the test out.
+func TestServeLoopZeroAttemptsServesOneConnection(t *testing.T) {
+	rc := ReconnectOptions{InitialBackoff: time.Hour}
+	serve := func(addr string) chan error {
+		done := make(chan error, 1)
+		go func() { done <- ServeLoop(addr, testHandlers(-1), nil, rc) }()
+		return done
+	}
+	wait := func(what string, done chan error) error {
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatalf("ServeLoop did not return after %s", what)
+			return nil
+		}
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := ln.Addr().String()
+	ln.Close()
+	if err := wait("a refused dial", serve(closed)); err == nil {
+		t.Fatal("ServeLoop against a closed listener returned nil, want the dial error")
+	}
+
+	h := NewHub()
+	addr, err := h.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := serve(addr.String())
+	if err := h.WaitWorkers(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	wantAt, wantExec := serialBest(20, 0)
+	if at, exec, _ := runScoreJob(t, h, 20, 3, 0); at != wantAt || exec != wantExec {
+		t.Fatalf("(best=%d exec=%d), want (%d %d)", at, exec, wantAt, wantExec)
+	}
+	h.Close()
+	if err := wait("the hub closed", done); err != nil {
+		t.Fatalf("ServeLoop after the hub closed returned %v, want nil", err)
 	}
 }

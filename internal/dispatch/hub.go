@@ -18,14 +18,6 @@ import (
 // it, when Hub.HeartbeatTimeout is zero.
 const DefaultHeartbeatTimeout = 30 * time.Second
 
-// ErrDraining rejects work submitted to a hub that has begun a
-// graceful drain.
-var ErrDraining = errors.New("dispatch: hub is draining")
-
-// ErrBusy rejects work when Hub.MaxQueuedJobs jobs are already waiting
-// their turn — loud backpressure instead of silent unbounded queueing.
-var ErrBusy = errors.New("dispatch: hub job queue is full")
-
 // errWorkerLeft marks a pumper whose worker drained gracefully; the
 // conn is dropped but the event is not a job failure.
 var errWorkerLeft = errors.New("dispatch: worker drained and left the fleet")
@@ -42,12 +34,12 @@ const PoisonThreshold = 3
 
 // Hub is the coordinator side of the TCP transport: a persistent pool
 // of worker connections that serves jobs sequentially. Workers dial in
-// once (ServeAddr / ServeLoop / miraged worker) and stay connected
-// across jobs; a worker lost mid-job has its leases failed back to the
-// queue and is dropped from the pool, and the job completes on the
-// survivors with bit-identical results — work items are deterministic
-// in their index, so a re-leased range reproduces exactly what the
-// lost worker would have returned.
+// once (ServeLoop / miraged worker) and stay connected across jobs; a
+// worker lost mid-job has its leases failed back to the queue and is
+// dropped from the pool, and the job completes on the survivors with
+// bit-identical results — work items are deterministic in their index,
+// so a re-leased range reproduces exactly what the lost worker would
+// have returned.
 //
 // Fault tolerance beyond clean disconnects: workers heartbeat while
 // executing leases, and the hub enforces HeartbeatTimeout (silent
@@ -93,11 +85,6 @@ type Hub struct {
 	// 0 fails the job as soon as the fleet empties.
 	RejoinGrace time.Duration
 
-	// MaxQueuedJobs, when positive, bounds how many RunJob calls may
-	// wait behind the active one; beyond that RunJob fails fast with
-	// ErrBusy. 0 means unbounded.
-	MaxQueuedJobs int
-
 	// LocalHandlers, when non-nil, lets the coordinator execute work
 	// items itself using the same Handler table the workers run. It
 	// enables poison-item quarantine (a repeatedly worker-crashing item
@@ -125,8 +112,6 @@ type Hub struct {
 	// standard library logger.
 	Logf func(format string, args ...any)
 
-	draining    bool
-	pendingJobs int   // RunJob calls admitted but not yet active
 	startedJobs int64 // jobs that began pumping (reconnect detection)
 
 	active *jobRun // the running job; nil between jobs
@@ -142,13 +127,12 @@ type Hub struct {
 // stalled workers, and job-deadline closures); Disconnects counts
 // connections lost mid-job; Reconnects counts workers that joined the
 // pool after the first job started; DecodeFaults counts corrupt or
-// truncated frames that got a worker quarantined; Rejected counts jobs
-// refused with ErrBusy by MaxQueuedJobs admission control; Poisoned
-// counts items quarantined after crossing the poison threshold;
-// LocalItems counts items the coordinator executed itself (quarantine
-// or degraded mode); Degraded counts times a job fell back to local
-// execution for its remainder; Recovered counts jobs replayed or
-// resumed from the write-ahead journal after a coordinator restart.
+// truncated frames that got a worker quarantined; Poisoned counts
+// items quarantined after crossing the poison threshold; LocalItems
+// counts items the coordinator executed itself (quarantine or degraded
+// mode); Degraded counts times a job fell back to local execution for
+// its remainder; Recovered counts jobs replayed or resumed from the
+// write-ahead journal after a coordinator restart.
 // Row quality never depends on these counts: they exist so a chaos or
 // crash-recovery run can prove recovery happened.
 type FleetStats struct {
@@ -157,7 +141,6 @@ type FleetStats struct {
 	Disconnects  int64 `json:"disconnects"`
 	Reconnects   int64 `json:"reconnects"`
 	DecodeFaults int64 `json:"decode_faults"`
-	Rejected     int64 `json:"rejected"`
 	Poisoned     int64 `json:"poisoned"`
 	LocalItems   int64 `json:"local_items"`
 	Degraded     int64 `json:"degraded"`
@@ -327,38 +310,6 @@ func (h *Hub) Close() {
 	}
 }
 
-// Drain gracefully quiesces the hub: new RunJob calls are rejected
-// with ErrDraining, the active job stops issuing leases, and in-flight
-// leases get up to wait (wait <= 0: unbounded) to deliver their
-// results before their connections are severed and the remainder is
-// failed back to the queue. Drain returns once the active job (if any)
-// has retired; the worker pool itself stays connected — call Close to
-// tear it down.
-func (h *Hub) Drain(wait time.Duration) {
-	h.mu.Lock()
-	h.draining = true
-	jr := h.active
-	h.mu.Unlock()
-	if jr == nil {
-		return
-	}
-	jr.freeze()
-	var t *time.Timer
-	if wait > 0 {
-		t = time.AfterFunc(wait, func() { jr.closeInFlight() })
-	}
-	// Wait for every pumper of the active job to retire; queued RunJob
-	// calls behind it fail fast with ErrDraining on their own.
-	jr.mu.Lock()
-	for jr.executors > 0 {
-		jr.cond.Wait()
-	}
-	jr.mu.Unlock()
-	if t != nil {
-		t.Stop()
-	}
-}
-
 func (h *Hub) drop(hc *hubConn) {
 	h.mu.Lock()
 	if h.conns[hc] {
@@ -390,35 +341,10 @@ func (h *Hub) drop(hc *hubConn) {
 // fallback, so a misconfigured fleet is loud. With Hub.Journal set the
 // job is crash-safe: its spec and every banked result batch are
 // persisted before use, and a restarted coordinator replays them. Jobs
-// are serialised: concurrent RunJob calls queue behind one another,
-// bounded by MaxQueuedJobs.
+// are serialised: concurrent RunJob calls queue behind one another.
 func (h *Hub) RunJob(kind string, spec []byte, q *Queue[WireItem]) ([][]byte, error) {
-	// Admission control: fail fast while draining or over-queued,
-	// before blocking on the job lock.
-	h.mu.Lock()
-	if h.draining {
-		h.mu.Unlock()
-		return nil, fmt.Errorf("dispatch: job %q rejected: %w", kind, ErrDraining)
-	}
-	if h.MaxQueuedJobs > 0 && h.pendingJobs >= h.MaxQueuedJobs {
-		n := h.pendingJobs
-		h.mu.Unlock()
-		h.count(FleetStats{Rejected: 1})
-		return nil, fmt.Errorf("dispatch: job %q rejected, %d of %d queued-job slots in use (MaxQueuedJobs): %w", kind, n, h.MaxQueuedJobs, ErrBusy)
-	}
-	h.pendingJobs++
-	h.mu.Unlock()
-
 	h.jobMu.Lock()
 	defer h.jobMu.Unlock()
-
-	h.mu.Lock()
-	h.pendingJobs--
-	draining := h.draining
-	h.mu.Unlock()
-	if draining {
-		return nil, fmt.Errorf("dispatch: job %q rejected: %w", kind, ErrDraining)
-	}
 
 	jr := &jobRun{h: h, kind: kind, spec: spec, q: q, lex: h.localExecFor(kind, spec),
 		inFlight: make(map[*hubConn]bool)}
@@ -503,7 +429,7 @@ func (h *Hub) RunJob(kind string, spec []byte, q *Queue[WireItem]) ([][]byte, er
 			jr.cond.Wait()
 			continue
 		}
-		if q.Finished() || jr.frozen {
+		if q.Finished() {
 			break
 		}
 		g := h.RejoinGrace
@@ -531,13 +457,10 @@ func (h *Hub) RunJob(kind string, spec []byte, q *Queue[WireItem]) ([][]byte, er
 	if jr.graceTimer != nil {
 		jr.graceTimer.Stop()
 	}
-	frozen, lastErr, epilogues := jr.frozen, jr.lastErr, jr.epilogues
+	lastErr, epilogues := jr.lastErr, jr.epilogues
 	jr.mu.Unlock()
 
 	if !q.Finished() {
-		if frozen {
-			return nil, fmt.Errorf("dispatch: job %q drained with work outstanding (%s): %w", kind, q.UnfinishedSummary(), ErrDraining)
-		}
 		if lastErr == nil {
 			lastErr = errors.New("dispatch: all workers declined the job")
 		}
@@ -559,9 +482,8 @@ func (h *Hub) RunJob(kind string, spec []byte, q *Queue[WireItem]) ([][]byte, er
 // jobRun is one RunJob call: the context it threads through its
 // pumpers, the journal and the local (quarantine/degraded) execution
 // paths, and the bookkeeping of who still executes it — how many
-// executors are live, which connections await lease results (so
-// deadline and drain timers can sever exactly those), and whether a
-// drain froze it.
+// executors are live and which connections await lease results (so
+// the deadline timer can sever exactly those).
 type jobRun struct {
 	h    *Hub
 	kind string
@@ -573,7 +495,6 @@ type jobRun struct {
 	mu         sync.Mutex
 	cond       *sync.Cond
 	executors  int
-	frozen     bool
 	graceTimer *time.Timer
 	graceUp    bool
 	inFlight   map[*hubConn]bool
@@ -601,15 +522,6 @@ func (jr *jobRun) exit() {
 	jr.executors--
 	jr.cond.Broadcast()
 	jr.mu.Unlock()
-}
-
-// freeze stops granting leases for a drain; in-flight leases still land.
-func (jr *jobRun) freeze() {
-	jr.mu.Lock()
-	jr.frozen = true
-	jr.cond.Broadcast()
-	jr.mu.Unlock()
-	jr.q.Freeze()
 }
 
 func (jr *jobRun) setInFlight(hc *hubConn, v bool) {

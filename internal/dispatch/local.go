@@ -21,9 +21,11 @@ func Size(parallelism int) int {
 //   - scratch(w) runs once inside worker goroutine w and its value is
 //     handed to every run call that worker executes (the trial-arena
 //     reuse seam); scratch values never cross goroutines.
-//   - with parallelism <= 1 the loop degenerates to the serial path:
-//     run(0), consume(0), run(1), consume(1), ... (still through the
-//     queue, so there is exactly one scheduler code path).
+//   - parallelism is normalised by Size, so 0 and negatives mean one
+//     worker per CPU; with parallelism 1 (or a queue of at most one
+//     item) the loop degenerates to the serial path: run(0),
+//     consume(0), run(1), consume(1), ... (still through the queue,
+//     so there is exactly one scheduler code path).
 //   - the queue consumes results serially in index order; run errors
 //     stop it at the lowest consumed failing index.
 //   - RunLocal returns only after every started run call finished;

@@ -44,7 +44,6 @@ type Queue[T any] struct {
 	pending  map[int]Completed[T]
 	consumed int
 	stopped  bool
-	frozen   bool // drain: stop granting, keep accepting results
 	firstErr error
 	consume  func(i int, v T) bool
 	skip     func(i int) bool // see SetSkip; nil skips nothing
@@ -104,7 +103,7 @@ func (q *Queue[T]) Lease() (Lease, bool) {
 }
 
 func (q *Queue[T]) leaseLocked() (Lease, bool) {
-	if q.frozen || q.finishedLocked() {
+	if q.finishedLocked() {
 		return Lease{}, false
 	}
 	var span leaseSpan
@@ -158,23 +157,11 @@ func (q *Queue[T]) LeaseWait() (Lease, bool) {
 		if l, ok := q.leaseLocked(); ok {
 			return l, true
 		}
-		if q.frozen || q.finishedLocked() {
+		if q.finishedLocked() {
 			return Lease{}, false
 		}
 		q.cond.Wait()
 	}
-}
-
-// Freeze puts the queue in drain mode: no further leases are granted
-// (Lease and LeaseWait return ok=false) and parked waiters wake, but
-// in-flight leases may still Complete and the consumer keeps draining.
-// Used by Hub.Drain to let workers finish what they hold without
-// starting anything new. Freeze does not mark the queue finished.
-func (q *Queue[T]) Freeze() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.frozen = true
-	q.cond.Broadcast()
 }
 
 // Abort stops the queue with err (kept only if no error was consumed
@@ -198,8 +185,8 @@ func (q *Queue[T]) Abort(err error) {
 }
 
 // OutstandingLeases snapshots the leases currently granted and not yet
-// fully reported, sorted by Lo. Diagnostic: deadline and drain errors
-// use it to say exactly which spans the fleet still owes.
+// fully reported, sorted by Lo: the spans the fleet still owes, which
+// UnfinishedSummary also renders for deadline errors.
 func (q *Queue[T]) OutstandingLeases() []Lease {
 	q.mu.Lock()
 	defer q.mu.Unlock()

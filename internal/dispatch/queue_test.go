@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 )
 
 // drainAll leases everything and completes it, simulating one worker.
@@ -234,54 +233,6 @@ func TestQueueWaitReturnsConsumedError(t *testing.T) {
 	q.Complete(l.ID, []Completed[int]{{Index: 0, Err: want}})
 	if err := q.Wait(); !errors.Is(err, want) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestQueueFreezeStopsGrantsKeepsResults(t *testing.T) {
-	var seen []int
-	q := NewQueue(10, 2, func(i, v int) bool { seen = append(seen, i); return false })
-	l1, ok := q.Lease()
-	if !ok {
-		t.Fatal("no first lease")
-	}
-	q.Freeze()
-	if _, ok := q.Lease(); ok {
-		t.Fatal("frozen queue granted a lease")
-	}
-	if _, ok := q.LeaseWait(); ok {
-		t.Fatal("frozen queue granted a waited lease")
-	}
-	if q.Finished() {
-		t.Fatal("freezing marked the queue finished")
-	}
-	// The in-flight lease still completes and drains to the consumer.
-	q.Complete(l1.ID, []Completed[int]{{Index: 0, Value: 0}, {Index: 1, Value: 1}})
-	if len(seen) != 2 {
-		t.Fatalf("consumed %v after freeze, want the in-flight lease's items", seen)
-	}
-	if q.Consumed() != 2 {
-		t.Fatalf("Consumed() = %d, want 2", q.Consumed())
-	}
-}
-
-func TestQueueFreezeWakesParkedWaiter(t *testing.T) {
-	q := NewQueue[int](4, 4, nil)
-	if _, ok := q.Lease(); !ok {
-		t.Fatal("no lease")
-	}
-	woke := make(chan bool, 1)
-	go func() {
-		_, ok := q.LeaseWait()
-		woke <- ok
-	}()
-	q.Freeze()
-	select {
-	case ok := <-woke:
-		if ok {
-			t.Fatal("frozen LeaseWait returned a lease")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("LeaseWait stayed parked through Freeze")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"net"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestQueueDeliverAndDoneSkippingLeases: a queue reconstructed from a
@@ -271,46 +270,5 @@ func TestDegradedModeAfterFleetEmpties(t *testing.T) {
 	}
 	if s.LocalItems == 0 {
 		t.Fatalf("stats = %+v, want locally executed items", s)
-	}
-}
-
-// TestErrBusyCarriesLimitsAndCounts pins the satellite: the rejection
-// error names the queue occupancy and the MaxQueuedJobs limit, and the
-// rejection is counted in FleetStats.
-func TestErrBusyCarriesLimitsAndCounts(t *testing.T) {
-	h := NewHub()
-	h.MaxQueuedJobs = 1
-	defer h.Close()
-	startWorkers(t, h, 1, slowHandlers(-1, 5*time.Millisecond), nil)
-	launch := func(max int) chan error {
-		c := make(chan error, 1)
-		go func() {
-			q := NewQueue(max, 4, func(int, WireItem) bool { return false })
-			_, err := h.RunJob("score", nil, q)
-			c <- err
-		}()
-		return c
-	}
-	first := launch(100)
-	time.Sleep(20 * time.Millisecond)
-	second := launch(10)
-	time.Sleep(20 * time.Millisecond)
-	third := launch(10)
-	err := <-third
-	if !errors.Is(err, ErrBusy) {
-		t.Fatalf("third job returned %v, want ErrBusy", err)
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "1 of 1") || !strings.Contains(msg, "MaxQueuedJobs") {
-		t.Fatalf("busy error %q does not carry occupancy and limit", msg)
-	}
-	if s := h.Stats(); s.Rejected != 1 {
-		t.Fatalf("stats = %+v, want the rejection counted", s)
-	}
-	if err := <-first; err != nil {
-		t.Fatalf("first job: %v", err)
-	}
-	if err := <-second; err != nil {
-		t.Fatalf("second job: %v", err)
 	}
 }

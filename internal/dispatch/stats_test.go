@@ -42,7 +42,7 @@ func TestFleetStatsJSONKeys(t *testing.T) {
 	}
 	sort.Strings(keys)
 	want := []string{"decode_faults", "degraded", "disconnects", "local_items", "poisoned",
-		"reconnects", "recovered", "rejected", "releases", "revocations"}
+		"reconnects", "recovered", "releases", "revocations"}
 	if !reflect.DeepEqual(keys, want) {
 		t.Fatalf("fleet keys = %v, want %v", keys, want)
 	}

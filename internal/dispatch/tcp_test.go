@@ -222,7 +222,8 @@ func TestRunJobNoWorkers(t *testing.T) {
 }
 
 // TestHubOverLoopbackTCP runs the real thing end to end: Listen,
-// ServeAddr workers, sequential jobs on one set of connections.
+// single-connection ServeLoop workers, sequential jobs on one set of
+// connections.
 func TestHubOverLoopbackTCP(t *testing.T) {
 	h := NewHub()
 	addr, err := h.Listen("127.0.0.1:0")
@@ -231,7 +232,7 @@ func TestHubOverLoopbackTCP(t *testing.T) {
 	}
 	defer h.Close()
 	for w := 0; w < 2; w++ {
-		go ServeAddr(addr.String(), testHandlers(-1), nil)
+		go ServeLoop(addr.String(), testHandlers(-1), nil, ReconnectOptions{})
 	}
 	if err := h.WaitWorkers(2, 5*time.Second); err != nil {
 		t.Fatal(err)

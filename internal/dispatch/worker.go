@@ -347,24 +347,13 @@ func runSafe(r JobRunner, i int) (item WireItem) {
 	return item
 }
 
-// ServeAddr dials the coordinator and serves jobs until the
-// connection closes. This is the single-connection body of
-// `miraged worker`; see ServeLoop for the reconnecting variant.
-func ServeAddr(addr string, handlers map[string]Handler, opts *ServeOptions) error {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	return ServeConn(conn, handlers, opts)
-}
-
 // ReconnectOptions tunes ServeLoop's redial behaviour.
 type ReconnectOptions struct {
 	// Attempts is how many reconnect attempts are made after the
 	// initial connection ends (or fails): each failed dial and each
 	// ended serve session consumes one. 0 means serve a single
-	// connection and exit, matching ServeAddr.
+	// connection (or return its dial error) and exit, with no backoff
+	// sleep.
 	Attempts int
 
 	// InitialBackoff is the delay before the first reconnect attempt;

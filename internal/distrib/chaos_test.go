@@ -70,7 +70,7 @@ func TestChaosDeterminismProperty(t *testing.T) {
 		LayoutTrials: 3, RoutingTrials: 4, FwdBwdPasses: 1, Seed: 21,
 		ConvergencePatience: 3,
 	}
-	want, err := sabre.FindBestRouting(blocks, topo, lopts, metric, factory)
+	want, err := sabre.FindBestRoutingPrepared(pc, lopts, metric, factory)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func (cl *Cluster) trialLease() int {
 }
 
 // Handlers returns the worker-side job table: pass to
-// dispatch.ServeConn / dispatch.ServeAddr.
+// dispatch.ServeConn / dispatch.ServeLoop.
 func Handlers() map[string]dispatch.Handler {
 	return map[string]dispatch.Handler{KindTrials: trialHandler}
 }

@@ -238,7 +238,7 @@ func TestCodecRejectsMalformed(t *testing.T) {
 // --- End-to-end bit-identity (the acceptance property) ---
 
 // TestDistributedFindBestRoutingBitIdentical: the distributed trial
-// grid must reproduce sabre.FindBestRouting bit for bit at every
+// grid must reproduce sabre.FindBestRoutingPrepared bit for bit at every
 // worker count x lease size x patience, for both the SABRE baseline
 // and MIRAGE with depth selection.
 func TestDistributedFindBestRoutingBitIdentical(t *testing.T) {
@@ -261,7 +261,7 @@ func TestDistributedFindBestRoutingBitIdentical(t *testing.T) {
 				LayoutTrials: 3, RoutingTrials: 4, FwdBwdPasses: 1, Seed: 17,
 				ConvergencePatience: patience,
 			}
-			want, err := sabre.FindBestRouting(blocks, topo, opts, metric, factory)
+			want, err := sabre.FindBestRoutingPrepared(pc, opts, metric, factory)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -369,7 +369,7 @@ func TestDistributedWorkerDeathBitIdentical(t *testing.T) {
 			LayoutTrials: 6, RoutingTrials: 2, FwdBwdPasses: 1, Seed: 29,
 			ConvergencePatience: patience,
 		}
-		want, err := sabre.FindBestRouting(blocks, topo, opts, metric, factory)
+		want, err := sabre.FindBestRoutingPrepared(pc, opts, metric, factory)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -421,7 +421,7 @@ func TestDistributedOverLoopbackTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	for w := 0; w < 2; w++ {
-		go dispatch.ServeAddr(addr.String(), Handlers(), nil)
+		go dispatch.ServeLoop(addr.String(), Handlers(), nil, dispatch.ReconnectOptions{})
 	}
 	if err := h.WaitWorkers(2, 5*time.Second); err != nil {
 		t.Fatal(err)
@@ -437,7 +437,7 @@ func TestDistributedOverLoopbackTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sabre.FindBestRouting(blocks, topo, opts, metric, factory)
+	want, err := sabre.FindBestRoutingPrepared(pc, opts, metric, factory)
 	if err != nil {
 		t.Fatal(err)
 	}

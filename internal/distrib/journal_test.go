@@ -189,7 +189,7 @@ func TestDistributedTrialsJournalRecovery(t *testing.T) {
 	}
 	spec, metric, factory := testPolicy(t, mirageDepth, blocks)
 	opts := sabre.LayoutOptions{LayoutTrials: 3, RoutingTrials: 4, FwdBwdPasses: 1, Seed: 17}
-	want, err := sabre.FindBestRouting(blocks, topo, opts, metric, factory)
+	want, err := sabre.FindBestRoutingPrepared(pc, opts, metric, factory)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -191,10 +191,10 @@ func GateWeight(cov *polytope.CoverageSet) circuit.WeightFunc {
 // source holds every class the pass asks for.
 //
 // The metric honours the sabre.Metric contract: it is a pure function
-// of the Result's contents and retains nothing, so FindBestRouting may
-// evaluate it on arena-backed Results that are recycled after the
-// call. It is safe for concurrent use and, once warm, allocates
-// nothing: each call borrows a BlockDepth from a pool.
+// of the Result's contents and retains nothing, so
+// FindBestRoutingPrepared may evaluate it on arena-backed Results that
+// are recycled after the call. It is safe for concurrent use and, once
+// warm, allocates nothing: each call borrows a BlockDepth from a pool.
 func DepthMetric(costs *CostTable) sabre.Metric {
 	cost := costs.CostOf
 	var passes sync.Pool

@@ -372,13 +372,14 @@ func (r *TrialRunner) RefineLayout(opts LayoutOptions, lt int) (*topology.Layout
 	return layout.Copy(), nil
 }
 
-// GridTrial executes trial t of the FindBestRouting grid: routing from
-// layout — row t / opts.RoutingTrials's RefineLayout result — with the
-// generator seeded from (opts.Seed, t). It is the single definition of
-// a grid trial's identity, shared by the rows, the winner replay and
-// the remote workers of the distributed transport: given equal
-// (layout, opts, t, policy) the trial is bit-identical wherever it
-// runs, which is what makes work-queue leases idempotent. The returned
+// GridTrial executes trial t of the FindBestRoutingPrepared grid:
+// routing from layout — row t / opts.RoutingTrials's RefineLayout
+// result — with the generator seeded from (opts.Seed, t). It is the
+// single definition of a grid trial's identity, shared by the rows,
+// the winner replay and the remote workers of the distributed
+// transport: given equal (layout, opts, t, policy) the trial is
+// bit-identical wherever it runs, which is what makes work-queue
+// leases idempotent. The returned
 // Result aliases the runner's arena like Run's does.
 func (r *TrialRunner) GridTrial(layout *topology.Layout, opts LayoutOptions, t int, policy MirrorPolicy) (*Result, error) {
 	return r.gridTrial(layout, opts.WithDefaults(), t, policy, nil)

@@ -98,7 +98,7 @@ func TestFindBestRoutingInvariantAcrossSchedulers(t *testing.T) {
 			var ref []int
 			var refTrials int
 			for _, par := range []int{1, 3, 8} {
-				res, err := FindBestRouting(c, topo, LayoutOptions{
+				res, err := findBestRouting(c, topo, LayoutOptions{
 					LayoutTrials: 4, RoutingTrials: 4, FwdBwdPasses: 2, Seed: 17,
 					Parallelism:         par,
 					ConvergencePatience: patience,

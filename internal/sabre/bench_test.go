@@ -46,7 +46,7 @@ func BenchmarkFindBestRouting(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := FindBestRouting(c, topo, LayoutOptions{
+				res, err := findBestRouting(c, topo, LayoutOptions{
 					LayoutTrials: 8, RoutingTrials: 8, FwdBwdPasses: 2, Seed: 3,
 					Parallelism: mode.par,
 				}, SwapCountMetric, nil)

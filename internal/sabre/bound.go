@@ -10,7 +10,7 @@ import (
 
 // Bound declares a lower bound on a Metric's score that a routing
 // trial can track while it routes and that never decreases as the
-// trial emits ops. FindBestRouting uses it to stop a grid trial once
+// trial emits ops. FindBestRoutingPrepared uses it to stop a grid trial once
 // its bound reaches a score of a lower-index trial (see Grid): ties
 // break toward the lower index, so the cut trial could not have won.
 // Winner, score, TrialsExecuted and the replayed Result are what the

@@ -141,7 +141,7 @@ func TestCustomMetricNeverCut(t *testing.T) {
 	for _, c := range boundCircuits() {
 		var calls atomic.Int64
 		metric := func(r *Result) float64 { calls.Add(1); return float64(r.SwapsInserted) }
-		res, err := FindBestRouting(c, topo, LayoutOptions{
+		res, err := findBestRouting(c, topo, LayoutOptions{
 			LayoutTrials: 3, RoutingTrials: 5, FwdBwdPasses: 1, Seed: 2, Parallelism: 2,
 		}, metric, nil)
 		if err != nil {

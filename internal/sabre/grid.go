@@ -21,7 +21,7 @@ type Row struct {
 	Err    error
 }
 
-// Grid consumes the layout rows of one FindBestRouting grid and
+// Grid consumes the layout rows of one FindBestRoutingPrepared grid and
 // replays its winner. Both schedulers drive it through Consume, from
 // the consume callback of a dispatch.Queue, so scores reach the trial
 // selector in trial-index order: RunGrids runs rows on

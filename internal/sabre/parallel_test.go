@@ -65,7 +65,7 @@ func TestFindBestRoutingDeterministicAcrossParallelism(t *testing.T) {
 	} {
 		var ref []int
 		for _, par := range []int{1, 4, runtime.NumCPU()} {
-			res, err := FindBestRouting(c, topo, LayoutOptions{
+			res, err := findBestRouting(c, topo, LayoutOptions{
 				LayoutTrials: 5, RoutingTrials: 5, FwdBwdPasses: 2, Seed: 9,
 				Parallelism: par,
 			}, SwapCountMetric, factory)
@@ -105,7 +105,7 @@ func TestFindBestRoutingParallelSeedSensitivity(t *testing.T) {
 	var ref []int
 	for seed := int64(1); seed <= 5; seed++ {
 		opts.Seed = seed
-		res, err := FindBestRouting(c, topo, opts, SwapCountMetric, nil)
+		res, err := findBestRouting(c, topo, opts, SwapCountMetric, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestFindBestRoutingParallelError(t *testing.T) {
 	}
 	var msgs []string
 	for _, par := range []int{1, 4} {
-		_, err := FindBestRouting(c, topo, LayoutOptions{
+		_, err := findBestRouting(c, topo, LayoutOptions{
 			Routing:      Options{MaxSteps: 1},
 			LayoutTrials: 3, RoutingTrials: 2, FwdBwdPasses: 1, Seed: 1, Parallelism: par,
 		}, SwapCountMetric, nil)

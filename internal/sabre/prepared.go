@@ -83,11 +83,36 @@ func NewTrialRunner(pc *PreparedCircuit) *TrialRunner {
 // rows of several circuits reuses one arena for all of them.
 func (r *TrialRunner) Bind(pc *PreparedCircuit) { r.pc = pc }
 
-// FindBestRoutingPrepared is FindBestRouting over prepared state: the
-// rows and the winner replay all share pc's immutable DAGs, so a
-// caller routing the same circuit under several configurations (e.g.
-// a benchmark row running both routers) pays for the per-circuit
-// analysis once. It is RunGrids over one grid.
+// FindBestRoutingPrepared runs the full SABRE flow on pc: for each
+// layout trial, a random initial layout is refined by forward/backward
+// routing passes, then the circuit is routed up to LayoutTrials x
+// RoutingTrials times independently; the best result under the metric
+// is returned. It is RunGrids over one grid.
+//
+// The unit of work is a layout row lt: refine layout lt, then route
+// its RoutingTrials trials t = lt*RoutingTrials + rt and score them
+// inside the worker, so expensive metrics (polytope-weighted depth)
+// parallelise too. The rows and the winner replay all share pc's
+// immutable forward and reversed DAGs, so a caller routing the same
+// circuit under several configurations (e.g. a benchmark row running
+// both routers) pays for the per-circuit analysis once; each worker
+// reuses one arena for its rows. Rows run on the dispatch work queue,
+// which hands them to a Grid in row order; the Grid feeds the scores
+// to its trial selector — the online argmin plus convergence stop
+// rule — in trial-index order, so it sees exactly the sequence a
+// serial loop would, and the winner and TrialsExecuted are independent
+// of goroutine scheduling. Only scores and the refined layout leave a
+// row; once the winner is known, that single trial is replayed on a
+// fresh arena to materialise the returned Result.
+//
+// Each trial owns a generator seeded from (Seed, trial kind, trial
+// index) through a splitmix64 mixer, and ties between equal-scoring
+// trials break toward the lowest trial index, so the chosen result is
+// bit-identical at any worker count: it is exactly the trial a serial
+// loop would have selected. When opts carry a Bound on the metric
+// (WithBound), a trial stops routing as soon as its bound reaches a
+// lower-index score and reaches the selector as non-improving; the
+// returned Result is unchanged (see Grid).
 func FindBestRoutingPrepared(pc *PreparedCircuit, opts LayoutOptions,
 	metric Metric, factory PolicyFactory) (*Result, error) {
 

@@ -14,7 +14,7 @@
 // property-tested against.
 //
 // The trial hot path allocates nothing per steady-state trial: the
-// dependency DAG is built once per FindBestRouting call as an
+// dependency DAG is built once per circuit (PrepareCircuit) as an
 // immutable circuit.FlatDAG shared read-only by every worker, and all
 // mutable trial state — traversal, layout, decay, scoring sets,
 // candidate dedup stamps, the routed-op buffer — lives in a per-worker
@@ -118,7 +118,7 @@ type Result struct {
 	MirrorsUsed   int
 	TwoQubitGates int
 	// TrialsExecuted / TrialsBudgeted describe the trial schedule that
-	// produced this result (set by FindBestRouting: executed counts the
+	// produced this result (set by FindBestRoutingPrepared: executed counts the
 	// trial indices the scheduler consumed, budgeted the full grid).
 	// Zero for direct Route calls.
 	TrialsExecuted int
@@ -158,7 +158,7 @@ func RandomLayout(numLogical int, topo *topology.Topology, rng *rand.Rand) *topo
 }
 
 // Metric scores a routing result; lower is better. Metrics must be
-// deterministic functions of the Result: FindBestRouting evaluates
+// deterministic functions of the Result: FindBestRoutingPrepared evaluates
 // them inside trial workers on arena-backed Results that are only
 // valid for the duration of the call (the winning trial is replayed to
 // materialise the returned Result), so a metric must neither retain
@@ -221,45 +221,6 @@ func (o LayoutOptions) WithDefaults() LayoutOptions {
 // PolicyFactory builds a mirror policy for a given trial index; nil
 // factories (baseline SABRE) yield nil policies. Trial indices let
 // MIRAGE distribute aggression levels across trials. Factories must be
-// deterministic in the trial index: FindBestRouting replays the
+// deterministic in the trial index: FindBestRoutingPrepared replays the
 // winning trial — same index, same seed — to materialise its Result.
 type PolicyFactory func(trial int) MirrorPolicy
-
-// FindBestRouting runs the full SABRE flow: for each layout trial, a
-// random initial layout is refined by forward/backward routing passes,
-// then the circuit is routed up to LayoutTrials x RoutingTrials times
-// independently; the best result under the metric is returned.
-//
-// The unit of work is a layout row lt: refine layout lt, then route
-// its RoutingTrials trials t = lt*RoutingTrials + rt and score them
-// inside the worker, so expensive metrics (polytope-weighted depth)
-// parallelise too. The flat dependency DAG is built once (forward and
-// reversed) and shared read-only by every worker; each worker reuses
-// one arena for its rows. Rows run on the dispatch work queue, which
-// hands them to a Grid in row order; the Grid feeds the scores to its
-// trial selector — the online argmin plus convergence stop rule — in
-// trial-index order, so it sees exactly the sequence a serial loop
-// would, and the winner and TrialsExecuted are independent of
-// goroutine scheduling. Only scores and the refined layout leave a
-// row; once the winner is known, that single trial is replayed on a
-// fresh arena to materialise the returned Result.
-//
-// Each trial owns a generator seeded from (Seed, trial kind, trial
-// index) through a splitmix64 mixer, and ties between equal-scoring
-// trials break toward the lowest trial index, so the chosen result is
-// bit-identical at any worker count: it is exactly the trial a serial
-// loop would have selected. When opts carry a Bound on the metric
-// (WithBound), a trial stops routing as soon as its bound reaches a
-// lower-index score and reaches the selector as non-improving; the
-// returned Result is unchanged (see Grid). Callers routing one circuit
-// repeatedly should PrepareCircuit once and use
-// FindBestRoutingPrepared.
-func FindBestRouting(c *circuit.Circuit, topo *topology.Topology, opts LayoutOptions,
-	metric Metric, factory PolicyFactory) (*Result, error) {
-
-	pc, err := PrepareCircuit(c, topo)
-	if err != nil {
-		return nil, err
-	}
-	return FindBestRoutingPrepared(pc, opts, metric, factory)
-}

@@ -9,6 +9,18 @@ import (
 	"repro/internal/topology"
 )
 
+// findBestRouting prepares c on topo and routes its grid: the one-shot
+// call most tests make.
+func findBestRouting(c *circuit.Circuit, topo *topology.Topology, opts LayoutOptions,
+	metric Metric, factory PolicyFactory) (*Result, error) {
+
+	pc, err := PrepareCircuit(c, topo)
+	if err != nil {
+		return nil, err
+	}
+	return FindBestRoutingPrepared(pc, opts, metric, factory)
+}
+
 // padded returns the circuit extended to the full topology width so
 // layouts are bijections and unitary contracts are exact.
 func padded(c *circuit.Circuit, topo *topology.Topology) *circuit.Circuit {
@@ -178,7 +190,7 @@ func TestFindBestRoutingImprovesOverWorst(t *testing.T) {
 		}
 		c.Add(gates.CX(), a, b)
 	}
-	best, err := FindBestRouting(c, topo, LayoutOptions{
+	best, err := findBestRouting(c, topo, LayoutOptions{
 		LayoutTrials: 4, RoutingTrials: 4, FwdBwdPasses: 2, Seed: 7,
 	}, SwapCountMetric, nil)
 	if err != nil {

@@ -34,7 +34,7 @@ func TestAdaptiveDeterministicAcrossParallelism(t *testing.T) {
 	var ref []int
 	var refExecuted int
 	for _, par := range []int{1, 3, runtime.NumCPU()} {
-		res, err := FindBestRouting(c, topo, LayoutOptions{
+		res, err := findBestRouting(c, topo, LayoutOptions{
 			LayoutTrials: 6, RoutingTrials: 6, FwdBwdPasses: 2, Seed: 5,
 			Parallelism: par, ConvergencePatience: 4,
 		}, SwapCountMetric, nil)
@@ -65,7 +65,7 @@ func TestAdaptiveDeterministicAcrossParallelism(t *testing.T) {
 func TestAdaptiveStopsEarly(t *testing.T) {
 	topo := topology.Grid(3, 3)
 	c := schedulerCircuit(9, 20, 7)
-	full, err := FindBestRouting(c, topo, LayoutOptions{
+	full, err := findBestRouting(c, topo, LayoutOptions{
 		LayoutTrials: 8, RoutingTrials: 8, FwdBwdPasses: 1, Seed: 3,
 	}, SwapCountMetric, nil)
 	if err != nil {
@@ -75,7 +75,7 @@ func TestAdaptiveStopsEarly(t *testing.T) {
 		t.Fatalf("fixed grid executed %d/%d trials, want 64/64",
 			full.TrialsExecuted, full.TrialsBudgeted)
 	}
-	adaptive, err := FindBestRouting(c, topo, LayoutOptions{
+	adaptive, err := findBestRouting(c, topo, LayoutOptions{
 		LayoutTrials: 8, RoutingTrials: 8, FwdBwdPasses: 1, Seed: 3,
 		ConvergencePatience: 5,
 	}, SwapCountMetric, nil)
@@ -95,12 +95,12 @@ func TestAdaptiveLargePatienceMatchesFullGrid(t *testing.T) {
 	topo := topology.Line(6)
 	c := schedulerCircuit(6, 18, 13)
 	opts := LayoutOptions{LayoutTrials: 4, RoutingTrials: 4, FwdBwdPasses: 1, Seed: 11}
-	full, err := FindBestRouting(c, topo, opts, SwapCountMetric, nil)
+	full, err := findBestRouting(c, topo, opts, SwapCountMetric, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.ConvergencePatience = 1000
-	adaptive, err := FindBestRouting(c, topo, opts, SwapCountMetric, nil)
+	adaptive, err := findBestRouting(c, topo, opts, SwapCountMetric, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestAdaptiveStreamingUnderRace(t *testing.T) {
 	}
 	var ref []int
 	for rep := 0; rep < 4; rep++ {
-		res, err := FindBestRouting(c, topo, LayoutOptions{
+		res, err := findBestRouting(c, topo, LayoutOptions{
 			LayoutTrials: 5, RoutingTrials: 5, FwdBwdPasses: 1, Seed: 21,
 			Parallelism: 8, ConvergencePatience: 3,
 		}, SwapCountMetric, factory)

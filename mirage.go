@@ -215,8 +215,8 @@ func TranspilePrepared(pc *PreparedCircuit, opts Options) (*Report, error) {
 // --- Distributed trial dispatch ---
 
 // DispatchHub is a coordinator's pool of worker connections: workers
-// dial in once (ServeWorker / `miraged worker`) and serve any number
-// of sequential jobs. Lost workers have their leased work re-granted;
+// dial in once (ServeResilientWorker / `miraged worker`) and serve any
+// number of sequential jobs. Lost workers have their leased work re-granted;
 // work items are deterministic in their index, so outcomes are
 // bit-identical to single-process runs regardless of worker count or
 // failures.
@@ -245,12 +245,6 @@ func ServeWorker(conn net.Conn) error {
 	return dispatch.ServeConn(conn, distrib.Handlers(), nil)
 }
 
-// ServeWorkerAddr dials a coordinator and serves jobs until the
-// connection closes — the library form of `miraged worker -connect`.
-func ServeWorkerAddr(addr string) error {
-	return dispatch.ServeAddr(addr, distrib.Handlers(), nil)
-}
-
 // WorkerOptions tunes the worker side of the dispatch protocol:
 // heartbeat cadence, per-item timeouts, a graceful-drain channel that
 // hands the current lease back to the coordinator, and seeded fault
@@ -261,11 +255,12 @@ type WorkerOptions = dispatch.ServeOptions
 // exponential-backoff redial loop.
 type ReconnectOptions = dispatch.ReconnectOptions
 
-// ServeResilientWorker is ServeWorkerAddr with fault tolerance: the
-// worker reconnects with capped exponential backoff and jitter when
-// the coordinator goes away, rejoins in-progress jobs, and drains
-// gracefully when opts.Drain is closed — the library form of
-// `miraged worker -connect ... -retry ... -drain`.
+// ServeResilientWorker dials a coordinator and serves jobs — the
+// library form of `miraged worker -connect`. With zero rc it serves
+// one connection and returns when the coordinator closes it; with
+// rc.Attempts it reconnects with capped exponential backoff and jitter
+// when the coordinator goes away and rejoins in-progress jobs. It
+// drains gracefully when opts.Drain is closed (`-retry ... -drain`).
 func ServeResilientWorker(addr string, opts *WorkerOptions, rc ReconnectOptions) error {
 	return dispatch.ServeLoop(addr, distrib.Handlers(), opts, rc)
 }
