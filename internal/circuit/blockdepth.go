@@ -36,19 +36,30 @@ type CoordCost func(weyl.Coordinate) float64
 //     exactly as ConsolidateBlocks does and its coordinate taken from
 //     the shared coordinate cache. Fallbacks counts these runs.
 //
+// Runs close in the order in which ConsolidateBlocks emits its
+// blocks. So after Finish, Blocks is the consolidated circuit's 2Q op
+// count and Total sums the blocks' prices in that circuit's op order:
+// both equal what a count and a sum over ConsolidateBlocks' output
+// give, under the same condition as Depth.
+//
 // The pass is push-style: Start, then Push each op in order, then
 // Finish. Depth runs it over a whole circuit; the router runs it over
 // the ops it emits, reading Closed and Clock as a trial's lower bound
-// while it routes, so the metric and the bound share one
-// implementation. A BlockDepth holds reusable per-wire buffers: after
-// the first pass over a given width it allocates nothing. It is
-// single-goroutine; use one per worker (or a sync.Pool).
+// while it routes. The trial bound, the trial metric
+// (mirage.DepthMetric) and a transpile report's depth and gate counts
+// all come from this one pass, so a winner's selection score and its
+// reported depth agree by construction. A BlockDepth holds reusable
+// per-wire buffers: after the first pass over a given width it
+// allocates nothing. It is single-goroutine; use one per worker (or a
+// sync.Pool).
 type BlockDepth struct {
 	clock  []float64  // per-wire finish time
 	owner  []int32    // lower wire of the open run holding the wire, or -1
 	runs   []blockRun // open runs, indexed by their lower wire
 	cost   CoordCost
 	closed float64 // latest finish time over the closed runs
+	total  float64 // summed price of the closed runs, in closing order
+	blocks int     // number of closed runs
 	// Fallbacks counts the runs the current pass closed through the
 	// matrix fallback (two or more payload ops).
 	Fallbacks int
@@ -102,7 +113,7 @@ func (p *BlockDepth) Start(n int, cost CoordCost) {
 		p.owner[q] = -1
 	}
 	p.cost = cost
-	p.closed = 0
+	p.closed, p.total, p.blocks = 0, 0, 0
 	p.Fallbacks = 0
 }
 
@@ -150,6 +161,15 @@ func (p *BlockDepth) Push(ops []Op, i int) {
 // runs.
 func (p *BlockDepth) Closed() float64 { return p.closed }
 
+// Total returns the summed price of the runs closed so far, added in
+// closing order; after Finish it is the consolidated circuit's total
+// 2Q cost.
+func (p *BlockDepth) Total() float64 { return p.total }
+
+// Blocks returns the number of runs closed so far; after Finish it is
+// the consolidated circuit's 2Q op count.
+func (p *BlockDepth) Blocks() int { return p.blocks }
+
 // Clock returns wire q's finish time over the closed runs. While a run
 // is open on q, no other run can close on q, so this is the time that
 // run will start at.
@@ -180,6 +200,8 @@ func (p *BlockDepth) close(ops []Op, q int) {
 		start = p.clock[r.b]
 	}
 	end := start + w
+	p.total += w
+	p.blocks++
 	p.clock[a], p.clock[r.b] = end, end
 	p.owner[a], p.owner[r.b] = -1, -1
 	if end > p.closed {

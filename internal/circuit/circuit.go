@@ -188,15 +188,6 @@ func (c *Circuit) Depth(w WeightFunc) float64 {
 	return depth
 }
 
-// TotalCost sums the weights of all ops.
-func (c *Circuit) TotalCost(w WeightFunc) float64 {
-	var s float64
-	for _, op := range c.Ops {
-		s += w(op)
-	}
-	return s
-}
-
 // InteractionPairs returns the set of qubit pairs with at least one 2Q
 // gate, as canonical (lo, hi) pairs.
 func (c *Circuit) InteractionPairs() map[[2]int]int {

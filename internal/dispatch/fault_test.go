@@ -106,9 +106,9 @@ func TestStalledProgressRevoked(t *testing.T) {
 	h.Close()
 }
 
-// TestJobDeadlineListsOutstandingLeases is satellite S1: a job that
-// cannot finish fails on the configured deadline with a descriptive
-// error naming the spans still outstanding.
+// TestJobDeadlineListsOutstandingLeases: a job whose only worker
+// stalls on its lease fails on the hub's JobDeadline with an error
+// that names the lease spans still outstanding.
 func TestJobDeadlineListsOutstandingLeases(t *testing.T) {
 	h := NewHub()
 	h.HeartbeatTimeout = -1 // isolate the job-level deadline
@@ -132,10 +132,10 @@ func TestJobDeadlineListsOutstandingLeases(t *testing.T) {
 	h.Close()
 }
 
-// TestCorruptFrameQuarantinesWorker is satellite S2: a corrupted gob
-// frame gets that worker (and only that worker) disconnected with a
-// peer+lease diagnostic, its lease re-granted, and the job completed
-// by the survivors.
+// TestCorruptFrameQuarantinesWorker: a corrupted gob frame gets that
+// worker (and only that worker) disconnected with a peer+lease
+// diagnostic, its lease re-granted, and the job completed by the
+// survivors.
 func TestCorruptFrameQuarantinesWorker(t *testing.T) {
 	const max = 40
 	wantAt, wantExec := serialBest(max, 0)

@@ -774,8 +774,8 @@ func (h *Hub) awaitResults(hc *hubConn, leaseID uint64) (wireMsg, error) {
 }
 
 // classifyLeaseError wraps a lease-phase failure with the peer address
-// and lease context (the quarantine diagnostic of satellite S2) and
-// counts it: deadline breaches are revocations, closed connections are
+// and lease context (the diagnostic a quarantined worker's error
+// carries) and counts it: deadline breaches are revocations, closed connections are
 // disconnects, anything else is a corrupt frame.
 func (h *Hub) classifyLeaseError(hc *hubConn, l Lease, err error) error {
 	var ne net.Error

@@ -184,20 +184,6 @@ func (q *Queue[T]) Abort(err error) {
 	q.cond.Broadcast()
 }
 
-// OutstandingLeases snapshots the leases currently granted and not yet
-// fully reported, sorted by Lo: the spans the fleet still owes, which
-// UnfinishedSummary also renders for deadline errors.
-func (q *Queue[T]) OutstandingLeases() []Lease {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make([]Lease, 0, len(q.leases))
-	for id, span := range q.leases {
-		out = append(out, Lease{ID: id, Lo: span.lo, Hi: span.hi})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Lo < out[j].Lo })
-	return out
-}
-
 // UnfinishedSummary renders the queue's remaining work as a short
 // human-readable string: consumed count, outstanding lease spans,
 // failed spans awaiting re-grant, and the never-granted tail.

@@ -51,8 +51,8 @@ func chaosFleet(t *testing.T, seed int64, clean int) *Cluster {
 	return NewCluster(h)
 }
 
-// TestChaosDeterminismProperty is satellite S3, the re-lease
-// determinism contract under seeded chaos: the same job run against
+// TestChaosDeterminismProperty pins the re-lease determinism
+// contract under seeded chaos: the same job run against
 // fleets suffering kills, silent stalls and backoff reconnects — at
 // several worker counts and lease sizes — must reproduce the serial
 // routed circuit, TrialsExecuted, and mirror survival fidelity bit for

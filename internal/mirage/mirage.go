@@ -190,6 +190,11 @@ func GateWeight(cov *polytope.CoverageSet) circuit.WeightFunc {
 // never takes the fallback. A table built over the routed circuit's
 // source holds every class the pass asks for.
 //
+// The pass is the one the trial bound (sabre.DepthBound) cuts trials
+// with and the one a transpile report is measured with, so the
+// winner's score is its report's DepthTime exactly: the table prices
+// every class at cov.CostOf(class, false), as the report does.
+//
 // The metric honours the sabre.Metric contract: it is a pure function
 // of the Result's contents and retains nothing, so
 // FindBestRoutingPrepared may evaluate it on arena-backed Results that

@@ -63,7 +63,7 @@ func TestVerifyTranspiledMirrors(t *testing.T) {
 				// The reconsolidated form must satisfy the identity too:
 				// this additionally audits block consolidation on the
 				// routed output (the circuit the metrics are measured on).
-				fid, err = Verify(rep.Reconsolidated, rep.FinalLayout, m.Expected, 1e-9)
+				fid, err = Verify(circuit.ConsolidateBlocks(rep.Routed), rep.FinalLayout, m.Expected, 1e-9)
 				if err != nil {
 					t.Errorf("%s on %s via %s (reconsolidated): %v", s.Name(), topo.Name, router, err)
 				} else if math.Abs(1-fid) > 1e-9 {

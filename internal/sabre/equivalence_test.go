@@ -184,7 +184,7 @@ func equivCases(t *testing.T) []equivCase {
 	return cases
 }
 
-// TestRouteMatchesReference is the tentpole equivalence property: the
+// TestRouteMatchesReference is the engine's equivalence property: the
 // incremental engine must reproduce the naive recompute formulation
 // bit-identically — same SWAP sequence, same mirror decisions, same
 // RNG consumption — across randomized circuits, topologies, layouts

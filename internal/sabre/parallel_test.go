@@ -42,8 +42,8 @@ func sameFingerprint(a, b []int) bool {
 	return true
 }
 
-// TestFindBestRoutingDeterministicAcrossParallelism is the tentpole
-// contract: the same seed must produce a bit-identical best result for
+// TestFindBestRoutingDeterministicAcrossParallelism pins the
+// scheduler's determinism contract: the same seed must produce a bit-identical best result for
 // Parallelism = 1, 4 and NumCPU, with and without a mirror policy.
 func TestFindBestRoutingDeterministicAcrossParallelism(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))

@@ -14,8 +14,7 @@ import (
 
 // maxCallBytes bounds the heap bytes one warm MIRAGE-Depth
 // TranspilePrepared call of a small mirror circuit allocates: its
-// routed result, reconsolidated circuit and cost table, with room for
-// the race detector. A per-call cost structure sized for reuse across
+// routed result and cost table, with room for the race detector. A per-call cost structure sized for reuse across
 // circuits (a presized cache of hundreds of kilobytes) breaks it.
 const maxCallBytes = 256 << 10
 

@@ -2,8 +2,12 @@
 // Section V: input cleaning (3Q unrolling, identity removal, SWAP
 // elision), 2Q block consolidation with coordinate annotation, a
 // VF2-style trivial-layout check, SABRE or MIRAGE routing with layout
-// and routing trials, and metric extraction (polytope-weighted depth,
-// total basis-gate cost, SWAP count, mirror acceptance rate).
+// and routing trials, and metric extraction (SWAP count, mirror
+// acceptance rate, and the polytope-weighted depth, total basis-gate
+// cost and block count of the reconsolidated routed circuit). The
+// reconsolidated metrics come from one circuit.BlockDepth pass over
+// the routed ops, the pass the trials are scored and cut with; the
+// reconsolidated circuit itself is never built.
 //
 // Routing runs on the arena-based trial engine: per circuit, one
 // immutable flat dependency DAG is shared read-only by all trial
@@ -24,6 +28,7 @@ import (
 	"repro/internal/polytope"
 	"repro/internal/sabre"
 	"repro/internal/topology"
+	"repro/internal/weyl"
 )
 
 // Router selects the routing algorithm.
@@ -87,21 +92,24 @@ type Report struct {
 	Name   string
 	Router string
 	// Routed is the raw router output (SWAPs and mirrored gates
-	// marked); Reconsolidated merges same-pair runs — including SWAPs
-	// absorbed into neighbouring gates — and is what the depth and
-	// gate-count metrics are measured on.
-	Routed         *circuit.Circuit
-	Reconsolidated *circuit.Circuit
-	InitialLayout  *topology.Layout
-	FinalLayout    *topology.Layout
+	// marked). The depth and gate-count metrics below measure it as
+	// reconsolidated: same-pair runs merged into blocks, router SWAPs
+	// absorbed into neighbouring gates. They are computed without
+	// building that circuit; a caller that wants it calls
+	// circuit.ConsolidateBlocks(Routed).
+	Routed        *circuit.Circuit
+	InitialLayout *topology.Layout
+	FinalLayout   *topology.Layout
 
-	// DepthTime is the weighted critical path in normalised time units
-	// (iSWAP = 1.0); DepthPulses is the same path counted in basis-gate
-	// applications (sqrt-iSWAP pulse count, as in paper Fig. 8).
+	// DepthTime is the weighted critical path of the reconsolidated
+	// circuit in normalised time units (iSWAP = 1.0); DepthPulses is
+	// the same path counted in basis-gate applications (sqrt-iSWAP
+	// pulse count, as in paper Fig. 8).
 	DepthTime   float64
 	DepthPulses float64
-	// TotalBasisGates is the summed basis-application count of all 2Q
-	// blocks (paper Fig. 12b/d "Total 2Q Gates").
+	// TotalBasisGates is the summed basis-application count of all its
+	// 2Q blocks (paper Fig. 12b/d "Total 2Q Gates"), and Total2QBlocks
+	// the number of those blocks.
 	TotalBasisGates float64
 	Total2QBlocks   int
 	SwapsInserted   int
@@ -318,18 +326,20 @@ func tryTrivialLayout(c *circuit.Circuit, topo *topology.Topology) (*circuit.Cir
 	return out, layout, true
 }
 
+// fillMetrics measures rep.Routed as reconsolidated (paper Section V:
+// "we incorporate Qiskit's remaining optimizations and reconsolidate
+// the circuit"). Reconsolidation is what lets the *baseline* absorb a
+// router SWAP into an adjacent same-pair gate (the iSWAP between
+// pulses 7 and 9 of paper Fig. 8b), so the comparison against MIRAGE
+// is fair. The circuit itself is never built: one circuit.BlockDepth
+// pass, the one the trial metric and bound run, yields its depth, its
+// summed block price and its block count.
 func fillMetrics(rep *Report, basis *polytope.CoverageSet) {
-	// Reconsolidate before measuring (paper Section V: "we incorporate
-	// Qiskit's remaining optimizations and reconsolidate the circuit").
-	// This is what lets the *baseline* absorb a router SWAP into an
-	// adjacent same-pair gate (the iSWAP between pulses 7 and 9 of
-	// paper Fig. 8b), so the comparison against MIRAGE is fair.
-	rep.Reconsolidated = circuit.ConsolidateBlocks(rep.Routed)
-	w := mirage.GateWeight(basis)
-	rep.DepthTime = rep.Reconsolidated.Depth(w)
+	var p circuit.BlockDepth
+	rep.DepthTime = p.Depth(rep.Routed, func(c weyl.Coordinate) float64 { return basis.CostOf(c, false) })
 	rep.DepthPulses = rep.DepthTime / basis.PerGateCost
-	rep.TotalBasisGates = rep.Reconsolidated.TotalCost(w) / basis.PerGateCost
-	rep.Total2QBlocks = rep.Reconsolidated.Count2Q()
+	rep.TotalBasisGates = p.Total() / basis.PerGateCost
+	rep.Total2QBlocks = p.Blocks()
 }
 
 // Summary renders the report as a one-line table row.
