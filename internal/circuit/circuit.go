@@ -94,12 +94,20 @@ func (c *Circuit) Add(g gates.Gate, qubits ...int) {
 }
 
 // Copy returns a deep-enough copy (ops are value-copied; gate matrices
-// are immutable by convention).
+// are immutable by convention). The copied ops' qubits are cut from
+// one slice, each with a capacity of its own length.
 func (c *Circuit) Copy() *Circuit {
 	out := New(c.Name, c.NumQubits)
 	out.Ops = make([]Op, len(c.Ops))
+	n := 0
+	for _, op := range c.Ops {
+		n += len(op.Qubits)
+	}
+	qubits := make([]int, 0, n)
 	for i, op := range c.Ops {
-		op.Qubits = append([]int(nil), op.Qubits...)
+		lo := len(qubits)
+		qubits = append(qubits, op.Qubits...)
+		op.Qubits = qubits[lo:len(qubits):len(qubits)]
 		out.Ops[i] = op
 	}
 	return out

@@ -272,6 +272,9 @@ func TestUnrollToffoliMatchesMatrix(t *testing.T) {
 			t.Fatal("unroll left a 3Q gate")
 		}
 	}
+	if len(u.Ops) != toffoliOps || cap(u.Ops) != toffoliOps {
+		t.Fatalf("unrolled into %d ops with capacity %d, want %d of each", len(u.Ops), cap(u.Ops), toffoliOps)
+	}
 	ok, err := EquivalentUpToPhase(c, u, 1e-8)
 	if err != nil {
 		t.Fatal(err)
@@ -285,6 +288,9 @@ func TestUnrollFredkinMatchesMatrix(t *testing.T) {
 	c := New("cswap", 3)
 	c.Add(Fredkin(), 0, 1, 2)
 	u := UnrollTo2Q(c)
+	if len(u.Ops) != fredkinOps || cap(u.Ops) != fredkinOps {
+		t.Fatalf("unrolled into %d ops with capacity %d, want %d of each", len(u.Ops), cap(u.Ops), fredkinOps)
+	}
 	ok, err := EquivalentUpToPhase(c, u, 1e-8)
 	if err != nil {
 		t.Fatal(err)

@@ -19,113 +19,158 @@ import (
 //
 // All block accumulation runs on the fixed-size linalg.Mat2/Mat4
 // value kernels: absorbing a gate into a block is pure stack
-// arithmetic, and the only per-block allocations left are the two
-// output gates themselves.
+// arithmetic. The open runs live in per-wire slices, as in
+// BlockDepth: a run sits at its lower wire and every wire records the
+// run holding it. The output's ops, their qubits and the blocks'
+// coordinates each go into one slice sized from the input, so an
+// emitted block or 1Q gate allocates only its matrix.
 func ConsolidateBlocks(c *Circuit) *Circuit {
-	out := New(c.Name, c.NumQubits)
-
-	type block struct {
-		a, b    int // a < b
-		leading [2]linalg.Mat2
-		blockInterior
+	n := c.NumQubits
+	k := consolidator{
+		out:        New(c.Name, n),
+		runs:       make([]openBlock, n),
+		owner:      make([]int32, n),
+		pending:    make([]linalg.Mat2, n),
+		pendingSet: make([]bool, n),
 	}
-	active := map[[2]int]*block{}
-	owner := make(map[int][2]int) // qubit -> pair key
-	pending := make([]linalg.Mat2, c.NumQubits)
-	pendingSet := make([]bool, c.NumQubits)
+	// Every emitted block or 1Q gate absorbs at least one input op of
+	// its width, so the input bounds each output slice.
+	wires, pairs := 0, 0
+	for _, op := range c.Ops {
+		switch len(op.Qubits) {
+		case 1:
+			wires++
+		case 2:
+			wires += 2
+			pairs++
+		}
+	}
+	k.out.Ops = make([]Op, 0, len(c.Ops))
+	k.qubits = make([]int, 0, wires)
+	k.coords = make([]weyl.Coordinate, 0, pairs)
+	for q := range k.owner {
+		k.owner[q] = -1
+	}
 
 	id2 := linalg.IdentityMat2()
-	side := func(bl *block, q int) int {
-		if q == bl.a {
-			return 0
-		}
-		return 1
-	}
-
-	flush := func(bl *block) {
-		delete(active, [2]int{bl.a, bl.b})
-		delete(owner, bl.a)
-		delete(owner, bl.b)
-		full := embed1Q(bl.trailing[0], 0).Mul(embed1Q(bl.trailing[1], 1)).
-			Mul(bl.interior).
-			Mul(embed1Q(bl.leading[0], 0)).Mul(embed1Q(bl.leading[1], 1))
-		coord := cachedCoordinateMat4(bl.interior)
-		out.Append(Op{
-			Gate:   gates.NewCustom("block", 2, full.ToMatrix()),
-			Qubits: []int{bl.a, bl.b},
-			Coord:  &coord,
-		})
-	}
-	flushQubit := func(q int) {
-		if key, ok := owner[q]; ok {
-			flush(active[key])
-		}
-	}
-	flushPending := func(q int) {
-		if pendingSet[q] {
-			out.Append(Op{Gate: gates.NewCustom("u", 1, pending[q].ToMatrix()), Qubits: []int{q}})
-			pendingSet[q] = false
-		}
-	}
-
 	for _, op := range c.Ops {
 		switch len(op.Qubits) {
 		case 1:
 			q := op.Qubits[0]
 			g := linalg.Mat2From(op.Gate.Matrix())
-			if key, ok := owner[q]; ok {
-				bl := active[key]
-				bl.apply1Q(g, side(bl, q))
+			if a := k.owner[q]; a >= 0 {
+				s := 0
+				if q != int(a) {
+					s = 1
+				}
+				k.runs[a].apply1Q(g, s)
 				continue
 			}
-			if !pendingSet[q] {
-				pending[q] = g
-				pendingSet[q] = true
+			if !k.pendingSet[q] {
+				k.pending[q] = g
+				k.pendingSet[q] = true
 			} else {
-				pending[q] = g.Mul(pending[q])
+				k.pending[q] = g.Mul(k.pending[q])
 			}
 		case 2:
 			a, b := op.Qubits[0], op.Qubits[1]
 			if a > b {
 				a, b = b, a
 			}
-			key := [2]int{a, b}
-			if bl, ok := active[key]; ok {
-				bl.apply2Q(op, a)
+			if k.owner[a] == int32(a) && k.runs[a].b == b {
+				k.runs[a].apply2Q(op, a)
 				continue
 			}
 			// The pair changes: close blocks that share a wire.
-			flushQubit(a)
-			flushQubit(b)
-			bl := &block{a: a, b: b, leading: [2]linalg.Mat2{id2, id2}}
+			k.flush(a)
+			k.flush(b)
+			bl := &k.runs[a]
+			bl.b, bl.leading = b, [2]linalg.Mat2{id2, id2}
 			bl.open(op, a)
-			if pendingSet[a] {
-				bl.leading[0] = pending[a]
-				pendingSet[a] = false
+			if k.pendingSet[a] {
+				bl.leading[0] = k.pending[a]
+				k.pendingSet[a] = false
 			}
-			if pendingSet[b] {
-				bl.leading[1] = pending[b]
-				pendingSet[b] = false
+			if k.pendingSet[b] {
+				bl.leading[1] = k.pending[b]
+				k.pendingSet[b] = false
 			}
-			active[key] = bl
-			owner[a], owner[b] = key, key
+			k.owner[a], k.owner[b] = int32(a), int32(a)
 		default:
 			// Multi-qubit op: flush everything it touches and emit as-is.
 			for _, q := range op.Qubits {
-				flushQubit(q)
-				flushPending(q)
+				k.flush(q)
+				k.flushPending(q)
 			}
-			out.Append(op)
+			k.out.Append(op)
 		}
 	}
 	// Flush remaining blocks in wire order for determinism.
-	for q := 0; q < c.NumQubits; q++ {
-		flushQubit(q)
+	for q := 0; q < n; q++ {
+		k.flush(q)
 	}
-	for q := 0; q < c.NumQubits; q++ {
-		flushPending(q)
+	for q := 0; q < n; q++ {
+		k.flushPending(q)
 	}
-	return out
+	return k.out
+}
+
+// consolidator is ConsolidateBlocks' state: the open runs, indexed by
+// their lower wire; per wire, the lower wire of the run holding it
+// (-1: none) and the 1Q product waiting for the wire's next block; and
+// the output with the slices its qubits and coordinates are cut from.
+type consolidator struct {
+	out        *Circuit
+	runs       []openBlock
+	owner      []int32
+	pending    []linalg.Mat2
+	pendingSet []bool
+	qubits     []int
+	coords     []weyl.Coordinate
+}
+
+// openBlock is an open run on wires (its index in runs, b): the 1Q
+// layers before its first 2Q gate, then its interior.
+type openBlock struct {
+	b       int
+	leading [2]linalg.Mat2
+	blockInterior
+}
+
+// flush emits the block holding wire q, if any, and closes it.
+func (k *consolidator) flush(q int) {
+	a := k.owner[q]
+	if a < 0 {
+		return
+	}
+	bl := &k.runs[a]
+	k.owner[a], k.owner[bl.b] = -1, -1
+	full := embed1Q(bl.trailing[0], 0).Mul(embed1Q(bl.trailing[1], 1)).
+		Mul(bl.interior).
+		Mul(embed1Q(bl.leading[0], 0)).Mul(embed1Q(bl.leading[1], 1))
+	k.coords = append(k.coords, cachedCoordinateMat4(bl.interior))
+	k.out.Append(Op{
+		Gate:   gates.NewCustom("block", 2, full.ToMatrix()),
+		Qubits: k.cut(int(a), bl.b),
+		Coord:  &k.coords[len(k.coords)-1],
+	})
+}
+
+// flushPending emits wire q's waiting 1Q product, if any.
+func (k *consolidator) flushPending(q int) {
+	if k.pendingSet[q] {
+		k.out.Append(Op{Gate: gates.NewCustom("u", 1, k.pending[q].ToMatrix()), Qubits: k.cut(q)})
+		k.pendingSet[q] = false
+	}
+}
+
+// cut appends qs to the shared qubit slice and returns them as a
+// slice of their own capacity, so no append through it reaches a
+// neighbour's qubits.
+func (k *consolidator) cut(qs ...int) []int {
+	lo := len(k.qubits)
+	k.qubits = append(k.qubits, qs...)
+	return k.qubits[lo:len(k.qubits):len(k.qubits)]
 }
 
 // blockInterior is the running product of one block's interior: the

@@ -9,9 +9,20 @@ import (
 
 // UnrollTo2Q rewrites 3-qubit gates (Toffoli "ccx", Fredkin "cswap")
 // into the standard 1Q/2Q decompositions, leaving everything else
-// untouched. Returns a new circuit.
+// untouched. Returns a new circuit, whose op slice is sized from the
+// input once; untouched ops share their qubit slices with c.
 func UnrollTo2Q(c *Circuit) *Circuit {
+	n := len(c.Ops)
+	for _, op := range c.Ops {
+		switch op.Gate.Name {
+		case "ccx":
+			n += toffoliOps - 1
+		case "cswap":
+			n += fredkinOps - 1
+		}
+	}
 	out := New(c.Name, c.NumQubits)
+	out.Ops = make([]Op, 0, n)
 	for _, op := range c.Ops {
 		switch op.Gate.Name {
 		case "ccx":
@@ -24,6 +35,13 @@ func UnrollTo2Q(c *Circuit) *Circuit {
 	}
 	return out
 }
+
+// toffoliOps and fredkinOps are the op counts of appendToffoli's and
+// appendFredkin's decompositions.
+const (
+	toffoliOps = 15
+	fredkinOps = toffoliOps + 2
+)
 
 // appendToffoli emits the textbook 6-CNOT Toffoli decomposition with
 // controls a, b and target c.
@@ -86,9 +104,11 @@ func newGate3(name string, data []complex128) gates.Gate {
 	return gates.NewCustom(name, 3, linalg.FromSlice(8, 8, data))
 }
 
-// RemoveIdentities drops identity gates and zero-angle rotations.
+// RemoveIdentities drops identity gates and zero-angle rotations. The
+// kept ops share their qubit slices with c.
 func RemoveIdentities(c *Circuit) *Circuit {
 	out := New(c.Name, c.NumQubits)
+	out.Ops = make([]Op, 0, len(c.Ops))
 	for _, op := range c.Ops {
 		if op.Gate.Name == "id" {
 			continue
@@ -122,9 +142,11 @@ func isZeroRotation(op Op) bool {
 //
 //	U(c) = PermutationMatrix(inverse(pi)) * U(elided)
 //
-// Router-inserted SWAPs (RouterSwap) are preserved.
+// Router-inserted SWAPs (RouterSwap) are preserved. An op whose wires
+// no elided SWAP has moved shares its qubit slice with c.
 func ElideSwaps(c *Circuit) (*Circuit, []int) {
 	out := New(c.Name, c.NumQubits)
+	out.Ops = make([]Op, 0, len(c.Ops))
 	pi := make([]int, c.NumQubits) // original wire -> elided wire
 	for i := range pi {
 		pi[i] = i
@@ -135,14 +157,26 @@ func ElideSwaps(c *Circuit) (*Circuit, []int) {
 			pi[a], pi[b] = pi[b], pi[a]
 			continue
 		}
-		mapped := op
-		mapped.Qubits = make([]int, len(op.Qubits))
-		for i, q := range op.Qubits {
-			mapped.Qubits[i] = pi[q]
+		if moved(op.Qubits, pi) {
+			qs := make([]int, len(op.Qubits))
+			for i, q := range op.Qubits {
+				qs[i] = pi[q]
+			}
+			op.Qubits = qs
 		}
-		out.Append(mapped)
+		out.Append(op)
 	}
 	return out, pi
+}
+
+// moved reports whether pi maps any of qs to another wire.
+func moved(qs, pi []int) bool {
+	for _, q := range qs {
+		if pi[q] != q {
+			return true
+		}
+	}
+	return false
 }
 
 // InversePermutation returns q such that q[p[i]] = i.

@@ -199,17 +199,19 @@ func GateWeight(cov *polytope.CoverageSet) circuit.WeightFunc {
 // of the Result's contents and retains nothing, so
 // FindBestRoutingPrepared may evaluate it on arena-backed Results that
 // are recycled after the call. It is safe for concurrent use and, once
-// warm, allocates nothing: each call borrows a BlockDepth from a pool.
+// warm, allocates nothing: each call borrows a BlockDepth from one
+// package-level pool, which every depth metric shares.
 func DepthMetric(costs *CostTable) sabre.Metric {
 	cost := costs.CostOf
-	var passes sync.Pool
 	return func(r *sabre.Result) float64 {
-		p, _ := passes.Get().(*circuit.BlockDepth)
-		if p == nil {
-			p = new(circuit.BlockDepth)
-		}
+		p := depthPasses.Get().(*circuit.BlockDepth)
 		d := p.Depth(r.Routed, cost)
-		passes.Put(p)
+		depthPasses.Put(p)
 		return d
 	}
 }
+
+// depthPasses holds DepthMetric's passes between calls, so a metric
+// built per transpile call reuses the per-wire buffers earlier calls
+// grew.
+var depthPasses = sync.Pool{New: func() any { return new(circuit.BlockDepth) }}

@@ -3,6 +3,7 @@ package sabre
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/circuit"
 	"repro/internal/gates"
@@ -29,7 +30,11 @@ var routerSwapGate = gates.SWAP()
 // shared across any number of arenas; the arena itself is single-
 // goroutine and everything a route call returns — the Result, its
 // Routed circuit, its layouts — aliases arena buffers and is valid
-// only until the next route call on the same arena. Steady-state reuse
+// only until the next route call on the same arena. Arenas outlive the
+// call that used them: RunGrids and Grid.Result take theirs from a
+// process-wide pool and put them back (getArena, putArena), and
+// Grid.Result copies its Result out first (Result.own), so no Result
+// that leaves the package aliases a pooled arena. Steady-state reuse
 // performs O(1) heap allocations per trial, mirror substitutions
 // included: an accepted mirror emits the gate and coordinate prepared
 // once per circuit (mirrorTable), so the only allocations left on the
@@ -47,6 +52,7 @@ type trialArena struct {
 	depth circuit.BlockDepth // the depth bound's pass over the emitted ops
 
 	outFor *circuit.Circuit // routed-name cache: out.Name is rebuilt only when the circuit changes
+	used   int              // most ops any route emitted since the last release: the slots release clears
 }
 
 // newTrialArena builds an empty arena. Buffers grow on first use and
@@ -59,6 +65,37 @@ func newTrialArena() *trialArena {
 	a.ctx.RoutingCost = a.st.mirrorCostAt
 	a.ctx.RoutingCostSwap = a.st.mirrorCostSwap
 	return a
+}
+
+// arenas holds the trial arenas between calls, so a call routes on
+// buffers an earlier call already grew instead of growing its own.
+var arenas = sync.Pool{New: func() any { return newTrialArena() }}
+
+// getArena takes an arena from the pool.
+func getArena() *trialArena { return arenas.Get().(*trialArena) }
+
+// putArena returns a to the pool. Every Result routed on a is invalid
+// afterwards.
+func putArena(a *trialArena) {
+	a.release()
+	arenas.Put(a)
+}
+
+// release drops the arena's references to the last call's circuit,
+// DAG, topology, prices and emitted gates, so a pooled arena keeps
+// only its own buffers alive.
+func (a *trialArena) release() {
+	st := &a.st
+	st.c, st.topo, st.dist, st.fd, st.tr.D = nil, nil, nil, nil, nil
+	ops := a.out.Ops[:max(a.used, len(a.out.Ops))]
+	for i := range ops {
+		ops[i].Gate, ops[i].Coord = gates.Gate{}, nil
+	}
+	a.used = 0
+	a.out.Name, a.out.Ops, a.outFor = "", a.out.Ops[:0], nil
+	a.res = Result{}
+	a.ctx.Op, a.ctx.Topo, a.ctx.MirrorCoord = circuit.Op{}, nil, nil
+	a.depth.Start(0, nil) // drops the depth bound's cost
 }
 
 // nextOp extends the reusable op buffer by one slot, recycling the
@@ -101,14 +138,15 @@ func (a *trialArena) emit2(g gates.Gate, qa, qb int, coord *weyl.Coordinate, mir
 
 // route runs one SABRE routing trial of fd's circuit over the arena,
 // starting from initial. The returned Result aliases arena buffers:
-// it is valid until the next route call and must be cloned (or
-// replayed on a fresh arena) to outlive it. The caller is responsible
+// it is valid until the next route call and must be copied out
+// (Result.own) to outlive it. The caller is responsible
 // for having validated the circuit/topology pair once (validateRoutable).
 //
-// The loop is bit-identical to RouteReference: same execution schedule
-// (FlatTraversal reproduces the naive traversal order), same candidate
-// enumeration order, same score comparisons and tie-breaking RNG
-// consumption.
+// The loop is bit-identical to RouteReference, the executable
+// specification kept in the tests (reference_test.go): same execution
+// schedule (FlatTraversal reproduces the naive traversal order), same
+// candidate enumeration order, same score comparisons and tie-breaking
+// RNG consumption.
 //
 // mirrors is the per-op mirror data of fd's circuit; it is only read
 // when policy is non-nil, so policy-free routes may pass nil.
@@ -129,6 +167,7 @@ func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topo
 		a.outFor = c
 	}
 	a.out.NumQubits = topo.NumQubits
+	a.used = max(a.used, len(a.out.Ops))
 	a.out.Ops = a.out.Ops[:0]
 	a.initLayout.CopyFrom(initial)
 	a.res = Result{InitialLayout: &a.initLayout}
@@ -143,9 +182,9 @@ func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topo
 		bd.Start(topo.NumQubits, bound.cost)
 	}
 
-	// Execute/stall loop, worklist form. The naive formulation (kept in
-	// RouteReference) rescans a snapshot of the whole ready set per pass
-	// until a pass makes no progress: O(|ready|) re-examinations per
+	// Execute/stall loop, worklist form. The naive formulation (the
+	// tests' RouteReference) rescans a snapshot of the whole ready set
+	// per pass until a pass makes no progress: O(|ready|) re-examinations per
 	// executed gate, almost all of them no-ops. The worklist carries
 	// only the ops whose executability can actually have changed:
 	//
@@ -282,6 +321,17 @@ func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topo
 	a.res.Routed = &a.out
 	a.res.FinalLayout = &st.layout
 	return &a.res, nil
+}
+
+// own returns a copy of r that shares no buffer with the arena it was
+// routed on: the routed ops go into one op slice backed by one flat
+// qubit slice (circuit.Copy), and both layouts are copied. Gates and
+// coordinates are immutable, so the copy shares them.
+func (r *Result) own() *Result {
+	out := *r
+	out.Routed = r.Routed.Copy()
+	out.InitialLayout, out.FinalLayout = r.InitialLayout.Copy(), r.FinalLayout.Copy()
+	return &out
 }
 
 // validateRoutable performs the once-per-circuit checks the trial loop

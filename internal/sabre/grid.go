@@ -109,11 +109,11 @@ func (g *Grid) Consume(lt int, row Row) bool {
 	return g.done
 }
 
-// Result replays the winning trial on a transient runner whose arena
-// buffers the Result can own. Trials are deterministic in (Seed,
-// index), so this reproduces the scored run bit for bit at the cost of
-// one extra route. Call it once the queue feeding Consume finished
-// without error.
+// Result replays the winning trial on a pooled arena and copies the
+// Result out of it, so the Result owns its buffers. Trials are
+// deterministic in (Seed, index), so this reproduces the scored run
+// bit for bit at the cost of one extra route. Call it once the queue
+// feeding Consume finished without error.
 func (g *Grid) Result() (*Result, error) {
 	if g.err != nil {
 		return nil, g.err
@@ -126,10 +126,14 @@ func (g *Grid) Result() (*Result, error) {
 	if g.factory != nil {
 		policy = g.factory(bestT)
 	}
-	best, err := NewTrialRunner(g.pc).GridTrial(g.layout, g.opts, bestT, policy)
+	a := getArena()
+	defer putArena(a)
+	r := TrialRunner{pc: g.pc, arena: a}
+	res, err := r.GridTrial(g.layout, g.opts, bestT, policy)
 	if err != nil {
 		return nil, err
 	}
+	best := res.own()
 	best.TrialsExecuted = g.sel.executed
 	best.TrialsBudgeted = g.opts.LayoutTrials * g.opts.RoutingTrials
 	return best, nil
@@ -209,10 +213,11 @@ func (g *Grid) row(r *TrialRunner, lt int) Row {
 // order a second worker would route a grid's second row beside its
 // first, work thrown away whenever patience stops the grid in its
 // first row.) The grids share one LayoutOptions, whose Parallelism
-// sizes the worker pool, and each worker keeps one trial arena,
-// rebound to the circuit of each row it runs. The queue leases no row
-// of a finished grid, and stops once every grid has finished. Read
-// each grid's winner with its Result afterwards.
+// sizes the worker pool, and each worker takes one trial arena from
+// the pool, rebinds it to the circuit of each row it runs and puts it
+// back when the queue is done. The queue leases no row of a finished
+// grid, and stops once every grid has finished. Read each grid's
+// winner with its Result afterwards.
 func RunGrids(grids []*Grid) error {
 	K := len(grids)
 	if K == 0 {
@@ -226,11 +231,24 @@ func RunGrids(grids []*Grid) error {
 		return left == 0
 	})
 	q.SetSkip(func(i int) bool { return finished[i%K] })
-	return dispatch.RunLocal(q, grids[0].opts.Parallelism,
-		func(int) *TrialRunner { return &TrialRunner{arena: newTrialArena()} },
+	// RunLocal numbers its workers below Size(parallelism). A panic
+	// re-raised by RunLocal leaves the arenas to the garbage collector.
+	parallelism := grids[0].opts.Parallelism
+	runners := make([]TrialRunner, dispatch.Size(parallelism))
+	err := dispatch.RunLocal(q, parallelism,
+		func(w int) *TrialRunner {
+			runners[w].arena = getArena()
+			return &runners[w]
+		},
 		func(i int, r *TrialRunner) (Row, error) {
 			g := grids[i%K]
 			r.Bind(g.pc)
 			return g.row(r, i/K), nil
 		})
+	for _, r := range runners {
+		if r.arena != nil {
+			putArena(r.arena)
+		}
+	}
+	return err
 }

@@ -72,9 +72,11 @@ func PrepareFromDAG(fd *circuit.FlatDAG, topo *topology.Topology) (*PreparedCirc
 }
 
 // NewTrialRunner builds a trial runner over the prepared
-// state: no validation, no DAG construction — just a fresh arena
-// sharing the immutable DAGs and mirror data. Runners are single-
-// goroutine; create one per worker.
+// state: no validation, no DAG construction — just an arena of the
+// runner's own, sharing the immutable DAGs and mirror data. The arena
+// is new, not one of the pool's RunGrids and Grid.Result use: the
+// runner's Results alias it for as long as the caller holds the
+// runner. Runners are single-goroutine; create one per worker.
 func NewTrialRunner(pc *PreparedCircuit) *TrialRunner {
 	return &TrialRunner{pc: pc, arena: newTrialArena()}
 }
@@ -96,14 +98,15 @@ func (r *TrialRunner) Bind(pc *PreparedCircuit) { r.pc = pc }
 // immutable forward and reversed DAGs, so a caller routing the same
 // circuit under several configurations (e.g. a benchmark row running
 // both routers) pays for the per-circuit analysis once; each worker
-// reuses one arena for its rows. Rows run on the dispatch work queue,
-// which hands them to a Grid in row order; the Grid feeds the scores
+// reuses one pooled arena for its rows. Rows run on the dispatch work
+// queue, which hands them to a Grid in row order; the Grid feeds the scores
 // to its trial selector — the online argmin plus convergence stop
 // rule — in trial-index order, so it sees exactly the sequence a
 // serial loop would, and the winner and TrialsExecuted are independent
 // of goroutine scheduling. Only scores and the refined layout leave a
 // row; once the winner is known, that single trial is replayed on a
-// fresh arena to materialise the returned Result.
+// pooled arena and copied out of it to materialise the returned
+// Result, which owns its buffers.
 //
 // Each trial owns a generator seeded from (Seed, trial kind, trial
 // index) through a splitmix64 mixer, and ties between equal-scoring

@@ -9,16 +9,17 @@
 // distance sums and per-qubit partner slots under the live layout —
 // and scores each SWAP candidate by delta, revisiting only the pairs
 // on the swapped qubits. The logical pair lists are rebuilt only when
-// a gate executed. The naive rebuild-everything formulation is kept as
-// RouteReference, the executable specification the engine is
-// property-tested against.
+// a gate executed. The naive rebuild-everything formulation is kept in
+// the tests as RouteReference (reference_test.go), the executable
+// specification the engine is property-tested against.
 //
 // The trial hot path allocates nothing per steady-state trial: the
 // dependency DAG is built once per circuit (PrepareCircuit) as an
 // immutable circuit.FlatDAG shared read-only by every worker, and all
 // mutable trial state — traversal, layout, decay, scoring sets,
 // candidate dedup stamps, the routed-op buffer — lives in a per-worker
-// trialArena reused across the whole grid. The grid runs on the
+// trialArena reused across the whole grid, and across calls: arenas
+// come from a process-wide pool and go back to it. The grid runs on the
 // dispatch work queue, one layout row per item: a row refines one
 // layout and routes its trials on one arena. RunGrids puts the rows of
 // several grids on one local queue (dispatch.RunLocal), interleaved so

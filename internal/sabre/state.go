@@ -7,8 +7,9 @@ import (
 	"repro/internal/topology"
 )
 
-// This file is the routing engine. The naive formulation (kept as
-// RouteReference) rebuilds the front/lookahead pair sets at every stall
+// This file is the routing engine. The naive formulation (kept in the
+// tests as RouteReference, reference_test.go) rebuilds the
+// front/lookahead pair sets at every stall
 // and walks all of them once per SWAP candidate, under a copied layout:
 // O(candidates x (|front| + |E|)) distance lookups per inserted SWAP.
 // The engine observes that a swap of physical qubits (a, b) only
@@ -59,8 +60,8 @@ import (
 // are exact in float64 regardless of association order, so the delta
 // sums equal the freshly recomputed ones bit-for-bit — the engine's
 // scores, tie-breaking RNG consumption, and emitted circuits are
-// identical to RouteReference's. The equivalence property tests
-// enforce this across window sizes, weights and decay rates.
+// identical to the tests' RouteReference's. The equivalence property
+// tests enforce this across window sizes, weights and decay rates.
 //
 // Distances live in the topology's flat row-major int16 table
 // (dist[a*dn+b]), indexed directly — no slice-of-slice hop per lookup.

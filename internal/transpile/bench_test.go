@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/circuit"
 	"repro/internal/mirrorbench"
 	"repro/internal/polytope"
 	"repro/internal/sabre"
@@ -51,6 +52,41 @@ func TestTranspilePreparedAllocBytes(t *testing.T) {
 		t.Fatalf("%d bytes allocated per call, want <= %d", perCall, maxCallBytes)
 	}
 	t.Logf("%d bytes allocated per call", perCall)
+}
+
+// BenchmarkTranspileSmallMirror times the compile-many-small traffic:
+// one op transpiles 8 fixed mirror circuits of 3-6 qubits, both
+// generator families, on grid-3x4 with MIRAGE-Depth, a 4x4 serial
+// trial grid and 2 refinement passes — the whole pipeline per call,
+// cleaning and consolidation included, as the small-mirror workload
+// of cmd/mirbench makes it. Allocs/op counts what the calls repeat.
+func BenchmarkTranspileSmallMirror(b *testing.B) {
+	var circs []*circuit.Circuit
+	for i := 0; i < 8; i++ {
+		m := mirrorbench.Generate(mirrorbench.Spec{
+			Kind: mirrorbench.Kind(i % 2), Qubits: 3 + i/2, Layers: 3 + i%4, Seed: int64(i + 1),
+		})
+		circs = append(circs, m.Circuit)
+	}
+	topo := topology.Grid(3, 4)
+	opts := transpile.Options{
+		Router: transpile.MIRAGE, DepthSelection: true,
+		Layout:      sabre.LayoutOptions{LayoutTrials: 4, RoutingTrials: 4, FwdBwdPasses: 2},
+		Parallelism: 1,
+	}
+	run := func() {
+		for _, c := range circs {
+			if _, err := transpile.Transpile(c, topo, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	run() // warm the coverage set and the coordinate cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
 }
 
 // BenchmarkTranspileRoot4 times a MIRAGE-Depth transpilation under the

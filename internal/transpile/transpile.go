@@ -12,7 +12,11 @@
 // Routing runs on the arena-based trial engine: per circuit, one
 // immutable flat dependency DAG is shared read-only by all trial
 // workers and each worker reuses a private trial arena across the
-// whole schedule, so steady-state trials allocate O(1). Mirror
+// whole schedule, so steady-state trials allocate O(1). Arenas are
+// reused across calls as well: sabre keeps them in a pool, and each
+// call's winner is copied out of its arena, so a report never aliases
+// one. The cleaning passes and consolidation size their outputs from
+// their inputs and allocate them once. Mirror
 // decisions and the depth metric price blocks through one read-only
 // mirage.CostTable per routed call, built over the routed blocks.
 // TranspileBatch routes the layout rows of all its circuits on one

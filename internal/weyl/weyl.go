@@ -212,7 +212,7 @@ func CoordinateOf(u *linalg.Matrix) (Coordinate, error) {
 // CoordinateOfReference computes the coordinate via the iterative
 // randomised Jacobi diagonalisation of Gamma. It is kept as the
 // reference implementation the fast path is property-tested against
-// (the weyl analogue of sabre.RouteReference).
+// (the weyl analogue of the sabre tests' RouteReference).
 func CoordinateOfReference(u *linalg.Matrix) (Coordinate, error) {
 	spec, err := gammaSpectrum(u)
 	if err != nil {
