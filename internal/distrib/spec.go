@@ -80,6 +80,9 @@ func (w wireOptions) options() (transpile.Options, error) {
 	}
 	if w.HasFixedAggression {
 		a := w.FixedAggression
+		if a < mirage.AggressionNever || a > mirage.AggressionAlways {
+			return transpile.Options{}, fmt.Errorf("distrib: job spec's fixed aggression %d outside 0..3", a)
+		}
 		opts.FixedAggression = &a
 	}
 	return opts, nil

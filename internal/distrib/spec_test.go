@@ -98,6 +98,22 @@ func TestWireOptionsRoundTripEveryField(t *testing.T) {
 	}
 }
 
+// TestWireOptionsRejectAggressionOutOfRange: a spec whose fixed
+// aggression is not one of the four levels is an error, not a policy.
+func TestWireOptionsRejectAggressionOutOfRange(t *testing.T) {
+	w, err := optionsToWire(transpile.Options{Basis: syntheticRoot3()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.HasFixedAggression = true
+	for _, bad := range []mirage.Aggression{-1, 4} {
+		w.FixedAggression = bad
+		if _, err := w.options(); err == nil {
+			t.Fatalf("fixed aggression %d decoded without error", bad)
+		}
+	}
+}
+
 // TestFixedAggressionOverTheWire: MIRAGE-Depth at one fixed aggression
 // level — the never level is the gob zero value — through a trial
 // grid on the cluster (Cluster.Options) and a batch job

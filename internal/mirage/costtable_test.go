@@ -41,7 +41,6 @@ func TestCostTableQuantisationStraddle(t *testing.T) {
 	if cin, cout := cov.CostOf(in, false), cov.CostOf(out, false); cin != 1.0 || cout != 1.5 {
 		t.Fatalf("fixture does not straddle the k=2 boundary: costs %v and %v, want 1.0 and 1.5", cin, cout)
 	}
-	topo := topology.Line(3)
 	layout := topology.TrivialLayout(3, 3)
 	flat := func(*topology.Layout) float64 { return 0 }
 	for _, order := range [][2]weyl.Coordinate{{in, out}, {out, in}} {
@@ -66,8 +65,8 @@ func TestCostTableQuantisationStraddle(t *testing.T) {
 		costs := NewCostTable(cov, c)
 		op := coordOp(first, 0, 1)
 		for _, level := range []Aggression{AggressionLower, AggressionEqual} {
-			ctx := ctxFor(op, topo, layout, flat)
-			ctx.MirrorCoord = &second
+			ctx := ctxFor(op, layout, flat)
+			ctx.MirrorCoord = second
 			wantVerdict := want[1] < want[0]-1e-9
 			if level == AggressionEqual {
 				wantVerdict = want[1] <= want[0]+1e-9

@@ -52,20 +52,16 @@ type Policy struct {
 	// Costs prices the gate and its mirror under the target basis.
 	Costs      *CostTable
 	Aggression Aggression
-	// SwapEquivalentCost converts one hop of the SABRE distance
-	// heuristic into decomposition-cost units; the natural scale is
-	// the basis cost of a SWAP gate (1.5 for sqrt-iSWAP).
-	SwapEquivalentCost float64
+	// swapCost converts one hop of the SABRE distance heuristic into
+	// decomposition-cost units: the table's price of a SWAP gate (1.5
+	// for sqrt-iSWAP).
+	swapCost float64
 }
 
 // NewPolicy builds a policy pricing through costs, with the SWAP cost
 // taken from the same table.
 func NewPolicy(costs *CostTable, level Aggression) *Policy {
-	return &Policy{
-		Costs:              costs,
-		Aggression:         level,
-		SwapEquivalentCost: costs.CostOf(weyl.SwapCoord),
-	}
+	return &Policy{Costs: costs, Aggression: level, swapCost: costs.CostOf(weyl.SwapCoord)}
 }
 
 // Decide implements Algorithm 2: compare
@@ -74,8 +70,8 @@ func NewPolicy(costs *CostTable, level Aggression) *Policy {
 //	cost_trial   = decomp(mirror U) + swapCost * H(layout after mirage SWAP)
 //
 // and accept according to the aggression level. The mirror's
-// coordinate comes from ctx.MirrorCoord when the router prepared it,
-// and is computed with weyl.Mirror otherwise.
+// coordinate and both H values come from the router (MirrorContext);
+// levels 0 and 3 decide without asking for either.
 func (p *Policy) Decide(ctx *sabre.MirrorContext) bool {
 	switch p.Aggression {
 	case AggressionNever:
@@ -83,30 +79,11 @@ func (p *Policy) Decide(ctx *sabre.MirrorContext) bool {
 	case AggressionAlways:
 		return true
 	}
-	coord := circuit.OpCoordinate(ctx.Op)
-	var mirror weyl.Coordinate
-	if ctx.MirrorCoord != nil {
-		mirror = *ctx.MirrorCoord
-	} else {
-		mirror = weyl.Mirror(coord)
-	}
-	dc := p.Costs.CostOf(coord)
-	dm := p.Costs.CostOf(mirror)
-
-	var hCur, hTrial float64
-	if ctx.RoutingCostSwap != nil {
-		// Engine fast path: both evaluation points in one pass over the
-		// shared routing state, no layout copy per decision.
-		hCur, hTrial = ctx.RoutingCostSwap()
-	} else {
-		hCur = ctx.RoutingCost(ctx.Layout)
-		trial := ctx.Layout.Copy()
-		trial.SwapPhysical(ctx.PhysA, ctx.PhysB)
-		hTrial = ctx.RoutingCost(trial)
-	}
-
-	costCurrent := dc + p.SwapEquivalentCost*hCur
-	costTrial := dm + p.SwapEquivalentCost*hTrial
+	dc := p.Costs.CostOf(circuit.OpCoordinate(ctx.Op))
+	dm := p.Costs.CostOf(ctx.MirrorCoord)
+	hCur, hTrial := ctx.RoutingCosts()
+	costCurrent := dc + p.swapCost*hCur
+	costTrial := dm + p.swapCost*hTrial
 
 	const eps = 1e-9
 	if p.Aggression == AggressionLower {
@@ -116,9 +93,10 @@ func (p *Policy) Decide(ctx *sabre.MirrorContext) bool {
 }
 
 // PolicyFactory distributes aggression levels over routing trials
-// according to mix (fractions for levels 0..3). Every trial prices
-// through the one shared table, which is read-only, so the returned
-// factory is safe to call from concurrent routing trials.
+// according to mix (non-negative fractions for levels 0..3, not all
+// zero); a one-hot mix fixes the level of every trial. Every trial
+// prices through the one shared table, which is read-only, so the
+// returned factory is safe to call from concurrent routing trials.
 func PolicyFactory(costs *CostTable, mix [4]float64) sabre.PolicyFactory {
 	// Build the cumulative distribution once.
 	var cum [4]float64
@@ -126,10 +104,6 @@ func PolicyFactory(costs *CostTable, mix [4]float64) sabre.PolicyFactory {
 	for i, m := range mix {
 		total += m
 		cum[i] = total
-	}
-	if total <= 0 {
-		cum = [4]float64{0.05, 0.5, 0.95, 1.0}
-		total = 1.0
 	}
 	return func(trial int) sabre.MirrorPolicy {
 		// Low-discrepancy assignment: walk the unit interval in golden-
@@ -142,14 +116,6 @@ func PolicyFactory(costs *CostTable, mix [4]float64) sabre.PolicyFactory {
 				break
 			}
 		}
-		return NewPolicy(costs, level)
-	}
-}
-
-// FixedPolicyFactory uses one aggression level for every trial
-// (used by the Fig. 10 aggression study).
-func FixedPolicyFactory(costs *CostTable, level Aggression) sabre.PolicyFactory {
-	return func(trial int) sabre.MirrorPolicy {
 		return NewPolicy(costs, level)
 	}
 }

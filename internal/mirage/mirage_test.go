@@ -14,43 +14,55 @@ import (
 
 func siswap() *polytope.CoverageSet { return polytope.NewISwapRootCoverage(2) }
 
-func ctxFor(op circuit.Op, topo *topology.Topology, layout *topology.Layout,
-	cost func(*topology.Layout) float64) *sabre.MirrorContext {
-	pa, pb := layout.Phys(op.Qubits[0]), layout.Phys(op.Qubits[1])
-	return &sabre.MirrorContext{
-		Op: op, PhysA: pa, PhysB: pb, Layout: layout, Topo: topo,
-		RoutingCost: cost,
-	}
+// ctxFor offers op to a policy at layout, with the mirror coordinate
+// computed by weyl.Mirror and the two routing costs by the naive
+// formulation: cost under layout and under a copy with op's physical
+// qubits swapped.
+func ctxFor(op circuit.Op, layout *topology.Layout, cost func(*topology.Layout) float64) *sabre.MirrorContext {
+	return &sabre.MirrorContext{Op: op, MirrorCoord: weyl.Mirror(circuit.OpCoordinate(op)),
+		RoutingCosts: func() (float64, float64) {
+			swapped := layout.Copy()
+			swapped.SwapPhysical(layout.Phys(op.Qubits[0]), layout.Phys(op.Qubits[1]))
+			return cost(layout), cost(swapped)
+		}}
 }
 
 func TestAggressionNeverAndAlways(t *testing.T) {
 	cov := siswap()
-	topo := topology.Line(2)
 	layout := topology.TrivialLayout(2, 2)
 	op := circuit.Op{Gate: gates.CX(), Qubits: []int{0, 1}}
 	flat := func(*topology.Layout) float64 { return 0 }
 
-	if NewPolicy(NewCostTable(cov, nil), AggressionNever).Decide(ctxFor(op, topo, layout, flat)) {
+	if NewPolicy(NewCostTable(cov, nil), AggressionNever).Decide(ctxFor(op, layout, flat)) {
 		t.Fatal("aggression 0 accepted a mirror")
 	}
-	if !NewPolicy(NewCostTable(cov, nil), AggressionAlways).Decide(ctxFor(op, topo, layout, flat)) {
+	if !NewPolicy(NewCostTable(cov, nil), AggressionAlways).Decide(ctxFor(op, layout, flat)) {
 		t.Fatal("aggression 3 rejected a mirror")
+	}
+	// Neither level compares costs, so neither may ask the router for
+	// the routing costs it evaluates on demand.
+	unpriced := ctxFor(op, layout, flat)
+	unpriced.RoutingCosts = func() (float64, float64) {
+		t.Fatal("aggression 0 or 3 asked for the routing costs")
+		return 0, 0
+	}
+	for _, level := range []Aggression{AggressionNever, AggressionAlways} {
+		NewPolicy(NewCostTable(cov, nil), level).Decide(unpriced)
 	}
 }
 
 func TestAggressionLowerRequiresStrictImprovement(t *testing.T) {
 	cov := siswap()
-	topo := topology.Line(2)
 	layout := topology.TrivialLayout(2, 2)
 	// CNOT and its mirror (CNS ~ iSWAP) cost the same in sqrt-iSWAP
 	// (k=2 both, paper Fig. 1), so with a flat routing heuristic the
 	// costs tie: level 1 must reject, level 2 must accept.
 	op := circuit.Op{Gate: gates.CX(), Qubits: []int{0, 1}}
 	flat := func(*topology.Layout) float64 { return 0 }
-	if NewPolicy(NewCostTable(cov, nil), AggressionLower).Decide(ctxFor(op, topo, layout, flat)) {
+	if NewPolicy(NewCostTable(cov, nil), AggressionLower).Decide(ctxFor(op, layout, flat)) {
 		t.Fatal("aggression 1 accepted a cost-neutral mirror")
 	}
-	if !NewPolicy(NewCostTable(cov, nil), AggressionEqual).Decide(ctxFor(op, topo, layout, flat)) {
+	if !NewPolicy(NewCostTable(cov, nil), AggressionEqual).Decide(ctxFor(op, layout, flat)) {
 		t.Fatal("aggression 2 rejected a cost-neutral mirror")
 	}
 }
@@ -66,24 +78,23 @@ func TestDecideFavoursMirrorWhenRoutingImproves(t *testing.T) {
 		// Future gate between logical 0 and logical 2.
 		return float64(topo.Distance(l.Phys(0), l.Phys(2)))
 	}
-	if !NewPolicy(NewCostTable(cov, nil), AggressionLower).Decide(ctxFor(op, topo, layout, cost)) {
+	if !NewPolicy(NewCostTable(cov, nil), AggressionLower).Decide(ctxFor(op, layout, cost)) {
 		t.Fatal("mirror with strictly better routing was rejected at level 1")
 	}
 }
 
 func TestDecideRejectsMirrorWithDecompositionPenalty(t *testing.T) {
 	cov := siswap()
-	topo := topology.Line(2)
 	layout := topology.TrivialLayout(2, 2)
 	// sqrt-iSWAP gate itself: k=1 (cost 0.5); its mirror is
 	// (pi/4, pi/8, pi/8) which needs k=3 (cost 1.5). With no routing
 	// benefit, levels 1 and 2 must reject.
 	op := circuit.Op{Gate: gates.SqrtISwap(), Qubits: []int{0, 1}}
 	flat := func(*topology.Layout) float64 { return 0 }
-	if NewPolicy(NewCostTable(cov, nil), AggressionLower).Decide(ctxFor(op, topo, layout, flat)) {
+	if NewPolicy(NewCostTable(cov, nil), AggressionLower).Decide(ctxFor(op, layout, flat)) {
 		t.Fatal("level 1 accepted a decomposition-penalised mirror")
 	}
-	if NewPolicy(NewCostTable(cov, nil), AggressionEqual).Decide(ctxFor(op, topo, layout, flat)) {
+	if NewPolicy(NewCostTable(cov, nil), AggressionEqual).Decide(ctxFor(op, layout, flat)) {
 		t.Fatal("level 2 accepted a decomposition-penalised mirror")
 	}
 }
@@ -106,6 +117,22 @@ func TestPolicyFactoryMixProportions(t *testing.T) {
 	}
 	if counts[AggressionAlways] < n/50 || counts[AggressionAlways] > n/8 {
 		t.Fatalf("level 3 count %d not near 5%% of %d", counts[AggressionAlways], n)
+	}
+}
+
+// TestPolicyFactoryOneHotMix: a mix with all its weight on one level
+// gives every trial that level, which is how a fixed aggression runs.
+func TestPolicyFactoryOneHotMix(t *testing.T) {
+	costs := NewCostTable(siswap(), nil)
+	for level := AggressionNever; level <= AggressionAlways; level++ {
+		var mix [4]float64
+		mix[level] = 1
+		factory := PolicyFactory(costs, mix)
+		for trial := 0; trial < 1000; trial++ {
+			if got := factory(trial).(*Policy).Aggression; got != level {
+				t.Fatalf("one-hot mix on level %d gave trial %d level %d", level, trial, got)
+			}
+		}
 	}
 }
 
@@ -210,39 +237,6 @@ func TestEndToEndMiragePreservesUnitary(t *testing.T) {
 		pout := circuit.PermutationMatrix(circuit.InversePermutation(res.FinalLayout.L2P))
 		if !pout.Mul(ur).Mul(pin).EqualUpToGlobalPhase(ul, 1e-7) {
 			t.Fatalf("MIRAGE routing broke the unitary (mirrors=%d)", res.MirrorsUsed)
-		}
-	}
-}
-
-// TestDecideFastPathMatchesSlowPath: when the router supplies the
-// engine's two-point evaluator (RoutingCostSwap), Decide must reach
-// exactly the decisions the layout-copying RoutingCost path reaches —
-// across aggression levels and a spread of routing-cost gaps.
-func TestDecideFastPathMatchesSlowPath(t *testing.T) {
-	cov := siswap()
-	topo := topology.Line(4)
-	layout := topology.TrivialLayout(4, 4)
-	op := circuit.Op{Gate: gates.CX(), Qubits: []int{1, 2}}
-
-	// A synthetic heuristic that depends on where logical qubit 1
-	// lands, so the hypothetical swap genuinely moves the cost.
-	slowCost := func(l *topology.Layout) float64 {
-		return float64(3 * l.Phys(1))
-	}
-	for _, level := range []Aggression{AggressionLower, AggressionEqual} {
-		p := NewPolicy(NewCostTable(cov, nil), level)
-		slow := ctxFor(op, topo, layout, slowCost)
-		slowDecision := p.Decide(slow)
-
-		fast := ctxFor(op, topo, layout, slowCost)
-		fast.RoutingCostSwap = func() (float64, float64) {
-			cur := slowCost(layout)
-			trial := layout.Copy()
-			trial.SwapPhysical(fast.PhysA, fast.PhysB)
-			return cur, slowCost(trial)
-		}
-		if got := p.Decide(fast); got != slowDecision {
-			t.Fatalf("aggression %d: fast path decided %v, slow path %v", level, got, slowDecision)
 		}
 	}
 }

@@ -15,24 +15,25 @@ import (
 )
 
 // parityCheck wraps the real policy: on every decision the router
-// offers, it asks the policy twice — once with the prepared mirror
-// coordinate, once with the field cleared so Decide computes it — and
-// records any disagreement before returning the prepared verdict.
+// offers, it checks the offered mirror coordinate against weyl.Mirror
+// of the op's own, asks the policy again with the computed coordinate,
+// and records any disagreement before returning the offered verdict.
 type parityCheck struct {
 	inner      *mirage.Policy
 	decisions  int
-	unprepared int
+	wrongCoord int
 	mismatches int
 }
 
 func (p *parityCheck) Decide(ctx *sabre.MirrorContext) bool {
 	p.decisions++
-	if ctx.MirrorCoord == nil {
-		p.unprepared++
+	want := weyl.Mirror(circuit.OpCoordinate(ctx.Op))
+	if ctx.MirrorCoord != want {
+		p.wrongCoord++
 	}
 	verdict := p.inner.Decide(ctx)
 	computed := *ctx
-	computed.MirrorCoord = nil
+	computed.MirrorCoord = want
 	if p.inner.Decide(&computed) != verdict {
 		p.mismatches++
 	}
@@ -42,8 +43,8 @@ func (p *parityCheck) Decide(ctx *sabre.MirrorContext) bool {
 // TestDecidePreparedMirrorMatchesComputed routes every suite circuit
 // (consolidated, as the transpiler routes it) on the square lattice at
 // the two cost-comparing aggression levels: for every 2Q op the router
-// must offer a prepared mirror coordinate, and Decide must reach the
-// same verdict with it as with the weyl.Mirror fallback.
+// must offer the mirror coordinate weyl.Mirror computes, and Decide
+// must reach the same verdict with the offered and the computed one.
 func TestDecidePreparedMirrorMatchesComputed(t *testing.T) {
 	cov := polytope.NewISwapRootCoverage(2)
 	topo := topology.SquareLattice66()
@@ -57,9 +58,9 @@ func TestDecidePreparedMirrorMatchesComputed(t *testing.T) {
 			if _, err := sabre.Route(c, topo, layout, sabre.Options{}, rng, check); err != nil {
 				t.Fatal(err)
 			}
-			if check.decisions != c.Count2Q() || check.unprepared != 0 || check.mismatches != 0 {
-				t.Fatalf("%s level %d: %d decisions for %d 2Q ops, %d without a prepared coordinate, %d verdict mismatches",
-					e.Name, level, check.decisions, c.Count2Q(), check.unprepared, check.mismatches)
+			if check.decisions != c.Count2Q() || check.wrongCoord != 0 || check.mismatches != 0 {
+				t.Fatalf("%s level %d: %d decisions for %d 2Q ops, %d offered a coordinate other than weyl.Mirror's, %d verdict mismatches",
+					e.Name, level, check.decisions, c.Count2Q(), check.wrongCoord, check.mismatches)
 			}
 		}
 	}
@@ -142,7 +143,7 @@ type verdictCheck struct {
 
 func (v *verdictCheck) Decide(ctx *sabre.MirrorContext) bool {
 	v.decisions++
-	for _, c := range []weyl.Coordinate{circuit.OpCoordinate(ctx.Op), *ctx.MirrorCoord} {
+	for _, c := range []weyl.Coordinate{circuit.OpCoordinate(ctx.Op), ctx.MirrorCoord} {
 		if !v.costs.Holds(c) {
 			v.t.Fatalf("%s: decision coordinate %v is not a table entry", v.name, c)
 		}

@@ -22,8 +22,8 @@ var routerSwapGate = gates.SWAP()
 // candidate dedup stamps), the reusable routed-op buffer, the layout
 // copies a Result exposes, the per-trial generator (trialSource:
 // math/rand's stream, seeded in O(1)), the depth pass a
-// score bound feeds, and a pre-bound MirrorContext whose cost closures
-// are allocated once per arena instead of once per decision.
+// score bound feeds, and a pre-bound MirrorContext whose RoutingCosts
+// closure is allocated once per arena instead of once per decision.
 //
 // Ownership rules (the seam a layout row and a distributed worker run on):
 // the circuit.FlatDAG and Topology a trial reads are immutable and
@@ -60,10 +60,9 @@ type trialArena struct {
 // topology again allocates nothing.
 func newTrialArena() *trialArena {
 	a := &trialArena{rng: rand.New(newTrialSource(1))}
-	// The cost evaluators close over the embedded routing state once;
-	// per-decision rebinding is two int stores (mirrorA/mirrorB).
-	a.ctx.RoutingCost = a.st.mirrorCostAt
-	a.ctx.RoutingCostSwap = a.st.mirrorCostSwap
+	// RoutingCosts closes over the embedded routing state once; a
+	// decision only rearms it (armMirror).
+	a.ctx.RoutingCosts = a.st.mirrorCosts
 	return a
 }
 
@@ -94,7 +93,7 @@ func (a *trialArena) release() {
 	a.used = 0
 	a.out.Name, a.out.Ops, a.outFor = "", a.out.Ops[:0], nil
 	a.res = Result{}
-	a.ctx.Op, a.ctx.Topo, a.ctx.MirrorCoord = circuit.Op{}, nil, nil
+	a.ctx.Op = circuit.Op{}
 	a.depth.Start(0, nil) // drops the depth bound's cost
 }
 
@@ -171,8 +170,6 @@ func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topo
 	a.out.Ops = a.out.Ops[:0]
 	a.initLayout.CopyFrom(initial)
 	a.res = Result{InitialLayout: &a.initLayout}
-	a.ctx.Topo = topo
-	a.ctx.Layout = &st.layout
 	if policy != nil {
 		mirrors = mirrors.get()
 	}
@@ -233,11 +230,8 @@ func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topo
 					}
 					mirrored := false
 					if policy != nil {
-						st.prepareMirror(idx)
-						st.mirrorA, st.mirrorB = pa, pb
-						a.ctx.Op = *op
-						a.ctx.PhysA, a.ctx.PhysB = pa, pb
-						a.ctx.MirrorCoord = &mirrors.coord[idx]
+						st.armMirror(idx, pa, pb)
+						a.ctx.Op, a.ctx.MirrorCoord = *op, mirrors.coord[idx]
 						mirrored = policy.Decide(&a.ctx)
 					}
 					g, coord := op.Gate, op.Coord

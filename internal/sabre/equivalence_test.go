@@ -11,33 +11,22 @@ import (
 	"repro/internal/weyl"
 )
 
-// costMirror mirrors whenever the summed routing heuristic improves,
-// using the engine's fast two-point evaluator when offered and the
-// layout-copying slow path otherwise — exactly how the mirage policy
-// consumes MirrorContext. Running it under both Route (fast path) and
-// RouteReference (slow path) proves the two evaluators agree
-// bit-for-bit: any disagreement flips a decision and the fingerprints
-// diverge.
+// costMirror mirrors whenever the summed routing heuristic improves.
+// Running it under both Route (the engine prices both layouts in
+// place) and RouteReference (the reference prices the live layout and
+// a swapped copy) proves the two evaluations agree bit for bit: any
+// disagreement flips a decision and the fingerprints diverge.
 type costMirror struct{}
 
 func (costMirror) Decide(ctx *MirrorContext) bool {
-	var cur, swapped float64
-	if ctx.RoutingCostSwap != nil {
-		cur, swapped = ctx.RoutingCostSwap()
-	} else {
-		cur = ctx.RoutingCost(ctx.Layout)
-		trial := ctx.Layout.Copy()
-		trial.SwapPhysical(ctx.PhysA, ctx.PhysB)
-		swapped = ctx.RoutingCost(trial)
-	}
+	cur, swapped := ctx.RoutingCosts()
 	return swapped < cur
 }
 
 // consistentMirror checks, at every decision, that the engine's
-// two-point evaluator RoutingCostSwap agrees bit for bit with the
-// generic RoutingCost and with a from-scratch recomputation, on the
-// live layout and on a swapped copy, then decides like costMirror. It
-// reads the arena's engine state, so it runs under arena.route only.
+// RoutingCosts agree bit for bit with a from-scratch recomputation on
+// the live layout and on a swapped copy, then decides like costMirror.
+// It reads the arena's engine state, so it runs under arena.route only.
 type consistentMirror struct {
 	t          *testing.T
 	st         *routingState
@@ -50,19 +39,17 @@ func (m *consistentMirror) Decide(ctx *MirrorContext) bool {
 	} else {
 		m.clean++
 	}
-	cur, swapped := ctx.RoutingCostSwap()
-	trial := ctx.Layout.Copy()
-	trial.SwapPhysical(ctx.PhysA, ctx.PhysB)
+	cur, swapped := ctx.RoutingCosts()
+	live := &m.st.layout
+	trial := live.Copy()
+	trial.SwapPhysical(live.Phys(ctx.Op.Qubits[0]), live.Phys(ctx.Op.Qubits[1]))
 	for _, at := range []struct {
 		name   string
 		layout *topology.Layout
 		fast   float64
-	}{{"current", ctx.Layout, cur}, {"swapped", trial, swapped}} {
-		if generic := ctx.RoutingCost(at.layout); generic != at.fast {
-			m.t.Errorf("op %d %s layout: RoutingCostSwap %v, RoutingCost %v", m.st.mirrorSkip, at.name, at.fast, generic)
-		}
+	}{{"current", live, cur}, {"swapped", trial, swapped}} {
 		if want := m.recompute(at.layout); want != at.fast {
-			m.t.Errorf("op %d %s layout: RoutingCostSwap %v, recomputed %v (dirty=%v)",
+			m.t.Errorf("op %d %s layout: RoutingCosts %v, recomputed %v (dirty=%v)",
 				m.st.mirrorSkip, at.name, at.fast, want, m.st.dirty)
 		}
 	}
@@ -247,17 +234,12 @@ func TestRouteEquivalenceLongRandomWalk(t *testing.T) {
 }
 
 // coordRecorder mirrors like parityMirror and records, per decision,
-// the mirror coordinate the router offered (nil when absent).
-type coordRecorder struct{ offered []*weyl.Coordinate }
+// the mirror coordinate the router offered.
+type coordRecorder struct{ offered []weyl.Coordinate }
 
 func (r *coordRecorder) Decide(ctx *MirrorContext) bool {
-	var c *weyl.Coordinate
-	if ctx.MirrorCoord != nil {
-		v := *ctx.MirrorCoord
-		c = &v
-	}
-	r.offered = append(r.offered, c)
-	return (ctx.PhysA+ctx.PhysB)%2 == 0
+	r.offered = append(r.offered, ctx.MirrorCoord)
+	return costParity(ctx)
 }
 
 // TestMirrorDataMatchesReference: the engine reads each op's mirror
@@ -283,7 +265,7 @@ func TestMirrorDataMatchesReference(t *testing.T) {
 			t.Fatalf("%s: %d decisions vs reference %d", tc.name, len(engPolicy.offered), len(refPolicy.offered))
 		}
 		for i, c := range engPolicy.offered {
-			if c == nil || refPolicy.offered[i] == nil || *c != *refPolicy.offered[i] {
+			if c != refPolicy.offered[i] {
 				t.Fatalf("%s decision %d: engine offered %v, reference %v", tc.name, i, c, refPolicy.offered[i])
 			}
 		}

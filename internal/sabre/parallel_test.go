@@ -12,11 +12,20 @@ import (
 
 // parityMirror deterministically mirrors roughly half the offered
 // gates, exercising the policy path (and its layout mutations) without
-// depending on internal/mirage (which would import-cycle).
+// depending on internal/mirage (which would import-cycle). It decides
+// on the parity of the two routing costs' integer parts, so its
+// verdicts depend on the layout like the real policy's.
 type parityMirror struct{}
 
 func (parityMirror) Decide(ctx *MirrorContext) bool {
-	return (ctx.PhysA+ctx.PhysB)%2 == 0
+	return costParity(ctx)
+}
+
+// costParity reports whether the integer parts of ctx's two routing
+// costs sum to an even number.
+func costParity(ctx *MirrorContext) bool {
+	cur, swapped := ctx.RoutingCosts()
+	return (int(cur)+int(swapped))%2 == 0
 }
 
 func routingFingerprint(r *Result) []int {
@@ -76,6 +85,9 @@ func TestFindBestRoutingDeterministicAcrossParallelism(t *testing.T) {
 			if ref == nil {
 				ref = fp
 				verifyRouting(t, c, res)
+				if factory != nil && res.MirrorsUsed == 0 {
+					t.Fatal("the parity policy mirrored no gate")
+				}
 				continue
 			}
 			if !sameFingerprint(ref, fp) {

@@ -140,15 +140,17 @@ func RouteReference(c *circuit.Circuit, topo *topology.Topology, initial *topolo
 					var mc weyl.Coordinate
 					if policy != nil {
 						// The engine reads the mirror coordinate from its
-						// per-circuit table; the reference recomputes the
-						// same value per decision.
+						// per-circuit table and prices both layouts in
+						// place; the reference recomputes the coordinate
+						// and prices the live layout and a swapped copy.
 						mc = mirrorCoord(op)
-						ctx := &MirrorContext{
-							Op: op, PhysA: pa, PhysB: pb,
-							Layout: layout, Topo: topo,
-							RoutingCost: routingCost(idx, false),
-							MirrorCoord: &mc,
-						}
+						ctx := &MirrorContext{Op: op, MirrorCoord: mc,
+							RoutingCosts: func() (float64, float64) {
+								cost := routingCost(idx, false)
+								swapped := layout.Copy()
+								swapped.SwapPhysical(pa, pb)
+								return cost(layout), cost(swapped)
+							}}
 						mirrored = policy.Decide(ctx)
 					}
 					emit := circuit.Op{Gate: op.Gate, Qubits: []int{pa, pb}, Coord: op.Coord}

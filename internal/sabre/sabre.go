@@ -32,8 +32,10 @@
 //
 // The router exposes a MirrorPolicy hook: every two-qubit gate that
 // becomes executable is offered to the policy, which may replace it
-// with its mirror (gate followed by a virtual SWAP). The baseline uses
-// no policy; package mirage supplies the paper's polytope-cost policy.
+// with its mirror (gate followed by a virtual SWAP). The policy sees
+// the gate, its mirror's coordinate and the two routing costs the
+// engine evaluates in place (MirrorContext). The baseline uses no
+// policy; package mirage supplies the paper's polytope-cost policy.
 package sabre
 
 import (
@@ -71,37 +73,32 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
-// MirrorContext is what a MirrorPolicy sees for an executable 2Q gate.
-// The context is owned by the router's trial arena and rebound in
-// place for every decision: the whole struct — fields and cost
-// evaluators alike — is valid only for the duration of the Decide
-// call. Policies must not retain the pointer or defer evaluations; a
-// retained context would silently describe a later gate.
+// MirrorContext is what a MirrorPolicy sees for an executable 2Q gate:
+// the three inputs of the paper's mirror decision (Algorithm 2). The
+// context is owned by the router's trial arena and rebound in place
+// for every decision: the whole struct, RoutingCosts included, is
+// valid only for the duration of the Decide call. Policies must not
+// retain the pointer or defer evaluations; a retained context would
+// silently describe a later gate.
 type MirrorContext struct {
-	Op           circuit.Op       // the logical gate (Coord annotated when available)
-	PhysA, PhysB int              // current physical locations of its qubits
-	Layout       *topology.Layout // current layout (do not mutate)
-	Topo         *topology.Topology
-	// RoutingCost evaluates the *summed* SABRE distance heuristic
-	// (total front distance + weighted total lookahead distance) under
-	// a hypothetical layout. Sums — not the averaged form used for
+	Op circuit.Op // the logical gate (Coord annotated when available)
+	// MirrorCoord is the Weyl coordinate of Op's mirror,
+	// weyl.Mirror(circuit.OpCoordinate(Op)), prepared once per circuit.
+	// The router annotates an accepted mirror with the same coordinate.
+	MirrorCoord weyl.Coordinate
+	// RoutingCosts returns the *summed* SABRE distance heuristic (total
+	// front distance + weighted total lookahead distance) at the
+	// current layout and at the layout after the mirror's SWAP on the
+	// gate's two physical qubits. Sums — not the averaged form used for
 	// SWAP selection — keep the units absolute, so one eliminated hop
 	// is worth one future SWAP regardless of how many gates are
 	// pending; this is what makes routing benefit commensurable with
-	// the decomposition-cost delta in the mirror decision.
-	RoutingCost func(*topology.Layout) float64
-	// RoutingCostSwap, when non-nil, returns RoutingCost at the current
-	// layout and at the layout after swapping (PhysA, PhysB), computed
-	// by the engine without copying the layout. It is the fast path for
-	// the mirror decision's only two evaluation points and agrees with
-	// RoutingCost bit-for-bit.
-	RoutingCostSwap func() (current, swapped float64)
-	// MirrorCoord, when non-nil, is the Weyl coordinate of Op's mirror,
-	// weyl.Mirror(circuit.OpCoordinate(Op)), prepared once per circuit
-	// (do not mutate). The router annotates an accepted mirror with
-	// the same coordinate. Policies fall back to computing it when the
-	// field is nil — the "annotation preferred" rule of Op.Coord.
-	MirrorCoord *weyl.Coordinate
+	// the decomposition-cost delta in the mirror decision. The front is
+	// the other ready 2Q gates plus the gate's direct 2Q successors,
+	// the lookahead the 2Q ops of the extended window. The router
+	// evaluates both points only when called, so a policy that never
+	// asks pays nothing.
+	RoutingCosts func() (current, swapped float64)
 }
 
 // MirrorPolicy decides whether to substitute the mirror gate

@@ -142,19 +142,12 @@ type routingState struct {
 	// ready2QSum minus g's own pair distance — no per-decision rescan.
 	ready2QSum int64
 
-	// Mirror-decision scratch. mirrorSkip is the gate under decision;
-	// mirrorA/mirrorB its physical endpoints (set by the arena before
-	// Decide). The pair lists back the generic RoutingCost evaluator
-	// and are materialised lazily (mirrorListsFor tracks which gate
-	// they describe, -1 = stale): the engine fast path RoutingCostSwap
-	// computes both evaluation points directly from ready2QSum, the
-	// successor walk and the lookahead BFS without building them.
-	mirrorFront    [][2]int32
-	mirrorExt      [][2]int32
-	mirrorSkip     int
-	mirrorListsFor int
-	mirrorA        int
-	mirrorB        int
+	// Mirror-decision scratch (armMirror): mirrorSkip is the gate under
+	// decision, mirrorA/mirrorB its physical endpoints. mirrorCosts
+	// prices both evaluation points from ready2QSum, the gate's
+	// successors and the lookahead window.
+	mirrorSkip       int
+	mirrorA, mirrorB int
 
 	// candStamp dedups SWAP candidates: one uint32 per (a, b) physical
 	// pair, "seen this stall" iff stamped with the current generation.
@@ -216,7 +209,6 @@ func (st *routingState) bind(fd *circuit.FlatDAG, topo *topology.Topology, initi
 	for _, r := range fd.Roots {
 		st.registerReady(r)
 	}
-	st.mirrorListsFor = -1
 	st.dirty = true
 }
 
@@ -276,7 +268,6 @@ func (st *routingState) execute(idx int) {
 		st.registerReady(s)
 	}
 	st.dirty = true
-	st.mirrorListsFor = -1
 }
 
 // refresh rebuilds the scoring sets from the traversal when the ready
@@ -500,76 +491,19 @@ func (st *routingState) chooseSwap(rng *rand.Rand) (chosen swapCand, ok bool) {
 	return chosen, ok
 }
 
-// --- Mirror-decision cost views (MirrorContext plumbing) ---
+// --- Mirror-decision routing costs (MirrorContext.RoutingCosts) ---
 
-// prepareMirror arms the mirror-decision scratch for op `skip`. The
-// heavy state the decision needs — the summed distance of the other
-// ready 2Q gates — is already maintained incrementally (ready2QSum),
-// so arming is O(1); the pair lists backing the generic RoutingCost
-// evaluator are only materialised if a policy actually calls it.
-func (st *routingState) prepareMirror(skip int) {
-	st.mirrorSkip = skip
-	st.mirrorListsFor = -1
+// armMirror points the mirror-decision routing costs at op idx on
+// physical qubits (pa, pb). The heavy state the decision needs — the
+// summed distance of the other ready 2Q gates — is already maintained
+// incrementally (ready2QSum), so arming is three stores.
+func (st *routingState) armMirror(idx, pa, pb int) {
+	st.mirrorSkip, st.mirrorA, st.mirrorB = idx, pa, pb
 }
 
-// materializeMirrorLists builds the explicit mirror front/extended
-// pair lists for the armed gate: the other ready 2Q gates plus the
-// gate's direct successors at full weight, and the extended window.
-// Only the generic RoutingCost path needs them; RoutingCostSwap
-// computes its two evaluation points without the intermediate lists.
-func (st *routingState) materializeMirrorLists() {
-	if st.mirrorListsFor == st.mirrorSkip {
-		return
-	}
-	skip := st.mirrorSkip
-	st.mirrorFront = st.mirrorFront[:0]
-	for idx := st.tr.ReadyFirst(); idx >= 0; idx = st.tr.ReadyNext(idx) {
-		if int(idx) == skip {
-			continue
-		}
-		if q1 := st.fd.Q1[idx]; q1 >= 0 {
-			st.mirrorFront = append(st.mirrorFront, [2]int32{st.fd.Q0[idx], q1})
-		}
-	}
-	for _, s := range st.fd.SuccsOf(skip) {
-		if q1 := st.fd.Q1[s]; q1 >= 0 {
-			st.mirrorFront = append(st.mirrorFront, [2]int32{st.fd.Q0[s], q1})
-		}
-	}
-	st.mirrorExt = st.mirrorExt[:0]
-	for _, idx := range st.window() {
-		if q1 := st.fd.Q1[idx]; q1 >= 0 {
-			st.mirrorExt = append(st.mirrorExt, [2]int32{st.fd.Q0[idx], q1})
-		}
-	}
-	st.mirrorListsFor = skip
-}
-
-// mirrorCostAt evaluates the summed (non-averaged) heuristic of the
-// armed mirror sets under an arbitrary layout.
-func (st *routingState) mirrorCostAt(l *topology.Layout) float64 {
-	st.materializeMirrorLists()
-	var h float64
-	if len(st.mirrorFront) > 0 {
-		var s int64
-		for _, p := range st.mirrorFront {
-			s += int64(st.dist[l.L2P[p[0]]*st.dn+l.L2P[p[1]]])
-		}
-		h += float64(s)
-	}
-	if len(st.mirrorExt) > 0 {
-		var s int64
-		for _, p := range st.mirrorExt {
-			s += int64(st.dist[l.L2P[p[0]]*st.dn+l.L2P[p[1]]])
-		}
-		h += st.opts.ExtendedSetWeight * float64(s)
-	}
-	return h
-}
-
-// mirrorCostSwap evaluates the armed sets at the current layout and at
-// the layout after hypothetically swapping (mirrorA, mirrorB), without
-// copying the layout and without materialising the pair lists:
+// mirrorCosts evaluates the armed gate's routing cost at the current
+// layout and at the layout after hypothetically swapping (mirrorA,
+// mirrorB), in one pass and without copying the layout:
 //
 //   - ready part: every ready 2Q gate except the armed one. One ready
 //     op per wire means none of them touch the swapped qubits, so the
@@ -582,9 +516,10 @@ func (st *routingState) mirrorCostAt(l *topology.Layout) float64 {
 //     decision right after a stall SWAP reads the window the stall
 //     kept; one after an executed gate reruns the BFS (window).
 //
-// The integer sums match the materialised walk term for term, so the
-// result agrees with RoutingCost bit-for-bit.
-func (st *routingState) mirrorCostSwap() (current, swapped float64) {
+// Distances are small integers, so the integer sums are exact in any
+// order: both values equal the tests' from-scratch evaluation under a
+// copied, swapped layout bit for bit.
+func (st *routingState) mirrorCosts() (current, swapped float64) {
 	a, b := int32(st.mirrorA), int32(st.mirrorB)
 	dist, dn, l2p := st.dist, st.dn, st.layout.L2P
 	q0, q1 := st.fd.Q0, st.fd.Q1

@@ -77,30 +77,24 @@ type InteractionGraph struct {
 // physical qubits such that every interacting pair is adjacent — the
 // subgraph-monomorphism check Qiskit performs with VF2Layout before
 // invoking routing. Returns (layout, true) on success. The search is
-// exact backtracking with a node budget; circuits needing SWAPs fail
-// quickly because some logical degree exceeds the physical degree.
+// exact backtracking with a node budget (maxNodes <= 0: 200,000);
+// circuits needing SWAPs fail quickly because some logical degree
+// exceeds the physical degree.
+//
+// Logical qubits are assigned in descending order of degree. A qubit
+// with an assigned partner may only go to a common neighbour of all
+// its assigned partners' sites, tried in ascending order; one without
+// tries every site. Each search depth keeps its candidate list in its
+// own slot of one buffer, so the search allocates nothing per node.
 func FindSwapFreeLayout(ig InteractionGraph, t *Topology, maxNodes int) (*Layout, bool) {
 	if ig.NumQubits > t.NumQubits {
 		return nil, false
 	}
-	// Logical adjacency sets.
-	ladj := make([]map[int]bool, ig.NumQubits)
-	for i := range ladj {
-		ladj[i] = map[int]bool{}
-	}
-	for _, p := range ig.Pairs {
-		if p[0] == p[1] {
-			continue
-		}
-		ladj[p[0]][p[1]] = true
-		ladj[p[1]][p[0]] = true
-	}
+	ladj := interactionAdjacency(ig)
 	// Quick reject: logical degree must not exceed physical degree.
 	maxPhysDeg := 0
 	for q := 0; q < t.NumQubits; q++ {
-		if d := t.Degree(q); d > maxPhysDeg {
-			maxPhysDeg = d
-		}
+		maxPhysDeg = max(maxPhysDeg, t.Degree(q))
 	}
 	order := make([]int, ig.NumQubits)
 	for i := range order {
@@ -115,69 +109,124 @@ func FindSwapFreeLayout(ig InteractionGraph, t *Topology, maxNodes int) (*Layout
 			return nil, false
 		}
 	}
-
-	assign := make([]int, ig.NumQubits) // logical -> physical
-	used := make([]bool, t.NumQubits)
-	for i := range assign {
-		assign[i] = -1
-	}
-	nodes := 0
 	if maxNodes <= 0 {
 		maxNodes = 200000
 	}
-
-	var dfs func(idx int) bool
-	dfs = func(idx int) bool {
-		if idx == len(order) {
-			return true
-		}
-		nodes++
-		if nodes > maxNodes {
-			return false
-		}
-		q := order[idx]
-		// Candidate physical sites: neighbours of already-assigned
-		// logical neighbours, or any free site if none assigned yet.
-		var candidates []int
-		restricted := false
-		for nb := range ladj[q] {
-			if assign[nb] >= 0 {
-				if !restricted {
-					candidates = append([]int(nil), t.Neighbors(assign[nb])...)
-					restricted = true
-				} else {
-					// Intersect with neighbours of this assigned peer.
-					keep := candidates[:0]
-					for _, c := range candidates {
-						if t.HasEdge(c, assign[nb]) {
-							keep = append(keep, c)
-						}
-					}
-					candidates = keep
-				}
-			}
-		}
-		if !restricted {
-			for p := 0; p < t.NumQubits; p++ {
-				candidates = append(candidates, p)
-			}
-		}
-		for _, p := range candidates {
-			if used[p] || t.Degree(p) < len(ladj[q]) {
-				continue
-			}
-			assign[q] = p
-			used[p] = true
-			if dfs(idx + 1) {
-				return true
-			}
-			assign[q] = -1
-			used[p] = false
-		}
-		return false
+	s := swapFreeSearch{
+		t: t, ladj: ladj, order: order, maxNodes: maxNodes,
+		assign: make([]int, ig.NumQubits),
+		used:   make([]bool, t.NumQubits),
+		cands:  make([]int, ig.NumQubits*maxPhysDeg),
+		stride: maxPhysDeg,
 	}
-	if !dfs(0) {
+	for i := range s.assign {
+		s.assign[i] = -1
+	}
+	if !s.dfs(0) {
 		return nil, false
 	}
-	return NewLayout(assign, t.NumQubits), true
+	return NewLayout(s.assign, t.NumQubits), true
+}
+
+// interactionAdjacency returns each logical qubit's distinct
+// interaction partners, self-pairs dropped, as subslices of one
+// backing array.
+func interactionAdjacency(ig InteractionGraph) [][]int {
+	// Row q of the backing array starts at start[q]: count each
+	// qubit's pair ends into start[q+1], then sum the counts up.
+	start := make([]int, ig.NumQubits+1)
+	for _, p := range ig.Pairs {
+		if p[0] != p[1] {
+			start[p[0]+1]++
+			start[p[1]+1]++
+		}
+	}
+	for q := 1; q < len(start); q++ {
+		start[q] += start[q-1]
+	}
+	flat := make([]int, start[ig.NumQubits])
+	fill := append([]int(nil), start[:ig.NumQubits]...)
+	for _, p := range ig.Pairs {
+		if a, b := p[0], p[1]; a != b {
+			flat[fill[a]], flat[fill[b]] = b, a
+			fill[a]++
+			fill[b]++
+		}
+	}
+	ladj := make([][]int, ig.NumQubits)
+	for q := range ladj {
+		row := flat[start[q]:start[q+1]]
+		sort.Ints(row)
+		n := 0
+		for i, v := range row {
+			if i == 0 || v != row[n-1] {
+				row[n] = v
+				n++
+			}
+		}
+		ladj[q] = row[:n:n]
+	}
+	return ladj
+}
+
+// swapFreeSearch is the backtracking state of FindSwapFreeLayout.
+// cands[d*stride : (d+1)*stride] holds depth d's candidate sites.
+type swapFreeSearch struct {
+	t               *Topology
+	ladj            [][]int
+	order           []int
+	assign          []int // logical -> physical, -1 while unassigned
+	used            []bool
+	cands           []int
+	stride          int
+	nodes, maxNodes int
+}
+
+func (s *swapFreeSearch) dfs(idx int) bool {
+	if idx == len(s.order) {
+		return true
+	}
+	s.nodes++
+	if s.nodes > s.maxNodes {
+		return false
+	}
+	q := s.order[idx]
+	deg := len(s.ladj[q])
+	cands, restricted := s.cands[idx*s.stride:idx*s.stride], false
+	for _, nb := range s.ladj[q] {
+		site := s.assign[nb]
+		if site < 0 {
+			continue
+		}
+		if !restricted {
+			cands, restricted = append(cands, s.t.Neighbors(site)...), true
+			continue
+		}
+		keep := cands[:0]
+		for _, c := range cands {
+			if s.t.HasEdge(c, site) {
+				keep = append(keep, c)
+			}
+		}
+		cands = keep
+	}
+	n := len(cands)
+	if !restricted {
+		n = s.t.NumQubits // no assigned partner: every site
+	}
+	for i := 0; i < n; i++ {
+		p := i
+		if restricted {
+			p = cands[i]
+		}
+		if s.used[p] || s.t.Degree(p) < deg {
+			continue
+		}
+		s.assign[q], s.used[p] = p, true
+		if s.dfs(idx + 1) {
+			return true
+		}
+		s.assign[q], s.used[p] = -1, false
+	}
+	return false
 }

@@ -1,6 +1,9 @@
 package topology
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -144,6 +147,73 @@ func TestFindSwapFreeLayoutStar(t *testing.T) {
 	}
 	if _, ok := FindSwapFreeLayout(ig, HeavyHex57(), 0); ok {
 		t.Fatal("4-star cannot embed in heavy-hex (degree <= 3)")
+	}
+}
+
+// TestFindSwapFreeLayoutMatchesOracle: the buffer-reusing search must
+// return what the map-based search it replaced returns — the same ok
+// and the same layout — on random interaction graphs that embed (an
+// edge subset of a random set of sites, relabelled, sometimes with one
+// extra pair that may break it) and on random graphs that mostly do
+// not, under the default node budget and under budgets small enough
+// to run out. Pairs come shuffled, reversed, repeated and with
+// self-pairs, as a multigraph may hold them.
+func TestFindSwapFreeLayoutMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, topo := range []*Topology{Grid(3, 4), SquareLattice66(), HeavyHex57()} {
+		found := 0
+		for i := 0; i < 60; i++ {
+			k := 2 + rng.Intn(min(topo.NumQubits, 14)-1)
+			ig := InteractionGraph{NumQubits: k}
+			switch i % 3 {
+			case 0, 1: // embeddable, plus one random pair on odd cases
+				sites := rng.Perm(topo.NumQubits)[:k]
+				for a := range sites {
+					for b := a + 1; b < k; b++ {
+						if topo.HasEdge(sites[a], sites[b]) && rng.Intn(4) != 0 {
+							ig.Pairs = append(ig.Pairs, [2]int{a, b})
+						}
+					}
+				}
+				if i%2 == 1 {
+					ig.Pairs = append(ig.Pairs, [2]int{rng.Intn(k), rng.Intn(k)})
+				}
+			default: // random pairs
+				for e := rng.Intn(2 * k); e >= 0; e-- {
+					ig.Pairs = append(ig.Pairs, [2]int{rng.Intn(k), rng.Intn(k)})
+				}
+			}
+			for j := range ig.Pairs {
+				if rng.Intn(3) == 0 {
+					ig.Pairs[j][0], ig.Pairs[j][1] = ig.Pairs[j][1], ig.Pairs[j][0]
+				}
+			}
+			if len(ig.Pairs) > 0 && rng.Intn(2) == 0 {
+				ig.Pairs = append(ig.Pairs, ig.Pairs[rng.Intn(len(ig.Pairs))], [2]int{0, 0})
+			}
+			rng.Shuffle(len(ig.Pairs), func(a, b int) { ig.Pairs[a], ig.Pairs[b] = ig.Pairs[b], ig.Pairs[a] })
+			for _, budget := range []int{0, 40, 3} {
+				name := fmt.Sprintf("%s case %d budget %d (%d qubits, pairs %v)", topo.Name, i, budget, k, ig.Pairs)
+				got, ok := FindSwapFreeLayout(ig, topo, budget)
+				want, wantOK := findSwapFreeLayoutOracle(ig, topo, budget)
+				if ok != wantOK {
+					t.Fatalf("%s: ok %v, oracle %v", name, ok, wantOK)
+				}
+				if !ok {
+					continue
+				}
+				if !slices.Equal(got.L2P, want.L2P) || !slices.Equal(got.P2L, want.P2L) {
+					t.Fatalf("%s: layout %v, oracle %v", name, got.L2P, want.L2P)
+				}
+				if budget == 0 {
+					found++
+				}
+			}
+		}
+		t.Logf("%s: %d of 60 embed", topo.Name, found)
+		if found == 0 || found == 60 {
+			t.Fatalf("%s: %d of 60 graphs embed; want both outcomes covered", topo.Name, found)
+		}
 	}
 }
 

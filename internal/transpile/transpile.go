@@ -61,13 +61,15 @@ type Options struct {
 	// (MIRAGE-Depth); otherwise on inserted SWAPs (MIRAGE-Swaps /
 	// stock SABRE).
 	DepthSelection bool
-	// FixedAggression forces one aggression level on all trials; nil
-	// uses the paper's 5/45/45/5 mix. Ignored for SABRE.
+	// FixedAggression forces one aggression level (0..3) on all
+	// trials; nil uses the paper's 5/45/45/5 mix. Ignored for SABRE.
 	FixedAggression *mirage.Aggression
 	// Layout holds trial counts and SABRE parameters.
 	Layout sabre.LayoutOptions
-	// SkipTrivialLayout disables the VF2 swap-free check (the check is
-	// also skipped automatically for circuits that need routing).
+	// SkipTrivialLayout disables the VF2 swap-free check. The check
+	// otherwise runs on every call, up to a 100,000-node search; only
+	// a circuit with a logical qubit of more partners than any
+	// physical qubit has neighbours is rejected without searching.
 	SkipTrivialLayout bool
 	// Parallelism bounds the layout-row worker count: 1 forces
 	// serial execution, negative values mean one worker per CPU, and 0
@@ -231,14 +233,18 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// begin runs the trivial-layout check. When the interaction graph
-// embeds in the topology, no routing is needed and SABRE/MIRAGE are
-// not invoked (both transpilers behave identically here, paper Section
-// V): the report comes back measured, with TrivialLayout set.
+// begin rejects a fixed aggression level outside 0..3 and runs the
+// trivial-layout check. When the interaction graph embeds in the
+// topology, no routing is needed and SABRE/MIRAGE are not invoked
+// (both transpilers behave identically here, paper Section V): the
+// report comes back measured, with TrivialLayout set.
 // Otherwise it is a report to route into, and only here does a failed
 // routing preparation surface: a circuit that embeds trivially never
 // hits it.
 func begin(pc *PreparedCircuit, opts Options) (*Report, error) {
+	if a := opts.FixedAggression; a != nil && (*a < mirage.AggressionNever || *a > mirage.AggressionAlways) {
+		return nil, fmt.Errorf("transpile: fixed aggression %d outside 0..3", *a)
+	}
 	rep := &Report{Name: pc.Source.Name, Router: opts.Router.String()}
 	if !opts.SkipTrivialLayout {
 		if routed, layout, ok := tryTrivialLayout(pc.Blocks, pc.Topo); ok {
@@ -297,11 +303,12 @@ func RoutingPolicy(opts Options, blocks *circuit.Circuit) (sabre.Metric, *sabre.
 	}
 	var factory sabre.PolicyFactory
 	if opts.Router == MIRAGE {
+		mix := mirage.DefaultMix
 		if opts.FixedAggression != nil {
-			factory = mirage.FixedPolicyFactory(costs, *opts.FixedAggression)
-		} else {
-			factory = mirage.PolicyFactory(costs, mirage.DefaultMix)
+			mix = [4]float64{}
+			mix[*opts.FixedAggression] = 1
 		}
+		factory = mirage.PolicyFactory(costs, mix)
 	}
 	return metric, bound, factory
 }

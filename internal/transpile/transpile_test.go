@@ -173,6 +173,19 @@ func TestFixedAggressionOption(t *testing.T) {
 	if rep.MirrorsUsed != 0 {
 		t.Fatal("aggression 0 must never mirror")
 	}
+	lvl = mirage.AggressionAlways
+	if rep, err = transpile.Transpile(c, topo, opts); err != nil {
+		t.Fatal(err)
+	}
+	if rep.MirrorAcceptRate != 1 {
+		t.Fatalf("aggression 3 mirrored %v of the 2Q gates, want all", rep.MirrorAcceptRate)
+	}
+	for _, bad := range []mirage.Aggression{-1, 4} {
+		lvl = bad
+		if _, err := transpile.Transpile(c, topo, opts); err == nil {
+			t.Fatalf("fixed aggression %d was accepted", bad)
+		}
+	}
 }
 
 func TestReportMetricsConsistency(t *testing.T) {
