@@ -115,12 +115,12 @@ func (c *Circuit) Copy() *Circuit {
 
 // Reversed returns the circuit with the op order reversed (used by
 // SABRE's backward layout passes; gates are not inverted because only
-// the interaction pattern matters for routing).
+// the interaction pattern matters for routing). Ops are immutable by
+// convention, so the reversed ops share their qubit slices with c.
 func (c *Circuit) Reversed() *Circuit {
 	out := New(c.Name+"_rev", c.NumQubits)
 	out.Ops = make([]Op, len(c.Ops))
 	for i, op := range c.Ops {
-		op.Qubits = append([]int(nil), op.Qubits...)
 		out.Ops[len(c.Ops)-1-i] = op
 	}
 	return out

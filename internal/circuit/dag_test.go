@@ -1,9 +1,10 @@
 package circuit
 
-// DAG is the readable reference form of the wire-dependency graph that
-// FlatDAG packs into CSR arrays: per-op predecessor and successor
-// slices, with Traversal walking it by rescanning a ready slice. The
-// tests pin FlatDAG and FlatTraversal to it.
+// DAG is the readable reference form of the wire-dependency graph
+// whose successors and in-degrees FlatDAG packs into CSR arrays:
+// per-op predecessor and successor slices, with Traversal walking it
+// by rescanning a ready slice. The tests pin FlatDAG and FlatTraversal
+// to it.
 type DAG struct {
 	Circ  *Circuit
 	Preds [][]int

@@ -1,15 +1,15 @@
 package circuit
 
-import "fmt"
-
 // FlatDAG is the CSR (compressed sparse row) form of the wire
 // dependency graph: op j depends on op i (i < j) when they share a
 // qubit and no op between them uses it, the structure SABRE and MIRAGE
-// traverse (front layer, execute layer, lookahead window). Predecessor
-// and successor adjacency are packed into offset + edge arrays with no
-// per-node slices, maps or pointers: built once per circuit and shared
-// read-only by every trial worker, it is an immutable structure a
-// FlatTraversal walks using caller-owned buffers.
+// traverse (front layer, execute layer, lookahead window). Successor
+// adjacency is packed into an offset + edge array and each op's
+// in-degree into a flat count, with no per-node slices, maps or
+// pointers: built once per circuit and shared read-only by every trial
+// worker, it is an immutable structure a FlatTraversal walks using
+// caller-owned buffers. Nothing the router runs reads predecessors, so
+// the DAG keeps none.
 //
 // The edge multiset includes the duplicate edge a 2Q op shares with a
 // predecessor touching both of its qubits. The property tests in
@@ -25,11 +25,9 @@ type FlatDAG struct {
 	Circ   *Circuit
 	NumOps int
 
-	// CSR adjacency: predecessors of op i are Preds[PredOff[i]:PredOff[i+1]],
-	// successors are Succs[SuccOff[i]:SuccOff[i+1]]. Edge order matches
-	// DAG's append order (scan order over ops and their qubits).
-	PredOff []int32
-	Preds   []int32
+	// CSR adjacency: successors of op i are Succs[SuccOff[i]:SuccOff[i+1]].
+	// Edge order matches DAG's append order (scan order over ops and
+	// their qubits).
 	SuccOff []int32
 	Succs   []int32
 
@@ -50,7 +48,6 @@ func BuildFlatDAG(c *Circuit) *FlatDAG {
 	d := &FlatDAG{
 		Circ:    c,
 		NumOps:  n,
-		PredOff: make([]int32, n+1),
 		SuccOff: make([]int32, n+1),
 		InDeg:   make([]int32, n),
 		Q0:      make([]int32, n),
@@ -60,7 +57,7 @@ func BuildFlatDAG(c *Circuit) *FlatDAG {
 	for i := range last {
 		last[i] = -1
 	}
-	// Pass 1: count edges per op (duplicates included).
+	// Pass 1: count in- and out-degrees (duplicate edges included).
 	for i, op := range c.Ops {
 		d.Q0[i] = int32(op.Qubits[0])
 		d.Q1[i] = -1
@@ -69,23 +66,22 @@ func BuildFlatDAG(c *Circuit) *FlatDAG {
 		}
 		for _, q := range op.Qubits {
 			if p := last[q]; p >= 0 {
-				d.PredOff[i+1]++
+				d.InDeg[i]++
 				d.SuccOff[p+1]++
 			}
 			last[q] = i
 		}
+		if d.InDeg[i] == 0 {
+			d.Roots = append(d.Roots, int32(i))
+		}
 	}
 	for i := 0; i < n; i++ {
-		d.PredOff[i+1] += d.PredOff[i]
 		d.SuccOff[i+1] += d.SuccOff[i]
 	}
-	d.Preds = make([]int32, d.PredOff[n])
 	d.Succs = make([]int32, d.SuccOff[n])
 	// Pass 2: fill in the same scan order DAG uses, so the slice
-	// contents match Preds[i]/Succs[p] element for element.
-	predNext := make([]int32, n)
+	// contents match Succs[p] element for element.
 	succNext := make([]int32, n)
-	copy(predNext, d.PredOff[:n])
 	copy(succNext, d.SuccOff[:n])
 	for i := range last {
 		last[i] = -1
@@ -93,108 +89,14 @@ func BuildFlatDAG(c *Circuit) *FlatDAG {
 	for i, op := range c.Ops {
 		for _, q := range op.Qubits {
 			if p := last[q]; p >= 0 {
-				d.Preds[predNext[i]] = int32(p)
-				predNext[i]++
 				d.Succs[succNext[p]] = int32(i)
 				succNext[p]++
-				d.InDeg[i]++
 			}
 			last[q] = i
 		}
 	}
-	for i := 0; i < n; i++ {
-		if d.InDeg[i] == 0 {
-			d.Roots = append(d.Roots, int32(i))
-		}
-	}
 	return d
 }
-
-// FlatDAGFromParts reassembles a FlatDAG for c from CSR adjacency
-// arrays produced by BuildFlatDAG on another machine (the distributed
-// coordinator ships them inside trial job specs so workers skip the
-// rebuild). The derived fields — InDeg, Roots, Q0/Q1 — are recomputed
-// locally; only the edge structure crosses the wire.
-//
-// The arrays are validated structurally in O(V+E): offset arrays must
-// be monotone and bounded by the edge arrays, every edge endpoint must
-// be in range and respect op order (edges only point from earlier ops
-// to later ones, as wire dependencies do), and the predecessor and
-// successor views must describe the same edge multiset. A failure
-// returns an error rather than a DAG that could deadlock a traversal.
-// The check is cheaper than BuildFlatDAG (no circuit scan, no edge
-// counting passes) but it does NOT verify the edges match c's wire
-// dependencies — callers ship the DAG alongside the circuit it was
-// built from and must keep the two paired.
-func FlatDAGFromParts(c *Circuit, predOff, preds, succOff, succs []int32) (*FlatDAG, error) {
-	n := len(c.Ops)
-	if len(predOff) != n+1 || len(succOff) != n+1 {
-		return nil, fmt.Errorf("circuit: flat DAG offsets sized %d/%d for %d ops",
-			len(predOff)-1, len(succOff)-1, n)
-	}
-	if predOff[0] != 0 || succOff[0] != 0 {
-		return nil, fmt.Errorf("circuit: flat DAG offsets must start at 0")
-	}
-	for i := 0; i < n; i++ {
-		if predOff[i+1] < predOff[i] || succOff[i+1] < succOff[i] {
-			return nil, fmt.Errorf("circuit: flat DAG offsets not monotone at op %d", i)
-		}
-	}
-	if int(predOff[n]) != len(preds) || int(succOff[n]) != len(succs) ||
-		len(preds) != len(succs) {
-		return nil, fmt.Errorf("circuit: flat DAG edge arrays sized %d/%d, offsets claim %d/%d",
-			len(preds), len(succs), predOff[n], succOff[n])
-	}
-	d := &FlatDAG{
-		Circ:    c,
-		NumOps:  n,
-		PredOff: predOff,
-		Preds:   preds,
-		SuccOff: succOff,
-		Succs:   succs,
-		InDeg:   make([]int32, n),
-		Q0:      make([]int32, n),
-		Q1:      make([]int32, n),
-	}
-	// succSeen[i] counts how often i appears as a successor target; it
-	// must agree with i's predecessor count or the two views describe
-	// different graphs.
-	succSeen := make([]int32, n)
-	for i := 0; i < n; i++ {
-		for _, p := range d.PredsOf(i) {
-			if p < 0 || int(p) >= i {
-				return nil, fmt.Errorf("circuit: flat DAG pred %d of op %d out of order", p, i)
-			}
-		}
-		for _, s := range d.SuccsOf(i) {
-			if int(s) <= i || int(s) >= n {
-				return nil, fmt.Errorf("circuit: flat DAG succ %d of op %d out of order", s, i)
-			}
-			succSeen[s]++
-		}
-	}
-	for i := 0; i < n; i++ {
-		d.InDeg[i] = predOff[i+1] - predOff[i]
-		if succSeen[i] != d.InDeg[i] {
-			return nil, fmt.Errorf("circuit: flat DAG op %d has %d preds but appears as succ %d times",
-				i, d.InDeg[i], succSeen[i])
-		}
-		if d.InDeg[i] == 0 {
-			d.Roots = append(d.Roots, int32(i))
-		}
-		op := c.Ops[i]
-		d.Q0[i] = int32(op.Qubits[0])
-		d.Q1[i] = -1
-		if len(op.Qubits) > 1 {
-			d.Q1[i] = int32(op.Qubits[1])
-		}
-	}
-	return d, nil
-}
-
-// PredsOf returns the predecessor list of op i (a view into the shared
-// edge array; do not mutate).
-func (d *FlatDAG) PredsOf(i int) []int32 { return d.Preds[d.PredOff[i]:d.PredOff[i+1]] }
 
 // SuccsOf returns the successor list of op i (a view into the shared
 // edge array; do not mutate).

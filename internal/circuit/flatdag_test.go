@@ -35,8 +35,8 @@ func randomDAGCircuit(name string, qubits, ops int, rng *rand.Rand) *Circuit {
 }
 
 // TestFlatDAGMatchesDAG pins the CSR form to the pointer-based
-// reference: identical predecessor/successor lists (order and
-// multiplicity), in-degrees, roots and qubit caches.
+// reference: identical successor lists (order and multiplicity),
+// in-degrees, roots and qubit caches.
 func TestFlatDAGMatchesDAG(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
@@ -47,9 +47,6 @@ func TestFlatDAGMatchesDAG(t *testing.T) {
 			t.Fatalf("trial %d: NumOps = %d, want %d", trial, fd.NumOps, len(c.Ops))
 		}
 		for i := range c.Ops {
-			if got, want := fd.PredsOf(i), ref.Preds[i]; !sameEdges(got, want) {
-				t.Fatalf("trial %d op %d: preds %v, want %v", trial, i, got, want)
-			}
 			if got, want := fd.SuccsOf(i), ref.Succs[i]; !sameEdges(got, want) {
 				t.Fatalf("trial %d op %d: succs %v, want %v", trial, i, got, want)
 			}
@@ -239,77 +236,4 @@ func traversalChecksum(tr *FlatTraversal) int64 {
 		tr.Execute(int(tr.ReadyFirst()))
 	}
 	return sum
-}
-
-// TestFlatDAGFromPartsRoundTrip: reassembling a DAG from its shipped
-// CSR arrays (the distributed-worker path) must reproduce every
-// derived field — in-degrees, roots, qubit caches — and traverse
-// identically to the locally built original.
-func TestFlatDAGFromPartsRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(88))
-	for trial := 0; trial < 8; trial++ {
-		c := randomDAGCircuit(fmt.Sprintf("parts-%d", trial), 3+rng.Intn(6), 10+rng.Intn(40), rng)
-		want := BuildFlatDAG(c)
-		got, err := FlatDAGFromParts(c, want.PredOff, want.Preds, want.SuccOff, want.Succs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < want.NumOps; i++ {
-			if got.InDeg[i] != want.InDeg[i] || got.Q0[i] != want.Q0[i] || got.Q1[i] != want.Q1[i] {
-				t.Fatalf("trial %d op %d: derived fields diverge", trial, i)
-			}
-		}
-		if fmt.Sprint(got.Roots) != fmt.Sprint(want.Roots) {
-			t.Fatalf("trial %d: roots %v, want %v", trial, got.Roots, want.Roots)
-		}
-		if traversalChecksum(got.NewFlatTraversal()) != traversalChecksum(want.NewFlatTraversal()) {
-			t.Fatalf("trial %d: reassembled DAG traverses differently", trial)
-		}
-	}
-}
-
-// TestFlatDAGFromPartsRejectsCorrupt: structurally inconsistent CSR
-// arrays must be rejected, not turned into a DAG that deadlocks or
-// indexes out of range.
-func TestFlatDAGFromPartsRejectsCorrupt(t *testing.T) {
-	c := New("corrupt", 3)
-	c.Add(gates.CX(), 0, 1)
-	c.Add(gates.CX(), 1, 2)
-	c.Add(gates.CX(), 0, 2)
-	d := BuildFlatDAG(c)
-	clone := func(v []int32) []int32 { return append([]int32(nil), v...) }
-	cases := []struct {
-		name    string
-		corrupt func(predOff, preds, succOff, succs []int32) ([]int32, []int32, []int32, []int32)
-	}{
-		{"short-offsets", func(po, p, so, s []int32) ([]int32, []int32, []int32, []int32) {
-			return po[:len(po)-1], p, so, s
-		}},
-		{"nonzero-start", func(po, p, so, s []int32) ([]int32, []int32, []int32, []int32) {
-			po[0] = 1
-			return po, p, so, s
-		}},
-		{"non-monotone", func(po, p, so, s []int32) ([]int32, []int32, []int32, []int32) {
-			so[1] = so[len(so)-1] + 1
-			return po, p, so, s
-		}},
-		{"edge-out-of-range", func(po, p, so, s []int32) ([]int32, []int32, []int32, []int32) {
-			s[0] = 99
-			return po, p, so, s
-		}},
-		{"edge-out-of-order", func(po, p, so, s []int32) ([]int32, []int32, []int32, []int32) {
-			p[0] = 2 // op 1's pred claims a later op
-			return po, p, so, s
-		}},
-		{"views-disagree", func(po, p, so, s []int32) ([]int32, []int32, []int32, []int32) {
-			s[0] = 2 // op0's first succ edge retargeted: succ counts no longer match pred counts
-			return po, p, so, s
-		}},
-	}
-	for _, tc := range cases {
-		po, p, so, s := tc.corrupt(clone(d.PredOff), clone(d.Preds), clone(d.SuccOff), clone(d.Succs))
-		if _, err := FlatDAGFromParts(c, po, p, so, s); err == nil {
-			t.Errorf("%s: corrupt arrays accepted", tc.name)
-		}
-	}
 }

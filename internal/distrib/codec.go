@@ -42,29 +42,6 @@ type wireTopology struct {
 	Edges     [][2]int
 }
 
-// wireFlatDAG ships the CSR adjacency of a circuit's flat dependency
-// DAG (circuit.FlatDAG) so workers reuse the coordinator's per-circuit
-// analysis instead of rebuilding it. Only the edge structure crosses
-// the wire; derived fields (in-degrees, roots, qubit caches) are
-// recomputed — and the arrays structurally validated — by
-// circuit.FlatDAGFromParts on arrival.
-type wireFlatDAG struct {
-	PredOff []int32
-	Preds   []int32
-	SuccOff []int32
-	Succs   []int32
-}
-
-func flatDAGToWire(d *circuit.FlatDAG) wireFlatDAG {
-	return wireFlatDAG{PredOff: d.PredOff, Preds: d.Preds, SuccOff: d.SuccOff, Succs: d.Succs}
-}
-
-// flatDAGFromWire reassembles the DAG against the already-decoded
-// circuit it was built from, validating the CSR structure.
-func flatDAGFromWire(w wireFlatDAG, c *circuit.Circuit) (*circuit.FlatDAG, error) {
-	return circuit.FlatDAGFromParts(c, w.PredOff, w.Preds, w.SuccOff, w.Succs)
-}
-
 func circuitToWire(c *circuit.Circuit) wireCircuit {
 	w := wireCircuit{Name: c.Name, NumQubits: c.NumQubits, Ops: make([]wireOp, len(c.Ops))}
 	for i, op := range c.Ops {

@@ -187,11 +187,7 @@ func trialSpecOf(t testing.TB, w wireOptions, sources ...*circuit.Circuit) []byt
 	w.Layout = sabre.LayoutOptions{LayoutTrials: 2, RoutingTrials: 2, FwdBwdPasses: 1, Seed: 3}.WithDefaults()
 	spec := trialSpec{Topo: topologyToWire(topo), Opts: w}
 	for _, c := range sources {
-		pc, err := sabre.PrepareCircuit(circuit.ConsolidateBlocks(circuit.UnrollTo2Q(c)), topo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec.Circuits = append(spec.Circuits, specCircuit{Circuit: circuitToWire(pc.Circ), DAG: flatDAGToWire(pc.FD)})
+		spec.Circuits = append(spec.Circuits, circuitToWire(circuit.ConsolidateBlocks(circuit.UnrollTo2Q(c))))
 	}
 	raw, err := encodeSpec(spec)
 	if err != nil {

@@ -7,9 +7,9 @@
 // KindTrials routes the trial grids of one or more circuits: one grid
 // through the RouteFn of Cluster.Options, every routed circuit of a
 // batch through Cluster.TranspileBatch. The job spec carries the
-// consolidated circuits, each with its forward flat DAG, the topology
-// and the pipeline options, with the grids' layout options. Each worker
-// prepares every circuit (sabre.PrepareFromDAG), builds its metric and
+// consolidated circuits, the topology and the pipeline options, with
+// the grids' layout options. Each worker prepares every circuit from
+// the circuit alone (sabre.PrepareCircuit), builds its metric and
 // mirror-policy factory with transpile.RoutingPolicy, and leases
 // trial-index ranges of whole layout rows, interleaved across circuits
 // as sabre.RunGrids orders them, with one sabre.TrialRunner that it

@@ -37,14 +37,10 @@ func TestSpecEncodingDeterministic(t *testing.T) {
 		topo := topology.Grid(3, 3)
 		c := e2eCircuit("det", 7, 22, 11)
 		blocks := circuit.ConsolidateBlocks(circuit.UnrollTo2Q(c))
-		pc, err := sabre.PrepareCircuit(blocks, topo)
-		if err != nil {
-			t.Fatal(err)
-		}
 		opts := sabre.LayoutOptions{LayoutTrials: 3, RoutingTrials: 4, FwdBwdPasses: 1, Seed: 17}.WithDefaults()
 		raw, err := encodeSpec(trialSpec{
-			Circuits: []specCircuit{{Circuit: circuitToWire(pc.Circ), DAG: flatDAGToWire(pc.FD)}},
-			Topo:     topologyToWire(pc.Topo),
+			Circuits: []wireCircuit{circuitToWire(blocks)},
+			Topo:     topologyToWire(topo),
 			Opts:     options(opts.WithBound(bound)),
 		})
 		if err != nil {
@@ -60,10 +56,9 @@ func TestSpecEncodingDeterministic(t *testing.T) {
 	}
 
 	buildBatch := func() []byte {
-		var circuits []specCircuit
+		var circuits []wireCircuit
 		for _, c := range []*circuit.Circuit{e2eCircuit("det-a", 6, 16, 41), e2eCircuit("det-b", 7, 20, 42)} {
-			blocks := circuit.ConsolidateBlocks(circuit.UnrollTo2Q(c))
-			circuits = append(circuits, specCircuit{Circuit: circuitToWire(blocks), DAG: flatDAGToWire(circuit.BuildFlatDAG(blocks))})
+			circuits = append(circuits, circuitToWire(circuit.ConsolidateBlocks(circuit.UnrollTo2Q(c))))
 		}
 		raw, err := encodeSpec(trialSpec{
 			Circuits: circuits,

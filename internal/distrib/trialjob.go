@@ -17,19 +17,13 @@ import (
 // refinement of the trial's layout row included. Every grid has the
 // layout options Opts.Layout, and the K grids' rows interleave as in
 // sabre.RunGrids: item (lt*K + k)*n + rt is trial lt*n + rt of circuit
-// k's L x n grid. Each flat dependency DAG ships with its circuit, so
-// the worker checks the shipped analysis instead of recomputing it and
-// only builds the reversed DAG its layout refinement routes.
+// k's L x n grid. The spec carries the circuits alone: the worker
+// derives their dependency DAGs itself (sabre.PrepareCircuit), so no
+// shipped analysis can disagree with the circuit it describes.
 type trialSpec struct {
-	Circuits []specCircuit
+	Circuits []wireCircuit
 	Topo     wireTopology
 	Opts     wireOptions
-}
-
-// specCircuit is one circuit of a trial spec with its forward DAG.
-type specCircuit struct {
-	Circuit wireCircuit
-	DAG     wireFlatDAG
 }
 
 // trialGrid is one circuit of a trial job as its worker prepared it:
@@ -68,16 +62,12 @@ func trialHandler(raw, _ []byte) (dispatch.JobRunner, error) {
 	// The runner is bound to a circuit by Run.
 	j := &trialJob{grids: make([]trialGrid, len(spec.Circuits)), runner: sabre.NewTrialRunner(nil),
 		opts: opts.Layout.WithDefaults()}
-	for k, sc := range spec.Circuits {
-		c, err := circuitFromWire(sc.Circuit)
+	for k, wc := range spec.Circuits {
+		c, err := circuitFromWire(wc)
 		if err != nil {
 			return nil, err
 		}
-		fd, err := flatDAGFromWire(sc.DAG, c)
-		if err != nil {
-			return nil, err
-		}
-		if j.grids[k].pc, err = sabre.PrepareFromDAG(fd, topo); err != nil {
+		if j.grids[k].pc, err = sabre.PrepareCircuit(c, topo); err != nil {
 			return nil, err
 		}
 		// Workers route every trial to its end, so the bound goes unused.
@@ -171,8 +161,7 @@ func (cl *Cluster) runGrids(grids []*sabre.Grid, w wireOptions) error {
 	w.Layout = opts
 	spec := trialSpec{Topo: topologyToWire(grids[0].Prepared().Topo), Opts: w}
 	for _, g := range grids {
-		pc := g.Prepared()
-		spec.Circuits = append(spec.Circuits, specCircuit{Circuit: circuitToWire(pc.Circ), DAG: flatDAGToWire(pc.FD)})
+		spec.Circuits = append(spec.Circuits, circuitToWire(g.Prepared().Circ))
 	}
 	raw, err := encodeSpec(spec)
 	if err != nil {

@@ -147,7 +147,7 @@ func TestSharedFlatDAGManyWorkers(t *testing.T) {
 	}
 	ref := routingFingerprint(want)
 	// A second preparation whose mirror data nobody has built yet.
-	pc, err := PrepareFromDAG(first.FD, topo)
+	pc, err := PrepareCircuit(c, topo)
 	if err != nil {
 		t.Fatal(err)
 	}

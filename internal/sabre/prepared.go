@@ -15,9 +15,9 @@ import (
 // pass reads the same reversed DAG, and the winner replay reuses them
 // all — so the analysis is computed once per circuit, not once per
 // consumer. Only the forward circuit has mirror data: the backward
-// passes of layout refinement route without a mirror policy. The
-// distributed coordinator ships the forward DAG inside the trial job
-// spec, and workers prepare from it with PrepareFromDAG.
+// passes of layout refinement route without a mirror policy. A
+// distributed worker prepares the circuits of its trial job spec with
+// PrepareCircuit too: the spec ships circuits, never their DAGs.
 //
 // Lifetime rules: a PreparedCircuit and everything it references
 // (Circ, Topo, both DAGs, the mirror data) are immutable after
@@ -43,19 +43,11 @@ type PreparedCircuit struct {
 }
 
 // PrepareCircuit validates c against topo and builds the shared
-// immutable analysis state (forward and reversed flat DAGs) that
-// FindBestRoutingPrepared and NewTrialRunner reuse. Prepare
-// once per circuit and fan the result out to every consumer.
+// immutable analysis state (the forward and reversed flat DAGs, both
+// derived from c alone) that FindBestRoutingPrepared and
+// NewTrialRunner reuse. Prepare once per circuit and fan the result
+// out to every consumer.
 func PrepareCircuit(c *circuit.Circuit, topo *topology.Topology) (*PreparedCircuit, error) {
-	return PrepareFromDAG(circuit.BuildFlatDAG(c), topo)
-}
-
-// PrepareFromDAG is PrepareCircuit over the forward DAG of fd.Circ,
-// built elsewhere — a distributed worker receives it in the job spec,
-// checked by circuit.FlatDAGFromParts. It validates the circuit
-// against topo and builds only the reversed DAG.
-func PrepareFromDAG(fd *circuit.FlatDAG, topo *topology.Topology) (*PreparedCircuit, error) {
-	c := fd.Circ
 	if err := validateRoutable(c, topo); err != nil {
 		return nil, err
 	}
@@ -65,7 +57,7 @@ func PrepareFromDAG(fd *circuit.FlatDAG, topo *topology.Topology) (*PreparedCirc
 	return &PreparedCircuit{
 		Circ:    c,
 		Topo:    topo,
-		FD:      fd,
+		FD:      circuit.BuildFlatDAG(c),
 		FDRev:   circuit.BuildFlatDAG(c.Reversed()),
 		mirrors: mirrorTable{circ: c},
 	}, nil

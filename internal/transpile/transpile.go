@@ -150,10 +150,9 @@ type Report struct {
 type PreparedCircuit struct {
 	Source *circuit.Circuit
 	Topo   *topology.Topology
-	// Clean is the source after 3Q unrolling, identity removal and SWAP
-	// elision; Blocks is Clean consolidated into coordinate-annotated
-	// 2Q blocks — the circuit the router actually routes.
-	Clean  *circuit.Circuit
+	// Blocks is the source after 3Q unrolling, identity removal and
+	// SWAP elision, consolidated into coordinate-annotated 2Q blocks —
+	// the circuit the router actually routes.
 	Blocks *circuit.Circuit
 	// Routing is the shared routing analysis over Blocks, or nil when
 	// the pairing cannot route (see routingErr). It is nil-checked only
@@ -179,7 +178,7 @@ func PrepareCircuit(c *circuit.Circuit, topo *topology.Topology) *PreparedCircui
 	// 2. Consolidate to coordinate-annotated 2Q blocks.
 	blocks := circuit.ConsolidateBlocks(clean)
 
-	pc := &PreparedCircuit{Source: c, Topo: topo, Clean: clean, Blocks: blocks}
+	pc := &PreparedCircuit{Source: c, Topo: topo, Blocks: blocks}
 	pc.Routing, pc.routingErr = sabre.PrepareCircuit(blocks, topo)
 	return pc
 }
