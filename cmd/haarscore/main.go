@@ -8,8 +8,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
+	"repro/internal/bench"
 	"repro/internal/haar"
 	"repro/internal/polytope"
 )
@@ -25,6 +25,12 @@ func main() {
 		cover   = flag.String("coverage-file", "", "persistent coverage-set library: loaded at startup, saved at exit (skips the empirical polytope rebuilds)")
 	)
 	flag.Parse()
+
+	roots, err := bench.ParsePositiveInts("roots", *rootsCS)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "haarscore:", err)
+		os.Exit(2)
+	}
 
 	if *cover != "" {
 		save, err := polytope.WarmStartCoverageFile(*cover, os.Stderr)
@@ -50,13 +56,6 @@ func main() {
 		w = f
 	}
 
-	var roots []int
-	for _, s := range strings.Split(*rootsCS, ",") {
-		var n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &n); err == nil && n >= 1 {
-			roots = append(roots, n)
-		}
-	}
 	opts := haar.Options{Samples: *samples, Seed: *seed}
 
 	if *fig5 {

@@ -34,23 +34,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "runtimecmp:", err)
 		os.Exit(2)
 	}
-
-	var ns []int
-	for {
-		var n int
-		read, _ := fmt.Sscanf(*sizes, "%d", &n)
-		if read == 0 {
-			break
-		}
-		ns = append(ns, n)
-		idx := 0
-		for idx < len(*sizes) && (*sizes)[idx] != ',' {
-			idx++
-		}
-		if idx >= len(*sizes) {
-			break
-		}
-		*sizes = (*sizes)[idx+1:]
+	ns, err := bench.ParsePositiveInts("sizes", *sizes)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "runtimecmp:", err)
+		os.Exit(2)
 	}
 
 	layout := sabre.LayoutOptions{

@@ -4,6 +4,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/dispatch"
@@ -49,6 +51,22 @@ func (f SchedulerFlags) Validate() error {
 		return fmt.Errorf("-lease must be >= 0 (0 = default lease size), got %d", f.Lease)
 	}
 	return nil
+}
+
+// ParsePositiveInts reads a comma-separated list flag such as
+// haarscore -roots or runtimecmp -sizes. Every entry must be a positive
+// integer: an empty list, an empty entry or a trailing suffix ("2x")
+// is an error rather than a silently shorter list.
+func ParsePositiveInts(name, spec string) ([]int, error) {
+	var out []int
+	for _, f := range strings.Split(spec, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || v < 1 {
+			return nil, fmt.Errorf("-%s: %q is not a positive integer", name, f)
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }
 
 // FleetFlags are the coordinator flags shared by cmd/benchsuite and

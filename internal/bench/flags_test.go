@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -75,6 +76,35 @@ func TestSchedulerFlagsValidate(t *testing.T) {
 	for _, f := range bad {
 		if err := f.Validate(); err == nil {
 			t.Fatalf("invalid flags %+v accepted", f)
+		}
+	}
+}
+
+func TestParsePositiveInts(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		want []int // nil: rejected
+	}{
+		{"2,3,4", []int{2, 3, 4}},
+		{" 16 , 24", []int{16, 24}},
+		{"7", []int{7}},
+		{"", nil},
+		{"x", nil},
+		{"2x,0", nil},
+		{"2,0", nil},
+		{"2,-3", nil},
+		{"2,,3", nil},
+		{"2,", nil},
+	} {
+		got, err := ParsePositiveInts("roots", tc.spec)
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("%q: accepted as %v", tc.spec, got)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%q: got %v, %v; want %v", tc.spec, got, err, tc.want)
 		}
 	}
 }

@@ -2,14 +2,13 @@ package bench
 
 // The numeric-kernel and routing -benchmem lane: ns/op and allocs/op
 // for the hot kernels of the decomposition substrate — Weyl-coordinate
-// extraction (fast and reference), warm-cache block consolidation, the
-// value-type KAK4 — for the routing trial engine (steady-state arena
-// trials via sabre.TrialRunner, layout refinement, and a full
+// extraction (fast and reference) and warm-cache block consolidation —
+// for the routing trial engine (steady-state arena trials via
+// sabre.TrialRunner, layout refinement, and a full
 // FindBestRoutingPrepared grid) and for the MIRAGE-Depth trial metric,
 // recorded into BENCH_routing.json next to the routing rows and
-// diffed by cmd/benchdiff, so an allocation
-// regression on either hot path fails CI as visibly as a depth
-// regression would. Alloc counts are deterministic for deterministic
+// diffed by cmd/benchdiff, so an allocation regression on either hot
+// path fails CI as visibly as a depth regression would. Alloc counts are deterministic for deterministic
 // code (the routing rows run the serial scheduler for exactly that
 // reason); wall times are context for the reader.
 
@@ -19,7 +18,6 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
-	"repro/internal/decompose"
 	"repro/internal/dispatch"
 	"repro/internal/gates"
 	"repro/internal/linalg"
@@ -172,21 +170,6 @@ func RunKernelBenchmarks() ([]KernelRow, error) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				depthMetricSink = metric(res)
-			}
-			return nil
-		}},
-		{"decompose/KAK4", func(b *testing.B) error {
-			kakRng := rand.New(rand.NewSource(272))
-			mats := make([]linalg.Mat4, len(targets))
-			for i, m := range targets {
-				mats[i] = linalg.Mat4From(m)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := decompose.KAK4(mats[i%len(mats)], kakRng); err != nil {
-					return err
-				}
 			}
 			return nil
 		}},

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/gates"
 	"repro/internal/linalg"
+	"repro/internal/polytope"
 	"repro/internal/weyl"
 )
 
@@ -103,49 +104,37 @@ func TestProcessFidelity(t *testing.T) {
 	}
 }
 
-func TestSynthesizeCNOTIntoTwoSqrtISwaps(t *testing.T) {
-	// Paper Fig. 1a: CNOT decomposes into two sqrt-iSWAP gates.
-	r := Rule(gates.CX(), gates.SqrtISwap(), 2)
-	if r.Fidelity < 1-1e-9 {
-		t.Fatalf("CNOT into 2 sqrt-iSWAP fidelity = %.12f", r.Fidelity)
-	}
-	if !r.Unitary(gates.SqrtISwap()).EqualUpToGlobalPhase(gates.CX().Matrix(), 1e-4) {
-		t.Fatal("rule unitary does not match CNOT")
-	}
-}
-
-func TestSynthesizeCNSIntoTwoSqrtISwaps(t *testing.T) {
-	// Paper Fig. 1b: CNOT+SWAP (CNS) also needs only two sqrt-iSWAPs —
-	// the "free SWAP" that MIRAGE exploits.
-	r := Rule(gates.CNS(), gates.SqrtISwap(), 2)
-	if r.Fidelity < 1-1e-9 {
-		t.Fatalf("CNS into 2 sqrt-iSWAP fidelity = %.12f", r.Fidelity)
-	}
-}
-
-func TestSynthesizeSwapNeedsThreeSqrtISwaps(t *testing.T) {
-	two := Synthesize(gates.SWAP().Matrix(), gates.SqrtISwap(), 2,
-		SynthOptions{Restarts: 10, MaxIter: 3000, Seed: 3})
-	if two.Fidelity > 1-1e-4 {
-		t.Fatalf("SWAP should NOT be reachable with 2 sqrt-iSWAPs, got fidelity %.9f", two.Fidelity)
-	}
-	three := Rule(gates.SWAP(), gates.SqrtISwap(), 3)
-	if three.Fidelity < 1-1e-9 {
-		t.Fatalf("SWAP into 3 sqrt-iSWAP fidelity = %.12f", three.Fidelity)
-	}
-}
-
-func TestSynthesizeISwapIntoTwoSqrtISwaps(t *testing.T) {
-	r := Rule(gates.ISwap(), gates.SqrtISwap(), 2)
-	if r.Fidelity < 1-1e-9 {
-		t.Fatalf("iSWAP into 2 sqrt-iSWAP fidelity = %.12f", r.Fidelity)
+// TestSynthesizeFig1Costs checks that the sqrt-iSWAP cost k the coverage
+// polytopes predict for each gate of paper Fig. 1 can be realised by a
+// fitted ansatz, and that k-1 basis applications cannot. CNOT and
+// CNOT+SWAP (CNS) both cost two: the "free SWAP" MIRAGE exploits.
+func TestSynthesizeFig1Costs(t *testing.T) {
+	basis := gates.SqrtISwap()
+	cov := polytope.NewISwapRootCoverage(2)
+	opts := SynthOptions{Restarts: 40, MaxIter: 6000, Seed: 11}
+	for _, g := range []gates.Gate{gates.CX(), gates.CNS(), gates.ISwap(), gates.SWAP()} {
+		t.Run(g.Name, func(t *testing.T) {
+			target := g.Matrix()
+			region, ok := cov.MinCost(weyl.MustCoordinateOf(target), false)
+			if !ok {
+				t.Fatalf("no coverage region for %s", g.Name)
+			}
+			fit := Synthesize(target, basis, region.K, opts)
+			if fit.Fidelity < 1-1e-9 {
+				t.Fatalf("fit with k=%d reached fidelity %.12f", region.K, fit.Fidelity)
+			}
+			if !fit.Unitary(basis).EqualUpToGlobalPhase(target, 1e-4) {
+				t.Fatal("fitted unitary does not match the target")
+			}
+			if under := Synthesize(target, basis, region.K-1, opts); under.Fidelity > 1-1e-4 {
+				t.Fatalf("fit with k=%d reached fidelity %.9f; the polytope cost is not minimal",
+					region.K-1, under.Fidelity)
+			}
+		})
 	}
 }
 
 func TestSynthesizeRandomInsideK2Region(t *testing.T) {
-	if testing.Short() {
-		t.Skip("numerical synthesis is slow")
-	}
 	// Points inside the exact Huang k=2 region must synthesise with two
 	// sqrt-iSWAPs; this cross-validates the polytope layer.
 	rng := rand.New(rand.NewSource(8))
@@ -179,13 +168,5 @@ func TestFidelityModelPaperCalibration(t *testing.T) {
 	f2 := m.GateFidelity(0.5)
 	if math.Abs(m.CircuitFidelity(1.5)-f2*f2*f2) > 1e-12 {
 		t.Fatal("circuit fidelity is not exp-additive in duration")
-	}
-}
-
-func TestRuleCacheReturnsSameResult(t *testing.T) {
-	a := Rule(gates.CX(), gates.SqrtISwap(), 2)
-	b := Rule(gates.CX(), gates.SqrtISwap(), 2)
-	if a != b {
-		t.Fatal("rule cache returned distinct objects for the same key")
 	}
 }

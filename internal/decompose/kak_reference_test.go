@@ -1,8 +1,10 @@
 package decompose
 
-// The generic KAK on the *linalg.Matrix API: the reference the
-// allocation-free KAK4 is property-tested against (kak4_test.go). It
-// lives in a test file because nothing outside the tests calls it.
+// A Cartan (KAK) decomposition on the *linalg.Matrix API, built
+// independently of the weyl package: TestKAKCoordinateAgreesWithWeyl
+// pins weyl's coordinates to it, and the other tests in
+// decompose_test.go pin its reconstruction. It lives in a test file
+// because nothing outside the tests calls it.
 
 import (
 	"fmt"
@@ -95,7 +97,7 @@ func KAK(u *linalg.Matrix, rng *rand.Rand) (*KAKDecomposition, error) {
 		// matrix allocations).
 		m4 := linalg.Mat4From(m)
 		q14 := linalg.Mat4From(q1)
-		q14t := q14.Transpose()
+		q14t := linalg.Mat4From(q1.Transpose())
 		found := false
 		for mask := 0; mask < 16 && !found; mask++ {
 			var th [4]float64
@@ -109,7 +111,7 @@ func KAK(u *linalg.Matrix, rng *rand.Rand) (*KAKDecomposition, error) {
 			}
 			sc := q14.Mul(dh).Mul(q14t)
 			oc := sc.Dagger().Mul(m4)
-			if oc.ImagFrobeniusNorm() < 1e-6 {
+			if oc.ToMatrix().ImagPart().FrobeniusNorm() < 1e-6 {
 				copy(theta, th[:])
 				dhalf = dh.ToMatrix()
 				o = oc.ToMatrix()
@@ -275,15 +277,4 @@ func phaseBetween(u, v *linalg.Matrix) (complex128, error) {
 		return 0, fmt.Errorf("decompose: matrices differ by more than a phase")
 	}
 	return c, nil
-}
-
-// Generic converts to the pointer-based KAKDecomposition, to compare
-// KAK4 against KAK.
-func (d *KAKDecomposition4) Generic() *KAKDecomposition {
-	return &KAKDecomposition{
-		GlobalPhase: d.GlobalPhase,
-		K1l:         d.K1l.ToMatrix(), K1r: d.K1r.ToMatrix(),
-		K2l: d.K2l.ToMatrix(), K2r: d.K2r.ToMatrix(),
-		X: d.X, Y: d.Y, Z: d.Z,
-	}
 }

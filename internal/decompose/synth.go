@@ -1,11 +1,19 @@
+// Package decompose holds the two-qubit synthesis oracle and the
+// decoherence fidelity model of paper Eq. 2. Synthesize fits the
+// Cartan ansatz of paper Fig. 2 (k applications of a basis gate
+// between 1Q layers) with Nelder-Mead; the tests use it to check that
+// the coverage-polytope cost k of a gate can actually be realised.
+// Routing needs only that cost, so no request decomposes a circuit
+// into literal basis pulses: as paper Section IV-B puts it, "the
+// actual decomposition can be specified later". The Cartan (KAK)
+// decomposition on the *linalg.Matrix API lives in
+// kak_reference_test.go, where it pins the weyl package's coordinates.
 package decompose
 
 import (
-	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
-	"sync"
 
 	"repro/internal/gates"
 	"repro/internal/linalg"
@@ -135,45 +143,6 @@ func (r *SynthesisResult) Unitary(basis gates.Gate) *linalg.Matrix {
 		u = u.Mul(bm).Mul(r.Locals[i][0].Kron(r.Locals[i][1]))
 	}
 	return u
-}
-
-// --- Canned translation rules ---
-//
-// The paper adds CNOT and SWAP rules for sqrt-iSWAP to Qiskit's
-// equivalence library (Section V). We synthesise each rule once, to
-// machine precision, and cache it; thereafter it behaves as an exact
-// translation rule.
-
-type ruleKey struct {
-	gate  string
-	basis string
-	k     int
-}
-
-var (
-	ruleCache   = map[ruleKey]*SynthesisResult{}
-	ruleCacheMu sync.Mutex
-)
-
-// Rule returns the cached decomposition of the named standard gate
-// into k applications of the basis, synthesising it on first use. It
-// panics if the rule cannot be realised with fidelity > 1 - 1e-8
-// (these are known-exact decompositions, e.g. CNOT into two
-// sqrt-iSWAPs, paper Fig. 1).
-func Rule(g gates.Gate, basis gates.Gate, k int) *SynthesisResult {
-	key := ruleKey{gate: g.String(), basis: basis.Name, k: k}
-	ruleCacheMu.Lock()
-	defer ruleCacheMu.Unlock()
-	if r, ok := ruleCache[key]; ok {
-		return r
-	}
-	res := Synthesize(g.Matrix(), basis, k, SynthOptions{Restarts: 40, MaxIter: 6000, Seed: 11})
-	if res.Fidelity < 1-1e-8 {
-		panic(fmt.Sprintf("decompose: rule %s into %d x %s only reached fidelity %.12f",
-			g.String(), k, basis.Name, res.Fidelity))
-	}
-	ruleCache[key] = res
-	return res
 }
 
 // --- Fidelity model (paper Eq. 2) ---

@@ -26,7 +26,7 @@ func TestU3Mat2MatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 50; trial++ {
 		th, ph, la := rng.Float64()*7, rng.Float64()*7, rng.Float64()*7
-		if U3Mat2(th, ph, la).MaxAbsDiff(U3(th, ph, la).Mat2()) > 1e-15 {
+		if U3Mat2(th, ph, la).ToMatrix().MaxAbsDiff(U3(th, ph, la).Matrix()) > 1e-15 {
 			t.Fatalf("U3Mat2(%g,%g,%g) diverges", th, ph, la)
 		}
 	}

@@ -317,8 +317,8 @@ func Dagger(g Gate) Gate {
 
 // --- Fixed-size kernel constructors ---
 //
-// The numeric hot paths (ansatz fitting, block consolidation, KAK
-// reconstruction) rebuild parameterised gates inside inner loops; the
+// The numeric hot paths (ansatz fitting, block consolidation, Weyl
+// coordinates) rebuild parameterised gates inside inner loops; the
 // variants below produce linalg.Mat2/Mat4 values directly, with no
 // heap traffic.
 

@@ -132,9 +132,6 @@ func TestSeriesConvergesToReference(t *testing.T) {
 }
 
 func TestCoordinateFidelityAgreesWithAnsatzFit(t *testing.T) {
-	if testing.Short() {
-		t.Skip("numerical synthesis is slow")
-	}
 	// Validates the coordinate-space surrogate used by Algorithm 1:
 	// fitting a real 2-layer sqrt-iSWAP ansatz to SWAP must reach at
 	// least the fidelity our in-region optimiser promises (the ansatz

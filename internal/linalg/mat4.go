@@ -1,16 +1,16 @@
 package linalg
 
 // Fixed-size value-type kernels for the 2x2 / 4x4 matrices that
-// dominate two-qubit synthesis: Weyl-coordinate extraction, block
-// consolidation, KAK reconstruction and ansatz fitting all operate on
-// small unitaries, and the generic *Matrix path allocates a fresh
+// dominate two-qubit work: Weyl-coordinate extraction, block
+// consolidation and ansatz fitting all operate on small unitaries, and the generic *Matrix path allocates a fresh
 // header + data slice per intermediate. Mat2 and Mat4 are plain arrays
 // passed by value: every operation below is allocation-free and fully
 // unrolled (or uses constant-bound loops the compiler unrolls), so hot
 // loops keep their operands in registers / on the stack.
 //
-// The generic Matrix type remains the reference implementation; the
-// property tests in mat4_test.go pin every kernel to it.
+// Only the kernels those callers use are here. The generic Matrix type
+// remains the reference implementation; the property tests in
+// mat4_test.go pin every kernel to it.
 
 import (
 	"math"
@@ -61,12 +61,6 @@ func (m Mat2) ToMatrix() *Matrix { return FromSlice(2, 2, m[:]) }
 // ToMatrix converts m to a generic matrix (one allocation).
 func (m Mat4) ToMatrix() *Matrix { return FromSlice(4, 4, m[:]) }
 
-// At returns element (i, j).
-func (m Mat2) At(i, j int) complex128 { return m[i*2+j] }
-
-// At returns element (i, j).
-func (m Mat4) At(i, j int) complex128 { return m[i*4+j] }
-
 // --- Mat2 arithmetic ---
 
 // Mul returns m * o.
@@ -76,43 +70,6 @@ func (m Mat2) Mul(o Mat2) Mat2 {
 		m[2]*o[0] + m[3]*o[2], m[2]*o[1] + m[3]*o[3],
 	}
 }
-
-// MulAdd returns m*o + acc.
-func (m Mat2) MulAdd(o, acc Mat2) Mat2 {
-	return Mat2{
-		m[0]*o[0] + m[1]*o[2] + acc[0], m[0]*o[1] + m[1]*o[3] + acc[1],
-		m[2]*o[0] + m[3]*o[2] + acc[2], m[2]*o[1] + m[3]*o[3] + acc[3],
-	}
-}
-
-// Add returns m + o.
-func (m Mat2) Add(o Mat2) Mat2 {
-	return Mat2{m[0] + o[0], m[1] + o[1], m[2] + o[2], m[3] + o[3]}
-}
-
-// Scale returns s * m.
-func (m Mat2) Scale(s complex128) Mat2 {
-	return Mat2{s * m[0], s * m[1], s * m[2], s * m[3]}
-}
-
-// Transpose returns m^T.
-func (m Mat2) Transpose() Mat2 { return Mat2{m[0], m[2], m[1], m[3]} }
-
-// Conj returns the elementwise conjugate.
-func (m Mat2) Conj() Mat2 {
-	return Mat2{cmplx.Conj(m[0]), cmplx.Conj(m[1]), cmplx.Conj(m[2]), cmplx.Conj(m[3])}
-}
-
-// Dagger returns the conjugate transpose.
-func (m Mat2) Dagger() Mat2 {
-	return Mat2{cmplx.Conj(m[0]), cmplx.Conj(m[2]), cmplx.Conj(m[1]), cmplx.Conj(m[3])}
-}
-
-// Trace returns m[0,0] + m[1,1].
-func (m Mat2) Trace() complex128 { return m[0] + m[3] }
-
-// Det returns the determinant.
-func (m Mat2) Det() complex128 { return m[0]*m[3] - m[1]*m[2] }
 
 // Kron returns the Kronecker product m (x) o as a Mat4 (m indexes the
 // most significant qubit, matching Matrix.Kron).
@@ -145,34 +102,6 @@ func (m Mat2) IKron() Mat4 {
 	}
 }
 
-// FrobeniusNorm returns sqrt(sum |m_ij|^2).
-func (m Mat2) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m {
-		s += real(v)*real(v) + imag(v)*imag(v)
-	}
-	return math.Sqrt(s)
-}
-
-// MaxAbsDiff returns the largest elementwise |m - o|.
-func (m Mat2) MaxAbsDiff(o Mat2) float64 {
-	var d float64
-	for i := range m {
-		if v := cmplx.Abs(m[i] - o[i]); v > d {
-			d = v
-		}
-	}
-	return d
-}
-
-// EqualApprox reports whether all elements differ by at most tol.
-func (m Mat2) EqualApprox(o Mat2, tol float64) bool { return m.MaxAbsDiff(o) <= tol }
-
-// IsUnitary reports whether m^dagger m = I within tol.
-func (m Mat2) IsUnitary(tol float64) bool {
-	return m.Dagger().Mul(m).EqualApprox(IdentityMat2(), tol)
-}
-
 // --- Mat4 arithmetic ---
 
 // Mul returns m * o. The inner products are unrolled; the row loop has
@@ -186,20 +115,6 @@ func (m Mat4) Mul(o Mat4) Mat4 {
 		r[ri+1] = a0*o[1] + a1*o[5] + a2*o[9] + a3*o[13]
 		r[ri+2] = a0*o[2] + a1*o[6] + a2*o[10] + a3*o[14]
 		r[ri+3] = a0*o[3] + a1*o[7] + a2*o[11] + a3*o[15]
-	}
-	return r
-}
-
-// MulAdd returns m*o + acc.
-func (m Mat4) MulAdd(o, acc Mat4) Mat4 {
-	var r Mat4
-	for i := 0; i < 4; i++ {
-		ri := i * 4
-		a0, a1, a2, a3 := m[ri], m[ri+1], m[ri+2], m[ri+3]
-		r[ri+0] = a0*o[0] + a1*o[4] + a2*o[8] + a3*o[12] + acc[ri+0]
-		r[ri+1] = a0*o[1] + a1*o[5] + a2*o[9] + a3*o[13] + acc[ri+1]
-		r[ri+2] = a0*o[2] + a1*o[6] + a2*o[10] + a3*o[14] + acc[ri+2]
-		r[ri+3] = a0*o[3] + a1*o[7] + a2*o[11] + a3*o[15] + acc[ri+3]
 	}
 	return r
 }
@@ -221,59 +136,11 @@ func (m Mat4) MulTranspose() Mat4 {
 	return r
 }
 
-// MulVec returns m * v.
-func (m Mat4) MulVec(v [4]complex128) [4]complex128 {
-	var r [4]complex128
-	for i := 0; i < 4; i++ {
-		ri := i * 4
-		r[i] = m[ri]*v[0] + m[ri+1]*v[1] + m[ri+2]*v[2] + m[ri+3]*v[3]
-	}
-	return r
-}
-
-// Add returns m + o.
-func (m Mat4) Add(o Mat4) Mat4 {
-	var r Mat4
-	for i := range m {
-		r[i] = m[i] + o[i]
-	}
-	return r
-}
-
-// Sub returns m - o.
-func (m Mat4) Sub(o Mat4) Mat4 {
-	var r Mat4
-	for i := range m {
-		r[i] = m[i] - o[i]
-	}
-	return r
-}
-
 // Scale returns s * m.
 func (m Mat4) Scale(s complex128) Mat4 {
 	var r Mat4
 	for i := range m {
 		r[i] = s * m[i]
-	}
-	return r
-}
-
-// Transpose returns m^T.
-func (m Mat4) Transpose() Mat4 {
-	var r Mat4
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			r[j*4+i] = m[i*4+j]
-		}
-	}
-	return r
-}
-
-// Conj returns the elementwise conjugate.
-func (m Mat4) Conj() Mat4 {
-	var r Mat4
-	for i := range m {
-		r[i] = cmplx.Conj(m[i])
 	}
 	return r
 }
@@ -320,26 +187,6 @@ func (m Mat4) Det() complex128 {
 	c0 := m[8]*m[13] - m[9]*m[12]
 
 	return s0*c5 - s1*c4 + s2*c3 + s3*c2 - s4*c1 + s5*c0
-}
-
-// FrobeniusNorm returns sqrt(sum |m_ij|^2).
-func (m Mat4) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m {
-		s += real(v)*real(v) + imag(v)*imag(v)
-	}
-	return math.Sqrt(s)
-}
-
-// ImagFrobeniusNorm returns the Frobenius norm of the imaginary part
-// (the realness residual used by KAK branch search), with no
-// intermediate matrix.
-func (m Mat4) ImagFrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m {
-		s += imag(v) * imag(v)
-	}
-	return math.Sqrt(s)
 }
 
 // MaxAbsDiff returns the largest elementwise |m - o|.

@@ -52,8 +52,10 @@ func TranspileBatchWith(circuits []*circuit.Circuit, topo *topology.Topology, op
 	reports := make([]*Report, len(circuits))
 	errs := make([]error, len(circuits)) // each circuit's first failure
 	gridOf := make([]*sabre.Grid, len(circuits))
+	prepared := make([]*PreparedCircuit, len(circuits))
 	eachCircuit(len(circuits), opts.Layout.Parallelism, func(i int) {
 		pc := PrepareCircuit(circuits[i], topo)
+		prepared[i] = pc
 		if reports[i], errs[i] = begin(pc, opts); errs[i] == nil && !reports[i].TrivialLayout {
 			metric, bound, factory := RoutingPolicy(opts, pc.Blocks)
 			gridOf[i] = sabre.NewGrid(pc.Routing, opts.Layout.WithBound(bound), metric, factory)
@@ -75,7 +77,8 @@ func TranspileBatchWith(circuits []*circuit.Circuit, topo *topology.Topology, op
 			errs[routed[k]] = fmt.Errorf("transpile: %w", err)
 			return
 		}
-		finish(reports[routed[k]], res, opts.Basis)
+		i := routed[k]
+		finish(reports[i], prepared[i], res, opts.Basis)
 	})
 	for _, err := range errs {
 		if err != nil {

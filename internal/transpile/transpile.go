@@ -161,6 +161,9 @@ type PreparedCircuit struct {
 	// until routing is actually required.
 	Routing    *sabre.PreparedCircuit
 	routingErr error
+	// elided maps each source wire to the Blocks wire that carries its
+	// state at the end, undoing the SWAPs input cleaning removed.
+	elided []int
 }
 
 // PrepareCircuit runs the per-circuit half of the pipeline (cleaning,
@@ -173,12 +176,12 @@ func PrepareCircuit(c *circuit.Circuit, topo *topology.Topology) *PreparedCircui
 	// 1. Input cleaning.
 	clean := circuit.UnrollTo2Q(c)
 	clean = circuit.RemoveIdentities(clean)
-	clean, _ = circuit.ElideSwaps(clean)
+	clean, elided := circuit.ElideSwaps(clean)
 
 	// 2. Consolidate to coordinate-annotated 2Q blocks.
 	blocks := circuit.ConsolidateBlocks(clean)
 
-	pc := &PreparedCircuit{Source: c, Topo: topo, Blocks: blocks}
+	pc := &PreparedCircuit{Source: c, Topo: topo, Blocks: blocks, elided: elided}
 	pc.Routing, pc.routingErr = sabre.PrepareCircuit(blocks, topo)
 	return pc
 }
@@ -213,7 +216,7 @@ func transpilePrepared(pc *PreparedCircuit, opts Options, start time.Time) (*Rep
 		if err != nil {
 			return nil, fmt.Errorf("transpile: %w", err)
 		}
-		finish(rep, res, opts.Basis)
+		finish(rep, pc, res, opts.Basis)
 	}
 	rep.Runtime = time.Since(start)
 	return rep, nil
@@ -249,7 +252,7 @@ func begin(pc *PreparedCircuit, opts Options) (*Report, error) {
 		if routed, layout, ok := tryTrivialLayout(pc.Blocks, pc.Topo); ok {
 			rep.Routed = routed
 			rep.InitialLayout = layout
-			rep.FinalLayout = layout.Copy()
+			rep.FinalLayout = pc.sourceLayout(layout)
 			rep.TrivialLayout = true
 			fillMetrics(rep, opts.Basis)
 			return rep, nil
@@ -262,10 +265,10 @@ func begin(pc *PreparedCircuit, opts Options) (*Report, error) {
 }
 
 // finish fills rep from the routing result and measures it.
-func finish(rep *Report, res *sabre.Result, basis *polytope.CoverageSet) {
+func finish(rep *Report, pc *PreparedCircuit, res *sabre.Result, basis *polytope.CoverageSet) {
 	rep.Routed = res.Routed
 	rep.InitialLayout = res.InitialLayout
-	rep.FinalLayout = res.FinalLayout
+	rep.FinalLayout = pc.sourceLayout(res.FinalLayout)
 	rep.SwapsInserted = res.SwapsInserted
 	rep.MirrorsUsed = res.MirrorsUsed
 	rep.TrialsExecuted = res.TrialsExecuted
@@ -274,6 +277,16 @@ func finish(rep *Report, res *sabre.Result, basis *polytope.CoverageSet) {
 		rep.MirrorAcceptRate = float64(res.MirrorsUsed) / float64(res.TwoQubitGates)
 	}
 	fillMetrics(rep, basis)
+}
+
+// sourceLayout turns a final layout of Blocks wires into one of source
+// wires: source wire w ends where Blocks wire elided[w] does.
+func (pc *PreparedCircuit) sourceLayout(l *topology.Layout) *topology.Layout {
+	l2p := make([]int, len(pc.elided))
+	for w, e := range pc.elided {
+		l2p[w] = l.L2P[e]
+	}
+	return topology.NewLayout(l2p, len(l.P2L))
 }
 
 // RoutingPolicy turns the routing choices of opts — router, selection

@@ -101,39 +101,59 @@ func TestTranspiledCircuitRespectsTopology(t *testing.T) {
 }
 
 func TestTranspileUnitaryEquivalenceSmall(t *testing.T) {
-	// Full-pipeline equivalence: unroll + consolidate + route (with
-	// mirrors) must preserve the circuit unitary up to the final
-	// layout permutation.
-	c := circuit.New("small", 4)
-	c.Add(gates.H(), 0)
-	c.Add(gates.CX(), 0, 2)
-	c.Add(gates.CPhase(0.7), 1, 3)
-	c.Add(gates.CX(), 2, 1)
-	c.Add(circuit.Toffoli(), 0, 1, 3)
-	c.Add(gates.CX(), 3, 0)
+	// Full-pipeline equivalence: unroll + SWAP elision + consolidate +
+	// route (with mirrors) must preserve the circuit unitary up to the
+	// initial and final layout permutations, on the routed path and on
+	// the trivial-layout path alike.
+	mixed := circuit.New("small", 4)
+	mixed.Add(gates.H(), 0)
+	mixed.Add(gates.CX(), 0, 2)
+	mixed.Add(gates.CPhase(0.7), 1, 3)
+	mixed.Add(gates.CX(), 2, 1)
+	mixed.Add(circuit.Toffoli(), 0, 1, 3)
+	mixed.Add(gates.CX(), 3, 0)
+	withSwap := mixed.Copy()
+	withSwap.Name = "small_swap"
+	withSwap.Add(gates.SWAP(), 0, 1)
+	withSwap.Add(gates.CX(), 1, 2)
+	// cx(1,2) after the elided swap(0,1) acts on wires 0 and 2: the
+	// interaction path 1-0-2 embeds in the line without routing.
+	trivial := circuit.New("trivial", 4)
+	trivial.Add(gates.H(), 1)
+	trivial.Add(gates.CX(), 0, 1)
+	trivial.Add(gates.SWAP(), 0, 1)
+	trivial.Add(gates.CX(), 1, 2)
 	topo := topology.Line(4)
 
-	for _, router := range []transpile.Router{transpile.SABRE, transpile.MIRAGE} {
-		opts := quickOpts(router, router == transpile.MIRAGE)
-		opts.SkipTrivialLayout = true
-		rep, err := transpile.Transpile(c, topo, opts)
+	for _, tc := range []struct {
+		c       *circuit.Circuit
+		trivial bool
+	}{{mixed, false}, {withSwap, false}, {trivial, true}} {
+		ul, err := circuit.UnrollTo2Q(tc.c).Unitary()
 		if err != nil {
 			t.Fatal(err)
 		}
-		ul, err := circuit.UnrollTo2Q(c).Unitary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ur, err := rep.Routed.Unitary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pin := circuit.PermutationMatrix(rep.InitialLayout.L2P)
-		pout := circuit.PermutationMatrix(circuit.InversePermutation(rep.FinalLayout.L2P))
-		got := pout.Mul(ur).Mul(pin)
-		if !got.EqualUpToGlobalPhase(ul, 1e-6) {
-			t.Fatalf("%v pipeline broke the unitary (diff %g, mirrors=%d, swaps=%d)",
-				router, got.MaxAbsDiff(ul), rep.MirrorsUsed, rep.SwapsInserted)
+		for _, router := range []transpile.Router{transpile.SABRE, transpile.MIRAGE} {
+			opts := quickOpts(router, router == transpile.MIRAGE)
+			opts.SkipTrivialLayout = !tc.trivial
+			rep, err := transpile.Transpile(tc.c, topo, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.TrivialLayout != tc.trivial {
+				t.Fatalf("%s/%v: TrivialLayout = %v, want %v", tc.c.Name, router, rep.TrivialLayout, tc.trivial)
+			}
+			ur, err := rep.Routed.Unitary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pin := circuit.PermutationMatrix(rep.InitialLayout.L2P)
+			pout := circuit.PermutationMatrix(circuit.InversePermutation(rep.FinalLayout.L2P))
+			got := pout.Mul(ur).Mul(pin)
+			if !got.EqualUpToGlobalPhase(ul, 1e-6) {
+				t.Fatalf("%s/%v pipeline broke the unitary (diff %g, mirrors=%d, swaps=%d)",
+					tc.c.Name, router, got.MaxAbsDiff(ul), rep.MirrorsUsed, rep.SwapsInserted)
+			}
 		}
 	}
 }

@@ -32,12 +32,6 @@ var (
 	magicDaggerMat4 = linalg.Mat4From(magicBasisDagger)
 )
 
-// MagicBasisMat4 returns the magic basis as a fixed-size value.
-func MagicBasisMat4() linalg.Mat4 { return magicMat4 }
-
-// MagicBasisDaggerMat4 returns B^dagger as a fixed-size value.
-func MagicBasisDaggerMat4() linalg.Mat4 { return magicDaggerMat4 }
-
 // CoordinateOfFast computes the canonical Weyl coordinate of a 4x4
 // unitary on the closed-form fixed-size path. Unlike CoordinateOf and
 // CoordinateOfMat4 it does not fall back to the reference
