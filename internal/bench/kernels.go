@@ -48,14 +48,16 @@ func routingFixture() (*topology.Topology, *circuit.Circuit, *topology.Layout) {
 }
 
 // DepthMetricFixture returns the input of the mirage/DepthMetric row:
-// QFT(12), consolidated into blocks, routed once on a 3x4 grid from the
-// trivial layout under the MIRAGE policy at aggression 2 (so the
-// routed circuit carries mirrors as well as router SWAPs), plus the
-// blocks it was routed from and the sqrt-iSWAP coverage set the metric
-// prices it with — the input of the mirage/CostTable row.
+// QFT(12), consolidated into classified blocks as the transpiler
+// prepares them, routed once on a 3x4 grid from the trivial layout
+// under the MIRAGE policy at aggression 2 (so the routed circuit
+// carries mirrors as well as router SWAPs), plus the blocks it was
+// routed from and the sqrt-iSWAP coverage set the metric prices it
+// with — the input of the mirage/CostTable row.
 func DepthMetricFixture() (res *sabre.Result, blocks *circuit.Circuit, cov *polytope.CoverageSet, err error) {
 	cov = polytope.NewISwapRootCoverage(2)
 	blocks = circuit.ConsolidateBlocks(QFT(12))
+	circuit.Classify(blocks)
 	res, err = sabre.Route(blocks, topology.Grid(3, 4), topology.TrivialLayout(12, 12), sabre.Options{},
 		rand.New(rand.NewSource(7)), mirage.NewPolicy(mirage.NewCostTable(cov, blocks), mirage.AggressionEqual))
 	return res, blocks, cov, err
@@ -143,8 +145,8 @@ func RunKernelBenchmarks() ([]KernelRow, error) {
 		// closed-form sqrt-iSWAP regions and the empirical root-4 ones.
 		{"polytope/MinCost@root2", minCostRow(2)},
 		{"polytope/MinCost@root4", minCostRow(4)},
-		// The per-call cost table of a routed MIRAGE run, built over the
-		// routed blocks.
+		// The per-call cost table of a routed MIRAGE run: the prices of
+		// the classes the routed blocks were classified into.
 		{"mirage/CostTable", func(b *testing.B) error {
 			_, blocks, cov, err := DepthMetricFixture()
 			if err != nil {
@@ -157,8 +159,8 @@ func RunKernelBenchmarks() ([]KernelRow, error) {
 			}
 			return nil
 		}},
-		// The per-trial score of a MIRAGE-Depth grid, priced through the
-		// cost table; allocs/op must stay 0.
+		// The per-trial score of a MIRAGE-Depth grid, priced by slot
+		// through the cost table; allocs/op must stay 0.
 		{"mirage/DepthMetric", func(b *testing.B) error {
 			res, blocks, cov, err := DepthMetricFixture()
 			if err != nil {

@@ -36,6 +36,12 @@ type CoordCost func(weyl.Coordinate) float64
 //     exactly as ConsolidateBlocks does and its coordinate taken from
 //     the shared coordinate cache. Fallbacks counts these runs.
 //
+// A pass that prices by slot (DepthSlots, PriceSlots) reads the same
+// class from the circuit's class list instead: the payload's slot
+// (Op.Class) or its mirror's, the SWAP's or the identity's, and looks
+// its price up by index; only a run without a slot is priced by its
+// coordinate.
+//
 // Runs close in the order in which ConsolidateBlocks emits its
 // blocks. So after Finish, Blocks is the consolidated circuit's 2Q op
 // count and Total sums the blocks' prices in that circuit's op order:
@@ -57,9 +63,10 @@ type BlockDepth struct {
 	owner  []int32    // lower wire of the open run holding the wire, or -1
 	runs   []blockRun // open runs, indexed by their lower wire
 	cost   CoordCost
-	closed float64 // latest finish time over the closed runs
-	total  float64 // summed price of the closed runs, in closing order
-	blocks int     // number of closed runs
+	slots  *SlotCosts // non-nil: price classed runs by slot (PriceSlots)
+	closed float64    // latest finish time over the closed runs
+	total  float64    // summed price of the closed runs, in closing order
+	blocks int        // number of closed runs
 	// Fallbacks counts the runs the current pass closed through the
 	// matrix fallback (two or more payload ops).
 	Fallbacks int
@@ -92,13 +99,28 @@ func (r *blockRun) absorb(op *Op, i int) {
 // the same per-wire order as Depth over the consolidated circuit, so
 // the result is equal, not merely close, whenever cost agrees on each
 // block's class and its consolidated coordinate.
-func (p *BlockDepth) Depth(c *Circuit, cost CoordCost) float64 {
+func (p *BlockDepth) Depth(c *Circuit, cost CoordCost) float64 { return p.DepthSlots(c, cost, nil) }
+
+// DepthSlots is Depth pricing by slot: when c's ops carry slots of
+// sc's class list (c.Classes == sc.Classes), a run whose class has a
+// slot is priced sc.Costs[slot] instead of cost(class). sc must price
+// every slot as cost prices its class, so the result is Depth's; only
+// the lookups are cheaper. A nil sc prices by coordinate.
+func (p *BlockDepth) DepthSlots(c *Circuit, cost CoordCost, sc *SlotCosts) float64 {
 	p.Start(c.NumQubits, cost)
+	if sc != nil && c.Classes != nil && c.Classes == sc.Classes {
+		p.PriceSlots(sc)
+	}
 	for i := range c.Ops {
 		p.Push(c.Ops, i)
 	}
 	return p.Finish(c.Ops)
 }
+
+// PriceSlots makes the pass price the runs of the ops pushed from now
+// on by slot, as DepthSlots does: those ops' Class slots must index
+// sc's class list. Start undoes it.
+func (p *BlockDepth) PriceSlots(sc *SlotCosts) { p.slots = sc }
 
 // Start rewinds the pass for a circuit on n wires priced by cost.
 func (p *BlockDepth) Start(n int, cost CoordCost) {
@@ -112,7 +134,7 @@ func (p *BlockDepth) Start(n int, cost CoordCost) {
 		p.clock[q] = 0
 		p.owner[q] = -1
 	}
-	p.cost = cost
+	p.cost, p.slots = cost, nil
 	p.closed, p.total, p.blocks = 0, 0, 0
 	p.Fallbacks = 0
 }
@@ -191,7 +213,7 @@ func (p *BlockDepth) close(ops []Op, q int) {
 		return
 	}
 	r := &p.runs[a]
-	w := p.cost(p.class(ops, int(a), r))
+	w := p.price(ops, int(a), r)
 	start := 0.0
 	if p.clock[a] > start {
 		start = p.clock[a]
@@ -206,6 +228,37 @@ func (p *BlockDepth) close(ops []Op, q int) {
 	p.owner[a], p.owner[r.b] = -1, -1
 	if end > p.closed {
 		p.closed = end
+	}
+}
+
+// price returns the price of run r on wires (a, r.b): by slot when
+// the pass prices slots and the run's class has one, else by its
+// coordinate.
+func (p *BlockDepth) price(ops []Op, a int, r *blockRun) float64 {
+	if p.slots != nil {
+		if s := p.slot(ops, r); s != 0 {
+			return p.slots.Costs[s]
+		}
+	}
+	return p.cost(p.class(ops, a, r))
+}
+
+// slot returns the slot of the class class returns for run r, or 0
+// when it has none: the run multiplies out, or its payload has no slot.
+func (p *BlockDepth) slot(ops []Op, r *blockRun) int32 {
+	switch {
+	case r.payloads >= 2:
+		return 0
+	case r.payloads == 1:
+		s := ops[r.payload].Class
+		if s != 0 && r.swaps%2 == 1 {
+			s = p.slots.Classes.Mirror[s]
+		}
+		return s
+	case r.swaps%2 == 1:
+		return SwapSlot
+	default:
+		return IdentitySlot
 	}
 }
 

@@ -27,6 +27,10 @@ type Op struct {
 	// Mirrored marks a gate that was replaced by its mirror during
 	// MIRAGE routing (a mirage SWAP was absorbed into it).
 	Mirrored bool
+	// Class is the slot of the op's Weyl class in the class list of
+	// the circuit holding it (Circuit.Classes), stamped by Classify or
+	// by the router; 0 when it has none.
+	Class int32
 	// Coord caches the Weyl coordinate of a 2Q gate (annotated by
 	// consolidation or by the router; nil when not yet computed).
 	Coord *weyl.Coordinate
@@ -49,6 +53,10 @@ type Circuit struct {
 	Name      string
 	NumQubits int
 	Ops       []Op
+	// Classes is the class list the ops' Class slots index: set on a
+	// classified circuit (Classify) and on a routed circuit whose
+	// router stamped slots, nil otherwise.
+	Classes *Classes
 }
 
 // New returns an empty circuit.
@@ -98,6 +106,7 @@ func (c *Circuit) Add(g gates.Gate, qubits ...int) {
 // one slice, each with a capacity of its own length.
 func (c *Circuit) Copy() *Circuit {
 	out := New(c.Name, c.NumQubits)
+	out.Classes = c.Classes
 	out.Ops = make([]Op, len(c.Ops))
 	n := 0
 	for _, op := range c.Ops {
@@ -119,6 +128,7 @@ func (c *Circuit) Copy() *Circuit {
 // convention, so the reversed ops share their qubit slices with c.
 func (c *Circuit) Reversed() *Circuit {
 	out := New(c.Name+"_rev", c.NumQubits)
+	out.Classes = c.Classes
 	out.Ops = make([]Op, len(c.Ops))
 	for i, op := range c.Ops {
 		out.Ops[len(c.Ops)-1-i] = op

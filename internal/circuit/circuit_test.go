@@ -306,9 +306,9 @@ func TestRemoveIdentities(t *testing.T) {
 	c.Add(gates.RZ(0), 1)
 	c.Add(gates.H(), 0)
 	c.Add(gates.RZ(0.5), 1)
-	out := RemoveIdentities(c)
+	out, _ := Clean(c)
 	if out.CountGates() != 2 {
-		t.Fatalf("RemoveIdentities left %d gates, want 2", out.CountGates())
+		t.Fatalf("Clean left %d gates, want 2", out.CountGates())
 	}
 }
 
@@ -317,7 +317,7 @@ func TestElideSwaps(t *testing.T) {
 	c.Add(gates.H(), 0)
 	c.Add(gates.SWAP(), 0, 1)
 	c.Add(gates.CX(), 1, 2) // acts on the state originally on wire 0
-	elided, pi := ElideSwaps(c)
+	elided, pi := Clean(c)
 	if elided.CountGates() != 2 {
 		t.Fatalf("elided circuit has %d gates, want 2", elided.CountGates())
 	}
@@ -326,7 +326,7 @@ func TestElideSwaps(t *testing.T) {
 	ue, _ := elided.Unitary()
 	perm := PermutationMatrix(InversePermutation(pi))
 	if !perm.Mul(ue).EqualApprox(uc, 1e-9) {
-		t.Fatal("ElideSwaps permutation contract violated")
+		t.Fatal("Clean permutation contract violated")
 	}
 }
 

@@ -17,20 +17,20 @@ import (
 // for op and bit for bit: gate name, qubits, flags, every matrix
 // entry and the block coordinate. The inputs are every suite circuit
 // raw and cleaned, seeded random circuits mixing 1Q, 2Q and 3Q ops on
-// few wires (so pairs repeat and runs interleave), and the ElideSwaps
+// few wires (so pairs repeat and runs interleave), and the Clean
 // outputs of random circuits carrying algorithm SWAPs.
 func TestConsolidateBlocksMatchesOracle(t *testing.T) {
 	var inputs []*circuit.Circuit
 	for _, e := range bench.Suite() {
 		c := e.Build()
-		clean, _ := circuit.ElideSwaps(circuit.RemoveIdentities(circuit.UnrollTo2Q(c)))
+		clean, _ := circuit.Clean(c)
 		inputs = append(inputs, c, clean)
 	}
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 60; i++ {
 		c := randomMixed(fmt.Sprintf("mixed%d", i), 3+i%5, 20+3*i, rng)
-		elided, _ := circuit.ElideSwaps(c)
-		inputs = append(inputs, c, elided)
+		clean, _ := circuit.Clean(c)
+		inputs = append(inputs, c, clean)
 	}
 	for _, c := range inputs {
 		want := circuit.ConsolidateBlocksOracle(c)
@@ -109,4 +109,37 @@ func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bi
 
 func sameCoord(a, b weyl.Coordinate) bool {
 	return sameFloat(a.X, b.X) && sameFloat(a.Y, b.Y) && sameFloat(a.Z, b.Z)
+}
+
+// TestCleanPreservesUnitary checks the cleaning contract on random
+// circuits mixing identities, zero rotations, algorithm SWAPs and 3Q
+// gates: the output holds none of them, and
+// U(c) = PermutationMatrix(inverse(pi)) * U(clean).
+func TestCleanPreservesUnitary(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 20; i++ {
+		n := 3 + i%3
+		c := circuit.New(fmt.Sprintf("clean%d", i), n)
+		c.Add(gates.I(), rng.Intn(n))
+		c.Ops = append(c.Ops, randomMixed(c.Name, n, 10+i, rng).Ops...)
+		c.Add(gates.RZ(0), rng.Intn(n))
+		c.Add(gates.CPhase(0), 0, 1)
+		clean, pi := circuit.Clean(c)
+		for _, op := range clean.Ops {
+			if len(op.Qubits) > 2 || op.Gate.Name == "id" || op.Gate.Name == "swap" || len(op.Gate.Params) > 0 && op.Gate.Params[0] == 0 {
+				t.Fatalf("%s: cleaning kept %s", c.Name, op)
+			}
+		}
+		uc, err := c.Unitary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ue, err := clean.Unitary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !circuit.PermutationMatrix(circuit.InversePermutation(pi)).Mul(ue).EqualApprox(uc, 1e-9) {
+			t.Fatalf("%s: cleaning changed the unitary beyond its wire permutation", c.Name)
+		}
+	}
 }

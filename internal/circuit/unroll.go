@@ -104,23 +104,6 @@ func newGate3(name string, data []complex128) gates.Gate {
 	return gates.NewCustom(name, 3, linalg.FromSlice(8, 8, data))
 }
 
-// RemoveIdentities drops identity gates and zero-angle rotations. The
-// kept ops share their qubit slices with c.
-func RemoveIdentities(c *Circuit) *Circuit {
-	out := New(c.Name, c.NumQubits)
-	out.Ops = make([]Op, 0, len(c.Ops))
-	for _, op := range c.Ops {
-		if op.Gate.Name == "id" {
-			continue
-		}
-		if isZeroRotation(op) {
-			continue
-		}
-		out.Append(op)
-	}
-	return out
-}
-
 func isZeroRotation(op Op) bool {
 	switch op.Gate.Name {
 	case "rx", "ry", "rz", "p", "cp", "crz", "rxx", "rzz":
@@ -134,37 +117,54 @@ func isZeroRotation(op Op) bool {
 	return false
 }
 
-// ElideSwaps removes explicit SWAP gates from the input circuit by
-// relabelling downstream wires (the paper's input cleaning step).
+// Clean is the paper's input cleaning, in one pass over c: it unrolls
+// 3-qubit gates as UnrollTo2Q does, drops identity gates and zero-angle
+// rotations, and removes explicit SWAP gates by relabelling the wires
+// downstream of them. The output's op slice is sized from c and
+// allocated once; an op whose wires no elided SWAP has moved shares its
+// qubit slice with c.
 //
-// The returned permutation pi maps each original wire w to the elided
-// wire pi[w] that carries the same state at the end of the circuit:
+// The returned permutation pi maps each wire w of c to the wire pi[w]
+// of the output that carries the same state at the end of the circuit:
 //
-//	U(c) = PermutationMatrix(inverse(pi)) * U(elided)
+//	U(c) = PermutationMatrix(inverse(pi)) * U(clean)
 //
-// Router-inserted SWAPs (RouterSwap) are preserved. An op whose wires
-// no elided SWAP has moved shares its qubit slice with c.
-func ElideSwaps(c *Circuit) (*Circuit, []int) {
+// Router-inserted SWAPs (RouterSwap) are kept.
+func Clean(c *Circuit) (*Circuit, []int) {
+	n := len(c.Ops)
+	for _, op := range c.Ops {
+		switch op.Gate.Name {
+		case "ccx":
+			n += toffoliOps - 1
+		case "cswap":
+			n += fredkinOps - 1
+		}
+	}
 	out := New(c.Name, c.NumQubits)
-	out.Ops = make([]Op, 0, len(c.Ops))
-	pi := make([]int, c.NumQubits) // original wire -> elided wire
+	out.Ops = make([]Op, 0, n)
+	pi := make([]int, c.NumQubits) // wire of c -> wire of out
 	for i := range pi {
 		pi[i] = i
 	}
 	for _, op := range c.Ops {
-		if op.Gate.Name == "swap" && !op.RouterSwap {
-			a, b := op.Qubits[0], op.Qubits[1]
-			pi[a], pi[b] = pi[b], pi[a]
-			continue
-		}
-		if moved(op.Qubits, pi) {
-			qs := make([]int, len(op.Qubits))
-			for i, q := range op.Qubits {
-				qs[i] = pi[q]
+		qs := op.Qubits
+		switch {
+		case op.Gate.Name == "ccx":
+			appendToffoli(out, pi[qs[0]], pi[qs[1]], pi[qs[2]])
+		case op.Gate.Name == "cswap":
+			appendFredkin(out, pi[qs[0]], pi[qs[1]], pi[qs[2]])
+		case op.Gate.Name == "id" || isZeroRotation(op):
+		case op.Gate.Name == "swap" && !op.RouterSwap:
+			pi[qs[0]], pi[qs[1]] = pi[qs[1]], pi[qs[0]]
+		default:
+			if moved(qs, pi) {
+				op.Qubits = make([]int, len(qs))
+				for i, q := range qs {
+					op.Qubits[i] = pi[q]
+				}
 			}
-			op.Qubits = qs
+			out.Append(op)
 		}
-		out.Append(op)
 	}
 	return out, pi
 }

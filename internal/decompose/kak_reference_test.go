@@ -11,6 +11,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"testing"
 
 	"repro/internal/gates"
 	"repro/internal/linalg"
@@ -34,10 +35,47 @@ type KAKDecomposition struct {
 // fixed-size kernels (closed-form canonical gate, value-type products;
 // the only allocation is the returned matrix).
 func (d *KAKDecomposition) Reconstruct() *linalg.Matrix {
-	can := gates.CanonicalMat4(d.X, d.Y, d.Z)
+	can := canonicalMat4(d.X, d.Y, d.Z)
 	k1 := linalg.Mat2From(d.K1l).Kron(linalg.Mat2From(d.K1r))
 	k2 := linalg.Mat2From(d.K2l).Kron(linalg.Mat2From(d.K2r))
 	return k1.Mul(can).Mul(k2).Scale(d.GlobalPhase).ToMatrix()
+}
+
+// canonicalMat4 returns CAN(x, y, z) = exp(i (x XX + y YY + z ZZ)) as
+// a Mat4 value, in closed form: the generator is block-diagonal on
+// {|00>,|11>} and {|01>,|10>}, where it reads z I + (x-y) X and
+// -z I + (x+y) X respectively, so each block exponentiates to a phase
+// times a rotation. TestCanonicalMat4MatchesGeneric pins it to the
+// generic constructor gates.Canonical.
+func canonicalMat4(x, y, z float64) linalg.Mat4 {
+	ez := cmplx.Exp(complex(0, z))
+	ezc := cmplx.Exp(complex(0, -z))
+	cm := complex(math.Cos(x-y), 0)
+	sm := complex(0, math.Sin(x-y))
+	cp := complex(math.Cos(x+y), 0)
+	sp := complex(0, math.Sin(x+y))
+	return linalg.Mat4{
+		ez * cm, 0, 0, ez * sm,
+		0, ezc * cp, ezc * sp, 0,
+		0, ezc * sp, ezc * cp, 0,
+		ez * sm, 0, 0, ez * cm,
+	}
+}
+
+// TestCanonicalMat4MatchesGeneric pins the closed-form canonical gate
+// to the exponential-product construction of gates.Canonical.
+func TestCanonicalMat4MatchesGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		x := (2*rng.Float64() - 1) * 2
+		y := (2*rng.Float64() - 1) * 2
+		z := (2*rng.Float64() - 1) * 2
+		fast := canonicalMat4(x, y, z)
+		ref := gates.Canonical(x, y, z).Mat4()
+		if fast.MaxAbsDiff(ref) > 1e-12 {
+			t.Fatalf("canonicalMat4(%g,%g,%g) diverges by %g", x, y, z, fast.MaxAbsDiff(ref))
+		}
+	}
 }
 
 // CanonicalCoordinate returns the chamber representative of the

@@ -160,15 +160,9 @@ func NewPaperFidelityModel() FidelityModel {
 	return FidelityModel{T1: -1 / math.Log(0.99)}
 }
 
-// GateFidelity returns the fidelity of a single gate of the given
-// normalised duration.
-func (m FidelityModel) GateFidelity(duration float64) float64 {
-	return math.Exp(-duration / m.T1)
-}
-
-// CircuitFidelity returns the fidelity of a sequence of basis gates
-// with the given total normalised duration (1Q gates are free in this
-// model, matching the paper).
+// CircuitFidelity returns the fidelity of a gate, or a sequence of
+// basis gates, with the given total normalised duration (1Q gates are
+// free in this model, matching the paper).
 func (m FidelityModel) CircuitFidelity(totalDuration float64) float64 {
 	return math.Exp(-totalDuration / m.T1)
 }

@@ -67,6 +67,9 @@ func trialHandler(raw, _ []byte) (dispatch.JobRunner, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The spec ships blocks without their class list; classify them
+		// as the coordinator's pipeline did, so trials price by slot.
+		circuit.Classify(c)
 		if j.grids[k].pc, err = sabre.PrepareCircuit(c, topo); err != nil {
 			return nil, err
 		}

@@ -5,22 +5,6 @@ import (
 	"testing"
 )
 
-// TestCanonicalMat4MatchesGeneric pins the closed-form canonical gate
-// to the exponential-product construction it replaces on hot paths.
-func TestCanonicalMat4MatchesGeneric(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 50; trial++ {
-		x := (2*rng.Float64() - 1) * 2
-		y := (2*rng.Float64() - 1) * 2
-		z := (2*rng.Float64() - 1) * 2
-		fast := CanonicalMat4(x, y, z)
-		ref := Canonical(x, y, z).Mat4()
-		if fast.MaxAbsDiff(ref) > 1e-12 {
-			t.Fatalf("CanonicalMat4(%g,%g,%g) diverges by %g", x, y, z, fast.MaxAbsDiff(ref))
-		}
-	}
-}
-
 // TestU3Mat2MatchesGeneric pins the fixed-size U3 to the Gate version.
 func TestU3Mat2MatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))

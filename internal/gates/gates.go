@@ -338,24 +338,3 @@ func U3Mat2(theta, phi, lambda float64) linalg.Mat2 {
 		cmplx.Exp(complex(0, phi)) * st, cmplx.Exp(complex(0, phi+lambda)) * ct,
 	}
 }
-
-// CanonicalMat4 returns CAN(x, y, z) = exp(i (x XX + y YY + z ZZ)) as
-// a Mat4 value, in closed form: the generator is block-diagonal on
-// {|00>,|11>} and {|01>,|10>}, where it reads z I + (x-y) X and
-// -z I + (x+y) X respectively, so each block exponentiates to a phase
-// times a rotation. Canonical (the generic constructor) is pinned to
-// this in the gates tests.
-func CanonicalMat4(x, y, z float64) linalg.Mat4 {
-	ez := cmplx.Exp(complex(0, z))
-	ezc := cmplx.Exp(complex(0, -z))
-	cm := complex(math.Cos(x-y), 0)
-	sm := complex(0, math.Sin(x-y))
-	cp := complex(math.Cos(x+y), 0)
-	sp := complex(0, math.Sin(x+y))
-	return linalg.Mat4{
-		ez * cm, 0, 0, ez * sm,
-		0, ezc * cp, ezc * sp, 0,
-		0, ezc * sp, ezc * cp, 0,
-		ez * sm, 0, 0, ez * cm,
-	}
-}

@@ -69,9 +69,10 @@ func NewPolicy(costs *CostTable, level Aggression) *Policy {
 //	cost_current = decomp(U)        + swapCost * H(layout)
 //	cost_trial   = decomp(mirror U) + swapCost * H(layout after mirage SWAP)
 //
-// and accept according to the aggression level. The mirror's
-// coordinate and both H values come from the router (MirrorContext);
-// levels 0 and 3 decide without asking for either.
+// and accept according to the aggression level. The gate's and the
+// mirror's classes and both H values come from the router
+// (MirrorContext); the table prices the classes by slot. Levels 0 and
+// 3 decide without asking for either.
 func (p *Policy) Decide(ctx *sabre.MirrorContext) bool {
 	switch p.Aggression {
 	case AggressionNever:
@@ -79,8 +80,7 @@ func (p *Policy) Decide(ctx *sabre.MirrorContext) bool {
 	case AggressionAlways:
 		return true
 	}
-	dc := p.Costs.CostOf(circuit.OpCoordinate(ctx.Op))
-	dm := p.Costs.CostOf(ctx.MirrorCoord)
+	dc, dm := p.Costs.decision(ctx)
 	hCur, hTrial := ctx.RoutingCosts()
 	costCurrent := dc + p.swapCost*hCur
 	costTrial := dm + p.swapCost*hTrial
@@ -94,16 +94,20 @@ func (p *Policy) Decide(ctx *sabre.MirrorContext) bool {
 
 // PolicyFactory distributes aggression levels over routing trials
 // according to mix (non-negative fractions for levels 0..3, not all
-// zero); a one-hot mix fixes the level of every trial. Every trial
-// prices through the one shared table, which is read-only, so the
-// returned factory is safe to call from concurrent routing trials.
+// zero); a one-hot mix fixes the level of every trial. A Policy is
+// immutable, so every trial of a level shares one, and every policy
+// prices through the one shared read-only table: the returned factory
+// allocates nothing and is safe to call from concurrent routing
+// trials.
 func PolicyFactory(costs *CostTable, mix [4]float64) sabre.PolicyFactory {
-	// Build the cumulative distribution once.
+	// Build the cumulative distribution and the policies once.
 	var cum [4]float64
+	var policies [4]*Policy
 	total := 0.0
 	for i, m := range mix {
 		total += m
 		cum[i] = total
+		policies[i] = NewPolicy(costs, Aggression(i))
 	}
 	return func(trial int) sabre.MirrorPolicy {
 		// Low-discrepancy assignment: walk the unit interval in golden-
@@ -116,7 +120,7 @@ func PolicyFactory(costs *CostTable, mix [4]float64) sabre.PolicyFactory {
 				break
 			}
 		}
-		return NewPolicy(costs, level)
+		return policies[level]
 	}
 }
 
@@ -154,7 +158,9 @@ func GateWeight(cov *polytope.CoverageSet) circuit.WeightFunc {
 // more payload ops falls back to multiplying its matrices; routing a
 // consolidated circuit never produces one, so the MIRAGE pipeline
 // never takes the fallback. A table built over the routed circuit's
-// source holds every class the pass asks for.
+// class list (PreparedCircuit.Classes) holds every class the pass
+// asks for, and the pass reads each by the slot the router stamped on
+// the run's payload (circuit.BlockDepth.DepthSlots).
 //
 // The pass is the one the trial bound (sabre.DepthBound) cuts trials
 // with and the one a transpile report is measured with, so the
@@ -168,10 +174,10 @@ func GateWeight(cov *polytope.CoverageSet) circuit.WeightFunc {
 // warm, allocates nothing: each call borrows a BlockDepth from one
 // package-level pool, which every depth metric shares.
 func DepthMetric(costs *CostTable) sabre.Metric {
-	cost := costs.CostOf
+	cost, slots := costs.CostOf, costs.Slots()
 	return func(r *sabre.Result) float64 {
 		p := depthPasses.Get().(*circuit.BlockDepth)
-		d := p.Depth(r.Routed, cost)
+		d := p.DepthSlots(r.Routed, cost, slots)
 		depthPasses.Put(p)
 		return d
 	}

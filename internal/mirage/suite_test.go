@@ -66,13 +66,14 @@ func TestDecidePreparedMirrorMatchesComputed(t *testing.T) {
 	}
 }
 
-// TestCostTableHoldsEveryHotPathPrice routes suite circuits under the
-// MIRAGE policy at roots 2 and 4 and checks, against direct
+// TestCostTableHoldsEveryHotPathPrice routes classified suite circuits
+// under the MIRAGE policy at roots 2 and 4 and checks, against direct
 // CoverageSet.CostOf pricing, that every decision the router offers
 // reaches the same verdict and every trial's depth metric is the same
-// float64. It also checks the table's coverage: every coordinate a
-// decision or a block of a consolidated input asks for is a table
-// entry, so the hot path never falls back to a direct lookup. Root 4
+// float64. It also checks the table's coverage: every decision arrives
+// with the slots of its gate's and its mirror's classes in the table's
+// class list, and every block of a routed consolidated input is priced
+// by slot, so the hot path never falls back to a direct lookup. Root 4
 // builds its empirical coverage set, which takes seconds, so -short
 // runs root 2 only.
 func TestCostTableHoldsEveryHotPathPrice(t *testing.T) {
@@ -86,6 +87,7 @@ func TestCostTableHoldsEveryHotPathPrice(t *testing.T) {
 		cov := polytope.NewISwapRootCoverage(root)
 		for _, e := range bench.QuickSuite() {
 			blocks := circuit.ConsolidateBlocks(circuit.UnrollTo2Q(e.Build()))
+			circuit.Classify(blocks)
 			pc, err := sabre.PrepareCircuit(blocks, topo)
 			if err != nil {
 				t.Fatal(err)
@@ -116,12 +118,10 @@ func TestCostTableHoldsEveryHotPathPrice(t *testing.T) {
 						t.Fatalf("%s level %d trial %d: table metric %v, direct %v", name, level, tr, got, want)
 					}
 					var pass circuit.BlockDepth
-					pass.Depth(res.Routed, func(c weyl.Coordinate) float64 {
-						if !costs.Holds(c) {
-							t.Fatalf("%s level %d trial %d: block class %v is not a table entry", name, level, tr, c)
-						}
+					pass.DepthSlots(res.Routed, func(c weyl.Coordinate) float64 {
+						t.Fatalf("%s level %d trial %d: block class %v is not priced by slot", name, level, tr, c)
 						return 0
-					})
+					}, costs.Slots())
 				}
 				if check.decisions == 0 {
 					t.Fatalf("%s level %d: the router offered no decisions", name, level)
@@ -143,10 +143,10 @@ type verdictCheck struct {
 
 func (v *verdictCheck) Decide(ctx *sabre.MirrorContext) bool {
 	v.decisions++
-	for _, c := range []weyl.Coordinate{circuit.OpCoordinate(ctx.Op), ctx.MirrorCoord} {
-		if !v.costs.Holds(c) {
-			v.t.Fatalf("%s: decision coordinate %v is not a table entry", v.name, c)
-		}
+	cls := v.costs.Slots().Classes
+	if ctx.Classes != cls || cls.Coords[ctx.Class] != circuit.OpCoordinate(ctx.Op) ||
+		cls.Coords[ctx.MirrorClass] != ctx.MirrorCoord {
+		v.t.Fatalf("%s: decision on %v is not offered by its slots in the table's class list", v.name, ctx.Op)
 	}
 	verdict := v.table.Decide(ctx)
 	if d := v.direct.Decide(ctx); d != verdict {

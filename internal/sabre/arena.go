@@ -36,9 +36,10 @@ var routerSwapGate = gates.SWAP()
 // Grid.Result copies its Result out first (Result.own), so no Result
 // that leaves the package aliases a pooled arena. Steady-state reuse
 // performs O(1) heap allocations per trial, mirror substitutions
-// included: an accepted mirror emits the gate and coordinate prepared
-// once per circuit (mirrorTable), so the only allocations left on the
-// trial path are whatever the policy itself makes.
+// included: an accepted mirror emits the class and coordinate prepared
+// once per circuit and a gate it does not build (mirrorTable), so the
+// only allocations left on the trial path are whatever the policy
+// itself makes.
 type trialArena struct {
 	st  routingState
 	out circuit.Circuit // reusable routed circuit (ops + qubit slices reused)
@@ -51,8 +52,7 @@ type trialArena struct {
 	rng   *rand.Rand
 	depth circuit.BlockDepth // the depth bound's pass over the emitted ops
 
-	outFor *circuit.Circuit // routed-name cache: out.Name is rebuilt only when the circuit changes
-	used   int              // most ops any route emitted since the last release: the slots release clears
+	used int // most ops any route emitted since the last release: the slots release clears
 }
 
 // newTrialArena builds an empty arena. Buffers grow on first use and
@@ -91,9 +91,9 @@ func (a *trialArena) release() {
 		ops[i].Gate, ops[i].Coord = gates.Gate{}, nil
 	}
 	a.used = 0
-	a.out.Name, a.out.Ops, a.outFor = "", a.out.Ops[:0], nil
+	a.out.Name, a.out.Ops, a.out.Classes = "", a.out.Ops[:0], nil
 	a.res = Result{}
-	a.ctx.Op = circuit.Op{}
+	a.ctx.Op, a.ctx.Classes = circuit.Op{}, nil
 	a.depth.Start(0, nil) // drops the depth bound's cost
 }
 
@@ -120,11 +120,12 @@ func (a *trialArena) emit1(g gates.Gate, q int) {
 	}
 	qs = qs[:1]
 	qs[0] = q
-	op.Gate, op.Qubits, op.Coord, op.Mirrored, op.RouterSwap = g, qs, nil, false, false
+	op.Gate, op.Qubits, op.Coord, op.Class, op.Mirrored, op.RouterSwap = g, qs, nil, 0, false, false
 }
 
-// emit2 appends a two-qubit op on physical wires (qa, qb).
-func (a *trialArena) emit2(g gates.Gate, qa, qb int, coord *weyl.Coordinate, mirrored, routerSwap bool) {
+// emit2 appends a two-qubit op of class slot class on physical wires
+// (qa, qb).
+func (a *trialArena) emit2(g gates.Gate, qa, qb int, coord *weyl.Coordinate, class int32, mirrored, routerSwap bool) {
 	op := a.nextOp()
 	qs := op.Qubits
 	if cap(qs) < 2 {
@@ -132,7 +133,7 @@ func (a *trialArena) emit2(g gates.Gate, qa, qb int, coord *weyl.Coordinate, mir
 	}
 	qs = qs[:2]
 	qs[0], qs[1] = qa, qb
-	op.Gate, op.Qubits, op.Coord, op.Mirrored, op.RouterSwap = g, qs, coord, mirrored, routerSwap
+	op.Gate, op.Qubits, op.Coord, op.Class, op.Mirrored, op.RouterSwap = g, qs, coord, class, mirrored, routerSwap
 }
 
 // route runs one SABRE routing trial of fd's circuit over the arena,
@@ -147,13 +148,20 @@ func (a *trialArena) emit2(g gates.Gate, qa, qb int, coord *weyl.Coordinate, mir
 // candidate enumeration order, same score comparisons and tie-breaking
 // RNG consumption.
 //
-// mirrors is the per-op mirror data of fd's circuit; it is only read
-// when policy is non-nil, so policy-free routes may pass nil.
+// mirrors is the mirror data of fd's circuit (mirrorTable). A route
+// under a policy needs it; the routes of layout refinement, whose
+// Results never leave the package, pass nil. The route stamps its ops
+// with class slots once the circuit's class list exists. An accepted
+// mirror is emitted as its mirror gate SWAP · U when mirrorGates is
+// set or the circuit needs it in its depth pass (mirrorTable), and as
+// its source gate otherwise, leaving the Result lazy: finishMirrors
+// must build its mirror gates before it leaves the package.
 //
 // A non-nil bound stops the route with errTrialCut as soon as the
 // score bound it tracks over the emitted ops reaches bound.beat.
 func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topology.Topology,
-	initial *topology.Layout, opts Options, rng *rand.Rand, policy MirrorPolicy, bound *trialBound) (*Result, error) {
+	initial *topology.Layout, opts Options, rng *rand.Rand, policy MirrorPolicy, bound *trialBound,
+	mirrorGates bool) (*Result, error) {
 
 	opts = opts.WithDefaults()
 	c := fd.Circ
@@ -161,22 +169,36 @@ func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topo
 
 	st := &a.st
 	st.bind(fd, topo, initial, opts)
-	if a.outFor != c {
-		a.out.Name = c.Name + "_routed"
-		a.outFor = c
+	var cls *circuit.Classes // non-nil: stamp emitted 2Q ops with class slots
+	var mgates []gates.Gate  // non-nil: emit accepted mirrors as SWAP · U
+	a.out.Name = c.Name
+	if mirrors != nil {
+		a.out.Name = mirrors.name
+		cls = mirrors.builtClasses()
+		if policy != nil {
+			cls = mirrors.getClasses()
+			if mirrorGates || mirrors.multi {
+				mgates = mirrors.gates()
+			}
+		}
 	}
-	a.out.NumQubits = topo.NumQubits
+	swapClass := int32(0)
+	if cls != nil {
+		swapClass = circuit.SwapSlot
+	}
+	a.out.NumQubits, a.out.Classes = topo.NumQubits, cls
 	a.used = max(a.used, len(a.out.Ops))
 	a.out.Ops = a.out.Ops[:0]
 	a.initLayout.CopyFrom(initial)
-	a.res = Result{InitialLayout: &a.initLayout}
-	if policy != nil {
-		mirrors = mirrors.get()
-	}
+	a.res = Result{InitialLayout: &a.initLayout, lazy: policy != nil && mgates == nil}
+	a.ctx.Classes = cls
 	var bd *circuit.BlockDepth // non-nil: feed the depth bound every emitted 2Q op
 	if bound != nil && bound.depth {
 		bd = &a.depth
 		bd.Start(topo.NumQubits, bound.cost)
+		if cls != nil && cls == bound.slots.Classes {
+			bd.PriceSlots(bound.slots)
+		}
 	}
 
 	// Execute/stall loop, worklist form. The naive formulation (the
@@ -228,18 +250,27 @@ func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topo
 					if !topo.HasEdge(pa, pb) {
 						continue // deferred: stays in the ready set until a swap moves it
 					}
+					class := int32(0)
+					if cls != nil {
+						class = mirrors.slot[idx]
+					}
 					mirrored := false
 					if policy != nil {
 						st.armMirror(idx, pa, pb)
-						a.ctx.Op, a.ctx.MirrorCoord = *op, mirrors.coord[idx]
+						a.ctx.Op, a.ctx.Class, a.ctx.MirrorClass = *op, class, cls.Mirror[class]
+						a.ctx.MirrorCoord = cls.Coords[a.ctx.MirrorClass]
 						mirrored = policy.Decide(&a.ctx)
 					}
 					g, coord := op.Gate, op.Coord
 					if mirrored {
-						g, coord = mirrors.gate[idx], &mirrors.coord[idx]
+						class = cls.Mirror[class]
+						coord = &cls.Coords[class]
+						if mgates != nil {
+							g = mgates[idx]
+						}
 						a.res.MirrorsUsed++
 					}
-					a.emit2(g, pa, pb, coord, mirrored, false)
+					a.emit2(g, pa, pb, coord, class, mirrored, false)
 					a.res.TwoQubitGates++
 					if bd != nil {
 						bd.Push(a.out.Ops, len(a.out.Ops)-1)
@@ -273,7 +304,7 @@ func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topo
 		if !ok {
 			return nil, fmt.Errorf("sabre: stalled with no swap candidates (disconnected topology?)")
 		}
-		a.emit2(routerSwapGate, chosen.a, chosen.b, nil, false, true)
+		a.emit2(routerSwapGate, chosen.a, chosen.b, nil, swapClass, false, true)
 		st.applySwap(chosen.a, chosen.b)
 		// Seed the next execute phase with the deferred gates the swap
 		// touched — the only ready ops whose executability can have
@@ -320,10 +351,15 @@ func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topo
 // own returns a copy of r that shares no buffer with the arena it was
 // routed on: the routed ops go into one op slice backed by one flat
 // qubit slice (circuit.Copy), and both layouts are copied. Gates and
-// coordinates are immutable, so the copy shares them.
+// coordinates are immutable, so the copy shares them; a lazy r's
+// mirrored ops get their mirror gates, built here for them alone.
 func (r *Result) own() *Result {
 	out := *r
 	out.Routed = r.Routed.Copy()
+	if r.lazy {
+		finishMirrors(out.Routed.Ops)
+		out.lazy = false
+	}
 	out.InitialLayout, out.FinalLayout = r.InitialLayout.Copy(), r.FinalLayout.Copy()
 	return &out
 }
@@ -375,15 +411,20 @@ type TrialRunner struct {
 
 // Run executes one routing trial from the given initial layout with a
 // deterministically seeded generator. Steady-state calls allocate O(1):
-// all trial state lives in the runner's arena. See TrialRunner for the
-// validity contract of the returned Result.
+// all trial state lives in the runner's arena, and accepted mirrors
+// carry the mirror gates built once per circuit. See TrialRunner for
+// the validity contract of the returned Result.
 func (r *TrialRunner) Run(initial *topology.Layout, opts Options, seed int64, policy MirrorPolicy) (*Result, error) {
-	return r.run(initial, opts, seed, policy, nil)
+	return r.run(initial, opts, seed, policy, nil, true)
 }
 
-func (r *TrialRunner) run(initial *topology.Layout, opts Options, seed int64, policy MirrorPolicy, bound *trialBound) (*Result, error) {
+// run is Run under an optional score bound, emitting mirror gates
+// only when mirrorGates is set (see route).
+func (r *TrialRunner) run(initial *topology.Layout, opts Options, seed int64, policy MirrorPolicy,
+	bound *trialBound, mirrorGates bool) (*Result, error) {
+
 	r.arena.rng.Seed(seed)
-	return r.arena.route(r.pc.FD, &r.pc.mirrors, r.pc.Topo, initial, opts, r.arena.rng, policy, bound)
+	return r.arena.route(r.pc.FD, &r.pc.mirrors, r.pc.Topo, initial, opts, r.arena.rng, policy, bound, mirrorGates)
 }
 
 // RefineLayout returns layout trial lt's initial layout: a random
@@ -401,12 +442,12 @@ func (r *TrialRunner) RefineLayout(opts LayoutOptions, lt int) (*topology.Layout
 	a.rng.Seed(trialSeed(opts.Seed, seedStreamLayout, lt))
 	layout := RandomLayout(n, pc.Topo, a.rng)
 	for pass := 0; pass < opts.FwdBwdPasses; pass++ {
-		fwd, err := a.route(pc.FD, nil, pc.Topo, layout, opts.Routing, a.rng, nil, nil)
+		fwd, err := a.route(pc.FD, nil, pc.Topo, layout, opts.Routing, a.rng, nil, nil, false)
 		if err != nil {
 			return nil, err
 		}
 		projectLayoutInto(&a.h1, fwd.FinalLayout, n)
-		bwd, err := a.route(pc.FDRev, nil, pc.Topo, &a.h1, opts.Routing, a.rng, nil, nil)
+		bwd, err := a.route(pc.FDRev, nil, pc.Topo, &a.h1, opts.Routing, a.rng, nil, nil, false)
 		if err != nil {
 			return nil, err
 		}
@@ -424,18 +465,21 @@ func (r *TrialRunner) RefineLayout(opts LayoutOptions, lt int) (*topology.Layout
 // transport: given equal (layout, opts, t, policy) the trial is
 // bit-identical wherever it runs, which is what makes work-queue
 // leases idempotent. The returned
-// Result aliases the runner's arena like Run's does.
+// Result aliases the runner's arena like Run's does, and carries
+// mirror gates like Run's.
 func (r *TrialRunner) GridTrial(layout *topology.Layout, opts LayoutOptions, t int, policy MirrorPolicy) (*Result, error) {
-	return r.gridTrial(layout, opts.WithDefaults(), t, policy, nil)
+	return r.gridTrial(layout, opts.WithDefaults(), t, policy, nil, true)
 }
 
-// gridTrial is GridTrial under an optional score bound (see route);
-// opts must already have defaults applied.
-func (r *TrialRunner) gridTrial(layout *topology.Layout, opts LayoutOptions, t int, policy MirrorPolicy, bound *trialBound) (*Result, error) {
+// gridTrial is GridTrial under an optional score bound and mirror-gate
+// choice (see route); opts must already have defaults applied.
+func (r *TrialRunner) gridTrial(layout *topology.Layout, opts LayoutOptions, t int, policy MirrorPolicy,
+	bound *trialBound, mirrorGates bool) (*Result, error) {
+
 	if t < 0 || t >= opts.LayoutTrials*opts.RoutingTrials {
 		return nil, fmt.Errorf("sabre: grid trial %d outside the %dx%d grid", t, opts.LayoutTrials, opts.RoutingTrials)
 	}
-	return r.run(layout, opts.Routing, trialSeed(opts.Seed, seedStreamRouting, t), policy, bound)
+	return r.run(layout, opts.Routing, trialSeed(opts.Seed, seedStreamRouting, t), policy, bound, mirrorGates)
 }
 
 // maxSwaps is the number of SWAP insertions after which a route of an

@@ -28,7 +28,7 @@ func TestArenaReuseBitIdentical(t *testing.T) {
 		}
 		fd := circuit.BuildFlatDAG(tc.circ)
 		arena.rng.Seed(tc.seed)
-		reused, err := arena.route(fd, newMirrorTable(tc.circ), tc.topo, tc.layout, Options{}, arena.rng, policy, nil)
+		reused, err := arena.route(fd, newMirrorTable(tc.circ), tc.topo, tc.layout, Options{}, arena.rng, policy, nil, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/circuit"
-	"repro/internal/weyl"
 )
 
 // Bound declares a lower bound on a Metric's score that a routing
@@ -22,8 +21,10 @@ import (
 // A grid without one — any caller-supplied Metric — is never cut.
 type Bound struct {
 	// depthCost is the cost a depth bound prices blocks with; nil
-	// bounds the SWAP count.
-	depthCost circuit.CoordCost
+	// bounds the SWAP count. depthSlots, when non-nil, prices the
+	// classes of one class list as depthCost does.
+	depthCost  circuit.CoordCost
+	depthSlots *circuit.SlotCosts
 }
 
 var swapCountBound = &Bound{}
@@ -49,7 +50,14 @@ func SwapCountBound() *Bound { return swapCountBound }
 // which holds when no two consecutive gates on a wire pair share both
 // wires (a ConsolidateBlocks output); on other circuits only the
 // closed-run bound is used. cost must be non-negative.
-func DepthBound(cost circuit.CoordCost) *Bound { return &Bound{depthCost: cost} }
+//
+// slots may hold cost's prices of the classes of the routed circuit's
+// class list (circuit.Classify), which the bound then reads by slot;
+// nil, or slots of another list, makes the grid price that list with
+// cost once.
+func DepthBound(cost circuit.CoordCost, slots *circuit.SlotCosts) *Bound {
+	return &Bound{depthCost: cost, depthSlots: slots}
+}
 
 // WithBound returns o with b declared as the lower bound on the score
 // of the metric passed along with o. The bound is not part of the
@@ -67,6 +75,7 @@ var errTrialCut = errors.New("sabre: trial cut by its score bound")
 type trialBound struct {
 	depth bool // bound BlockDepth's depth; otherwise the SWAP count
 	cost  circuit.CoordCost
+	slots *circuit.SlotCosts // cost's prices of the routed circuit's classes
 	// tail[i] is op i's longest cost-weighted path to the sink; nil
 	// disables the tail term.
 	tail []float64
@@ -81,7 +90,12 @@ type trialBound struct {
 func newTrialBound(b *Bound, pc *PreparedCircuit, opts Options) *trialBound {
 	tb := &trialBound{depth: b.depthCost != nil, cost: b.depthCost}
 	if tb.depth {
-		tb.tail, tb.slack = depthTail(pc, b.depthCost, maxSwaps(opts, len(pc.Circ.Ops)))
+		cls := pc.mirrors.getClasses()
+		tb.slots = b.depthSlots
+		if tb.slots == nil || tb.slots.Classes != cls {
+			tb.slots = circuit.NewSlotCosts(cls, b.depthCost)
+		}
+		tb.tail, tb.slack = depthTail(pc, tb.slots.Costs, maxSwaps(opts, len(pc.Circ.Ops)))
 	}
 	return tb
 }
@@ -106,36 +120,29 @@ func (b *trialBound) depthReached(bd *circuit.BlockDepth, pa, pb, idx int) bool 
 
 // depthTail returns every op's cost-weighted longest path to the sink
 // of pc's DAG, or nil when a routed run could hold two payload gates,
-// plus the relative slack the tail term needs.
-func depthTail(pc *PreparedCircuit, cost circuit.CoordCost, swaps int) ([]float64, float64) {
-	c, fd := pc.Circ, pc.FD
-	if multiPayloadPossible(fd) {
+// plus the relative slack the tail term needs. prices holds the price
+// of every slot of pc's class list.
+func depthTail(pc *PreparedCircuit, prices []float64, swaps int) ([]float64, float64) {
+	cls, slot := pc.mirrors.getClasses(), pc.mirrors.slot
+	if pc.mirrors.multi {
 		return nil, 0
 	}
-	mirrors := pc.mirrors.get()
-	exact := dyadic(cost(weyl.SwapCoord)) && dyadic(cost(weyl.IdentityCoord))
-	maxW := cost(weyl.SwapCoord)
-	minCost := make(map[weyl.Coordinate]float64)
-	tail := make([]float64, len(c.Ops))
-	for i := len(c.Ops) - 1; i >= 0; i-- {
+	exact, maxW := true, 0.0
+	for _, p := range prices[1:] {
+		exact = exact && dyadic(p)
+		maxW = math.Max(maxW, p)
+	}
+	fd := pc.FD
+	tail := make([]float64, fd.NumOps)
+	for i := len(tail) - 1; i >= 0; i-- {
 		w := 0.0
-		if c.Ops[i].Is2Q() {
-			coord := circuit.OpCoordinate(c.Ops[i])
-			var ok bool
-			if w, ok = minCost[coord]; !ok {
-				// The run of a payload op prices its coordinate or, with
-				// an odd number of router SWAPs, its mirror; a mirrored
-				// payload carries the mirror, whose run may price the
-				// mirror's mirror.
-				mm := weyl.Mirror(mirrors.coord[i])
-				prices := [3]float64{cost(coord), cost(mirrors.coord[i]), cost(mm)}
-				w = math.Min(prices[0], math.Min(prices[1], prices[2]))
-				for _, p := range prices {
-					exact = exact && dyadic(p)
-					maxW = math.Max(maxW, p)
-				}
-				minCost[coord] = w
-			}
+		if s := slot[i]; s != 0 {
+			// The run of a payload op prices its class or, with an odd
+			// number of router SWAPs, its mirror; a mirrored payload
+			// carries the mirror, whose run may price the mirror's
+			// mirror.
+			m := cls.Mirror[s]
+			w = math.Min(prices[s], math.Min(prices[m], prices[cls.Mirror[m]]))
 		}
 		longest := 0.0
 		for _, s := range fd.SuccsOf(i) {
@@ -145,7 +152,7 @@ func depthTail(pc *PreparedCircuit, cost circuit.CoordCost, swaps int) ([]float6
 	}
 	// Every clock is a sum of at most one price per routed op, SWAPs
 	// included; dyadic prices summed below 2³² stay exact in a float64.
-	if !exact || float64(len(c.Ops)+swaps)*maxW >= 1<<32 {
+	if !exact || float64(fd.NumOps+swaps)*maxW >= 1<<32 {
 		return tail, 1e-9
 	}
 	return tail, 0
@@ -155,27 +162,4 @@ func depthTail(pc *PreparedCircuit, cost circuit.CoordCost, swaps int) ([]float6
 func dyadic(x float64) bool {
 	y := x * (1 << 20)
 	return x >= 0 && x < 1<<20 && y == math.Trunc(y)
-}
-
-// multiPayloadPossible reports whether some 2Q op's next 2Q op on both
-// of its wires is one op — the only way a routed same-pair run can
-// hold two payload gates.
-func multiPayloadPossible(fd *circuit.FlatDAG) bool {
-	c := fd.Circ
-	next := make([]int, c.NumQubits) // next 2Q op on each wire, scanning backward
-	for q := range next {
-		next[q] = -1
-	}
-	for i := len(c.Ops) - 1; i >= 0; i-- {
-		op := c.Ops[i]
-		if !op.Is2Q() {
-			continue
-		}
-		a, b := op.Qubits[0], op.Qubits[1]
-		if next[a] >= 0 && next[a] == next[b] {
-			return true
-		}
-		next[a], next[b] = i, i
-	}
-	return false
 }

@@ -74,8 +74,8 @@ func TestPrunedGridMatchesUnpruned(t *testing.T) {
 	}
 	pairs := []pair{
 		{"swaps", SwapCountMetric, SwapCountBound()},
-		{"depth-dyadic", depthMetricOf(boundCost(0.5)), DepthBound(boundCost(0.5))},
-		{"depth-thirds", depthMetricOf(boundCost(1.0 / 3)), DepthBound(boundCost(1.0 / 3))},
+		{"depth-dyadic", depthMetricOf(boundCost(0.5)), DepthBound(boundCost(0.5), nil)},
+		{"depth-thirds", depthMetricOf(boundCost(1.0 / 3)), DepthBound(boundCost(1.0/3), nil)},
 	}
 	var scored, executed int64
 	for _, c := range boundCircuits() {
@@ -171,7 +171,7 @@ func TestMultiPayloadDetection(t *testing.T) {
 			c.Add(gates.H(), q[0])
 			c.Add(gates.CX(), q[0], q[1])
 		}
-		if got := multiPayloadPossible(circuit.BuildFlatDAG(c)); got != tc.want {
+		if got := multiPayloadPossible(c); got != tc.want {
 			t.Errorf("%s: multiPayloadPossible = %v, want %v", tc.name, got, tc.want)
 		}
 	}

@@ -110,10 +110,12 @@ func (g *Grid) Consume(lt int, row Row) bool {
 }
 
 // Result replays the winning trial on a pooled arena and copies the
-// Result out of it, so the Result owns its buffers. Trials are
-// deterministic in (Seed, index), so this reproduces the scored run
-// bit for bit at the cost of one extra route. Call it once the queue
-// feeding Consume finished without error.
+// Result out of it, so the Result owns its buffers; the copy builds
+// the mirror gates of the winner's accepted mirrors, the only ones the
+// grid builds. Trials are deterministic in (Seed, index), so this
+// reproduces the scored run bit for bit at the cost of one extra
+// route. Call it once the queue feeding Consume finished without
+// error.
 func (g *Grid) Result() (*Result, error) {
 	if g.err != nil {
 		return nil, g.err
@@ -129,7 +131,7 @@ func (g *Grid) Result() (*Result, error) {
 	a := getArena()
 	defer putArena(a)
 	r := TrialRunner{pc: g.pc, arena: a}
-	res, err := r.GridTrial(g.layout, g.opts, bestT, policy)
+	res, err := r.gridTrial(g.layout, g.opts, bestT, policy, nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +191,7 @@ func (g *Grid) row(r *TrialRunner, lt int) Row {
 			policy = g.factory(t)
 		}
 		score := math.Inf(1)
-		res, err := r.gridTrial(layout, g.opts, t, policy, bound)
+		res, err := r.gridTrial(layout, g.opts, t, policy, bound, false)
 		switch {
 		case err == errTrialCut:
 		case err != nil:

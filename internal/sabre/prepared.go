@@ -9,26 +9,31 @@ import (
 
 // PreparedCircuit is the immutable per-circuit analysis the trial grid
 // shares: the validated (circuit, topology) pairing, the forward and
-// reversed flat dependency DAGs, and the per-op mirror data (each 2Q
-// op's mirror gate and mirror coordinate). Every trial of a circuit
-// reads the same DAGs and mirror data, layout refinement's backward
-// pass reads the same reversed DAG, and the winner replay reuses them
-// all — so the analysis is computed once per circuit, not once per
-// consumer. Only the forward circuit has mirror data: the backward
+// reversed flat dependency DAGs, and the mirror data (mirrorTable):
+// each 2Q op's class slot and its mirror's in the circuit's class list,
+// and the mirror gates the routes that hand out their Results emit.
+// Every trial of a circuit reads the same DAGs and mirror data, layout
+// refinement's backward pass reads the same reversed DAG, and the
+// winner replay reuses them all — so the analysis is computed once per
+// circuit, not once per consumer: a mirror decision, an accepted
+// mirror, the depth bound's tail and the depth metric find every
+// class and its mirror (paper Eq. 1) in the list instead of computing
+// them again. Only the forward circuit has mirror data: the backward
 // passes of layout refinement route without a mirror policy. A
 // distributed worker prepares the circuits of its trial job spec with
 // PrepareCircuit too: the spec ships circuits, never their DAGs.
 //
 // Lifetime rules: a PreparedCircuit and everything it references
 // (Circ, Topo, both DAGs, the mirror data) are immutable after
-// PrepareCircuit returns — the mirror data is filled in once, on the
-// first routing trial that carries a policy, under a sync.Once — and
-// safe to share across any number of goroutines, trial runners and
-// FindBestRoutingPrepared calls, concurrently and indefinitely. All
-// mutable routing state lives in per-worker trial arenas; nothing ever
-// writes back into the prepared state. The prepared state is only
-// valid for the exact Circ/Topo pair it was built from — mutating the
-// underlying circuit afterwards (appending ops, renumbering qubits)
+// PrepareCircuit returns — each part of the mirror data is filled in
+// once, on its first use, under a sync.Once (a classified Circ brings
+// its class list along: circuit.Classify) — and safe to share across
+// any number of goroutines, trial runners and FindBestRoutingPrepared
+// calls, concurrently and indefinitely. All mutable routing state lives
+// in per-worker trial arenas; nothing ever writes back into the
+// prepared state. The prepared state is only valid for the exact
+// Circ/Topo pair it was built from — mutating the underlying circuit
+// afterwards (appending ops, renumbering qubits, classifying it)
 // invalidates it undetectably, so treat the source circuit as frozen.
 type PreparedCircuit struct {
 	Circ *circuit.Circuit
@@ -59,7 +64,7 @@ func PrepareCircuit(c *circuit.Circuit, topo *topology.Topology) (*PreparedCircu
 		Topo:    topo,
 		FD:      circuit.BuildFlatDAG(c),
 		FDRev:   circuit.BuildFlatDAG(c.Reversed()),
-		mirrors: mirrorTable{circ: c},
+		mirrors: mirrorTable{circ: c, name: c.Name + "_routed"},
 	}, nil
 }
 

@@ -240,3 +240,9 @@ func RouteReference(c *circuit.Circuit, topo *topology.Topology, initial *topolo
 	res.FinalLayout = layout
 	return res, nil
 }
+
+// mirrorCoord is the Weyl coordinate of op's mirror gate, recomputed
+// from the op: the mirror of its own coordinate (paper Eq. 1).
+func mirrorCoord(op circuit.Op) weyl.Coordinate {
+	return weyl.Mirror(circuit.OpCoordinate(op))
+}

@@ -33,9 +33,10 @@
 // The router exposes a MirrorPolicy hook: every two-qubit gate that
 // becomes executable is offered to the policy, which may replace it
 // with its mirror (gate followed by a virtual SWAP). The policy sees
-// the gate, its mirror's coordinate and the two routing costs the
-// engine evaluates in place (MirrorContext). The baseline uses no
-// policy; package mirage supplies the paper's polytope-cost policy.
+// the gate, its mirror's coordinate, the slots of both classes in the
+// circuit's class list and the two routing costs the engine evaluates
+// in place (MirrorContext). The baseline uses no policy; package
+// mirage supplies the paper's polytope-cost policy.
 package sabre
 
 import (
@@ -74,7 +75,9 @@ func (o Options) WithDefaults() Options {
 }
 
 // MirrorContext is what a MirrorPolicy sees for an executable 2Q gate:
-// the three inputs of the paper's mirror decision (Algorithm 2). The
+// the three inputs of the paper's mirror decision (Algorithm 2) — the
+// gate, its mirror's class and the two routing costs — with both
+// classes also given as slots of the circuit's class list. The
 // context is owned by the router's trial arena and rebound in place
 // for every decision: the whole struct, RoutingCosts included, is
 // valid only for the duration of the Decide call. Policies must not
@@ -83,9 +86,15 @@ func (o Options) WithDefaults() Options {
 type MirrorContext struct {
 	Op circuit.Op // the logical gate (Coord annotated when available)
 	// MirrorCoord is the Weyl coordinate of Op's mirror,
-	// weyl.Mirror(circuit.OpCoordinate(Op)), prepared once per circuit.
+	// weyl.Mirror(circuit.OpCoordinate(Op)), found once per circuit.
 	// The router annotates an accepted mirror with the same coordinate.
 	MirrorCoord weyl.Coordinate
+	// Classes is the routed circuit's class list (circuit.Classes),
+	// found once per circuit; Class and MirrorClass are the slots of
+	// Op's class and of its mirror's in it. A policy whose prices come
+	// from the same list reads both prices by slot.
+	Classes            *circuit.Classes
+	Class, MirrorClass int32
 	// RoutingCosts returns the *summed* SABRE distance heuristic (total
 	// front distance + weighted total lookahead distance) at the
 	// current layout and at the layout after the mirror's SWAP on the
@@ -121,6 +130,10 @@ type Result struct {
 	// Zero for direct Route calls.
 	TrialsExecuted int
 	TrialsBudgeted int
+
+	// lazy marks a Result whose mirrored ops still carry their source
+	// gates (see mirrorTable); none leaves the package.
+	lazy bool
 }
 
 // Route maps the logical circuit onto the topology starting from the
@@ -128,10 +141,11 @@ type Result struct {
 // two qubits. The input layout is not mutated.
 //
 // Each call builds the circuit's flat DAG (and, under a policy, its
-// per-op mirror data) and a fresh trial arena; the returned Result
-// owns its buffers. Callers routing the same circuit
-// repeatedly should use TrialRunner, which shares the DAG and reuses
-// the arena so steady-state trials allocate O(1).
+// class list) and a fresh trial arena; the returned Result owns its
+// buffers, and its accepted mirrors carry their mirror gates. Callers
+// routing the same circuit repeatedly should use TrialRunner, which
+// shares the DAG and reuses the arena so steady-state trials allocate
+// O(1).
 func Route(c *circuit.Circuit, topo *topology.Topology, initial *topology.Layout,
 	opts Options, rng *rand.Rand, policy MirrorPolicy) (*Result, error) {
 
@@ -139,13 +153,17 @@ func Route(c *circuit.Circuit, topo *topology.Topology, initial *topology.Layout
 		return nil, err
 	}
 	fd := circuit.BuildFlatDAG(c)
-	var mirrors *mirrorTable
-	if policy != nil {
-		mirrors = newMirrorTable(c)
-	}
 	// The arena is transient, so handing its buffers to the caller via
 	// the Result is safe: nothing resets them afterwards.
-	return newTrialArena().route(fd, mirrors, topo, initial, opts, rng, policy, nil)
+	res, err := newTrialArena().route(fd, newMirrorTable(c), topo, initial, opts, rng, policy, nil, false)
+	if err != nil {
+		return nil, err
+	}
+	if res.lazy {
+		finishMirrors(res.Routed.Ops)
+		res.lazy = false
+	}
+	return res, nil
 }
 
 // RandomLayout places the circuit's logical qubits on distinct random
@@ -160,7 +178,11 @@ func RandomLayout(numLogical int, topo *topology.Topology, rng *rand.Rand) *topo
 // them inside trial workers on arena-backed Results that are only
 // valid for the duration of the call (the winning trial is replayed to
 // materialise the returned Result), so a metric must neither retain
-// the Result nor depend on anything but its contents.
+// the Result nor depend on anything but its contents. A metric must
+// read a mirrored op's class from its Coord (circuit.OpCoordinate) or
+// Class, never from its gate: inside the grid an accepted mirror
+// carries its source gate, and only the returned Result carries the
+// mirror gate SWAP · U.
 type Metric func(*Result) float64
 
 // SwapCountMetric is the stock Qiskit-SABRE post-selection metric: the

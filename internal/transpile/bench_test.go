@@ -19,9 +19,23 @@ import (
 // circuits (a presized cache of hundreds of kilobytes) breaks it.
 const maxCallBytes = 256 << 10
 
+// maxCallObjects bounds the heap objects the same call allocates:
+// about 120 once warm, among them its routed result, its cost table,
+// one shared policy per aggression level and the winner's mirror gates.
+// A policy per trial adds 13 and a mirror gate per scored 2Q op
+// hundreds. The race detector makes sync.Pool drop pooled arenas and
+// depth passes at random, which adds up to about 70 more.
+func maxCallObjects() uint64 {
+	if raceEnabled {
+		return 256
+	}
+	return 128
+}
+
 // TestTranspilePreparedAllocBytes pins the per-call allocation of a
-// warm MIRAGE-Depth TranspilePrepared: a 6-qubit mirror circuit routed
-// on grid-3x4 with a 4x4 serial trial grid, averaged over 20 calls.
+// warm MIRAGE-Depth TranspilePrepared, in bytes and in heap objects: a
+// 6-qubit mirror circuit routed on grid-3x4 with a 4x4 serial trial
+// grid, averaged over 20 calls.
 func TestTranspilePreparedAllocBytes(t *testing.T) {
 	m := mirrorbench.Generate(mirrorbench.Spec{Kind: mirrorbench.QuantumVolume, Qubits: 6, Layers: 6, Seed: 5})
 	pc := transpile.PrepareCircuit(m.Circuit, topology.Grid(3, 4))
@@ -48,10 +62,14 @@ func TestTranspilePreparedAllocBytes(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	objects := (after.Mallocs - before.Mallocs) / calls
 	if perCall > maxCallBytes {
 		t.Fatalf("%d bytes allocated per call, want <= %d", perCall, maxCallBytes)
 	}
-	t.Logf("%d bytes allocated per call", perCall)
+	if objects > maxCallObjects() {
+		t.Fatalf("%d heap objects allocated per call, want <= %d", objects, maxCallObjects())
+	}
+	t.Logf("%d bytes, %d heap objects allocated per call", perCall, objects)
 }
 
 // BenchmarkTranspileSmallMirror times the compile-many-small traffic:

@@ -15,10 +15,13 @@
 // whole schedule, so steady-state trials allocate O(1). Arenas are
 // reused across calls as well: sabre keeps them in a pool, and each
 // call's winner is copied out of its arena, so a report never aliases
-// one. The cleaning passes and consolidation size their outputs from
-// their inputs and allocate them once. Mirror
-// decisions and the depth metric price blocks through one read-only
-// mirage.CostTable per routed call, built over the routed blocks.
+// one. Input cleaning is one pass (circuit.Clean), and cleaning and
+// consolidation size their outputs from their inputs and allocate them
+// once. Preparation also lists the blocks' Weyl classes and mirrors
+// once (circuit.Classify); mirror decisions, the trial bound and the
+// depth metric then price by class slot through one read-only
+// mirage.CostTable per routed call, built over that list, and only the
+// winner's accepted mirrors are built as SWAP · U gates.
 // TranspileBatch routes the layout rows of all its circuits on one
 // work queue; only their preparation and measurement run per circuit.
 package transpile
@@ -138,12 +141,15 @@ type Report struct {
 
 // PreparedCircuit is the amortised per-circuit front half of the
 // pipeline: input cleaning, 2Q block consolidation (with Weyl
-// coordinate annotation on every block) and the shared routing
-// analysis (validated circuit/topology pairing plus the forward and
-// reversed dependency DAGs every routing trial reads). Prepare once,
-// then call TranspilePrepared for each configuration — a benchmark row
-// running SABRE and MIRAGE over the same circuit, or a sweep over
-// aggression levels, pays for the analysis once instead of per run.
+// coordinate annotation on every block), the blocks' class list (each
+// block's class and its mirror, stamped as class slots) and the shared
+// routing analysis (validated circuit/topology pairing plus the
+// forward and reversed dependency DAGs every routing trial reads).
+// Prepare once, then call TranspilePrepared for each configuration — a
+// benchmark row running SABRE and MIRAGE over the same circuit, or a
+// sweep over aggression levels or bases, pays for the analysis once
+// instead of per run; each call prices the class list under its own
+// basis.
 //
 // Like sabre.PreparedCircuit, a PreparedCircuit is immutable after
 // PrepareCircuit returns and safe to share across goroutines.
@@ -151,8 +157,9 @@ type PreparedCircuit struct {
 	Source *circuit.Circuit
 	Topo   *topology.Topology
 	// Blocks is the source after 3Q unrolling, identity removal and
-	// SWAP elision, consolidated into coordinate-annotated 2Q blocks —
-	// the circuit the router actually routes.
+	// SWAP elision, consolidated into coordinate-annotated 2Q blocks and
+	// classified (circuit.Classify) — the circuit the router actually
+	// routes.
 	Blocks *circuit.Circuit
 	// Routing is the shared routing analysis over Blocks, or nil when
 	// the pairing cannot route (see routingErr). It is nil-checked only
@@ -174,12 +181,12 @@ type PreparedCircuit struct {
 // trivial-layout path must keep working without a routable pairing.
 func PrepareCircuit(c *circuit.Circuit, topo *topology.Topology) *PreparedCircuit {
 	// 1. Input cleaning.
-	clean := circuit.UnrollTo2Q(c)
-	clean = circuit.RemoveIdentities(clean)
-	clean, elided := circuit.ElideSwaps(clean)
+	clean, elided := circuit.Clean(c)
 
-	// 2. Consolidate to coordinate-annotated 2Q blocks.
+	// 2. Consolidate to coordinate-annotated 2Q blocks, and list their
+	// classes once for every routing of them to price by slot.
 	blocks := circuit.ConsolidateBlocks(clean)
+	circuit.Classify(blocks)
 
 	pc := &PreparedCircuit{Source: c, Topo: topo, Blocks: blocks, elided: elided}
 	pc.Routing, pc.routingErr = sabre.PrepareCircuit(blocks, topo)
@@ -293,8 +300,10 @@ func (pc *PreparedCircuit) sourceLayout(l *topology.Layout) *topology.Layout {
 // metric, aggression and basis (nil: sqrt-iSWAP) — into the trial
 // grid's metric, the lower bound on its score that lets the grid cut
 // trials which cannot win, and the mirror-policy factory (nil for
-// SABRE). Mirror decisions and the depth metric price through one cost
-// table built over blocks, the consolidated circuit the trials route.
+// SABRE). Mirror decisions, the bound and the depth metric price
+// through one cost table built over blocks, the consolidated circuit
+// the trials route: by slot when blocks is classified, as prepared
+// blocks are.
 // It is the one recipe: the local pipeline and a distributed trial
 // worker both build from it, so a worker's scores agree bit for bit
 // with the coordinator's.
@@ -307,11 +316,12 @@ func RoutingPolicy(opts Options, blocks *circuit.Circuit) (sabre.Metric, *sabre.
 		basis = polytope.NewISwapRootCoverage(2)
 	}
 	// The cost table is per call, not part of the shared prepared
-	// circuit: its prices depend on the basis, a per-call option.
+	// circuit: its prices depend on the basis, a per-call option. The
+	// class list it prices is the prepared one.
 	costs := mirage.NewCostTable(basis, blocks)
 	metric, bound := sabre.SwapCountMetric, sabre.SwapCountBound()
 	if opts.DepthSelection {
-		metric, bound = mirage.DepthMetric(costs), sabre.DepthBound(costs.CostOf)
+		metric, bound = mirage.DepthMetric(costs), sabre.DepthBound(costs.CostOf, costs.Slots())
 	}
 	var factory sabre.PolicyFactory
 	if opts.Router == MIRAGE {
@@ -338,6 +348,7 @@ func tryTrivialLayout(c *circuit.Circuit, topo *topology.Topology) (*circuit.Cir
 		return nil, nil, false
 	}
 	out := circuit.New(c.Name+"_trivial", topo.NumQubits)
+	out.Classes = c.Classes
 	for _, op := range c.Ops {
 		mapped := op
 		mapped.Qubits = make([]int, len(op.Qubits))
