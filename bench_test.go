@@ -186,11 +186,15 @@ func BenchmarkFig9Trials(b *testing.B) {
 		c.Add(gates.CX(), 0, 2)
 		c.Add(gates.CX(), 1, 3)
 		c.Add(gates.CX(), 0, 3)
+		pc, err := sabre.PrepareCircuit(c, topo)
+		if err != nil {
+			b.Fatal(err)
+		}
+		runner := sabre.NewTrialRunner(pc)
 		minD, maxD := 1e18, 0.0
 		for trial := 0; trial < 8; trial++ {
-			rng := rand.New(rand.NewSource(int64(trial + 1)))
-			policy := mirpkg.NewPolicy(mirpkg.NewCostTable(cov, c), mirpkg.AggressionEqual)
-			res, err := sabre.Route(c, topo, topology.TrivialLayout(4, 4), sabre.Options{}, rng, policy)
+			policy := mirpkg.NewPolicy(mirpkg.NewCostTable(cov, pc.Classes()), mirpkg.AggressionEqual)
+			res, err := runner.Run(topology.TrivialLayout(4, 4), sabre.Options{}, int64(trial+1), policy)
 			if err != nil {
 				b.Fatal(err)
 			}

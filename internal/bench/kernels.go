@@ -48,19 +48,22 @@ func routingFixture() (*topology.Topology, *circuit.Circuit, *topology.Layout) {
 }
 
 // DepthMetricFixture returns the input of the mirage/DepthMetric row:
-// QFT(12), consolidated into classified blocks as the transpiler
-// prepares them, routed once on a 3x4 grid from the trivial layout
-// under the MIRAGE policy at aggression 2 (so the routed circuit
-// carries mirrors as well as router SWAPs), plus the blocks it was
-// routed from and the sqrt-iSWAP coverage set the metric prices it
+// QFT(12), consolidated into blocks as the transpiler prepares them,
+// routed once on a 3x4 grid from the trivial layout under the MIRAGE
+// policy at aggression 2 (so the routed circuit carries mirrors as
+// well as router SWAPs), plus the class list of the prepared blocks it
+// was routed from and the sqrt-iSWAP coverage set the metric prices it
 // with — the input of the mirage/CostTable row.
-func DepthMetricFixture() (res *sabre.Result, blocks *circuit.Circuit, cov *polytope.CoverageSet, err error) {
+func DepthMetricFixture() (res *sabre.Result, classes *circuit.Classes, cov *polytope.CoverageSet, err error) {
 	cov = polytope.NewISwapRootCoverage(2)
-	blocks = circuit.ConsolidateBlocks(QFT(12))
-	circuit.Classify(blocks)
-	res, err = sabre.Route(blocks, topology.Grid(3, 4), topology.TrivialLayout(12, 12), sabre.Options{},
-		rand.New(rand.NewSource(7)), mirage.NewPolicy(mirage.NewCostTable(cov, blocks), mirage.AggressionEqual))
-	return res, blocks, cov, err
+	pc, err := sabre.PrepareCircuit(circuit.ConsolidateBlocks(QFT(12)), topology.Grid(3, 4))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	classes = pc.Classes()
+	policy := mirage.NewPolicy(mirage.NewCostTable(cov, classes), mirage.AggressionEqual)
+	res, err = sabre.NewTrialRunner(pc).Run(topology.TrivialLayout(12, 12), sabre.Options{}, 7, policy)
+	return res, classes, cov, err
 }
 
 // minCostRow times CoverageSet.MinCost on Haar-random coordinates under
@@ -146,27 +149,27 @@ func RunKernelBenchmarks() ([]KernelRow, error) {
 		{"polytope/MinCost@root2", minCostRow(2)},
 		{"polytope/MinCost@root4", minCostRow(4)},
 		// The per-call cost table of a routed MIRAGE run: the prices of
-		// the classes the routed blocks were classified into.
+		// the class list of the routed blocks.
 		{"mirage/CostTable", func(b *testing.B) error {
-			_, blocks, cov, err := DepthMetricFixture()
+			_, classes, cov, err := DepthMetricFixture()
 			if err != nil {
 				return err
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				depthMetricSink = float64(mirage.NewCostTable(cov, blocks).Len())
+				depthMetricSink = float64(mirage.NewCostTable(cov, classes).Len())
 			}
 			return nil
 		}},
 		// The per-trial score of a MIRAGE-Depth grid, priced by slot
 		// through the cost table; allocs/op must stay 0.
 		{"mirage/DepthMetric", func(b *testing.B) error {
-			res, blocks, cov, err := DepthMetricFixture()
+			res, classes, cov, err := DepthMetricFixture()
 			if err != nil {
 				return err
 			}
-			metric := mirage.DepthMetric(mirage.NewCostTable(cov, blocks))
+			metric := mirage.DepthMetric(mirage.NewCostTable(cov, classes))
 			metric(res)
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -1,6 +1,8 @@
 package circuit
 
 import (
+	"sync"
+
 	"repro/internal/linalg"
 	"repro/internal/weyl"
 )
@@ -56,8 +58,8 @@ type CoordCost func(weyl.Coordinate) float64
 // all come from this one pass, so a winner's selection score and its
 // reported depth agree by construction. A BlockDepth holds reusable
 // per-wire buffers: after the first pass over a given width it
-// allocates nothing. It is single-goroutine; use one per worker (or a
-// sync.Pool).
+// allocates nothing. It is single-goroutine; use one per worker, or
+// borrow one from the package's pool (GetBlockDepth).
 type BlockDepth struct {
 	clock  []float64  // per-wire finish time
 	owner  []int32    // lower wire of the open run holding the wire, or -1
@@ -70,6 +72,21 @@ type BlockDepth struct {
 	// Fallbacks counts the runs the current pass closed through the
 	// matrix fallback (two or more payload ops).
 	Fallbacks int
+}
+
+// blockDepths holds passes between calls, so a caller that measures
+// or scores per call reuses the per-wire buffers earlier calls grew.
+var blockDepths = sync.Pool{New: func() any { return new(BlockDepth) }}
+
+// GetBlockDepth borrows a pass from the package's pool; PutBlockDepth
+// returns it. Every per-call depth pass (a trial metric, a report's
+// measurement) shares the pool.
+func GetBlockDepth() *BlockDepth { return blockDepths.Get().(*BlockDepth) }
+
+// PutBlockDepth returns p to the pool, dropping its prices.
+func PutBlockDepth(p *BlockDepth) {
+	p.cost, p.slots = nil, nil
+	blockDepths.Put(p)
 }
 
 // blockRun is one open same-pair run, stored at its lower wire.
@@ -101,14 +118,18 @@ func (r *blockRun) absorb(op *Op, i int) {
 // block's class and its consolidated coordinate.
 func (p *BlockDepth) Depth(c *Circuit, cost CoordCost) float64 { return p.DepthSlots(c, cost, nil) }
 
-// DepthSlots is Depth pricing by slot: when c's ops carry slots of
-// sc's class list (c.Classes == sc.Classes), a run whose class has a
-// slot is priced sc.Costs[slot] instead of cost(class). sc must price
-// every slot as cost prices its class, so the result is Depth's; only
-// the lookups are cheaper. A nil sc prices by coordinate.
+// DepthSlots is Depth pricing by slot: when c's ops carry slots
+// (c.Classes is set), a run whose class has a slot is priced
+// sc.Costs[slot] instead of cost(class). sc must price every slot as
+// cost prices its class, so the result is Depth's; only the lookups
+// are cheaper. A circuit without slots, or a nil sc, is priced by
+// coordinate; slots of a class list other than sc's panic.
 func (p *BlockDepth) DepthSlots(c *Circuit, cost CoordCost, sc *SlotCosts) float64 {
 	p.Start(c.NumQubits, cost)
-	if sc != nil && c.Classes != nil && c.Classes == sc.Classes {
+	if sc != nil && c.Classes != nil {
+		if c.Classes != sc.Classes {
+			panic("circuit: DepthSlots prices the slots of another class list")
+		}
 		p.PriceSlots(sc)
 	}
 	for i := range c.Ops {

@@ -28,8 +28,8 @@ type Op struct {
 	// MIRAGE routing (a mirage SWAP was absorbed into it).
 	Mirrored bool
 	// Class is the slot of the op's Weyl class in the class list of
-	// the circuit holding it (Circuit.Classes), stamped by Classify or
-	// by the router; 0 when it has none.
+	// the circuit holding it (Circuit.Classes), stamped by the router;
+	// 0 when it has none.
 	Class int32
 	// Coord caches the Weyl coordinate of a 2Q gate (annotated by
 	// consolidation or by the router; nil when not yet computed).
@@ -54,8 +54,7 @@ type Circuit struct {
 	NumQubits int
 	Ops       []Op
 	// Classes is the class list the ops' Class slots index: set on a
-	// classified circuit (Classify) and on a routed circuit whose
-	// router stamped slots, nil otherwise.
+	// routed circuit whose router stamped slots, nil otherwise.
 	Classes *Classes
 }
 
@@ -128,7 +127,6 @@ func (c *Circuit) Copy() *Circuit {
 // convention, so the reversed ops share their qubit slices with c.
 func (c *Circuit) Reversed() *Circuit {
 	out := New(c.Name+"_rev", c.NumQubits)
-	out.Classes = c.Classes
 	out.Ops = make([]Op, len(c.Ops))
 	for i, op := range c.Ops {
 		out.Ops[len(c.Ops)-1-i] = op

@@ -19,12 +19,12 @@ import "repro/internal/weyl"
 // alone. Each distinct class is mirrored at most twice per list, never
 // per decision or per priced block.
 //
-// A classified circuit (Classify) carries its list in Circuit.Classes
-// and the slot of each op's class in Op.Class; a router stamps the ops
-// it emits and the routed circuit the same way, with the list of the
-// circuit it routes. Slot 0 is reserved: an op whose Class is 0 has no
-// slot and is priced by its coordinate. A Classes is immutable once
-// NewClasses returns.
+// The routing analysis of a circuit builds its list (NewClasses) and
+// never writes it into the circuit; a router stamps the routed circuit
+// with it (Circuit.Classes) and each op it emits with the slot of the
+// op's class (Op.Class). Slot 0 is reserved: an op whose Class is 0
+// has no slot and is priced by its coordinate. A Classes is immutable
+// once NewClasses returns.
 type Classes struct {
 	// Coords[s] is slot s's class; Coords[0] is unused.
 	Coords []weyl.Coordinate
@@ -40,17 +40,6 @@ const (
 	IdentitySlot int32 = 1
 	SwapSlot     int32 = 2
 )
-
-// Classify stamps c with its class list and each of its ops with the
-// slot of its class. It writes c's ops, so classify a circuit before
-// sharing it.
-func Classify(c *Circuit) {
-	cl, slots := NewClasses(c)
-	for i := range c.Ops {
-		c.Ops[i].Class = slots[i]
-	}
-	c.Classes = cl
-}
 
 // NewClasses returns c's class list and the slot of each op's class (0
 // for an op that is not 2Q), leaving c as it is. Coordinates are keyed

@@ -65,7 +65,7 @@ func TestChaosDeterminismProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, metric, factory := testPolicy(t, transpile.Options{Router: transpile.MIRAGE, DepthSelection: true, SkipTrivialLayout: true}, blocks)
+	spec, metric, factory := testPolicy(t, transpile.Options{Router: transpile.MIRAGE, DepthSelection: true, SkipTrivialLayout: true}, pc)
 	lopts := sabre.LayoutOptions{
 		LayoutTrials: 3, RoutingTrials: 4, FwdBwdPasses: 1, Seed: 21,
 		ConvergencePatience: 3,

@@ -154,7 +154,7 @@ func TestRepeatedGridsPriceFromSpecCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, metric, factory := testPolicy(t, mirageDepth, blocks)
+	spec, metric, factory := testPolicy(t, mirageDepth, pc)
 	opts := sabre.LayoutOptions{LayoutTrials: 3, RoutingTrials: 4, FwdBwdPasses: 1, Seed: 37}
 	want, err := sabre.FindBestRoutingPrepared(pc, opts, metric, factory)
 	if err != nil {

@@ -79,15 +79,15 @@ func startCluster(t *testing.T, healthy, flaky int, failAfter int) *Cluster {
 var mirageDepth = transpile.Options{Router: transpile.MIRAGE, DepthSelection: true}
 
 // testPolicy is the wire form of opts, coverage set included, with
-// the metric and policy factory transpile builds from opts over blocks
-// — the pair the coordinator replays the winning trial with.
-func testPolicy(t *testing.T, opts transpile.Options, blocks *circuit.Circuit) (wireOptions, sabre.Metric, sabre.PolicyFactory) {
+// the metric and policy factory transpile builds from opts over pc —
+// the pair the coordinator replays the winning trial with.
+func testPolicy(t *testing.T, opts transpile.Options, pc *sabre.PreparedCircuit) (wireOptions, sabre.Metric, sabre.PolicyFactory) {
 	t.Helper()
 	w, err := optionsToWire(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	metric, _, factory := transpile.RoutingPolicy(opts, blocks)
+	metric, _, factory := transpile.RoutingPolicy(opts, pc)
 	return w, metric, factory
 }
 
@@ -255,7 +255,7 @@ func TestDistributedFindBestRoutingBitIdentical(t *testing.T) {
 		if mir {
 			topts.Router = transpile.MIRAGE
 		}
-		spec, metric, factory := testPolicy(t, topts, blocks)
+		spec, metric, factory := testPolicy(t, topts, pc)
 		for _, patience := range []int{0, 3} {
 			opts := sabre.LayoutOptions{
 				LayoutTrials: 3, RoutingTrials: 4, FwdBwdPasses: 1, Seed: 17,
@@ -361,7 +361,7 @@ func TestDistributedWorkerDeathBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, metric, factory := testPolicy(t, transpile.Options{Router: transpile.MIRAGE, DepthSelection: true, SkipTrivialLayout: true}, blocks)
+	spec, metric, factory := testPolicy(t, transpile.Options{Router: transpile.MIRAGE, DepthSelection: true, SkipTrivialLayout: true}, pc)
 
 	for _, patience := range []int{0, 4} {
 		// Six one-row leases, so the flaky worker lives to its second.
@@ -432,11 +432,11 @@ func TestDistributedOverLoopbackTCP(t *testing.T) {
 	c := e2eCircuit("tcp", 6, 18, 99)
 	blocks := circuit.ConsolidateBlocks(circuit.UnrollTo2Q(c))
 	opts := sabre.LayoutOptions{LayoutTrials: 2, RoutingTrials: 3, FwdBwdPasses: 1, Seed: 13}
-	spec, metric, factory := testPolicy(t, mirageDepth, blocks)
 	pc, err := sabre.PrepareCircuit(blocks, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec, metric, factory := testPolicy(t, mirageDepth, pc)
 	want, err := sabre.FindBestRoutingPrepared(pc, opts, metric, factory)
 	if err != nil {
 		t.Fatal(err)

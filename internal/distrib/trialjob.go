@@ -67,14 +67,11 @@ func trialHandler(raw, _ []byte) (dispatch.JobRunner, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The spec ships blocks without their class list; classify them
-		// as the coordinator's pipeline did, so trials price by slot.
-		circuit.Classify(c)
 		if j.grids[k].pc, err = sabre.PrepareCircuit(c, topo); err != nil {
 			return nil, err
 		}
 		// Workers route every trial to its end, so the bound goes unused.
-		j.grids[k].metric, _, j.grids[k].factory = transpile.RoutingPolicy(opts, c)
+		j.grids[k].metric, _, j.grids[k].factory = transpile.RoutingPolicy(opts, j.grids[k].pc)
 	}
 	return j, nil
 }

@@ -40,7 +40,7 @@ func TestCoordinatorRejectsBadRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, metric, factory := testPolicy(t, mirageDepth, blocks)
+	spec, metric, factory := testPolicy(t, mirageDepth, pc)
 	opts := sabre.LayoutOptions{LayoutTrials: 3, RoutingTrials: 2, FwdBwdPasses: 1, Seed: 3}
 	const bad = 1
 	wire := func(l2p []int) []byte {

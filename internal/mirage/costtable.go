@@ -16,11 +16,11 @@ import (
 // with its slot, so the hot path prices by index: no coordinate is
 // hashed or mirrored per decision or per block.
 //
-// Any other coordinate — a multi-payload run's product, a gate of a
-// circuit whose class list the table was not built over, or an op
-// without a slot — is priced directly by CoverageSet.CostOf, which is
-// what the table's slots hold too. So the table changes how fast a
-// price comes back, never what it is.
+// A run without a slot — a multi-payload run's product, or a block of
+// a route that stamped none — is priced directly by CoverageSet.CostOf
+// (CostOf), which is what the table's slots hold too. So the table
+// changes how fast a price comes back, never what it is. A decision
+// from a route of a circuit with another class list panics.
 //
 // The paper puts an LRU cache in front of its polytope queries
 // (Section VI-C) because a monodromy membership query is expensive.
@@ -39,15 +39,12 @@ type CostTable struct {
 	slots circuit.SlotCosts
 }
 
-// NewCostTable prices under cov every class of c's class list, which
-// c carries when classified (circuit.Classify) and the router stamps
-// c's decisions and routed ops with. A table over a nil or unclassified
-// c prices everything directly.
-func NewCostTable(cov *polytope.CoverageSet, c *circuit.Circuit) *CostTable {
+// NewCostTable prices under cov every class of classes, the class list
+// of the circuit the table prices (sabre.PreparedCircuit.Classes),
+// whose routes stamp their decisions and routed ops with its slots.
+func NewCostTable(cov *polytope.CoverageSet, classes *circuit.Classes) *CostTable {
 	t := &CostTable{cov: cov}
-	if c != nil && c.Classes != nil {
-		t.slots = *circuit.NewSlotCosts(c.Classes, t.CostOf)
-	}
+	t.slots = *circuit.NewSlotCosts(classes, t.CostOf)
 	return t
 }
 
@@ -59,13 +56,12 @@ func (t *CostTable) CostOf(c weyl.Coordinate) float64 { return t.cov.CostOf(c, f
 func (t *CostTable) Slots() *circuit.SlotCosts { return &t.slots }
 
 // Len returns the number of classes the table prices by slot.
-func (t *CostTable) Len() int { return max(len(t.slots.Costs)-1, 0) }
+func (t *CostTable) Len() int { return len(t.slots.Costs) - 1 }
 
-// decision prices a mirror decision's gate and its mirror: by slot
-// when the router's class list is the table's, else by coordinate.
+// decision prices a mirror decision's gate and its mirror by slot.
 func (t *CostTable) decision(ctx *sabre.MirrorContext) (gate, mirror float64) {
-	if ctx.Classes != nil && ctx.Classes == t.slots.Classes {
-		return t.slots.Costs[ctx.Class], t.slots.Costs[ctx.MirrorClass]
+	if ctx.Classes != t.slots.Classes {
+		panic("mirage: a mirror decision on a class list the cost table was not built over")
 	}
-	return t.CostOf(circuit.OpCoordinate(ctx.Op)), t.CostOf(ctx.MirrorCoord)
+	return t.slots.Costs[ctx.Class], t.slots.Costs[ctx.MirrorClass]
 }

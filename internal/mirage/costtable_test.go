@@ -53,20 +53,22 @@ func TestCostTableQuantisationStraddle(t *testing.T) {
 		c := circuit.New("straddle", 3)
 		c.Append(coordOp(first, 0, 1))
 		c.Append(coordOp(second, 1, 2))
-		for _, costs := range []*CostTable{NewCostTable(cov, c), NewCostTable(cov, nil)} {
-			if got := [2]float64{costs.CostOf(first), costs.CostOf(second)}; got != want {
-				t.Fatalf("%s, %d entries: table prices %v, want %v", name, costs.Len(), got, want)
-			}
+		classes, slots := circuit.NewClasses(c)
+		costs := NewCostTable(cov, classes)
+		if got := [2]float64{costs.CostOf(first), costs.CostOf(second)}; got != want {
+			t.Fatalf("%s, %d entries: table prices %v, want %v", name, costs.Len(), got, want)
+		}
+		if got := [2]float64{costs.Slots().Costs[slots[0]], costs.Slots().Costs[slots[1]]}; got != want {
+			t.Fatalf("%s, %d entries: table prices %v by slot, want %v", name, costs.Len(), got, want)
 		}
 
 		// Decide with the op at the first coordinate and its mirror at
 		// the second, under a flat routing heuristic: the verdict is
 		// the comparison of the two prices alone.
-		costs := NewCostTable(cov, c)
 		op := coordOp(first, 0, 1)
 		for _, level := range []Aggression{AggressionLower, AggressionEqual} {
-			ctx := ctxFor(op, layout, flat)
-			ctx.MirrorCoord = second
+			_, ctx := decisionFor(cov, op, layout, flat)
+			ctx.Classes, ctx.Class, ctx.MirrorClass = classes, slots[0], slots[1]
 			wantVerdict := want[1] < want[0]-1e-9
 			if level == AggressionEqual {
 				wantVerdict = want[1] <= want[0]+1e-9
@@ -79,16 +81,25 @@ func TestCostTableQuantisationStraddle(t *testing.T) {
 		if got := DepthMetric(costs)(&sabre.Result{Routed: c}); got != want[0]+want[1] {
 			t.Fatalf("%s: depth metric %v, want %v", name, got, want[0]+want[1])
 		}
+		stamped := c.Copy()
+		stamped.Classes = classes
+		for i := range stamped.Ops {
+			stamped.Ops[i].Class = slots[i]
+		}
+		if got := DepthMetric(costs)(&sabre.Result{Routed: stamped}); got != want[0]+want[1] {
+			t.Fatalf("%s: depth metric by slot %v, want %v", name, got, want[0]+want[1])
+		}
 	}
 }
 
 // TestCostTableConcurrentReads prices one table from several
-// goroutines at once, hits and direct fallbacks alike. Run under -race.
+// goroutines at once, by slot and directly alike. Run under -race.
 func TestCostTableConcurrentReads(t *testing.T) {
 	cov := siswap()
 	rng := rand.New(rand.NewSource(21))
 	c := circuit.ConsolidateBlocks(randomMetricCircuit("concurrent", 6, 40, rng))
-	costs := NewCostTable(cov, c)
+	classes, slots := circuit.NewClasses(c)
+	costs := NewCostTable(cov, classes)
 	coords := make([]weyl.Coordinate, 64)
 	for i := range coords {
 		coords[i] = weyl.HaarSample(rng)
@@ -98,10 +109,10 @@ func TestCostTableConcurrentReads(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, op := range c.Ops {
+			for i, op := range c.Ops {
 				if op.Is2Q() {
 					coord := circuit.OpCoordinate(op)
-					if got, want := costs.CostOf(coord), cov.CostOf(coord, false); got != want {
+					if got, want := costs.Slots().Costs[slots[i]], cov.CostOf(coord, false); got != want {
 						t.Errorf("table price %v, direct %v", got, want)
 					}
 				}

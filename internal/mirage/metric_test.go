@@ -98,7 +98,7 @@ func TestDepthMetricMatchesConsolidateOracle(t *testing.T) {
 				}
 				runner := sabre.NewTrialRunner(pc)
 				layouts := refineAll(t, runner, opts)
-				costs := NewCostTable(cov, in)
+				costs := NewCostTable(cov, pc.Classes())
 				metric := DepthMetric(costs)
 				for level := AggressionNever; level <= AggressionAlways; level++ {
 					policy := NewPolicy(costs, level)
@@ -194,7 +194,8 @@ func TestDepthMetricRunClasses(t *testing.T) {
 	for _, tc := range cases {
 		c := circuit.New(tc.name, 4)
 		tc.build(c)
-		metric := DepthMetric(NewCostTable(cov, c))
+		classes, _ := circuit.NewClasses(c)
+		metric := DepthMetric(NewCostTable(cov, classes))
 		got := metric(&sabre.Result{Routed: c})
 		want := oracleDepth(cov, c)
 		if got != want {
@@ -242,7 +243,7 @@ func TestGridTrialDepthMetricAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		costs := NewCostTable(cov, pc.Circ)
+		costs := NewCostTable(cov, pc.Classes())
 		policy := NewPolicy(costs, AggressionEqual)
 		metric := DepthMetric(costs)
 		mirrors := 0
@@ -280,7 +281,7 @@ func TestDepthMetricSharedAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	costs := NewCostTable(cov, pc.Circ)
+	costs := NewCostTable(cov, pc.Classes())
 	metric := DepthMetric(costs)
 	factory := PolicyFactory(costs, DefaultMix)
 	var want *sabre.Result

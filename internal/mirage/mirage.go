@@ -25,8 +25,6 @@
 package mirage
 
 import (
-	"sync"
-
 	"repro/internal/circuit"
 	"repro/internal/polytope"
 	"repro/internal/sabre"
@@ -157,10 +155,10 @@ func GateWeight(cov *polytope.CoverageSet) circuit.WeightFunc {
 // identity for a run of router SWAPs alone. Only a run with two or
 // more payload ops falls back to multiplying its matrices; routing a
 // consolidated circuit never produces one, so the MIRAGE pipeline
-// never takes the fallback. A table built over the routed circuit's
-// class list (PreparedCircuit.Classes) holds every class the pass
-// asks for, and the pass reads each by the slot the router stamped on
-// the run's payload (circuit.BlockDepth.DepthSlots).
+// never takes the fallback. A table built over the class list of the
+// routed circuit (sabre.PreparedCircuit.Classes) holds every class the
+// pass asks for, and the pass reads each by the slot the router
+// stamped on the run's payload (circuit.BlockDepth.DepthSlots).
 //
 // The pass is the one the trial bound (sabre.DepthBound) cuts trials
 // with and the one a transpile report is measured with, so the
@@ -171,19 +169,14 @@ func GateWeight(cov *polytope.CoverageSet) circuit.WeightFunc {
 // of the Result's contents and retains nothing, so
 // FindBestRoutingPrepared may evaluate it on arena-backed Results that
 // are recycled after the call. It is safe for concurrent use and, once
-// warm, allocates nothing: each call borrows a BlockDepth from one
-// package-level pool, which every depth metric shares.
+// warm, allocates nothing: each call borrows a BlockDepth from the
+// circuit package's pool (circuit.GetBlockDepth).
 func DepthMetric(costs *CostTable) sabre.Metric {
 	cost, slots := costs.CostOf, costs.Slots()
 	return func(r *sabre.Result) float64 {
-		p := depthPasses.Get().(*circuit.BlockDepth)
+		p := circuit.GetBlockDepth()
 		d := p.DepthSlots(r.Routed, cost, slots)
-		depthPasses.Put(p)
+		circuit.PutBlockDepth(p)
 		return d
 	}
 }
-
-// depthPasses holds DepthMetric's passes between calls, so a metric
-// built per transpile call reuses the per-wire buffers earlier calls
-// grew.
-var depthPasses = sync.Pool{New: func() any { return new(circuit.BlockDepth) }}

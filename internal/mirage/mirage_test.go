@@ -14,17 +14,29 @@ import (
 
 func siswap() *polytope.CoverageSet { return polytope.NewISwapRootCoverage(2) }
 
-// ctxFor offers op to a policy at layout, with the mirror coordinate
-// computed by weyl.Mirror and the two routing costs by the naive
-// formulation: cost under layout and under a copy with op's physical
-// qubits swapped.
-func ctxFor(op circuit.Op, layout *topology.Layout, cost func(*topology.Layout) float64) *sabre.MirrorContext {
-	return &sabre.MirrorContext{Op: op, MirrorCoord: weyl.Mirror(circuit.OpCoordinate(op)),
+// decisionFor offers op to a policy at layout, with the slots of op's
+// class and of its mirror in the class list of a circuit holding op
+// alone, and the two routing costs by the naive formulation: cost under
+// layout and under a copy with op's physical qubits swapped. The
+// returned table prices that list under cov.
+func decisionFor(cov *polytope.CoverageSet, op circuit.Op, layout *topology.Layout,
+	cost func(*topology.Layout) float64) (*CostTable, *sabre.MirrorContext) {
+
+	classes, slots := circuit.NewClasses(&circuit.Circuit{Ops: []circuit.Op{op}})
+	return NewCostTable(cov, classes), &sabre.MirrorContext{Op: op,
+		Classes: classes, Class: slots[0], MirrorClass: classes.Mirror[slots[0]],
 		RoutingCosts: func() (float64, float64) {
 			swapped := layout.Copy()
 			swapped.SwapPhysical(layout.Phys(op.Qubits[0]), layout.Phys(op.Qubits[1]))
 			return cost(layout), cost(swapped)
 		}}
+}
+
+// emptyTable prices the class list of a circuit without 2Q ops: the
+// identity and the SWAP alone.
+func emptyTable(cov *polytope.CoverageSet) *CostTable {
+	classes, _ := circuit.NewClasses(&circuit.Circuit{})
+	return NewCostTable(cov, classes)
 }
 
 func TestAggressionNeverAndAlways(t *testing.T) {
@@ -33,21 +45,22 @@ func TestAggressionNeverAndAlways(t *testing.T) {
 	op := circuit.Op{Gate: gates.CX(), Qubits: []int{0, 1}}
 	flat := func(*topology.Layout) float64 { return 0 }
 
-	if NewPolicy(NewCostTable(cov, nil), AggressionNever).Decide(ctxFor(op, layout, flat)) {
+	costs, ctx := decisionFor(cov, op, layout, flat)
+	if NewPolicy(costs, AggressionNever).Decide(ctx) {
 		t.Fatal("aggression 0 accepted a mirror")
 	}
-	if !NewPolicy(NewCostTable(cov, nil), AggressionAlways).Decide(ctxFor(op, layout, flat)) {
+	if !NewPolicy(costs, AggressionAlways).Decide(ctx) {
 		t.Fatal("aggression 3 rejected a mirror")
 	}
 	// Neither level compares costs, so neither may ask the router for
 	// the routing costs it evaluates on demand.
-	unpriced := ctxFor(op, layout, flat)
+	unpriced := *ctx
 	unpriced.RoutingCosts = func() (float64, float64) {
 		t.Fatal("aggression 0 or 3 asked for the routing costs")
 		return 0, 0
 	}
 	for _, level := range []Aggression{AggressionNever, AggressionAlways} {
-		NewPolicy(NewCostTable(cov, nil), level).Decide(unpriced)
+		NewPolicy(costs, level).Decide(&unpriced)
 	}
 }
 
@@ -59,10 +72,11 @@ func TestAggressionLowerRequiresStrictImprovement(t *testing.T) {
 	// costs tie: level 1 must reject, level 2 must accept.
 	op := circuit.Op{Gate: gates.CX(), Qubits: []int{0, 1}}
 	flat := func(*topology.Layout) float64 { return 0 }
-	if NewPolicy(NewCostTable(cov, nil), AggressionLower).Decide(ctxFor(op, layout, flat)) {
+	costs, ctx := decisionFor(cov, op, layout, flat)
+	if NewPolicy(costs, AggressionLower).Decide(ctx) {
 		t.Fatal("aggression 1 accepted a cost-neutral mirror")
 	}
-	if !NewPolicy(NewCostTable(cov, nil), AggressionEqual).Decide(ctxFor(op, layout, flat)) {
+	if !NewPolicy(costs, AggressionEqual).Decide(ctx) {
 		t.Fatal("aggression 2 rejected a cost-neutral mirror")
 	}
 }
@@ -78,7 +92,8 @@ func TestDecideFavoursMirrorWhenRoutingImproves(t *testing.T) {
 		// Future gate between logical 0 and logical 2.
 		return float64(topo.Distance(l.Phys(0), l.Phys(2)))
 	}
-	if !NewPolicy(NewCostTable(cov, nil), AggressionLower).Decide(ctxFor(op, layout, cost)) {
+	costs, ctx := decisionFor(cov, op, layout, cost)
+	if !NewPolicy(costs, AggressionLower).Decide(ctx) {
 		t.Fatal("mirror with strictly better routing was rejected at level 1")
 	}
 }
@@ -91,17 +106,18 @@ func TestDecideRejectsMirrorWithDecompositionPenalty(t *testing.T) {
 	// benefit, levels 1 and 2 must reject.
 	op := circuit.Op{Gate: gates.SqrtISwap(), Qubits: []int{0, 1}}
 	flat := func(*topology.Layout) float64 { return 0 }
-	if NewPolicy(NewCostTable(cov, nil), AggressionLower).Decide(ctxFor(op, layout, flat)) {
+	costs, ctx := decisionFor(cov, op, layout, flat)
+	if NewPolicy(costs, AggressionLower).Decide(ctx) {
 		t.Fatal("level 1 accepted a decomposition-penalised mirror")
 	}
-	if NewPolicy(NewCostTable(cov, nil), AggressionEqual).Decide(ctxFor(op, layout, flat)) {
+	if NewPolicy(costs, AggressionEqual).Decide(ctx) {
 		t.Fatal("level 2 accepted a decomposition-penalised mirror")
 	}
 }
 
 func TestPolicyFactoryMixProportions(t *testing.T) {
 	cov := siswap()
-	factory := PolicyFactory(NewCostTable(cov, nil), DefaultMix)
+	factory := PolicyFactory(emptyTable(cov), DefaultMix)
 	counts := map[Aggression]int{}
 	const n = 400
 	for i := 0; i < n; i++ {
@@ -123,7 +139,7 @@ func TestPolicyFactoryMixProportions(t *testing.T) {
 // TestPolicyFactoryOneHotMix: a mix with all its weight on one level
 // gives every trial that level, which is how a fixed aggression runs.
 func TestPolicyFactoryOneHotMix(t *testing.T) {
-	costs := NewCostTable(siswap(), nil)
+	costs := emptyTable(siswap())
 	for level := AggressionNever; level <= AggressionAlways; level++ {
 		var mix [4]float64
 		mix[level] = 1
@@ -161,7 +177,7 @@ func TestGateWeightPricesMirrorsCorrectly(t *testing.T) {
 
 func TestDepthMetricOrdersResults(t *testing.T) {
 	cov := siswap()
-	metric := DepthMetric(NewCostTable(cov, nil))
+	metric := DepthMetric(emptyTable(cov))
 	mk := func(withSwap bool) *sabre.Result {
 		c := circuit.New("m", 3)
 		c.Add(gates.CX(), 0, 1)
@@ -182,7 +198,7 @@ func TestDepthMetricAbsorbsSamePairSwap(t *testing.T) {
 	// same-pair CNOT consolidates into a CNS block (iSWAP class) and
 	// costs nothing extra.
 	cov := siswap()
-	metric := DepthMetric(NewCostTable(cov, nil))
+	metric := DepthMetric(emptyTable(cov))
 	plain := circuit.New("p", 2)
 	plain.Add(gates.CX(), 0, 1)
 	merged := circuit.New("m", 2)
@@ -220,8 +236,12 @@ func TestEndToEndMiragePreservesUnitary(t *testing.T) {
 			}
 			c.Add(gates.CX(), a, b)
 		}
-		policy := NewPolicy(NewCostTable(cov, nil), AggressionEqual)
-		res, err := sabre.Route(c, topo, topology.TrivialLayout(4, 4), sabre.Options{}, rng, policy)
+		pc, err := sabre.PrepareCircuit(c, topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		policy := NewPolicy(NewCostTable(cov, pc.Classes()), AggressionEqual)
+		res, err := sabre.NewTrialRunner(pc).Run(topology.TrivialLayout(4, 4), sabre.Options{}, rng.Int63(), policy)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,12 +14,34 @@ import (
 	"repro/internal/weyl"
 )
 
+// directDecide is Algorithm 2 priced straight from cov by coordinate —
+// the op's own class and weyl.Mirror of it, never a slot: the verdict
+// a policy pricing by slot must reach.
+func directDecide(cov *polytope.CoverageSet, level mirage.Aggression, ctx *sabre.MirrorContext) bool {
+	switch level {
+	case mirage.AggressionNever:
+		return false
+	case mirage.AggressionAlways:
+		return true
+	}
+	c := circuit.OpCoordinate(ctx.Op)
+	swap := cov.CostOf(weyl.SwapCoord, false)
+	hCur, hTrial := ctx.RoutingCosts()
+	current := cov.CostOf(c, false) + swap*hCur
+	trial := cov.CostOf(weyl.Mirror(c), false) + swap*hTrial
+	if level == mirage.AggressionLower {
+		return trial < current-1e-9
+	}
+	return trial <= current+1e-9
+}
+
 // parityCheck wraps the real policy: on every decision the router
-// offers, it checks the offered mirror coordinate against weyl.Mirror
-// of the op's own, asks the policy again with the computed coordinate,
+// offers, it checks the offered mirror class against weyl.Mirror of
+// the op's own coordinate, decides again by coordinate (directDecide),
 // and records any disagreement before returning the offered verdict.
 type parityCheck struct {
 	inner      *mirage.Policy
+	cov        *polytope.CoverageSet
 	decisions  int
 	wrongCoord int
 	mismatches int
@@ -27,14 +49,11 @@ type parityCheck struct {
 
 func (p *parityCheck) Decide(ctx *sabre.MirrorContext) bool {
 	p.decisions++
-	want := weyl.Mirror(circuit.OpCoordinate(ctx.Op))
-	if ctx.MirrorCoord != want {
+	if ctx.Classes.Coords[ctx.MirrorClass] != weyl.Mirror(circuit.OpCoordinate(ctx.Op)) {
 		p.wrongCoord++
 	}
 	verdict := p.inner.Decide(ctx)
-	computed := *ctx
-	computed.MirrorCoord = want
-	if p.inner.Decide(&computed) != verdict {
+	if directDecide(p.cov, p.inner.Aggression, ctx) != verdict {
 		p.mismatches++
 	}
 	return verdict
@@ -43,19 +62,24 @@ func (p *parityCheck) Decide(ctx *sabre.MirrorContext) bool {
 // TestDecidePreparedMirrorMatchesComputed routes every suite circuit
 // (consolidated, as the transpiler routes it) on the square lattice at
 // the two cost-comparing aggression levels: for every 2Q op the router
-// must offer the mirror coordinate weyl.Mirror computes, and Decide
-// must reach the same verdict with the offered and the computed one.
+// must offer the mirror class weyl.Mirror computes, and Decide must
+// reach the verdict the computed coordinates price to.
 func TestDecidePreparedMirrorMatchesComputed(t *testing.T) {
 	cov := polytope.NewISwapRootCoverage(2)
 	topo := topology.SquareLattice66()
 	for _, e := range bench.Suite() {
 		c := circuit.ConsolidateBlocks(circuit.UnrollTo2Q(e.Build()))
-		costs := mirage.NewCostTable(cov, c)
+		pc, err := sabre.PrepareCircuit(c, topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		costs := mirage.NewCostTable(cov, pc.Classes())
+		runner := sabre.NewTrialRunner(pc)
 		rng := rand.New(rand.NewSource(11))
 		layout := sabre.RandomLayout(c.NumQubits, topo, rng)
 		for _, level := range []mirage.Aggression{mirage.AggressionLower, mirage.AggressionEqual} {
-			check := &parityCheck{inner: mirage.NewPolicy(costs, level)}
-			if _, err := sabre.Route(c, topo, layout, sabre.Options{}, rng, check); err != nil {
+			check := &parityCheck{inner: mirage.NewPolicy(costs, level), cov: cov}
+			if _, err := runner.Run(layout, sabre.Options{}, rng.Int63(), check); err != nil {
 				t.Fatal(err)
 			}
 			if check.decisions != c.Count2Q() || check.wrongCoord != 0 || check.mismatches != 0 {
@@ -66,7 +90,7 @@ func TestDecidePreparedMirrorMatchesComputed(t *testing.T) {
 	}
 }
 
-// TestCostTableHoldsEveryHotPathPrice routes classified suite circuits
+// TestCostTableHoldsEveryHotPathPrice routes prepared suite circuits
 // under the MIRAGE policy at roots 2 and 4 and checks, against direct
 // CoverageSet.CostOf pricing, that every decision the router offers
 // reaches the same verdict and every trial's depth metric is the same
@@ -87,7 +111,6 @@ func TestCostTableHoldsEveryHotPathPrice(t *testing.T) {
 		cov := polytope.NewISwapRootCoverage(root)
 		for _, e := range bench.QuickSuite() {
 			blocks := circuit.ConsolidateBlocks(circuit.UnrollTo2Q(e.Build()))
-			circuit.Classify(blocks)
 			pc, err := sabre.PrepareCircuit(blocks, topo)
 			if err != nil {
 				t.Fatal(err)
@@ -99,16 +122,18 @@ func TestCostTableHoldsEveryHotPathPrice(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			costs := mirage.NewCostTable(cov, blocks)
-			direct := mirage.NewCostTable(cov, nil)
-			tableMetric, directMetric := mirage.DepthMetric(costs), mirage.DepthMetric(direct)
+			costs := mirage.NewCostTable(cov, pc.Classes())
+			tableMetric := mirage.DepthMetric(costs)
+			directMetric := func(r *sabre.Result) float64 {
+				var pass circuit.BlockDepth
+				return pass.Depth(r.Routed, func(c weyl.Coordinate) float64 { return cov.CostOf(c, false) })
+			}
 			name := fmt.Sprintf("root %d %s", root, e.Name)
 			// Level 3 mirrors every gate, so its routed circuits put
 			// accepted mirrors next to router SWAPs on the same pair:
 			// blocks priced at the mirror of a mirror.
 			for _, level := range []mirage.Aggression{mirage.AggressionLower, mirage.AggressionEqual, mirage.AggressionAlways} {
-				check := &verdictCheck{t: t, name: name, costs: costs,
-					table: mirage.NewPolicy(costs, level), direct: mirage.NewPolicy(direct, level)}
+				check := &verdictCheck{t: t, name: name, costs: costs, cov: cov, table: mirage.NewPolicy(costs, level)}
 				for tr := 0; tr < opts.LayoutTrials*opts.RoutingTrials; tr++ {
 					res, err := runner.GridTrial(layouts[tr/opts.RoutingTrials], opts, tr, check)
 					if err != nil {
@@ -132,24 +157,26 @@ func TestCostTableHoldsEveryHotPathPrice(t *testing.T) {
 }
 
 // verdictCheck decides with the table-priced policy after checking it
-// agrees with the directly priced one and prices from table entries.
+// agrees with direct pricing (directDecide) and prices from table
+// entries.
 type verdictCheck struct {
-	t             *testing.T
-	name          string
-	costs         *mirage.CostTable
-	table, direct *mirage.Policy
-	decisions     int
+	t         *testing.T
+	name      string
+	costs     *mirage.CostTable
+	cov       *polytope.CoverageSet
+	table     *mirage.Policy
+	decisions int
 }
 
 func (v *verdictCheck) Decide(ctx *sabre.MirrorContext) bool {
 	v.decisions++
 	cls := v.costs.Slots().Classes
 	if ctx.Classes != cls || cls.Coords[ctx.Class] != circuit.OpCoordinate(ctx.Op) ||
-		cls.Coords[ctx.MirrorClass] != ctx.MirrorCoord {
+		cls.Coords[ctx.MirrorClass] != weyl.Mirror(circuit.OpCoordinate(ctx.Op)) {
 		v.t.Fatalf("%s: decision on %v is not offered by its slots in the table's class list", v.name, ctx.Op)
 	}
 	verdict := v.table.Decide(ctx)
-	if d := v.direct.Decide(ctx); d != verdict {
+	if d := directDecide(v.cov, v.table.Aggression, ctx); d != verdict {
 		v.t.Fatalf("%s: table verdict %v, direct verdict %v", v.name, verdict, d)
 	}
 	return verdict
@@ -159,11 +186,11 @@ func (v *verdictCheck) Decide(ctx *sabre.MirrorContext) bool {
 // QFT(12) trial — the per-trial score a depth-selected grid pays — on
 // the same input as the mirage/DepthMetric kernel row.
 func BenchmarkDepthMetric(b *testing.B) {
-	res, blocks, cov, err := bench.DepthMetricFixture()
+	res, classes, cov, err := bench.DepthMetricFixture()
 	if err != nil {
 		b.Fatal(err)
 	}
-	metric := mirage.DepthMetric(mirage.NewCostTable(cov, blocks))
+	metric := mirage.DepthMetric(mirage.NewCostTable(cov, classes))
 	metric(res)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -151,7 +151,8 @@ func (a *trialArena) emit2(g gates.Gate, qa, qb int, coord *weyl.Coordinate, cla
 // mirrors is the mirror data of fd's circuit (mirrorTable). A route
 // under a policy needs it; the routes of layout refinement, whose
 // Results never leave the package, pass nil. The route stamps its ops
-// with class slots once the circuit's class list exists. An accepted
+// and its routed circuit with the circuit's class list exactly when it
+// runs under a policy or a depth bound. An accepted
 // mirror is emitted as its mirror gate SWAP · U when mirrorGates is
 // set or the circuit needs it in its depth pass (mirrorTable), and as
 // its source gate otherwise, leaving the Result lazy: finishMirrors
@@ -174,12 +175,11 @@ func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topo
 	a.out.Name = c.Name
 	if mirrors != nil {
 		a.out.Name = mirrors.name
-		cls = mirrors.builtClasses()
-		if policy != nil {
+		if policy != nil || (bound != nil && bound.depth) {
 			cls = mirrors.getClasses()
-			if mirrorGates || mirrors.multi {
-				mgates = mirrors.gates()
-			}
+		}
+		if policy != nil && (mirrorGates || mirrors.multi) {
+			mgates = mirrors.gates()
 		}
 	}
 	swapClass := int32(0)
@@ -196,9 +196,7 @@ func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topo
 	if bound != nil && bound.depth {
 		bd = &a.depth
 		bd.Start(topo.NumQubits, bound.cost)
-		if cls != nil && cls == bound.slots.Classes {
-			bd.PriceSlots(bound.slots)
-		}
+		bd.PriceSlots(bound.slots)
 	}
 
 	// Execute/stall loop, worklist form. The naive formulation (the
@@ -258,7 +256,6 @@ func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topo
 					if policy != nil {
 						st.armMirror(idx, pa, pb)
 						a.ctx.Op, a.ctx.Class, a.ctx.MirrorClass = *op, class, cls.Mirror[class]
-						a.ctx.MirrorCoord = cls.Coords[a.ctx.MirrorClass]
 						mirrored = policy.Decide(&a.ctx)
 					}
 					g, coord := op.Gate, op.Coord

@@ -210,7 +210,7 @@ func TestArenaRebindWideToNarrow(t *testing.T) {
 				t.Fatal(err)
 			}
 			pc := s.runner.pc
-			ref, err := RouteReference(pc.Circ, pc.Topo, s.layout, s.opts, rand.New(rand.NewSource(seed)), policy)
+			ref, err := RouteReference(pc, s.layout, s.opts, rand.New(rand.NewSource(seed)), policy)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -116,6 +116,7 @@ func BenchmarkRouteWide(b *testing.B) {
 	topo := topology.Grid(8, 8)
 	c := benchCircuit(64, 400)
 	layout := RandomLayout(64, topo, rand.New(rand.NewSource(7)))
+	pc := mustPrepare(b, c, topo)
 	run := func(b *testing.B, route func() (*Result, error)) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
@@ -128,7 +129,7 @@ func BenchmarkRouteWide(b *testing.B) {
 	}
 	b.Run("reference", func(b *testing.B) {
 		run(b, func() (*Result, error) {
-			return RouteReference(c, topo, layout, Options{}, rand.New(rand.NewSource(1)), nil)
+			return RouteReference(pc, layout, Options{}, rand.New(rand.NewSource(1)), nil)
 		})
 	})
 	b.Run("engine", func(b *testing.B) {

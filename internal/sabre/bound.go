@@ -21,8 +21,8 @@ import (
 // A grid without one — any caller-supplied Metric — is never cut.
 type Bound struct {
 	// depthCost is the cost a depth bound prices blocks with; nil
-	// bounds the SWAP count. depthSlots, when non-nil, prices the
-	// classes of one class list as depthCost does.
+	// bounds the SWAP count. depthSlots prices the classes of the
+	// routed circuit's class list as depthCost does.
 	depthCost  circuit.CoordCost
 	depthSlots *circuit.SlotCosts
 }
@@ -51,10 +51,9 @@ func SwapCountBound() *Bound { return swapCountBound }
 // wires (a ConsolidateBlocks output); on other circuits only the
 // closed-run bound is used. cost must be non-negative.
 //
-// slots may hold cost's prices of the classes of the routed circuit's
-// class list (circuit.Classify), which the bound then reads by slot;
-// nil, or slots of another list, makes the grid price that list with
-// cost once.
+// slots holds cost's prices of the classes of the routed circuit's
+// class list (PreparedCircuit.Classes), which the bound reads by slot;
+// a grid over a circuit with another list panics.
 func DepthBound(cost circuit.CoordCost, slots *circuit.SlotCosts) *Bound {
 	return &Bound{depthCost: cost, depthSlots: slots}
 }
@@ -90,10 +89,9 @@ type trialBound struct {
 func newTrialBound(b *Bound, pc *PreparedCircuit, opts Options) *trialBound {
 	tb := &trialBound{depth: b.depthCost != nil, cost: b.depthCost}
 	if tb.depth {
-		cls := pc.mirrors.getClasses()
 		tb.slots = b.depthSlots
-		if tb.slots == nil || tb.slots.Classes != cls {
-			tb.slots = circuit.NewSlotCosts(cls, b.depthCost)
+		if tb.slots.Classes != pc.Classes() {
+			panic("sabre: a depth bound priced over another circuit's class list")
 		}
 		tb.tail, tb.slack = depthTail(pc, tb.slots.Costs, maxSwaps(opts, len(pc.Circ.Ops)))
 	}

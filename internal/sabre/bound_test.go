@@ -35,6 +35,12 @@ func depthMetricOf(cost circuit.CoordCost) Metric {
 	}
 }
 
+// depthBoundOf is the DepthBound(cost) of a grid over pc, its slots
+// priced over pc's class list.
+func depthBoundOf(pc *PreparedCircuit, cost circuit.CoordCost) *Bound {
+	return DepthBound(cost, circuit.NewSlotCosts(pc.Classes(), cost))
+}
+
 // boundCircuits returns coordinate-annotated circuits for the pruning
 // tests: random ones with 1Q gates between 2Q ops, and one with
 // back-to-back gates on one pair, which disables the tail term.
@@ -72,16 +78,16 @@ func TestPrunedGridMatchesUnpruned(t *testing.T) {
 		metric Metric
 		bound  *Bound
 	}
-	pairs := []pair{
-		{"swaps", SwapCountMetric, SwapCountBound()},
-		{"depth-dyadic", depthMetricOf(boundCost(0.5)), DepthBound(boundCost(0.5), nil)},
-		{"depth-thirds", depthMetricOf(boundCost(1.0 / 3)), DepthBound(boundCost(1.0/3), nil)},
-	}
 	var scored, executed int64
 	for _, c := range boundCircuits() {
 		pc, err := PrepareCircuit(c, topo)
 		if err != nil {
 			t.Fatal(err)
+		}
+		pairs := []pair{
+			{"swaps", SwapCountMetric, SwapCountBound()},
+			{"depth-dyadic", depthMetricOf(boundCost(0.5)), depthBoundOf(pc, boundCost(0.5))},
+			{"depth-thirds", depthMetricOf(boundCost(1.0 / 3)), depthBoundOf(pc, boundCost(1.0/3))},
 		}
 		for _, mp := range pairs {
 			for _, policy := range []MirrorPolicy{nil, costMirror{}} {

@@ -188,7 +188,7 @@ func TestRouteMatchesReference(t *testing.T) {
 	for _, tc := range equivCases(t) {
 		for _, p := range policies {
 			t.Run(tc.name+"/"+p.name, func(t *testing.T) {
-				ref, err := RouteReference(tc.circ, tc.topo, tc.layout, Options{},
+				ref, err := RouteReference(mustPrepare(t, tc.circ, tc.topo), tc.layout, Options{},
 					rand.New(rand.NewSource(tc.seed)), p.policy)
 				if err != nil {
 					t.Fatal(err)
@@ -219,7 +219,7 @@ func TestRouteEquivalenceLongRandomWalk(t *testing.T) {
 		c := randomCircuit(fmt.Sprintf("walk-%d", trial), 12, 40, rng)
 		layout := RandomLayout(12, topo, rng)
 		seed := rng.Int63()
-		ref, err := RouteReference(c, topo, layout, Options{}, rand.New(rand.NewSource(seed)), parityMirror{})
+		ref, err := RouteReference(mustPrepare(t, c, topo), layout, Options{}, rand.New(rand.NewSource(seed)), parityMirror{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,11 +234,21 @@ func TestRouteEquivalenceLongRandomWalk(t *testing.T) {
 }
 
 // coordRecorder mirrors like parityMirror and records, per decision,
-// the mirror coordinate the router offered.
-type coordRecorder struct{ offered []weyl.Coordinate }
+// the mirror coordinate the router offered by slot, and counts the
+// decisions whose offered slot is not the class list's mirror of the
+// op's own class or whose coordinate is not weyl.Mirror of the op's.
+type coordRecorder struct {
+	offered []weyl.Coordinate
+	wrong   int
+}
 
 func (r *coordRecorder) Decide(ctx *MirrorContext) bool {
-	r.offered = append(r.offered, ctx.MirrorCoord)
+	mc := ctx.Classes.Coords[ctx.MirrorClass]
+	if ctx.Classes.Mirror[ctx.Class] != ctx.MirrorClass || ctx.Classes.Coords[ctx.Class] != circuit.OpCoordinate(ctx.Op) ||
+		mc != mirrorCoord(ctx.Op) {
+		r.wrong++
+	}
+	r.offered = append(r.offered, mc)
 	return costParity(ctx)
 }
 
@@ -251,7 +261,7 @@ func (r *coordRecorder) Decide(ctx *MirrorContext) bool {
 func TestMirrorDataMatchesReference(t *testing.T) {
 	for _, tc := range equivCases(t) {
 		engPolicy, refPolicy := &coordRecorder{}, &coordRecorder{}
-		ref, err := RouteReference(tc.circ, tc.topo, tc.layout, Options{},
+		ref, err := RouteReference(mustPrepare(t, tc.circ, tc.topo), tc.layout, Options{},
 			rand.New(rand.NewSource(tc.seed)), refPolicy)
 		if err != nil {
 			t.Fatal(err)
@@ -263,6 +273,10 @@ func TestMirrorDataMatchesReference(t *testing.T) {
 		}
 		if len(engPolicy.offered) != len(refPolicy.offered) {
 			t.Fatalf("%s: %d decisions vs reference %d", tc.name, len(engPolicy.offered), len(refPolicy.offered))
+		}
+		if engPolicy.wrong+refPolicy.wrong != 0 {
+			t.Fatalf("%s: %d engine and %d reference decisions offered a slot or coordinate other than the op's mirror",
+				tc.name, engPolicy.wrong, refPolicy.wrong)
 		}
 		for i, c := range engPolicy.offered {
 			if c != refPolicy.offered[i] {
@@ -295,7 +309,7 @@ func matchReference(t *testing.T, opts Options) {
 	t.Helper()
 	for _, tc := range equivCases(t) {
 		for _, policy := range []MirrorPolicy{nil, parityMirror{}, costMirror{}} {
-			ref, err := RouteReference(tc.circ, tc.topo, tc.layout, opts,
+			ref, err := RouteReference(mustPrepare(t, tc.circ, tc.topo), tc.layout, opts,
 				rand.New(rand.NewSource(tc.seed)), policy)
 			if err != nil {
 				t.Fatal(err)

@@ -2,25 +2,22 @@ package sabre
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/circuit"
 	"repro/internal/gates"
 )
 
 // mirrorTable is the per-circuit data a route reads to price and emit
-// mirrors, built lazily, each part on its first use, and immutable
-// afterwards: every trial and every Result shares it read-only.
+// mirrors, built lazily, each part on its first use, from the circuit
+// alone, and immutable afterwards: every trial and every Result shares
+// it read-only.
 //
 //   - The class list (circuit.Classes) and each op's slot in it: the
 //     classes a decision and an accepted mirror carry and a cost table
-//     prices. A classified circuit (circuit.Classify, which the
-//     transpiler applies to the blocks it routes) brings its own list,
-//     so the table only gathers the ops' slots, and every route stamps
-//     its ops with them. For any other circuit the list is built on
-//     the first route under a policy or the first grid with a depth
-//     bound, and routes stamp slots once it exists; baseline SABRE
-//     under the SWAP-count metric never pays for it.
+//     prices. It is built on the first route under a policy or a depth
+//     bound, or on the first Classes call, and only those routes stamp
+//     their ops with slots; baseline SABRE under the SWAP-count metric
+//     never pays for it.
 //   - The mirror gates, SWAP · U for every 2Q op U, built only for
 //     the routes whose Results leave the package arena-backed
 //     (TrialRunner.Run and GridTrial) and for circuits where a routed
@@ -34,7 +31,7 @@ type mirrorTable struct {
 	name string // the routed circuit's name
 
 	classOnce sync.Once
-	classes   atomic.Pointer[circuit.Classes]
+	classes   *circuit.Classes
 	slot      []int32 // slot[i] is op i's class slot
 	multi     bool    // a routed run can hold two payload ops (multiPayloadPossible)
 
@@ -55,27 +52,9 @@ func newMirrorTable(c *circuit.Circuit) *mirrorTable {
 func (m *mirrorTable) getClasses() *circuit.Classes {
 	m.classOnce.Do(func() {
 		m.multi = multiPayloadPossible(m.circ)
-		cls := m.circ.Classes
-		if cls == nil {
-			cls, m.slot = circuit.NewClasses(m.circ)
-		} else {
-			m.slot = make([]int32, len(m.circ.Ops))
-			for i := range m.slot {
-				m.slot[i] = m.circ.Ops[i].Class
-			}
-		}
-		m.classes.Store(cls)
+		m.classes, m.slot = circuit.NewClasses(m.circ)
 	})
-	return m.classes.Load()
-}
-
-// builtClasses returns the class list if the circuit is classified or
-// something built the list, else nil.
-func (m *mirrorTable) builtClasses() *circuit.Classes {
-	if m.circ.Classes != nil {
-		return m.getClasses()
-	}
-	return m.classes.Load()
+	return m.classes
 }
 
 // gates returns the mirror gate of every 2Q op, building them on first

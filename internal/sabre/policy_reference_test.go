@@ -20,8 +20,9 @@ import (
 
 // TestEndToEndPolicyDecisionsMatchReferenceRouter routes random
 // consolidated circuits with the real polytope policy, priced through
-// a cost table built over the blocks, under both the incremental
-// engine (routing costs evaluated in place) and the reference router
+// a cost table built over the prepared blocks' class list, under both
+// the incremental engine (a TrialRunner on the prepared blocks, routing
+// costs evaluated in place) and the reference router
 // (routing costs of a copied, swapped layout). The routed op
 // sequences — gate, physical qubits, mirror and router-SWAP flags —
 // and both layouts must be identical, on two topologies, several
@@ -45,17 +46,20 @@ func TestEndToEndPolicyDecisionsMatchReferenceRouter(t *testing.T) {
 					c.Add(gates.CX(), a, b)
 				}
 			}
-			blocks := circuit.ConsolidateBlocks(c)
-			costs := mirage.NewCostTable(cov, blocks)
+			pc, err := sabre.PrepareCircuit(circuit.ConsolidateBlocks(c), topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			costs := mirage.NewCostTable(cov, pc.Classes())
+			runner := sabre.NewTrialRunner(pc)
 			layout := sabre.RandomLayout(n, topo, rng)
 			for _, level := range []mirage.Aggression{mirage.AggressionLower, mirage.AggressionEqual} {
 				name := fmt.Sprintf("%s seed %d level %d", topo.Name, seed, level)
-				engine, err := sabre.Route(blocks, topo, layout, sabre.Options{},
-					rand.New(rand.NewSource(seed)), mirage.NewPolicy(costs, level))
+				engine, err := runner.Run(layout, sabre.Options{}, seed, mirage.NewPolicy(costs, level))
 				if err != nil {
 					t.Fatal(err)
 				}
-				reference, err := sabre.RouteReference(blocks, topo, layout, sabre.Options{},
+				reference, err := sabre.RouteReference(pc, layout, sabre.Options{},
 					rand.New(rand.NewSource(seed)), mirage.NewPolicy(costs, level))
 				if err != nil {
 					t.Fatal(err)

@@ -10,9 +10,9 @@ import (
 // PreparedCircuit is the immutable per-circuit analysis the trial grid
 // shares: the validated (circuit, topology) pairing, the forward and
 // reversed flat dependency DAGs, and the mirror data (mirrorTable):
-// each 2Q op's class slot and its mirror's in the circuit's class list,
-// and the mirror gates the routes that hand out their Results emit.
-// Every trial of a circuit reads the same DAGs and mirror data, layout
+// the circuit's class list (Classes) with each 2Q op's slot in it, and
+// the mirror gates the routes that hand out their Results emit. Every
+// trial of a circuit reads the same DAGs and mirror data, layout
 // refinement's backward pass reads the same reversed DAG, and the
 // winner replay reuses them all — so the analysis is computed once per
 // circuit, not once per consumer: a mirror decision, an accepted
@@ -25,16 +25,16 @@ import (
 //
 // Lifetime rules: a PreparedCircuit and everything it references
 // (Circ, Topo, both DAGs, the mirror data) are immutable after
-// PrepareCircuit returns — each part of the mirror data is filled in
-// once, on its first use, under a sync.Once (a classified Circ brings
-// its class list along: circuit.Classify) — and safe to share across
-// any number of goroutines, trial runners and FindBestRoutingPrepared
-// calls, concurrently and indefinitely. All mutable routing state lives
-// in per-worker trial arenas; nothing ever writes back into the
-// prepared state. The prepared state is only valid for the exact
-// Circ/Topo pair it was built from — mutating the underlying circuit
-// afterwards (appending ops, renumbering qubits, classifying it)
-// invalidates it undetectably, so treat the source circuit as frozen.
+// PrepareCircuit returns — each part of the mirror data is built from
+// Circ alone, once, on its first use, under a sync.Once — and safe to
+// share across any number of goroutines, trial runners and
+// FindBestRoutingPrepared calls, concurrently and indefinitely. All
+// mutable routing state lives in per-worker trial arenas; nothing ever
+// writes back into the prepared state or into Circ. The prepared state
+// is only valid for the exact Circ/Topo pair it was built from —
+// mutating the underlying circuit afterwards (appending ops,
+// renumbering qubits) invalidates it undetectably, so treat the source
+// circuit as frozen.
 type PreparedCircuit struct {
 	Circ *circuit.Circuit
 	Topo *topology.Topology
@@ -67,6 +67,13 @@ func PrepareCircuit(c *circuit.Circuit, topo *topology.Topology) (*PreparedCircu
 		mirrors: mirrorTable{circ: c, name: c.Name + "_routed"},
 	}, nil
 }
+
+// Classes returns the class list of Circ (circuit.NewClasses), built
+// on its first use. A cost table priced over it prices the decisions
+// and the routed ops of every route of pc under a policy or a depth
+// bound, which carry its slots; a policy or bound priced over any
+// other list panics.
+func (pc *PreparedCircuit) Classes() *circuit.Classes { return pc.mirrors.getClasses() }
 
 // NewTrialRunner builds a trial runner over the prepared
 // state: no validation, no DAG construction — just an arena of the

@@ -3,6 +3,7 @@ package sabre
 import (
 	"fmt"
 	"math/rand"
+	"testing"
 
 	"repro/internal/circuit"
 	"repro/internal/gates"
@@ -24,13 +25,17 @@ import (
 // circuit.FlatDAG (with a freshly allocated traversal — the reference
 // stays naive about state reuse, only the graph representation is
 // shared), so both paths see the same execution schedule by
-// construction.
-func RouteReference(c *circuit.Circuit, topo *topology.Topology, initial *topology.Layout,
+// construction. It routes pc.Circ on pc.Topo and offers a policy the
+// slots of pc's class list, so a policy priced over pc.Classes()
+// decides on it as on the engine's routes of pc.
+func RouteReference(pc *PreparedCircuit, initial *topology.Layout,
 	opts Options, rng *rand.Rand, policy MirrorPolicy) (*Result, error) {
 
 	opts = opts.WithDefaults()
-	if err := validateRoutable(c, topo); err != nil {
-		return nil, err
+	c, topo := pc.Circ, pc.Topo
+	var cls *circuit.Classes
+	if policy != nil {
+		cls = pc.Classes()
 	}
 	maxSteps := opts.MaxSteps
 	if maxSteps <= 0 {
@@ -139,12 +144,13 @@ func RouteReference(c *circuit.Circuit, topo *topology.Topology, initial *topolo
 					mirrored := false
 					var mc weyl.Coordinate
 					if policy != nil {
-						// The engine reads the mirror coordinate from its
-						// per-circuit table and prices both layouts in
+						// The engine annotates a mirror with its class
+						// list's coordinate and prices both layouts in
 						// place; the reference recomputes the coordinate
 						// and prices the live layout and a swapped copy.
 						mc = mirrorCoord(op)
-						ctx := &MirrorContext{Op: op, MirrorCoord: mc,
+						slot := pc.mirrors.slot[idx]
+						ctx := &MirrorContext{Op: op, Classes: cls, Class: slot, MirrorClass: cls.Mirror[slot],
 							RoutingCosts: func() (float64, float64) {
 								cost := routingCost(idx, false)
 								swapped := layout.Copy()
@@ -245,4 +251,15 @@ func RouteReference(c *circuit.Circuit, topo *topology.Topology, initial *topolo
 // from the op: the mirror of its own coordinate (paper Eq. 1).
 func mirrorCoord(op circuit.Op) weyl.Coordinate {
 	return weyl.Mirror(circuit.OpCoordinate(op))
+}
+
+// mustPrepare prepares c on topo for RouteReference, failing tb if the
+// pair cannot route.
+func mustPrepare(tb testing.TB, c *circuit.Circuit, topo *topology.Topology) *PreparedCircuit {
+	tb.Helper()
+	pc, err := PrepareCircuit(c, topo)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pc
 }

@@ -33,7 +33,7 @@
 // The router exposes a MirrorPolicy hook: every two-qubit gate that
 // becomes executable is offered to the policy, which may replace it
 // with its mirror (gate followed by a virtual SWAP). The policy sees
-// the gate, its mirror's coordinate, the slots of both classes in the
+// the gate, the slots of its class and of its mirror's in the
 // circuit's class list and the two routing costs the engine evaluates
 // in place (MirrorContext). The baseline uses no policy; package
 // mirage supplies the paper's polytope-cost policy.
@@ -44,7 +44,6 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/topology"
-	"repro/internal/weyl"
 )
 
 // Options holds the SABRE parameters; defaults follow the paper's
@@ -77,7 +76,7 @@ func (o Options) WithDefaults() Options {
 // MirrorContext is what a MirrorPolicy sees for an executable 2Q gate:
 // the three inputs of the paper's mirror decision (Algorithm 2) — the
 // gate, its mirror's class and the two routing costs — with both
-// classes also given as slots of the circuit's class list. The
+// classes given as slots of the circuit's class list. The
 // context is owned by the router's trial arena and rebound in place
 // for every decision: the whole struct, RoutingCosts included, is
 // valid only for the duration of the Decide call. Policies must not
@@ -85,14 +84,12 @@ func (o Options) WithDefaults() Options {
 // silently describe a later gate.
 type MirrorContext struct {
 	Op circuit.Op // the logical gate (Coord annotated when available)
-	// MirrorCoord is the Weyl coordinate of Op's mirror,
-	// weyl.Mirror(circuit.OpCoordinate(Op)), found once per circuit.
-	// The router annotates an accepted mirror with the same coordinate.
-	MirrorCoord weyl.Coordinate
-	// Classes is the routed circuit's class list (circuit.Classes),
-	// found once per circuit; Class and MirrorClass are the slots of
-	// Op's class and of its mirror's in it. A policy whose prices come
-	// from the same list reads both prices by slot.
+	// Classes is the class list of the circuit being routed
+	// (PreparedCircuit.Classes); Class and MirrorClass are the slots
+	// of Op's class and of its mirror's in it. The mirror's coordinate,
+	// Classes.Coords[MirrorClass], is weyl.Mirror(circuit.OpCoordinate(Op)),
+	// and the router annotates an accepted mirror with it. A policy
+	// reads its prices by slot from a table over the same list.
 	Classes            *circuit.Classes
 	Class, MirrorClass int32
 	// RoutingCosts returns the *summed* SABRE distance heuristic (total
@@ -142,10 +139,12 @@ type Result struct {
 //
 // Each call builds the circuit's flat DAG (and, under a policy, its
 // class list) and a fresh trial arena; the returned Result owns its
-// buffers, and its accepted mirrors carry their mirror gates. Callers
-// routing the same circuit repeatedly should use TrialRunner, which
-// shares the DAG and reuses the arena so steady-state trials allocate
-// O(1).
+// buffers, and its accepted mirrors carry their mirror gates. The
+// class list is the call's own, so a policy that prices by class list
+// (mirage) must route through TrialRunner on the PreparedCircuit its
+// prices were listed from. Callers routing the same circuit repeatedly
+// should use TrialRunner too, which shares the DAG and reuses the
+// arena so steady-state trials allocate O(1).
 func Route(c *circuit.Circuit, topo *topology.Topology, initial *topology.Layout,
 	opts Options, rng *rand.Rand, policy MirrorPolicy) (*Result, error) {
 

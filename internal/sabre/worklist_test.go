@@ -55,7 +55,7 @@ func TestWorklistDuplicateEdgeSemantics(t *testing.T) {
 			name   string
 			policy MirrorPolicy
 		}{{"nopolicy", nil}, {"alwaysmirror", alwaysMirror{}}} {
-			ref, err := RouteReference(c, topo, layout, Options{}, rand.New(rand.NewSource(seed)), p.policy)
+			ref, err := RouteReference(mustPrepare(t, c, topo), layout, Options{}, rand.New(rand.NewSource(seed)), p.policy)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,7 +86,7 @@ func TestWorklistMidStallReadiness(t *testing.T) {
 		c := randomCircuit(fmt.Sprintf("midstall-%d", trial), 10, 35, rng)
 		layout := RandomLayout(10, topo, rng)
 		seed := rng.Int63()
-		ref, err := RouteReference(c, topo, layout, Options{}, rand.New(rand.NewSource(seed)), alwaysMirror{})
+		ref, err := RouteReference(mustPrepare(t, c, topo), layout, Options{}, rand.New(rand.NewSource(seed)), alwaysMirror{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -57,7 +57,7 @@ func TranspileBatchWith(circuits []*circuit.Circuit, topo *topology.Topology, op
 		pc := PrepareCircuit(circuits[i], topo)
 		prepared[i] = pc
 		if reports[i], errs[i] = begin(pc, opts); errs[i] == nil && !reports[i].TrivialLayout {
-			metric, bound, factory := RoutingPolicy(opts, pc.Blocks)
+			metric, bound, factory := RoutingPolicy(opts, pc.Routing)
 			gridOf[i] = sabre.NewGrid(pc.Routing, opts.Layout.WithBound(bound), metric, factory)
 		}
 	})

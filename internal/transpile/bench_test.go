@@ -142,7 +142,7 @@ func BenchmarkGridTrialMirage(b *testing.B) {
 		b.Fatal(err)
 	}
 	pc := transpile.PrepareCircuit(e.Build(), topology.SquareLattice66())
-	_, _, factory := transpile.RoutingPolicy(transpile.Options{Router: transpile.MIRAGE, DepthSelection: true}, pc.Blocks)
+	_, _, factory := transpile.RoutingPolicy(transpile.Options{Router: transpile.MIRAGE, DepthSelection: true}, pc.Routing)
 	opts := sabre.LayoutOptions{Seed: 1, Parallelism: 1}.WithDefaults()
 	runner := sabre.NewTrialRunner(pc.Routing)
 	layouts := make([]*topology.Layout, opts.LayoutTrials)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/sabre"
 	"repro/internal/topology"
 	"repro/internal/transpile"
+	"repro/internal/weyl"
 )
 
 // certifyRouting checks that rep.Routed routes src, the circuit the
@@ -25,7 +26,12 @@ import (
 //   - every 2Q op sits on a coupled pair;
 //   - every op of src is routed, and the map ends at the layout whose
 //     composition with elided, the permutation input cleaning returned,
-//     is rep.FinalLayout.
+//     is rep.FinalLayout;
+//   - when the routed circuit carries a class list, every payload 2Q
+//     op's Class indexes it at the class of its source op, or at
+//     weyl.Mirror of that class when it is Mirrored, and every router
+//     SWAP carries circuit.SwapSlot; without a list, no op carries a
+//     slot.
 func certifyRouting(src *circuit.Circuit, elided []int, topo *topology.Topology, rep *transpile.Report) error {
 	onWire := make([][]int, src.NumQubits) // src ops per logical wire, in order
 	for k, op := range src.Ops {
@@ -45,11 +51,18 @@ func certifyRouting(src *circuit.Circuit, elided []int, topo *topology.Topology,
 		}
 	}
 	swap := gates.SWAP().Matrix()
+	cls := rep.Routed.Classes
 	for i, op := range rep.Routed.Ops {
 		if op.Is2Q() && !topo.HasEdge(op.Qubits[0], op.Qubits[1]) {
 			return fmt.Errorf("op %d (%s) sits on an uncoupled pair", i, op)
 		}
+		if cls == nil && op.Class != 0 {
+			return fmt.Errorf("op %d (%s) carries slot %d without a class list", i, op, op.Class)
+		}
 		if op.RouterSwap {
+			if cls != nil && op.Class != circuit.SwapSlot {
+				return fmt.Errorf("router SWAP %d carries slot %d, not the SWAP's", i, op.Class)
+			}
 			swapLogical(op.Qubits[0], op.Qubits[1])
 			continue
 		}
@@ -69,6 +82,16 @@ func certifyRouting(src *circuit.Circuit, elided []int, topo *topology.Topology,
 		}
 		if !op.Gate.Matrix().EqualApprox(want, 1e-12) {
 			return fmt.Errorf("op %d (%s, mirrored %v) does not carry source op %d's gate", i, op, op.Mirrored, k)
+		}
+		if cls != nil && op.Is2Q() {
+			class := circuit.OpCoordinate(src.Ops[k])
+			if op.Mirrored {
+				class = weyl.Mirror(class)
+			}
+			if op.Class <= 0 || int(op.Class) >= len(cls.Coords) || cls.Coords[op.Class] != class {
+				return fmt.Errorf("op %d (%s, mirrored %v) carries slot %d, not the class %v of source op %d",
+					i, op, op.Mirrored, op.Class, class, k)
+			}
 		}
 		for _, p := range op.Qubits {
 			next[p2l[p]]++
@@ -94,10 +117,12 @@ func certifyRouting(src *circuit.Circuit, elided []int, topo *topology.Topology,
 // circuit under SABRE and MIRAGE-Depth on square-6x6 and heavy-hex at a
 // quick trial budget: 11 to 30 qubits, where no unitary check reaches.
 // It pins, among the rest, that the winner's accepted mirrors carry
-// SWAP · U although its scored trials never built one.
+// SWAP · U although its scored trials never built one, that every
+// routed MIRAGE-Depth row carries its class list and slots, and that
+// SWAP-count SABRE rows carry none.
 func TestRoutingCertificateSuite(t *testing.T) {
 	layout := sabre.LayoutOptions{LayoutTrials: 3, RoutingTrials: 3, FwdBwdPasses: 2, Seed: 1}
-	mirrors := 0
+	mirrors, classed := 0, 0
 	for _, topo := range []*topology.Topology{topology.SquareLattice66(), topology.HeavyHex57()} {
 		for _, e := range bench.Suite() {
 			c := e.Build()
@@ -114,12 +139,20 @@ func TestRoutingCertificateSuite(t *testing.T) {
 				if err := certifyRouting(pc.Blocks, elided, topo, rep); err != nil {
 					t.Fatalf("%s on %s under %s: %v", e.Name, topo.Name, rep.Router, err)
 				}
+				switch classes := rep.Routed.Classes; {
+				case opts.Router == transpile.SABRE && classes != nil:
+					t.Fatalf("%s on %s: a SWAP-count SABRE row carries a class list", e.Name, topo.Name)
+				case opts.Router == transpile.MIRAGE && !rep.TrivialLayout && classes == nil:
+					t.Fatalf("%s on %s: a routed MIRAGE-Depth row carries no class list", e.Name, topo.Name)
+				case classes != nil:
+					classed++
+				}
 				mirrors += rep.MirrorsUsed
 			}
 		}
 	}
-	if mirrors == 0 {
-		t.Fatal("no certified row used a mirror")
+	if mirrors == 0 || classed == 0 {
+		t.Fatalf("%d certified mirrors and %d rows with class slots, want some of each", mirrors, classed)
 	}
-	t.Logf("%d mirrors certified", mirrors)
+	t.Logf("%d mirrors certified; %d rows' class slots certified", mirrors, classed)
 }

@@ -70,7 +70,7 @@ func checkReconsolidatedMetrics(t *testing.T, cov *polytope.CoverageSet) {
 					t.Errorf("%s: %d 2Q blocks, reconsolidated %d", ctx, rep.Total2QBlocks, n)
 				}
 				if opts.DepthSelection && !rep.TrivialLayout {
-					metric, _, _ := transpile.RoutingPolicy(opts, pc.Blocks)
+					metric, _, _ := transpile.RoutingPolicy(opts, pc.Routing)
 					if score := metric(&sabre.Result{Routed: rep.Routed}); rep.DepthTime != score {
 						t.Errorf("%s: depth %v, selection score %v", ctx, rep.DepthTime, score)
 					}

@@ -17,11 +17,14 @@
 // call's winner is copied out of its arena, so a report never aliases
 // one. Input cleaning is one pass (circuit.Clean), and cleaning and
 // consolidation size their outputs from their inputs and allocate them
-// once. Preparation also lists the blocks' Weyl classes and mirrors
-// once (circuit.Classify); mirror decisions, the trial bound and the
-// depth metric then price by class slot through one read-only
-// mirage.CostTable per routed call, built over that list, and only the
-// winner's accepted mirrors are built as SWAP · U gates.
+// once. Preparation writes neither its input nor the blocks: the
+// blocks' Weyl classes and mirrors are listed once, by the routing
+// analysis (sabre.PreparedCircuit.Classes), the first time a call
+// routes under a mirror policy or a depth bound. Mirror decisions, the
+// trial bound and the depth metric then price by class slot through
+// one read-only mirage.CostTable per routed call, built over that
+// list, and only the winner's accepted mirrors are built as SWAP · U
+// gates.
 // TranspileBatch routes the layout rows of all its circuits on one
 // work queue; only their preparation and measurement run per circuit.
 package transpile
@@ -141,10 +144,10 @@ type Report struct {
 
 // PreparedCircuit is the amortised per-circuit front half of the
 // pipeline: input cleaning, 2Q block consolidation (with Weyl
-// coordinate annotation on every block), the blocks' class list (each
-// block's class and its mirror, stamped as class slots) and the shared
-// routing analysis (validated circuit/topology pairing plus the
-// forward and reversed dependency DAGs every routing trial reads).
+// coordinate annotation on every block) and the shared routing
+// analysis (validated circuit/topology pairing, the forward and
+// reversed dependency DAGs every routing trial reads, and the blocks'
+// class list, built on first use).
 // Prepare once, then call TranspilePrepared for each configuration — a
 // benchmark row running SABRE and MIRAGE over the same circuit, or a
 // sweep over aggression levels or bases, pays for the analysis once
@@ -152,14 +155,15 @@ type Report struct {
 // basis.
 //
 // Like sabre.PreparedCircuit, a PreparedCircuit is immutable after
-// PrepareCircuit returns and safe to share across goroutines.
+// PrepareCircuit returns and safe to share across goroutines:
+// preparing writes neither Source nor Blocks, and no call writes them
+// afterwards, so the calls sharing it may run in any order.
 type PreparedCircuit struct {
 	Source *circuit.Circuit
 	Topo   *topology.Topology
 	// Blocks is the source after 3Q unrolling, identity removal and
-	// SWAP elision, consolidated into coordinate-annotated 2Q blocks and
-	// classified (circuit.Classify) — the circuit the router actually
-	// routes.
+	// SWAP elision, consolidated into coordinate-annotated 2Q blocks —
+	// the circuit the router actually routes.
 	Blocks *circuit.Circuit
 	// Routing is the shared routing analysis over Blocks, or nil when
 	// the pairing cannot route (see routingErr). It is nil-checked only
@@ -183,10 +187,8 @@ func PrepareCircuit(c *circuit.Circuit, topo *topology.Topology) *PreparedCircui
 	// 1. Input cleaning.
 	clean, elided := circuit.Clean(c)
 
-	// 2. Consolidate to coordinate-annotated 2Q blocks, and list their
-	// classes once for every routing of them to price by slot.
+	// 2. Consolidate to coordinate-annotated 2Q blocks.
 	blocks := circuit.ConsolidateBlocks(clean)
-	circuit.Classify(blocks)
 
 	pc := &PreparedCircuit{Source: c, Topo: topo, Blocks: blocks, elided: elided}
 	pc.Routing, pc.routingErr = sabre.PrepareCircuit(blocks, topo)
@@ -214,7 +216,7 @@ func transpilePrepared(pc *PreparedCircuit, opts Options, start time.Time) (*Rep
 		return nil, err
 	}
 	if !rep.TrivialLayout {
-		metric, bound, factory := RoutingPolicy(opts, pc.Blocks)
+		metric, bound, factory := RoutingPolicy(opts, pc.Routing)
 		route := sabre.FindBestRoutingPrepared
 		if opts.RouteFn != nil {
 			route = opts.RouteFn
@@ -300,14 +302,14 @@ func (pc *PreparedCircuit) sourceLayout(l *topology.Layout) *topology.Layout {
 // metric, aggression and basis (nil: sqrt-iSWAP) — into the trial
 // grid's metric, the lower bound on its score that lets the grid cut
 // trials which cannot win, and the mirror-policy factory (nil for
-// SABRE). Mirror decisions, the bound and the depth metric price
-// through one cost table built over blocks, the consolidated circuit
-// the trials route: by slot when blocks is classified, as prepared
-// blocks are.
+// SABRE). Mirror decisions, the bound and the depth metric price by
+// slot through one cost table built over pc.Classes(), the class list
+// of the circuit the trials route; SABRE under the SWAP-count metric
+// never builds it.
 // It is the one recipe: the local pipeline and a distributed trial
 // worker both build from it, so a worker's scores agree bit for bit
 // with the coordinator's.
-func RoutingPolicy(opts Options, blocks *circuit.Circuit) (sabre.Metric, *sabre.Bound, sabre.PolicyFactory) {
+func RoutingPolicy(opts Options, pc *sabre.PreparedCircuit) (sabre.Metric, *sabre.Bound, sabre.PolicyFactory) {
 	if !opts.DepthSelection && opts.Router != MIRAGE {
 		return sabre.SwapCountMetric, sabre.SwapCountBound(), nil
 	}
@@ -318,7 +320,7 @@ func RoutingPolicy(opts Options, blocks *circuit.Circuit) (sabre.Metric, *sabre.
 	// The cost table is per call, not part of the shared prepared
 	// circuit: its prices depend on the basis, a per-call option. The
 	// class list it prices is the prepared one.
-	costs := mirage.NewCostTable(basis, blocks)
+	costs := mirage.NewCostTable(basis, pc.Classes())
 	metric, bound := sabre.SwapCountMetric, sabre.SwapCountBound()
 	if opts.DepthSelection {
 		metric, bound = mirage.DepthMetric(costs), sabre.DepthBound(costs.CostOf, costs.Slots())
@@ -348,7 +350,6 @@ func tryTrivialLayout(c *circuit.Circuit, topo *topology.Topology) (*circuit.Cir
 		return nil, nil, false
 	}
 	out := circuit.New(c.Name+"_trivial", topo.NumQubits)
-	out.Classes = c.Classes
 	for _, op := range c.Ops {
 		mapped := op
 		mapped.Qubits = make([]int, len(op.Qubits))
@@ -366,14 +367,16 @@ func tryTrivialLayout(c *circuit.Circuit, topo *topology.Topology) (*circuit.Cir
 // router SWAP into an adjacent same-pair gate (the iSWAP between
 // pulses 7 and 9 of paper Fig. 8b), so the comparison against MIRAGE
 // is fair. The circuit itself is never built: one circuit.BlockDepth
-// pass, the one the trial metric and bound run, yields its depth, its
-// summed block price and its block count.
+// pass, the one the trial metric and bound run, borrowed from the pool
+// the metric borrows from, yields its depth, its summed block price
+// and its block count.
 func fillMetrics(rep *Report, basis *polytope.CoverageSet) {
-	var p circuit.BlockDepth
+	p := circuit.GetBlockDepth()
 	rep.DepthTime = p.Depth(rep.Routed, func(c weyl.Coordinate) float64 { return basis.CostOf(c, false) })
 	rep.DepthPulses = rep.DepthTime / basis.PerGateCost
 	rep.TotalBasisGates = p.Total() / basis.PerGateCost
 	rep.Total2QBlocks = p.Blocks()
+	circuit.PutBlockDepth(p)
 }
 
 // Summary renders the report as a one-line table row.

@@ -1,6 +1,7 @@
 package transpile_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/bench"
@@ -271,5 +272,58 @@ func TestAdaptiveKnobsThreadThrough(t *testing.T) {
 				rep.TrialsExecuted, rep.DepthPulses, rep.SwapsInserted,
 				ref.TrialsExecuted, ref.DepthPulses, ref.SwapsInserted)
 		}
+	}
+}
+
+// TestPreparationWritesNoCircuitAndCallOrderIsFree runs SABRE and
+// MIRAGE-Depth on one PreparedCircuit in both orders. Neither the
+// preparation nor either call may write the source or the blocks: both
+// must end without a class list or a slot on any op, and the source
+// must equal a copy taken before preparing it. The SABRE report's
+// routed ops, slots included, must not depend on whether the
+// MIRAGE-Depth call ran first.
+func TestPreparationWritesNoCircuitAndCallOrderIsFree(t *testing.T) {
+	e, err := bench.ByName("qft_n18")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := e.Build()
+	before := c.Copy()
+	topo := topology.SquareLattice66()
+	sabreOpts, depthOpts := quickOpts(transpile.SABRE, false), quickOpts(transpile.MIRAGE, true)
+	var sabreOps [][]circuit.Op
+	for _, order := range [][]transpile.Options{{sabreOpts, depthOpts}, {depthOpts, sabreOpts}} {
+		pc := transpile.PrepareCircuit(c, topo)
+		for _, opts := range order {
+			rep, err := transpile.TranspilePrepared(pc, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.TrivialLayout {
+				t.Fatalf("%s embeds trivially: nothing is routed", e.Name)
+			}
+			if opts.Router == transpile.SABRE {
+				if rep.Routed.Classes != nil {
+					t.Fatalf("SABRE report carries a class list")
+				}
+				sabreOps = append(sabreOps, rep.Routed.Ops)
+			}
+		}
+		for _, w := range []*circuit.Circuit{pc.Source, pc.Blocks} {
+			if w.Classes != nil {
+				t.Fatalf("%s carries a class list after preparing and routing", w.Name)
+			}
+			for i, op := range w.Ops {
+				if op.Class != 0 {
+					t.Fatalf("%s op %d carries slot %d after preparing and routing", w.Name, i, op.Class)
+				}
+			}
+		}
+		if !reflect.DeepEqual(pc.Source, before) {
+			t.Fatal("preparing and routing wrote the source circuit")
+		}
+	}
+	if !reflect.DeepEqual(sabreOps[0], sabreOps[1]) {
+		t.Fatal("the SABRE report's routed ops depend on whether MIRAGE-Depth ran first")
 	}
 }
