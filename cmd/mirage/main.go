@@ -40,7 +40,7 @@ func main() {
 		routingT    = flag.Int("routing-trials", 20, "independent routing trials per layout")
 		fwdBwd      = flag.Int("fwdbwd", 4, "forward/backward layout passes")
 		seed        = flag.Int64("seed", 1, "random seed")
-		emit        = flag.String("emit", "", "write the routed circuit as QASM to this path")
+		emit        = flag.String("emit", "", "write the routed circuit as QASM to this path (consolidated blocks and mirror gates keep internal names that -qasm cannot read back)")
 		list        = flag.Bool("list", false, "list available benchmark circuits and exit")
 		quick       = flag.Bool("quick", false, "use reduced trial counts (4/4/2) for fast runs")
 	)

@@ -3,7 +3,6 @@ package circuit
 import (
 	"sync"
 
-	"repro/internal/linalg"
 	"repro/internal/weyl"
 )
 
@@ -28,15 +27,17 @@ type CoordCost func(weyl.Coordinate) float64
 // them):
 //
 //   - a run holds router SWAPs (ops marked RouterSwap, which must be
-//     SWAP gates) and payload ops (every other 2Q op);
-//   - with one payload, the class is OpCoordinate(payload) when the run
+//     SWAP gates) and at most one payload op (any other 2Q op);
+//   - with a payload, the class is OpCoordinate(payload) when the run
 //     holds an even number of router SWAPs and its mirror when odd;
 //   - with no payload, the class is the SWAP for odd parity and the
-//     identity for even parity (which still synchronises both wires);
-//   - with two or more payloads — which routing a ConsolidateBlocks
-//     output never produces — the run's interior is multiplied out
-//     exactly as ConsolidateBlocks does and its coordinate taken from
-//     the shared coordinate cache. Fallbacks counts these runs.
+//     identity for even parity (which still synchronises both wires).
+//
+// The pass takes a routing of a ConsolidateBlocks output. There no 2Q
+// op's next 2Q op on both of its wires is one op, and a route moves
+// another logical qubit onto a run's pair only through a SWAP that
+// closes the run, so every routed run holds at most one payload. A
+// second payload in one run panics.
 //
 // A pass that prices by slot (DepthSlots, PriceSlots) reads the same
 // class from the circuit's class list instead: the payload's slot
@@ -69,9 +70,6 @@ type BlockDepth struct {
 	closed float64    // latest finish time over the closed runs
 	total  float64    // summed price of the closed runs, in closing order
 	blocks int        // number of closed runs
-	// Fallbacks counts the runs the current pass closed through the
-	// matrix fallback (two or more payload ops).
-	Fallbacks int
 }
 
 // blockDepths holds passes between calls, so a caller that measures
@@ -91,22 +89,21 @@ func PutBlockDepth(p *BlockDepth) {
 
 // blockRun is one open same-pair run, stored at its lower wire.
 type blockRun struct {
-	b           int // upper wire
-	first, last int // op indices of the run's first and latest 2Q ops
-	payload     int // op index of the run's payload (meaningful when payloads == 1)
-	payloads    int // non-router-SWAP 2Q ops in the run
-	swaps       int // router SWAPs in the run
+	b       int // upper wire
+	payload int // op index of the run's payload, or -1
+	swaps   int // router SWAPs in the run
 }
 
 // absorb adds the 2Q op at index i to the run.
 func (r *blockRun) absorb(op *Op, i int) {
-	r.last = i
-	if op.RouterSwap {
+	switch {
+	case op.RouterSwap:
 		r.swaps++
-		return
+	case r.payload >= 0:
+		panic("circuit: a same-pair run holds two payload ops; BlockDepth takes a routing of a ConsolidateBlocks output")
+	default:
+		r.payload = i
 	}
-	r.payload = i
-	r.payloads++
 }
 
 // Depth returns ConsolidateBlocks(c).Depth(w) for the weight w that
@@ -157,13 +154,12 @@ func (p *BlockDepth) Start(n int, cost CoordCost) {
 	}
 	p.cost, p.slots = cost, nil
 	p.closed, p.total, p.blocks = 0, 0, 0
-	p.Fallbacks = 0
 }
 
 // Push feeds ops[i] to the pass; the ops before it must have been
 // pushed in order. 1Q ops neither weigh nor break a run, so a caller
-// may skip pushing them, but they must stay in ops: a run's matrix
-// fallback multiplies out every op between its bounds.
+// may skip pushing them. A 2Q op that would put a second payload in
+// its run panics.
 func (p *BlockDepth) Push(ops []Op, i int) {
 	op := &ops[i]
 	switch len(op.Qubits) {
@@ -181,7 +177,7 @@ func (p *BlockDepth) Push(ops []Op, i int) {
 		// The pair changes: close the runs that share a wire.
 		p.close(ops, a)
 		p.close(ops, b)
-		p.runs[a] = blockRun{b: b, first: i}
+		p.runs[a] = blockRun{b: b, payload: -1}
 		p.runs[a].absorb(op, i)
 		p.owner[a], p.owner[b] = int32(a), int32(a)
 	default:
@@ -234,7 +230,7 @@ func (p *BlockDepth) close(ops []Op, q int) {
 		return
 	}
 	r := &p.runs[a]
-	w := p.price(ops, int(a), r)
+	w := p.price(ops, r)
 	start := 0.0
 	if p.clock[a] > start {
 		start = p.clock[a]
@@ -252,25 +248,22 @@ func (p *BlockDepth) close(ops []Op, q int) {
 	}
 }
 
-// price returns the price of run r on wires (a, r.b): by slot when
-// the pass prices slots and the run's class has one, else by its
-// coordinate.
-func (p *BlockDepth) price(ops []Op, a int, r *blockRun) float64 {
+// price returns the price of run r: by slot when the pass prices
+// slots and the run's class has one, else by its coordinate.
+func (p *BlockDepth) price(ops []Op, r *blockRun) float64 {
 	if p.slots != nil {
 		if s := p.slot(ops, r); s != 0 {
 			return p.slots.Costs[s]
 		}
 	}
-	return p.cost(p.class(ops, a, r))
+	return p.cost(p.class(ops, r))
 }
 
 // slot returns the slot of the class class returns for run r, or 0
-// when it has none: the run multiplies out, or its payload has no slot.
+// when its payload has no slot.
 func (p *BlockDepth) slot(ops []Op, r *blockRun) int32 {
 	switch {
-	case r.payloads >= 2:
-		return 0
-	case r.payloads == 1:
+	case r.payload >= 0:
 		s := ops[r.payload].Class
 		if s != 0 && r.swaps%2 == 1 {
 			s = p.slots.Classes.Mirror[s]
@@ -283,13 +276,10 @@ func (p *BlockDepth) slot(ops []Op, r *blockRun) int32 {
 	}
 }
 
-// class returns the Weyl coordinate of run r on wires (a, r.b).
-func (p *BlockDepth) class(ops []Op, a int, r *blockRun) weyl.Coordinate {
+// class returns the Weyl coordinate of run r.
+func (p *BlockDepth) class(ops []Op, r *blockRun) weyl.Coordinate {
 	switch {
-	case r.payloads >= 2:
-		p.Fallbacks++
-		return cachedCoordinateMat4(runInterior(ops[r.first:r.last+1], a, r.b))
-	case r.payloads == 1:
+	case r.payload >= 0:
 		coord := OpCoordinate(ops[r.payload])
 		if r.swaps%2 == 1 {
 			coord = weyl.Mirror(coord)
@@ -300,29 +290,4 @@ func (p *BlockDepth) class(ops []Op, a int, r *blockRun) weyl.Coordinate {
 	default:
 		return weyl.IdentityCoord
 	}
-}
-
-// runInterior multiplies out the interior of the run on (a, b) whose
-// first and latest 2Q ops bound ops. Inside those bounds an op whose
-// first wire is a or b belongs to the run: a 2Q op on another pair
-// sharing a wire, or a wider op, would have closed it.
-func runInterior(ops []Op, a, b int) linalg.Mat4 {
-	var bi blockInterior
-	bi.open(ops[0], a)
-	for _, op := range ops[1:] {
-		q := op.Qubits[0]
-		if q != a && q != b {
-			continue
-		}
-		if len(op.Qubits) == 2 {
-			bi.apply2Q(op, a)
-			continue
-		}
-		s := 0
-		if q == b {
-			s = 1
-		}
-		bi.apply1Q(linalg.Mat2From(op.Gate.Matrix()), s)
-	}
-	return bi.interior
 }

@@ -177,9 +177,7 @@ func (k *consolidator) cut(qs ...int) []int {
 // 2Q gates of the run and the 1Q gates between them, in the block's
 // (a, b) wire order. 1Q gates after the latest 2Q gate wait in
 // trailing — they are exterior unless another 2Q gate of the run
-// follows. ConsolidateBlocks and the matrix fallback of
-// BlockDepth.Depth share it, so both reach bit-identical interiors
-// (and so the same coordinate-cache entries).
+// follows.
 type blockInterior struct {
 	interior linalg.Mat4
 	trailing [2]linalg.Mat2
@@ -318,16 +316,4 @@ func OpCoordinate(op Op) weyl.Coordinate {
 		return *op.Coord
 	}
 	return cachedCoordinate(op.Gate.Matrix())
-}
-
-// AnnotateCoordinates fills Op.Coord for every 2Q op that lacks it
-// (without consolidating), using the coordinate cache.
-func AnnotateCoordinates(c *Circuit) {
-	for i := range c.Ops {
-		op := &c.Ops[i]
-		if op.Is2Q() && op.Coord == nil {
-			coord := cachedCoordinate(op.Gate.Matrix())
-			op.Coord = &coord
-		}
-	}
 }

@@ -9,10 +9,14 @@ import (
 	"repro/internal/gates"
 )
 
-// WriteQASM renders the circuit as an OpenQASM 2.0 program. Gates
-// outside the qelib vocabulary (iswap, consolidated blocks) are
-// emitted with their internal names; ParseQASM accepts them back, so
-// write/parse round-trips within this repository.
+// WriteQASM renders the circuit as an OpenQASM 2.0 program, each gate
+// under its internal name. Only the names ParseQASM reads round-trip:
+// the qelib gates plus iswap, siswap, ccx and cswap. Every other gate
+// — a consolidated block or 1Q product ("block", a parameterless "u"),
+// a mirror gate ("cx'"), cry, iswappow, iswap_rN, pswap, cns, can —
+// is written under a name ParseQASM rejects with an error. So a file
+// written from this repository's gates reads back either as the same
+// unitaries or not at all.
 func WriteQASM(c *Circuit) string {
 	var b strings.Builder
 	b.WriteString("OPENQASM 2.0;\ninclude \"qelib1.inc\";\n")
@@ -35,10 +39,10 @@ func WriteQASM(c *Circuit) string {
 	return b.String()
 }
 
-// ParseQASM reads the OpenQASM 2.0 subset this repository emits plus
-// the common constructs in QASMBench/MQTBench files: one qreg,
-// standard gates with literal or pi-expression parameters, ccx/cswap,
-// and ignored creg/measure/barrier/include lines.
+// ParseQASM reads the OpenQASM 2.0 subset found in QASMBench/MQTBench
+// files: one qreg, standard gates with exactly their number of literal
+// or pi-expression parameters, iswap/siswap, ccx/cswap, and ignored
+// creg/measure/barrier/include lines. Any other gate name is an error.
 func ParseQASM(src string) (*Circuit, error) {
 	// Strip comments.
 	var clean strings.Builder
@@ -141,6 +145,9 @@ func parseGateStmt(c *Circuit, reg, stmt string) error {
 	if err != nil {
 		return err
 	}
+	if want := qasmParams[name]; len(params) != want {
+		return fmt.Errorf("qasm: %s takes %d parameters, got %d in %q", name, want, len(params), stmt)
+	}
 	// The parser reads untrusted files: operands Append would panic on
 	// are an error here, not a crash.
 	op := Op{Gate: g, Qubits: qubits}
@@ -161,6 +168,13 @@ func parseQubitRef(reg, arg string) (int, error) {
 		return 0, fmt.Errorf("qasm: bad qubit index in %q", arg)
 	}
 	return q, nil
+}
+
+// qasmParams is the parameter count of each gate lookupGate reads that
+// takes any; a statement must give exactly that many.
+var qasmParams = map[string]int{
+	"rx": 1, "ry": 1, "rz": 1, "p": 1, "u1": 1, "u2": 2, "u3": 3, "u": 3,
+	"cp": 1, "cu1": 1, "crz": 1, "rxx": 1, "rzz": 1,
 }
 
 func lookupGate(name string, params []float64) (gates.Gate, error) {

@@ -106,11 +106,11 @@ func (j *trialJob) Run(i int) dispatch.WireItem {
 	if g.factory != nil {
 		policy = g.factory(t)
 	}
-	res, err := j.runner.GridTrial(j.layout, j.opts, t, policy)
+	score, err := j.runner.GridTrial(j.layout, j.opts, t, policy, g.metric)
 	if err != nil {
 		return failed(i, err)
 	}
-	item := dispatch.WireItem{Index: i, Score: g.metric(res)}
+	item := dispatch.WireItem{Index: i, Score: score}
 	if t%n == 0 {
 		if item.Blob, err = encodeSpec(j.layout.L2P); err != nil {
 			return dispatch.WireItem{Index: i, Err: err.Error()}

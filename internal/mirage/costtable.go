@@ -16,8 +16,8 @@ import (
 // with its slot, so the hot path prices by index: no coordinate is
 // hashed or mirrored per decision or per block.
 //
-// A run without a slot — a multi-payload run's product, or a block of
-// a route that stamped none — is priced directly by CoverageSet.CostOf
+// A run without a slot — a block of a route that stamped none, such as
+// an unbounded SABRE trial — is priced directly by CoverageSet.CostOf
 // (CostOf), which is what the table's slots hold too. So the table
 // changes how fast a price comes back, never what it is. A decision
 // from a route of a circuit with another class list panics.

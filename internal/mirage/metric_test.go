@@ -3,6 +3,7 @@ package mirage
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/circuit"
@@ -56,8 +57,8 @@ func randomMetricCircuit(name string, qubits, ops int, rng *rand.Rand) *circuit.
 			c.Add(gates.NewCustom("su4", 2, linalg.RandSU(4, rng)), a, b)
 		}
 		if rng.Intn(3) == 0 {
-			// Repeat the pair so unconsolidated inputs carry multi-
-			// payload runs.
+			// Repeat the pair: consolidation merges it into one block,
+			// and a raw input routes it as a run of two payloads.
 			c.Add(gates.CPhase(rng.Float64()*3), b, a)
 		}
 	}
@@ -65,77 +66,57 @@ func randomMetricCircuit(name string, qubits, ops int, rng *rand.Rand) *circuit.
 }
 
 // TestDepthMetricMatchesConsolidateOracle is the metric equivalence
-// property: on every trial of small MIRAGE grids — random circuits,
-// three topologies, every aggression level, consolidated and raw
-// inputs — the streaming metric equals the consolidate-then-Depth
-// oracle exactly. The metric prices through a cost table built over
-// the routed input and the oracle prices directly, so a table entry
-// that differed from its coordinate's own region cost would show.
-// Consolidated inputs must never
-// take the matrix fallback; raw inputs must exercise it.
+// property: on routings of consolidated random circuits — three
+// topologies, every aggression level — the streaming metric equals the
+// consolidate-then-Depth oracle exactly. The metric prices through a
+// cost table built over the routed input and the oracle prices
+// directly, so a table entry that differed from its coordinate's own
+// region cost would show. The routings come from TrialRunner.Run,
+// whose accepted mirrors carry SWAP · U, because the oracle multiplies
+// gate matrices.
 func TestDepthMetricMatchesConsolidateOracle(t *testing.T) {
 	cov := siswap()
 	topos := []*topology.Topology{topology.Grid(3, 4), topology.Line(8), topology.SquareLattice66()}
 	opts := sabre.LayoutOptions{LayoutTrials: 2, RoutingTrials: 3, FwdBwdPasses: 1, Seed: 5, Parallelism: 1}
 	rng := rand.New(rand.NewSource(1313))
-	var pass circuit.BlockDepth
-	trials, rawFallbacks := 0, 0
+	trials := 0
 	for ti, topo := range topos {
 		for k := 0; k < 3; k++ {
 			q := 4 + rng.Intn(5)
 			if q > topo.NumQubits {
 				q = topo.NumQubits
 			}
-			raw := randomMetricCircuit(fmt.Sprintf("metric-%d-%d", ti, k), q, 30, rng)
-			for _, consolidated := range []bool{true, false} {
-				in := raw
-				if consolidated {
-					in = circuit.ConsolidateBlocks(raw)
-				}
-				pc, err := sabre.PrepareCircuit(in, topo)
-				if err != nil {
-					t.Fatal(err)
-				}
-				runner := sabre.NewTrialRunner(pc)
-				layouts := refineAll(t, runner, opts)
-				costs := NewCostTable(cov, pc.Classes())
-				metric := DepthMetric(costs)
-				for level := AggressionNever; level <= AggressionAlways; level++ {
-					policy := NewPolicy(costs, level)
-					for tr := 0; tr < opts.LayoutTrials*opts.RoutingTrials; tr++ {
-						res, err := runner.GridTrial(layouts[tr/opts.RoutingTrials], opts, tr, policy)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, want := metric(res), oracleDepth(cov, res.Routed)
-						if got != want {
-							t.Fatalf("%s consolidated=%v level %d trial %d: metric %v != oracle %v",
-								in.Name, consolidated, level, tr, got, want)
-						}
-						pass.Depth(res.Routed, func(weyl.Coordinate) float64 { return 0 })
-						if consolidated && pass.Fallbacks != 0 {
-							t.Fatalf("%s level %d trial %d: %d matrix fallbacks on a consolidated input",
-								in.Name, level, tr, pass.Fallbacks)
-						}
-						if !consolidated {
-							rawFallbacks += pass.Fallbacks
-						}
-						trials++
+			in := circuit.ConsolidateBlocks(randomMetricCircuit(fmt.Sprintf("metric-%d-%d", ti, k), q, 30, rng))
+			pc, err := sabre.PrepareCircuit(in, topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runner := sabre.NewTrialRunner(pc)
+			layouts := refineAll(t, runner, opts)
+			costs := NewCostTable(cov, pc.Classes())
+			metric := DepthMetric(costs)
+			for level := AggressionNever; level <= AggressionAlways; level++ {
+				policy := NewPolicy(costs, level)
+				for tr := 0; tr < opts.LayoutTrials*opts.RoutingTrials; tr++ {
+					res, err := runner.Run(layouts[tr/opts.RoutingTrials], opts.Routing, int64(tr+1), policy)
+					if err != nil {
+						t.Fatal(err)
 					}
+					if got, want := metric(res), oracleDepth(cov, res.Routed); got != want {
+						t.Fatalf("%s level %d trial %d: metric %v != oracle %v", in.Name, level, tr, got, want)
+					}
+					trials++
 				}
 			}
 		}
 	}
-	if rawFallbacks == 0 {
-		t.Fatal("no raw-input trial exercised the multi-payload matrix fallback")
-	}
-	t.Logf("%d trials equal; %d fallback runs on raw inputs", trials, rawFallbacks)
+	t.Logf("%d trials equal", trials)
 }
 
 // TestDepthMetricRunClasses pins the class rule on hand-built routed
 // circuits: SWAP-only runs of both parities, payload runs of both
-// parities with 1Q ops interleaved, multi-payload runs, runs closed by
-// a neighbouring pair, and wider ops that synchronise their wires.
+// parities with 1Q ops interleaved, runs closed by a neighbouring
+// pair, and wider ops that synchronise their wires.
 func TestDepthMetricRunClasses(t *testing.T) {
 	cov := siswap()
 	swap := func(c *circuit.Circuit, a, b int) {
@@ -171,12 +152,6 @@ func TestDepthMetricRunClasses(t *testing.T) {
 			c.Add(gates.RZ(0.2), 0)
 			swap(c, 1, 0)
 		}},
-		{"multi-payload", func(c *circuit.Circuit) {
-			c.Add(gates.CX(), 0, 1)
-			c.Add(gates.RY(0.9), 1)
-			swap(c, 0, 1)
-			c.Add(gates.CPhase(0.6), 1, 0)
-		}},
 		{"closed-by-neighbour", func(c *circuit.Circuit) {
 			c.Add(gates.CX(), 0, 1)
 			swap(c, 1, 2)
@@ -190,7 +165,6 @@ func TestDepthMetricRunClasses(t *testing.T) {
 			swap(c, 0, 1)
 		}},
 	}
-	var pass circuit.BlockDepth
 	for _, tc := range cases {
 		c := circuit.New(tc.name, 4)
 		tc.build(c)
@@ -201,10 +175,56 @@ func TestDepthMetricRunClasses(t *testing.T) {
 		if got != want {
 			t.Errorf("%s: metric %v != oracle %v", tc.name, got, want)
 		}
-		pass.Depth(c, func(weyl.Coordinate) float64 { return 0 })
-		if wantFallback := tc.name == "multi-payload"; (pass.Fallbacks > 0) != wantFallback {
-			t.Errorf("%s: %d fallbacks", tc.name, pass.Fallbacks)
+	}
+}
+
+// panicMessage runs f and returns the string it panicked with, or ""
+// when it returned.
+func panicMessage(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
 		}
+	}()
+	f()
+	return ""
+}
+
+// TestDepthMetricRejectsTwoPayloads: the depth pass takes routings of
+// consolidated circuits only, so a hand-built routed run holding two
+// payload ops, a router SWAP and a 1Q op between them panics, and the
+// message names the pass that would have merged them.
+func TestDepthMetricRejectsTwoPayloads(t *testing.T) {
+	c := circuit.New("two-payloads", 2)
+	c.Add(gates.CX(), 0, 1)
+	c.Add(gates.RY(0.9), 1)
+	c.Append(circuit.Op{Gate: gates.SWAP(), Qubits: []int{0, 1}, RouterSwap: true})
+	c.Add(gates.CPhase(0.6), 1, 0)
+	var pass circuit.BlockDepth
+	msg := panicMessage(func() { pass.Depth(c, func(weyl.Coordinate) float64 { return 1 }) })
+	if !strings.Contains(msg, "ConsolidateBlocks") {
+		t.Fatalf("depth pass over two payloads in one run: panic %q, want one naming ConsolidateBlocks", msg)
+	}
+}
+
+// TestDepthGridRejectsUnconsolidated: a MIRAGE-Depth grid over a raw
+// circuit whose gates repeat a pair panics with the same message
+// rather than scoring it. Trial 0 routes unbounded, and its metric
+// closes the run holding both gates of the pair.
+func TestDepthGridRejectsUnconsolidated(t *testing.T) {
+	raw := randomMetricCircuit("raw", 6, 30, rand.New(rand.NewSource(5)))
+	pc, err := sabre.PrepareCircuit(raw, topology.Grid(3, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	costs := NewCostTable(siswap(), pc.Classes())
+	opts := sabre.LayoutOptions{LayoutTrials: 2, RoutingTrials: 2, FwdBwdPasses: 1, Seed: 1, Parallelism: 1}
+	msg := panicMessage(func() {
+		sabre.FindBestRoutingPrepared(pc, opts.WithBound(sabre.DepthBound(costs.Slots())),
+			DepthMetric(costs), PolicyFactory(costs, DefaultMix))
+	})
+	if !strings.Contains(msg, "ConsolidateBlocks") {
+		t.Fatalf("MIRAGE-Depth grid over a raw circuit: panic %q, want one naming ConsolidateBlocks", msg)
 	}
 }
 
@@ -216,8 +236,8 @@ const maxTrialAllocs = 2
 
 // TestGridTrialDepthMetricAllocs pins the allocation profile of the
 // MIRAGE-Depth trial loop: a warm TrialRunner.GridTrial under an
-// accepting policy plus the depth metric allocates a small constant
-// per trial, independent of how many mirrors it accepts and how many
+// accepting policy, scored by the depth metric, allocates a small
+// constant per trial, independent of how many mirrors it accepts and how many
 // blocks the metric prices. (Materialising a gate per accepted mirror,
 // or a consolidated circuit per metric call, would scale with both.)
 func TestGridTrialDepthMetricAllocs(t *testing.T) {
@@ -245,15 +265,16 @@ func TestGridTrialDepthMetricAllocs(t *testing.T) {
 		}
 		costs := NewCostTable(cov, pc.Classes())
 		policy := NewPolicy(costs, AggressionEqual)
-		metric := DepthMetric(costs)
+		depth := DepthMetric(costs)
 		mirrors := 0
+		metric := func(r *sabre.Result) float64 {
+			mirrors = r.MirrorsUsed
+			return depth(r)
+		}
 		trial := func() {
-			res, err := runner.GridTrial(layout, opts, 1, policy)
-			if err != nil {
+			if _, err := runner.GridTrial(layout, opts, 1, policy, metric); err != nil {
 				t.Fatal(err)
 			}
-			mirrors = res.MirrorsUsed
-			metric(res)
 		}
 		trial() // grow the arena, build the mirror table, fill the pass pool
 		allocs := testing.AllocsPerRun(50, trial)

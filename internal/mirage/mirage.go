@@ -20,8 +20,8 @@
 // without building a block (circuit.BlockDepth): same-pair runs of 2Q
 // ops are priced by their Weyl class — the payload op's coordinate,
 // mirrored when the run holds an odd number of router SWAPs (paper
-// Eq. 1) — and only a run with two or more payload ops, which routing
-// a consolidated circuit never produces, is multiplied out.
+// Eq. 1). Routing takes a ConsolidateBlocks output, so no run holds
+// two payload ops; the pass panics on one that does.
 package mirage
 
 import (
@@ -152,12 +152,11 @@ func GateWeight(cov *polytope.CoverageSet) circuit.WeightFunc {
 // 2Q op on another pair sharing a wire does) is priced by its class:
 // the payload op's coordinate for an even number of router SWAPs in
 // the run and its mirror for an odd number; the SWAP class or the
-// identity for a run of router SWAPs alone. Only a run with two or
-// more payload ops falls back to multiplying its matrices; routing a
-// consolidated circuit never produces one, so the MIRAGE pipeline
-// never takes the fallback. A table built over the class list of the
-// routed circuit (sabre.PreparedCircuit.Classes) holds every class the
-// pass asks for, and the pass reads each by the slot the router
+// identity for a run of router SWAPs alone. r.Routed must route a
+// ConsolidateBlocks output, where no run holds two payload ops; the
+// pass panics on one that does. A table built over the class list of
+// the routed circuit (sabre.PreparedCircuit.Classes) holds every class
+// the pass asks for, and the pass reads each by the slot the router
 // stamped on the run's payload (circuit.BlockDepth.DepthSlots).
 //
 // The pass is the one the trial bound (sabre.DepthBound) cuts trials

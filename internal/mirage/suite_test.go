@@ -135,18 +135,21 @@ func TestCostTableHoldsEveryHotPathPrice(t *testing.T) {
 			for _, level := range []mirage.Aggression{mirage.AggressionLower, mirage.AggressionEqual, mirage.AggressionAlways} {
 				check := &verdictCheck{t: t, name: name, costs: costs, cov: cov, table: mirage.NewPolicy(costs, level)}
 				for tr := 0; tr < opts.LayoutTrials*opts.RoutingTrials; tr++ {
-					res, err := runner.GridTrial(layouts[tr/opts.RoutingTrials], opts, tr, check)
-					if err != nil {
+					compare := func(res *sabre.Result) float64 {
+						got, want := tableMetric(res), directMetric(res)
+						if got != want {
+							t.Fatalf("%s level %d trial %d: table metric %v, direct %v", name, level, tr, got, want)
+						}
+						var pass circuit.BlockDepth
+						pass.DepthSlots(res.Routed, func(c weyl.Coordinate) float64 {
+							t.Fatalf("%s level %d trial %d: block class %v is not priced by slot", name, level, tr, c)
+							return 0
+						}, costs.Slots())
+						return got
+					}
+					if _, err := runner.GridTrial(layouts[tr/opts.RoutingTrials], opts, tr, check, compare); err != nil {
 						t.Fatal(err)
 					}
-					if got, want := tableMetric(res), directMetric(res); got != want {
-						t.Fatalf("%s level %d trial %d: table metric %v, direct %v", name, level, tr, got, want)
-					}
-					var pass circuit.BlockDepth
-					pass.DepthSlots(res.Routed, func(c weyl.Coordinate) float64 {
-						t.Fatalf("%s level %d trial %d: block class %v is not priced by slot", name, level, tr, c)
-						return 0
-					}, costs.Slots())
 				}
 				if check.decisions == 0 {
 					t.Fatalf("%s level %d: the router offered no decisions", name, level)

@@ -2,6 +2,7 @@ package sabre
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 
@@ -34,12 +35,11 @@ var routerSwapGate = gates.SWAP()
 // call that used them: RunGrids and Grid.Result take theirs from a
 // process-wide pool and put them back (getArena, putArena), and
 // Grid.Result copies its Result out first (Result.own), so no Result
-// that leaves the package aliases a pooled arena. Steady-state reuse
-// performs O(1) heap allocations per trial, mirror substitutions
-// included: an accepted mirror emits the class and coordinate prepared
-// once per circuit and a gate it does not build (mirrorTable), so the
-// only allocations left on the trial path are whatever the policy
-// itself makes.
+// that leaves the package aliases a pooled arena. A warm grid trial
+// allocates nothing, mirror substitutions included: an accepted mirror
+// emits its source gate with the class and coordinate prepared once
+// per circuit (mirrorTable), so the only allocations left on the trial
+// path are whatever the policy itself makes.
 type trialArena struct {
 	st  routingState
 	out circuit.Circuit // reusable routed circuit (ops + qubit slices reused)
@@ -152,17 +152,14 @@ func (a *trialArena) emit2(g gates.Gate, qa, qb int, coord *weyl.Coordinate, cla
 // under a policy needs it; the routes of layout refinement, whose
 // Results never leave the package, pass nil. The route stamps its ops
 // and its routed circuit with the circuit's class list exactly when it
-// runs under a policy or a depth bound. An accepted
-// mirror is emitted as its mirror gate SWAP · U when mirrorGates is
-// set or the circuit needs it in its depth pass (mirrorTable), and as
-// its source gate otherwise, leaving the Result lazy: finishMirrors
-// must build its mirror gates before it leaves the package.
+// runs under a policy or a depth bound. An accepted mirror is emitted
+// as its source gate with Mirrored set: finishMirrors must build its
+// mirror gate before the Result leaves the package.
 //
 // A non-nil bound stops the route with errTrialCut as soon as the
 // score bound it tracks over the emitted ops reaches bound.beat.
 func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topology.Topology,
-	initial *topology.Layout, opts Options, rng *rand.Rand, policy MirrorPolicy, bound *trialBound,
-	mirrorGates bool) (*Result, error) {
+	initial *topology.Layout, opts Options, rng *rand.Rand, policy MirrorPolicy, bound *trialBound) (*Result, error) {
 
 	opts = opts.WithDefaults()
 	c := fd.Circ
@@ -171,15 +168,11 @@ func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topo
 	st := &a.st
 	st.bind(fd, topo, initial, opts)
 	var cls *circuit.Classes // non-nil: stamp emitted 2Q ops with class slots
-	var mgates []gates.Gate  // non-nil: emit accepted mirrors as SWAP · U
 	a.out.Name = c.Name
 	if mirrors != nil {
 		a.out.Name = mirrors.name
-		if policy != nil || (bound != nil && bound.depth) {
+		if policy != nil || (bound != nil && bound.slots != nil) {
 			cls = mirrors.getClasses()
-		}
-		if policy != nil && (mirrorGates || mirrors.multi) {
-			mgates = mirrors.gates()
 		}
 	}
 	swapClass := int32(0)
@@ -190,12 +183,14 @@ func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topo
 	a.used = max(a.used, len(a.out.Ops))
 	a.out.Ops = a.out.Ops[:0]
 	a.initLayout.CopyFrom(initial)
-	a.res = Result{InitialLayout: &a.initLayout, lazy: policy != nil && mgates == nil}
+	a.res = Result{InitialLayout: &a.initLayout}
 	a.ctx.Classes = cls
 	var bd *circuit.BlockDepth // non-nil: feed the depth bound every emitted 2Q op
-	if bound != nil && bound.depth {
+	if bound != nil && bound.slots != nil {
+		// Every run of the route carries a slot, so the pass needs no
+		// coordinate cost.
 		bd = &a.depth
-		bd.Start(topo.NumQubits, bound.cost)
+		bd.Start(topo.NumQubits, nil)
 		bd.PriceSlots(bound.slots)
 	}
 
@@ -258,16 +253,13 @@ func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topo
 						a.ctx.Op, a.ctx.Class, a.ctx.MirrorClass = *op, class, cls.Mirror[class]
 						mirrored = policy.Decide(&a.ctx)
 					}
-					g, coord := op.Gate, op.Coord
+					coord := op.Coord
 					if mirrored {
 						class = cls.Mirror[class]
 						coord = &cls.Coords[class]
-						if mgates != nil {
-							g = mgates[idx]
-						}
 						a.res.MirrorsUsed++
 					}
-					a.emit2(g, pa, pb, coord, class, mirrored, false)
+					a.emit2(op.Gate, pa, pb, coord, class, mirrored, false)
 					a.res.TwoQubitGates++
 					if bd != nil {
 						bd.Push(a.out.Ops, len(a.out.Ops)-1)
@@ -348,15 +340,12 @@ func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topo
 // own returns a copy of r that shares no buffer with the arena it was
 // routed on: the routed ops go into one op slice backed by one flat
 // qubit slice (circuit.Copy), and both layouts are copied. Gates and
-// coordinates are immutable, so the copy shares them; a lazy r's
-// mirrored ops get their mirror gates, built here for them alone.
+// coordinates are immutable, so the copy shares them; its mirrored ops
+// get their mirror gates, built here for them alone.
 func (r *Result) own() *Result {
 	out := *r
 	out.Routed = r.Routed.Copy()
-	if r.lazy {
-		finishMirrors(out.Routed.Ops)
-		out.lazy = false
-	}
+	finishMirrors(out.Routed.Ops)
 	out.InitialLayout, out.FinalLayout = r.InitialLayout.Copy(), r.FinalLayout.Copy()
 	return &out
 }
@@ -398,30 +387,35 @@ func projectLayoutInto(dst, src *topology.Layout, numLogical int) {
 // (options, row index, metric, policy factory).
 //
 // A TrialRunner is single-goroutine; create one runner per worker. The
-// Result returned by Run and GridTrial (and everything it references:
-// the routed circuit, both layouts) aliases the runner's arena and is
-// valid only until the next call on the runner.
+// Result returned by Run (and everything it references: the routed
+// circuit, both layouts) aliases the runner's arena and is valid only
+// until the next call on the runner.
 type TrialRunner struct {
 	pc    *PreparedCircuit
 	arena *trialArena
 }
 
 // Run executes one routing trial from the given initial layout with a
-// deterministically seeded generator. Steady-state calls allocate O(1):
-// all trial state lives in the runner's arena, and accepted mirrors
-// carry the mirror gates built once per circuit. See TrialRunner for
-// the validity contract of the returned Result.
+// deterministically seeded generator. All trial state lives in the
+// runner's arena; a warm call allocates only the mirror gate SWAP · U
+// of each accepted mirror, built in place on the arena's routed ops.
+// See TrialRunner for the validity contract of the returned Result.
 func (r *TrialRunner) Run(initial *topology.Layout, opts Options, seed int64, policy MirrorPolicy) (*Result, error) {
-	return r.run(initial, opts, seed, policy, nil, true)
+	res, err := r.run(initial, opts, seed, policy, nil)
+	if err != nil {
+		return nil, err
+	}
+	finishMirrors(res.Routed.Ops)
+	return res, nil
 }
 
-// run is Run under an optional score bound, emitting mirror gates
-// only when mirrorGates is set (see route).
+// run is Run under an optional score bound, leaving accepted mirrors
+// as their source gates (see route).
 func (r *TrialRunner) run(initial *topology.Layout, opts Options, seed int64, policy MirrorPolicy,
-	bound *trialBound, mirrorGates bool) (*Result, error) {
+	bound *trialBound) (*Result, error) {
 
 	r.arena.rng.Seed(seed)
-	return r.arena.route(r.pc.FD, &r.pc.mirrors, r.pc.Topo, initial, opts, r.arena.rng, policy, bound, mirrorGates)
+	return r.arena.route(r.pc.FD, &r.pc.mirrors, r.pc.Topo, initial, opts, r.arena.rng, policy, bound)
 }
 
 // RefineLayout returns layout trial lt's initial layout: a random
@@ -439,12 +433,12 @@ func (r *TrialRunner) RefineLayout(opts LayoutOptions, lt int) (*topology.Layout
 	a.rng.Seed(trialSeed(opts.Seed, seedStreamLayout, lt))
 	layout := RandomLayout(n, pc.Topo, a.rng)
 	for pass := 0; pass < opts.FwdBwdPasses; pass++ {
-		fwd, err := a.route(pc.FD, nil, pc.Topo, layout, opts.Routing, a.rng, nil, nil, false)
+		fwd, err := a.route(pc.FD, nil, pc.Topo, layout, opts.Routing, a.rng, nil, nil)
 		if err != nil {
 			return nil, err
 		}
 		projectLayoutInto(&a.h1, fwd.FinalLayout, n)
-		bwd, err := a.route(pc.FDRev, nil, pc.Topo, &a.h1, opts.Routing, a.rng, nil, nil, false)
+		bwd, err := a.route(pc.FDRev, nil, pc.Topo, &a.h1, opts.Routing, a.rng, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -454,29 +448,45 @@ func (r *TrialRunner) RefineLayout(opts LayoutOptions, lt int) (*topology.Layout
 	return layout.Copy(), nil
 }
 
-// GridTrial executes trial t of the FindBestRoutingPrepared grid:
-// routing from layout — row t / opts.RoutingTrials's RefineLayout
-// result — with the generator seeded from (opts.Seed, t). It is the
-// single definition of a grid trial's identity, shared by the rows,
-// the winner replay and the remote workers of the distributed
-// transport: given equal (layout, opts, t, policy) the trial is
-// bit-identical wherever it runs, which is what makes work-queue
-// leases idempotent. The returned
-// Result aliases the runner's arena like Run's does, and carries
-// mirror gates like Run's.
-func (r *TrialRunner) GridTrial(layout *topology.Layout, opts LayoutOptions, t int, policy MirrorPolicy) (*Result, error) {
-	return r.gridTrial(layout, opts.WithDefaults(), t, policy, nil, true)
+// GridTrial executes trial t of the FindBestRoutingPrepared grid and
+// returns its score under metric: routing from layout — row t /
+// opts.RoutingTrials's RefineLayout result — with the generator seeded
+// from (opts.Seed, t). It is the single definition of a grid trial's
+// identity, shared by the rows, the winner replay and the remote
+// workers of the distributed transport: given equal (layout, opts, t,
+// policy) the trial is bit-identical wherever it runs, which is what
+// makes work-queue leases idempotent. The metric sees the routed
+// Result as a grid's metric does, accepted mirrors as their source
+// gates (see Metric).
+func (r *TrialRunner) GridTrial(layout *topology.Layout, opts LayoutOptions, t int, policy MirrorPolicy, metric Metric) (float64, error) {
+	return r.scoreTrial(layout, opts.WithDefaults(), t, policy, metric, nil)
 }
 
-// gridTrial is GridTrial under an optional score bound and mirror-gate
-// choice (see route); opts must already have defaults applied.
+// scoreTrial is GridTrial under an optional score bound: a trial the
+// bound cuts scores +Inf. opts must already have defaults applied.
+func (r *TrialRunner) scoreTrial(layout *topology.Layout, opts LayoutOptions, t int, policy MirrorPolicy,
+	metric Metric, bound *trialBound) (float64, error) {
+
+	res, err := r.gridTrial(layout, opts, t, policy, bound)
+	switch {
+	case err == errTrialCut:
+		return math.Inf(1), nil
+	case err != nil:
+		return 0, err
+	}
+	return metric(res), nil
+}
+
+// gridTrial routes grid trial t under an optional score bound, leaving
+// accepted mirrors as their source gates; opts must already have
+// defaults applied.
 func (r *TrialRunner) gridTrial(layout *topology.Layout, opts LayoutOptions, t int, policy MirrorPolicy,
-	bound *trialBound, mirrorGates bool) (*Result, error) {
+	bound *trialBound) (*Result, error) {
 
 	if t < 0 || t >= opts.LayoutTrials*opts.RoutingTrials {
 		return nil, fmt.Errorf("sabre: grid trial %d outside the %dx%d grid", t, opts.LayoutTrials, opts.RoutingTrials)
 	}
-	return r.run(layout, opts.Routing, trialSeed(opts.Seed, seedStreamRouting, t), policy, bound, mirrorGates)
+	return r.run(layout, opts.Routing, trialSeed(opts.Seed, seedStreamRouting, t), policy, bound)
 }
 
 // maxSwaps is the number of SWAP insertions after which a route of an

@@ -28,10 +28,11 @@ func TestArenaReuseBitIdentical(t *testing.T) {
 		}
 		fd := circuit.BuildFlatDAG(tc.circ)
 		arena.rng.Seed(tc.seed)
-		reused, err := arena.route(fd, newMirrorTable(tc.circ), tc.topo, tc.layout, Options{}, arena.rng, policy, nil, true)
+		reused, err := arena.route(fd, newMirrorTable(tc.circ), tc.topo, tc.layout, Options{}, arena.rng, policy, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		finishMirrors(reused.Routed.Ops)
 		if !sameFingerprint(routingFingerprint(fresh), routingFingerprint(reused)) {
 			t.Fatalf("case %s: arena-reused trial diverged from fresh-state trial", tc.name)
 		}
@@ -243,7 +244,7 @@ func TestSteadyStateTrialsAllocateNothing(t *testing.T) {
 	for _, policy := range []MirrorPolicy{nil, costMirror{}} {
 		allocs := testing.AllocsPerRun(1, func() {
 			for tr := 0; tr < opts.LayoutTrials*opts.RoutingTrials; tr++ {
-				if _, err := runner.GridTrial(layouts[tr/opts.RoutingTrials], opts, tr, policy); err != nil {
+				if _, err := runner.GridTrial(layouts[tr/opts.RoutingTrials], opts, tr, policy, SwapCountMetric); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -159,14 +159,14 @@ func BenchmarkGridTrialSmall(b *testing.B) {
 		}
 	}
 	grid := opts.LayoutTrials * opts.RoutingTrials
-	if _, err := runner.GridTrial(layouts[0], opts, 0, costMirror{}); err != nil {
+	if _, err := runner.GridTrial(layouts[0], opts, 0, costMirror{}, SwapCountMetric); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t := i % grid
-		if _, err := runner.GridTrial(layouts[t/opts.RoutingTrials], opts, t, costMirror{}); err != nil {
+		if _, err := runner.GridTrial(layouts[t/opts.RoutingTrials], opts, t, costMirror{}, SwapCountMetric); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,10 +20,8 @@ import (
 // options handed to FindBestRoutingPrepared (LayoutOptions.WithBound).
 // A grid without one — any caller-supplied Metric — is never cut.
 type Bound struct {
-	// depthCost is the cost a depth bound prices blocks with; nil
-	// bounds the SWAP count. depthSlots prices the classes of the
-	// routed circuit's class list as depthCost does.
-	depthCost  circuit.CoordCost
+	// depthSlots prices the classes of the routed circuit's class
+	// list for a depth bound; nil bounds the SWAP count.
 	depthSlots *circuit.SlotCosts
 }
 
@@ -34,8 +32,8 @@ var swapCountBound = &Bound{}
 func SwapCountBound() *Bound { return swapCountBound }
 
 // DepthBound bounds a metric equal to circuit.BlockDepth's depth of
-// the routed circuit priced by cost (mirage.DepthMetric), using two
-// bounds that only grow:
+// the routed circuit priced as slots prices its classes
+// (mirage.DepthMetric), using two bounds that only grow:
 //
 //   - the latest finish time over the runs the router's own BlockDepth
 //     pass has closed (the metric's final pass computes the same
@@ -46,16 +44,15 @@ func SwapCountBound() *Bound { return swapCountBound }
 //     coordinate, its mirror, its mirror's mirror). A run cannot start
 //     earlier and routing cannot beat the logical critical path.
 //
-// The tail term needs every run to hold at most one payload gate,
-// which holds when no two consecutive gates on a wire pair share both
-// wires (a ConsolidateBlocks output); on other circuits only the
-// closed-run bound is used. cost must be non-negative.
-//
-// slots holds cost's prices of the classes of the routed circuit's
-// class list (PreparedCircuit.Classes), which the bound reads by slot;
-// a grid over a circuit with another list panics.
-func DepthBound(cost circuit.CoordCost, slots *circuit.SlotCosts) *Bound {
-	return &Bound{depthCost: cost, depthSlots: slots}
+// slots holds the non-negative prices of the classes of the routed
+// circuit's class list (PreparedCircuit.Classes). Every run of a
+// bounded route carries a slot, so the bound reads every price by
+// slot; a grid over a circuit with another list panics. The routed
+// circuit must be a ConsolidateBlocks output, as circuit.BlockDepth
+// requires: the tail term needs every run to hold at most one payload
+// gate.
+func DepthBound(slots *circuit.SlotCosts) *Bound {
+	return &Bound{depthSlots: slots}
 }
 
 // WithBound returns o with b declared as the lower bound on the score
@@ -72,11 +69,10 @@ var errTrialCut = errors.New("sabre: trial cut by its score bound")
 // trialBound is a Bound prepared for one trial grid, plus the score
 // the route checking it must stay below.
 type trialBound struct {
-	depth bool // bound BlockDepth's depth; otherwise the SWAP count
-	cost  circuit.CoordCost
-	slots *circuit.SlotCosts // cost's prices of the routed circuit's classes
-	// tail[i] is op i's longest cost-weighted path to the sink; nil
-	// disables the tail term.
+	// slots prices the routed circuit's classes for a bound on
+	// BlockDepth's depth; nil bounds the SWAP count.
+	slots *circuit.SlotCosts
+	// tail[i] is op i's longest price-weighted path to the sink.
 	tail []float64
 	// slack is the relative margin the tail term keeps when its float
 	// sums can differ from the clocks' by rounding (0 when every price
@@ -87,9 +83,8 @@ type trialBound struct {
 
 // newTrialBound prepares b for a grid over pc routed with opts.
 func newTrialBound(b *Bound, pc *PreparedCircuit, opts Options) *trialBound {
-	tb := &trialBound{depth: b.depthCost != nil, cost: b.depthCost}
-	if tb.depth {
-		tb.slots = b.depthSlots
+	tb := &trialBound{slots: b.depthSlots}
+	if tb.slots != nil {
 		if tb.slots.Classes != pc.Classes() {
 			panic("sabre: a depth bound priced over another circuit's class list")
 		}
@@ -105,7 +100,7 @@ func (b *trialBound) depthReached(bd *circuit.BlockDepth, pa, pb, idx int) bool 
 	if bd.Closed() >= b.beat {
 		return true
 	}
-	if idx < 0 || b.tail == nil {
+	if idx < 0 {
 		return false
 	}
 	start := bd.Clock(pa)
@@ -116,15 +111,11 @@ func (b *trialBound) depthReached(bd *circuit.BlockDepth, pa, pb, idx int) bool 
 	return lb-b.slack*lb >= b.beat
 }
 
-// depthTail returns every op's cost-weighted longest path to the sink
-// of pc's DAG, or nil when a routed run could hold two payload gates,
-// plus the relative slack the tail term needs. prices holds the price
-// of every slot of pc's class list.
+// depthTail returns every op's price-weighted longest path to the
+// sink of pc's DAG, plus the relative slack the tail term needs.
+// prices holds the price of every slot of pc's class list.
 func depthTail(pc *PreparedCircuit, prices []float64, swaps int) ([]float64, float64) {
 	cls, slot := pc.mirrors.getClasses(), pc.mirrors.slot
-	if pc.mirrors.multi {
-		return nil, 0
-	}
 	exact, maxW := true, 0.0
 	for _, p := range prices[1:] {
 		exact = exact && dyadic(p)

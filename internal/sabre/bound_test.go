@@ -27,7 +27,8 @@ func boundCost(unit float64) circuit.CoordCost {
 	}
 }
 
-// depthMetricOf is the sabre.Metric a DepthBound(cost) bounds.
+// depthMetricOf is the sabre.Metric a DepthBound priced by cost
+// bounds.
 func depthMetricOf(cost circuit.CoordCost) Metric {
 	return func(r *Result) float64 {
 		var p circuit.BlockDepth
@@ -35,22 +36,21 @@ func depthMetricOf(cost circuit.CoordCost) Metric {
 	}
 }
 
-// depthBoundOf is the DepthBound(cost) of a grid over pc, its slots
-// priced over pc's class list.
+// depthBoundOf is the DepthBound of a grid over pc, its slots priced
+// by cost over pc's class list.
 func depthBoundOf(pc *PreparedCircuit, cost circuit.CoordCost) *Bound {
-	return DepthBound(cost, circuit.NewSlotCosts(pc.Classes(), cost))
+	return DepthBound(circuit.NewSlotCosts(pc.Classes(), cost))
 }
 
-// boundCircuits returns coordinate-annotated circuits for the pruning
-// tests: random ones with 1Q gates between 2Q ops, and one with
-// back-to-back gates on one pair, which disables the tail term.
+// boundCircuits returns the consolidated circuits the pruning tests
+// route, as the depth bound requires: random ones with 1Q gates
+// between 2Q ops, and one with back-to-back gates on one pair, which
+// consolidation merges.
 func boundCircuits() []*circuit.Circuit {
 	rng := rand.New(rand.NewSource(77))
 	var cs []*circuit.Circuit
 	for i, n := range []int{6, 9, 12} {
-		c := randomCircuit(fmt.Sprintf("rand%d", i), n, 12+6*n, rng)
-		circuit.AnnotateCoordinates(c)
-		cs = append(cs, c)
+		cs = append(cs, circuit.ConsolidateBlocks(randomCircuit(fmt.Sprintf("rand%d", i), n, 12+6*n, rng)))
 	}
 	pairs := circuit.New("pairs", 8)
 	for g := 0; g < 30; g++ {
@@ -61,8 +61,7 @@ func boundCircuits() []*circuit.Circuit {
 		pairs.Add(gates.CX(), a, b)
 		pairs.Add(gates.CPhase(0.3), a, b)
 	}
-	circuit.AnnotateCoordinates(pairs)
-	return append(cs, pairs)
+	return append(cs, circuit.ConsolidateBlocks(pairs))
 }
 
 // TestPrunedGridMatchesUnpruned is the pruning contract: with a bound
@@ -135,8 +134,8 @@ func TestPrunedGridMatchesUnpruned(t *testing.T) {
 	// Serial rows route exactly the trials the selector consumes and cut
 	// each at the best consumed score: a row that routed past the stop
 	// rule, or cut at a stale best, would score a different count.
-	if scored != 231 || executed != 704 {
-		t.Fatalf("serial runs scored %d of %d executed trials, want 231 of 704", scored, executed)
+	if scored != 147 || executed != 690 {
+		t.Fatalf("serial runs scored %d of %d executed trials, want 147 of 690", scored, executed)
 	}
 }
 
@@ -155,30 +154,6 @@ func TestCustomMetricNeverCut(t *testing.T) {
 		}
 		if n := calls.Load(); n < int64(res.TrialsExecuted) {
 			t.Fatalf("%s: custom metric scored %d of %d executed trials", c.Name, n, res.TrialsExecuted)
-		}
-	}
-}
-
-// TestMultiPayloadDetection pins the condition that disables the tail
-// term: a 2Q op whose next 2Q op on both wires is one op.
-func TestMultiPayloadDetection(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		ops  [][2]int
-		want bool
-	}{
-		{"chain", [][2]int{{0, 1}, {1, 2}, {0, 1}}, false},
-		{"repeat", [][2]int{{0, 1}, {1, 0}}, true},
-		{"separated", [][2]int{{0, 1}, {2, 3}, {0, 1}}, true},
-		{"broken", [][2]int{{0, 1}, {0, 2}, {0, 1}}, false},
-	} {
-		c := circuit.New(tc.name, 4)
-		for _, q := range tc.ops {
-			c.Add(gates.H(), q[0])
-			c.Add(gates.CX(), q[0], q[1])
-		}
-		if got := multiPayloadPossible(c); got != tc.want {
-			t.Errorf("%s: multiPayloadPossible = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

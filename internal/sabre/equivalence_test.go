@@ -102,7 +102,7 @@ func TestMirrorDecisionCostsConsistent(t *testing.T) {
 		for _, tc := range equivCases(t) {
 			arena.rng.Seed(tc.seed)
 			if _, err := arena.route(circuit.BuildFlatDAG(tc.circ), newMirrorTable(tc.circ), tc.topo, tc.layout,
-				opts, arena.rng, m, nil, false); err != nil {
+				opts, arena.rng, m, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

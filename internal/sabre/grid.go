@@ -131,7 +131,7 @@ func (g *Grid) Result() (*Result, error) {
 	a := getArena()
 	defer putArena(a)
 	r := TrialRunner{pc: g.pc, arena: a}
-	res, err := r.gridTrial(g.layout, g.opts, bestT, policy, nil, false)
+	res, err := r.gridTrial(g.layout, g.opts, bestT, policy, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -190,15 +190,10 @@ func (g *Grid) row(r *TrialRunner, lt int) Row {
 		if g.factory != nil {
 			policy = g.factory(t)
 		}
-		score := math.Inf(1)
-		res, err := r.gridTrial(layout, g.opts, t, policy, bound, false)
-		switch {
-		case err == errTrialCut:
-		case err != nil:
+		score, err := r.scoreTrial(layout, g.opts, t, policy, g.metric, bound)
+		if err != nil {
 			row.Err = err
 			return row
-		default:
-			score = g.metric(res)
 		}
 		row.Scores = append(row.Scores, score)
 		own = math.Min(own, score)

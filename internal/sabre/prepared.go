@@ -10,8 +10,7 @@ import (
 // PreparedCircuit is the immutable per-circuit analysis the trial grid
 // shares: the validated (circuit, topology) pairing, the forward and
 // reversed flat dependency DAGs, and the mirror data (mirrorTable):
-// the circuit's class list (Classes) with each 2Q op's slot in it, and
-// the mirror gates the routes that hand out their Results emit. Every
+// the circuit's class list (Classes) with each 2Q op's slot in it. Every
 // trial of a circuit reads the same DAGs and mirror data, layout
 // refinement's backward pass reads the same reversed DAG, and the
 // winner replay reuses them all — so the analysis is computed once per

@@ -26,8 +26,8 @@
 // every grid's first row comes before any second row, rebinding each
 // worker's arena to the circuit of its row. The
 // distributed transport (internal/distrib) leases whole rows to
-// workers, which refine with TrialRunner.RefineLayout and route with
-// TrialRunner.GridTrial, and returns one score per trial. Either way
+// workers, which refine with TrialRunner.RefineLayout and route and
+// score with TrialRunner.GridTrial, and returns one score per trial. Either way
 // each Grid consumes its scores in trial order and replays the winner.
 //
 // The router exposes a MirrorPolicy hook: every two-qubit gate that
@@ -127,10 +127,6 @@ type Result struct {
 	// Zero for direct Route calls.
 	TrialsExecuted int
 	TrialsBudgeted int
-
-	// lazy marks a Result whose mirrored ops still carry their source
-	// gates (see mirrorTable); none leaves the package.
-	lazy bool
 }
 
 // Route maps the logical circuit onto the topology starting from the
@@ -144,7 +140,7 @@ type Result struct {
 // (mirage) must route through TrialRunner on the PreparedCircuit its
 // prices were listed from. Callers routing the same circuit repeatedly
 // should use TrialRunner too, which shares the DAG and reuses the
-// arena so steady-state trials allocate O(1).
+// arena.
 func Route(c *circuit.Circuit, topo *topology.Topology, initial *topology.Layout,
 	opts Options, rng *rand.Rand, policy MirrorPolicy) (*Result, error) {
 
@@ -154,14 +150,11 @@ func Route(c *circuit.Circuit, topo *topology.Topology, initial *topology.Layout
 	fd := circuit.BuildFlatDAG(c)
 	// The arena is transient, so handing its buffers to the caller via
 	// the Result is safe: nothing resets them afterwards.
-	res, err := newTrialArena().route(fd, newMirrorTable(c), topo, initial, opts, rng, policy, nil, false)
+	res, err := newTrialArena().route(fd, newMirrorTable(c), topo, initial, opts, rng, policy, nil)
 	if err != nil {
 		return nil, err
 	}
-	if res.lazy {
-		finishMirrors(res.Routed.Ops)
-		res.lazy = false
-	}
+	finishMirrors(res.Routed.Ops)
 	return res, nil
 }
 
@@ -179,9 +172,10 @@ func RandomLayout(numLogical int, topo *topology.Topology, rng *rand.Rand) *topo
 // materialise the returned Result), so a metric must neither retain
 // the Result nor depend on anything but its contents. A metric must
 // read a mirrored op's class from its Coord (circuit.OpCoordinate) or
-// Class, never from its gate: inside the grid an accepted mirror
-// carries its source gate, and only the returned Result carries the
-// mirror gate SWAP · U.
+// Class, never from its gate: a scored trial (a grid's, or
+// TrialRunner.GridTrial's) emits an accepted mirror as its source gate
+// with Mirrored set, and only the Results Route, TrialRunner.Run and
+// FindBestRoutingPrepared hand out carry the mirror gate SWAP · U.
 type Metric func(*Result) float64
 
 // SwapCountMetric is the stock Qiskit-SABRE post-selection metric: the

@@ -135,6 +135,7 @@ func BenchmarkTranspileRoot4(b *testing.B) {
 // trial's own policy. qft_n18 is consolidated on square-6x6 and the
 // loop cycles through the trials of a 20x20 grid, with every row's
 // layout refined and every trial's policy built outside the timer.
+// The trial scores its SWAP count, so the row times the route alone.
 // Allocs/op is 0: the arena holds all trial state.
 func BenchmarkGridTrialMirage(b *testing.B) {
 	e, err := bench.ByName("qft_n18")
@@ -155,7 +156,7 @@ func BenchmarkGridTrialMirage(b *testing.B) {
 	policies := make([]sabre.MirrorPolicy, grid)
 	for t := range policies {
 		policies[t] = factory(t)
-		if _, err := runner.GridTrial(layouts[t/opts.RoutingTrials], opts, t, policies[t]); err != nil {
+		if _, err := runner.GridTrial(layouts[t/opts.RoutingTrials], opts, t, policies[t], sabre.SwapCountMetric); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -163,7 +164,7 @@ func BenchmarkGridTrialMirage(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t := i % grid
-		if _, err := runner.GridTrial(layouts[t/opts.RoutingTrials], opts, t, policies[t]); err != nil {
+		if _, err := runner.GridTrial(layouts[t/opts.RoutingTrials], opts, t, policies[t], sabre.SwapCountMetric); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -323,7 +323,7 @@ func RoutingPolicy(opts Options, pc *sabre.PreparedCircuit) (sabre.Metric, *sabr
 	costs := mirage.NewCostTable(basis, pc.Classes())
 	metric, bound := sabre.SwapCountMetric, sabre.SwapCountBound()
 	if opts.DepthSelection {
-		metric, bound = mirage.DepthMetric(costs), sabre.DepthBound(costs.CostOf, costs.Slots())
+		metric, bound = mirage.DepthMetric(costs), sabre.DepthBound(costs.Slots())
 	}
 	var factory sabre.PolicyFactory
 	if opts.Router == MIRAGE {

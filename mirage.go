@@ -19,7 +19,7 @@
 // generators, the SABRE baseline and MIRAGE routers, Weyl-chamber
 // analysis (coordinates and mirror gates), coverage polytopes, and
 // Haar-score experiments. The implementation lives in internal/
-// packages; see DESIGN.md for the architecture map.
+// packages; see README.md for the architecture map.
 package mirage
 
 import (
@@ -78,7 +78,7 @@ type Topology = topology.Topology
 type Layout = topology.Layout
 
 // NewLayout builds a layout from a logical-to-physical assignment
-// (the initial-layout input of TrialRunner.Run and Route).
+// (the initial-layout input of TrialRunner.Run).
 func NewLayout(l2p []int, numPhysical int) *Layout {
 	return topology.NewLayout(l2p, numPhysical)
 }
@@ -151,11 +151,12 @@ type RoutingResult = sabre.Result
 
 // TrialRunner reuses one routing-trial arena across many trials of a
 // prepared (circuit, topology) pair: the dependency DAG is built once
-// and shared immutably, all mutable trial state is rewound per Run, so
-// steady-state trials allocate O(1). A runner is single-goroutine and
-// the Result returned by Run aliases its arena (valid until the next
-// Run). A distributed worker runs the layout rows of a trial grid on
-// one.
+// and shared immutably, and all mutable trial state is rewound per
+// Run, so a warm Run allocates only the mirror gate SWAP · U of each
+// mirror it accepts. A runner is single-goroutine and the Result
+// returned by Run aliases its arena (valid until the next Run). A
+// distributed worker runs the layout rows of a trial grid on one,
+// scoring each trial with GridTrial.
 type TrialRunner = sabre.TrialRunner
 
 // NewTrialRunner validates and prepares a circuit for repeated routing
