@@ -40,7 +40,7 @@ func TestWriteQASMReadsBackOrFails(t *testing.T) {
 		{"CRY", gates.CRY(0.8), false}, {"CRZ", gates.CRZ(-0.6), true},
 		{"RXX", gates.RXX(0.9), true}, {"RZZ", gates.RZZ(1.7), true},
 		{"PSwap", gates.PSwap(0.5), false}, {"CNS", gates.CNS(), false},
-		{"Canonical", gates.Canonical(0.3, 0.2, 0.1), false}, {"Dagger", gates.Dagger(gates.T()), false},
+		{"Canonical", gates.Canonical(0.3, 0.2, 0.1), false},
 		{"NewCustom", gates.NewCustom("su4", 2, gates.CNS().Matrix()), false},
 		// A decoded wire copy of a gate keeps its name and parameters.
 		{"NewCustomWithParams", gates.NewCustomWithParams("rz", 1, []float64{0.5}, gates.RZ(0.5).Matrix()), true},

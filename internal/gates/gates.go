@@ -309,12 +309,6 @@ func Canonical(x, y, z float64) Gate {
 	return Gate{Name: "can", Qubits: 2, Params: []float64{x, y, z}, matrix: m}
 }
 
-// Dagger returns the inverse gate with matrix equal to the conjugate
-// transpose of g.
-func Dagger(g Gate) Gate {
-	return Gate{Name: g.Name + "_dg", Qubits: g.Qubits, Params: g.Params, matrix: g.Matrix().Dagger()}
-}
-
 // --- Fixed-size kernel constructors ---
 //
 // The numeric hot paths (ansatz fitting, block consolidation, Weyl

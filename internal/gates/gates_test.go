@@ -184,14 +184,6 @@ func TestCanonicalAdditive(t *testing.T) {
 	}
 }
 
-func TestDaggerGate(t *testing.T) {
-	g := RX(0.7)
-	dg := Dagger(g)
-	if !g.Matrix().Mul(dg.Matrix()).EqualApprox(linalg.Identity(2), tol) {
-		t.Error("g * Dagger(g) != I")
-	}
-}
-
 func TestNewCustomValidates(t *testing.T) {
 	defer func() {
 		if recover() == nil {

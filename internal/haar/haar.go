@@ -18,21 +18,10 @@ import (
 	"math/rand"
 
 	"repro/internal/decompose"
-	"repro/internal/gates"
-	"repro/internal/linalg"
 	"repro/internal/optimize"
 	"repro/internal/polytope"
 	"repro/internal/weyl"
 )
-
-// SU4Gate draws a Haar-random SU(4) unitary (linalg.RandSU4, the
-// Mezzadri construction) and wraps it as a two-qubit gate named "su4".
-// It is the sampling primitive of the mirror quantum-volume workload
-// generator (internal/mirrorbench): QV layers are exactly Haar SU(4)
-// blocks on random qubit pairs.
-func SU4Gate(rng *rand.Rand) gates.Gate {
-	return gates.NewCustom("su4", 2, linalg.RandSU4(rng).ToMatrix())
-}
 
 // Strategy selects the Algorithm 1 variant.
 type Strategy struct {

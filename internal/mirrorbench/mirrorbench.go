@@ -25,15 +25,23 @@
 // whole-pipeline bugs that bit-identity tests against RouteReference
 // structurally cannot (both engine and reference being wrong
 // together).
+//
+// Generated gates are shared immutable values: every Clifford, CX, CZ
+// and central Pauli op of every circuit holds one of a few package-level
+// gates, a QV circuit's SU(4) matrices and their daggers are cut from
+// one backing, and an op and its mirrored inverse share their qubit
+// slice. Like every gate matrix, none may be written.
 package mirrorbench
 
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/circuit"
 	"repro/internal/gates"
-	"repro/internal/haar"
+	"repro/internal/linalg"
+	"repro/internal/rng"
 )
 
 // Kind selects a generator family.
@@ -59,9 +67,10 @@ func (k Kind) String() string {
 }
 
 // Spec is a deterministic generator recipe: the same spec always
-// produces the same circuit and expected outcome, on any machine (the
-// generators draw only from math/rand sources, whose sequences are
-// stable under the Go 1 compatibility promise).
+// produces the same circuit and expected outcome, on any machine. The
+// generators draw math/rand's stream for Seed (stable under the Go 1
+// compatibility promise), reproduced bit for bit by the shared
+// rng.Source, whose tests pin it to rand.NewSource.
 type Spec struct {
 	Kind   Kind
 	Qubits int
@@ -89,6 +98,11 @@ type Mirror struct {
 	Expected []int
 }
 
+// rands holds generators between calls; Generate reseeds one in O(1)
+// instead of building a math/rand source (1841 Lehmer steps) per
+// circuit.
+var rands = sync.Pool{New: func() any { return rand.New(rng.NewSource(1)) }}
+
 // Generate builds the mirror circuit for the spec.
 func Generate(s Spec) *Mirror {
 	if s.Qubits < 2 {
@@ -97,49 +111,79 @@ func Generate(s Spec) *Mirror {
 	if s.Layers < 1 {
 		panic(fmt.Sprintf("mirrorbench: %d layers, need at least 1", s.Layers))
 	}
-	rng := rand.New(rand.NewSource(s.Seed))
+	r := rands.Get().(*rand.Rand)
+	defer rands.Put(r)
+	r.Seed(s.Seed)
 	switch s.Kind {
 	case QuantumVolume:
-		return generateQV(s, rng)
+		return generateQV(s, r)
 	case RandomizedClifford:
-		return generateRC(s, rng)
+		return generateRC(s, r)
 	}
 	panic(fmt.Sprintf("mirrorbench: unknown kind %d", s.Kind))
 }
 
-// halfOp is one first-half gate application, retained so the second
-// half can replay exact inverses in reverse order.
-type halfOp struct {
-	gate   gates.Gate
+// opBuilder appends ops to a circuit whose op slice and qubit backing
+// were sized up front, cutting each op's qubits from the backing with
+// a capacity of their own length.
+type opBuilder struct {
+	c      *circuit.Circuit
 	qubits []int
 }
 
-// generateQV emits Layers rounds of Haar SU(4) blocks on random
-// disjoint pairs, then the daggered rounds reflected back. The total
-// unitary is exactly the identity, so the survival bitstring is all
-// zeros.
-func generateQV(s Spec, rng *rand.Rand) *Mirror {
+func newOpBuilder(s Spec, ops, wires int) *opBuilder {
 	c := circuit.New(s.Name(), s.Qubits)
-	var half []halfOp
-	for l := 0; l < s.Layers; l++ {
-		perm := rng.Perm(s.Qubits)
-		for i := 0; i+1 < s.Qubits; i += 2 {
-			g := haar.SU4Gate(rng)
-			q := []int{perm[i], perm[i+1]}
-			c.Add(g, q...)
-			half = append(half, halfOp{g, q})
-		}
-	}
-	appendInverses(c, half, nil)
-	return &Mirror{Spec: s, Circuit: c, Expected: make([]int, s.Qubits)}
+	c.Ops = make([]circuit.Op, 0, ops)
+	return &opBuilder{c: c, qubits: make([]int, 0, wires)}
 }
 
-// rcCliffords is the 1Q Clifford alphabet of the randomized mirror
-// generator; every member has simple Pauli-conjugation rules (see
-// pauliFrame.conjugate) and an in-alphabet inverse.
-var rcCliffords = []func() gates.Gate{
-	gates.X, gates.Y, gates.Z, gates.H, gates.S, gates.Sdg,
+func (b *opBuilder) add(g gates.Gate, qs ...int) {
+	lo := len(b.qubits)
+	b.qubits = append(b.qubits, qs...)
+	b.c.Add(g, b.qubits[lo:len(b.qubits):len(b.qubits)]...)
 }
+
+// generateQV emits Layers rounds of Haar SU(4) blocks (linalg.RandSU4,
+// the Mezzadri construction) on random disjoint pairs, then the
+// daggered rounds reflected back. The total unitary is exactly the
+// identity, so the survival bitstring is all zeros. Block k's matrix
+// and its dagger's are cut from one backing per circuit.
+func generateQV(s Spec, r *rand.Rand) *Mirror {
+	half := s.Layers * (s.Qubits / 2)
+	b := newOpBuilder(s, 2*half, 2*half)
+	mats := make([]linalg.Matrix, 2*half) // block k at k, its dagger at half+k
+	data := make([]complex128, 16*len(mats))
+	for i := range mats {
+		mats[i] = linalg.Matrix{Rows: 4, Cols: 4, Data: data[16*i : 16*(i+1) : 16*(i+1)]}
+	}
+	for l := 0; l < s.Layers; l++ {
+		perm := r.Perm(s.Qubits)
+		for i := 0; i+1 < s.Qubits; i += 2 {
+			k := len(b.c.Ops)
+			u := linalg.RandSU4(r)
+			dg := u.Dagger()
+			copy(mats[k].Data, u[:])
+			copy(mats[half+k].Data, dg[:])
+			b.add(gates.NewCustom("su4", 2, &mats[k]), perm[i], perm[i+1])
+		}
+	}
+	for k := half - 1; k >= 0; k-- {
+		b.c.Add(gates.NewCustom("su4_dg", 2, &mats[half+k]), b.c.Ops[k].Qubits...)
+	}
+	return &Mirror{Spec: s, Circuit: b.c, Expected: make([]int, s.Qubits)}
+}
+
+// The generator's gate alphabet, built once: ops share these values.
+var (
+	gateX, gateY, gateZ = gates.X(), gates.Y(), gates.Z()
+	gateS, gateSdg      = gates.S(), gates.Sdg()
+	gateCX, gateCZ      = gates.CX(), gates.CZ()
+
+	// rcCliffords is the 1Q Clifford alphabet of the randomized mirror
+	// generator; every member has simple Pauli-conjugation rules (see
+	// pauliFrame.conjugate) and an in-alphabet inverse.
+	rcCliffords = [...]gates.Gate{gateX, gateY, gateZ, gates.H(), gateS, gateSdg}
+)
 
 // generateRC emits Layers rounds of [1Q Clifford layer, entangling
 // CX/CZ layer on random disjoint pairs], a central Pauli layer P,
@@ -147,23 +191,20 @@ var rcCliffords = []func() gates.Gate{
 // half, the circuit composes to F^-1 P F — a Pauli, because Clifford
 // conjugation preserves the Pauli group — and that Pauli's X-support
 // is the survival bitstring.
-func generateRC(s Spec, rng *rand.Rand) *Mirror {
-	c := circuit.New(s.Name(), s.Qubits)
-	var half []halfOp
-	add := func(g gates.Gate, qs ...int) {
-		c.Add(g, qs...)
-		half = append(half, halfOp{g, qs})
-	}
+func generateRC(s Spec, r *rand.Rand) *Mirror {
+	pairs := s.Qubits / 2
+	half := s.Layers * (s.Qubits + pairs)
+	b := newOpBuilder(s, 2*half+s.Qubits, s.Layers*(s.Qubits+2*pairs)+s.Qubits)
 	for l := 0; l < s.Layers; l++ {
 		for q := 0; q < s.Qubits; q++ {
-			add(rcCliffords[rng.Intn(len(rcCliffords))](), q)
+			b.add(rcCliffords[r.Intn(len(rcCliffords))], q)
 		}
-		perm := rng.Perm(s.Qubits)
+		perm := r.Perm(s.Qubits)
 		for i := 0; i+1 < s.Qubits; i += 2 {
-			if rng.Intn(2) == 0 {
-				add(gates.CX(), perm[i], perm[i+1])
+			if r.Intn(2) == 0 {
+				b.add(gateCX, perm[i], perm[i+1])
 			} else {
-				add(gates.CZ(), perm[i], perm[i+1])
+				b.add(gateCZ, perm[i], perm[i+1])
 			}
 		}
 	}
@@ -174,52 +215,48 @@ func generateRC(s Spec, rng *rand.Rand) *Mirror {
 	// drops or reorders whole layers cannot pass by symmetry.
 	frame := newPauliFrame(s.Qubits)
 	for q := 0; q < s.Qubits; q++ {
-		switch rng.Intn(4) {
+		switch r.Intn(4) {
 		case 1: // X
-			c.Add(gates.X(), q)
+			b.add(gateX, q)
 			frame.x[q] = true
 		case 2: // Y
-			c.Add(gates.Y(), q)
+			b.add(gateY, q)
 			frame.x[q], frame.z[q] = true, true
 		case 3: // Z
-			c.Add(gates.Z(), q)
+			b.add(gateZ, q)
 			frame.z[q] = true
 		}
 	}
 
-	appendInverses(c, half, frame)
-	return &Mirror{Spec: s, Circuit: c, Expected: frame.bits()}
+	appendInverses(b.c, half, frame)
+	return &Mirror{Spec: s, Circuit: b.c, Expected: frame.bits()}
 }
 
-// appendInverses replays the first half's exact inverses in reverse
-// order. When a Pauli frame is supplied, each appended inverse g also
-// conjugates the frame (P <- g P g^dagger) in application order: the
-// second half applies g_1 ... g_m with F^-1 = g_m···g_1 as a matrix,
-// so the circuit's total unitary F^-1 P F equals the frame after
-// conjugating by g_1 first, then g_2, and so on.
-func appendInverses(c *circuit.Circuit, half []halfOp, frame *pauliFrame) {
-	for i := len(half) - 1; i >= 0; i-- {
-		g := inverse(half[i].gate)
-		c.Add(g, half[i].qubits...)
-		if frame != nil {
-			frame.conjugate(g.Name, half[i].qubits)
-		}
+// appendInverses replays the exact inverses of the circuit's first
+// half ops in reverse order, each sharing its source op's qubit slice,
+// and conjugates the frame by each (P <- g P g^dagger) in application
+// order: the second half applies g_1 ... g_m with F^-1 = g_m···g_1 as
+// a matrix, so the circuit's total unitary F^-1 P F equals the frame
+// after conjugating by g_1 first, then g_2, and so on.
+func appendInverses(c *circuit.Circuit, half int, frame *pauliFrame) {
+	for i := half - 1; i >= 0; i-- {
+		qs := c.Ops[i].Qubits
+		g := inverse(c.Ops[i].Gate)
+		c.Add(g, qs...)
+		frame.conjugate(g.Name, qs)
 	}
 }
 
-// inverse returns the exact inverse gate, staying inside the named
-// alphabet where one exists (self-inverse gates and the S/Sdg pair)
-// and falling back to the dagger for numeric gates like su4.
+// inverse returns the exact inverse of an alphabet gate: S and Sdg
+// swap, and every other member is its own inverse.
 func inverse(g gates.Gate) gates.Gate {
 	switch g.Name {
-	case "x", "y", "z", "h", "cx", "cz", "swap":
-		return g
 	case "s":
-		return gates.Sdg()
+		return gateSdg
 	case "sdg":
-		return gates.S()
+		return gateS
 	}
-	return gates.Dagger(g)
+	return g
 }
 
 // pauliFrame tracks an n-qubit Pauli operator in the symplectic (x, z)

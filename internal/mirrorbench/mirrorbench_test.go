@@ -161,3 +161,57 @@ func TestSpecName(t *testing.T) {
 		t.Fatalf("Name() = %q", got)
 	}
 }
+
+// benchSpecs are the shapes BenchmarkGenerate times: both kinds at the
+// largest small-mirror width and depth.
+var benchSpecs = []Spec{
+	{Kind: RandomizedClifford, Qubits: 6, Layers: 6},
+	{Kind: QuantumVolume, Qubits: 6, Layers: 6},
+}
+
+// BenchmarkGenerate times one circuit per iteration, a new seed each.
+func BenchmarkGenerate(b *testing.B) {
+	for _, s := range benchSpecs {
+		b.Run(s.Kind.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.Seed = int64(i)
+				Generate(s)
+			}
+		})
+	}
+}
+
+// maxGenerateAllocs bounds the heap allocations of one Generate call:
+// the name, the circuit with its op slice and qubit backing, one Perm
+// per layer, the Pauli frame or the SU(4) matrix backing, Expected and
+// the Mirror, 9 + Layers in all. A math/rand source per circuit adds
+// one, a gate matrix or qubit slice per op dozens. The race detector
+// makes sync.Pool drop pooled generators at random; each drop rebuilds
+// one (two objects).
+func maxGenerateAllocs(s Spec) float64 {
+	n := float64(9 + s.Layers)
+	if raceEnabled {
+		n += 4
+	}
+	return n
+}
+
+// TestGenerateAllocs pins the allocation count of Generate on both
+// kinds at 6 qubits x 6 layers, averaged over 50 calls with a new seed
+// each.
+func TestGenerateAllocs(t *testing.T) {
+	for _, s := range benchSpecs {
+		Generate(s) // warm the pooled generator
+		seed := int64(0)
+		got := testing.AllocsPerRun(50, func() {
+			seed++
+			s.Seed = seed
+			Generate(s)
+		})
+		if limit := maxGenerateAllocs(s); got > limit {
+			t.Errorf("%s: Generate allocates %.1f objects per call, want <= %.0f", s.Kind, got, limit)
+		}
+		t.Logf("%s: %.1f allocations per call", s.Kind, got)
+	}
+}

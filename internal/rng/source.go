@@ -1,16 +1,23 @@
-package sabre
+// Package rng provides Source, math/rand's additive lagged-Fibonacci
+// source with O(1) seeding. Both the routing trials (internal/sabre)
+// and the mirror-circuit generator (internal/mirrorbench) draw from
+// it, so each reproduces exactly what a rand.NewSource stream would
+// give while reseeding for free.
+package rng
 
 import "math/rand"
 
-// trialSource is math/rand's additive lagged-Fibonacci source with
-// O(1) seeding. It returns, bit for bit, the stream of
-// rand.NewSource(seed) for every seed, so swapping it into the trial
-// arena changes no routed circuit.
+// Source is math/rand's additive lagged-Fibonacci source with O(1)
+// seeding. It returns, bit for bit, the stream of rand.NewSource(seed)
+// for every seed, so swapping it in for math/rand's source changes no
+// draw of any rand.Rand built on it.
 //
 // rand.NewSource fills its 607-word register by running the Lehmer
 // generator x_{k+1} = 48271·x_k mod (2³¹−1) for 1841 steps and XORing
 // each word with a fixed "cooked" table. That costs ~13 µs per seed,
-// which on small circuits is a large share of a whole routing trial.
+// which on small circuits is a large share of a whole routing trial,
+// and of generating a whole mirror circuit.
+//
 // The Lehmer state after k steps is just 48271^k·x₀ mod (2³¹−1), so
 // word i is a closed-form function of the reduced seed x₀: three
 // modular products against a precomputed power table, shifted and
@@ -22,9 +29,9 @@ import "math/rand"
 // 607, so the feed word was never touched before draw 334 (it was the
 // tap word of draw n−334) and the tap word never before draw 273 (it
 // was the feed word of draw n−273). No per-word bookkeeping is needed,
-// and a trial that draws a handful of numbers derives a handful of
+// and a caller that draws a handful of numbers derives a handful of
 // words.
-type trialSource struct {
+type Source struct {
 	x0        uint64 // reduced seed, in [1, 2³¹−1)
 	n         int    // draws since the last Seed
 	tap, feed int
@@ -115,14 +122,16 @@ func lehmerWord(x0 uint64, i int) int64 {
 	return u
 }
 
-func newTrialSource(seed int64) *trialSource {
-	s := new(trialSource)
+// NewSource returns a Source seeded with seed: the stream of
+// rand.NewSource(seed).
+func NewSource(seed int64) *Source {
+	s := new(Source)
 	s.Seed(seed)
 	return s
 }
 
 // Seed resets the source to rand.NewSource(seed)'s state in O(1).
-func (s *trialSource) Seed(seed int64) {
+func (s *Source) Seed(seed int64) {
 	s.tap = 0
 	s.feed = srcLen - srcTap
 	s.n = 0
@@ -137,7 +146,7 @@ func (s *trialSource) Seed(seed int64) {
 }
 
 // Uint64 returns the next 64-bit value of the stream.
-func (s *trialSource) Uint64() uint64 {
+func (s *Source) Uint64() uint64 {
 	s.tap--
 	if s.tap < 0 {
 		s.tap += srcLen
@@ -161,4 +170,4 @@ func (s *trialSource) Uint64() uint64 {
 }
 
 // Int63 returns the next value of the stream with its top bit cleared.
-func (s *trialSource) Int63() int64 { return int64(s.Uint64() &^ (1 << 63)) }
+func (s *Source) Int63() int64 { return int64(s.Uint64() &^ (1 << 63)) }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/gates"
+	"repro/internal/rng"
 	"repro/internal/topology"
 	"repro/internal/weyl"
 )
@@ -21,10 +22,11 @@ var routerSwapGate = gates.SWAP()
 // trialArena owns every mutable buffer one routing trial needs: the
 // engine state (routingState — traversal, layout, decay, scoring sets,
 // candidate dedup stamps), the reusable routed-op buffer, the layout
-// copies a Result exposes, the per-trial generator (trialSource:
-// math/rand's stream, seeded in O(1)), the depth pass a
-// score bound feeds, and a pre-bound MirrorContext whose RoutingCosts
-// closure is allocated once per arena instead of once per decision.
+// copies a Result exposes, the per-trial generator (math/rand's stream
+// from the shared rng.Source, reseeded in O(1) per trial), the depth
+// pass a score bound feeds, and a pre-bound MirrorContext whose
+// RoutingCosts closure is allocated once per arena instead of once per
+// decision.
 //
 // Ownership rules (the seam a layout row and a distributed worker run on):
 // the circuit.FlatDAG and Topology a trial reads are immutable and
@@ -59,7 +61,7 @@ type trialArena struct {
 // are reused afterwards; binding the same (or a smaller) circuit and
 // topology again allocates nothing.
 func newTrialArena() *trialArena {
-	a := &trialArena{rng: rand.New(newTrialSource(1))}
+	a := &trialArena{rng: rand.New(rng.NewSource(1))}
 	// RoutingCosts closes over the embedded routing state once; a
 	// decision only rearms it (armMirror).
 	a.ctx.RoutingCosts = a.st.mirrorCosts
@@ -415,7 +417,7 @@ func (r *TrialRunner) run(initial *topology.Layout, opts Options, seed int64, po
 	bound *trialBound) (*Result, error) {
 
 	r.arena.rng.Seed(seed)
-	return r.arena.route(r.pc.FD, &r.pc.mirrors, r.pc.Topo, initial, opts, r.arena.rng, policy, bound)
+	return r.arena.route(r.pc.FD(), &r.pc.mirrors, r.pc.Topo, initial, opts, r.arena.rng, policy, bound)
 }
 
 // RefineLayout returns layout trial lt's initial layout: a random
@@ -433,12 +435,12 @@ func (r *TrialRunner) RefineLayout(opts LayoutOptions, lt int) (*topology.Layout
 	a.rng.Seed(trialSeed(opts.Seed, seedStreamLayout, lt))
 	layout := RandomLayout(n, pc.Topo, a.rng)
 	for pass := 0; pass < opts.FwdBwdPasses; pass++ {
-		fwd, err := a.route(pc.FD, nil, pc.Topo, layout, opts.Routing, a.rng, nil, nil)
+		fwd, err := a.route(pc.FD(), nil, pc.Topo, layout, opts.Routing, a.rng, nil, nil)
 		if err != nil {
 			return nil, err
 		}
 		projectLayoutInto(&a.h1, fwd.FinalLayout, n)
-		bwd, err := a.route(pc.FDRev, nil, pc.Topo, &a.h1, opts.Routing, a.rng, nil, nil)
+		bwd, err := a.route(pc.FDRev(), nil, pc.Topo, &a.h1, opts.Routing, a.rng, nil, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -121,7 +121,7 @@ func depthTail(pc *PreparedCircuit, prices []float64, swaps int) ([]float64, flo
 		exact = exact && dyadic(p)
 		maxW = math.Max(maxW, p)
 	}
-	fd := pc.FD
+	fd := pc.FD()
 	tail := make([]float64, fd.NumOps)
 	for i := len(tail) - 1; i >= 0; i-- {
 		w := 0.0

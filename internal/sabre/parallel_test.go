@@ -2,6 +2,7 @@ package sabre
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -159,5 +160,39 @@ func TestFindBestRoutingParallelError(t *testing.T) {
 	}
 	if msgs[0] != msgs[1] {
 		t.Fatalf("error differs across worker counts: %q vs %q", msgs[0], msgs[1])
+	}
+}
+
+// TestPreparedDAGsBuiltOnFirstRoute checks that PrepareCircuit builds
+// neither flat DAG, that a grid whose rows first reach them from four
+// workers at once (run under -race) routes exactly as a serial grid
+// on its own prepared circuit, and that the DAGs it built are the ones
+// BuildFlatDAG gives.
+func TestPreparedDAGsBuiltOnFirstRoute(t *testing.T) {
+	c := randomCircuit("lazy", 9, 60, rand.New(rand.NewSource(5)))
+	topo := topology.Grid(3, 3)
+	opts := LayoutOptions{LayoutTrials: 4, RoutingTrials: 2, FwdBwdPasses: 1, Seed: 2}
+	var fps [][]int
+	for _, par := range []int{1, 4} {
+		pc, err := PrepareCircuit(c, topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pc.fd != nil || pc.fdRev != nil {
+			t.Fatal("PrepareCircuit built a flat DAG before any route")
+		}
+		opts.Parallelism = par
+		res, err := FindBestRoutingPrepared(pc, opts, SwapCountMetric, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fps = append(fps, routingFingerprint(res))
+		if !reflect.DeepEqual(pc.FD(), circuit.BuildFlatDAG(c)) ||
+			!reflect.DeepEqual(pc.FDRev(), circuit.BuildFlatDAG(c.Reversed())) {
+			t.Fatalf("Parallelism=%d: lazily built DAGs differ from BuildFlatDAG", par)
+		}
+	}
+	if !sameFingerprint(fps[0], fps[1]) {
+		t.Fatal("routing on lazily built DAGs differs across worker counts")
 	}
 }

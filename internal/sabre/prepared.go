@@ -2,6 +2,7 @@ package sabre
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/circuit"
 	"repro/internal/topology"
@@ -24,33 +25,32 @@ import (
 //
 // Lifetime rules: a PreparedCircuit and everything it references
 // (Circ, Topo, both DAGs, the mirror data) are immutable after
-// PrepareCircuit returns — each part of the mirror data is built from
-// Circ alone, once, on its first use, under a sync.Once — and safe to
-// share across any number of goroutines, trial runners and
-// FindBestRoutingPrepared calls, concurrently and indefinitely. All
-// mutable routing state lives in per-worker trial arenas; nothing ever
-// writes back into the prepared state or into Circ. The prepared state
-// is only valid for the exact Circ/Topo pair it was built from —
-// mutating the underlying circuit afterwards (appending ops,
-// renumbering qubits) invalidates it undetectably, so treat the source
-// circuit as frozen.
+// PrepareCircuit returns — each DAG and each part of the mirror data
+// is built from Circ alone, once, on its first use, under a sync.Once,
+// so a circuit that is prepared but never routed (one that embeds
+// trivially) builds none of them — and safe to share across any number
+// of goroutines, trial runners and FindBestRoutingPrepared calls,
+// concurrently and indefinitely. All mutable routing state lives in
+// per-worker trial arenas; nothing ever writes back into the prepared
+// state or into Circ. The prepared state is only valid for the exact
+// Circ/Topo pair it was built from — mutating the underlying circuit
+// afterwards (appending ops, renumbering qubits) invalidates it
+// undetectably, so treat the source circuit as frozen.
 type PreparedCircuit struct {
 	Circ *circuit.Circuit
 	Topo *topology.Topology
-	// FD is the forward dependency DAG; FDRev is the DAG of the
-	// reversed circuit (FDRev.Circ), used by the backward half of
-	// layout refinement.
-	FD    *circuit.FlatDAG
-	FDRev *circuit.FlatDAG
+
+	fdOnce, fdRevOnce sync.Once
+	fd, fdRev         *circuit.FlatDAG
 
 	mirrors mirrorTable // per-op mirror data of Circ
 }
 
-// PrepareCircuit validates c against topo and builds the shared
-// immutable analysis state (the forward and reversed flat DAGs, both
-// derived from c alone) that FindBestRoutingPrepared and
-// NewTrialRunner reuse. Prepare once per circuit and fan the result
-// out to every consumer.
+// PrepareCircuit validates c against topo and returns the shared
+// immutable analysis state that FindBestRoutingPrepared and
+// NewTrialRunner reuse; its parts are derived from c alone on their
+// first use. Prepare once per circuit and fan the result out to every
+// consumer.
 func PrepareCircuit(c *circuit.Circuit, topo *topology.Topology) (*PreparedCircuit, error) {
 	if err := validateRoutable(c, topo); err != nil {
 		return nil, err
@@ -61,10 +61,23 @@ func PrepareCircuit(c *circuit.Circuit, topo *topology.Topology) (*PreparedCircu
 	return &PreparedCircuit{
 		Circ:    c,
 		Topo:    topo,
-		FD:      circuit.BuildFlatDAG(c),
-		FDRev:   circuit.BuildFlatDAG(c.Reversed()),
 		mirrors: mirrorTable{circ: c, name: c.Name + "_routed"},
 	}, nil
+}
+
+// FD returns the forward dependency DAG of Circ, built on its first
+// use. Safe for concurrent use.
+func (pc *PreparedCircuit) FD() *circuit.FlatDAG {
+	pc.fdOnce.Do(func() { pc.fd = circuit.BuildFlatDAG(pc.Circ) })
+	return pc.fd
+}
+
+// FDRev returns the DAG of the reversed circuit (FDRev().Circ), which
+// only the backward half of layout refinement reads, built on its
+// first use. Safe for concurrent use.
+func (pc *PreparedCircuit) FDRev() *circuit.FlatDAG {
+	pc.fdRevOnce.Do(func() { pc.fdRev = circuit.BuildFlatDAG(pc.Circ.Reversed()) })
+	return pc.fdRev
 }
 
 // Classes returns the class list of Circ (circuit.NewClasses), built

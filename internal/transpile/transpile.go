@@ -145,9 +145,10 @@ type Report struct {
 // PreparedCircuit is the amortised per-circuit front half of the
 // pipeline: input cleaning, 2Q block consolidation (with Weyl
 // coordinate annotation on every block) and the shared routing
-// analysis (validated circuit/topology pairing, the forward and
-// reversed dependency DAGs every routing trial reads, and the blocks'
-// class list, built on first use).
+// analysis (validated circuit/topology pairing, plus the forward and
+// reversed dependency DAGs every routing trial reads and the blocks'
+// class list, each built on its first use, so a circuit that embeds
+// trivially builds none of them).
 // Prepare once, then call TranspilePrepared for each configuration — a
 // benchmark row running SABRE and MIRAGE over the same circuit, or a
 // sweep over aggression levels or bases, pays for the analysis once
@@ -157,7 +158,9 @@ type Report struct {
 // Like sabre.PreparedCircuit, a PreparedCircuit is immutable after
 // PrepareCircuit returns and safe to share across goroutines:
 // preparing writes neither Source nor Blocks, and no call writes them
-// afterwards, so the calls sharing it may run in any order.
+// afterwards, so the calls sharing it may run in any order. The
+// routing analysis's lazily built parts are each built once, under a
+// sync.Once, by whichever call first routes.
 type PreparedCircuit struct {
 	Source *circuit.Circuit
 	Topo   *topology.Topology
