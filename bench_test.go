@@ -194,7 +194,7 @@ func BenchmarkFig9Trials(b *testing.B) {
 		minD, maxD := 1e18, 0.0
 		for trial := 0; trial < 8; trial++ {
 			policy := mirpkg.NewPolicy(mirpkg.NewCostTable(cov, pc.Classes()), mirpkg.AggressionEqual)
-			res, err := runner.Run(topology.TrivialLayout(4, 4), sabre.Options{}, int64(trial+1), policy)
+			res, err := runner.Run(topology.TrivialLayout(4, 4), int64(trial+1), policy)
 			if err != nil {
 				b.Fatal(err)
 			}

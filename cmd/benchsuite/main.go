@@ -31,10 +31,6 @@ import (
 type runConfig struct {
 	layout  sabre.LayoutOptions
 	kernels bool // run the numeric-kernel -benchmem lane
-	// mirrorVerify enables the semantic survival check on mirror-family
-	// suite rows inside runFig12 (runMirror always verifies).
-	mirrorVerify bool
-	mirrorTol    float64
 	// cluster, when non-nil, fans every trial grid's layout rows out to
 	// remote miraged workers (-listen/-workers). Results are
 	// bit-identical to local runs; only wall times and fleet counters
@@ -85,8 +81,6 @@ func main() {
 		kernels   = flag.Bool("kernels", false, "run the numeric-kernel -benchmem lane and record it in the results file")
 		patSweep  = flag.String("patience-sweep", "", "comma-separated ConvergencePatience values to sweep on the suite (e.g. \"0,2,5,8,12\"); runs the sweep instead of -fig")
 		patJSON   = flag.String("patience-json", "BENCH_patience.json", "machine-readable patience-sweep results file (empty = disabled)")
-		mirVerify = flag.Bool("mirror-verify", false, "fig 12: run the survival-bitstring semantic check on mirror-family rows and record pass/fail + fidelity in -json")
-		mirTol    = flag.Float64("mirror-tol", 1e-9, "survival-fidelity infidelity tolerance for mirror verification")
 		listen    = flag.String("listen", "", "coordinator address for distributed trials (e.g. 127.0.0.1:7117); workers join with `miraged worker -connect`")
 		workers   = flag.Int("workers", 0, "remote workers to wait for before starting (requires -listen)")
 		lease     = flag.Int("lease", 0, "layout rows per work-queue lease in distributed mode (0 = default)")
@@ -165,8 +159,6 @@ func main() {
 		}
 	}
 	rc.kernels = *kernels
-	rc.mirrorVerify = *mirVerify
-	rc.mirrorTol = *mirTol
 
 	if *listen != "" {
 		hub, err := fleet.StartHub(*listen, *workers)
@@ -398,28 +390,22 @@ func runFig12(rc *runConfig, topo *topology.Topology, quick bool, jsonPath strin
 	start := time.Now()
 	var rows []bench.RoutingRow
 	verifyFailures := 0
-	addRow := func(e bench.Entry, rep *transpile.Report) {
-		row := bench.NewRoutingRow(len(rows), e.Name, rep)
-		if rc.mirrorVerify && e.Mirror != nil {
-			gen := mirrorbench.Generate(*e.Mirror)
-			fid, err := mirrorbench.Verify(rep.Routed, rep.FinalLayout, gen.Expected, rc.mirrorTol)
+	// addRow records rep's row; expected, non-nil on mirror-family
+	// rows, is the survival bitstring the row is checked against.
+	addRow := func(name string, rep *transpile.Report, expected []int) {
+		row := bench.NewRoutingRow(len(rows), name, rep)
+		if expected != nil {
+			_, err := verifyMirrorRow(&row, rep, expected)
 			switch {
 			case errors.Is(err, mirrorbench.ErrTooWide):
 				// Advisory skip on big devices: the routed footprint
 				// outgrew the dense-unitary limit, so the check cannot
 				// run here. The -fig mirror gate (small topologies)
 				// treats the same condition as a failure.
-				fmt.Fprintf(os.Stderr, "mirror-verify: skipping %s/%s: %v\n", e.Name, rep.Router, err)
+				fmt.Fprintf(os.Stderr, "mirror check: skipping %s/%s: %v\n", name, rep.Router, err)
 			case err != nil:
 				verifyFailures++
-				ok := false
-				row.MirrorVerified = &ok
-				row.SurvivalFidelity = &fid
-				fmt.Fprintf(os.Stderr, "mirror-verify: FAIL %s/%s: %v\n", e.Name, rep.Router, err)
-			default:
-				ok := true
-				row.MirrorVerified = &ok
-				row.SurvivalFidelity = &fid
+				fmt.Fprintf(os.Stderr, "mirror check: FAIL %s/%s: %v\n", name, rep.Router, err)
 			}
 		}
 		rows = append(rows, row)
@@ -428,8 +414,12 @@ func runFig12(rc *runConfig, topo *topology.Topology, quick bool, jsonPath strin
 		pc := transpile.PrepareCircuit(e.Build(), topo)
 		q := transpileOne(pc, transpile.SABRE, false, nil, rc)
 		m := transpileOne(pc, transpile.MIRAGE, true, nil, rc)
-		addRow(e, q)
-		addRow(e, m)
+		var expected []int
+		if e.Mirror != nil {
+			expected = mirrorbench.Generate(*e.Mirror).Expected
+		}
+		addRow(e.Name, q, expected)
+		addRow(e.Name, m, expected)
 		fmt.Printf("%-22s | %9.1f %9.1f | %9.0f %9.0f | %6d %6d | %7.1f%% | %4d+%d/%d\n",
 			e.Name, q.DepthPulses, m.DepthPulses, q.TotalBasisGates, m.TotalBasisGates,
 			q.SwapsInserted, m.SwapsInserted, 100*m.MirrorAcceptRate,
@@ -478,7 +468,7 @@ func runFig12(rc *runConfig, topo *topology.Topology, quick bool, jsonPath strin
 		writeRoutingFile(f, jsonPath)
 	}
 	if verifyFailures > 0 {
-		fmt.Fprintf(os.Stderr, "mirror-verify: %d row(s) violated the survival identity\n", verifyFailures)
+		fmt.Fprintf(os.Stderr, "mirror check: %d row(s) violated the survival identity\n", verifyFailures)
 		os.Exit(1)
 	}
 }
@@ -488,8 +478,9 @@ func runFig12(rc *runConfig, topo *topology.Topology, quick bool, jsonPath strin
 // against its analytically-known survival bitstring — no reference
 // transpiler needed, the mirror construction itself is the oracle. Any
 // violation (including a routed footprint too wide to verify, which on
-// the gate's small topologies indicates a routing bug) exits non-zero
-// after the JSON document is written, so CI still gets the artifact.
+// the gate's small topologies indicates a routing bug; its row carries
+// no verdict) exits non-zero after the JSON document is written, so CI
+// still gets the artifact.
 func runMirror(rc *runConfig, topo *topology.Topology, quick bool, jsonPath string) {
 	var entries []bench.Entry
 	for _, e := range suite(quick) {
@@ -498,7 +489,7 @@ func runMirror(rc *runConfig, topo *topology.Topology, quick bool, jsonPath stri
 		}
 	}
 	fmt.Printf("Mirror-circuit semantic gate on %s (%dx%d trials, tol %.0e, %d circuits)\n",
-		topo.Name, rc.layout.LayoutTrials, rc.layout.RoutingTrials, rc.mirrorTol, len(entries))
+		topo.Name, rc.layout.LayoutTrials, rc.layout.RoutingTrials, mirrorTol, len(entries))
 	fmt.Printf("%-22s %-8s | %8s | %18s | %9s %6s\n",
 		"circuit", "router", "verdict", "survival-fidelity", "depth", "swaps")
 	var rows []bench.RoutingRow
@@ -509,16 +500,14 @@ func runMirror(rc *runConfig, topo *topology.Topology, quick bool, jsonPath stri
 		pc := transpile.PrepareCircuit(gen.Circuit, topo)
 		for _, router := range []transpile.Router{transpile.SABRE, transpile.MIRAGE} {
 			rep := transpileOne(pc, router, router == transpile.MIRAGE, nil, rc)
-			fid, err := mirrorbench.Verify(rep.Routed, rep.FinalLayout, gen.Expected, rc.mirrorTol)
-			ok := err == nil
+			row := bench.NewRoutingRow(len(rows), e.Name, rep)
+			fid, err := verifyMirrorRow(&row, rep, gen.Expected)
 			verdict := "pass"
 			if err != nil {
 				failures++
 				verdict = "FAIL"
-				fmt.Fprintf(os.Stderr, "mirror-verify: %s/%s: %v\n", e.Name, rep.Router, err)
+				fmt.Fprintf(os.Stderr, "mirror gate: %s/%s: %v\n", e.Name, rep.Router, err)
 			}
-			row := bench.NewRoutingRow(len(rows), e.Name, rep)
-			row.MirrorVerified, row.SurvivalFidelity = &ok, &fid
 			rows = append(rows, row)
 			fmt.Printf("%-22s %-8s | %8s | %18.15f | %9.1f %6d\n",
 				e.Name, rep.Router, verdict, fid, rep.DepthPulses, rep.SwapsInserted)
@@ -534,6 +523,24 @@ func runMirror(rc *runConfig, topo *topology.Topology, quick bool, jsonPath stri
 		os.Exit(1)
 	}
 	fmt.Printf("mirror gate: all %d rows preserved their survival bitstring\n", len(rows))
+}
+
+// mirrorTol is the survival infidelity a routed mirror circuit may show.
+const mirrorTol = 1e-9
+
+// verifyMirrorRow checks a mirror-family row's routed circuit against
+// its expected survival bitstring and records the verdict and the
+// survival fidelity on row. A routed footprint too wide for the
+// dense-unitary check (mirrorbench.ErrTooWide) leaves no verdict. It
+// returns the fidelity and the check's error.
+func verifyMirrorRow(row *bench.RoutingRow, rep *transpile.Report, expected []int) (float64, error) {
+	fid, err := mirrorbench.Verify(rep.Routed, rep.FinalLayout, expected, mirrorTol)
+	if errors.Is(err, mirrorbench.ErrTooWide) {
+		return fid, err
+	}
+	ok := err == nil
+	row.MirrorVerified, row.SurvivalFidelity = &ok, &fid
+	return fid, err
 }
 
 func writeRoutingFile(f *bench.RoutingBenchFile, path string) {

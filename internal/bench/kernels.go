@@ -62,7 +62,7 @@ func DepthMetricFixture() (res *sabre.Result, classes *circuit.Classes, cov *pol
 	}
 	classes = pc.Classes()
 	policy := mirage.NewPolicy(mirage.NewCostTable(cov, classes), mirage.AggressionEqual)
-	res, err = sabre.NewTrialRunner(pc).Run(topology.TrivialLayout(12, 12), sabre.Options{}, 7, policy)
+	res, err = sabre.NewTrialRunner(pc).Run(topology.TrivialLayout(12, 12), 7, policy)
 	return res, classes, cov, err
 }
 
@@ -191,7 +191,7 @@ func RunKernelBenchmarks() ([]KernelRow, error) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rng := rand.New(rand.NewSource(7))
-				if _, err := sabre.Route(c, topo, layout, sabre.Options{}, rng, nil); err != nil {
+				if _, err := sabre.Route(c, topo, layout, rng, nil); err != nil {
 					return err
 				}
 			}
@@ -204,13 +204,13 @@ func RunKernelBenchmarks() ([]KernelRow, error) {
 				return err
 			}
 			runner := sabre.NewTrialRunner(pc)
-			if _, err := runner.Run(layout, sabre.Options{}, 7, nil); err != nil {
+			if _, err := runner.Run(layout, 7, nil); err != nil {
 				return err
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := runner.Run(layout, sabre.Options{}, 7, nil); err != nil {
+				if _, err := runner.Run(layout, 7, nil); err != nil {
 					return err
 				}
 			}
@@ -225,13 +225,13 @@ func RunKernelBenchmarks() ([]KernelRow, error) {
 			runner := sabre.NewTrialRunner(pc)
 			// One warmup trial grows the arena to its high-water mark so
 			// the timed loop measures the steady state.
-			if _, err := runner.Run(layout, sabre.Options{}, 1, nil); err != nil {
+			if _, err := runner.Run(layout, 1, nil); err != nil {
 				return err
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := runner.Run(layout, sabre.Options{}, int64(i%16)+1, nil); err != nil {
+				if _, err := runner.Run(layout, int64(i%16)+1, nil); err != nil {
 					return err
 				}
 			}

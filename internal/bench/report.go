@@ -34,12 +34,12 @@ type RoutingRow struct {
 	// identical across runs at different -parallel settings.
 	TrialsExecuted int `json:"trials_executed"`
 	TrialsBudgeted int `json:"trials_budgeted"`
-	// Mirror-family rows only (benchsuite -fig mirror / -mirror-verify):
-	// MirrorVerified records the outcome of the |expected>-survival
-	// semantic check on the transpiled output, and SurvivalFidelity the
-	// measured |<expected|U|0...0>|^2. Both are nil on rows where the
-	// check did not run (non-mirror rows, or ErrTooWide skips), so the
-	// schema is unchanged for existing consumers. The fidelity is
+	// Mirror-family rows only (benchsuite -fig 12 and -fig mirror check
+	// every one): MirrorVerified records the outcome of the
+	// |expected>-survival semantic check on the transpiled output, and
+	// SurvivalFidelity the measured |<expected|U|0...0>|^2. Both are nil
+	// on rows where the check did not run (non-mirror rows, rows of
+	// miraged coordinator, or ErrTooWide skips). The fidelity is
 	// seed-deterministic like every other quality field: distributed
 	// shards must reproduce it bit-identically.
 	MirrorVerified   *bool    `json:"mirror_verified,omitempty"`

@@ -154,19 +154,3 @@ func TestSynthesizeRandomInsideK2Region(t *testing.T) {
 		}
 	}
 }
-
-func TestFidelityModelPaperCalibration(t *testing.T) {
-	m := NewPaperFidelityModel()
-	if f := m.CircuitFidelity(1.0); math.Abs(f-0.99) > 1e-12 {
-		t.Fatalf("iSWAP fidelity = %.6f, want 0.99", f)
-	}
-	// sqrt-iSWAP (duration 0.5) must be better than iSWAP.
-	if f := m.CircuitFidelity(0.5); f <= 0.99 || f >= 1 {
-		t.Fatalf("sqrt-iSWAP fidelity = %.6f, want in (0.99, 1)", f)
-	}
-	// Circuit fidelity is multiplicative in duration.
-	f2 := m.CircuitFidelity(0.5)
-	if math.Abs(m.CircuitFidelity(1.5)-f2*f2*f2) > 1e-12 {
-		t.Fatal("circuit fidelity is not exp-additive in duration")
-	}
-}

@@ -1,13 +1,13 @@
-// Package decompose holds the two-qubit synthesis oracle and the
-// decoherence fidelity model of paper Eq. 2. Synthesize fits the
-// Cartan ansatz of paper Fig. 2 (k applications of a basis gate
-// between 1Q layers) with Nelder-Mead; the tests use it to check that
-// the coverage-polytope cost k of a gate can actually be realised.
-// Routing needs only that cost, so no request decomposes a circuit
-// into literal basis pulses: as paper Section IV-B puts it, "the
-// actual decomposition can be specified later". The Cartan (KAK)
-// decomposition on the *linalg.Matrix API lives in
-// kak_reference_test.go, where it pins the weyl package's coordinates.
+// Package decompose is the tests' two-qubit synthesis oracle; no
+// binary links it. Synthesize fits the Cartan ansatz of paper Fig. 2
+// (k applications of a basis gate between 1Q layers) with
+// Nelder-Mead; the tests use it to check that the coverage-polytope
+// cost k of a gate can actually be realised. Routing needs only that
+// cost, so no request decomposes a circuit into literal basis pulses:
+// as paper Section IV-B puts it, "the actual decomposition can be
+// specified later". The Cartan (KAK) decomposition on the
+// *linalg.Matrix API lives in kak_reference_test.go, where it pins the
+// weyl package's coordinates.
 package decompose
 
 import (
@@ -143,26 +143,4 @@ func (r *SynthesisResult) Unitary(basis gates.Gate) *linalg.Matrix {
 		u = u.Mul(bm).Mul(r.Locals[i][0].Kron(r.Locals[i][1]))
 	}
 	return u
-}
-
-// --- Fidelity model (paper Eq. 2) ---
-
-// FidelityModel is the decoherence-limited error model: a gate of
-// duration t has fidelity exp(-t / T1). Durations are normalised so
-// that one iSWAP costs 1.0 (and iSWAP^{1/n} costs 1/n).
-type FidelityModel struct {
-	T1 float64
-}
-
-// NewPaperFidelityModel calibrates T1 so that one iSWAP has fidelity
-// 0.99 (paper Section III-C).
-func NewPaperFidelityModel() FidelityModel {
-	return FidelityModel{T1: -1 / math.Log(0.99)}
-}
-
-// CircuitFidelity returns the fidelity of a gate, or a sequence of
-// basis gates, with the given total normalised duration (1Q gates are
-// free in this model, matching the paper).
-func (m FidelityModel) CircuitFidelity(totalDuration float64) float64 {
-	return math.Exp(-totalDuration / m.T1)
 }

@@ -44,8 +44,8 @@ func fillNonZero(t *testing.T, path string, v reflect.Value, next *int) {
 
 // TestWireOptionsRoundTripEveryField guards the single wire form of
 // transpile.Options: every exported field but RouteFn — nested
-// LayoutOptions and sabre.Options fields included — set to a non-zero
-// value, with a root-3 basis, must come back unchanged through the
+// LayoutOptions fields included — set to a non-zero value, with a
+// root-3 basis, must come back unchanged through the
 // encoder, gob and the decoder. A field the wire form drops fails here
 // instead of silently reverting to its default on workers.
 func TestWireOptionsRoundTripEveryField(t *testing.T) {

@@ -102,39 +102,12 @@ func (m *Matrix) Mul(other *Matrix) *Matrix {
 	return out
 }
 
-// MulVec returns m * v for a column vector v of length m.Cols.
-func (m *Matrix) MulVec(v []complex128) []complex128 {
-	if len(v) != m.Cols {
-		panic("linalg: MulVec length mismatch")
-	}
-	out := make([]complex128, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		var s complex128
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, r := range row {
-			s += r * v[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
 // Add returns m + other.
 func (m *Matrix) Add(other *Matrix) *Matrix {
 	m.checkSameShape(other, "Add")
 	out := m.Copy()
 	for i := range out.Data {
 		out.Data[i] += other.Data[i]
-	}
-	return out
-}
-
-// Sub returns m - other.
-func (m *Matrix) Sub(other *Matrix) *Matrix {
-	m.checkSameShape(other, "Sub")
-	out := m.Copy()
-	for i := range out.Data {
-		out.Data[i] -= other.Data[i]
 	}
 	return out
 }

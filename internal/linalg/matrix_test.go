@@ -43,26 +43,6 @@ func TestMulIdentityIsNoop(t *testing.T) {
 	}
 }
 
-func TestMulVecMatchesMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	m := RandGinibre(4, rng)
-	v := make([]complex128, 4)
-	for i := range v {
-		v[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-	}
-	col := New(4, 1)
-	for i := range v {
-		col.Set(i, 0, v[i])
-	}
-	want := m.Mul(col)
-	got := m.MulVec(v)
-	for i := range got {
-		if cmplx.Abs(got[i]-want.At(i, 0)) > tol {
-			t.Fatalf("MulVec[%d] = %v, want %v", i, got[i], want.At(i, 0))
-		}
-	}
-}
-
 func TestDaggerInvolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := RandGinibre(4, rng)

@@ -98,7 +98,7 @@ func TestDepthMetricMatchesConsolidateOracle(t *testing.T) {
 			for level := AggressionNever; level <= AggressionAlways; level++ {
 				policy := NewPolicy(costs, level)
 				for tr := 0; tr < opts.LayoutTrials*opts.RoutingTrials; tr++ {
-					res, err := runner.Run(layouts[tr/opts.RoutingTrials], opts.Routing, int64(tr+1), policy)
+					res, err := runner.Run(layouts[tr/opts.RoutingTrials], int64(tr+1), policy)
 					if err != nil {
 						t.Fatal(err)
 					}

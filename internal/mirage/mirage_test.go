@@ -241,7 +241,7 @@ func TestEndToEndMiragePreservesUnitary(t *testing.T) {
 			t.Fatal(err)
 		}
 		policy := NewPolicy(NewCostTable(cov, pc.Classes()), AggressionEqual)
-		res, err := sabre.NewTrialRunner(pc).Run(topology.TrivialLayout(4, 4), sabre.Options{}, rng.Int63(), policy)
+		res, err := sabre.NewTrialRunner(pc).Run(topology.TrivialLayout(4, 4), rng.Int63(), policy)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -79,7 +79,7 @@ func TestDecidePreparedMirrorMatchesComputed(t *testing.T) {
 		layout := sabre.RandomLayout(c.NumQubits, topo, rng)
 		for _, level := range []mirage.Aggression{mirage.AggressionLower, mirage.AggressionEqual} {
 			check := &parityCheck{inner: mirage.NewPolicy(costs, level), cov: cov}
-			if _, err := runner.Run(layout, sabre.Options{}, rng.Int63(), check); err != nil {
+			if _, err := runner.Run(layout, rng.Int63(), check); err != nil {
 				t.Fatal(err)
 			}
 			if check.decisions != c.Count2Q() || check.wrongCoord != 0 || check.mismatches != 0 {

@@ -11,9 +11,9 @@ import (
 
 // ErrTooWide reports that a routed circuit touches more physical
 // wires than circuit.MaxUnitaryQubits, so the dense-unitary check
-// cannot run. Callers running an advisory pass (benchsuite
-// -mirror-verify on a large device) may treat it as "unverified";
-// the CI gate runs on small topologies where it never fires.
+// cannot run. Callers running an advisory pass (benchsuite -fig 12
+// on a large device) may treat it as "unverified"; the CI gate runs
+// on small topologies where it never fires.
 var ErrTooWide = errors.New("mirrorbench: routed circuit too wide for unitary verification")
 
 // Verify checks the whole-pipeline semantic invariant of a transpiled

@@ -222,29 +222,12 @@ func chamberSupport(d [3]float64) float64 {
 	return best
 }
 
-// BuildOptions tunes the empirical polytope construction.
-type BuildOptions struct {
-	Samples  int   // random ansatz samples shared across directions (default 400)
-	Restarts int   // Nelder-Mead restarts per direction (default 2)
-	MaxIter  int   // Nelder-Mead evaluations per restart (default 350)
-	Seed     int64 // RNG seed (default 1)
-}
-
-func (o BuildOptions) withDefaults() BuildOptions {
-	if o.Samples <= 0 {
-		o.Samples = 400
-	}
-	if o.Restarts <= 0 {
-		o.Restarts = 2
-	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = 350
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
+// The search budget of the empirical polytope construction.
+const (
+	empiricalSamples  = 400 // random ansatz samples shared across directions
+	empiricalRestarts = 2   // Nelder-Mead restarts per direction
+	empiricalMaxIter  = 350 // Nelder-Mead evaluations per restart
+)
 
 // ansatzCoordinate evaluates the Weyl coordinate of
 // B . L_1 . B . L_2 ... B (k applications of the basis gate with k-1
@@ -266,10 +249,10 @@ func ansatzCoordinate(basis linalg.Mat4, k int, params []float64) (weyl.Coordina
 	return c, true
 }
 
-// BuildEmpirical constructs the coverage polytope for k applications
-// of the given basis gate by support-function maximisation.
-func BuildEmpirical(label string, basis gates.Gate, k int, opts BuildOptions) *Convex {
-	opts = opts.withDefaults()
+// buildEmpirical constructs the coverage polytope for k applications
+// of the given basis gate by support-function maximisation, drawing
+// its samples and restarts from seed.
+func buildEmpirical(label string, basis gates.Gate, k int, seed int64) *Convex {
 	if k < 1 {
 		panic("polytope: k must be >= 1")
 	}
@@ -281,7 +264,7 @@ func BuildEmpirical(label string, basis gates.Gate, k int, opts BuildOptions) *C
 		}
 		return PointRegion(label, c, 1e-7)
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	dim := 6 * (k - 1)
 
 	// Shared random samples: points plus their parameters, reused as
@@ -290,8 +273,8 @@ func BuildEmpirical(label string, basis gates.Gate, k int, opts BuildOptions) *C
 		params []float64
 		coord  weyl.Coordinate
 	}
-	samples := make([]sample, 0, opts.Samples)
-	for len(samples) < opts.Samples {
+	samples := make([]sample, 0, empiricalSamples)
+	for len(samples) < empiricalSamples {
 		p := make([]float64, dim)
 		if len(samples)%3 == 0 {
 			// Structured draw: Clifford-like angles (multiples of
@@ -363,8 +346,8 @@ func BuildEmpirical(label string, basis gates.Gate, k int, opts BuildOptions) *C
 			}
 			return -(d[0]*c.X + d[1]*c.Y + d[2]*c.Z)
 		}
-		_, negBest := optimize.Minimize(obj, dim, samples[bestIdx].params, opts.Restarts, math.Pi, rng,
-			optimize.Options{MaxIter: opts.MaxIter, InitialStep: 0.3})
+		_, negBest := optimize.Minimize(obj, dim, samples[bestIdx].params, empiricalRestarts, math.Pi, rng,
+			optimize.Options{MaxIter: empiricalMaxIter, InitialStep: 0.3})
 		h := -negBest
 		if bestVal > h {
 			h = bestVal
@@ -511,7 +494,7 @@ func NewISwapRootCoverage(n int) *CoverageSet {
 		case n == 2 && k >= 3:
 			region = FullChamber()
 		default:
-			region = BuildEmpirical(label, basis, k, BuildOptions{Seed: int64(100*n + k)})
+			region = buildEmpirical(label, basis, k, int64(100*n+k))
 		}
 		cs.Regions = append(cs.Regions, CostedRegion{
 			K:      k,

@@ -75,8 +75,9 @@ func TestEmpiricalMatchesExactSqrtISwapK2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("empirical polytope build is slow")
 	}
-	emp := BuildEmpirical("emp-siswap-k2", gates.SqrtISwap(), 2,
-		BuildOptions{Samples: 250, Restarts: 2, MaxIter: 250, Seed: 7})
+	// The production budget, at the seed NewISwapRootCoverage would
+	// give k = 2 of root 2 if it built that region empirically.
+	emp := buildEmpirical("emp-siswap-k2", gates.SqrtISwap(), 2, 100*2+2)
 	exact := SqrtISwapK2()
 	rng := rand.New(rand.NewSource(42))
 	disagreements := 0
@@ -100,7 +101,7 @@ func TestEmpiricalMatchesExactSqrtISwapK2(t *testing.T) {
 }
 
 func TestEmpiricalK1IsPoint(t *testing.T) {
-	p := BuildEmpirical("r4-k1", gates.SqrtISwapN(4), 1, BuildOptions{})
+	p := buildEmpirical("r4-k1", gates.SqrtISwapN(4), 1, 1)
 	if !p.Contains(weyl.RootISwapCoord(4), 1e-9) {
 		t.Error("k=1 region must contain the basis coordinate")
 	}

@@ -161,14 +161,13 @@ func (a *trialArena) emit2(g gates.Gate, qa, qb int, coord *weyl.Coordinate, cla
 // A non-nil bound stops the route with errTrialCut as soon as the
 // score bound it tracks over the emitted ops reaches bound.beat.
 func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topology.Topology,
-	initial *topology.Layout, opts Options, rng *rand.Rand, policy MirrorPolicy, bound *trialBound) (*Result, error) {
+	initial *topology.Layout, rng *rand.Rand, policy MirrorPolicy, bound *trialBound) (*Result, error) {
 
-	opts = opts.WithDefaults()
 	c := fd.Circ
-	maxSteps := maxSwaps(opts, len(c.Ops))
+	maxSteps := maxSwaps(len(c.Ops))
 
 	st := &a.st
-	st.bind(fd, topo, initial, opts)
+	st.bind(fd, topo, initial)
 	var cls *circuit.Classes // non-nil: stamp emitted 2Q ops with class slots
 	a.out.Name = c.Name
 	if mirrors != nil {
@@ -326,7 +325,7 @@ func (a *trialArena) route(fd *circuit.FlatDAG, mirrors *mirrorTable, topo *topo
 		}
 		st.bumpDecay(chosen.a, chosen.b)
 		steps++
-		if steps%opts.DecayResetInterval == 0 {
+		if steps%decayResetInterval == 0 {
 			st.resetDecay()
 		}
 		if steps > maxSteps {
@@ -402,8 +401,8 @@ type TrialRunner struct {
 // runner's arena; a warm call allocates only the mirror gate SWAP · U
 // of each accepted mirror, built in place on the arena's routed ops.
 // See TrialRunner for the validity contract of the returned Result.
-func (r *TrialRunner) Run(initial *topology.Layout, opts Options, seed int64, policy MirrorPolicy) (*Result, error) {
-	res, err := r.run(initial, opts, seed, policy, nil)
+func (r *TrialRunner) Run(initial *topology.Layout, seed int64, policy MirrorPolicy) (*Result, error) {
+	res, err := r.run(initial, seed, policy, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -413,11 +412,11 @@ func (r *TrialRunner) Run(initial *topology.Layout, opts Options, seed int64, po
 
 // run is Run under an optional score bound, leaving accepted mirrors
 // as their source gates (see route).
-func (r *TrialRunner) run(initial *topology.Layout, opts Options, seed int64, policy MirrorPolicy,
+func (r *TrialRunner) run(initial *topology.Layout, seed int64, policy MirrorPolicy,
 	bound *trialBound) (*Result, error) {
 
 	r.arena.rng.Seed(seed)
-	return r.arena.route(r.pc.FD(), &r.pc.mirrors, r.pc.Topo, initial, opts, r.arena.rng, policy, bound)
+	return r.arena.route(r.pc.FD(), &r.pc.mirrors, r.pc.Topo, initial, r.arena.rng, policy, bound)
 }
 
 // RefineLayout returns layout trial lt's initial layout: a random
@@ -435,12 +434,12 @@ func (r *TrialRunner) RefineLayout(opts LayoutOptions, lt int) (*topology.Layout
 	a.rng.Seed(trialSeed(opts.Seed, seedStreamLayout, lt))
 	layout := RandomLayout(n, pc.Topo, a.rng)
 	for pass := 0; pass < opts.FwdBwdPasses; pass++ {
-		fwd, err := a.route(pc.FD(), nil, pc.Topo, layout, opts.Routing, a.rng, nil, nil)
+		fwd, err := a.route(pc.FD(), nil, pc.Topo, layout, a.rng, nil, nil)
 		if err != nil {
 			return nil, err
 		}
 		projectLayoutInto(&a.h1, fwd.FinalLayout, n)
-		bwd, err := a.route(pc.FDRev(), nil, pc.Topo, &a.h1, opts.Routing, a.rng, nil, nil)
+		bwd, err := a.route(pc.FDRev(), nil, pc.Topo, &a.h1, a.rng, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -488,14 +487,5 @@ func (r *TrialRunner) gridTrial(layout *topology.Layout, opts LayoutOptions, t i
 	if t < 0 || t >= opts.LayoutTrials*opts.RoutingTrials {
 		return nil, fmt.Errorf("sabre: grid trial %d outside the %dx%d grid", t, opts.LayoutTrials, opts.RoutingTrials)
 	}
-	return r.run(layout, opts.Routing, trialSeed(opts.Seed, seedStreamRouting, t), policy, bound)
-}
-
-// maxSwaps is the number of SWAP insertions after which a route of an
-// nOps-op circuit gives up as diverged.
-func maxSwaps(opts Options, nOps int) int {
-	if opts.MaxSteps > 0 {
-		return opts.MaxSteps
-	}
-	return 10000 + 100*nOps
+	return r.run(layout, trialSeed(opts.Seed, seedStreamRouting, t), policy, bound)
 }

@@ -21,14 +21,13 @@ func TestArenaReuseBitIdentical(t *testing.T) {
 	arena := newTrialArena()
 	for i, tc := range equivCases(t) {
 		policy := policies[i%len(policies)]
-		fresh, err := Route(tc.circ, tc.topo, tc.layout, Options{},
-			rand.New(rand.NewSource(tc.seed)), policy)
+		fresh, err := Route(tc.circ, tc.topo, tc.layout, rand.New(rand.NewSource(tc.seed)), policy)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fd := circuit.BuildFlatDAG(tc.circ)
 		arena.rng.Seed(tc.seed)
-		reused, err := arena.route(fd, newMirrorTable(tc.circ), tc.topo, tc.layout, Options{}, arena.rng, policy, nil)
+		reused, err := arena.route(fd, newMirrorTable(tc.circ), tc.topo, tc.layout, arena.rng, policy, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,12 +59,12 @@ func TestTrialRunnerMatchesRoute(t *testing.T) {
 		for trial := 0; trial < 8; trial++ {
 			seed := int64(1000*trial + 7)
 			layout := layouts[trial%len(layouts)]
-			got, err := runner.Run(layout, Options{}, seed, policy)
+			got, err := runner.Run(layout, seed, policy)
 			if err != nil {
 				t.Fatal(err)
 			}
 			gotFP := routingFingerprint(got) // copy before the next Run clobbers the arena
-			want, err := Route(c, topo, layout, Options{}, rand.New(rand.NewSource(seed)), policy)
+			want, err := Route(c, topo, layout, rand.New(rand.NewSource(seed)), policy)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +141,7 @@ func TestSharedFlatDAGManyWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	proto := NewTrialRunner(first)
-	want, err := proto.Run(layout, Options{}, 99, parityMirror{})
+	want, err := proto.Run(layout, 99, parityMirror{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +161,7 @@ func TestSharedFlatDAGManyWorkers(t *testing.T) {
 			defer wg.Done()
 			runner := NewTrialRunner(pc) // shared DAG and mirror data, private arena
 			for rep := 0; rep < 10; rep++ {
-				res, err := runner.Run(layout, Options{}, 99, parityMirror{})
+				res, err := runner.Run(layout, 99, parityMirror{})
 				if err != nil {
 					errs <- fmt.Sprintf("worker %d rep %d: %v", w, rep, err)
 					return
@@ -182,41 +181,44 @@ func TestSharedFlatDAGManyWorkers(t *testing.T) {
 }
 
 // TestArenaRebindWideToNarrow routes on one arena rebound between a
-// narrow topology with a narrow window and a wide one with a wide
-// window, in both directions. Every route must match RouteReference:
-// a per-qubit scoring slot or a row stride left over from the previous
-// binding would change a score.
+// narrow topology with a short circuit, whose lookahead rows are as
+// wide as its 10 ops, and a wide one with a long circuit, whose rows
+// are the full window wide, in both directions. Every route must match
+// RouteReference: a per-qubit scoring slot or a row stride left over
+// from the previous binding would change a score.
 func TestArenaRebindWideToNarrow(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	type side struct {
 		runner *TrialRunner
 		layout *topology.Layout
-		opts   Options
 	}
-	build := func(topo *topology.Topology, qubits, window int) side {
-		pc, err := PrepareCircuit(randomCircuit(topo.Name, qubits, 80, rng), topo)
+	build := func(topo *topology.Topology, qubits, ops int) side {
+		pc, err := PrepareCircuit(sizedCircuit(topo.Name, qubits, ops, rng), topo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return side{&TrialRunner{pc: pc}, RandomLayout(qubits, topo, rng), Options{ExtendedSetSize: window}}
+		return side{&TrialRunner{pc: pc}, RandomLayout(qubits, topo, rng)}
 	}
-	wide, narrow := build(topology.Grid(5, 5), 25, 64), build(topology.Line(7), 7, 3)
+	wide, narrow := build(topology.Grid(5, 5), 25, 80), build(topology.Line(7), 7, 10)
 	arena := newTrialArena()
 	wide.runner.arena, narrow.runner.arena = arena, arena
 	for round, policy := range []MirrorPolicy{nil, parityMirror{}, costMirror{}, nil} {
 		for _, s := range []side{narrow, wide, wide, narrow} {
 			seed := int64(100*round + 1)
-			got, err := s.runner.Run(s.layout, s.opts, seed, policy)
+			got, err := s.runner.Run(s.layout, seed, policy)
 			if err != nil {
 				t.Fatal(err)
 			}
 			pc := s.runner.pc
-			ref, err := RouteReference(pc, s.layout, s.opts, rand.New(rand.NewSource(seed)), policy)
+			ref, err := RouteReference(pc, s.layout, rand.New(rand.NewSource(seed)), policy)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !sameFingerprint(routingFingerprint(ref), routingFingerprint(got)) {
 				t.Fatalf("round %d on %s: rebound arena diverged from reference", round, pc.Topo.Name)
+			}
+			if want := min(extendedSetSize, pc.FD().NumOps); arena.st.stride != want {
+				t.Fatalf("round %d on %s: row stride %d, want %d", round, pc.Topo.Name, arena.st.stride, want)
 			}
 		}
 	}

@@ -90,13 +90,13 @@ func BenchmarkRouteArena(b *testing.B) {
 			runner := NewTrialRunner(pc)
 			// One throwaway trial grows every arena buffer to its
 			// high-water mark so the timed loop sees the steady state.
-			if _, err := runner.Run(layout, Options{}, 1, nil); err != nil {
+			if _, err := runner.Run(layout, 1, nil); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := runner.Run(layout, Options{}, int64(i%16)+1, nil)
+				res, err := runner.Run(layout, int64(i%16)+1, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -129,12 +129,12 @@ func BenchmarkRouteWide(b *testing.B) {
 	}
 	b.Run("reference", func(b *testing.B) {
 		run(b, func() (*Result, error) {
-			return RouteReference(pc, layout, Options{}, rand.New(rand.NewSource(1)), nil)
+			return RouteReference(pc, layout, rand.New(rand.NewSource(1)), nil)
 		})
 	})
 	b.Run("engine", func(b *testing.B) {
 		run(b, func() (*Result, error) {
-			return Route(c, topo, layout, Options{}, rand.New(rand.NewSource(1)), nil)
+			return Route(c, topo, layout, rand.New(rand.NewSource(1)), nil)
 		})
 	})
 }

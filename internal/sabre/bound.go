@@ -81,14 +81,14 @@ type trialBound struct {
 	beat  float64 // the score a trial must stay below
 }
 
-// newTrialBound prepares b for a grid over pc routed with opts.
-func newTrialBound(b *Bound, pc *PreparedCircuit, opts Options) *trialBound {
+// newTrialBound prepares b for a grid over pc.
+func newTrialBound(b *Bound, pc *PreparedCircuit) *trialBound {
 	tb := &trialBound{slots: b.depthSlots}
 	if tb.slots != nil {
 		if tb.slots.Classes != pc.Classes() {
 			panic("sabre: a depth bound priced over another circuit's class list")
 		}
-		tb.tail, tb.slack = depthTail(pc, tb.slots.Costs, maxSwaps(opts, len(pc.Circ.Ops)))
+		tb.tail, tb.slack = depthTail(pc, tb.slots.Costs, maxSwaps(len(pc.Circ.Ops)))
 	}
 	return tb
 }

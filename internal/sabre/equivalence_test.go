@@ -77,34 +77,36 @@ func (m *consistentMirror) recompute(l *topology.Layout) float64 {
 	}
 	h := float64(front)
 	haveExt := false
-	for _, idx := range st.tr.Descendants(st.opts.ExtendedSetSize) {
+	for _, idx := range st.tr.Descendants(extendedSetSize) {
 		if st.fd.Q1[idx] >= 0 {
 			haveExt = true
 			ext += dist(idx)
 		}
 	}
 	if haveExt {
-		h += st.opts.ExtendedSetWeight * float64(ext)
+		h += extendedSetWeight * float64(ext)
 	}
 	return h
 }
 
 // TestMirrorDecisionCostsConsistent runs consistentMirror over the
-// equivalence cases under three option sets and requires decisions on
-// both window paths: right after a stall SWAP (the ready set is
-// unchanged, so the decision reads the window the stall kept) and
-// after an executed gate (a fresh BFS). A decision that reads a kept
-// window after the ready set moved fails the recomputation.
+// equivalence cases and the circuit-size sweep's, and requires
+// decisions on both window paths: right after a stall SWAP (the ready
+// set is unchanged, so the decision reads the window the stall kept)
+// and after an executed gate (a fresh BFS). A decision that reads a
+// kept window after the ready set moved fails the recomputation.
 func TestMirrorDecisionCostsConsistent(t *testing.T) {
 	arena := newTrialArena()
 	m := &consistentMirror{t: t, st: &arena.st}
-	for _, opts := range []Options{{}, {ExtendedSetSize: 3}, {ExtendedSetWeight: 1.7, DecayRate: 0.1}} {
-		for _, tc := range equivCases(t) {
-			arena.rng.Seed(tc.seed)
-			if _, err := arena.route(circuit.BuildFlatDAG(tc.circ), newMirrorTable(tc.circ), tc.topo, tc.layout,
-				opts, arena.rng, m, nil); err != nil {
-				t.Fatal(err)
-			}
+	cases := equivCases(t)
+	for _, n := range sweepSizes {
+		cases = append(cases, sizedCases(n)...)
+	}
+	for _, tc := range cases {
+		arena.rng.Seed(tc.seed)
+		if _, err := arena.route(circuit.BuildFlatDAG(tc.circ), newMirrorTable(tc.circ), tc.topo, tc.layout,
+			arena.rng, m, nil); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if m.clean == 0 || m.bfs == 0 {
@@ -175,7 +177,11 @@ func equivCases(t *testing.T) []equivCase {
 // incremental engine must reproduce the naive recompute formulation
 // bit-identically — same SWAP sequence, same mirror decisions, same
 // RNG consumption — across randomized circuits, topologies, layouts
-// and seeds, with and without mirror policies.
+// and seeds, with and without mirror policies. The decay factor, a
+// non-dyadic multiple of decayRate, enters the candidate score and its
+// window lower bound as a float, so a bound that rounds differently
+// from the score, or skips a candidate that could still tie and draw
+// from the generator, diverges here.
 func TestRouteMatchesReference(t *testing.T) {
 	policies := []struct {
 		name   string
@@ -188,13 +194,11 @@ func TestRouteMatchesReference(t *testing.T) {
 	for _, tc := range equivCases(t) {
 		for _, p := range policies {
 			t.Run(tc.name+"/"+p.name, func(t *testing.T) {
-				ref, err := RouteReference(mustPrepare(t, tc.circ, tc.topo), tc.layout, Options{},
-					rand.New(rand.NewSource(tc.seed)), p.policy)
+				ref, err := RouteReference(mustPrepare(t, tc.circ, tc.topo), tc.layout, rand.New(rand.NewSource(tc.seed)), p.policy)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := Route(tc.circ, tc.topo, tc.layout, Options{},
-					rand.New(rand.NewSource(tc.seed)), p.policy)
+				got, err := Route(tc.circ, tc.topo, tc.layout, rand.New(rand.NewSource(tc.seed)), p.policy)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -219,11 +223,11 @@ func TestRouteEquivalenceLongRandomWalk(t *testing.T) {
 		c := randomCircuit(fmt.Sprintf("walk-%d", trial), 12, 40, rng)
 		layout := RandomLayout(12, topo, rng)
 		seed := rng.Int63()
-		ref, err := RouteReference(mustPrepare(t, c, topo), layout, Options{}, rand.New(rand.NewSource(seed)), parityMirror{})
+		ref, err := RouteReference(mustPrepare(t, c, topo), layout, rand.New(rand.NewSource(seed)), parityMirror{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Route(c, topo, layout, Options{}, rand.New(rand.NewSource(seed)), parityMirror{})
+		got, err := Route(c, topo, layout, rand.New(rand.NewSource(seed)), parityMirror{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,13 +265,11 @@ func (r *coordRecorder) Decide(ctx *MirrorContext) bool {
 func TestMirrorDataMatchesReference(t *testing.T) {
 	for _, tc := range equivCases(t) {
 		engPolicy, refPolicy := &coordRecorder{}, &coordRecorder{}
-		ref, err := RouteReference(mustPrepare(t, tc.circ, tc.topo), tc.layout, Options{},
-			rand.New(rand.NewSource(tc.seed)), refPolicy)
+		ref, err := RouteReference(mustPrepare(t, tc.circ, tc.topo), tc.layout, rand.New(rand.NewSource(tc.seed)), refPolicy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Route(tc.circ, tc.topo, tc.layout, Options{},
-			rand.New(rand.NewSource(tc.seed)), engPolicy)
+		got, err := Route(tc.circ, tc.topo, tc.layout, rand.New(rand.NewSource(tc.seed)), engPolicy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,54 +304,67 @@ func TestMirrorDataMatchesReference(t *testing.T) {
 	}
 }
 
-// matchReference routes every equivalence case under opts with each
-// test policy (none, parity, cost-based) through the engine and the
-// reference, and fails on the first diverging fingerprint.
-func matchReference(t *testing.T, opts Options) {
-	t.Helper()
-	for _, tc := range equivCases(t) {
-		for _, policy := range []MirrorPolicy{nil, parityMirror{}, costMirror{}} {
-			ref, err := RouteReference(mustPrepare(t, tc.circ, tc.topo), tc.layout, opts,
-				rand.New(rand.NewSource(tc.seed)), policy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := Route(tc.circ, tc.topo, tc.layout, opts,
-				rand.New(rand.NewSource(tc.seed)), policy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameFingerprint(routingFingerprint(ref), routingFingerprint(got)) {
-				t.Fatalf("%+v %s policy %T: engine diverged from reference (swaps %d vs %d)",
-					opts, tc.name, policy, got.SwapsInserted, ref.SwapsInserted)
-			}
+// sizedCircuit returns a random circuit of exactly nOps 2Q ops on
+// qubits wires.
+func sizedCircuit(name string, qubits, nOps int, rng *rand.Rand) *circuit.Circuit {
+	c := circuit.New(name, qubits)
+	for len(c.Ops) < nOps {
+		a, b := rng.Intn(qubits), rng.Intn(qubits)
+		switch {
+		case a == b:
+		case rng.Intn(2) == 0:
+			c.Add(gates.CX(), a, b)
+		default:
+			c.Add(gates.CPhase(rng.Float64()*3), a, b)
 		}
 	}
+	return c
 }
 
-// TestRouteMatchesReferenceWindowSizes runs the equivalence property
-// across lookahead windows and decay-reset intervals. The engine sizes
-// its per-qubit window partner rows by ExtendedSetSize, so every
-// window size is a different memory layout; the reset interval moves
-// where the decay reset lands relative to the SWAP sequence.
+// sweepSizes are the circuit sizes of the window sweep: fewer ops than
+// the lookahead window, exactly as many, and more.
+var sweepSizes = []int{1, 3, 19, extendedSetSize, 21, 64}
+
+// sizedCases returns one equivalence case of nOps 2Q ops per topology.
+func sizedCases(nOps int) []equivCase {
+	rng := rand.New(rand.NewSource(int64(31 + nOps)))
+	var cases []equivCase
+	for _, topo := range []*topology.Topology{topology.Line(7), topology.Grid(3, 4), topology.HeavyHex(1, 5)} {
+		q := topo.NumQubits
+		cases = append(cases, equivCase{
+			name:   fmt.Sprintf("sized%d_%s", nOps, topo.Name),
+			topo:   topo,
+			circ:   sizedCircuit(fmt.Sprintf("sized-%d", nOps), q, nOps, rng),
+			layout: RandomLayout(q, topo, rng),
+			seed:   rng.Int63(),
+		})
+	}
+	return cases
+}
+
+// TestRouteMatchesReferenceWindowSizes runs the equivalence property,
+// with each test policy (none, parity, cost-based), across circuit
+// sizes. The engine sizes its per-qubit window partner rows by
+// min(extendedSetSize, ops), so every size below the window is a
+// different memory layout.
 func TestRouteMatchesReferenceWindowSizes(t *testing.T) {
-	for _, window := range []int{1, 3, 20, 64} {
-		for _, reset := range []int{1, 5} {
-			matchReference(t, Options{ExtendedSetSize: window, DecayResetInterval: reset})
-		}
-	}
-}
-
-// TestRouteMatchesReferenceWeights runs the equivalence property under
-// non-dyadic window weights and decay rates. Both enter the candidate
-// score and its window lower bound as floats, so a bound that rounds
-// differently from the score, or skips a candidate that could still
-// tie and draw from the generator, diverges here; a fast decay rate
-// makes the decay factor, and so the skips, vary across stalls.
-func TestRouteMatchesReferenceWeights(t *testing.T) {
-	for _, w := range []float64{0.3, 1.7} {
-		for _, rate := range []float64{0.001, 0.1} {
-			matchReference(t, Options{ExtendedSetWeight: w, DecayRate: rate})
+	for _, n := range sweepSizes {
+		for _, tc := range sizedCases(n) {
+			for _, policy := range []MirrorPolicy{nil, parityMirror{}, costMirror{}} {
+				ref, err := RouteReference(mustPrepare(t, tc.circ, tc.topo), tc.layout,
+					rand.New(rand.NewSource(tc.seed)), policy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := Route(tc.circ, tc.topo, tc.layout, rand.New(rand.NewSource(tc.seed)), policy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameFingerprint(routingFingerprint(ref), routingFingerprint(got)) {
+					t.Fatalf("%s policy %T: engine diverged from reference (swaps %d vs %d)",
+						tc.name, policy, got.SwapsInserted, ref.SwapsInserted)
+				}
+			}
 		}
 	}
 }

@@ -71,7 +71,7 @@ func NewGrid(pc *PreparedCircuit, opts LayoutOptions, metric Metric, factory Pol
 	g := &Grid{pc: pc, opts: opts, metric: metric, factory: factory,
 		sel: newTrialSelector(opts.ConvergencePatience)}
 	if opts.bound != nil {
-		g.bound = newTrialBound(opts.bound, pc, opts.Routing)
+		g.bound = newTrialBound(opts.bound, pc)
 	}
 	return g
 }

@@ -135,9 +135,11 @@ func TestFindBestRoutingParallelSeedSensitivity(t *testing.T) {
 }
 
 // TestFindBestRoutingParallelError checks that in-trial failures
-// surface at any worker count: a MaxSteps budget of 1 makes every
+// surface at any worker count: a swap budget of 1 makes every
 // refinement pass diverge on a distance-4 gate.
 func TestFindBestRoutingParallelError(t *testing.T) {
+	maxSwapsLimit = 1
+	t.Cleanup(func() { maxSwapsLimit = 0 })
 	topo := topology.Line(5)
 	c := circuit.New("err", 5)
 	// All-pairs interactions: no layout routes this on a line within a
@@ -150,11 +152,10 @@ func TestFindBestRoutingParallelError(t *testing.T) {
 	var msgs []string
 	for _, par := range []int{1, 4} {
 		_, err := findBestRouting(c, topo, LayoutOptions{
-			Routing:      Options{MaxSteps: 1},
 			LayoutTrials: 3, RoutingTrials: 2, FwdBwdPasses: 1, Seed: 1, Parallelism: par,
 		}, SwapCountMetric, nil)
 		if err == nil {
-			t.Fatalf("Parallelism=%d: expected divergence error with MaxSteps=1", par)
+			t.Fatalf("Parallelism=%d: expected divergence error with a swap budget of 1", par)
 		}
 		msgs = append(msgs, err.Error())
 	}

@@ -55,12 +55,11 @@ func TestEndToEndPolicyDecisionsMatchReferenceRouter(t *testing.T) {
 			layout := sabre.RandomLayout(n, topo, rng)
 			for _, level := range []mirage.Aggression{mirage.AggressionLower, mirage.AggressionEqual} {
 				name := fmt.Sprintf("%s seed %d level %d", topo.Name, seed, level)
-				engine, err := runner.Run(layout, sabre.Options{}, seed, mirage.NewPolicy(costs, level))
+				engine, err := runner.Run(layout, seed, mirage.NewPolicy(costs, level))
 				if err != nil {
 					t.Fatal(err)
 				}
-				reference, err := sabre.RouteReference(pc, layout, sabre.Options{},
-					rand.New(rand.NewSource(seed)), mirage.NewPolicy(costs, level))
+				reference, err := sabre.RouteReference(pc, layout, rand.New(rand.NewSource(seed)), mirage.NewPolicy(costs, level))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -16,7 +16,7 @@ import (
 // every SWAP candidate under a copied layout, where the engine scores
 // each candidate by delta against per-stall scoring sets. It is kept as
 // the executable specification of Route — the equivalence property
-// tests (TestRouteMatchesReference and its window-size sweep) check the
+// tests (TestRouteMatchesReference and its circuit-size sweep) check the
 // engine reproduces it bit-identically, and BenchmarkRouteWide
 // measures the engine's speedup against it. Behaviour changes belong
 // in both or neither.
@@ -29,18 +29,14 @@ import (
 // slots of pc's class list, so a policy priced over pc.Classes()
 // decides on it as on the engine's routes of pc.
 func RouteReference(pc *PreparedCircuit, initial *topology.Layout,
-	opts Options, rng *rand.Rand, policy MirrorPolicy) (*Result, error) {
+	rng *rand.Rand, policy MirrorPolicy) (*Result, error) {
 
-	opts = opts.WithDefaults()
 	c, topo := pc.Circ, pc.Topo
 	var cls *circuit.Classes
 	if policy != nil {
 		cls = pc.Classes()
 	}
-	maxSteps := opts.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = 10000 + 100*len(c.Ops)
-	}
+	maxSteps := maxSwaps(len(c.Ops))
 
 	layout := initial.Copy()
 	fd := circuit.BuildFlatDAG(c)
@@ -86,7 +82,7 @@ func RouteReference(pc *PreparedCircuit, initial *topology.Layout,
 			}
 		}
 		var ext [][2]int
-		for _, idx := range tr.Descendants(opts.ExtendedSetSize) {
+		for _, idx := range tr.Descendants(extendedSetSize) {
 			op := c.Ops[idx]
 			if op.Is2Q() {
 				ext = append(ext, [2]int{op.Qubits[0], op.Qubits[1]})
@@ -112,7 +108,7 @@ func RouteReference(pc *PreparedCircuit, initial *topology.Layout,
 				if averaged {
 					s /= float64(len(ext))
 				}
-				h += opts.ExtendedSetWeight * s
+				h += extendedSetWeight * s
 			}
 			return h
 		}
@@ -231,10 +227,10 @@ func RouteReference(pc *PreparedCircuit, initial *topology.Layout,
 		})
 		layout.SwapPhysical(chosen.a, chosen.b)
 		res.SwapsInserted++
-		decay[chosen.a] += opts.DecayRate
-		decay[chosen.b] += opts.DecayRate
+		decay[chosen.a] += decayRate
+		decay[chosen.b] += decayRate
 		steps++
-		if steps%opts.DecayResetInterval == 0 {
+		if steps%decayResetInterval == 0 {
 			resetDecay()
 		}
 		if steps > maxSteps {

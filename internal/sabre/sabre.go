@@ -46,31 +46,26 @@ import (
 	"repro/internal/topology"
 )
 
-// Options holds the SABRE parameters; defaults follow the paper's
-// Section V setup.
-type Options struct {
-	ExtendedSetSize    int     // lookahead window |E| (default 20)
-	ExtendedSetWeight  float64 // window weight W (default 0.5)
-	DecayRate          float64 // decay increment (default 0.001)
-	DecayResetInterval int     // reset decay every N swap selections (default 5)
-	MaxSteps           int     // safety bound on swap insertions (default 10000 + 100*ops)
-}
+// The SABRE heuristic's parameters, fixed at the paper's Section V
+// setup.
+const (
+	extendedSetSize    = 20    // lookahead window |E|
+	extendedSetWeight  = 0.5   // window weight W
+	decayRate          = 0.001 // decay increment of a swapped qubit
+	decayResetInterval = 5     // reset decay every this many swap selections
+)
 
-// WithDefaults fills unset fields with the paper's values.
-func (o Options) WithDefaults() Options {
-	if o.ExtendedSetSize <= 0 {
-		o.ExtendedSetSize = 20
+// maxSwapsLimit, when positive, replaces the budget of maxSwaps. Only
+// the package's tests set it, to make routes diverge on purpose.
+var maxSwapsLimit int
+
+// maxSwaps is the number of SWAP insertions after which a route of an
+// nOps-op circuit gives up as diverged.
+func maxSwaps(nOps int) int {
+	if maxSwapsLimit > 0 {
+		return maxSwapsLimit
 	}
-	if o.ExtendedSetWeight <= 0 {
-		o.ExtendedSetWeight = 0.5
-	}
-	if o.DecayRate <= 0 {
-		o.DecayRate = 0.001
-	}
-	if o.DecayResetInterval <= 0 {
-		o.DecayResetInterval = 5
-	}
-	return o
+	return 10000 + 100*nOps
 }
 
 // MirrorContext is what a MirrorPolicy sees for an executable 2Q gate:
@@ -142,7 +137,7 @@ type Result struct {
 // should use TrialRunner too, which shares the DAG and reuses the
 // arena.
 func Route(c *circuit.Circuit, topo *topology.Topology, initial *topology.Layout,
-	opts Options, rng *rand.Rand, policy MirrorPolicy) (*Result, error) {
+	rng *rand.Rand, policy MirrorPolicy) (*Result, error) {
 
 	if err := validateRoutable(c, topo); err != nil {
 		return nil, err
@@ -150,7 +145,7 @@ func Route(c *circuit.Circuit, topo *topology.Topology, initial *topology.Layout
 	fd := circuit.BuildFlatDAG(c)
 	// The arena is transient, so handing its buffers to the caller via
 	// the Result is safe: nothing resets them afterwards.
-	res, err := newTrialArena().route(fd, newMirrorTable(c), topo, initial, opts, rng, policy, nil)
+	res, err := newTrialArena().route(fd, newMirrorTable(c), topo, initial, rng, policy, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +179,6 @@ func SwapCountMetric(r *Result) float64 { return float64(r.SwapsInserted) }
 
 // LayoutOptions controls the iterative layout search.
 type LayoutOptions struct {
-	Routing       Options
 	LayoutTrials  int // independent random starts (default 20)
 	RoutingTrials int // independent routings of the final pass (default 20)
 	FwdBwdPasses  int // forward/backward refinement rounds (default 4)
@@ -215,7 +209,6 @@ type LayoutOptions struct {
 
 // WithDefaults fills unset fields with the paper's configuration.
 func (o LayoutOptions) WithDefaults() LayoutOptions {
-	o.Routing = o.Routing.WithDefaults()
 	if o.LayoutTrials <= 0 {
 		o.LayoutTrials = 20
 	}

@@ -57,7 +57,7 @@ func TestRouteAdjacentGatesNoSwaps(t *testing.T) {
 	c.Add(gates.CX(), 0, 1)
 	c.Add(gates.CX(), 1, 2)
 	rng := rand.New(rand.NewSource(1))
-	res, err := Route(c, topo, topology.TrivialLayout(3, 3), Options{}, rng, nil)
+	res, err := Route(c, topo, topology.TrivialLayout(3, 3), rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestRouteDistantGateInsertsSwaps(t *testing.T) {
 	c := circuit.New("far", 4)
 	c.Add(gates.CX(), 0, 3)
 	rng := rand.New(rand.NewSource(2))
-	res, err := Route(c, topo, topology.TrivialLayout(4, 4), Options{}, rng, nil)
+	res, err := Route(c, topo, topology.TrivialLayout(4, 4), rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestRoutePreservesUnitaryRandomCircuits(t *testing.T) {
 			}
 		}
 		layout := RandomLayout(5, topo, rng)
-		res, err := Route(c, topo, layout, Options{}, rng, nil)
+		res, err := Route(c, topo, layout, rng, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestRouteRespectsTopology(t *testing.T) {
 		}
 		c.Add(gates.CX(), a, b)
 	}
-	res, err := Route(c, topo, topology.TrivialLayout(5, 5), Options{}, rng, nil)
+	res, err := Route(c, topo, topology.TrivialLayout(5, 5), rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +135,7 @@ func TestRouteRespectsTopology(t *testing.T) {
 
 func TestRouteRejectsOversizedCircuit(t *testing.T) {
 	c := circuit.New("big", 10)
-	if _, err := Route(c, topology.Line(4), topology.TrivialLayout(4, 4), Options{},
-		rand.New(rand.NewSource(1)), nil); err == nil {
+	if _, err := Route(c, topology.Line(4), topology.TrivialLayout(4, 4), rand.New(rand.NewSource(1)), nil); err == nil {
 		t.Fatal("expected error for circuit larger than topology")
 	}
 }
@@ -144,8 +143,7 @@ func TestRouteRejectsOversizedCircuit(t *testing.T) {
 func TestRouteRejects3QOps(t *testing.T) {
 	c := circuit.New("ccx", 3)
 	c.Add(circuit.Toffoli(), 0, 1, 2)
-	if _, err := Route(c, topology.Line(3), topology.TrivialLayout(3, 3), Options{},
-		rand.New(rand.NewSource(1)), nil); err == nil {
+	if _, err := Route(c, topology.Line(3), topology.TrivialLayout(3, 3), rand.New(rand.NewSource(1)), nil); err == nil {
 		t.Fatal("expected error for unrolled 3Q op")
 	}
 }
@@ -168,7 +166,7 @@ func TestMirroredRoutingPreservesUnitary(t *testing.T) {
 			}
 			c.Add(gates.CX(), a, b)
 		}
-		res, err := Route(c, topo, topology.TrivialLayout(4, 4), Options{}, rng, alwaysMirror{})
+		res, err := Route(c, topo, topology.TrivialLayout(4, 4), rng, alwaysMirror{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,8 +195,7 @@ func TestFindBestRoutingImprovesOverWorst(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A single unoptimised routing from the trivial layout.
-	single, err := Route(c, topo, topology.TrivialLayout(6, 6), Options{},
-		rand.New(rand.NewSource(99)), nil)
+	single, err := Route(c, topo, topology.TrivialLayout(6, 6), rand.New(rand.NewSource(99)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +226,11 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	c := circuit.New("det", 5)
 	c.Add(gates.CX(), 0, 4)
 	c.Add(gates.CX(), 1, 3)
-	r1, err := Route(c, topo, topology.TrivialLayout(5, 5), Options{}, rand.New(rand.NewSource(42)), nil)
+	r1, err := Route(c, topo, topology.TrivialLayout(5, 5), rand.New(rand.NewSource(42)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Route(c, topo, topology.TrivialLayout(5, 5), Options{}, rand.New(rand.NewSource(42)), nil)
+	r2, err := Route(c, topo, topology.TrivialLayout(5, 5), rand.New(rand.NewSource(42)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

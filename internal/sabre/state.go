@@ -24,7 +24,7 @@ import (
 // pairs on it — is rebuilt from the live layout at every stall and
 // cleared again before the chosen SWAP moves the layout. Front pairs
 // are disjoint (one ready op per wire), so the front needs one partner
-// slot per qubit; window pairs are at most ExtendedSetSize, so a
+// slot per qubit; window pairs are at most extendedSetSize, so a
 // qubit's window partners fit in a fixed-stride row of that width.
 // Building a view costs O(|front| + |E|) flat writes, cheaper than
 // keeping a cache in step with every committed SWAP when most stalls
@@ -61,7 +61,7 @@ import (
 // sums equal the freshly recomputed ones bit-for-bit — the engine's
 // scores, tie-breaking RNG consumption, and emitted circuits are
 // identical to the tests' RouteReference's. The equivalence property
-// tests enforce this across window sizes, weights and decay rates.
+// tests enforce this across circuit sizes, topologies and seeds.
 //
 // Distances live in the topology's flat row-major int16 table
 // (dist[a*dn+b]), indexed directly — no slice-of-slice hop per lookup.
@@ -95,7 +95,6 @@ func swapMap32(x, a, b int32) int32 {
 type routingState struct {
 	c    *circuit.Circuit
 	topo *topology.Topology
-	opts Options
 
 	// Flat row-major distance table of the bound topology (shared
 	// immutable backing array; dn is the row stride).
@@ -165,12 +164,11 @@ type routingState struct {
 // bind rewinds the state for one trial over fd starting from initial.
 // Buffers are reused whenever they are already large enough, so a
 // steady-state rebind allocates nothing. The per-qubit view slots are
-// cleared at the new width, so a rebind to another topology or window
-// size starts from empty slots.
-func (st *routingState) bind(fd *circuit.FlatDAG, topo *topology.Topology, initial *topology.Layout, opts Options) {
+// cleared at the new width, so a rebind to another topology or
+// circuit size starts from empty slots.
+func (st *routingState) bind(fd *circuit.FlatDAG, topo *topology.Topology, initial *topology.Layout) {
 	st.c = fd.Circ
 	st.topo = topo
-	st.opts = opts
 	st.dist = topo.DistanceTable()
 	st.dn = topo.NumQubits
 	st.fd = fd
@@ -184,8 +182,8 @@ func (st *routingState) bind(fd *circuit.FlatDAG, topo *topology.Topology, initi
 	}
 	st.bumped = st.bumped[:0]
 	// A qubit sits in at most one pair per window op, and the window
-	// holds at most min(ExtendedSetSize, ops) ops.
-	st.stride = min(opts.ExtendedSetSize, fd.NumOps)
+	// holds at most min(extendedSetSize, ops) ops.
+	st.stride = min(extendedSetSize, fd.NumOps)
 	st.frontPeer = resize(st.frontPeer, n)
 	st.extDeg = resize(st.extDeg, n)
 	st.extPeer = resize(st.extPeer, n*st.stride)
@@ -240,7 +238,7 @@ func (st *routingState) bumpDecay(a, b int) {
 		if st.decay[q] == 1.0 {
 			st.bumped = append(st.bumped, int32(q))
 		}
-		st.decay[q] += st.opts.DecayRate
+		st.decay[q] += decayRate
 	}
 }
 
@@ -285,7 +283,7 @@ func (st *routingState) refresh() {
 		}
 	}
 	win := st.win[:0]
-	for _, idx := range st.tr.Descendants(st.opts.ExtendedSetSize) {
+	for _, idx := range st.tr.Descendants(extendedSetSize) {
 		if q1[idx] >= 0 {
 			win = append(win, idx)
 		}
@@ -303,7 +301,7 @@ func (st *routingState) window() []int32 {
 	if !st.dirty {
 		return st.win
 	}
-	return st.tr.Descendants(st.opts.ExtendedSetSize)
+	return st.tr.Descendants(extendedSetSize)
 }
 
 // buildView fills the physical view of the scoring sets under the
@@ -424,7 +422,7 @@ func (st *routingState) chooseSwap(rng *rand.Rand) (chosen swapCand, ok bool) {
 	n, dn, stride := st.topo.NumQubits, st.dn, st.stride
 	nf, ne := float64(len(st.front)), float64(len(st.win))
 	haveExt := len(st.win) > 0
-	w := st.opts.ExtendedSetWeight
+	w := extendedSetWeight
 	l2p, dist, decay, stamp, gen := st.layout.L2P, st.dist, st.decay, st.candStamp, st.candGen
 	frontPeer, extPeer, extDeg := st.frontPeer, st.extPeer, st.extDeg
 	frontSum, extSum := st.frontSum, st.extSum
@@ -551,8 +549,8 @@ func (st *routingState) mirrorCosts() (current, swapped float64) {
 		}
 	}
 	if haveExt {
-		current += st.opts.ExtendedSetWeight * float64(curE)
-		swapped += st.opts.ExtendedSetWeight * float64(swpE)
+		current += extendedSetWeight * float64(curE)
+		swapped += extendedSetWeight * float64(swpE)
 	}
 	return current, swapped
 }

@@ -55,11 +55,11 @@ func TestWorklistDuplicateEdgeSemantics(t *testing.T) {
 			name   string
 			policy MirrorPolicy
 		}{{"nopolicy", nil}, {"alwaysmirror", alwaysMirror{}}} {
-			ref, err := RouteReference(mustPrepare(t, c, topo), layout, Options{}, rand.New(rand.NewSource(seed)), p.policy)
+			ref, err := RouteReference(mustPrepare(t, c, topo), layout, rand.New(rand.NewSource(seed)), p.policy)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Route(c, topo, layout, Options{}, rand.New(rand.NewSource(seed)), p.policy)
+			got, err := Route(c, topo, layout, rand.New(rand.NewSource(seed)), p.policy)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,11 +86,11 @@ func TestWorklistMidStallReadiness(t *testing.T) {
 		c := randomCircuit(fmt.Sprintf("midstall-%d", trial), 10, 35, rng)
 		layout := RandomLayout(10, topo, rng)
 		seed := rng.Int63()
-		ref, err := RouteReference(mustPrepare(t, c, topo), layout, Options{}, rand.New(rand.NewSource(seed)), alwaysMirror{})
+		ref, err := RouteReference(mustPrepare(t, c, topo), layout, rand.New(rand.NewSource(seed)), alwaysMirror{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Route(c, topo, layout, Options{}, rand.New(rand.NewSource(seed)), alwaysMirror{})
+		got, err := Route(c, topo, layout, rand.New(rand.NewSource(seed)), alwaysMirror{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestPreparedCircuitSharedRace(t *testing.T) {
 	}
 	ref := routingFingerprint(want)
 	layout := RandomLayout(10, topo, rand.New(rand.NewSource(1)))
-	wantSingle, err := NewTrialRunner(pc).Run(layout, Options{}, 42, parityMirror{})
+	wantSingle, err := NewTrialRunner(pc).Run(layout, 42, parityMirror{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestPreparedCircuitSharedRace(t *testing.T) {
 					errs <- fmt.Sprintf("worker %d rep %d: refine: %v", w, rep, err)
 					return
 				}
-				single, err := NewTrialRunner(pc).Run(layout, Options{}, 42, parityMirror{})
+				single, err := NewTrialRunner(pc).Run(layout, 42, parityMirror{})
 				if err != nil {
 					errs <- fmt.Sprintf("worker %d rep %d: single: %v", w, rep, err)
 					return

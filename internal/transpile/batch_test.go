@@ -1,8 +1,8 @@
 package transpile_test
 
 import (
+	"errors"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -127,8 +127,9 @@ func TestTranspileBatchSharesCache(t *testing.T) {
 
 // TestTranspileBatchError: a failing circuit surfaces the error; the
 // first failure in input order wins, whichever step it fails in. A
-// circuit whose route diverges fails in routing, after a later
-// oversized circuit has already failed to prepare.
+// circuit whose route fails, here by a runner that ends its grid with
+// a row error as a diverged trial would, fails in routing, after a
+// later oversized circuit has already failed to prepare.
 func TestTranspileBatchError(t *testing.T) {
 	topo := topology.Line(4)
 	circs := []*circuit.Circuit{bench.GHZ(4), bench.GHZ(10)} // second is oversized
@@ -138,9 +139,16 @@ func TestTranspileBatchError(t *testing.T) {
 	}
 
 	circs = []*circuit.Circuit{bench.QFT(4), bench.GHZ(10)}
-	opts.Layout.Routing.MaxSteps = 1 // QFT(4) needs more than one SWAP on a line
-	_, err := transpile.TranspileBatch(circs, topo, opts)
-	if err == nil || !strings.Contains(err.Error(), "diverged") {
+	routeErr := errors.New("sabre: routing diverged")
+	failFirst := func(grids []*sabre.Grid) error {
+		if len(grids) == 0 {
+			t.Fatal("QFT(4) on a line got no routing grid")
+		}
+		grids[0].Consume(0, sabre.Row{Err: routeErr})
+		return sabre.RunGrids(grids[1:])
+	}
+	_, err := transpile.TranspileBatchWith(circs, topo, opts, failFirst)
+	if !errors.Is(err, routeErr) {
 		t.Fatalf("err = %v, want the routing failure of the earlier circuit", err)
 	}
 }

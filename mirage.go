@@ -139,12 +139,11 @@ const (
 	AggressionAlways = mirpkg.AggressionAlways
 )
 
-// LayoutOptions holds SABRE trial counts and parameters.
+// LayoutOptions holds the SABRE trial grid's counts, seed and
+// scheduling. The heuristic inside a trial is fixed at the paper's
+// Section V setup: lookahead window 20, weight 0.5, decay 0.001 reset
+// every 5 SWAPs.
 type LayoutOptions = sabre.LayoutOptions
-
-// RoutingOptions holds the per-trial SABRE parameters (lookahead
-// window, decay, score sharding).
-type RoutingOptions = sabre.Options
 
 // RoutingResult is the outcome of one routing run.
 type RoutingResult = sabre.Result
@@ -152,11 +151,11 @@ type RoutingResult = sabre.Result
 // TrialRunner reuses one routing-trial arena across many trials of a
 // prepared (circuit, topology) pair: the dependency DAG is built once
 // and shared immutably, and all mutable trial state is rewound per
-// Run, so a warm Run allocates only the mirror gate SWAP · U of each
-// mirror it accepts. A runner is single-goroutine and the Result
-// returned by Run aliases its arena (valid until the next Run). A
-// distributed worker runs the layout rows of a trial grid on one,
-// scoring each trial with GridTrial.
+// Run(initial layout, seed, policy), so a warm Run allocates only the
+// mirror gate SWAP · U of each mirror it accepts. A runner is
+// single-goroutine and the Result returned by Run aliases its arena
+// (valid until the next Run). A distributed worker runs the layout
+// rows of a trial grid on one, scoring each trial with GridTrial.
 type TrialRunner = sabre.TrialRunner
 
 // NewTrialRunner validates and prepares a circuit for repeated routing
@@ -375,7 +374,8 @@ func GenerateMirror(s MirrorSpec) *MirrorCircuit { return mirrorbench.Generate(s
 // VerifyMirror checks a transpiled mirror circuit against its expected
 // survival bitstring through the final layout, returning the survival
 // fidelity |<expected|U|0...0>|^2. It fails when the infidelity
-// exceeds tol, and reports ErrMirrorTooWide when the routed footprint
+// exceeds tol (benchsuite and mirbench check at 1e-9), and reports
+// ErrMirrorTooWide, with no verdict, when the routed footprint
 // exceeds the dense-unitary limit.
 func VerifyMirror(routed *Circuit, final *Layout, expected []int, tol float64) (float64, error) {
 	return mirrorbench.Verify(routed, final, expected, tol)
