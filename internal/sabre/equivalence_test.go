@@ -177,11 +177,7 @@ func equivCases(t *testing.T) []equivCase {
 // incremental engine must reproduce the naive recompute formulation
 // bit-identically — same SWAP sequence, same mirror decisions, same
 // RNG consumption — across randomized circuits, topologies, layouts
-// and seeds, with and without mirror policies. The decay factor, a
-// non-dyadic multiple of decayRate, enters the candidate score and its
-// window lower bound as a float, so a bound that rounds differently
-// from the score, or skips a candidate that could still tie and draw
-// from the generator, diverges here.
+// and seeds, with and without mirror policies.
 func TestRouteMatchesReference(t *testing.T) {
 	policies := []struct {
 		name   string
@@ -234,6 +230,52 @@ func TestRouteEquivalenceLongRandomWalk(t *testing.T) {
 		if !sameFingerprint(routingFingerprint(ref), routingFingerprint(got)) {
 			t.Fatalf("trial %d: engine diverged from reference on line topology", trial)
 		}
+	}
+}
+
+// TestRouteMatchesReferenceWeights runs the equivalence property on
+// stall-heavy routes. The window weight and the decay factor, a
+// non-dyadic multiple of decayRate, enter the candidate score and its
+// window lower bound as floats, so a bound that rounds differently
+// from the score, or skips a candidate that could still tie and draw
+// from the generator, diverges here. Each case has more 2Q ops than
+// the lookahead window, so every stall scores with a full window, and
+// the cases must reach a run of decayResetInterval consecutive SWAPs,
+// so every decay factor up to the reset is scored.
+func TestRouteMatchesReferenceWeights(t *testing.T) {
+	rng := rand.New(rand.NewSource(4711))
+	longestRun := 0
+	for _, topo := range []*topology.Topology{topology.Line(16), topology.Ring(12), topology.Grid(5, 5)} {
+		q := topo.NumQubits
+		c := sizedCircuit("stall-"+topo.Name, q, 3*extendedSetSize, rng)
+		layout := RandomLayout(q, topo, rng)
+		seed := rng.Int63()
+		for _, policy := range []MirrorPolicy{nil, parityMirror{}, costMirror{}} {
+			ref, err := RouteReference(mustPrepare(t, c, topo), layout, rand.New(rand.NewSource(seed)), policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Route(c, topo, layout, rand.New(rand.NewSource(seed)), policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameFingerprint(routingFingerprint(ref), routingFingerprint(got)) {
+				t.Fatalf("%s policy %T: engine diverged from reference (swaps %d vs %d)",
+					topo.Name, policy, got.SwapsInserted, ref.SwapsInserted)
+			}
+			run := 0
+			for _, op := range got.Routed.Ops {
+				if !op.RouterSwap {
+					run = 0
+					continue
+				}
+				run++
+				longestRun = max(longestRun, run)
+			}
+		}
+	}
+	if longestRun < decayResetInterval {
+		t.Fatalf("longest run of consecutive SWAPs is %d, want at least %d", longestRun, decayResetInterval)
 	}
 }
 
