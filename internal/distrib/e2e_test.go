@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -446,6 +447,97 @@ func TestDistributedOverLoopbackTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	resultsEqual(t, "tcp", want, got)
+}
+
+// countingRunner counts the items a worker runs.
+type countingRunner struct {
+	dispatch.JobRunner
+	items *atomic.Int64
+}
+
+func (r countingRunner) Run(i int) dispatch.WireItem {
+	r.items.Add(1)
+	return r.JobRunner.Run(i)
+}
+
+// TestDistributedFloorSkipsRows: grids that meet their floor route on
+// two loopback TCP workers to the local reports bit for bit, through
+// the RouteFn seam and as a batch; the batch's workers run fewer items
+// than its K grids of L x n trials, because the coordinator leases no
+// row of a grid that finished at its floor.
+func TestDistributedFloorSkipsRows(t *testing.T) {
+	var items atomic.Int64
+	handlers := map[string]dispatch.Handler{}
+	for kind, handle := range Handlers() {
+		handle := handle
+		handlers[kind] = func(spec, warm []byte) (dispatch.JobRunner, error) {
+			r, err := handle(spec, warm)
+			if err != nil {
+				return nil, err
+			}
+			return countingRunner{r, &items}, nil
+		}
+	}
+	h := dispatch.NewHub()
+	defer h.Close()
+	addr, err := h.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < 2; w++ {
+		go dispatch.ServeLoop(addr.String(), handlers, nil, dispatch.ReconnectOptions{})
+	}
+	if err := h.WaitWorkers(2, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	cl := NewCluster(h)
+
+	topo := topology.Grid(3, 4)
+	base := transpile.Options{
+		Router: transpile.MIRAGE, DepthSelection: true, SkipTrivialLayout: true,
+		Layout: sabre.LayoutOptions{LayoutTrials: 6, RoutingTrials: 4, FwdBwdPasses: 1, Seed: 3},
+	}
+	var circuits []*circuit.Circuit
+	for i := 0; i < 4; i++ {
+		m := mirrorbench.Generate(mirrorbench.Spec{
+			Kind: mirrorbench.Kind(i % 2), Qubits: 3 + i, Layers: 3, Seed: int64(100 + i),
+		})
+		circuits = append(circuits, m.Circuit)
+	}
+
+	dopts, err := cl.Options(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range circuits {
+		want, err := transpile.Transpile(c, topo, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := transpile.Transpile(c, topo, dopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reportsEqual(t, "routefn "+c.Name, want, got)
+	}
+
+	want, err := transpile.TranspileBatch(circuits, topo, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items.Store(0)
+	got, err := cl.TranspileBatch(circuits, topo, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		reportsEqual(t, "batch "+circuits[i].Name, want[i], got[i])
+	}
+	full := int64(len(circuits) * base.Layout.LayoutTrials * base.Layout.RoutingTrials)
+	t.Logf("batch workers ran %d of %d items", items.Load(), full)
+	if n := items.Load(); n >= full {
+		t.Fatalf("batch workers ran %d items, want fewer than the full %d", n, full)
+	}
 }
 
 // TestDistributedMirrorSurvival: self-verifying mirror circuits —

@@ -15,6 +15,14 @@ import (
 // Winner, score, TrialsExecuted and the replayed Result are what the
 // unpruned grid returns, at any Parallelism.
 //
+// The bound also gives the grid a floor: the score of a route that
+// meets the bound's least value, no SWAP for the SWAP count and the
+// logical critical path at the cheapest classes for the depth. A trial
+// at or below the floor wins, since a later trial could only tie, so
+// the grid finishes there and routes no later trial. It counts those
+// trials as executed, as it does cut trials, so TrialsExecuted is
+// still the unpruned grid's.
+//
 // A Bound is only valid for the metric it was declared for, so it is
 // declared next to that metric (transpile does) and travels with the
 // options handed to FindBestRoutingPrepared (LayoutOptions.WithBound).
@@ -91,6 +99,17 @@ func newTrialBound(b *Bound, pc *PreparedCircuit) *trialBound {
 		tb.tail, tb.slack = depthTail(pc, tb.slots.Costs, maxSwaps(len(pc.Circ.Ops)))
 	}
 	return tb
+}
+
+// floor returns the lowest score the bounded metric can give any
+// route of the grid's circuit: no SWAP for the SWAP count, and for the
+// depth the longest tail in the DAG, less the slack the tail keeps.
+func (b *trialBound) floor() float64 {
+	f := 0.0
+	for _, x := range b.tail {
+		f = math.Max(f, x)
+	}
+	return f - b.slack*f
 }
 
 // depthReached reports whether the depth pass, just fed a 2Q op on

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/gates"
+	"repro/internal/mirrorbench"
 	"repro/internal/topology"
 	"repro/internal/weyl"
 )
@@ -64,21 +65,49 @@ func boundCircuits() []*circuit.Circuit {
 	return append(cs, circuit.ConsolidateBlocks(pairs))
 }
 
-// TestPrunedGridMatchesUnpruned is the pruning contract: with a bound
+// floorCircuits returns consolidated circuits whose grids meet their
+// floor on grid-3x4: mirror circuits shaped like small compiles (3-6
+// qubits, 3-6 layers) and a line of CX gates, which embeds without a
+// SWAP.
+func floorCircuits() []*circuit.Circuit {
+	var cs []*circuit.Circuit
+	for i := 0; i < 6; i++ {
+		m := mirrorbench.Generate(mirrorbench.Spec{
+			Kind: mirrorbench.Kind(i % 2), Qubits: 3 + i%4, Layers: 3 + i/2, Seed: int64(100 + i),
+		})
+		cs = append(cs, circuit.ConsolidateBlocks(m.Circuit))
+	}
+	line := circuit.New("line", 6)
+	for rep := 0; rep < 2; rep++ {
+		for q := 0; q+1 < 6; q++ {
+			line.Add(gates.H(), q)
+			line.Add(gates.CX(), q, q+1)
+		}
+	}
+	return append(cs, circuit.ConsolidateBlocks(line))
+}
+
+// prunedCounts are the serial work of one bound over a circuit set:
+// trials the metric scored, trials the Results count as executed, and
+// grids that finished at their floor.
+type prunedCounts struct{ scored, executed, floored int }
+
+// checkPrunedMatchesUnpruned is the pruning contract: with a bound
 // declared, the grid returns the Result the unpruned grid returns —
-// same winner, routed circuit, layouts and TrialsExecuted — at every
-// Parallelism and patience, for the SWAP-count bound and for the depth
-// bound under exact (dyadic) and inexact prices. At Parallelism 1 it
-// pins how many trials the pruned grids score.
-func TestPrunedGridMatchesUnpruned(t *testing.T) {
+// same winner, routed circuit, layouts, score, TrialsExecuted and
+// TrialsBudgeted — at every Parallelism and patience, for the
+// SWAP-count bound and for the depth bound under exact (dyadic) and
+// inexact prices. It returns each bound's work at Parallelism 1.
+func checkPrunedMatchesUnpruned(t *testing.T, circuits []*circuit.Circuit) map[string]prunedCounts {
+	t.Helper()
 	topo := topology.Grid(3, 4)
 	type pair struct {
 		name   string
 		metric Metric
 		bound  *Bound
 	}
-	var scored, executed int64
-	for _, c := range boundCircuits() {
+	counts := map[string]prunedCounts{}
+	for _, c := range circuits {
 		pc, err := PrepareCircuit(c, topo)
 		if err != nil {
 			t.Fatal(err)
@@ -98,7 +127,7 @@ func TestPrunedGridMatchesUnpruned(t *testing.T) {
 				for _, patience := range []int{0, 3} {
 					base := LayoutOptions{LayoutTrials: 4, RoutingTrials: 6, FwdBwdPasses: 1,
 						Seed: 5, Parallelism: 1, ConvergencePatience: patience}
-					want, err := FindBestRoutingPrepared(pc, base, mp.metric, factory)
+					want, err := FindBestRoutingPrepared(pc, base.WithBound(nil), mp.metric, factory)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -107,7 +136,11 @@ func TestPrunedGridMatchesUnpruned(t *testing.T) {
 						counted := func(r *Result) float64 { calls.Add(1); return mp.metric(r) }
 						opts := base
 						opts.Parallelism = par
-						got, err := FindBestRoutingPrepared(pc, opts.WithBound(mp.bound), counted, factory)
+						g := NewGrid(pc, opts.WithBound(mp.bound), counted, factory)
+						if err := RunGrids([]*Grid{g}); err != nil {
+							t.Fatal(err)
+						}
+						got, err := g.Result()
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -123,19 +156,57 @@ func TestPrunedGridMatchesUnpruned(t *testing.T) {
 								got.TrialsExecuted, got.TrialsBudgeted, want.TrialsExecuted, want.TrialsBudgeted)
 						}
 						if par == 1 {
-							scored += calls.Load()
-							executed += int64(got.TrialsExecuted)
+							n := counts[mp.name]
+							n.scored += int(calls.Load())
+							n.executed += got.TrialsExecuted
+							if g.sel.best() <= g.sel.floor {
+								n.floored++
+							}
+							counts[mp.name] = n
 						}
 					}
 				}
 			}
 		}
 	}
-	// Serial rows route exactly the trials the selector consumes and cut
-	// each at the best consumed score: a row that routed past the stop
-	// rule, or cut at a stale best, would score a different count.
-	if scored != 147 || executed != 690 {
-		t.Fatalf("serial runs scored %d of %d executed trials, want 147 of 690", scored, executed)
+	return counts
+}
+
+// TestPrunedGridMatchesUnpruned runs the pruning contract on circuits
+// whose grids never meet their floor, and pins the serial work: serial
+// rows route exactly the trials the selector consumes and cut each at
+// the best consumed score, so a row that routed past the stop rule, or
+// cut at a stale best, would score a different count.
+func TestPrunedGridMatchesUnpruned(t *testing.T) {
+	var total prunedCounts
+	for name, n := range checkPrunedMatchesUnpruned(t, boundCircuits()) {
+		if n.floored != 0 {
+			t.Errorf("%s: %d grids met their floor, want 0", name, n.floored)
+		}
+		total.scored += n.scored
+		total.executed += n.executed
+	}
+	if total.scored != 147 || total.executed != 690 {
+		t.Fatalf("serial runs scored %d of %d executed trials, want 147 of 690", total.scored, total.executed)
+	}
+}
+
+// TestPrunedGridMatchesUnprunedAtFloor runs the pruning contract on
+// grids that meet their floor, and pins per bound how many do and the
+// serial work. Inexact (thirds) prices keep a slack below the floor,
+// so no score meets it.
+func TestPrunedGridMatchesUnprunedAtFloor(t *testing.T) {
+	want := map[string]prunedCounts{
+		"swaps":        {33, 392, 14},
+		"depth-dyadic": {144, 392, 8},
+		"depth-thirds": {296, 392, 0},
+	}
+	got := checkPrunedMatchesUnpruned(t, floorCircuits())
+	for name, w := range want {
+		if got[name] != w {
+			t.Errorf("%s: serial runs scored %d of %d executed trials with %d grids at their floor, want %d of %d with %d",
+				name, got[name].scored, got[name].executed, got[name].floored, w.scored, w.executed, w.floored)
+		}
 	}
 }
 

@@ -35,11 +35,16 @@ type Row struct {
 //
 //   - once every earlier row was consumed, a row follows a copy of
 //     that state, fed with its own scores so far: it stops routing at
-//     the trial where the copy's patience rule stops the grid. Serial
-//     runs follow from a row's first trial, so they route exactly the
-//     trials the selector consumes.
+//     the trial where the copy stops the grid. Serial runs follow from
+//     a row's first trial, so they route exactly the trials the
+//     selector consumes.
 //   - until then it runs on, and returns as soon as the grid finished.
 //     A row that starts on a finished grid refines no layout.
+//
+// A grid with a bound finishes at the first trial that meets its floor
+// (see Bound), as the patience rule finishes it: rows after it are
+// never refined, rows already running return at their next trial, and
+// the selector counts what it skips as executed.
 //
 // Every row cuts each trial at the lower of the published best and its
 // own best so far. A trial is thus only cut at the score of a
@@ -68,11 +73,13 @@ func NewGrid(pc *PreparedCircuit, opts LayoutOptions, metric Metric, factory Pol
 	if metric == nil {
 		metric = SwapCountMetric
 	}
-	g := &Grid{pc: pc, opts: opts, metric: metric, factory: factory,
-		sel: newTrialSelector(opts.ConvergencePatience)}
+	g := &Grid{pc: pc, opts: opts, metric: metric, factory: factory}
+	floor := math.Inf(-1)
 	if opts.bound != nil {
 		g.bound = newTrialBound(opts.bound, pc)
+		floor = g.bound.floor()
 	}
+	g.sel = newTrialSelector(opts.ConvergencePatience, opts.LayoutTrials*opts.RoutingTrials, floor)
 	return g
 }
 
@@ -84,8 +91,9 @@ func (g *Grid) Options() LayoutOptions { return g.opts }
 
 // Consume feeds row lt's scores to the selector and publishes its
 // state. It returns true once the grid is finished: the patience rule
-// fired, or the row ended in an error. On a finished grid it is a
-// no-op, so a late row moves neither the winner nor TrialsExecuted.
+// fired, a trial met the floor, or the row ended in an error. On a
+// finished grid it is a no-op, so a late row moves neither the winner
+// nor TrialsExecuted.
 func (g *Grid) Consume(lt int, row Row) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -137,7 +145,7 @@ func (g *Grid) Result() (*Result, error) {
 	}
 	best := res.own()
 	best.TrialsExecuted = g.sel.executed
-	best.TrialsBudgeted = g.opts.LayoutTrials * g.opts.RoutingTrials
+	best.TrialsBudgeted = g.sel.budget
 	return best, nil
 }
 

@@ -198,7 +198,9 @@ type LayoutOptions struct {
 	// consumed stops routing at T, a row started earlier returns once
 	// the grid has stopped, trials routed past T are discarded, and
 	// rows past T are never refined. 0 keeps the
-	// paper's fixed LayoutTrials x RoutingTrials grid.
+	// paper's fixed LayoutTrials x RoutingTrials grid, except that a
+	// grid with a bound (WithBound) also stops once a trial meets its
+	// floor: no later trial could win (see Bound).
 	ConvergencePatience int
 
 	// bound, set through WithBound, lets the grid cut trials that

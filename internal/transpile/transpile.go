@@ -24,7 +24,10 @@
 // trial bound and the depth metric then price by class slot through
 // one read-only mirage.CostTable per routed call, built over that
 // list, and only the winner's accepted mirrors are built as SWAP · U
-// gates.
+// gates. Every grid is declared with the bound of its metric: a trial
+// is cut once it cannot win, and the grid finishes as soon as a trial
+// meets its floor (no SWAP, or the logical critical path at the
+// cheapest classes), with the report an unbounded grid would give.
 // TranspileBatch routes the layout rows of all its circuits on one
 // work queue; only their preparation and measurement run per circuit.
 package transpile
@@ -131,6 +134,8 @@ type Report struct {
 	// TrialsExecuted counts the routing-trial indices the scheduler
 	// consumed; TrialsBudgeted is the full LayoutTrials x RoutingTrials
 	// grid. Executed < budgeted means adaptive early-stop kicked in.
+	// Trials the grid's floor left unrouted count as executed, as
+	// trials its bound cut do: the count is the unbounded grid's.
 	// Both are zero on the trivial-layout path (no routing ran).
 	TrialsExecuted int
 	TrialsBudgeted int
