@@ -178,25 +178,9 @@ func RunKernelBenchmarks() ([]KernelRow, error) {
 			}
 			return nil
 		}},
-		// RouteSingle/RouteSingleWarm bracket the single-trial latency
-		// story: RouteSingle is the cold path (per-call DAG build and
-		// arena allocation via sabre.Route — the cost the prepared-state
-		// API amortises away), RouteSingleWarm is one trial on a warm
-		// arena at a fixed seed — the pure execute/stall-loop latency a
-		// trial grid pays per trial. Their gap is the per-circuit
-		// analysis cost; RouteSingleWarm's allocs/op must stay 0.
-		{"sabre/RouteSingle", func(b *testing.B) error {
-			topo, c, layout := routingFixture()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rng := rand.New(rand.NewSource(7))
-				if _, err := sabre.Route(c, topo, layout, rng, nil); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
+		// One trial on a warm arena at a fixed seed: the pure
+		// execute/stall-loop latency a trial grid pays per trial.
+		// allocs/op must stay 0.
 		{"sabre/RouteSingleWarm", func(b *testing.B) error {
 			topo, c, layout := routingFixture()
 			pc, err := sabre.PrepareCircuit(c, topo)

@@ -173,14 +173,6 @@ func (c *Circuit) CountMirrored() int {
 // WeightFunc assigns a duration to an op; see Depth.
 type WeightFunc func(Op) float64
 
-// UnitWeight2Q counts every 2Q op as 1 and 1Q ops as 0.
-func UnitWeight2Q(op Op) float64 {
-	if op.Is2Q() {
-		return 1
-	}
-	return 0
-}
-
 // Depth returns the weighted critical-path length: ops on a wire are
 // sequential, ops on disjoint wires run in parallel.
 func (c *Circuit) Depth(w WeightFunc) float64 {

@@ -413,3 +413,25 @@ func TestInteractionPairs(t *testing.T) {
 		t.Fatalf("interaction pairs = %v", pairs)
 	}
 }
+
+// UnitWeight2Q counts every 2Q op as 1 and 1Q ops as 0.
+func UnitWeight2Q(op Op) float64 {
+	if op.Is2Q() {
+		return 1
+	}
+	return 0
+}
+
+// EquivalentUpToPhase reports whether two circuits implement the same
+// unitary up to global phase.
+func EquivalentUpToPhase(a, b *Circuit, tol float64) (bool, error) {
+	ua, err := a.Unitary()
+	if err != nil {
+		return false, err
+	}
+	ub, err := b.Unitary()
+	if err != nil {
+		return false, err
+	}
+	return ua.EqualUpToGlobalPhase(ub, tol), nil
+}

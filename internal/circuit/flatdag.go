@@ -135,7 +135,6 @@ type FlatTraversal struct {
 	next, prev []int32
 	seq        []int32
 	seqCounter int32
-	readyLen   int
 
 	// Descendants scratch: generation-stamped visited marks plus a BFS
 	// ring reused across calls (Reset bumps the generation instead of
@@ -175,7 +174,6 @@ func (t *FlatTraversal) Reset(d *FlatDAG) {
 	t.seq = t.seq[:n]
 	copy(t.indeg, d.InDeg)
 	t.head, t.tail = -1, -1
-	t.readyLen = 0
 	t.seqCounter = 0
 	t.LastReady = t.LastReady[:0]
 	for _, r := range d.Roots {
@@ -197,7 +195,6 @@ func (t *FlatTraversal) pushReady(i int32) {
 		t.head = i
 	}
 	t.tail = i
-	t.readyLen++
 }
 
 // Execute marks op i as done, unlinks it from the ready list (O(1))
@@ -221,7 +218,6 @@ func (t *FlatTraversal) Execute(i int) {
 	} else if t.tail == i32 {
 		t.tail = t.prev[i32]
 	}
-	t.readyLen--
 	t.LastReady = t.LastReady[:0]
 	for _, s := range t.D.SuccsOf(i) {
 		t.indeg[s]--
@@ -238,9 +234,6 @@ func (t *FlatTraversal) Done() bool { return t.Remain == 0 }
 // Pending reports whether op i is in the ready set (all dependencies
 // executed, i itself not yet executed).
 func (t *FlatTraversal) Pending(i int32) bool { return t.indeg[i] == 0 }
-
-// ReadyLen returns the current size of the ready set.
-func (t *FlatTraversal) ReadyLen() int { return t.readyLen }
 
 // ReadyFirst returns the first ready op in insertion order, or -1.
 func (t *FlatTraversal) ReadyFirst() int32 { return t.head }

@@ -237,3 +237,13 @@ func traversalChecksum(tr *FlatTraversal) int64 {
 	}
 	return sum
 }
+
+// ReadyLen returns the current size of the ready set, counted along
+// the ready list.
+func (t *FlatTraversal) ReadyLen() int {
+	n := 0
+	for i := t.ReadyFirst(); i >= 0; i = t.ReadyNext(i) {
+		n++
+	}
+	return n
+}

@@ -139,17 +139,3 @@ func PermutationMatrix(perm []int) *linalg.Matrix {
 	}
 	return out
 }
-
-// EquivalentUpToPhase reports whether two circuits implement the same
-// unitary up to global phase.
-func EquivalentUpToPhase(a, b *Circuit, tol float64) (bool, error) {
-	ua, err := a.Unitary()
-	if err != nil {
-		return false, err
-	}
-	ub, err := b.Unitary()
-	if err != nil {
-		return false, err
-	}
-	return ua.EqualUpToGlobalPhase(ub, tol), nil
-}

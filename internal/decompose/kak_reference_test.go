@@ -18,6 +18,18 @@ import (
 	"repro/internal/weyl"
 )
 
+// magicBasis is the "magic" Bell-like basis change B: conjugating a
+// local gate by B yields a real orthogonal matrix, and canonical gates
+// become diagonal.
+var magicBasis = linalg.FromRows([][]complex128{
+	{complex(1/math.Sqrt2, 0), 0, 0, complex(0, 1/math.Sqrt2)},
+	{0, complex(0, 1/math.Sqrt2), complex(1/math.Sqrt2, 0), 0},
+	{0, complex(0, 1/math.Sqrt2), complex(-1/math.Sqrt2, 0), 0},
+	{complex(1/math.Sqrt2, 0), 0, 0, complex(0, -1/math.Sqrt2)},
+})
+
+var magicBasisDagger = magicBasis.Dagger()
+
 // KAKDecomposition expresses a 4x4 unitary as
 //
 //	U = GlobalPhase * (K1l kron K1r) * CAN(X, Y, Z) * (K2l kron K2r).
@@ -102,9 +114,7 @@ func KAK(u *linalg.Matrix, rng *rand.Rand) (*KAKDecomposition, error) {
 	phase := cmplx.Pow(det, 0.25)
 	v := u.Scale(1 / phase)
 
-	// Shared immutable basis matrices (only read here).
-	b := weyl.MagicBasis()
-	bd := weyl.MagicBasisDagger()
+	b, bd := magicBasis, magicBasisDagger
 	m := bd.Mul(v).Mul(b)
 
 	gamma := m.Mul(m.Transpose())

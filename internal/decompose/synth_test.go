@@ -1,13 +1,13 @@
-// Package decompose is the tests' two-qubit synthesis oracle; no
-// binary links it. Synthesize fits the Cartan ansatz of paper Fig. 2
-// (k applications of a basis gate between 1Q layers) with
-// Nelder-Mead; the tests use it to check that the coverage-polytope
-// cost k of a gate can actually be realised. Routing needs only that
-// cost, so no request decomposes a circuit into literal basis pulses:
-// as paper Section IV-B puts it, "the actual decomposition can be
-// specified later". The Cartan (KAK) decomposition on the
-// *linalg.Matrix API lives in kak_reference_test.go, where it pins the
-// weyl package's coordinates.
+// Package decompose is the tests' two-qubit synthesis oracle and holds
+// only test files, so no binary links it. Synthesize fits the Cartan
+// ansatz of paper Fig. 2 (k applications of a basis gate between 1Q
+// layers) with Nelder-Mead; the tests use it to check that the
+// coverage-polytope cost k of a gate can actually be realised. Routing
+// needs only that cost, so no request decomposes a circuit into
+// literal basis pulses: as paper Section IV-B puts it, "the actual
+// decomposition can be specified later". The Cartan (KAK)
+// decomposition on the *linalg.Matrix API lives in
+// kak_reference_test.go, where it pins the weyl package's coordinates.
 package decompose
 
 import (

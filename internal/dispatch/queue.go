@@ -440,15 +440,6 @@ func (q *Queue[T]) Finished() bool {
 	return q.finishedLocked()
 }
 
-// Consumed returns how many indices the consumer has seen — the
-// deterministic executed-work count (layout rows for a trial grid,
-// whose TrialsExecuted its selector counts).
-func (q *Queue[T]) Consumed() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.consumed
-}
-
 // Err returns the consumed error that stopped the queue, if any.
 func (q *Queue[T]) Err() error {
 	q.mu.Lock()

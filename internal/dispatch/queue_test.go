@@ -314,3 +314,12 @@ func TestQueueSkipPassesOverUnneededIndices(t *testing.T) {
 		t.Fatalf("consumed %v, want [0 1 6 7]", seen)
 	}
 }
+
+// Consumed returns how many indices the consumer has seen — the
+// deterministic executed-work count (layout rows for a trial grid,
+// whose TrialsExecuted its selector counts).
+func (q *Queue[T]) Consumed() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.consumed
+}

@@ -70,7 +70,9 @@ func circuitFromWire(w wireCircuit) (*circuit.Circuit, error) {
 	}
 	c := circuit.New(w.Name, w.NumQubits)
 	for i, wo := range w.Ops {
-		if wo.GateQubits < 1 || wo.GateQubits > circuit.MaxUnitaryQubits {
+		// Workers route what they decode, and routing takes ops of at
+		// most two qubits (sabre.PrepareCircuit).
+		if wo.GateQubits < 1 || wo.GateQubits > 2 {
 			return nil, fmt.Errorf("distrib: op %d (%s) acts on %d qubits", i, wo.Name, wo.GateQubits)
 		}
 		side := 1 << wo.GateQubits

@@ -231,6 +231,13 @@ func TestCodecRejectsMalformed(t *testing.T) {
 	if _, err := circuitFromWire(w); err == nil {
 		t.Fatal("truncated matrix decoded")
 	}
+	// A well-formed Toffoli: routing takes no 3Q op, so the decoder
+	// refuses it before any worker prepares the circuit.
+	c3 := circuit.New("bad3", 4)
+	c3.Add(circuit.Toffoli(), 0, 1, 2)
+	if _, err := circuitFromWire(circuitToWire(c3)); err == nil {
+		t.Fatal("3-qubit op decoded")
+	}
 	if _, err := topologyFromWire(wireTopology{Name: "t", NumQubits: 3, Edges: [][2]int{{0, 7}}}); err == nil {
 		t.Fatal("invalid edge decoded")
 	}

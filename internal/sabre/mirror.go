@@ -33,10 +33,6 @@ type mirrorTable struct {
 // against (SWAP · U); matrices are immutable by convention.
 var routerSwapMatrix = routerSwapGate.Matrix()
 
-func newMirrorTable(c *circuit.Circuit) *mirrorTable {
-	return &mirrorTable{circ: c, name: c.Name + "_routed"}
-}
-
 // getClasses returns the class list, building it and the ops' slots
 // on first use. Safe for concurrent use.
 func (m *mirrorTable) getClasses() *circuit.Classes {

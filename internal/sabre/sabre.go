@@ -4,7 +4,7 @@
 // decay-based parallelism promotion, and iterative forward-backward
 // layout refinement with independent trials.
 //
-// Route runs on a delta-scoring engine (routingState): each stall
+// Every route runs on a delta-scoring engine (routingState): each stall
 // builds flat scoring sets — the front and lookahead pairs, their
 // distance sums and per-qubit partner slots under the live layout —
 // and scores each SWAP candidate by delta, revisiting only the pairs
@@ -119,38 +119,9 @@ type Result struct {
 	// TrialsExecuted / TrialsBudgeted describe the trial schedule that
 	// produced this result (set by FindBestRoutingPrepared: executed counts the
 	// trial indices the scheduler consumed, budgeted the full grid).
-	// Zero for direct Route calls.
+	// Zero for a lone TrialRunner.Run.
 	TrialsExecuted int
 	TrialsBudgeted int
-}
-
-// Route maps the logical circuit onto the topology starting from the
-// given layout, inserting SWAPs as needed. All ops must act on at most
-// two qubits. The input layout is not mutated.
-//
-// Each call builds the circuit's flat DAG (and, under a policy, its
-// class list) and a fresh trial arena; the returned Result owns its
-// buffers, and its accepted mirrors carry their mirror gates. The
-// class list is the call's own, so a policy that prices by class list
-// (mirage) must route through TrialRunner on the PreparedCircuit its
-// prices were listed from. Callers routing the same circuit repeatedly
-// should use TrialRunner too, which shares the DAG and reuses the
-// arena.
-func Route(c *circuit.Circuit, topo *topology.Topology, initial *topology.Layout,
-	rng *rand.Rand, policy MirrorPolicy) (*Result, error) {
-
-	if err := validateRoutable(c, topo); err != nil {
-		return nil, err
-	}
-	fd := circuit.BuildFlatDAG(c)
-	// The arena is transient, so handing its buffers to the caller via
-	// the Result is safe: nothing resets them afterwards.
-	res, err := newTrialArena().route(fd, newMirrorTable(c), topo, initial, rng, policy, nil)
-	if err != nil {
-		return nil, err
-	}
-	finishMirrors(res.Routed.Ops)
-	return res, nil
 }
 
 // RandomLayout places the circuit's logical qubits on distinct random
@@ -169,7 +140,7 @@ func RandomLayout(numLogical int, topo *topology.Topology, rng *rand.Rand) *topo
 // read a mirrored op's class from its Coord (circuit.OpCoordinate) or
 // Class, never from its gate: a scored trial (a grid's, or
 // TrialRunner.GridTrial's) emits an accepted mirror as its source gate
-// with Mirrored set, and only the Results Route, TrialRunner.Run and
+// with Mirrored set, and only the Results TrialRunner.Run and
 // FindBestRoutingPrepared hand out carry the mirror gate SWAP · U.
 type Metric func(*Result) float64
 

@@ -21,6 +21,34 @@ func findBestRouting(c *circuit.Circuit, topo *topology.Topology, opts LayoutOpt
 	return FindBestRoutingPrepared(pc, opts, metric, factory)
 }
 
+// Route maps the logical circuit onto the topology starting from the
+// given layout, inserting SWAPs as needed: one trial on a fresh arena,
+// the unprepared twin of TrialRunner.Run that the tests route single
+// trials with. All ops must act on at most two qubits. The input layout
+// is not mutated. The class list is the call's own, so a policy that
+// prices by class list (mirage) must route through TrialRunner on the
+// PreparedCircuit its prices were listed from.
+func Route(c *circuit.Circuit, topo *topology.Topology, initial *topology.Layout,
+	rng *rand.Rand, policy MirrorPolicy) (*Result, error) {
+
+	if err := validateRoutable(c, topo); err != nil {
+		return nil, err
+	}
+	fd := circuit.BuildFlatDAG(c)
+	// The arena is transient, so handing its buffers to the caller via
+	// the Result is safe: nothing resets them afterwards.
+	res, err := newTrialArena().route(fd, newMirrorTable(c), topo, initial, rng, policy, nil)
+	if err != nil {
+		return nil, err
+	}
+	finishMirrors(res.Routed.Ops)
+	return res, nil
+}
+
+func newMirrorTable(c *circuit.Circuit) *mirrorTable {
+	return &mirrorTable{circ: c, name: c.Name + "_routed"}
+}
+
 // padded returns the circuit extended to the full topology width so
 // layouts are bijections and unitary contracts are exact.
 func padded(c *circuit.Circuit, topo *topology.Topology) *circuit.Circuit {

@@ -41,8 +41,13 @@ func newTrialSelector(patience, budget int, floor float64) trialSelector {
 
 // Consume feeds trial t's score. Returns true when the grid should
 // stop: `patience` consecutive non-improving trial indices have been
-// consumed, or the score met the floor. A NaN score never improves the
-// best nor meets the floor.
+// consumed, or the score met the floor. A NaN score never meets the
+// floor and never displaces a held best, but the first trial consumed
+// becomes the best whatever its score: after a NaN there, no later
+// score compares below it, so every later trial counts as
+// non-improving. No in-tree metric returns NaN, and distrib turns its
+// NaN-marked failed trials into row errors before they reach a
+// selector.
 func (s *trialSelector) Consume(t int, score float64) bool {
 	s.executed++
 	if s.bestT < 0 || score < s.bestScore {

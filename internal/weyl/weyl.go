@@ -33,7 +33,6 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
-	"sort"
 
 	"repro/internal/gates"
 	"repro/internal/linalg"
@@ -128,15 +127,6 @@ var magicBasis = linalg.FromRows([][]complex128{
 })
 
 var magicBasisDagger = magicBasis.Dagger()
-
-// MagicBasis returns the magic basis matrix. The returned matrix is
-// shared and immutable — callers must not modify it. (It used to be a
-// fresh deep copy per call, which put two allocations on every KAK
-// invocation.)
-func MagicBasis() *linalg.Matrix { return magicBasis }
-
-// MagicBasisDagger returns B^dagger, shared and immutable.
-func MagicBasisDagger() *linalg.Matrix { return magicBasisDagger }
 
 // gammaSpectrum returns the four unit-circle eigenvalues of
 // Gamma(U) = M M^T, M = B^dagger (U/det^{1/4}) B.
@@ -422,25 +412,6 @@ func (c Coordinate) ToPaper() PaperCoordinate {
 	return PaperCoordinate{A: halfPi - c.X, B: c.Y, C: -c.Z}
 }
 
-// FromPaper unfolds a paper-convention coordinate into the chamber.
-func FromPaper(p PaperCoordinate) Coordinate {
-	if p.A <= quarterPi {
-		return Coordinate{X: p.A, Y: p.B, Z: p.C}
-	}
-	return Coordinate{X: halfPi - p.A, Y: p.B, Z: -p.C}
-}
-
-// MirrorPaper implements the paper's Eq. 1 verbatim:
-//
-//	(a', b', c') = (pi/4 + c, pi/4 - b, pi/4 - a)  if a <= pi/4
-//	(a', b', c') = (pi/4 - c, pi/4 - b, a - pi/4)  otherwise
-func MirrorPaper(p PaperCoordinate) PaperCoordinate {
-	if p.A <= quarterPi {
-		return PaperCoordinate{A: quarterPi + p.C, B: quarterPi - p.B, C: quarterPi - p.A}
-	}
-	return PaperCoordinate{A: quarterPi - p.C, B: quarterPi - p.B, C: p.A - quarterPi}
-}
-
 // --- Haar sampling ---
 
 // HaarSample draws the Weyl coordinate of a Haar-random SU(4) unitary.
@@ -455,25 +426,4 @@ func HaarSample(rng *rand.Rand) Coordinate {
 			return c
 		}
 	}
-}
-
-// SortedSpectrum returns the Gamma spectrum of u sorted by phase; two
-// unitaries are locally equivalent (as SU(4) representatives) iff their
-// sorted spectra agree. Exposed for tests.
-func SortedSpectrum(u *linalg.Matrix) ([4]complex128, error) {
-	var spec [4]complex128
-	var err error
-	if u.Rows == 4 && u.Cols == 4 {
-		spec, err = gammaSpectrumMat4(linalg.Mat4From(u))
-	}
-	if err != nil || u.Rows != 4 || u.Cols != 4 {
-		spec, err = gammaSpectrum(u)
-	}
-	if err != nil {
-		return spec, err
-	}
-	s := spec[:]
-	sort.Slice(s, func(i, j int) bool { return cmplx.Phase(s[i]) < cmplx.Phase(s[j]) })
-	copy(spec[:], s)
-	return spec, nil
 }

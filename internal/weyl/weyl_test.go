@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/gates"
@@ -311,4 +312,47 @@ func TestApproxEqualBoundaryIdentification(t *testing.T) {
 	if c.ApproxEqual(d, 1e-9) {
 		t.Fatal("interior points with opposite Z reported equal")
 	}
+}
+
+// The paper-convention inverse and Eq. 1, and the sorted Gamma
+// spectrum: oracles the tests check the chamber forms against.
+
+// FromPaper unfolds a paper-convention coordinate into the chamber.
+func FromPaper(p PaperCoordinate) Coordinate {
+	if p.A <= quarterPi {
+		return Coordinate{X: p.A, Y: p.B, Z: p.C}
+	}
+	return Coordinate{X: halfPi - p.A, Y: p.B, Z: -p.C}
+}
+
+// MirrorPaper implements the paper's Eq. 1 verbatim:
+//
+//	(a', b', c') = (pi/4 + c, pi/4 - b, pi/4 - a)  if a <= pi/4
+//	(a', b', c') = (pi/4 - c, pi/4 - b, a - pi/4)  otherwise
+func MirrorPaper(p PaperCoordinate) PaperCoordinate {
+	if p.A <= quarterPi {
+		return PaperCoordinate{A: quarterPi + p.C, B: quarterPi - p.B, C: quarterPi - p.A}
+	}
+	return PaperCoordinate{A: quarterPi - p.C, B: quarterPi - p.B, C: p.A - quarterPi}
+}
+
+// SortedSpectrum returns the Gamma spectrum of u sorted by phase; two
+// unitaries are locally equivalent (as SU(4) representatives) iff their
+// sorted spectra agree.
+func SortedSpectrum(u *linalg.Matrix) ([4]complex128, error) {
+	var spec [4]complex128
+	var err error
+	if u.Rows == 4 && u.Cols == 4 {
+		spec, err = gammaSpectrumMat4(linalg.Mat4From(u))
+	}
+	if err != nil || u.Rows != 4 || u.Cols != 4 {
+		spec, err = gammaSpectrum(u)
+	}
+	if err != nil {
+		return spec, err
+	}
+	s := spec[:]
+	sort.Slice(s, func(i, j int) bool { return cmplx.Phase(s[i]) < cmplx.Phase(s[j]) })
+	copy(spec[:], s)
+	return spec, nil
 }
